@@ -1,20 +1,16 @@
 //! `dcst-analyze` — the workspace's own static analyzer.
 //!
 //! A dependency-free lexer + item-level parser for Rust source, and a
-//! rule engine with two entry points:
-//!
-//! * [`rules::run_legacy`] — the original `xtask lint` rules
-//!   (unsafe-safety, static-mut, sleep-poll, pool-sync), now running on
-//!   the lossless lexer instead of a line-oriented state machine.
-//! * [`rules::run_full`] — everything above plus the four analysis
-//!   passes: atomic-ordering manifest conformance ([`rules::orderings`]),
-//!   hot-path purity ([`rules::hotpath`]), feature-gate symmetry
-//!   ([`rules::featuresym`]), and the static task-footprint lint
-//!   ([`rules::footprint`]).
+//! rule engine with one entry point, [`rules::run_full`]: the per-file
+//! lint rules (unsafe-safety, static-mut, sleep-poll, pool-sync —
+//! [`rules::legacy`]) plus the four analysis passes: atomic-ordering
+//! manifest conformance ([`rules::orderings`]), hot-path purity
+//! ([`rules::hotpath`]), feature-gate symmetry ([`rules::featuresym`]),
+//! and the static task-footprint lint ([`rules::footprint`]).
 //!
 //! The tree is walked and parsed exactly once ([`workspace::Workspace`]);
 //! every rule reads the same shared [`parser::ParsedFile`]s. `xtask`
-//! drives both entry points (`cargo run -p xtask -- lint|analyze`).
+//! drives it (`cargo run -p xtask -- analyze`).
 
 pub mod lexer;
 pub mod manifest;
@@ -22,5 +18,5 @@ pub mod parser;
 pub mod rules;
 pub mod workspace;
 
-pub use rules::{run_full, run_legacy, Violation};
+pub use rules::{run_full, Violation};
 pub use workspace::Workspace;

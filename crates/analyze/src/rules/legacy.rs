@@ -1,6 +1,6 @@
-//! The original `xtask lint` rules, now running on the lexer-backed
-//! stripper (which fixed the raw-string / truncated-literal mishandling
-//! of the regex-era state machine):
+//! The per-file lint rules, running on the lexer-backed stripper (which
+//! fixed the raw-string / truncated-literal mishandling of the regex-era
+//! state machine):
 //!
 //! * **unsafe-safety** — every `unsafe` block and `unsafe impl` must carry
 //!   a `// SAFETY:` comment, trailing or in the window of lines above.

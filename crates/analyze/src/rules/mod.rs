@@ -63,23 +63,13 @@ pub fn allow_justification<'a>(raw_lines: &'a [String], rule: &str, line: u32) -
     None
 }
 
-/// The four legacy rules (unsafe-safety, static-mut, sleep-poll,
-/// pool-sync) — the back-compatible `xtask lint` surface.
-pub fn run_legacy(ws: &Workspace) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        out.extend(legacy::check_file(file));
-    }
-    sort(&mut out);
-    out
-}
-
-/// Everything: legacy rules plus the four analysis passes. `manifest`
+/// Everything: the per-file lint rules ([`legacy`]: unsafe-safety,
+/// static-mut, sleep-poll, pool-sync) plus the four analysis passes. `manifest`
 /// carries the contents of `specs/orderings.toml`, or an explanation of
 /// why it could not be read (which becomes a violation — an unreadable
 /// manifest must fail the run, not weaken it).
 pub fn run_full(ws: &Workspace, manifest: Result<&str, String>) -> Vec<Violation> {
-    let mut out = run_legacy(ws);
+    let mut out: Vec<Violation> = ws.files.iter().flat_map(legacy::check_file).collect();
     match manifest {
         Ok(text) => match crate::manifest::parse(text) {
             Ok(sites) => out.extend(orderings::check(ws, &sites)),

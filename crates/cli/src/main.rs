@@ -16,9 +16,10 @@
 //! `--values-only` computes eigenvalues without accumulating eigenvectors;
 //! `--subset il:iu` computes all eigenvalues but only the eigenvectors with
 //! (0-based, ascending) indices `il..=iu`. Both are accepted by every
-//! solver. With `DCST_TRACE=out.json` in the environment, `solve --solver
-//! taskflow` additionally records the run and writes a Chrome trace-event
-//! file (loadable in `chrome://tracing` / Perfetto).
+//! solver. With `DCST_TRACE=out.json` in the environment, `solve` with any
+//! D&C solver (`taskflow`, `seq`, `forkjoin`, `levelpar`) additionally
+//! writes the run as a Chrome trace-event file (loadable in
+//! `chrome://tracing` / Perfetto).
 //!
 //! `serve` runs the eigensolver-as-a-service daemon (line-delimited JSON
 //! over TCP on one shared runtime; see `DESIGN.md` "Service layer") and
@@ -107,7 +108,7 @@ fn usage() -> ExitCode {
          dcst trace [--type K] [--n N] [--svg FILE] [--json FILE] [--chrome FILE]\n  \
          dcst serve [--addr A] [--threads K] [--max-inflight M] [--max-n N] [--trace-requests]\n  \
          dcst request --addr HOST:PORT [--json LINE]\n\
-         env: DCST_TRACE=FILE with 'solve --solver taskflow' writes a Chrome trace-event file"
+         env: DCST_TRACE=FILE with a D&C 'solve' writes a Chrome trace-event file"
     );
     ExitCode::from(EXIT_USAGE)
 }
@@ -338,51 +339,24 @@ fn main() -> ExitCode {
                     }
                 }
                 name => {
-                    // The D&C variants all expose solve_with_stats, so the
-                    // deflation statistics behind --metrics come for free;
-                    // the task-flow driver can additionally record the run
-                    // (trace + scheduler counters) for DCST_TRACE.
-                    let result =
-                        match name {
-                            "taskflow" => {
-                                let solver = TaskFlowDc::new(opts);
-                                if trace_path.is_some() || recorder.is_some() {
-                                    solver.solve_observed(&t).map(|(eig, stats, trace, rm)| {
-                                        dc_stats = Some(stats);
-                                        observed = Some((trace, rm));
-                                        eig
-                                    })
-                                } else {
-                                    solver.solve_with_stats(&t).map(|(eig, stats)| {
-                                        dc_stats = Some(stats);
-                                        eig
-                                    })
-                                }
-                            }
-                            "seq" => SequentialDc::new(DcOptions { threads: 1, ..opts })
-                                .solve_with_stats(&t)
-                                .map(|(eig, stats)| {
-                                    dc_stats = Some(stats);
-                                    eig
-                                }),
-                            "forkjoin" => {
-                                ForkJoinDc::new(opts)
-                                    .solve_with_stats(&t)
-                                    .map(|(eig, stats)| {
-                                        dc_stats = Some(stats);
-                                        eig
-                                    })
-                            }
-                            "levelpar" => LevelParallelDc::new(opts).solve_with_stats(&t).map(
-                                |(eig, stats)| {
-                                    dc_stats = Some(stats);
-                                    eig
-                                },
-                            ),
-                            other => return fail(format!("unknown solver '{other}'"), EXIT_USAGE),
-                        };
+                    // The D&C variants are scheduling disciplines over one
+                    // task graph, so whichever is picked the same call
+                    // returns the deflation statistics behind --metrics and
+                    // the trace + scheduler counters behind DCST_TRACE.
+                    let result = match name {
+                        "taskflow" => TaskFlowDc::new(opts).solve_observed(&t),
+                        "seq" => SequentialDc::new(opts).solve_observed(&t),
+                        "forkjoin" => ForkJoinDc::new(opts).solve_observed(&t),
+                        "levelpar" => LevelParallelDc::new(opts).solve_observed(&t),
+                        other => return fail(format!("unknown solver '{other}'"), EXIT_USAGE),
+                    };
                     let eig = match result {
-                        Ok(eig) => eig,
+                        Ok((eig, stats, trace, rm)) => {
+                            dc_stats = Some(stats);
+                            observed =
+                                (trace_path.is_some() || recorder.is_some()).then_some((trace, rm));
+                            eig
+                        }
                         Err(e) => return fail(&e, dc_code(&e)),
                     };
                     // --values-only --subset: the D&C values path returns
@@ -421,8 +395,6 @@ fn main() -> ExitCode {
                 // retired task, so this always equals the record count
                 // (zeros without the `metrics` feature compiled in).
                 eprintln!("tasks executed = {}", rm.tasks_executed());
-            } else if trace_path.is_some() {
-                eprintln!("note: DCST_TRACE is only honored by --solver taskflow");
             }
             if let Some(rec) = recorder {
                 match &dc_stats {

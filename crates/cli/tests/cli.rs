@@ -387,8 +387,8 @@ fn metrics_flag_reports_solver_and_runtime_counters() {
     // must be visible in the report.
     assert!(!err.contains("secular: 0 root solves"), "{err}");
 
-    // Sequential solvers still accept --metrics (deflation stats come from
-    // DcStats, which every D&C variant produces).
+    // Every D&C variant runs the one task graph, so --metrics reports the
+    // same deflation statistics and executed-task counter for all of them.
     let out = dcst()
         .args([
             "solve",
@@ -403,7 +403,78 @@ fn metrics_flag_reports_solver_and_runtime_counters() {
     assert!(out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("overall deflation"), "{err}");
+    assert!(err.contains("tasks executed = "), "{err}");
     let _ = std::fs::remove_file(&path);
+}
+
+/// `DCST_TRACE` is honoured by the inline driver too: `--solver seq` writes
+/// a parseable Chrome trace with one complete event per executed task, all
+/// on the calling thread's single lane, and no dependency flow events (the
+/// inline discipline tracks none).
+#[test]
+fn chrome_trace_for_the_sequential_solver() {
+    let input = tempfile("chrome-seq.txt");
+    let trace = tempfile("chrome-seq.trace.json");
+    dcst()
+        .args([
+            "generate",
+            "--type",
+            "4",
+            "--n",
+            "300",
+            "--seed",
+            "11",
+            "--out",
+            input.to_str().unwrap(),
+        ])
+        .status()
+        .unwrap();
+    let out = dcst()
+        .env("DCST_TRACE", trace.to_str().unwrap())
+        .args(["solve", "--in", input.to_str().unwrap(), "--solver", "seq"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    let executed: usize = err
+        .lines()
+        .find_map(|l| l.strip_prefix("tasks executed = "))
+        .expect("stderr reports the executed-task counter")
+        .trim()
+        .parse()
+        .unwrap();
+    let body = std::fs::read_to_string(&trace).unwrap();
+    let doc = dcst_runtime::jsonv::parse(&body).expect("trace file is valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_arr())
+        .expect("traceEvents array");
+    fn ph(e: &dcst_runtime::jsonv::Json) -> &str {
+        e.get("ph").and_then(|p| p.as_str()).unwrap_or("")
+    }
+    let complete: Vec<_> = events.iter().filter(|e| ph(e) == "X").collect();
+    assert!(executed > 0);
+    assert_eq!(complete.len(), executed);
+    let lanes = events
+        .iter()
+        .filter(|e| ph(e) == "M" && e.get("name").and_then(|n| n.as_str()) == Some("thread_name"))
+        .count();
+    assert_eq!(lanes, 1, "the calling thread is the only lane");
+    assert!(events.iter().all(|e| ph(e) != "s" && ph(e) != "f"));
+    for kernel in ["STEDC", "LAED4", "UpdateVect"] {
+        assert!(
+            complete
+                .iter()
+                .any(|e| e.get("name").and_then(|n| n.as_str()) == Some(kernel)),
+            "missing {kernel}"
+        );
+    }
+    let _ = std::fs::remove_file(&input);
+    let _ = std::fs::remove_file(&trace);
 }
 
 #[test]

@@ -9,15 +9,21 @@
 //! (secular equation, stabilization) parallelize alongside the cubic ones
 //! (eigenvector update GEMMs).
 //!
-//! Four solver variants share the same numerical kernels:
+//! The algorithm is stated once, as that task graph. The four solver
+//! variants are four *scheduling disciplines* over it — the paper's own
+//! framing of its comparators — so they share not only the kernels but
+//! every operand and operation order, and agree to the last bit:
 //!
-//! * [`TaskFlowDc`] — the paper's solver;
-//! * [`SequentialDc`] — LAPACK `dstedc` shape (one thread, everything
-//!   sequential);
+//! * [`TaskFlowDc`] — the paper's solver: the graph out of order on the
+//!   worker pool;
+//! * [`SequentialDc`] — LAPACK `dstedc` shape: the graph run *inline*,
+//!   each task body on the calling thread at submission (a sequential
+//!   task flow executed in submission order is the sequential algorithm);
 //! * [`ForkJoinDc`] — "LAPACK + multithreaded BLAS" shape (the Intel MKL
-//!   comparator): sequential control flow, only the update GEMMs threaded;
-//! * [`LevelParallelDc`] — ScaLAPACK `pdstedc` shape: subproblems of one
-//!   tree level in parallel with a barrier between levels.
+//!   comparator): inline, except that each merge's GEMM panel groups fork
+//!   onto the pool and join before the flow continues;
+//! * [`LevelParallelDc`] — ScaLAPACK `pdstedc` shape: the graph on the
+//!   pool with a barrier after the leaves and after every tree level.
 //!
 //! ```
 //! use dcst_core::{DcOptions, TaskFlowDc, TridiagEigensolver};
@@ -206,9 +212,9 @@ impl From<SecularError> for DcError {
 impl From<RuntimeError> for DcError {
     fn from(e: RuntimeError) -> Self {
         // A task body that failed with a typed DcError (spawn_try in the
-        // task-flow driver) surfaces as that error, exactly as the
-        // sequential drivers would report it; anything else — a panic or a
-        // foreign error type — stays wrapped with the task name attached.
+        // graph builders) surfaces as that error; anything else — a panic
+        // or a foreign error type — stays wrapped with the task name
+        // attached.
         if e.is_cancelled() {
             return DcError::Cancelled;
         }

@@ -3,16 +3,14 @@
 //! All kernels operate in *block-local* coordinates: slices are assumed to
 //! start at the merge block's origin element `(off, off)` (or at a column
 //! within it, as documented per function) of a column-major buffer with
-//! leading dimension `ld` (the global problem size). This lets the
-//! sequential drivers use plain borrowed sub-slices and the task-flow
-//! driver use disjoint [`SharedData`](dcst_runtime::SharedData) ranges
+//! leading dimension `ld` (the global problem size). This lets the task
+//! bodies hand in disjoint [`SharedData`](dcst_runtime::SharedData) ranges
 //! without any coordinate translation inside the kernels.
 
 use crate::DcError;
-use dcst_matrix::{gemm_par, merge_perm};
+use dcst_matrix::{gemm, merge_perm};
 use dcst_secular::{
-    assemble_vectors, deflate, local_w_products, reduce_w, solve_secular_root, Deflation,
-    DeflationInput, GivensRot, SlotType,
+    assemble_vectors, local_w_products, solve_secular_root, Deflation, GivensRot, SlotType,
 };
 
 /// Statistics of one merge node.
@@ -44,40 +42,14 @@ const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 /// left child's eigenvector block and the first row of the right child's,
 /// scaled to unit norm. `v_block` starts at `(off, off)`.
 pub(crate) fn build_z(v_block: &[f64], ld: usize, nm: usize, n1: usize) -> Vec<f64> {
-    let mut z = Vec::new();
-    build_z_into(&mut z, v_block, ld, nm, n1);
-    z
-}
-
-/// [`build_z`] into a caller-provided buffer (cleared, then filled).
-pub(crate) fn build_z_into(z: &mut Vec<f64>, v_block: &[f64], ld: usize, nm: usize, n1: usize) {
-    z.clear();
-    z.reserve(nm);
+    let mut z = Vec::with_capacity(nm);
     for j in 0..n1 {
         z.push(v_block[j * ld + (n1 - 1)] * FRAC_1_SQRT_2);
     }
     for j in n1..nm {
         z.push(v_block[j * ld + n1] * FRAC_1_SQRT_2);
     }
-}
-
-/// Reusable per-merge scratch buffers for [`merge_sequential`] and
-/// [`apply_final_sort`]. All buffers grow monotonically to the largest
-/// merge seen, so a driver that reuses one `MergeScratch` across its
-/// postorder sweep allocates each buffer once (at the root's size) rather
-/// than once per merge node.
-#[derive(Default)]
-pub(crate) struct MergeScratch {
-    /// Rank-one vector `z` (`nm` entries).
-    z: Vec<f64>,
-    /// Concatenated child permutations (`nm` entries).
-    idxq: Vec<usize>,
-    /// Secular eigenvalues (`k` entries).
-    lam: Vec<f64>,
-    /// Delta/eigenvector panel `X` (`k × k`, column-major, `ld = k`).
-    x: Vec<f64>,
-    /// Diagonal permutation scratch for the final sort (`n` entries).
-    dtmp: Vec<f64>,
+    z
 }
 
 /// Validate the merge's numerical inputs (the block diagonal and the
@@ -211,11 +183,6 @@ pub(crate) fn local_w_panel(
     local_w_products(&defl.dlamda, x_cols, ld, jrange.start, jrange)
 }
 
-/// `ReduceW`: combine the partial products into ẑ.
-pub(crate) fn reduce_w_panels(defl: &Deflation, partials: &[Vec<f64>]) -> Vec<f64> {
-    reduce_w(&defl.w, partials)
-}
-
 /// `ComputeVect`: overwrite delta columns `jrange` with slot-permuted,
 /// normalized secular eigenvectors. `x_cols` starts at
 /// `(off, off + jrange.start)`.
@@ -248,7 +215,6 @@ pub(crate) fn update_vect_panel(
     n1: usize,
     defl: &Deflation,
     jrange: std::ops::Range<usize>,
-    threads: usize,
 ) -> Result<(), DcError> {
     let ncols = jrange.len();
     if ncols == 0 {
@@ -272,8 +238,7 @@ pub(crate) fn update_vect_panel(
         if c1 + c2 > 0 {
             gemm_calls += 1;
             gemm_flops += 2 * (n1 * ncols * (c1 + c2)) as u64;
-            gemm_par(
-                threads,
+            gemm(
                 n1,
                 ncols,
                 c1 + c2,
@@ -298,8 +263,7 @@ pub(crate) fn update_vect_panel(
         if c2 + c3 > 0 {
             gemm_calls += 1;
             gemm_flops += 2 * (n2 * ncols * (c2 + c3)) as u64;
-            gemm_par(
-                threads,
+            gemm(
                 n2,
                 ncols,
                 c2 + c3,
@@ -410,213 +374,11 @@ pub(crate) fn finalize_d(defl: &Deflation, lam_sec: &[f64], d_block: &mut [f64])
     merge_perm(&d_block[..defl.n], k)
 }
 
-/// One whole merge, sequentially (the LAPACK `dlaed1` shape). Used by the
-/// non-task-flow drivers; `gemm_threads` > 1 reproduces the "threaded BLAS
-/// only" MKL model.
-///
-/// * `d_block`: the `nm` diagonal entries of this block (in/out);
-/// * `v_panel`, `ws_panel`: the `nm` columns of V/workspace covering the
-///   block, full column height (`ld` rows per column), block rows starting
-///   at `row_off`;
-/// * `beta`: the signed coupling `e[off + n1 − 1]`;
-/// * `idxq_l`, `idxq_r`: children's sorting permutations (local to each
-///   child's range);
-/// * `subset`: `Some((il, iu))` at the *root* merge of a
-///   [`SolveMode::Subset`](crate::SolveMode::Subset) solve — eigenvector
-///   assembly, the update GEMMs, and the deflated copy-back are then
-///   pruned to the storage slots that land in sorted positions `il..=iu`
-///   (the diagonal is still fully merged, so all eigenvalues stay exact);
-/// * `scratch`: grow-once buffers reused across merges by the caller.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_sequential(
-    d_block: &mut [f64],
-    v_panel: &mut [f64],
-    ws_panel: &mut [f64],
-    ld: usize,
-    row_off: usize,
-    nm: usize,
-    n1: usize,
-    beta: f64,
-    idxq_l: &[usize],
-    idxq_r: &[usize],
-    gemm_threads: usize,
-    subset: Option<(usize, usize)>,
-    scratch: &mut MergeScratch,
-) -> Result<(Vec<usize>, MergeStat), DcError> {
-    debug_assert_eq!(d_block.len(), nm);
-    debug_assert_eq!(idxq_l.len(), n1);
-    debug_assert_eq!(idxq_r.len(), nm - n1);
-
-    // Block-origin view of the V/workspace panels.
-    let vb0 = row_off; // offset of element (off, off) within v_panel
-
-    let MergeScratch {
-        z, idxq, lam, x, ..
-    } = scratch;
-    build_z_into(z, &v_panel[vb0..], ld, nm, n1);
-    ensure_finite_merge_inputs(d_block, z, row_off)?;
-    idxq.clear();
-    idxq.extend_from_slice(idxq_l);
-    idxq.extend(idxq_r.iter().map(|&r| r + n1));
-
-    let defl = deflate(&DeflationInput {
-        d: d_block,
-        z: z.as_slice(),
-        beta,
-        n1,
-        idxq: idxq.as_slice(),
-    });
-    let k = defl.k;
-
-    apply_givens(&mut v_panel[vb0..], ld, nm, &defl.givens);
-    permute_slots(
-        &v_panel[vb0..],
-        &mut ws_panel[vb0..],
-        ld,
-        nm,
-        n1,
-        &defl,
-        0..nm,
-    );
-
-    lam.clear();
-    lam.resize(k, 0.0);
-    if k > 0 {
-        // Grow-once k×k panel; every entry is written by solve_roots_panel
-        // before any read, so stale contents need no zeroing.
-        if x.len() < k * k {
-            x.resize(k * k, 0.0);
-        }
-        let x = &mut x[..k * k];
-        solve_roots_panel(&defl, x, k, 0..k, lam).map_err(|e| e.with_offset(row_off))?;
-        let partials = vec![local_w_panel(&defl, x, k, 0..k)];
-        let zhat = reduce_w_panels(&defl, &partials);
-        if let Some((il, iu)) = subset {
-            // The merged diagonal — and hence the sorted order — is fully
-            // determined before any eigenvector work, so finalizing early
-            // reveals which storage slots the requested sorted positions
-            // occupy; only those columns get assembled and updated.
-            let idxq_out = finalize_d(&defl, lam, d_block);
-            let (jlo, jhi, dlo, dhi) = subset_slot_spans(&idxq_out[il..=iu], k, nm);
-            if jhi > jlo {
-                compute_vect_panel(&defl, &zhat, &mut x[jlo * k..], k, jlo..jhi);
-                update_vect_panel(
-                    &ws_panel[vb0..],
-                    &x[jlo * k..],
-                    k,
-                    &mut v_panel[jlo * ld..],
-                    ld,
-                    row_off,
-                    nm,
-                    n1,
-                    &defl,
-                    jlo..jhi,
-                    gemm_threads,
-                )?;
-            }
-            if dhi > dlo {
-                copy_back_panel(
-                    &ws_panel[vb0 + dlo * ld..],
-                    &mut v_panel[vb0 + dlo * ld..],
-                    ld,
-                    nm,
-                    dhi - dlo,
-                );
-            }
-            return Ok((idxq_out, MergeStat { n: nm, n1, k }));
-        }
-        compute_vect_panel(&defl, &zhat, x, k, 0..k);
-        // Auto-switch: rank-probe the secular matrix and take the
-        // compressed multiply when it is strictly cheaper than the dense
-        // oracle (see crate::structured); the dense two-GEMM path stays
-        // the default and the fallback.
-        match crate::structured::plan_update(&ws_panel[vb0..], x, k, ld, nm, n1, &defl, ld) {
-            Some(su) => {
-                su.compute_all_bases(gemm_threads);
-                su.update_panel(v_panel, ld, row_off, nm, 0..k, gemm_threads)?;
-            }
-            None => update_vect_panel(
-                &ws_panel[vb0..],
-                x,
-                k,
-                v_panel,
-                ld,
-                row_off,
-                nm,
-                n1,
-                &defl,
-                0..k,
-                gemm_threads,
-            )?,
-        }
-    }
-    if let Some((il, iu)) = subset {
-        // Fully deflated merge (k == 0) under a subset solve: the
-        // workspace already holds the final vectors, so copy back only the
-        // deflated span the requested positions select.
-        let idxq_out = finalize_d(&defl, lam, d_block);
-        let (_, _, dlo, dhi) = subset_slot_spans(&idxq_out[il..=iu], k, nm);
-        if dhi > dlo {
-            copy_back_panel(
-                &ws_panel[vb0 + dlo * ld..],
-                &mut v_panel[vb0 + dlo * ld..],
-                ld,
-                nm,
-                dhi - dlo,
-            );
-        }
-        return Ok((idxq_out, MergeStat { n: nm, n1, k }));
-    }
-    if k < nm {
-        copy_back_panel(
-            &ws_panel[vb0 + k * ld..],
-            &mut v_panel[vb0 + k * ld..],
-            ld,
-            nm,
-            nm - k,
-        );
-    }
-
-    let idxq_out = finalize_d(&defl, lam, d_block);
-    Ok((idxq_out, MergeStat { n: nm, n1, k }))
-}
-
-/// Apply the final sorting permutation to `d` and the columns of `v`,
-/// using `ws` as scratch (both full `n × n`, `ld = n`).
-pub(crate) fn apply_final_sort(
-    d: &mut [f64],
-    v: &mut [f64],
-    ws: &mut [f64],
-    ld: usize,
-    idxq: &[usize],
-    scratch: &mut MergeScratch,
-) {
-    let n = idxq.len();
-    let dtmp = &mut scratch.dtmp;
-    dtmp.clear();
-    dtmp.resize(n, 0.0);
-    // Columns are full height, so a run of consecutive sources in idxq
-    // (common: deflation leaves long already-sorted stretches) moves as
-    // one spanning copy instead of per-column slicing.
-    let mut r = 0;
-    while r < n {
-        let src = idxq[r];
-        let mut len = 1;
-        while r + len < n && idxq[r + len] == src + len {
-            len += 1;
-        }
-        dtmp[r..r + len].copy_from_slice(&d[src..src + len]);
-        ws[r * ld..(r + len) * ld].copy_from_slice(&v[src * ld..(src + len) * ld]);
-        r += len;
-    }
-    d[..n].copy_from_slice(dtmp);
-    v[..n * ld].copy_from_slice(&ws[..n * ld]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dcst_matrix::Matrix;
+    use dcst_secular::{deflate, DeflationInput};
 
     #[test]
     fn build_z_extracts_rows() {

@@ -1,573 +1,44 @@
-//! The three non-task-flow D&C drivers used as comparators:
-//! [`SequentialDc`] (LAPACK `dstedc` shape), [`ForkJoinDc`] (MKL shape:
-//! threaded BLAS under a sequential driver), and [`LevelParallelDc`]
-//! (ScaLAPACK shape: parallel subproblems with level barriers).
+//! The three comparator drivers, each a scheduling discipline over the one
+//! merge graph `crate::taskflow` builds: [`SequentialDc`] (LAPACK `dstedc`
+//! shape), [`ForkJoinDc`] (MKL shape: threaded BLAS under a sequential
+//! driver), and [`LevelParallelDc`] (ScaLAPACK shape: parallel subproblems
+//! with level barriers). The kernels, their order within a merge, and so
+//! every bit of the result are the task-flow solver's.
 
-use crate::merge::{apply_final_sort, merge_sequential, MergeScratch, MergeStat};
-use crate::tree::PartitionTree;
-use crate::values::{merge_values, solve_leaf_values, BoundaryRows};
-use crate::{DcError, DcOptions, DcStats, Eigen, SolveMode, TridiagEigensolver};
-use dcst_matrix::Matrix;
-use dcst_qriter::{steqr_mut, ZBlock};
+use crate::taskflow::{Discipline, TaskFlowDc};
+use crate::{DcError, DcOptions, DcStats, Eigen, TridiagEigensolver};
+use dcst_runtime::{RuntimeMetrics, Trace};
 use dcst_tridiag::SymTridiag;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// Everything on the calling thread.
-    Sequential,
-    /// Sequential control flow; only the update GEMMs use threads
-    /// (what LAPACK linked against a threaded BLAS does).
-    ForkJoin,
-    /// Leaves and the merges of each tree level run in parallel, with a
-    /// full barrier between levels; GEMMs also threaded within a merge
-    /// when a level has fewer nodes than threads.
-    LevelParallel,
-}
-
-/// Split `d`, `v`, `ws` into per-node disjoint pieces for the nodes of one
-/// level (sorted by offset): `(off, nm, d_block, v_panel, ws_panel)`.
-#[allow(clippy::type_complexity)]
-fn split_level<'a>(
-    mut d: &'a mut [f64],
-    mut v: &'a mut [f64],
-    mut ws: &'a mut [f64],
-    ld: usize,
-    nodes: &[(usize, usize)],
-) -> Vec<(usize, usize, &'a mut [f64], &'a mut [f64], &'a mut [f64])> {
-    let mut out = Vec::with_capacity(nodes.len());
-    let mut cur = 0usize;
-    for &(off, nm) in nodes {
-        debug_assert!(off >= cur);
-        let skip = off - cur;
-        d = &mut std::mem::take(&mut d)[skip..];
-        v = &mut std::mem::take(&mut v)[skip * ld..];
-        ws = &mut std::mem::take(&mut ws)[skip * ld..];
-        let (dh, dt) = std::mem::take(&mut d).split_at_mut(nm);
-        let (vh, vt) = std::mem::take(&mut v).split_at_mut(nm * ld);
-        let (wh, wt) = std::mem::take(&mut ws).split_at_mut(nm * ld);
-        d = dt;
-        v = vt;
-        ws = wt;
-        out.push((off, nm, dh, vh, wh));
-        cur = off + nm;
-    }
-    out
-}
-
-fn solve_common(t: &SymTridiag, opts: &DcOptions, mode: Mode) -> Result<(Eigen, DcStats), DcError> {
-    let n = t.n();
-    if t.has_non_finite() {
-        return Err(DcError::NonFinite);
-    }
-    if n == 0 {
-        return Ok((
-            Eigen {
-                values: vec![],
-                vectors: Matrix::zeros(0, 0),
-            },
-            DcStats::default(),
-        ));
-    }
-
-    // Mode dispatch: values-only takes the boundary-row driver; a small
-    // enough subset routes to MRRR's Θ(n·k) path; otherwise a subset solve
-    // runs the normal sweep below with root-merge pruning.
-    let subset = match opts.mode {
-        SolveMode::Full => None,
-        SolveMode::ValuesOnly => return solve_values_common(t, opts, mode),
-        SolveMode::Subset { il, iu } => {
-            crate::validate_subset(il, iu, n)?;
-            if crate::subset_uses_fallback(il, iu, n) {
-                let threads = match mode {
-                    Mode::Sequential => 1,
-                    Mode::ForkJoin | Mode::LevelParallel => opts.threads.max(1),
-                };
-                return Ok((
-                    crate::subset_fallback(t, il, iu, threads)?,
-                    DcStats::default(),
-                ));
-            }
-            Some((il, iu))
-        }
-    };
-
-    // Scale to unit max-norm (the paper's `Scale T` / `Scale back` tasks).
-    let orgnrm = t.max_norm();
-    let scale = if orgnrm > 0.0 { 1.0 / orgnrm } else { 1.0 };
-    let mut d: Vec<f64> = t.d.iter().map(|x| x * scale).collect();
-    let e: Vec<f64> = t.e.iter().map(|x| x * scale).collect();
-
-    let tree = PartitionTree::build(n, opts.min_part);
-
-    // Rank-one tears: subtract |β| from the two diagonal entries at every
-    // cut (dlaed0 style), remembering the signed β per internal node.
-    let mut betas = vec![0.0f64; tree.nodes.len()];
-    for &m in &tree.merges_postorder() {
-        let node = &tree.nodes[m];
-        let c = node.off + node.n1;
-        let beta = e[c - 1];
-        betas[m] = beta;
-        d[c - 1] -= beta.abs();
-        d[c] -= beta.abs();
-    }
-
-    let mut v = vec![0.0f64; n * n];
-    let mut ws = vec![0.0f64; n * n];
-    let mut idxqs: Vec<Option<Vec<usize>>> = vec![None; tree.nodes.len()];
-    let mut stats = DcStats::default();
-
-    // --- leaves.
-    let leaves = tree.leaves();
-    let leaf_geom: Vec<(usize, usize)> = leaves
-        .iter()
-        .map(|&l| (tree.nodes[l].off, tree.nodes[l].n))
-        .collect();
-    if mode == Mode::LevelParallel && leaves.len() > 1 {
-        // Round-robin the leaves over `threads` workers.
-        let nt = opts.threads.max(1);
-        let pieces = split_level(&mut d, &mut v, &mut ws, n, &leaf_geom);
-        let mut buckets: Vec<Vec<_>> = (0..nt).map(|_| Vec::new()).collect();
-        for (i, piece) in pieces.into_iter().enumerate() {
-            buckets[i % nt].push(piece);
-        }
-        // Collected as (block offset, error): the report must be the
-        // failure with the lowest offset, not whichever worker lost the
-        // race to push last — otherwise the error a caller sees would
-        // depend on scheduling order.
-        let errs: std::sync::Mutex<Vec<(usize, DcError)>> = std::sync::Mutex::new(Vec::new());
-        let eref = &e;
-        std::thread::scope(|s| {
-            for bucket in buckets {
-                let errs = &errs;
-                s.spawn(move || {
-                    for (off, nm, dh, vh, _wh) in bucket {
-                        let eslice: Vec<f64> = eref[off..off + nm - 1].to_vec();
-                        if let Err(err) = solve_leaf(dh, eslice, vh, n, off, nm) {
-                            errs.lock().unwrap().push((off, err));
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        // Round-robin buckets keep each bucket's offsets ascending and a
-        // bucket stops at its first failure, so the bucket holding the
-        // globally lowest failing block always reports it: the min here is
-        // schedule-independent.
-        if let Some((_, err)) = errs
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .min_by_key(|(off, _)| *off)
-        {
-            return Err(err);
-        }
-    } else {
-        for &(off, nm) in &leaf_geom {
-            let eslice: Vec<f64> = e[off..off + nm - 1].to_vec();
-            let (dh, vh) = (&mut d[off..off + nm], &mut v[off * n..(off + nm) * n]);
-            solve_leaf(dh, eslice, vh, n, off, nm)?;
-        }
-    }
-    for &l in &leaves {
-        idxqs[l] = Some((0..tree.nodes[l].n).collect());
-    }
-
-    // --- merges.
-    let gemm_threads = match mode {
-        Mode::Sequential => 1,
-        Mode::ForkJoin | Mode::LevelParallel => opts.threads.max(1),
-    };
-    // One scratch per executing thread: the sequential drivers reuse this
-    // single instance across the whole postorder sweep (each buffer
-    // allocates once, at root size); the level-parallel driver recycles
-    // instances through a pool so buffers survive across levels.
-    let mut scratch = MergeScratch::default();
-    match mode {
-        Mode::Sequential | Mode::ForkJoin => {
-            for &m in &tree.merges_postorder() {
-                let node = &tree.nodes[m];
-                let (off, nm, n1) = (node.off, node.n, node.n1);
-                let (l, r) = node.children.unwrap();
-                let idxq_l = idxqs[l].take().unwrap();
-                let idxq_r = idxqs[r].take().unwrap();
-                let (idxq, stat) = merge_sequential(
-                    &mut d[off..off + nm],
-                    &mut v[off * n..(off + nm) * n],
-                    &mut ws[off * n..(off + nm) * n],
-                    n,
-                    off,
-                    nm,
-                    n1,
-                    betas[m],
-                    &idxq_l,
-                    &idxq_r,
-                    gemm_threads,
-                    if m == tree.root { subset } else { None },
-                    &mut scratch,
-                )?;
-                idxqs[m] = Some(idxq);
-                stats.merges.push(stat);
-            }
-        }
-        Mode::LevelParallel => {
-            let scratch_pool: std::sync::Mutex<Vec<MergeScratch>> =
-                std::sync::Mutex::new(Vec::new());
-            for level in tree.merge_levels() {
-                let geom: Vec<(usize, usize)> = level
-                    .iter()
-                    .map(|&m| (tree.nodes[m].off, tree.nodes[m].n))
-                    .collect();
-                let per_merge_threads = (opts.threads.max(1) / level.len().max(1)).max(1);
-                let results: std::sync::Mutex<Vec<(usize, Vec<usize>, MergeStat)>> =
-                    std::sync::Mutex::new(Vec::new());
-                let errs: std::sync::Mutex<Vec<(usize, DcError)>> =
-                    std::sync::Mutex::new(Vec::new());
-                {
-                    let pieces = split_level(&mut d, &mut v, &mut ws, n, &geom);
-                    std::thread::scope(|s| {
-                        for ((off, nm, dh, vh, wh), &m) in pieces.into_iter().zip(&level) {
-                            let node = &tree.nodes[m];
-                            let n1 = node.n1;
-                            let (lc, rc) = node.children.unwrap();
-                            let idxq_l = idxqs[lc].take().unwrap();
-                            let idxq_r = idxqs[rc].take().unwrap();
-                            let beta = betas[m];
-                            let node_subset = if m == tree.root { subset } else { None };
-                            let results = &results;
-                            let errs = &errs;
-                            let scratch_pool = &scratch_pool;
-                            s.spawn(move || {
-                                let mut scratch =
-                                    scratch_pool.lock().unwrap().pop().unwrap_or_default();
-                                match merge_sequential(
-                                    dh,
-                                    vh,
-                                    wh,
-                                    n,
-                                    off,
-                                    nm,
-                                    n1,
-                                    beta,
-                                    &idxq_l,
-                                    &idxq_r,
-                                    per_merge_threads,
-                                    node_subset,
-                                    &mut scratch,
-                                ) {
-                                    Ok((idxq, stat)) => {
-                                        results.lock().unwrap().push((m, idxq, stat))
-                                    }
-                                    Err(err) => errs.lock().unwrap().push((off, err)),
-                                }
-                                scratch_pool.lock().unwrap().push(scratch);
-                            });
-                        }
-                    });
-                }
-                // Every merge of the level ran to completion (one spawn
-                // each), so all failures were pushed: the min by offset is
-                // schedule-independent.
-                if let Some((_, err)) = errs
-                    .into_inner()
-                    .unwrap()
-                    .into_iter()
-                    .min_by_key(|(off, _)| *off)
-                {
-                    return Err(err);
-                }
-                for (m, idxq, stat) in results.into_inner().unwrap() {
-                    idxqs[m] = Some(idxq);
-                    stats.merges.push(stat);
-                }
-            }
-        }
-    }
-
-    // --- final sort + scale back.
-    let idxq_root = idxqs[tree.root].take().unwrap();
-    if let Some((il, iu)) = subset {
-        // No full column sort: gather just the k requested columns (and
-        // their values) straight out of physical order.
-        let ksub = iu - il + 1;
-        let rescale = if scale != 1.0 { orgnrm } else { 1.0 };
-        let mut values = Vec::with_capacity(ksub);
-        let mut vsub = vec![0.0f64; n * ksub];
-        for (c, p) in (il..=iu).enumerate() {
-            let src = idxq_root[p];
-            values.push(d[src] * rescale);
-            vsub[c * n..(c + 1) * n].copy_from_slice(&v[src * n..(src + 1) * n]);
-        }
-        return Ok((
-            Eigen {
-                values,
-                vectors: Matrix::from_vec(n, ksub, vsub),
-            },
-            stats,
-        ));
-    }
-    apply_final_sort(&mut d, &mut v, &mut ws, n, &idxq_root, &mut scratch);
-    if scale != 1.0 {
-        for x in &mut d {
-            *x *= orgnrm;
-        }
-    }
-    Ok((
-        Eigen {
-            values: d,
-            vectors: Matrix::from_vec(n, n, v),
-        },
-        stats,
-    ))
-}
-
-/// Split `d` into per-node disjoint pieces for the nodes of one level
-/// (sorted by offset): `(off, nm, d_block)`. The d-only analogue of
-/// [`split_level`] for the values-only path, which has no V/workspace.
-fn split_d<'a>(
-    mut d: &'a mut [f64],
-    nodes: &[(usize, usize)],
-) -> Vec<(usize, usize, &'a mut [f64])> {
-    let mut out = Vec::with_capacity(nodes.len());
-    let mut cur = 0usize;
-    for &(off, nm) in nodes {
-        debug_assert!(off >= cur);
-        d = &mut std::mem::take(&mut d)[off - cur..];
-        let (dh, dt) = std::mem::take(&mut d).split_at_mut(nm);
-        d = dt;
-        out.push((off, nm, dh));
-        cur = off + nm;
-    }
-    out
-}
-
-/// The values-only driver shared by the three comparator shapes: same
-/// scaling, tears, and tree sweep as [`solve_common`], but leaves produce
-/// [`BoundaryRows`] instead of identity blocks and merges run
-/// [`merge_values`] — no n×n buffer is ever allocated.
-fn solve_values_common(
-    t: &SymTridiag,
-    opts: &DcOptions,
-    mode: Mode,
-) -> Result<(Eigen, DcStats), DcError> {
-    let n = t.n();
-    let orgnrm = t.max_norm();
-    let scale = if orgnrm > 0.0 { 1.0 / orgnrm } else { 1.0 };
-    let mut d: Vec<f64> = t.d.iter().map(|x| x * scale).collect();
-    let e: Vec<f64> = t.e.iter().map(|x| x * scale).collect();
-
-    let tree = PartitionTree::build(n, opts.min_part);
-    let mut betas = vec![0.0f64; tree.nodes.len()];
-    for &m in &tree.merges_postorder() {
-        let node = &tree.nodes[m];
-        let c = node.off + node.n1;
-        let beta = e[c - 1];
-        betas[m] = beta;
-        d[c - 1] -= beta.abs();
-        d[c] -= beta.abs();
-    }
-
-    let mut rows: Vec<Option<BoundaryRows>> = vec![None; tree.nodes.len()];
-    let mut idxqs: Vec<Option<Vec<usize>>> = vec![None; tree.nodes.len()];
-    let mut stats = DcStats::default();
-
-    // --- leaves.
-    let leaves = tree.leaves();
-    let leaf_geom: Vec<(usize, usize)> = leaves
-        .iter()
-        .map(|&l| (tree.nodes[l].off, tree.nodes[l].n))
-        .collect();
-    if mode == Mode::LevelParallel && leaves.len() > 1 {
-        let nt = opts.threads.max(1);
-        let pieces = split_d(&mut d, &leaf_geom);
-        let mut buckets: Vec<Vec<_>> = (0..nt).map(|_| Vec::new()).collect();
-        for (i, piece) in pieces.into_iter().enumerate() {
-            buckets[i % nt].push((leaves[i], piece));
-        }
-        let results: std::sync::Mutex<Vec<(usize, BoundaryRows)>> =
-            std::sync::Mutex::new(Vec::new());
-        let errs: std::sync::Mutex<Vec<(usize, DcError)>> = std::sync::Mutex::new(Vec::new());
-        let eref = &e;
-        std::thread::scope(|s| {
-            for bucket in buckets {
-                let results = &results;
-                let errs = &errs;
-                s.spawn(move || {
-                    for (l, (off, nm, dh)) in bucket {
-                        let eslice: Vec<f64> = eref[off..off + nm - 1].to_vec();
-                        match solve_leaf_values(dh, eslice, off) {
-                            Ok(br) => results.lock().unwrap().push((l, br)),
-                            Err(err) => {
-                                errs.lock().unwrap().push((off, err));
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        // As in solve_common: round-robin buckets stop at their first
-        // failure, so the min-offset error is schedule-independent.
-        if let Some((_, err)) = errs
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .min_by_key(|(off, _)| *off)
-        {
-            return Err(err);
-        }
-        for (l, br) in results.into_inner().unwrap() {
-            rows[l] = Some(br);
-        }
-    } else {
-        for (&l, &(off, nm)) in leaves.iter().zip(&leaf_geom) {
-            let eslice: Vec<f64> = e[off..off + nm - 1].to_vec();
-            rows[l] = Some(solve_leaf_values(&mut d[off..off + nm], eslice, off)?);
-        }
-    }
-    for &l in &leaves {
-        idxqs[l] = Some((0..tree.nodes[l].n).collect());
-    }
-
-    // --- merges.
-    match mode {
-        Mode::Sequential | Mode::ForkJoin => {
-            for &m in &tree.merges_postorder() {
-                let node = &tree.nodes[m];
-                let (off, nm, n1) = (node.off, node.n, node.n1);
-                let (l, r) = node.children.unwrap();
-                let rows_l = rows[l].take().unwrap();
-                let rows_r = rows[r].take().unwrap();
-                let idxq_l = idxqs[l].take().unwrap();
-                let idxq_r = idxqs[r].take().unwrap();
-                let (idxq, br, stat) = merge_values(
-                    &mut d[off..off + nm],
-                    n1,
-                    betas[m],
-                    off,
-                    &rows_l,
-                    &rows_r,
-                    &idxq_l,
-                    &idxq_r,
-                    m != tree.root,
-                )?;
-                rows[m] = Some(br);
-                idxqs[m] = Some(idxq);
-                stats.merges.push(stat);
-            }
-        }
-        Mode::LevelParallel => {
-            for level in tree.merge_levels() {
-                let geom: Vec<(usize, usize)> = level
-                    .iter()
-                    .map(|&m| (tree.nodes[m].off, tree.nodes[m].n))
-                    .collect();
-                type MergeOut = (usize, Vec<usize>, BoundaryRows, MergeStat);
-                let results: std::sync::Mutex<Vec<MergeOut>> = std::sync::Mutex::new(Vec::new());
-                let errs: std::sync::Mutex<Vec<(usize, DcError)>> =
-                    std::sync::Mutex::new(Vec::new());
-                {
-                    let pieces = split_d(&mut d, &geom);
-                    std::thread::scope(|s| {
-                        for ((off, _nm, dh), &m) in pieces.into_iter().zip(&level) {
-                            let node = &tree.nodes[m];
-                            let n1 = node.n1;
-                            let (lc, rc) = node.children.unwrap();
-                            let rows_l = rows[lc].take().unwrap();
-                            let rows_r = rows[rc].take().unwrap();
-                            let idxq_l = idxqs[lc].take().unwrap();
-                            let idxq_r = idxqs[rc].take().unwrap();
-                            let beta = betas[m];
-                            let need_rows = m != tree.root;
-                            let results = &results;
-                            let errs = &errs;
-                            s.spawn(move || {
-                                match merge_values(
-                                    dh, n1, beta, off, &rows_l, &rows_r, &idxq_l, &idxq_r,
-                                    need_rows,
-                                ) {
-                                    Ok((idxq, br, stat)) => {
-                                        results.lock().unwrap().push((m, idxq, br, stat))
-                                    }
-                                    Err(err) => errs.lock().unwrap().push((off, err)),
-                                }
-                            });
-                        }
-                    });
-                }
-                if let Some((_, err)) = errs
-                    .into_inner()
-                    .unwrap()
-                    .into_iter()
-                    .min_by_key(|(off, _)| *off)
-                {
-                    return Err(err);
-                }
-                for (m, idxq, br, stat) in results.into_inner().unwrap() {
-                    idxqs[m] = Some(idxq);
-                    rows[m] = Some(br);
-                    stats.merges.push(stat);
-                }
-            }
-        }
-    }
-
-    // --- final sort + scale back (values only: a gather, not a column
-    // permutation).
-    let idxq_root = idxqs[tree.root].take().unwrap();
-    let rescale = if scale != 1.0 { orgnrm } else { 1.0 };
-    let values: Vec<f64> = idxq_root.iter().map(|&s| d[s] * rescale).collect();
-    Ok((
-        Eigen {
-            values,
-            vectors: Matrix::zeros(n, 0),
-        },
-        stats,
-    ))
-}
-
-fn solve_leaf(
-    d: &mut [f64],
-    mut e: Vec<f64>,
-    v_panel: &mut [f64],
-    ld: usize,
-    off: usize,
-    nm: usize,
-) -> Result<(), DcError> {
-    // Identity block, then accumulate rotations into it.
-    for j in 0..nm {
-        v_panel[j * ld + off + j] = 1.0;
-    }
-    let z = ZBlock {
-        buf: &mut v_panel[off..],
-        ld,
-        nrows: nm,
-    };
-    steqr_mut(d, &mut e, Some(z)).map_err(|err| DcError::Leaf(err.with_offset(off)))?;
-    Ok(())
-}
-
 macro_rules! driver {
-    ($name:ident, $mode:expr, $label:literal, $doc:literal) => {
+    ($name:ident, $discipline:expr, $label:literal, $doc:literal) => {
         #[doc = $doc]
-        pub struct $name {
-            opts: DcOptions,
-        }
+        pub struct $name(TaskFlowDc);
 
         impl $name {
             pub fn new(opts: DcOptions) -> Self {
-                Self { opts }
+                $name(TaskFlowDc::with_discipline(opts, $discipline))
             }
 
             /// Solve and also return per-merge statistics.
             pub fn solve_with_stats(&self, t: &SymTridiag) -> Result<(Eigen, DcStats), DcError> {
-                solve_common(t, &self.opts, $mode)
+                self.0.solve_with_stats(t)
+            }
+
+            /// Solve with the execution trace and scheduler counters of the
+            /// run, as [`TaskFlowDc::solve_observed`].
+            #[allow(clippy::type_complexity)]
+            pub fn solve_observed(
+                &self,
+                t: &SymTridiag,
+            ) -> Result<(Eigen, DcStats, Trace, RuntimeMetrics), DcError> {
+                self.0.solve_observed(t)
             }
         }
 
         impl TridiagEigensolver for $name {
             fn solve(&self, t: &SymTridiag) -> Result<Eigen, DcError> {
-                solve_common(t, &self.opts, $mode).map(|(e, _)| e)
+                self.0.solve(t)
             }
 
             fn name(&self) -> &'static str {
@@ -579,26 +50,27 @@ macro_rules! driver {
 
 driver!(
     SequentialDc,
-    Mode::Sequential,
+    Discipline::Sequential,
     "dc-sequential",
-    "Pure sequential D&C — the LAPACK `dstedc` shape."
+    "Pure sequential D&C — the LAPACK `dstedc` shape: the task flow run inline, every body on the calling thread in submission order (`threads` is ignored). When several blocks fail, the reported error is the first in submission order, i.e. the lowest block offset."
 );
 driver!(
     ForkJoinDc,
-    Mode::ForkJoin,
+    Discipline::ForkJoin,
     "dc-forkjoin",
-    "Sequential D&C with multithreaded update GEMMs — the \"LAPACK + threaded MKL BLAS\" comparator of the paper's Figure 6."
+    "Sequential D&C with multithreaded update GEMMs — the \"LAPACK + threaded MKL BLAS\" comparator of the paper's Figure 6: the task flow run inline, except that each merge's GEMM panel groups (`UpdateVect`, `StructBasis`) fork across `threads` executors (the caller and `threads − 1` workers) and join before the flow continues. Errors are reported as by [`SequentialDc`]."
 );
 driver!(
     LevelParallelDc,
-    Mode::LevelParallel,
+    Discipline::LevelParallel,
     "dc-levelparallel",
-    "Level-parallel D&C with barriers between tree levels — the ScaLAPACK `pdstedc` comparator of the paper's Figure 7."
+    "Level-parallel D&C with barriers between tree levels — the ScaLAPACK `pdstedc` comparator of the paper's Figure 7: the task flow on `threads` workers with a barrier after the leaves and after every tree level, so a level's subproblems (and, within each, its LAED4/local-W/GEMM panels, as in `pdlaed3`) run in parallel. Error contract as [`TaskFlowDc`]: when several blocks fail, the typed error of whichever failed first is reported."
 );
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SolveMode;
     use dcst_matrix::{orthogonality_error, residual_error};
 
     fn check(t: &SymTridiag, eig: &Eigen, tol: f64) {

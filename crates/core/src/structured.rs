@@ -34,8 +34,8 @@ const MIN_K_AUTO: usize = 96;
 /// gates exercise compressed tiles even on toy problem sizes.
 const MIN_K_FORCED: usize = 16;
 
-/// One merge's compressed update operands, shared by the sequential driver
-/// and the task-flow `UpdateVect` tasks.
+/// One merge's compressed update operands, shared by the merge's
+/// `StructBasis` and `UpdateVect` tasks.
 pub(crate) struct StructuredUpdate {
     /// Compressed top/bottom operands and their gather maps.
     pub sx: StructuredX,
@@ -163,7 +163,7 @@ impl StructuredUpdate {
     /// Compute the `Q·U` basis products for tiles `t ≡ chunk (mod
     /// nchunks)`. Chunks are disjoint, so concurrent calls with distinct
     /// `chunk` values never contend on a cell.
-    pub(crate) fn compute_basis_chunk(&self, chunk: usize, nchunks: usize, threads: usize) {
+    pub(crate) fn compute_basis_chunk(&self, chunk: usize, nchunks: usize) {
         let ntop = self.sx.top.tiles.len();
         let (mut calls, mut flops) = (0u64, 0u64);
         for t in (chunk..self.qu.len()).step_by(nchunks.max(1)) {
@@ -178,18 +178,13 @@ impl StructuredUpdate {
                     flops += 2 * (m * (tile.r1 - tile.r0) * lr.rank) as u64;
                 }
             }
-            let qu = structured_basis(threads, m, q, m.max(1), tile);
+            let qu = structured_basis(1, m, q, m.max(1), tile);
             let _ = self.qu[t].set(qu);
         }
         if calls > 0 {
             dcst_matrix::metrics::add("gemm.calls", calls);
             dcst_matrix::metrics::add("gemm.flops", flops);
         }
-    }
-
-    /// Compute every basis product (sequential driver).
-    pub(crate) fn compute_all_bases(&self, threads: usize) {
-        self.compute_basis_chunk(0, 1, threads);
     }
 
     /// Flops of the panel multiplies for secular columns `jrange`
@@ -216,7 +211,6 @@ impl StructuredUpdate {
     /// contract, failpoints and finite scan as the dense
     /// `update_vect_panel`, with both row strips multiplied through the
     /// compressed operands. All basis products must already be computed.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn update_panel(
         &self,
         v_cols: &mut [f64],
@@ -224,7 +218,6 @@ impl StructuredUpdate {
         row_off: usize,
         nm: usize,
         jrange: Range<usize>,
-        threads: usize,
     ) -> Result<(), DcError> {
         let ncols = jrange.len();
         if ncols == 0 {
@@ -245,7 +238,7 @@ impl StructuredUpdate {
             .collect();
         if n1 > 0 {
             gemm_structured(
-                threads,
+                1,
                 n1,
                 &self.qt,
                 n1,
@@ -258,7 +251,7 @@ impl StructuredUpdate {
         }
         if n2 > 0 {
             gemm_structured(
-                threads,
+                1,
                 n2,
                 &self.qb,
                 n2,

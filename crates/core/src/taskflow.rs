@@ -20,6 +20,10 @@
 //! Data is shared through [`SharedData`] buffers; each closure borrows
 //! only the disjoint range its declared access covers (see
 //! `dcst_runtime::share` for the aliasing contract).
+//!
+//! The graph is the only statement of the algorithm: the comparator
+//! drivers in `crate::seq` submit this same flow under a different
+//! [`Discipline`].
 
 use crate::merge::{
     apply_givens, build_z, compute_vect_panel, copy_back_panel, ensure_finite_merge_inputs,
@@ -69,6 +73,33 @@ impl KeySpace {
             node: base | OBJ_NODE,
             x: base | OBJ_X,
             scale: base | OBJ_SCALE,
+        }
+    }
+}
+
+/// How a driver executes the one merge graph — the paper's framing of its
+/// comparators (Figs. 6–7): same kernels, same flow, different scheduling.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Discipline {
+    /// Out of order on the worker pool: the paper's solver.
+    TaskFlow,
+    /// Inline, in submission order, on the calling thread (LAPACK shape).
+    Sequential,
+    /// Inline, except that the GEMM panel groups fork onto a pool and join
+    /// before the flow continues (sequential code over a threaded BLAS).
+    ForkJoin,
+    /// On the pool, with a barrier after the leaves and after every tree
+    /// level (ScaLAPACK shape).
+    LevelParallel,
+}
+
+impl Discipline {
+    fn runtime(self, threads: usize) -> Runtime {
+        match self {
+            Discipline::Sequential => Runtime::inline(0),
+            // The calling thread is one of the `threads` executors.
+            Discipline::ForkJoin => Runtime::inline(threads.saturating_sub(1)),
+            Discipline::LevelParallel | Discipline::TaskFlow => Runtime::new(threads),
         }
     }
 }
@@ -348,23 +379,28 @@ impl ValuesPending {
 /// The task-flow Divide & Conquer eigensolver (the paper's contribution).
 pub struct TaskFlowDc {
     opts: DcOptions,
+    discipline: Discipline,
 }
 
 impl TaskFlowDc {
     pub fn new(opts: DcOptions) -> Self {
-        TaskFlowDc { opts }
+        Self::with_discipline(opts, Discipline::TaskFlow)
+    }
+
+    pub(crate) fn with_discipline(opts: DcOptions, discipline: Discipline) -> Self {
+        TaskFlowDc { opts, discipline }
     }
 
     /// Solve and return per-merge statistics.
     pub fn solve_with_stats(&self, t: &SymTridiag) -> Result<(Eigen, DcStats), DcError> {
-        let rt = Runtime::new(self.opts.threads);
+        let rt = self.discipline.runtime(self.opts.threads);
         let pending = self.submit(t, &rt)?;
         pending.wait()
     }
 
     /// Solve while recording an execution trace (Figures 3 and 4).
     pub fn solve_traced(&self, t: &SymTridiag) -> Result<(Eigen, DcStats, Trace), DcError> {
-        let rt = Runtime::new(self.opts.threads);
+        let rt = self.discipline.runtime(self.opts.threads);
         rt.enable_tracing();
         let (eig, stats) = self.submit(t, &rt)?.wait()?;
         Ok((eig, stats, rt.take_trace()))
@@ -379,7 +415,7 @@ impl TaskFlowDc {
         &self,
         t: &SymTridiag,
     ) -> Result<(Eigen, DcStats, Trace, RuntimeMetrics), DcError> {
-        let rt = Runtime::new(self.opts.threads);
+        let rt = self.discipline.runtime(self.opts.threads);
         rt.enable_tracing();
         let (eig, stats) = self.submit(t, &rt)?.wait()?;
         let trace = rt.take_trace();
@@ -437,6 +473,26 @@ impl TaskFlowDc {
         pending.into_iter().map(|p| p?.wait()).collect()
     }
 
+    /// The merge submission order: one postorder sweep, or — under
+    /// [`Discipline::LevelParallel`] — one group per tree level, each
+    /// closed by [`level_barrier`](Self::level_barrier).
+    fn merge_groups(&self, tree: &PartitionTree) -> Vec<Vec<usize>> {
+        if self.discipline == Discipline::LevelParallel {
+            tree.merge_levels()
+        } else {
+            vec![tree.merges_postorder()]
+        }
+    }
+
+    /// Under [`Discipline::LevelParallel`], block until everything
+    /// submitted so far has run; a failure ends the submission there.
+    fn level_barrier(&self, scope: &Scope<'_>) -> Result<(), DcError> {
+        if self.discipline == Discipline::LevelParallel {
+            scope.wait()?;
+        }
+        Ok(())
+    }
+
     fn submit_scoped<'rt>(
         &self,
         t: &SymTridiag,
@@ -452,13 +508,13 @@ impl TaskFlowDc {
                 kind: PendingKind::Empty,
             });
         }
-        // Mode dispatch (as in the comparator drivers): values-only takes
-        // the boundary-row graph, a small subset routes to MRRR, and a
-        // large subset runs the graph below with root-merge pruning.
+        // Mode dispatch: values-only takes the boundary-row graph, a small
+        // subset routes to MRRR, and a large subset runs the full graph
+        // with root-merge pruning.
         let subset = match self.opts.mode {
             SolveMode::Full => None,
             SolveMode::ValuesOnly => {
-                let st = self.submit_values(t, &scope, KeySpace::fresh());
+                let st = self.submit_values(t, &scope, KeySpace::fresh())?;
                 return Ok(PendingSolve {
                     scope,
                     kind: PendingKind::Values(st),
@@ -474,7 +530,10 @@ impl TaskFlowDc {
                     let slot = Arc::new(Mutex::new(None));
                     let out = slot.clone();
                     let t = t.clone();
-                    let threads = self.opts.threads;
+                    let threads = match self.discipline {
+                        Discipline::Sequential => 1,
+                        _ => self.opts.threads,
+                    };
                     scope.task("SubsetFallback").spawn(move || {
                         *out.lock().unwrap() = Some(crate::subset_fallback(&t, il, iu, threads));
                     });
@@ -486,7 +545,7 @@ impl TaskFlowDc {
                 Some((il, iu))
             }
         };
-        let st = self.submit_full(t, &scope, KeySpace::fresh(), subset);
+        let st = self.submit_full(t, &scope, KeySpace::fresh(), subset)?;
         Ok(PendingSolve {
             scope,
             kind: PendingKind::Full(st),
@@ -499,7 +558,7 @@ impl TaskFlowDc {
         scope: &Scope<'_>,
         ks: KeySpace,
         subset: Option<(usize, usize)>,
-    ) -> FullPending {
+    ) -> Result<FullPending, DcError> {
         let n = t.n();
         let nb = self.opts.nb.max(1);
         let orgnrm = t.max_norm();
@@ -604,328 +663,343 @@ impl TaskFlowDc {
                 });
         }
 
+        self.level_barrier(scope)?;
+
         // ---- merges, bottom-up.
-        for &m in &tree.merges_postorder() {
-            let node = &tree.nodes[m];
-            let (off, nm, n1) = (node.off, node.n, node.n1);
-            let (lc, rc) = node.children.unwrap();
-            let beta = betas[m];
-            let npanels = nm.div_ceil(nb);
-            let block_end = move |cols: usize| (off + cols - 1) * n + off + nm;
-            // Root merge of a subset solve: ReduceW publishes the pruning
-            // plan and the phase-2 panels clamp their ranges to it.
-            let node_subset = if m == tree.root { subset } else { None };
+        for level in self.merge_groups(&tree) {
+            for &m in &level {
+                let node = &tree.nodes[m];
+                let (off, nm, n1) = (node.off, node.n, node.n1);
+                let (lc, rc) = node.children.unwrap();
+                let beta = betas[m];
+                let npanels = nm.div_ceil(nb);
+                let block_end = move |cols: usize| (off + cols - 1) * n + off + nm;
+                // Root merge of a subset solve: ReduceW publishes the pruning
+                // plan and the phase-2 panels clamp their ranges to it.
+                let node_subset = if m == tree.root { subset } else { None };
 
-            // ComputeDeflation: the only task reading the children's state.
-            {
-                let (d, v) = (d.clone(), v.clone());
-                let cells = cells.clone();
-                // The merge spine (deflation → … → ReduceW) gates every
-                // panel task of this node and of all ancestors: schedule it
-                // through the runtime's priority lane.
-                scope
-                    .task("ComputeDeflation")
-                    .high_priority()
-                    .read(key_node(lc))
-                    .read(key_node(rc))
-                    .read_write(key_node(m))
-                    .spawn_try(move || -> Result<(), DcError> {
-                        // SAFETY: epoch-exclusive access to the block.
-                        let db = unsafe { d.range_mut(off..off + nm) };
-                        let vb = unsafe { v.range_mut(off * n + off..block_end(nm)) };
-                        let z = build_z(vb, n, nm, n1);
-                        ensure_finite_merge_inputs(db, &z, off)?;
-                        let idxq_l = cells[lc].idxq();
-                        let idxq_r = cells[rc].idxq();
-                        let mut idxq: Vec<usize> = idxq_l.to_vec();
-                        idxq.extend(idxq_r.iter().map(|&r| r + n1));
-                        let defl = dcst_secular::deflate(&dcst_secular::DeflationInput {
-                            d: db,
-                            z: &z,
-                            beta,
-                            n1,
-                            idxq: &idxq,
+                // ComputeDeflation: the only task reading the children's state.
+                {
+                    let (d, v) = (d.clone(), v.clone());
+                    let cells = cells.clone();
+                    // The merge spine (deflation → … → ReduceW) gates every
+                    // panel task of this node and of all ancestors: schedule it
+                    // through the runtime's priority lane.
+                    scope
+                        .task("ComputeDeflation")
+                        .high_priority()
+                        .read(key_node(lc))
+                        .read(key_node(rc))
+                        .read_write(key_node(m))
+                        .spawn_try(move || -> Result<(), DcError> {
+                            // SAFETY: epoch-exclusive access to the block.
+                            let db = unsafe { d.range_mut(off..off + nm) };
+                            let vb = unsafe { v.range_mut(off * n + off..block_end(nm)) };
+                            let z = build_z(vb, n, nm, n1);
+                            ensure_finite_merge_inputs(db, &z, off)?;
+                            let idxq_l = cells[lc].idxq();
+                            let idxq_r = cells[rc].idxq();
+                            let mut idxq: Vec<usize> = idxq_l.to_vec();
+                            idxq.extend(idxq_r.iter().map(|&r| r + n1));
+                            let defl = dcst_secular::deflate(&dcst_secular::DeflationInput {
+                                d: db,
+                                z: &z,
+                                beta,
+                                n1,
+                                idxq: &idxq,
+                            });
+                            apply_givens(vb, n, nm, &defl.givens);
+                            *cells[m].partials.lock().unwrap() = vec![None; npanels];
+                            *cells[m].defl.lock().unwrap() = Some(Arc::new(defl));
+                            Ok(())
                         });
-                        apply_givens(vb, n, nm, &defl.givens);
-                        *cells[m].partials.lock().unwrap() = vec![None; npanels];
-                        *cells[m].defl.lock().unwrap() = Some(Arc::new(defl));
-                        Ok(())
-                    });
-            }
-
-            // Phase 1 panels.
-            for p in 0..npanels {
-                let s0 = p * nb;
-                let s1 = ((p + 1) * nb).min(nm);
-                // PermuteV
-                {
-                    let (v, ws) = (v.clone(), ws.clone());
-                    let cells = cells.clone();
-                    let mut task = panel_task(scope, "PermuteV", key_node(m), use_gatherv);
-                    if !self.opts.extra_workspace {
-                        // Without extra workspace the paper serializes the
-                        // permute with the panel's LAED4 (shared staging).
-                        task = task.write(key_x(off + s0));
-                    }
-                    task.spawn(move || {
-                        let defl = cells[m].defl();
-                        // SAFETY: reads the whole block (shared, no writer
-                        // in this phase), writes only columns s0..s1 of ws.
-                        let vb = unsafe { v.range(off * n + off..block_end(nm)) };
-                        let wcols = unsafe {
-                            ws.range_mut((off + s0) * n + off..(off + s1 - 1) * n + off + nm)
-                        };
-                        permute_slots(vb, wcols, n, nm, n1, &defl, s0..s1);
-                    });
                 }
-                // LAED4
-                {
-                    let (x, lam) = (x.clone(), lam.clone());
-                    let cells = cells.clone();
-                    panel_task(scope, "LAED4", key_node(m), use_gatherv)
-                        .write(key_x(off + s0))
-                        .spawn_try(move || {
+
+                // Phase 1 panels.
+                for p in 0..npanels {
+                    let s0 = p * nb;
+                    let s1 = ((p + 1) * nb).min(nm);
+                    // PermuteV
+                    {
+                        let (v, ws) = (v.clone(), ws.clone());
+                        let cells = cells.clone();
+                        let mut task = panel_task(scope, "PermuteV", key_node(m), use_gatherv);
+                        if !self.opts.extra_workspace {
+                            // Without extra workspace the paper serializes the
+                            // permute with the panel's LAED4 (shared staging).
+                            task = task.write(key_x(off + s0));
+                        }
+                        task.spawn(move || {
                             let defl = cells[m].defl();
-                            let k = defl.k;
-                            let j0 = s0.min(k);
-                            let j1 = s1.min(k);
-                            if j0 >= j1 {
-                                return Ok(());
-                            }
-                            // SAFETY: exclusive column range of X and of lam.
-                            let xc = unsafe {
-                                x.range_mut((off + j0) * n + off..(off + j1 - 1) * n + off + k)
+                            // SAFETY: reads the whole block (shared, no writer
+                            // in this phase), writes only columns s0..s1 of ws.
+                            let vb = unsafe { v.range(off * n + off..block_end(nm)) };
+                            let wcols = unsafe {
+                                ws.range_mut((off + s0) * n + off..(off + s1 - 1) * n + off + nm)
                             };
-                            let lo = unsafe { lam.range_mut(off + j0..off + j1) };
-                            solve_roots_panel(&defl, xc, n, j0..j1, lo)
-                                .map_err(|err| err.with_offset(off))
+                            permute_slots(vb, wcols, n, nm, n1, &defl, s0..s1);
                         });
+                    }
+                    // LAED4
+                    {
+                        let (x, lam) = (x.clone(), lam.clone());
+                        let cells = cells.clone();
+                        panel_task(scope, "LAED4", key_node(m), use_gatherv)
+                            .write(key_x(off + s0))
+                            .spawn_try(move || {
+                                let defl = cells[m].defl();
+                                let k = defl.k;
+                                let j0 = s0.min(k);
+                                let j1 = s1.min(k);
+                                if j0 >= j1 {
+                                    return Ok(());
+                                }
+                                // SAFETY: exclusive column range of X and of lam.
+                                let xc = unsafe {
+                                    x.range_mut((off + j0) * n + off..(off + j1 - 1) * n + off + k)
+                                };
+                                let lo = unsafe { lam.range_mut(off + j0..off + j1) };
+                                solve_roots_panel(&defl, xc, n, j0..j1, lo)
+                                    .map_err(|err| err.with_offset(off))
+                            });
+                    }
+                    // ComputeLocalW
+                    {
+                        let x = x.clone();
+                        let cells = cells.clone();
+                        panel_task(scope, "ComputeLocalW", key_node(m), use_gatherv)
+                            .read(key_x(off + s0))
+                            .spawn(move || {
+                                let defl = cells[m].defl();
+                                let k = defl.k;
+                                let j0 = s0.min(k);
+                                let j1 = s1.min(k);
+                                if j0 >= j1 {
+                                    return;
+                                }
+                                // SAFETY: shared read of this panel's X columns.
+                                let xc = unsafe {
+                                    x.range((off + j0) * n + off..(off + j1 - 1) * n + off + k)
+                                };
+                                let part = local_w_panel(&defl, xc, n, j0..j1);
+                                cells[m].partials.lock().unwrap()[p] = Some(part);
+                            });
+                    }
                 }
-                // ComputeLocalW
+
+                // ReduceW: join, build ẑ, finalize the block diagonal.
                 {
-                    let x = x.clone();
+                    let (d, lam) = (d.clone(), lam.clone());
                     let cells = cells.clone();
-                    panel_task(scope, "ComputeLocalW", key_node(m), use_gatherv)
-                        .read(key_x(off + s0))
+                    scope
+                        .task("ReduceW")
+                        .high_priority()
+                        .read_write(key_node(m))
                         .spawn(move || {
                             let defl = cells[m].defl();
                             let k = defl.k;
-                            let j0 = s0.min(k);
-                            let j1 = s1.min(k);
-                            if j0 >= j1 {
-                                return;
+                            if k > 0 {
+                                let parts: Vec<Vec<f64>> = cells[m]
+                                    .partials
+                                    .lock()
+                                    .unwrap()
+                                    .iter_mut()
+                                    .filter_map(|p| p.take())
+                                    .collect();
+                                let zhat = dcst_secular::reduce_w(&defl.w, &parts);
+                                *cells[m].zhat.lock().unwrap() = Some(Arc::new(zhat));
                             }
-                            // SAFETY: shared read of this panel's X columns.
-                            let xc = unsafe {
-                                x.range((off + j0) * n + off..(off + j1 - 1) * n + off + k)
-                            };
-                            let part = local_w_panel(&defl, xc, n, j0..j1);
-                            cells[m].partials.lock().unwrap()[p] = Some(part);
+                            // SAFETY: epoch-exclusive d block; lam is read-only now.
+                            let db = unsafe { d.range_mut(off..off + nm) };
+                            let ls = unsafe { lam.range(off..off + k) };
+                            let idxq = finalize_d(&defl, ls, db);
+                            if let Some((il, iu)) = node_subset {
+                                *cells[m].subset_plan.lock().unwrap() =
+                                    Some(crate::merge::subset_slot_spans(&idxq[il..=iu], k, nm));
+                            }
+                            *cells[m].idxq.lock().unwrap() = Some(Arc::new(idxq));
+                            *cells[m].stat.lock().unwrap() = Some(MergeStat { n: nm, n1, k });
                         });
                 }
-            }
 
-            // ReduceW: join, build ẑ, finalize the block diagonal.
-            {
-                let (d, lam) = (d.clone(), lam.clone());
-                let cells = cells.clone();
-                scope
-                    .task("ReduceW")
-                    .high_priority()
-                    .read_write(key_node(m))
-                    .spawn(move || {
-                        let defl = cells[m].defl();
-                        let k = defl.k;
-                        if k > 0 {
-                            let parts: Vec<Vec<f64>> = cells[m]
-                                .partials
-                                .lock()
-                                .unwrap()
-                                .iter_mut()
-                                .filter_map(|p| p.take())
-                                .collect();
-                            let zhat = dcst_secular::reduce_w(&defl.w, &parts);
-                            *cells[m].zhat.lock().unwrap() = Some(Arc::new(zhat));
+                // Phase 2a panels (CopyBackDeflated + ComputeVect).
+                for p in 0..npanels {
+                    let s0 = p * nb;
+                    let s1 = ((p + 1) * nb).min(nm);
+                    // CopyBackDeflated
+                    {
+                        let (v, ws) = (v.clone(), ws.clone());
+                        let cells = cells.clone();
+                        let mut task =
+                            panel_task(scope, "CopyBackDeflated", key_node(m), use_gatherv);
+                        if !self.opts.extra_workspace {
+                            task = task.write(key_x(off + s0));
                         }
-                        // SAFETY: epoch-exclusive d block; lam is read-only now.
-                        let db = unsafe { d.range_mut(off..off + nm) };
-                        let ls = unsafe { lam.range(off..off + k) };
-                        let idxq = finalize_d(&defl, ls, db);
-                        if let Some((il, iu)) = node_subset {
-                            *cells[m].subset_plan.lock().unwrap() =
-                                Some(crate::merge::subset_slot_spans(&idxq[il..=iu], k, nm));
-                        }
-                        *cells[m].idxq.lock().unwrap() = Some(Arc::new(idxq));
-                        *cells[m].stat.lock().unwrap() = Some(MergeStat { n: nm, n1, k });
-                    });
-            }
-
-            // Phase 2a panels (CopyBackDeflated + ComputeVect).
-            for p in 0..npanels {
-                let s0 = p * nb;
-                let s1 = ((p + 1) * nb).min(nm);
-                // CopyBackDeflated
-                {
-                    let (v, ws) = (v.clone(), ws.clone());
-                    let cells = cells.clone();
-                    let mut task = panel_task(scope, "CopyBackDeflated", key_node(m), use_gatherv);
-                    if !self.opts.extra_workspace {
-                        task = task.write(key_x(off + s0));
+                        task.spawn(move || {
+                            let defl = cells[m].defl();
+                            let k = defl.k;
+                            let mut c0 = s0.max(k);
+                            let mut c1 = s1.max(k);
+                            if let Some((_, _, dlo, dhi)) = *cells[m].subset_plan.lock().unwrap() {
+                                c0 = c0.max(dlo);
+                                c1 = c1.min(dhi);
+                            }
+                            if c0 >= c1 {
+                                return;
+                            }
+                            // SAFETY: disjoint deflated column ranges.
+                            let wc = unsafe {
+                                ws.range((off + c0) * n + off..(off + c1 - 1) * n + off + nm)
+                            };
+                            let vc = unsafe {
+                                v.range_mut((off + c0) * n + off..(off + c1 - 1) * n + off + nm)
+                            };
+                            copy_back_panel(wc, vc, n, nm, c1 - c0);
+                        });
                     }
-                    task.spawn(move || {
-                        let defl = cells[m].defl();
-                        let k = defl.k;
-                        let mut c0 = s0.max(k);
-                        let mut c1 = s1.max(k);
-                        if let Some((_, _, dlo, dhi)) = *cells[m].subset_plan.lock().unwrap() {
-                            c0 = c0.max(dlo);
-                            c1 = c1.min(dhi);
-                        }
-                        if c0 >= c1 {
-                            return;
-                        }
-                        // SAFETY: disjoint deflated column ranges.
-                        let wc = unsafe {
-                            ws.range((off + c0) * n + off..(off + c1 - 1) * n + off + nm)
-                        };
-                        let vc = unsafe {
-                            v.range_mut((off + c0) * n + off..(off + c1 - 1) * n + off + nm)
-                        };
-                        copy_back_panel(wc, vc, n, nm, c1 - c0);
-                    });
+                    // ComputeVect
+                    {
+                        let x = x.clone();
+                        let cells = cells.clone();
+                        panel_task(scope, "ComputeVect", key_node(m), use_gatherv)
+                            .read_write(key_x(off + s0))
+                            .spawn(move || {
+                                let defl = cells[m].defl();
+                                let k = defl.k;
+                                let mut j0 = s0.min(k);
+                                let mut j1 = s1.min(k);
+                                if let Some((jlo, jhi, _, _)) =
+                                    *cells[m].subset_plan.lock().unwrap()
+                                {
+                                    j0 = j0.max(jlo);
+                                    j1 = j1.min(jhi);
+                                }
+                                if j0 >= j1 {
+                                    return;
+                                }
+                                let zhat = cells[m].zhat();
+                                // SAFETY: exclusive column range of X.
+                                let xc = unsafe {
+                                    x.range_mut((off + j0) * n + off..(off + j1 - 1) * n + off + k)
+                                };
+                                compute_vect_panel(&defl, &zhat, xc, n, j0..j1);
+                            });
+                    }
                 }
-                // ComputeVect
+
+                // CompressW: once every ComputeVect epoch retires, rank-probe
+                // the secular matrix and build the compressed operands +
+                // gathered Q when the structured path wins (crate::structured).
+                // The INOUT access on the node key orders it after the phase-2a
+                // GATHERV writers and before the UpdateVect group; its borrows
+                // (whole ws/X block, read) are covered by the node key the
+                // buffers are bound to, so the access-check tracker validates
+                // the footprint.
                 {
-                    let x = x.clone();
+                    let (ws, x) = (ws.clone(), x.clone());
                     let cells = cells.clone();
-                    panel_task(scope, "ComputeVect", key_node(m), use_gatherv)
-                        .read_write(key_x(off + s0))
+                    scope
+                        .task("CompressW")
+                        .high_priority()
+                        .read_write(key_node(m))
                         .spawn(move || {
-                            let defl = cells[m].defl();
-                            let k = defl.k;
-                            let mut j0 = s0.min(k);
-                            let mut j1 = s1.min(k);
-                            if let Some((jlo, jhi, _, _)) = *cells[m].subset_plan.lock().unwrap() {
-                                j0 = j0.max(jlo);
-                                j1 = j1.min(jhi);
-                            }
-                            if j0 >= j1 {
+                            if node_subset.is_some() {
+                                // Subset-pruned root: the panels update only a
+                                // column slice, for which the dense GEMMs are
+                                // already minimal — rank-probing the full
+                                // secular matrix would cost more than it saves.
                                 return;
                             }
-                            let zhat = cells[m].zhat();
-                            // SAFETY: exclusive column range of X.
-                            let xc = unsafe {
-                                x.range_mut((off + j0) * n + off..(off + j1 - 1) * n + off + k)
-                            };
-                            compute_vect_panel(&defl, &zhat, xc, n, j0..j1);
-                        });
-                }
-            }
-
-            // CompressW: once every ComputeVect epoch retires, rank-probe
-            // the secular matrix and build the compressed operands +
-            // gathered Q when the structured path wins (crate::structured).
-            // The INOUT access on the node key orders it after the phase-2a
-            // GATHERV writers and before the UpdateVect group; its borrows
-            // (whole ws/X block, read) are covered by the node key the
-            // buffers are bound to, so the access-check tracker validates
-            // the footprint.
-            {
-                let (ws, x) = (ws.clone(), x.clone());
-                let cells = cells.clone();
-                scope
-                    .task("CompressW")
-                    .high_priority()
-                    .read_write(key_node(m))
-                    .spawn(move || {
-                        if node_subset.is_some() {
-                            // Subset-pruned root: the panels update only a
-                            // column slice, for which the dense GEMMs are
-                            // already minimal — rank-probing the full
-                            // secular matrix would cost more than it saves.
-                            return;
-                        }
-                        let defl = cells[m].defl();
-                        let k = defl.k;
-                        if k == 0 {
-                            return;
-                        }
-                        // SAFETY: node-key epoch excludes every writer of
-                        // the block; ws and X are read-shared here.
-                        let wb = unsafe { ws.range(off * n + off..block_end(k)) };
-                        let xb = unsafe { x.range(off * n + off..block_end(k)) };
-                        let plan = crate::structured::plan_update(wb, xb, n, n, nm, n1, &defl, n);
-                        if let Some(su) = plan {
-                            *cells[m].structured.lock().unwrap() = Some(Arc::new(su));
-                        }
-                    });
-            }
-            // StructBasis: the per-tile Q·U products, fanned out
-            // round-robin over a fixed panel-count of commuting tasks (the
-            // DAG stays matrix-independent; each is a no-op on dense
-            // merges). They touch only plan-owned buffers, so the node key
-            // is their whole footprint.
-            for p in 0..npanels {
-                let cells = cells.clone();
-                panel_task(scope, "StructBasis", key_node(m), use_gatherv).spawn(move || {
-                    let su = cells[m].structured.lock().unwrap().clone();
-                    if let Some(su) = su {
-                        su.compute_basis_chunk(p, npanels, 1);
-                    }
-                });
-            }
-            // StructJoin: epoch barrier so every basis product is in place
-            // before the first UpdateVect reads them.
-            scope
-                .task("StructJoin")
-                .high_priority()
-                .read_write(key_node(m))
-                .spawn(|| {});
-
-            // Phase 2b panels: the eigenvector update itself.
-            for p in 0..npanels {
-                let s0 = p * nb;
-                let s1 = ((p + 1) * nb).min(nm);
-                // UpdateVect (dense: both structured GEMMs for this panel;
-                // structured: the compressed multiply for its columns).
-                {
-                    let (v, ws, x) = (v.clone(), ws.clone(), x.clone());
-                    let cells = cells.clone();
-                    panel_task(scope, "UpdateVect", key_node(m), use_gatherv)
-                        .read(key_x(off + s0))
-                        .spawn_try(move || {
                             let defl = cells[m].defl();
                             let k = defl.k;
-                            let mut j0 = s0.min(k);
-                            let mut j1 = s1.min(k);
-                            if let Some((jlo, jhi, _, _)) = *cells[m].subset_plan.lock().unwrap() {
-                                j0 = j0.max(jlo);
-                                j1 = j1.min(jhi);
+                            if k == 0 {
+                                return;
                             }
-                            if j0 >= j1 {
-                                return Ok(());
-                            }
-                            if let Some(su) = cells[m].structured.lock().unwrap().clone() {
-                                // Relabel this record so traces show the
-                                // structured and dense variants distinctly.
-                                dcst_runtime::set_task_trace_name("UpdateVectStructured");
-                                // SAFETY: V columns j0..j1 (full height)
-                                // are exclusive to this panel; the plan
-                                // owns its operands.
-                                let vc = unsafe { v.range_mut((off + j0) * n..(off + j1) * n) };
-                                return su.update_panel(vc, n, off, nm, j0..j1, 1);
-                            }
-                            // SAFETY: ws block is read-shared in this phase; V
-                            // columns j0..j1 (full height) are exclusive.
+                            // SAFETY: node-key epoch excludes every writer of
+                            // the block; ws and X are read-shared here.
                             let wb = unsafe { ws.range(off * n + off..block_end(k)) };
-                            let xc = unsafe {
-                                x.range((off + j0) * n + off..(off + j1 - 1) * n + off + k)
-                            };
-                            let vc = unsafe { v.range_mut((off + j0) * n..(off + j1) * n) };
-                            update_vect_panel(wb, xc, n, vc, n, off, nm, n1, &defl, j0..j1, 1)
+                            let xb = unsafe { x.range(off * n + off..block_end(k)) };
+                            let plan =
+                                crate::structured::plan_update(wb, xb, n, n, nm, n1, &defl, n);
+                            if let Some(su) = plan {
+                                *cells[m].structured.lock().unwrap() = Some(Arc::new(su));
+                            }
                         });
                 }
+                // StructBasis: the per-tile Q·U products, fanned out
+                // round-robin over a fixed panel-count of commuting tasks (the
+                // DAG stays matrix-independent; each is a no-op on dense
+                // merges). They touch only plan-owned buffers, so the node key
+                // is their whole footprint. A GEMM group: forked under the
+                // fork/join discipline.
+                for p in 0..npanels {
+                    let cells = cells.clone();
+                    panel_task(scope, "StructBasis", key_node(m), use_gatherv)
+                        .fork()
+                        .spawn(move || {
+                            let su = cells[m].structured.lock().unwrap().clone();
+                            if let Some(su) = su {
+                                su.compute_basis_chunk(p, npanels);
+                            }
+                        });
+                }
+                // StructJoin: epoch barrier so every basis product is in place
+                // before the first UpdateVect reads them.
+                scope
+                    .task("StructJoin")
+                    .high_priority()
+                    .read_write(key_node(m))
+                    .spawn(|| {});
+
+                // Phase 2b panels: the eigenvector update itself.
+                for p in 0..npanels {
+                    let s0 = p * nb;
+                    let s1 = ((p + 1) * nb).min(nm);
+                    // UpdateVect (dense: both structured GEMMs for this panel;
+                    // structured: the compressed multiply for its columns).
+                    {
+                        let (v, ws, x) = (v.clone(), ws.clone(), x.clone());
+                        let cells = cells.clone();
+                        panel_task(scope, "UpdateVect", key_node(m), use_gatherv)
+                            .read(key_x(off + s0))
+                            .fork()
+                            .spawn_try(move || {
+                                let defl = cells[m].defl();
+                                let k = defl.k;
+                                let mut j0 = s0.min(k);
+                                let mut j1 = s1.min(k);
+                                if let Some((jlo, jhi, _, _)) =
+                                    *cells[m].subset_plan.lock().unwrap()
+                                {
+                                    j0 = j0.max(jlo);
+                                    j1 = j1.min(jhi);
+                                }
+                                if j0 >= j1 {
+                                    return Ok(());
+                                }
+                                if let Some(su) = cells[m].structured.lock().unwrap().clone() {
+                                    // Relabel this record so traces show the
+                                    // structured and dense variants distinctly.
+                                    dcst_runtime::set_task_trace_name("UpdateVectStructured");
+                                    // SAFETY: V columns j0..j1 (full height)
+                                    // are exclusive to this panel; the plan
+                                    // owns its operands.
+                                    let vc = unsafe { v.range_mut((off + j0) * n..(off + j1) * n) };
+                                    return su.update_panel(vc, n, off, nm, j0..j1);
+                                }
+                                // SAFETY: ws block is read-shared in this phase; V
+                                // columns j0..j1 (full height) are exclusive.
+                                let wb = unsafe { ws.range(off * n + off..block_end(k)) };
+                                let xc = unsafe {
+                                    x.range((off + j0) * n + off..(off + j1 - 1) * n + off + k)
+                                };
+                                let vc = unsafe { v.range_mut((off + j0) * n..(off + j1) * n) };
+                                update_vect_panel(wb, xc, n, vc, n, off, nm, n1, &defl, j0..j1)
+                            });
+                    }
+                }
             }
+            self.level_barrier(scope)?;
         }
 
         // ---- final sort + scale back on the root.
@@ -1010,14 +1084,14 @@ impl TaskFlowDc {
         // Submission done: the master drops its e/ws/x/lam handles here;
         // the workers' clones die with their tasks' GC at wait, so the
         // collect phase can unwrap d and v.
-        FullPending {
+        Ok(FullPending {
             n,
             subset,
             tree,
             cells,
             d,
             v,
-        }
+        })
     }
 
     /// The values-only task graph ([`SolveMode::ValuesOnly`]): the same
@@ -1026,7 +1100,12 @@ impl TaskFlowDc {
     /// V/WS/X buffers disappear entirely — per-node state is two O(n)
     /// rows plus the deflation record. This is the memory reduction the
     /// `BENCH_modes.json` high-water gate measures.
-    fn submit_values(&self, t: &SymTridiag, scope: &Scope<'_>, ks: KeySpace) -> ValuesPending {
+    fn submit_values(
+        &self,
+        t: &SymTridiag,
+        scope: &Scope<'_>,
+        ks: KeySpace,
+    ) -> Result<ValuesPending, DcError> {
         let n = t.n();
         let nb = self.opts.nb.max(1);
         let orgnrm = t.max_norm();
@@ -1114,112 +1193,59 @@ impl TaskFlowDc {
                 });
         }
 
+        self.level_barrier(scope)?;
+
         // ---- merges, bottom-up: deflation → pass-1 panels → ReduceW →
         // pass-2 row-update panels.
-        for &m in &tree.merges_postorder() {
-            let node = &tree.nodes[m];
-            let (off, nm, n1) = (node.off, node.n, node.n1);
-            let (lc, rc) = node.children.unwrap();
-            let beta = betas[m];
-            let npanels = nm.div_ceil(nb);
+        for level in self.merge_groups(&tree) {
+            for &m in &level {
+                let node = &tree.nodes[m];
+                let (off, nm, n1) = (node.off, node.n, node.n1);
+                let (lc, rc) = node.children.unwrap();
+                let beta = betas[m];
+                let npanels = nm.div_ceil(nb);
 
-            // ComputeDeflation: consumes the children's boundary rows.
-            {
-                let d = d.clone();
-                let cells = cells.clone();
-                scope
-                    .task("ComputeDeflation")
-                    .high_priority()
-                    .read(key_node(lc))
-                    .read(key_node(rc))
-                    .read_write(key_node(m))
-                    .spawn_try(move || -> Result<(), DcError> {
-                        // SAFETY: epoch-exclusive access to the d block.
-                        let db = unsafe { d.range_mut(off..off + nm) };
-                        let rows_l = cells[lc].take_rows();
-                        let rows_r = cells[rc].take_rows();
-                        let idxq_l = cells[lc].idxq();
-                        let idxq_r = cells[rc].idxq();
-                        let rd =
-                            deflate_rows(db, n1, beta, off, &rows_l, &rows_r, &idxq_l, &idxq_r)?;
-                        // Deflated slots pass their row entries through
-                        // unchanged; the pass-2 panels overwrite j < k.
-                        *cells[m].rows.lock().unwrap() = Some(BoundaryRows {
-                            first: rd.w_first.clone(),
-                            last: rd.w_last.clone(),
+                // ComputeDeflation: consumes the children's boundary rows.
+                {
+                    let d = d.clone();
+                    let cells = cells.clone();
+                    scope
+                        .task("ComputeDeflation")
+                        .high_priority()
+                        .read(key_node(lc))
+                        .read(key_node(rc))
+                        .read_write(key_node(m))
+                        .spawn_try(move || -> Result<(), DcError> {
+                            // SAFETY: epoch-exclusive access to the d block.
+                            let db = unsafe { d.range_mut(off..off + nm) };
+                            let rows_l = cells[lc].take_rows();
+                            let rows_r = cells[rc].take_rows();
+                            let idxq_l = cells[lc].idxq();
+                            let idxq_r = cells[rc].idxq();
+                            let rd = deflate_rows(
+                                db, n1, beta, off, &rows_l, &rows_r, &idxq_l, &idxq_r,
+                            )?;
+                            // Deflated slots pass their row entries through
+                            // unchanged; the pass-2 panels overwrite j < k.
+                            *cells[m].rows.lock().unwrap() = Some(BoundaryRows {
+                                first: rd.w_first.clone(),
+                                last: rd.w_last.clone(),
+                            });
+                            *cells[m].partials.lock().unwrap() = vec![None; npanels];
+                            *cells[m].rd.lock().unwrap() = Some(Arc::new(rd));
+                            Ok(())
                         });
-                        *cells[m].partials.lock().unwrap() = vec![None; npanels];
-                        *cells[m].rd.lock().unwrap() = Some(Arc::new(rd));
-                        Ok(())
-                    });
-            }
+                }
 
-            // Pass-1 panels: secular roots + running local-W partial.
-            for p in 0..npanels {
-                let s0 = p * nb;
-                let s1 = ((p + 1) * nb).min(nm);
-                let lam = lam.clone();
-                let cells = cells.clone();
-                panel_task(scope, "LAED4", key_node(m), use_gatherv)
-                    .write(key_x(off + s0))
-                    .spawn_try(move || -> Result<(), DcError> {
-                        let rd = cells[m].rd();
-                        let k = rd.defl.k;
-                        let j0 = s0.min(k);
-                        let j1 = s1.min(k);
-                        if j0 >= j1 {
-                            return Ok(());
-                        }
-                        // SAFETY: exclusive lam range per panel.
-                        let lo = unsafe { lam.range_mut(off + j0..off + j1) };
-                        let part = secular_rows_panel(&rd.defl, j0..j1, lo, off)?;
-                        cells[m].partials.lock().unwrap()[p] = Some(part);
-                        Ok(())
-                    });
-            }
-
-            // ReduceW: join partials into ẑ, finalize the block diagonal.
-            {
-                let (d, lam) = (d.clone(), lam.clone());
-                let cells = cells.clone();
-                scope
-                    .task("ReduceW")
-                    .high_priority()
-                    .read_write(key_node(m))
-                    .spawn(move || {
-                        let rd = cells[m].rd();
-                        let k = rd.defl.k;
-                        if k > 0 {
-                            let parts: Vec<Vec<f64>> = cells[m]
-                                .partials
-                                .lock()
-                                .unwrap()
-                                .iter_mut()
-                                .filter_map(|p| p.take())
-                                .collect();
-                            let zhat = dcst_secular::reduce_w(&rd.defl.w, &parts);
-                            *cells[m].zhat.lock().unwrap() = Some(Arc::new(zhat));
-                        }
-                        // SAFETY: epoch-exclusive d block; lam read-only now.
-                        let db = unsafe { d.range_mut(off..off + nm) };
-                        let ls = unsafe { lam.range(off..off + k) };
-                        let idxq = finalize_d(&rd.defl, ls, db);
-                        *cells[m].idxq.lock().unwrap() = Some(Arc::new(idxq));
-                        *cells[m].stat.lock().unwrap() = Some(MergeStat { n: nm, n1, k });
-                    });
-            }
-
-            // Pass-2 panels: update the merged boundary rows. The root's
-            // rows have no reader, so its whole group is elided — a
-            // size-dependent (not matrix-dependent) asymmetry, like the
-            // panel counts themselves.
-            if m != tree.root {
+                // Pass-1 panels: secular roots + running local-W partial.
                 for p in 0..npanels {
                     let s0 = p * nb;
                     let s1 = ((p + 1) * nb).min(nm);
+                    let lam = lam.clone();
                     let cells = cells.clone();
-                    panel_task(scope, "RowUpdate", key_node(m), use_gatherv).spawn_try(
-                        move || -> Result<(), DcError> {
+                    panel_task(scope, "LAED4", key_node(m), use_gatherv)
+                        .write(key_x(off + s0))
+                        .spawn_try(move || -> Result<(), DcError> {
                             let rd = cells[m].rd();
                             let k = rd.defl.k;
                             let j0 = s0.min(k);
@@ -1227,20 +1253,79 @@ impl TaskFlowDc {
                             if j0 >= j1 {
                                 return Ok(());
                             }
-                            let zhat = cells[m].zhat();
-                            // No shared-buffer borrows: the kernel re-solves
-                            // the secular roots from the node's own deflation
-                            // state (pass 2 of the two-pass scheme).
-                            let (f, l) = row_update_panel(&rd, &zhat, j0..j1, off)?;
-                            let mut rows = cells[m].rows.lock().unwrap();
-                            let rows = rows.as_mut().expect("rows initialized by deflation");
-                            rows.first[j0..j1].copy_from_slice(&f);
-                            rows.last[j0..j1].copy_from_slice(&l);
+                            // SAFETY: exclusive lam range per panel.
+                            let lo = unsafe { lam.range_mut(off + j0..off + j1) };
+                            let part = secular_rows_panel(&rd.defl, j0..j1, lo, off)?;
+                            cells[m].partials.lock().unwrap()[p] = Some(part);
                             Ok(())
-                        },
-                    );
+                        });
+                }
+
+                // ReduceW: join partials into ẑ, finalize the block diagonal.
+                {
+                    let (d, lam) = (d.clone(), lam.clone());
+                    let cells = cells.clone();
+                    scope
+                        .task("ReduceW")
+                        .high_priority()
+                        .read_write(key_node(m))
+                        .spawn(move || {
+                            let rd = cells[m].rd();
+                            let k = rd.defl.k;
+                            if k > 0 {
+                                let parts: Vec<Vec<f64>> = cells[m]
+                                    .partials
+                                    .lock()
+                                    .unwrap()
+                                    .iter_mut()
+                                    .filter_map(|p| p.take())
+                                    .collect();
+                                let zhat = dcst_secular::reduce_w(&rd.defl.w, &parts);
+                                *cells[m].zhat.lock().unwrap() = Some(Arc::new(zhat));
+                            }
+                            // SAFETY: epoch-exclusive d block; lam read-only now.
+                            let db = unsafe { d.range_mut(off..off + nm) };
+                            let ls = unsafe { lam.range(off..off + k) };
+                            let idxq = finalize_d(&rd.defl, ls, db);
+                            *cells[m].idxq.lock().unwrap() = Some(Arc::new(idxq));
+                            *cells[m].stat.lock().unwrap() = Some(MergeStat { n: nm, n1, k });
+                        });
+                }
+
+                // Pass-2 panels: update the merged boundary rows. The root's
+                // rows have no reader, so its whole group is elided — a
+                // size-dependent (not matrix-dependent) asymmetry, like the
+                // panel counts themselves.
+                if m != tree.root {
+                    for p in 0..npanels {
+                        let s0 = p * nb;
+                        let s1 = ((p + 1) * nb).min(nm);
+                        let cells = cells.clone();
+                        panel_task(scope, "RowUpdate", key_node(m), use_gatherv).spawn_try(
+                            move || -> Result<(), DcError> {
+                                let rd = cells[m].rd();
+                                let k = rd.defl.k;
+                                let j0 = s0.min(k);
+                                let j1 = s1.min(k);
+                                if j0 >= j1 {
+                                    return Ok(());
+                                }
+                                let zhat = cells[m].zhat();
+                                // No shared-buffer borrows: the kernel re-solves
+                                // the secular roots from the node's own deflation
+                                // state (pass 2 of the two-pass scheme).
+                                let (f, l) = row_update_panel(&rd, &zhat, j0..j1, off)?;
+                                let mut rows = cells[m].rows.lock().unwrap();
+                                let rows = rows.as_mut().expect("rows initialized by deflation");
+                                rows.first[j0..j1].copy_from_slice(&f);
+                                rows.last[j0..j1].copy_from_slice(&l);
+                                Ok(())
+                            },
+                        );
+                    }
                 }
             }
+            self.level_barrier(scope)?;
         }
 
         // ---- final sort + scale back (values only: a gather on d).
@@ -1275,7 +1360,7 @@ impl TaskFlowDc {
                 });
         }
 
-        ValuesPending { n, tree, cells, d }
+        Ok(ValuesPending { n, tree, cells, d })
     }
 }
 

@@ -19,17 +19,15 @@
 //! bitwise identical), assembles the slot-permuted normalized vector one
 //! column at a time, and dots it with the compressed boundary rows. Twice
 //! the LAED4 flops buys truly `O(n)` transient memory — and the root
-//! merge, whose output rows nobody reads, skips pass 2 entirely
-//! (`need_rows = false`).
+//! merge, whose output rows nobody reads, skips pass 2 entirely.
 //!
 //! [`SolveMode::ValuesOnly`]: crate::SolveMode::ValuesOnly
 
-use crate::merge::{ensure_finite_merge_inputs, finalize_d, slot_rows, MergeStat};
+use crate::merge::{ensure_finite_merge_inputs, slot_rows};
 use crate::DcError;
 use dcst_qriter::{steqr_mut, ZBlock};
 use dcst_secular::{
-    assemble_vectors, deflate, local_w_products, reduce_w, solve_secular_root, Deflation,
-    DeflationInput,
+    assemble_vectors, deflate, local_w_products, solve_secular_root, Deflation, DeflationInput,
 };
 
 /// The first and last row of a node's (never materialized) eigenvector
@@ -214,53 +212,6 @@ pub(crate) fn row_update_panel(
         last.push(lr);
     }
     Ok((first, last))
-}
-
-/// One whole merge of the values-only path: deflation and the secular
-/// solve exactly as [`merge_sequential`](crate::merge::merge_sequential),
-/// but the eigenvector phase shrinks to a row update on the two boundary
-/// rows. `need_rows = false` (the root merge) skips the row update.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn merge_values(
-    d_block: &mut [f64],
-    n1: usize,
-    beta: f64,
-    row_off: usize,
-    rows_l: &BoundaryRows,
-    rows_r: &BoundaryRows,
-    idxq_l: &[usize],
-    idxq_r: &[usize],
-    need_rows: bool,
-) -> Result<(Vec<usize>, BoundaryRows, MergeStat), DcError> {
-    let nm = d_block.len();
-    let rd = deflate_rows(d_block, n1, beta, row_off, rows_l, rows_r, idxq_l, idxq_r)?;
-    let k = rd.defl.k;
-
-    // Deflated columns (slots k..nm) pass through unchanged; secular
-    // columns j < k are overwritten below when the parent needs them.
-    let mut first_new = rd.w_first.clone();
-    let mut last_new = rd.w_last.clone();
-
-    let mut lam = vec![0.0f64; k];
-    if k > 0 {
-        let partial = secular_rows_panel(&rd.defl, 0..k, &mut lam, row_off)?;
-        let zhat = reduce_w(&rd.defl.w, &[partial]);
-        if need_rows {
-            let (f, l) = row_update_panel(&rd, &zhat, 0..k, row_off)?;
-            first_new[..k].copy_from_slice(&f);
-            last_new[..k].copy_from_slice(&l);
-        }
-    }
-
-    let idxq_out = finalize_d(&rd.defl, &lam, d_block);
-    Ok((
-        idxq_out,
-        BoundaryRows {
-            first: first_new,
-            last: last_new,
-        },
-        MergeStat { n: nm, n1, k },
-    ))
 }
 
 #[cfg(test)]

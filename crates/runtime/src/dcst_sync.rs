@@ -3,7 +3,7 @@
 //! The pool imports every synchronization primitive it uses — mutexes,
 //! condvars, atomics, work-stealing deques, thread spawning — from this
 //! module instead of naming `parking_lot` / `std::sync` /
-//! `crossbeam_deque` directly (`cargo run -p xtask -- lint` enforces
+//! `crossbeam_deque` directly (`cargo run -p xtask -- analyze` enforces
 //! this). In a normal build the aliases are zero-cost re-exports; under
 //! `RUSTFLAGS="--cfg dcst_model_check"` they resolve to `loom-lite`'s
 //! instrumented equivalents, so the model checker can serialize the pool's

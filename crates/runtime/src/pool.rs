@@ -14,6 +14,13 @@
 //! ready join never queues behind a wall of panel work. Local deques pop
 //! LIFO to keep a worker on the cache-hot chain it just unlocked; stealers
 //! still take the oldest task, preserving breadth for load balance.
+//!
+//! [`Runtime::inline`] is the degenerate discipline: each task body runs on
+//! the submitting thread at submission, so the task flow executes as the
+//! sequential program it spells. Only tasks marked [`TaskBuilder::fork`]
+//! leave the caller, for an optional pool that is joined before the next
+//! inline task — the fork/join shape of a sequential code over threaded
+//! kernels.
 
 use crate::dag::DagRecorder;
 use crate::dcst_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -277,7 +284,6 @@ impl Shared {
     fn execute(&self, node: Arc<Node>, worker_id: usize) {
         // Counted unconditionally — cancelled skips included — so the
         // executed counter always matches an enabled trace's record count.
-        self.metrics.depth_dec();
         self.metrics.executed(worker_id);
         let closure = node.body.lock().closure.take();
         let start = self.epoch.elapsed();
@@ -408,7 +414,10 @@ fn find_task(
 fn worker_loop(shared: Arc<Shared>, local: WorkerDeque<Arc<Node>>, worker_id: usize) {
     loop {
         match find_task(&shared, &local, worker_id) {
-            Some(node) => shared.execute(node, worker_id),
+            Some(node) => {
+                shared.metrics.depth_dec();
+                shared.execute(node, worker_id)
+            }
             None => {
                 if shared.stop.load(Ordering::Acquire) {
                     return;
@@ -478,6 +487,9 @@ pub struct Runtime {
     /// (the single-caller API predating [`Runtime::scope`]).
     default_scope: Arc<ScopeState>,
     num_threads: usize,
+    /// The inline discipline ([`Runtime::inline`]): task bodies run on the
+    /// submitting thread, which owns trace lane `num_threads`.
+    inline: bool,
     /// Model-check only: reintroduce the pre-sentinel successor-wiring
     /// race so the model checker can demonstrate it catches the bug.
     #[cfg(dcst_model_check)]
@@ -487,7 +499,26 @@ pub struct Runtime {
 impl Runtime {
     /// Spawn a pool of `num_threads` workers (at least 1).
     pub fn new(num_threads: usize) -> Self {
-        let num_threads = num_threads.max(1);
+        Self::build(num_threads.max(1), false)
+    }
+
+    /// A runtime in the *inline* discipline: every task body runs on the
+    /// submitting thread, at submission — a sequential task flow executed
+    /// in submission order *is* the sequential algorithm. There is no
+    /// dependency tracking and no cross-thread handoff; declared accesses
+    /// only feed the `access-check` task context. Trace records, the
+    /// per-scope first-failure latch and skip-after-failure behave exactly
+    /// as on the pool, and `wait` is still what reports the failure.
+    ///
+    /// `fork_threads` workers (0 for none) serve only the tasks marked
+    /// [`TaskBuilder::fork`]; the submitter joins them — running queued
+    /// ones itself — before it runs its next inline task. One thread
+    /// submits at a time.
+    pub fn inline(fork_threads: usize) -> Self {
+        Self::build(fork_threads, true)
+    }
+
+    fn build(num_threads: usize, inline: bool) -> Self {
         // LIFO locals: of the batch a worker pulls from the injector it
         // runs the most recently released task first (the one whose inputs
         // are most likely still in cache), while stealers take from the
@@ -508,7 +539,7 @@ impl Runtime {
             done_cv: Condvar::new(),
             trace: Mutex::new(Vec::new()),
             trace_edges: Mutex::new(Vec::new()),
-            metrics: PoolCounters::new(num_threads),
+            metrics: PoolCounters::new(num_threads + usize::from(inline)),
             epoch: Instant::now(),
         });
         let threads = deques
@@ -532,6 +563,7 @@ impl Runtime {
             }),
             default_scope: Arc::new(ScopeState::new(0, false)),
             num_threads,
+            inline,
             #[cfg(dcst_model_check)]
             buggy_wiring: false,
         }
@@ -553,6 +585,12 @@ impl Runtime {
         self.num_threads
     }
 
+    /// Trace lanes: one per worker, plus the submitter's when it runs
+    /// task bodies itself.
+    fn lanes(&self) -> usize {
+        self.num_threads + usize::from(self.inline)
+    }
+
     /// Begin building a task named `name` (names label traces and DAG
     /// dumps) in the runtime's default scope.
     pub fn task(&self, name: &'static str) -> TaskBuilder<'_> {
@@ -562,6 +600,7 @@ impl Runtime {
             name,
             accesses: Vec::new(),
             high: false,
+            fork: false,
         }
     }
 
@@ -616,7 +655,7 @@ impl Runtime {
                 .into_iter()
                 .map(|(from, to, _)| (from, to))
                 .collect(),
-            num_workers: self.num_threads,
+            num_workers: self.lanes(),
         }
     }
 
@@ -657,7 +696,7 @@ impl Runtime {
         Trace {
             records,
             edges,
-            num_workers: self.num_threads,
+            num_workers: self.lanes(),
         }
     }
 
@@ -700,14 +739,99 @@ impl Runtime {
         self.submit.lock().dag.take()
     }
 
+    /// A node counted as outstanding in its scope and in the pool. Its
+    /// `pending` count starts at the +1 sentinel that keeps the task from
+    /// firing while `submit_task` wires its edges.
+    #[cfg_attr(not(feature = "access-check"), allow(unused_variables))]
+    fn new_node(
+        &self,
+        id: usize,
+        scope: &Arc<ScopeState>,
+        name: &'static str,
+        accesses: Vec<Access>,
+        high: bool,
+        f: TaskFn,
+    ) -> Arc<Node> {
+        scope.outstanding.fetch_add(1, Ordering::AcqRel);
+        self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
+        Arc::new(Node {
+            id,
+            name,
+            high,
+            pending: AtomicUsize::new(1),
+            body: Mutex::new(NodeBody {
+                closure: Some(f),
+                successors: Vec::new(),
+                finished: false,
+            }),
+            scope: scope.clone(),
+            #[cfg(feature = "access-check")]
+            accesses,
+        })
+    }
+
+    /// Submission in the inline discipline: run the body here and now, on
+    /// the submitter's own trace lane — or, for a forked task when fork
+    /// workers exist, push it to them as a dependency-free node.
+    fn submit_inline(
+        &self,
+        scope: &Arc<ScopeState>,
+        name: &'static str,
+        accesses: Vec<Access>,
+        fork: bool,
+        f: TaskFn,
+    ) {
+        let id = {
+            let mut st = self.submit.lock();
+            st.next_id += 1;
+            st.next_id - 1
+        };
+        let fork = fork && self.num_threads > 0;
+        if !fork {
+            // The flow continues past a forked group: join it first.
+            self.join_forked(scope);
+        }
+        let node = self.new_node(id, scope, name, accesses, false, f);
+        if fork {
+            self.shared.push_ready(node);
+        } else {
+            self.shared.execute(node, self.num_threads);
+        }
+    }
+
+    /// Join `scope`'s forked group. The submitter is an executor too: it
+    /// runs whatever part of the group is still queued instead of sleeping
+    /// through it, so a small (or empty-bodied) group costs no handoff.
+    fn join_forked(&self, scope: &ScopeState) {
+        while scope.outstanding.load(Ordering::Acquire) != 0 {
+            let queued = match self.shared.injector.steal() {
+                Steal::Empty => self.shared.stealers.iter().map(|s| s.steal()).collect(),
+                found => found,
+            };
+            match queued {
+                Steal::Success(node) => {
+                    self.shared.metrics.depth_dec();
+                    self.shared.execute(node, self.num_threads);
+                }
+                Steal::Retry => {}
+                // The rest of the group is running on the fork workers.
+                Steal::Empty => return self.drain(scope),
+            }
+        }
+    }
+
     fn submit_task(
         &self,
         scope: &Arc<ScopeState>,
         name: &'static str,
         accesses: Vec<Access>,
         high: bool,
+        fork: bool,
         f: TaskFn,
     ) {
+        if self.inline {
+            return self.submit_inline(scope, name, accesses, fork, f);
+        }
         // A scope-wide priority class boosts every one of its tasks into
         // the priority lane, on top of per-task high_priority.
         let high = high || scope.boost;
@@ -733,23 +857,7 @@ impl Runtime {
             let mut edges = self.shared.trace_edges.lock();
             edges.extend(deps.iter().map(|&d| (d, id, scope.id)));
         }
-        // The +1 sentinel keeps the task from firing while edges are wired.
-        let node = Arc::new(Node {
-            id,
-            name,
-            high,
-            pending: AtomicUsize::new(1),
-            body: Mutex::new(NodeBody {
-                closure: Some(f),
-                successors: Vec::new(),
-                finished: false,
-            }),
-            scope: scope.clone(),
-            #[cfg(feature = "access-check")]
-            accesses,
-        });
-        scope.outstanding.fetch_add(1, Ordering::AcqRel);
-        self.shared.outstanding.fetch_add(1, Ordering::AcqRel);
+        let node = self.new_node(id, scope, name, accesses, high, f);
         let preds: Vec<Arc<Node>> = deps
             .iter()
             .filter_map(|d| st.nodes.get(d).cloned())
@@ -799,7 +907,8 @@ impl Runtime {
         self.wait_scope(&scope)
     }
 
-    fn wait_scope(&self, scope: &Arc<ScopeState>) -> Result<(), RuntimeError> {
+    /// Sleep until every submitted task of `scope` has finished.
+    fn drain(&self, scope: &ScopeState) {
         let mut guard = self.shared.done_lock.lock();
         // The finishing worker notifies `done_cv` under `done_lock` when a
         // scope's (or the global) outstanding count reaches zero, and this
@@ -810,7 +919,10 @@ impl Runtime {
                 .done_cv
                 .wait_for(&mut guard, std::time::Duration::from_secs(1));
         }
-        drop(guard);
+    }
+
+    fn wait_scope(&self, scope: &Arc<ScopeState>) -> Result<(), RuntimeError> {
+        self.drain(scope);
         self.gc_after_wait(scope.id);
         let failure = scope.failure.lock().take();
         // Reset the latch only after the slot is drained: every task of the
@@ -902,6 +1014,7 @@ impl<'rt> Scope<'rt> {
             name,
             accesses: Vec::new(),
             high: false,
+            fork: false,
         }
     }
 
@@ -989,6 +1102,7 @@ pub struct TaskBuilder<'rt> {
     name: &'static str,
     accesses: Vec<Access>,
     high: bool,
+    fork: bool,
 }
 
 impl TaskBuilder<'_> {
@@ -996,6 +1110,17 @@ impl TaskBuilder<'_> {
     /// lane and is scheduled ahead of any queued normal-priority task.
     pub fn high_priority(mut self) -> Self {
         self.high = true;
+        self
+    }
+
+    /// Let an [inline](Runtime::inline) runtime hand this task to its fork
+    /// workers instead of running it on the submitter. The tasks forked
+    /// between two inline tasks run concurrently with no ordering among
+    /// them, so they must be mutually independent (one GATHERV group);
+    /// they are joined before the next inline task runs. No effect on a
+    /// pool runtime, which already runs every task on its workers.
+    pub fn fork(mut self) -> Self {
+        self.fork = true;
         self
     }
 
@@ -1042,6 +1167,7 @@ impl TaskBuilder<'_> {
             self.name,
             self.accesses,
             self.high,
+            self.fork,
             Box::new(move || {
                 f();
                 Ok(())
@@ -1062,6 +1188,7 @@ impl TaskBuilder<'_> {
             self.name,
             self.accesses,
             self.high,
+            self.fork,
             Box::new(move || f().map_err(|e| Box::new(e) as BoxError)),
         );
     }

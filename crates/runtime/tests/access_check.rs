@@ -182,77 +182,80 @@ proptest! {
     ) {
         let sabotage = sabotage == 1;
         let victim = victim_pick % tasks.len();
-        let rt = Runtime::new(3);
-        let bufs: Vec<SharedData<f64>> = (0..num_bufs)
-            .map(|i| {
-                let b = SharedData::new(vec![0.0f64; 64]);
-                b.bind_keys(&[key(i)]);
-                b
-            })
-            .collect();
-        // Hands each GatherV writer of a buffer its own disjoint 4-element
-        // chunk (at most 11 tasks per case, so chunks stay in bounds).
-        let chunk_counters: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..num_bufs).map(|_| AtomicUsize::new(0)).collect());
+        // The pool and the inline discipline install the same task context,
+        // so both must accept the honest DAG and catch the saboteur.
+        for rt in [Runtime::new(3), Runtime::inline(0)] {
+            let bufs: Vec<SharedData<f64>> = (0..num_bufs)
+                .map(|i| {
+                    let b = SharedData::new(vec![0.0f64; 64]);
+                    b.bind_keys(&[key(i)]);
+                    b
+                })
+                .collect();
+            // Hands each GatherV writer of a buffer its own disjoint 4-element
+            // chunk (at most 11 tasks per case, so chunks stay in bounds).
+            let chunk_counters: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..num_bufs).map(|_| AtomicUsize::new(0)).collect());
 
-        for (t, &(mode, buf_pick)) in tasks.iter().enumerate() {
-            let bi = buf_pick % num_bufs;
-            let buf = bufs[bi].clone();
-            let counters = chunk_counters.clone();
-            if sabotage && t == victim {
-                // Misdeclared: INPUT on the right key, exclusive borrow in
-                // the body. Schedule-independent; must always be caught.
-                rt.task("saboteur").read(key(bi)).spawn(move || {
-                    // SAFETY: the tracker panics before the alias exists.
-                    let _s = unsafe { buf.range_mut(0..8) };
-                });
-                continue;
+            for (t, &(mode, buf_pick)) in tasks.iter().enumerate() {
+                let bi = buf_pick % num_bufs;
+                let buf = bufs[bi].clone();
+                let counters = chunk_counters.clone();
+                if sabotage && t == victim {
+                    // Misdeclared: INPUT on the right key, exclusive borrow in
+                    // the body. Schedule-independent; must always be caught.
+                    rt.task("saboteur").read(key(bi)).spawn(move || {
+                        // SAFETY: the tracker panics before the alias exists.
+                        let _s = unsafe { buf.range_mut(0..8) };
+                    });
+                    continue;
+                }
+                match mode {
+                    MODE_READ => {
+                        rt.task("reader").read(key(bi)).spawn(move || {
+                            // SAFETY: ordered after every writer epoch.
+                            let s = unsafe { buf.slice() };
+                            let _ = s.iter().sum::<f64>();
+                        });
+                    }
+                    MODE_WRITE => {
+                        rt.task("writer").write(key(bi)).spawn(move || {
+                            // SAFETY: exclusive writer epoch.
+                            let s = unsafe { buf.slice_mut() };
+                            s.iter_mut().for_each(|x| *x += 1.0);
+                        });
+                    }
+                    MODE_READ_WRITE => {
+                        rt.task("updater").read_write(key(bi)).spawn(move || {
+                            // SAFETY: exclusive writer epoch.
+                            let s = unsafe { buf.slice_mut() };
+                            s.iter_mut().for_each(|x| *x *= 2.0);
+                        });
+                    }
+                    MODE_GATHERV => {
+                        rt.task("gather").gatherv(key(bi)).spawn(move || {
+                            let c = counters[bi].fetch_add(1, Ordering::SeqCst);
+                            // SAFETY: per-writer disjoint chunk of the group.
+                            let s = unsafe { buf.range_mut(c * 4..(c + 1) * 4) };
+                            s.iter_mut().for_each(|x| *x += 1.0);
+                        });
+                    }
+                    _ => unreachable!(),
+                }
             }
-            match mode {
-                MODE_READ => {
-                    rt.task("reader").read(key(bi)).spawn(move || {
-                        // SAFETY: ordered after every writer epoch.
-                        let s = unsafe { buf.slice() };
-                        let _ = s.iter().sum::<f64>();
-                    });
-                }
-                MODE_WRITE => {
-                    rt.task("writer").write(key(bi)).spawn(move || {
-                        // SAFETY: exclusive writer epoch.
-                        let s = unsafe { buf.slice_mut() };
-                        s.iter_mut().for_each(|x| *x += 1.0);
-                    });
-                }
-                MODE_READ_WRITE => {
-                    rt.task("updater").read_write(key(bi)).spawn(move || {
-                        // SAFETY: exclusive writer epoch.
-                        let s = unsafe { buf.slice_mut() };
-                        s.iter_mut().for_each(|x| *x *= 2.0);
-                    });
-                }
-                MODE_GATHERV => {
-                    rt.task("gather").gatherv(key(bi)).spawn(move || {
-                        let c = counters[bi].fetch_add(1, Ordering::SeqCst);
-                        // SAFETY: per-writer disjoint chunk of the group.
-                        let s = unsafe { buf.range_mut(c * 4..(c + 1) * 4) };
-                        s.iter_mut().for_each(|x| *x += 1.0);
-                    });
-                }
-                _ => unreachable!(),
-            }
-        }
 
-        let result = rt.wait();
-        if sabotage {
-            let err = result.expect_err("misdeclaration went undetected");
-            prop_assert_eq!(err.task.as_str(), "saboteur");
-            prop_assert!(
-                err.message().contains("access-check"),
-                "unexpected message: {}",
-                err.message()
-            );
-        } else {
-            prop_assert!(result.is_ok(), "honest DAG rejected: {:?}", result.err());
+            let result = rt.wait();
+            if sabotage {
+                let err = result.expect_err("misdeclaration went undetected");
+                prop_assert_eq!(err.task.as_str(), "saboteur");
+                prop_assert!(
+                    err.message().contains("access-check"),
+                    "unexpected message: {}",
+                    err.message()
+                );
+            } else {
+                prop_assert!(result.is_ok(), "honest DAG rejected: {:?}", result.err());
+            }
         }
     }
 }

@@ -261,3 +261,147 @@ fn thousands_of_tiny_tasks_complete() {
     rt.wait().unwrap();
     assert_eq!(done.load(Ordering::Relaxed), 5000);
 }
+
+#[test]
+fn inline_bodies_run_in_submission_order_on_the_calling_thread() {
+    // No declared accesses at all: the only thing ordering these bodies is
+    // that each one has already run when `spawn` returns.
+    let rt = Runtime::inline(0);
+    let me = std::thread::current().id();
+    let log = Arc::new(Mutex::new(Vec::new()));
+    for i in 0..100usize {
+        let l = log.clone();
+        rt.task("step").spawn(move || {
+            assert_eq!(std::thread::current().id(), me);
+            l.lock().unwrap().push(i);
+        });
+        assert_eq!(log.lock().unwrap().len(), i + 1, "ran at submission");
+    }
+    rt.wait().unwrap();
+    assert_eq!(*log.lock().unwrap(), (0..100).collect::<Vec<_>>());
+}
+
+#[test]
+fn inline_failure_is_typed_by_wait_and_skips_later_bodies() {
+    let rt = Runtime::inline(0);
+    let scope = rt.scope();
+    let ran = Arc::new(AtomicUsize::new(0));
+    let r = ran.clone();
+    scope.task("before").spawn(move || {
+        r.fetch_add(1, Ordering::SeqCst);
+    });
+    scope
+        .task("diverge")
+        .spawn_try(|| Err::<(), _>(std::io::Error::other("first")));
+    scope
+        .task("second-failure")
+        .spawn_try(|| Err::<(), _>(std::io::Error::other("second")));
+    for _ in 0..10 {
+        let r = ran.clone();
+        scope.task("after").spawn(move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    let err = scope.wait().unwrap_err();
+    assert_eq!(err.task, "diverge");
+    let (_, io) = err.downcast::<std::io::Error>().expect("typed error");
+    assert_eq!(io.to_string(), "first");
+    assert_eq!(ran.load(Ordering::SeqCst), 1, "bodies after the failure");
+    // A panic is contained the same way, and wait resets the latch.
+    scope.task("boom").spawn(|| panic!("inline panic"));
+    let err = scope.wait().unwrap_err();
+    assert!(err.is_panic() && err.message().contains("inline panic"));
+    let r = ran.clone();
+    scope.task("fresh").spawn(move || {
+        r.fetch_add(1, Ordering::SeqCst);
+    });
+    scope.wait().unwrap();
+    assert_eq!(ran.load(Ordering::SeqCst), 2);
+}
+
+#[test]
+fn inline_wait_is_reusable_and_trace_has_one_record_per_body() {
+    let rt = Runtime::inline(0);
+    rt.enable_tracing();
+    for _phase in 0..3 {
+        for _ in 0..4 {
+            rt.task("body").spawn(|| {});
+        }
+        rt.wait().unwrap();
+    }
+    let trace = rt.take_trace();
+    assert_eq!(trace.records.len(), 12);
+    assert_eq!(trace.num_workers, 1);
+    assert!(trace.edges.is_empty(), "inline mode tracks no dependencies");
+    assert!(trace
+        .records
+        .iter()
+        .all(|r| r.name == "body" && r.worker == 0 && r.end_us >= r.start_us));
+    // Ids follow submission order.
+    let ids: Vec<usize> = trace.records.iter().map(|r| r.id).collect();
+    assert_eq!(ids, (0..12).collect::<Vec<_>>());
+}
+
+#[test]
+fn forked_group_joins_before_the_next_inline_task() {
+    let rt = Runtime::inline(2);
+    rt.enable_tracing();
+    let me = std::thread::current().id();
+    let buf = SharedData::new(vec![0usize; 64]);
+    for round in 0..20usize {
+        for chunk in 0..8usize {
+            let buf = buf.clone();
+            rt.task("panel").fork().spawn(move || {
+                // SAFETY: disjoint chunk per forked task of the group.
+                let s = unsafe { buf.range_mut(chunk * 8..(chunk + 1) * 8) };
+                s.iter_mut().for_each(|x| *x += 1);
+            });
+        }
+        let buf = buf.clone();
+        rt.task("join").spawn(move || {
+            assert_eq!(std::thread::current().id(), me);
+            // SAFETY: the forked group was joined before this body runs.
+            let s = unsafe { buf.slice() };
+            assert!(s.iter().all(|&x| x == round + 1), "round {round}");
+        });
+    }
+    rt.wait().unwrap();
+    let trace = rt.take_trace();
+    assert_eq!(trace.records.len(), 20 * 9);
+    assert_eq!(trace.num_workers, 3, "two fork workers + the caller's lane");
+    // Inline bodies stay on the caller's lane; forked ones run wherever an
+    // executor is free — the fork workers or the caller while it joins.
+    assert!(trace
+        .records
+        .iter()
+        .all(|r| r.name != "join" || r.worker == 2));
+    // A forked group really is concurrent: two bodies that each wait for
+    // the other to start deadlock unless two executors run them at once.
+    let started: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
+    for i in 0..2 {
+        let started = started.clone();
+        rt.task("rendezvous").fork().spawn(move || {
+            started[i].store(1, Ordering::SeqCst);
+            while started[1 - i].load(Ordering::SeqCst) == 0 {
+                std::hint::spin_loop();
+            }
+        });
+    }
+    // A failing forked body latches the scope like any other.
+    rt.task("bad-panel")
+        .fork()
+        .spawn_try(|| Err::<(), _>(std::io::Error::other("gemm")));
+    let ran = Arc::new(AtomicUsize::new(0));
+    let r = ran.clone();
+    rt.task("after").spawn(move || {
+        r.fetch_add(1, Ordering::SeqCst);
+    });
+    assert_eq!(rt.wait().unwrap_err().task, "bad-panel");
+    assert_eq!(ran.load(Ordering::SeqCst), 0);
+    // Without fork workers, fork() degrades to inline execution.
+    let rt = Runtime::inline(0);
+    rt.task("panel").fork().spawn(move || {
+        assert_eq!(std::thread::current().id(), me);
+    });
+    rt.wait().unwrap();
+}

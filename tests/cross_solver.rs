@@ -170,3 +170,75 @@ fn application_suite_through_taskflow() {
         check_decomposition(&app.matrix, &eig.values, &eig.vectors, 1e-11, &app.name);
     }
 }
+
+/// One merge graph, four scheduling disciplines: whatever the execution
+/// shape, every driver runs the same kernels on the same operands in the
+/// same per-merge order, so their eigenvalues agree to the last bit — in
+/// every solve mode. QR iteration, which shares none of that code, is the
+/// independent reference for what the bits should be close to.
+#[test]
+fn disciplines_are_bit_identical() {
+    let n = 150;
+    let modes = [
+        ("full", SolveMode::Full),
+        ("values", SolveMode::ValuesOnly),
+        // 16·k > n: the graph runs with the root merge pruned.
+        ("subset-pruned", SolveMode::Subset { il: 40, iu: 99 }),
+        // 16·k ≤ n: the MRRR fallback task.
+        ("subset-mrrr", SolveMode::Subset { il: 70, iu: 75 }),
+    ];
+    for ty in MT::ALL {
+        let t = ty.generate(n, 42);
+        let scale = t.max_norm().max(1.0);
+        let reference = QrIteration.solve(&t).expect("qr").0;
+        for (mode_name, mode) in modes {
+            let want = match mode {
+                SolveMode::Subset { il, iu } => &reference[il..=iu],
+                _ => &reference[..],
+            };
+            for threads in [1, 2] {
+                let o = DcOptions {
+                    min_part: 10,
+                    nb: 8,
+                    threads,
+                    mode,
+                    ..DcOptions::default()
+                };
+                let drivers: [Box<dyn TridiagEigensolver>; 4] = [
+                    Box::new(TaskFlowDc::new(o)),
+                    Box::new(SequentialDc::new(o)),
+                    Box::new(ForkJoinDc::new(o)),
+                    Box::new(LevelParallelDc::new(o)),
+                ];
+                let who = |d: &dyn TridiagEigensolver| {
+                    format!("{} type {} {mode_name} T={threads}", d.name(), ty.index())
+                };
+                let eigs: Vec<Eigen> = drivers
+                    .iter()
+                    .map(|d| {
+                        d.solve(&t)
+                            .unwrap_or_else(|e| panic!("{}: {e}", who(d.as_ref())))
+                    })
+                    .collect();
+                for (d, eig) in drivers.iter().zip(&eigs) {
+                    assert_same_values(want, &eig.values, scale, &who(d.as_ref()));
+                    for (i, (a, b)) in eigs[0].values.iter().zip(&eig.values).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{} vs taskflow: eigenvalue {i}: {b:e} vs {a:e}",
+                            who(d.as_ref())
+                        );
+                    }
+                    let same_vectors = eigs[0]
+                        .vectors
+                        .as_slice()
+                        .iter()
+                        .zip(eig.vectors.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same_vectors, "{} vs taskflow: vectors", who(d.as_ref()));
+                }
+            }
+        }
+    }
+}

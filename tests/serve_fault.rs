@@ -87,6 +87,8 @@ fn one_armed_site_fails_exactly_one_of_many() {
         drop(armed);
         // The pool survived the fault: a fresh request on the same shared
         // runtime completes, and the admission gauge is back to zero.
+        // (Quiet, so the other test's armed site cannot land in it.)
+        let _quiet = fp::quiet();
         let doc = cl.call(&solve_line(100, 56)).unwrap();
         assert!(is_ok(&doc), "pool unusable after fault: {doc:?}");
         assert_gates(&doc, 56);
@@ -135,6 +137,7 @@ fn batch_isolates_an_injected_item_fault() {
         }
     }
     drop(armed);
+    let _quiet = fp::quiet();
     let doc = cl.call(&solve_line(2, 48)).unwrap();
     assert!(is_ok(&doc));
 }

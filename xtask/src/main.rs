@@ -1,20 +1,18 @@
 //! Workspace maintenance tasks — a thin driver over the `dcst-analyze`
 //! static-analysis crate (which owns the lexer, parser, and all rules).
 //!
-//! * `cargo run -p xtask -- lint` — the original unsafe-audit pass
-//!   (unsafe-safety, static-mut, sleep-poll, pool-sync).
-//! * `cargo run -p xtask -- analyze` — everything: the lint rules plus
-//!   the four analysis passes (atomic-ordering manifest conformance
-//!   against `specs/orderings.toml`, hot-path purity for `// dcst-hot`
-//!   fns, feature-gate symmetry of the two-`mod imp` idiom, and the
-//!   static task-footprint lint). Options:
+//! * `cargo run -p xtask -- analyze` — the unsafe-audit lint rules
+//!   (unsafe-safety, static-mut, sleep-poll, pool-sync) plus the four
+//!   analysis passes (atomic-ordering manifest conformance against
+//!   `specs/orderings.toml`, hot-path purity for `// dcst-hot` fns,
+//!   feature-gate symmetry of the two-`mod imp` idiom, and the static
+//!   task-footprint lint). Options:
 //!   * `--report FILE` — also write the violation list to FILE (always
 //!     written, even when empty, so CI can upload it as an artifact).
 //!   * `--emit-orderings` — print a manifest skeleton for every atomic
 //!     site currently in scope, for classifying new sites.
 //!
-//! Both subcommands parse the tree exactly once and exit non-zero on any
-//! violation. Waive a violation on line N with `xtask-lint:
+//! The tree is parsed exactly once; any violation exits non-zero. Waive a violation on line N with `xtask-lint:
 //! allow(<rule>)` in a comment on line N or N-1 — sparingly, with
 //! justification (the hot-path rule demands one).
 
@@ -26,24 +24,15 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run(Mode::Lint, &args[1..]),
-        Some("analyze") => run(Mode::Analyze, &args[1..]),
+        Some("analyze") => run(&args[1..]),
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- lint | analyze [--report FILE] [--emit-orderings]"
-            );
+            eprintln!("usage: cargo run -p xtask -- analyze [--report FILE] [--emit-orderings]");
             ExitCode::from(2)
         }
     }
 }
 
-#[derive(PartialEq)]
-enum Mode {
-    Lint,
-    Analyze,
-}
-
-fn run(mode: Mode, opts: &[String]) -> ExitCode {
+fn run(opts: &[String]) -> ExitCode {
     let mut report: Option<PathBuf> = None;
     let mut emit_orderings = false;
     let mut it = opts.iter();
@@ -78,15 +67,10 @@ fn run(mode: Mode, opts: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let violations = match mode {
-        Mode::Lint => rules::run_legacy(&ws),
-        Mode::Analyze => {
-            let manifest_path = root.join(orderings::MANIFEST_PATH);
-            let manifest = std::fs::read_to_string(&manifest_path)
-                .map_err(|e| format!("{}: {e}", manifest_path.display()));
-            rules::run_full(&ws, manifest.as_deref().map_err(String::clone))
-        }
-    };
+    let manifest_path = root.join(orderings::MANIFEST_PATH);
+    let manifest = std::fs::read_to_string(&manifest_path)
+        .map_err(|e| format!("{}: {e}", manifest_path.display()));
+    let violations = rules::run_full(&ws, manifest.as_deref().map_err(String::clone));
 
     if let Some(path) = &report {
         if let Err(e) = write_report(path, &violations) {
@@ -95,20 +79,15 @@ fn run(mode: Mode, opts: &[String]) -> ExitCode {
         }
     }
 
-    let what = if mode == Mode::Lint {
-        "lint"
-    } else {
-        "analyze"
-    };
     if violations.is_empty() {
-        println!("xtask {what}: {} files scanned, clean", ws.files.len());
+        println!("xtask analyze: {} files scanned, clean", ws.files.len());
         ExitCode::SUCCESS
     } else {
         for v in &violations {
             eprintln!("{v}");
         }
         eprintln!(
-            "xtask {what}: {} violation(s) in {} files scanned",
+            "xtask analyze: {} violation(s) in {} files scanned",
             violations.len(),
             ws.files.len()
         );
