@@ -20,10 +20,11 @@
 //! which is either a direct `rt.task(…)` chain, a builder-helper call
 //! (a crate-local fn whose own body contains `.task(` — e.g.
 //! `panel_task`, which declares `gatherv`/`read_write` internally), or a
-//! local variable (resolved by scanning earlier statements of the
-//! enclosing fn for its construction and reassignments). Non-taskflow
-//! spawns (`thread::Builder::spawn`) never look like a `task` chain and
-//! are ignored.
+//! local `TaskBuilder` variable (resolved by scanning earlier statements
+//! of the enclosing fn for its construction and reassignments; a variable
+//! that `.task(` is called *on* is a runtime or scope and ends the walk).
+//! Non-taskflow spawns (`thread::Builder::spawn`) never look like a `task`
+//! chain and are ignored.
 
 use super::{allowed, Violation};
 use crate::lexer::TokKind;
@@ -187,11 +188,14 @@ fn walk_chain(pf: &ParsedFile, rev: &HashMap<usize, usize>, dot: usize) -> Chain
             }
             return chain;
         }
-        if pf.kind(cur - 1) == TokKind::Ident {
-            // Variable head: resolve its construction within the
-            // enclosing fn, before this use.
+        // Variable head. A chain that contains `.task(` itself starts at a
+        // runtime/scope (`scope.task("B")…`): it is complete as walked,
+        // and folding in the *other* chains hanging off that variable
+        // would lend this one their write declarations. Otherwise the
+        // variable is a `TaskBuilder`: resolve its construction within the
+        // enclosing fn, before this use.
+        if pf.kind(cur - 1) == TokKind::Ident && !chain.methods.iter().any(|m| m == "task") {
             resolve_var(pf, pf.text(cur - 1), cur - 1, &mut chain);
-            return chain;
         }
         return chain;
     }
@@ -333,6 +337,27 @@ fn build(rt: &Rt, v: Share<f64>) {
         let vs = check(&ws);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].line, 4);
+    }
+
+    #[test]
+    fn mutation_earlier_chain_does_not_lend_its_write() {
+        // Two chains off one scope in one fn: the first declares a write,
+        // the second is read-only with a mutable view — exactly one
+        // violation, on the second.
+        let src = "\
+fn build(scope: &Scope, d: Share<f64>) {
+    scope.task(\"A\").write(k).spawn(move || {
+        let ds = unsafe { d.range_mut(a..b) };
+    });
+    scope.task(\"B\").read(k).spawn(move || {
+        let ds = unsafe { d.range_mut(a..b) };
+    });
+}
+";
+        let ws = Workspace::from_sources(&[("crates/dcst/src/plan.rs", src)]);
+        let vs = check(&ws);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].line, 6);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 use crate::DcError;
 use dcst_matrix::{gemm, merge_perm};
 use dcst_secular::{
-    assemble_vectors, local_w_products, solve_secular_root, Deflation, GivensRot, SlotType,
+    assemble_vectors, deflate, local_w_products, solve_secular_root, Deflation, DeflationInput,
+    GivensRot, SlotType,
 };
+use std::ops::Range;
 
 /// Statistics of one merge node.
 #[derive(Clone, Copy, Debug)]
@@ -52,24 +54,36 @@ pub(crate) fn build_z(v_block: &[f64], ld: usize, nm: usize, n1: usize) -> Vec<f
     z
 }
 
-/// Validate the merge's numerical inputs (the block diagonal and the
-/// rank-one vector) before deflation. Leaves deliver finite data on
-/// success, so non-finite values here mean an upstream kernel broke down
-/// silently (e.g. overflow in a rotation) — report it as a typed
-/// breakdown instead of letting NaN propagate into a garbage `Eigen`.
-pub(crate) fn ensure_finite_merge_inputs(
+/// `ComputeDeflation`, payload-independent part: validate the merge's
+/// numerical inputs (the block diagonal and the rank-one vector `z`), join
+/// the children's sorting permutations and deflate. Leaves deliver finite
+/// data on success, so non-finite values here mean an upstream kernel
+/// broke down silently (e.g. overflow in a rotation) — report it as a
+/// typed breakdown instead of letting NaN propagate into a garbage `Eigen`.
+pub(crate) fn deflate_block(
     d_block: &[f64],
     z: &[f64],
+    beta: f64,
+    n1: usize,
     off: usize,
-) -> Result<(), DcError> {
-    if d_block.iter().chain(z.iter()).all(|x| x.is_finite()) {
-        Ok(())
-    } else {
-        Err(DcError::Breakdown {
+    idxq_l: &[usize],
+    idxq_r: &[usize],
+) -> Result<Deflation, DcError> {
+    if !d_block.iter().chain(z).all(|x| x.is_finite()) {
+        return Err(DcError::Breakdown {
             stage: "deflate",
             off,
-        })
+        });
     }
+    let mut idxq = idxq_l.to_vec();
+    idxq.extend(idxq_r.iter().map(|&r| r + n1));
+    Ok(deflate(&DeflationInput {
+        d: d_block,
+        z,
+        beta,
+        n1,
+        idxq: &idxq,
+    }))
 }
 
 /// Apply the deflation Givens rotations to eigenvector columns (block rows
@@ -119,7 +133,7 @@ pub(crate) fn permute_slots(
     nm: usize,
     n1: usize,
     defl: &Deflation,
-    slots: std::ops::Range<usize>,
+    slots: Range<usize>,
 ) {
     let s0 = slots.start;
     if ld == nm {
@@ -161,7 +175,7 @@ pub(crate) fn solve_roots_panel(
     defl: &Deflation,
     x_cols: &mut [f64],
     ld: usize,
-    jrange: std::ops::Range<usize>,
+    jrange: Range<usize>,
     lam_out: &mut [f64],
 ) -> Result<(), DcError> {
     let k = defl.k;
@@ -178,7 +192,7 @@ pub(crate) fn local_w_panel(
     defl: &Deflation,
     x_cols: &[f64],
     ld: usize,
-    jrange: std::ops::Range<usize>,
+    jrange: Range<usize>,
 ) -> Vec<f64> {
     local_w_products(&defl.dlamda, x_cols, ld, jrange.start, jrange)
 }
@@ -191,7 +205,7 @@ pub(crate) fn compute_vect_panel(
     zhat: &[f64],
     x_cols: &mut [f64],
     ld: usize,
-    jrange: std::ops::Range<usize>,
+    jrange: Range<usize>,
 ) {
     assemble_vectors(zhat, x_cols, ld, jrange.start, jrange, &defl.sec_to_slot);
 }
@@ -214,7 +228,7 @@ pub(crate) fn update_vect_panel(
     nm: usize,
     n1: usize,
     defl: &Deflation,
-    jrange: std::ops::Range<usize>,
+    jrange: Range<usize>,
 ) -> Result<(), DcError> {
     let ncols = jrange.len();
     if ncols == 0 {
@@ -329,39 +343,31 @@ pub(crate) fn copy_back_panel(
 }
 
 /// Storage-slot spans selected by a subset of *sorted* positions: given
-/// the slots `idxq[il..=iu]`, return the secular span `[jlo, jhi)` and the
-/// deflated span `[dlo, dhi)` they occupy. Both are contiguous because the
-/// sorting permutation merges two ascending runs (secular eigenvalues in
-/// slots `0..k`, deflated ones in `k..nm`) — any window of sorted
-/// positions draws a prefix-free contiguous chunk from each run.
+/// the slots `idxq[il..=iu]`, return the secular span and the deflated
+/// span they occupy. Both are contiguous because the sorting permutation
+/// merges two ascending runs (secular eigenvalues in slots `0..k`,
+/// deflated ones in `k..nm`) — any window of sorted positions draws a
+/// prefix-free contiguous chunk from each run.
 pub(crate) fn subset_slot_spans(
     slots: &[usize],
     k: usize,
     nm: usize,
-) -> (usize, usize, usize, usize) {
-    let (mut jlo, mut jhi) = (k, k);
-    let (mut dlo, mut dhi) = (nm, nm);
+) -> (Range<usize>, Range<usize>) {
+    let (mut sec, mut defl) = (k..k, nm..nm);
     for &s in slots {
-        if s < k {
-            if jhi == jlo {
-                (jlo, jhi) = (s, s + 1);
-            } else {
-                jlo = jlo.min(s);
-                jhi = jhi.max(s + 1);
-            }
-        } else if dhi == dlo {
-            (dlo, dhi) = (s, s + 1);
+        let span = if s < k { &mut sec } else { &mut defl };
+        *span = if Range::is_empty(span) {
+            s..s + 1
         } else {
-            dlo = dlo.min(s);
-            dhi = dhi.max(s + 1);
-        }
+            span.start.min(s)..span.end.max(s + 1)
+        };
     }
     debug_assert_eq!(
-        (jhi - jlo) + (dhi - dlo),
+        sec.len() + defl.len(),
         slots.len(),
         "subset slots must form two contiguous spans"
     );
-    (jlo, jhi, dlo, dhi)
+    (sec, defl)
 }
 
 /// Finalize a merge: write the block's new diagonal (secular eigenvalues
@@ -378,7 +384,6 @@ pub(crate) fn finalize_d(defl: &Deflation, lam_sec: &[f64], d_block: &mut [f64])
 mod tests {
     use super::*;
     use dcst_matrix::Matrix;
-    use dcst_secular::{deflate, DeflationInput};
 
     #[test]
     fn build_z_extracts_rows() {

@@ -178,7 +178,7 @@ impl StructuredUpdate {
                     flops += 2 * (m * (tile.r1 - tile.r0) * lr.rank) as u64;
                 }
             }
-            let qu = structured_basis(1, m, q, m.max(1), tile);
+            let qu = structured_basis(m, q, m.max(1), tile);
             let _ = self.qu[t].set(qu);
         }
         if calls > 0 {
@@ -238,7 +238,6 @@ impl StructuredUpdate {
             .collect();
         if n1 > 0 {
             gemm_structured(
-                1,
                 n1,
                 &self.qt,
                 n1,
@@ -251,7 +250,6 @@ impl StructuredUpdate {
         }
         if n2 > 0 {
             gemm_structured(
-                1,
                 n2,
                 &self.qb,
                 n2,

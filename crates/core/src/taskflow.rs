@@ -17,8 +17,23 @@
 //! regardless and computes its actual (possibly empty) work range from the
 //! shared deflation state — the paper's "matrix-independent DAG".
 //!
-//! Data is shared through [`SharedData`] buffers; each closure borrows
-//! only the disjoint range its declared access covers (see
+//! One builder, [`TaskFlowDc::submit_graph`], states that graph for every
+//! solve mode. The spine — `Scale`, `STEDC`, `ComputeDeflation`, `LAED4`,
+//! `ReduceW`, `SortEigenvalues`, `ScaleBack` — is submitted from one chain
+//! each; what a node carries between those tasks is the graph's *payload*:
+//!
+//! * the **vector payload** ([`Vectors`]; full and subset solves): the
+//!   node's eigenvector block in the n×n `v`, plus the `ws`/`x` staging
+//!   buffers. It adds `PermuteV`/`ComputeLocalW` to the first panel group,
+//!   the whole second group (`CopyBackDeflated`, `ComputeVect`, `CompressW`,
+//!   `StructBasis`, `StructJoin`, `UpdateVect`) and the final column sort;
+//! * the **row payload** (values-only solves, `crate::values`): the node's
+//!   two boundary rows, O(n) per node and nothing n×n. Its `LAED4` folds
+//!   the local-W product in, and its only own task is `RowUpdate`.
+//!
+//! Data is shared through [`SharedData`] buffers held by one [`Graph`]
+//! context that every task body reaches through a single `Arc`; each body
+//! borrows only the disjoint range its declared access covers (see
 //! `dcst_runtime::share` for the aliasing contract).
 //!
 //! The graph is the only statement of the algorithm: the comparator
@@ -26,13 +41,14 @@
 //! [`Discipline`].
 
 use crate::merge::{
-    apply_givens, build_z, compute_vect_panel, copy_back_panel, ensure_finite_merge_inputs,
-    finalize_d, local_w_panel, permute_slots, solve_roots_panel, update_vect_panel, MergeStat,
+    apply_givens, build_z, compute_vect_panel, copy_back_panel, deflate_block, finalize_d,
+    local_w_panel, permute_slots, solve_roots_panel, subset_slot_spans, update_vect_panel,
+    MergeStat,
 };
+use crate::structured::{plan_update, StructuredUpdate};
 use crate::tree::PartitionTree;
 use crate::values::{
-    deflate_rows, row_update_panel, secular_rows_panel, solve_leaf_values, BoundaryRows,
-    RowDeflation,
+    carry_rows, row_update_panel, rows_z, secular_rows_panel, solve_leaf_values, BoundaryRows,
 };
 use crate::{DcError, DcOptions, DcStats, Eigen, SolveMode, TridiagEigensolver};
 use dcst_matrix::Matrix;
@@ -43,8 +59,9 @@ use dcst_runtime::{
 };
 use dcst_secular::Deflation;
 use dcst_tridiag::SymTridiag;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const OBJ_NODE: u64 = 1;
 const OBJ_X: u64 = 2;
@@ -120,93 +137,201 @@ fn panel_task<'rt>(
     }
 }
 
-/// Per-node state shared between the node's tasks. Interior mutability is
-/// safe because the runtime orders writers before readers (node-key
-/// epochs).
+/// The `nb`-wide panels `(p, s0, s1)` covering `0..len`.
+fn panels(len: usize, nb: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (0..len.div_ceil(nb)).map(move |p| (p, p * nb, ((p + 1) * nb).min(len)))
+}
+
+/// Panel `s0..s1` clipped to `span` — the part of a panel task's slots
+/// that holds work, known only once the node's deflation count is.
+fn clip(s0: usize, s1: usize, span: Range<usize>) -> Range<usize> {
+    s0.max(span.start)..s1.min(span.end)
+}
+
+/// A tree node's diagonal block within the column-major n×n buffers.
+#[derive(Clone, Copy)]
+struct Block {
+    n: usize,
+    off: usize,
+    nm: usize,
+    n1: usize,
+}
+
+impl Block {
+    /// Buffer range of block-local columns `c`, block rows `0..rows`.
+    fn cols(self, c: Range<usize>, rows: usize) -> Range<usize> {
+        (self.off + c.start) * self.n + self.off..(self.off + c.end - 1) * self.n + self.off + rows
+    }
+
+    /// Buffer range of block-local columns `c` over the full height `n`.
+    fn full_cols(self, c: Range<usize>) -> Range<usize> {
+        (self.off + c.start) * self.n..(self.off + c.end) * self.n
+    }
+}
+
+/// Per-node state shared between the node's tasks: each slot is published
+/// by one spine task and read by tasks the runtime orders after it
+/// (node-key epochs), so the interior mutability never races.
 #[derive(Default)]
 struct NodeCell {
-    defl: Mutex<Option<Arc<Deflation>>>,
-    zhat: Mutex<Option<Arc<Vec<f64>>>>,
-    idxq: Mutex<Option<Arc<Vec<usize>>>>,
+    defl: OnceLock<Deflation>,
+    zhat: OnceLock<Vec<f64>>,
+    idxq: OnceLock<Vec<usize>>,
     partials: Mutex<Vec<Option<Vec<f64>>>>,
-    stat: Mutex<Option<MergeStat>>,
-    /// Rank-structured update plan for this merge; `None` means the dense
-    /// path (either the auto-switch chose it or `CompressW` hasn't run —
-    /// the node-key epochs guarantee the latter never races `UpdateVect`).
-    structured: Mutex<Option<Arc<crate::structured::StructuredUpdate>>>,
-    /// Subset pruning plan `(jlo, jhi, dlo, dhi)` for the root merge of a
-    /// `SolveMode::Subset` solve, published by `ReduceW` (which the
-    /// node-key epochs order before every phase-2 panel): the secular and
+    stat: OnceLock<MergeStat>,
+    /// Vector payload: rank-structured update plan for this merge; unset
+    /// means the dense path (either the auto-switch chose it or `CompressW`
+    /// hasn't run — the node-key epochs guarantee the latter never races
+    /// `UpdateVect`). Boxed because most nodes never hold one.
+    structured: OnceLock<Box<StructuredUpdate>>,
+    /// Vector payload: subset pruning plan for the root merge of a
+    /// `SolveMode::Subset` solve, published by `ReduceW` — the secular and
     /// deflated storage-slot spans that land in the requested sorted
-    /// positions. `None` everywhere else.
-    subset_plan: Mutex<Option<(usize, usize, usize, usize)>>,
+    /// positions. Unset everywhere else.
+    subset_plan: OnceLock<(Range<usize>, Range<usize>)>,
+    /// Row payload: the node's boundary rows in slot order, taking the
+    /// place of the vector payload's eigenvector block. Seeded by the leaf
+    /// or by `ComputeDeflation`, overwritten per secular panel by
+    /// `RowUpdate`, consumed by the parent's `ComputeDeflation`.
+    rows: Mutex<Option<BoundaryRows>>,
+    /// Row payload: the pre-update rows `RowUpdate` multiplies (the row
+    /// analogue of the compressed workspace).
+    w: OnceLock<BoundaryRows>,
 }
 
 impl NodeCell {
-    fn defl(&self) -> Arc<Deflation> {
-        self.defl
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("deflation state not yet computed")
+    fn defl(&self) -> &Deflation {
+        self.defl.get().expect("deflation state not yet computed")
     }
-    fn zhat(&self) -> Arc<Vec<f64>> {
-        self.zhat
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("zhat not yet computed")
-    }
-    fn idxq(&self) -> Arc<Vec<usize>> {
-        self.idxq
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("idxq not yet computed")
-    }
-}
 
-/// Per-node state of the values-only graph ([`TaskFlowDc::submit_values`]):
-/// the node's boundary rows take the place of the full path's eigenvector
-/// block, so the whole solve carries O(n) state per node.
-#[derive(Default)]
-struct ValueCell {
-    rd: Mutex<Option<Arc<RowDeflation>>>,
-    zhat: Mutex<Option<Arc<Vec<f64>>>>,
-    idxq: Mutex<Option<Arc<Vec<usize>>>>,
-    partials: Mutex<Vec<Option<Vec<f64>>>>,
-    rows: Mutex<Option<BoundaryRows>>,
-    stat: Mutex<Option<MergeStat>>,
-}
+    fn zhat(&self) -> &[f64] {
+        self.zhat.get().expect("zhat not yet computed")
+    }
 
-impl ValueCell {
-    fn rd(&self) -> Arc<RowDeflation> {
-        self.rd
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("deflation state not yet computed")
+    fn idxq(&self) -> &[usize] {
+        self.idxq.get().expect("idxq not yet computed")
     }
-    fn zhat(&self) -> Arc<Vec<f64>> {
-        self.zhat
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("zhat not yet computed")
-    }
-    fn idxq(&self) -> Arc<Vec<usize>> {
-        self.idxq
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("idxq not yet computed")
-    }
+
     fn take_rows(&self) -> BoundaryRows {
-        self.rows
-            .lock()
-            .unwrap()
-            .take()
-            .expect("boundary rows not yet computed")
+        let rows = self.rows.lock().unwrap().take();
+        rows.expect("boundary rows not yet computed")
+    }
+
+    /// The secular (`⊂ 0..k`) and deflated (`⊂ k..nm`) slot spans whose
+    /// columns the second panel group produces: everything, or on a
+    /// subset-pruned root the spans `ReduceW` planned.
+    fn spans(&self, k: usize, nm: usize) -> (Range<usize>, Range<usize>) {
+        self.subset_plan.get().cloned().unwrap_or((0..k, k..nm))
+    }
+}
+
+/// Publish a spine task's result in its node's cell.
+fn publish<T>(slot: &OnceLock<T>, value: T) {
+    assert!(slot.set(value).is_ok(), "node state published twice");
+}
+
+/// The vector payload's buffers: the eigenvector matrix under
+/// construction, the compressed workspace `PermuteV` stages into, and the
+/// secular eigenvector columns.
+struct Vectors {
+    v: SharedData<f64>,
+    ws: SharedData<f64>,
+    x: SharedData<f64>,
+}
+
+/// Everything one submission's task bodies share, built once and reached
+/// through a single `Arc` per task.
+struct Graph {
+    n: usize,
+    /// Panel width: panel tasks cover `nb` columns (or secular roots) each.
+    nb: usize,
+    /// `1 / orgnrm`: the graph works on the matrix scaled to unit max-norm.
+    scale: f64,
+    orgnrm: f64,
+    keys: KeySpace,
+    tree: PartitionTree,
+    /// Signed β per internal node, from the unscaled input.
+    betas: Vec<f64>,
+    d: SharedData<f64>,
+    e: SharedData<f64>,
+    lam: SharedData<f64>,
+    /// `Some` = vector payload, `None` = row payload.
+    vectors: Option<Vectors>,
+    /// Requested sorted positions of a subset solve.
+    subset: Option<(usize, usize)>,
+    cells: Vec<NodeCell>,
+}
+
+impl Graph {
+    fn key_node(&self, id: usize) -> DataKey {
+        DataKey::new(self.keys.node, id as u64)
+    }
+
+    fn key_x(&self, col: usize) -> DataKey {
+        DataKey::new(self.keys.x, col as u64)
+    }
+
+    fn key_scale(&self) -> DataKey {
+        DataKey::new(self.keys.scale, 0)
+    }
+
+    fn block(&self, id: usize) -> Block {
+        let node = &self.tree.nodes[id];
+        Block {
+            n: self.n,
+            off: node.off,
+            nm: node.n,
+            n1: node.n1,
+        }
+    }
+
+    /// The subset range where it prunes work: at the root merge of a subset
+    /// solve, whose `ReduceW` plans the slot spans the second panel group is
+    /// clamped to. `None` on every other node and in every other mode.
+    fn pruned(&self, m: usize) -> Option<(usize, usize)> {
+        self.subset.filter(|_| m == self.tree.root)
+    }
+
+    fn vp(&self) -> &Vectors {
+        self.vectors.as_ref().expect("vector-payload task")
+    }
+
+    /// Unwrap a drained graph into its result. The workers' handles died
+    /// with their tasks (garbage collected by `wait`), so the master's is
+    /// the last one.
+    fn collect(self: Arc<Self>) -> (Eigen, DcStats) {
+        let Ok(g) = Arc::try_unwrap(self) else {
+            panic!("graph still shared after wait")
+        };
+        let unwrap = |buf: SharedData<f64>| buf.try_unwrap().ok().expect("sole handle");
+        // Of the vector payload only V survives: ws and x are freed here,
+        // before anything below allocates.
+        let v = g.vectors.map(|vp| unwrap(vp.v));
+        let values = unwrap(g.d);
+        let n = g.n;
+        let merges = g.tree.merges_postorder();
+        let stats = DcStats {
+            merges: merges
+                .iter()
+                .filter_map(|&m| g.cells[m].stat.get().copied())
+                .collect(),
+        };
+        let (values, vectors) = match (v, g.subset) {
+            (None, _) => (values, Matrix::zeros(n, 0)),
+            (Some(v), None) => (values, Matrix::from_vec(n, n, v)),
+            (Some(v), Some((il, iu))) => {
+                // d is still in physical slot order (the sort tasks were
+                // skipped); gather the k requested values/columns directly.
+                let slots = &g.cells[g.tree.root].idxq()[il..=iu];
+                let mut vsub = Vec::with_capacity(n * slots.len());
+                for &src in slots {
+                    vsub.extend_from_slice(&v[src * n..(src + 1) * n]);
+                }
+                let vals = slots.iter().map(|&src| values[src]).collect();
+                (vals, Matrix::from_vec(n, slots.len(), vsub))
+            }
+        };
+        (Eigen { values, vectors }, stats)
     }
 }
 
@@ -228,34 +353,11 @@ pub struct PendingSolve<'rt> {
 enum PendingKind {
     /// `n == 0`: nothing was submitted.
     Empty,
-    /// The full eigenvector graph (also used, pruned, for large subsets).
-    Full(FullPending),
-    /// The values-only boundary-row graph.
-    Values(ValuesPending),
+    /// The merge graph, under either payload.
+    Graph(Arc<Graph>),
     /// Small-subset MRRR fallback, run as a single task so it occupies one
     /// worker slot and stays cancellable before it starts.
     Fallback(Arc<Mutex<Option<Result<Eigen, DcError>>>>),
-}
-
-/// Collect-phase state of a full (eigenvector) submission: the handles the
-/// master must keep to unwrap results after the scope drains. Worker-side
-/// clones are released when the scope's finished tasks are garbage
-/// collected by `wait`, so `try_unwrap` succeeds.
-struct FullPending {
-    n: usize,
-    subset: Option<(usize, usize)>,
-    tree: Arc<PartitionTree>,
-    cells: Arc<Vec<NodeCell>>,
-    d: SharedData<f64>,
-    v: SharedData<f64>,
-}
-
-/// Collect-phase state of a values-only submission.
-struct ValuesPending {
-    n: usize,
-    tree: Arc<PartitionTree>,
-    cells: Arc<Vec<ValueCell>>,
-    d: SharedData<f64>,
 }
 
 impl<'rt> PendingSolve<'rt> {
@@ -288,8 +390,7 @@ impl<'rt> PendingSolve<'rt> {
                 },
                 DcStats::default(),
             )),
-            PendingKind::Full(st) => st.collect(),
-            PendingKind::Values(st) => st.collect(),
+            PendingKind::Graph(g) => Ok(g.collect()),
             PendingKind::Fallback(slot) => {
                 let res = slot
                     .lock()
@@ -299,80 +400,6 @@ impl<'rt> PendingSolve<'rt> {
                 res.map(|eig| (eig, DcStats::default()))
             }
         }
-    }
-}
-
-impl FullPending {
-    fn collect(self) -> Result<(Eigen, DcStats), DcError> {
-        let FullPending {
-            n,
-            subset,
-            tree,
-            cells,
-            d,
-            v,
-        } = self;
-        let values = d
-            .try_unwrap()
-            .unwrap_or_else(|_| panic!("d buffer still shared after wait"));
-        let vectors = v
-            .try_unwrap()
-            .unwrap_or_else(|_| panic!("v buffer still shared after wait"));
-        let mut stats = DcStats::default();
-        for &m in &tree.merges_postorder() {
-            if let Some(stat) = cells[m].stat.lock().unwrap().take() {
-                stats.merges.push(stat);
-            }
-        }
-        if let Some((il, iu)) = subset {
-            // d is still in physical slot order (the sort tasks were
-            // skipped); gather the k requested values/columns directly.
-            let idxq = cells[tree.root].idxq();
-            let ksub = iu - il + 1;
-            let mut vals = Vec::with_capacity(ksub);
-            let mut vsub = vec![0.0f64; n * ksub];
-            for (c, p) in (il..=iu).enumerate() {
-                let src = idxq[p];
-                vals.push(values[src]);
-                vsub[c * n..(c + 1) * n].copy_from_slice(&vectors[src * n..(src + 1) * n]);
-            }
-            return Ok((
-                Eigen {
-                    values: vals,
-                    vectors: Matrix::from_vec(n, ksub, vsub),
-                },
-                stats,
-            ));
-        }
-        Ok((
-            Eigen {
-                values,
-                vectors: Matrix::from_vec(n, n, vectors),
-            },
-            stats,
-        ))
-    }
-}
-
-impl ValuesPending {
-    fn collect(self) -> Result<(Eigen, DcStats), DcError> {
-        let ValuesPending { n, tree, cells, d } = self;
-        let values = d
-            .try_unwrap()
-            .unwrap_or_else(|_| panic!("d buffer still shared after wait"));
-        let mut stats = DcStats::default();
-        for &m in &tree.merges_postorder() {
-            if let Some(stat) = cells[m].stat.lock().unwrap().take() {
-                stats.merges.push(stat);
-            }
-        }
-        Ok((
-            Eigen {
-                values,
-                vectors: Matrix::zeros(n, 0),
-            },
-            stats,
-        ))
     }
 }
 
@@ -508,18 +535,11 @@ impl TaskFlowDc {
                 kind: PendingKind::Empty,
             });
         }
-        // Mode dispatch: values-only takes the boundary-row graph, a small
-        // subset routes to MRRR, and a large subset runs the full graph
-        // with root-merge pruning.
+        // Mode dispatch: a small subset routes to MRRR; everything else is
+        // the merge graph — row payload for values-only, vector payload
+        // otherwise, with root-merge pruning for a large subset.
         let subset = match self.opts.mode {
-            SolveMode::Full => None,
-            SolveMode::ValuesOnly => {
-                let st = self.submit_values(t, &scope, KeySpace::fresh())?;
-                return Ok(PendingSolve {
-                    scope,
-                    kind: PendingKind::Values(st),
-                });
-            }
+            SolveMode::Full | SolveMode::ValuesOnly => None,
             SolveMode::Subset { il, iu } => {
                 crate::validate_subset(il, iu, n)?;
                 if crate::subset_uses_fallback(il, iu, n) {
@@ -545,82 +565,93 @@ impl TaskFlowDc {
                 Some((il, iu))
             }
         };
-        let st = self.submit_full(t, &scope, KeySpace::fresh(), subset)?;
+        let g = self.submit_graph(t, &scope, subset)?;
         Ok(PendingSolve {
             scope,
-            kind: PendingKind::Full(st),
+            kind: PendingKind::Graph(g),
         })
     }
 
-    fn submit_full(
+    /// Submit the merge graph: the spine every solve mode shares, stated
+    /// once, with the payload's own tasks slotted in where they run.
+    fn submit_graph(
         &self,
         t: &SymTridiag,
         scope: &Scope<'_>,
-        ks: KeySpace,
         subset: Option<(usize, usize)>,
-    ) -> Result<FullPending, DcError> {
+    ) -> Result<Arc<Graph>, DcError> {
         let n = t.n();
-        let nb = self.opts.nb.max(1);
+        let use_gatherv = self.opts.use_gatherv;
         let orgnrm = t.max_norm();
         let scale = if orgnrm > 0.0 { 1.0 / orgnrm } else { 1.0 };
-
-        let tree = Arc::new(PartitionTree::build(n, self.opts.min_part));
-        // Signed β per internal node, computed from the unscaled input.
+        let tree = PartitionTree::build(n, self.opts.min_part);
         let mut betas = vec![0.0f64; tree.nodes.len()];
         for &m in &tree.merges_postorder() {
             let node = &tree.nodes[m];
             betas[m] = t.e[node.off + node.n1 - 1] * scale;
         }
-        let cuts: Vec<usize> = tree.cuts();
-
-        let d = SharedData::new(t.d.clone());
-        let e = SharedData::new(t.e.clone());
-        let v = SharedData::new(vec![0.0f64; n * n]);
-        let ws = SharedData::new(vec![0.0f64; n * n]);
-        let x = SharedData::new(vec![0.0f64; n * n]);
-        let lam = SharedData::new(vec![0.0f64; n]);
-        let cells: Arc<Vec<NodeCell>> =
-            Arc::new((0..tree.nodes.len()).map(|_| NodeCell::default()).collect());
-
-        let key_node = move |id: usize| DataKey::new(ks.node, id as u64);
-        let use_gatherv = self.opts.use_gatherv;
-        let key_x = move |col: usize| DataKey::new(ks.x, col as u64);
-        let key_scale = DataKey::new(ks.scale, 0);
+        // The row payload has no n×n state at all: per node it carries two
+        // O(n) rows plus the deflation record — the memory reduction the
+        // `BENCH_modes.json` high-water gate measures.
+        let square = || SharedData::new(vec![0.0f64; n * n]);
+        let vectors = (self.opts.mode != SolveMode::ValuesOnly).then(|| Vectors {
+            v: square(),
+            ws: square(),
+            x: square(),
+        });
+        let g = Arc::new(Graph {
+            n,
+            nb: self.opts.nb.max(1),
+            scale,
+            orgnrm,
+            keys: KeySpace::fresh(),
+            betas,
+            d: SharedData::new(t.d.clone()),
+            e: SharedData::new(t.e.clone()),
+            lam: SharedData::new(vec![0.0f64; n]),
+            vectors,
+            subset,
+            cells: tree.nodes.iter().map(|_| NodeCell::default()).collect(),
+            tree,
+        });
+        let root = g.tree.root;
 
         // Bind each buffer to the keys tasks declare when touching it, so
         // the `access-check` shadow tracker can validate every borrow in
         // the graph below against the declared footprint.
         #[cfg(feature = "access-check")]
         {
-            let node_keys: Vec<DataKey> = (0..tree.nodes.len()).map(key_node).collect();
-            let mut scale_and_nodes = vec![key_scale];
+            let node_keys: Vec<DataKey> = (0..g.cells.len()).map(|id| g.key_node(id)).collect();
+            let mut scale_and_nodes = vec![g.key_scale()];
             scale_and_nodes.extend_from_slice(&node_keys);
-            d.bind_keys(&scale_and_nodes);
-            e.bind_keys(&scale_and_nodes);
-            v.bind_keys(&node_keys);
-            ws.bind_keys(&node_keys);
-            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(key_x).collect();
+            g.d.bind_keys(&scale_and_nodes);
+            g.e.bind_keys(&scale_and_nodes);
+            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(|col| g.key_x(col)).collect();
             cols_and_nodes.extend_from_slice(&node_keys);
-            x.bind_keys(&cols_and_nodes);
-            lam.bind_keys(&cols_and_nodes);
+            g.lam.bind_keys(&cols_and_nodes);
+            if let Some(vp) = &g.vectors {
+                vp.v.bind_keys(&node_keys);
+                vp.ws.bind_keys(&node_keys);
+                vp.x.bind_keys(&cols_and_nodes);
+            }
         }
 
         // ---- Scale T: bring the matrix to unit max-norm and apply the
         // rank-one tears at every cut.
         {
-            let (d, e) = (d.clone(), e.clone());
-            let cuts = cuts.clone();
+            let cuts = g.tree.cuts();
+            let g = g.clone();
             scope
                 .task("Scale")
                 .high_priority()
-                .write(key_scale)
+                .write(g.key_scale())
                 .spawn(move || {
                     // SAFETY: first task to touch d/e; leaves wait on the key.
-                    let ds = unsafe { d.slice_mut() };
-                    let es = unsafe { e.slice_mut() };
-                    if scale != 1.0 {
-                        ds.iter_mut().for_each(|v| *v *= scale);
-                        es.iter_mut().for_each(|v| *v *= scale);
+                    let ds = unsafe { g.d.slice_mut() };
+                    let es = unsafe { g.e.slice_mut() };
+                    if g.scale != 1.0 {
+                        ds.iter_mut().for_each(|v| *v *= g.scale);
+                        es.iter_mut().for_each(|v| *v *= g.scale);
                     }
                     for &c in &cuts {
                         let b = es[c - 1].abs();
@@ -630,35 +661,41 @@ impl TaskFlowDc {
                 });
         }
 
-        // ---- leaves: STEDC (QR iteration) into the diagonal block of V.
-        for &l in &tree.leaves() {
-            let node = &tree.nodes[l];
-            let (off, nm) = (node.off, node.n);
-            let (d, e, v) = (d.clone(), e.clone(), v.clone());
-            let cells = cells.clone();
+        // ---- leaves: STEDC (QR iteration), accumulating the rotations
+        // into the diagonal block of V or into the 2×nm boundary rows.
+        for l in g.tree.leaves() {
+            let g = g.clone();
             scope
                 .task("STEDC")
                 .high_priority()
-                .read(key_scale)
-                .write(key_node(l))
+                .read(g.key_scale())
+                .write(g.key_node(l))
                 .spawn_try(move || -> Result<(), DcError> {
+                    let b @ Block { n, off, nm, .. } = g.block(l);
                     // SAFETY: exclusive block ranges per leaf; ordered after
                     // Scale by the key and before the parent merge by N(l).
-                    let db = unsafe { d.range_mut(off..off + nm) };
-                    let eb = unsafe { e.range_mut(off..off + nm - 1) };
-                    let ld = d.len();
-                    let vcols = unsafe { v.range_mut(off * ld..(off + nm) * ld) };
-                    for j in 0..nm {
-                        vcols[j * ld + off + j] = 1.0;
+                    let db = unsafe { g.d.range_mut(off..off + nm) };
+                    let eb = unsafe { g.e.range_mut(off..off + nm - 1) };
+                    match &g.vectors {
+                        Some(vp) => {
+                            let vcols = unsafe { vp.v.range_mut(b.full_cols(0..nm)) };
+                            for j in 0..nm {
+                                vcols[j * n + off + j] = 1.0;
+                            }
+                            let z = ZBlock {
+                                buf: &mut vcols[off..],
+                                ld: n,
+                                nrows: nm,
+                            };
+                            steqr_mut(db, eb, Some(z))
+                                .map_err(|err| DcError::Leaf(err.with_offset(off)))?;
+                        }
+                        None => {
+                            let rows = solve_leaf_values(db, eb, off)?;
+                            *g.cells[l].rows.lock().unwrap() = Some(rows);
+                        }
                     }
-                    let z = ZBlock {
-                        buf: &mut vcols[off..],
-                        ld,
-                        nrows: nm,
-                    };
-                    steqr_mut(db, eb, Some(z))
-                        .map_err(|err| DcError::Leaf(err.with_offset(off)))?;
-                    *cells[l].idxq.lock().unwrap() = Some(Arc::new((0..nm).collect()));
+                    publish(&g.cells[l].idxq, (0..nm).collect());
                     Ok(())
                 });
         }
@@ -666,701 +703,433 @@ impl TaskFlowDc {
         self.level_barrier(scope)?;
 
         // ---- merges, bottom-up.
-        for level in self.merge_groups(&tree) {
+        for level in self.merge_groups(&g.tree) {
             for &m in &level {
-                let node = &tree.nodes[m];
-                let (off, nm, n1) = (node.off, node.n, node.n1);
-                let (lc, rc) = node.children.unwrap();
-                let beta = betas[m];
-                let npanels = nm.div_ceil(nb);
-                let block_end = move |cols: usize| (off + cols - 1) * n + off + nm;
-                // Root merge of a subset solve: ReduceW publishes the pruning
-                // plan and the phase-2 panels clamp their ranges to it.
-                let node_subset = if m == tree.root { subset } else { None };
+                let Block { off, nm, .. } = g.block(m);
+                let (lc, rc) = g.tree.nodes[m].children.unwrap();
 
-                // ComputeDeflation: the only task reading the children's state.
+                // ComputeDeflation: the only task reading the children's
+                // state. The merge spine (deflation → … → ReduceW) gates
+                // every panel task of this node and of all ancestors:
+                // schedule it through the runtime's priority lane.
                 {
-                    let (d, v) = (d.clone(), v.clone());
-                    let cells = cells.clone();
-                    // The merge spine (deflation → … → ReduceW) gates every
-                    // panel task of this node and of all ancestors: schedule it
-                    // through the runtime's priority lane.
+                    let g = g.clone();
                     scope
                         .task("ComputeDeflation")
                         .high_priority()
-                        .read(key_node(lc))
-                        .read(key_node(rc))
-                        .read_write(key_node(m))
+                        .read(g.key_node(lc))
+                        .read(g.key_node(rc))
+                        .read_write(g.key_node(m))
                         .spawn_try(move || -> Result<(), DcError> {
+                            let b @ Block { n, off, nm, n1 } = g.block(m);
+                            let (cell, left, right) = (&g.cells[m], &g.cells[lc], &g.cells[rc]);
                             // SAFETY: epoch-exclusive access to the block.
-                            let db = unsafe { d.range_mut(off..off + nm) };
-                            let vb = unsafe { v.range_mut(off * n + off..block_end(nm)) };
-                            let z = build_z(vb, n, nm, n1);
-                            ensure_finite_merge_inputs(db, &z, off)?;
-                            let idxq_l = cells[lc].idxq();
-                            let idxq_r = cells[rc].idxq();
-                            let mut idxq: Vec<usize> = idxq_l.to_vec();
-                            idxq.extend(idxq_r.iter().map(|&r| r + n1));
-                            let defl = dcst_secular::deflate(&dcst_secular::DeflationInput {
-                                d: db,
-                                z: &z,
-                                beta,
-                                n1,
-                                idxq: &idxq,
-                            });
-                            apply_givens(vb, n, nm, &defl.givens);
-                            *cells[m].partials.lock().unwrap() = vec![None; npanels];
-                            *cells[m].defl.lock().unwrap() = Some(Arc::new(defl));
+                            let db = unsafe { g.d.range_mut(off..off + nm) };
+                            let deflate = |z: &[f64]| {
+                                deflate_block(db, z, g.betas[m], n1, off, left.idxq(), right.idxq())
+                            };
+                            let defl = match &g.vectors {
+                                Some(vp) => {
+                                    let vb = unsafe { vp.v.range_mut(b.cols(0..nm, nm)) };
+                                    let defl = deflate(&build_z(vb, n, nm, n1))?;
+                                    apply_givens(vb, n, nm, &defl.givens);
+                                    defl
+                                }
+                                None => {
+                                    // Consumes the children's boundary rows.
+                                    let (rows_l, rows_r) = (left.take_rows(), right.take_rows());
+                                    let defl = deflate(&rows_z(&rows_l, &rows_r))?;
+                                    // Deflated slots pass their row entries
+                                    // through unchanged; RowUpdate overwrites
+                                    // the secular ones.
+                                    let w = carry_rows(&defl, &rows_l, &rows_r);
+                                    *cell.rows.lock().unwrap() = Some(w.clone());
+                                    publish(&cell.w, w);
+                                    defl
+                                }
+                            };
+                            *cell.partials.lock().unwrap() = vec![None; nm.div_ceil(g.nb)];
+                            publish(&cell.defl, defl);
                             Ok(())
                         });
                 }
 
-                // Phase 1 panels.
-                for p in 0..npanels {
-                    let s0 = p * nb;
-                    let s1 = ((p + 1) * nb).min(nm);
-                    // PermuteV
-                    {
-                        let (v, ws) = (v.clone(), ws.clone());
-                        let cells = cells.clone();
-                        let mut task = panel_task(scope, "PermuteV", key_node(m), use_gatherv);
+                // First panel group: secular roots and the local-W partials
+                // (plus, under the vector payload, the column permutation).
+                for (p, s0, s1) in panels(nm, g.nb) {
+                    if g.vectors.is_some() {
+                        let g = g.clone();
+                        let mut task = panel_task(scope, "PermuteV", g.key_node(m), use_gatherv);
                         if !self.opts.extra_workspace {
                             // Without extra workspace the paper serializes the
                             // permute with the panel's LAED4 (shared staging).
-                            task = task.write(key_x(off + s0));
+                            task = task.write(g.key_x(off + s0));
                         }
                         task.spawn(move || {
-                            let defl = cells[m].defl();
+                            let b @ Block { n, nm, n1, .. } = g.block(m);
+                            let vp = g.vp();
                             // SAFETY: reads the whole block (shared, no writer
                             // in this phase), writes only columns s0..s1 of ws.
-                            let vb = unsafe { v.range(off * n + off..block_end(nm)) };
-                            let wcols = unsafe {
-                                ws.range_mut((off + s0) * n + off..(off + s1 - 1) * n + off + nm)
-                            };
-                            permute_slots(vb, wcols, n, nm, n1, &defl, s0..s1);
+                            let vb = unsafe { vp.v.range(b.cols(0..nm, nm)) };
+                            let wcols = unsafe { vp.ws.range_mut(b.cols(s0..s1, nm)) };
+                            permute_slots(vb, wcols, n, nm, n1, g.cells[m].defl(), s0..s1);
                         });
                     }
-                    // LAED4
                     {
-                        let (x, lam) = (x.clone(), lam.clone());
-                        let cells = cells.clone();
-                        panel_task(scope, "LAED4", key_node(m), use_gatherv)
-                            .write(key_x(off + s0))
-                            .spawn_try(move || {
-                                let defl = cells[m].defl();
-                                let k = defl.k;
-                                let j0 = s0.min(k);
-                                let j1 = s1.min(k);
-                                if j0 >= j1 {
+                        let g = g.clone();
+                        panel_task(scope, "LAED4", g.key_node(m), use_gatherv)
+                            .write(g.key_x(off + s0))
+                            .spawn_try(move || -> Result<(), DcError> {
+                                let b @ Block { n, off, .. } = g.block(m);
+                                let cell = &g.cells[m];
+                                let defl = cell.defl();
+                                let j = clip(s0, s1, 0..defl.k);
+                                if j.is_empty() {
                                     return Ok(());
                                 }
-                                // SAFETY: exclusive column range of X and of lam.
-                                let xc = unsafe {
-                                    x.range_mut((off + j0) * n + off..(off + j1 - 1) * n + off + k)
-                                };
-                                let lo = unsafe { lam.range_mut(off + j0..off + j1) };
-                                solve_roots_panel(&defl, xc, n, j0..j1, lo)
-                                    .map_err(|err| err.with_offset(off))
+                                // SAFETY: exclusive range of lam (and column
+                                // range of X) per panel.
+                                let lo = unsafe { g.lam.range_mut(off + j.start..off + j.end) };
+                                match &g.vectors {
+                                    Some(vp) => {
+                                        let xc =
+                                            unsafe { vp.x.range_mut(b.cols(j.clone(), defl.k)) };
+                                        solve_roots_panel(defl, xc, n, j, lo)
+                                            .map_err(|err| err.with_offset(off))
+                                    }
+                                    None => {
+                                        // One k-length delta column is reused
+                                        // across roots, so the local-W partial
+                                        // is accumulated right here.
+                                        let part = secular_rows_panel(defl, j, lo, off)?;
+                                        cell.partials.lock().unwrap()[p] = Some(part);
+                                        Ok(())
+                                    }
+                                }
                             });
                     }
-                    // ComputeLocalW
-                    {
-                        let x = x.clone();
-                        let cells = cells.clone();
-                        panel_task(scope, "ComputeLocalW", key_node(m), use_gatherv)
-                            .read(key_x(off + s0))
+                    if g.vectors.is_some() {
+                        let g = g.clone();
+                        panel_task(scope, "ComputeLocalW", g.key_node(m), use_gatherv)
+                            .read(g.key_x(off + s0))
                             .spawn(move || {
-                                let defl = cells[m].defl();
-                                let k = defl.k;
-                                let j0 = s0.min(k);
-                                let j1 = s1.min(k);
-                                if j0 >= j1 {
+                                let b = g.block(m);
+                                let cell = &g.cells[m];
+                                let defl = cell.defl();
+                                let j = clip(s0, s1, 0..defl.k);
+                                if j.is_empty() {
                                     return;
                                 }
                                 // SAFETY: shared read of this panel's X columns.
-                                let xc = unsafe {
-                                    x.range((off + j0) * n + off..(off + j1 - 1) * n + off + k)
-                                };
-                                let part = local_w_panel(&defl, xc, n, j0..j1);
-                                cells[m].partials.lock().unwrap()[p] = Some(part);
+                                let xc = unsafe { g.vp().x.range(b.cols(j.clone(), defl.k)) };
+                                let part = local_w_panel(defl, xc, b.n, j);
+                                cell.partials.lock().unwrap()[p] = Some(part);
                             });
                     }
                 }
 
                 // ReduceW: join, build ẑ, finalize the block diagonal.
                 {
-                    let (d, lam) = (d.clone(), lam.clone());
-                    let cells = cells.clone();
+                    let g = g.clone();
                     scope
                         .task("ReduceW")
                         .high_priority()
-                        .read_write(key_node(m))
+                        .read_write(g.key_node(m))
                         .spawn(move || {
-                            let defl = cells[m].defl();
+                            let Block { off, nm, n1, .. } = g.block(m);
+                            let cell = &g.cells[m];
+                            let defl = cell.defl();
                             let k = defl.k;
                             if k > 0 {
-                                let parts: Vec<Vec<f64>> = cells[m]
+                                let parts: Vec<Vec<f64>> = cell
                                     .partials
                                     .lock()
                                     .unwrap()
                                     .iter_mut()
                                     .filter_map(|p| p.take())
                                     .collect();
-                                let zhat = dcst_secular::reduce_w(&defl.w, &parts);
-                                *cells[m].zhat.lock().unwrap() = Some(Arc::new(zhat));
+                                publish(&cell.zhat, dcst_secular::reduce_w(&defl.w, &parts));
                             }
                             // SAFETY: epoch-exclusive d block; lam is read-only now.
-                            let db = unsafe { d.range_mut(off..off + nm) };
-                            let ls = unsafe { lam.range(off..off + k) };
-                            let idxq = finalize_d(&defl, ls, db);
-                            if let Some((il, iu)) = node_subset {
-                                *cells[m].subset_plan.lock().unwrap() =
-                                    Some(crate::merge::subset_slot_spans(&idxq[il..=iu], k, nm));
+                            let db = unsafe { g.d.range_mut(off..off + nm) };
+                            let ls = unsafe { g.lam.range(off..off + k) };
+                            let idxq = finalize_d(defl, ls, db);
+                            if let Some((il, iu)) = g.pruned(m) {
+                                publish(
+                                    &cell.subset_plan,
+                                    subset_slot_spans(&idxq[il..=iu], k, nm),
+                                );
                             }
-                            *cells[m].idxq.lock().unwrap() = Some(Arc::new(idxq));
-                            *cells[m].stat.lock().unwrap() = Some(MergeStat { n: nm, n1, k });
+                            publish(&cell.idxq, idxq);
+                            publish(&cell.stat, MergeStat { n: nm, n1, k });
                         });
                 }
 
-                // Phase 2a panels (CopyBackDeflated + ComputeVect).
-                for p in 0..npanels {
-                    let s0 = p * nb;
-                    let s1 = ((p + 1) * nb).min(nm);
-                    // CopyBackDeflated
-                    {
-                        let (v, ws) = (v.clone(), ws.clone());
-                        let cells = cells.clone();
-                        let mut task =
-                            panel_task(scope, "CopyBackDeflated", key_node(m), use_gatherv);
-                        if !self.opts.extra_workspace {
-                            task = task.write(key_x(off + s0));
-                        }
-                        task.spawn(move || {
-                            let defl = cells[m].defl();
-                            let k = defl.k;
-                            let mut c0 = s0.max(k);
-                            let mut c1 = s1.max(k);
-                            if let Some((_, _, dlo, dhi)) = *cells[m].subset_plan.lock().unwrap() {
-                                c0 = c0.max(dlo);
-                                c1 = c1.min(dhi);
-                            }
-                            if c0 >= c1 {
-                                return;
-                            }
-                            // SAFETY: disjoint deflated column ranges.
-                            let wc = unsafe {
-                                ws.range((off + c0) * n + off..(off + c1 - 1) * n + off + nm)
-                            };
-                            let vc = unsafe {
-                                v.range_mut((off + c0) * n + off..(off + c1 - 1) * n + off + nm)
-                            };
-                            copy_back_panel(wc, vc, n, nm, c1 - c0);
-                        });
-                    }
-                    // ComputeVect
-                    {
-                        let x = x.clone();
-                        let cells = cells.clone();
-                        panel_task(scope, "ComputeVect", key_node(m), use_gatherv)
-                            .read_write(key_x(off + s0))
-                            .spawn(move || {
-                                let defl = cells[m].defl();
-                                let k = defl.k;
-                                let mut j0 = s0.min(k);
-                                let mut j1 = s1.min(k);
-                                if let Some((jlo, jhi, _, _)) =
-                                    *cells[m].subset_plan.lock().unwrap()
-                                {
-                                    j0 = j0.max(jlo);
-                                    j1 = j1.min(jhi);
-                                }
-                                if j0 >= j1 {
-                                    return;
-                                }
-                                let zhat = cells[m].zhat();
-                                // SAFETY: exclusive column range of X.
-                                let xc = unsafe {
-                                    x.range_mut((off + j0) * n + off..(off + j1 - 1) * n + off + k)
-                                };
-                                compute_vect_panel(&defl, &zhat, xc, n, j0..j1);
-                            });
-                    }
-                }
-
-                // CompressW: once every ComputeVect epoch retires, rank-probe
-                // the secular matrix and build the compressed operands +
-                // gathered Q when the structured path wins (crate::structured).
-                // The INOUT access on the node key orders it after the phase-2a
-                // GATHERV writers and before the UpdateVect group; its borrows
-                // (whole ws/X block, read) are covered by the node key the
-                // buffers are bound to, so the access-check tracker validates
-                // the footprint.
-                {
-                    let (ws, x) = (ws.clone(), x.clone());
-                    let cells = cells.clone();
-                    scope
-                        .task("CompressW")
-                        .high_priority()
-                        .read_write(key_node(m))
-                        .spawn(move || {
-                            if node_subset.is_some() {
-                                // Subset-pruned root: the panels update only a
-                                // column slice, for which the dense GEMMs are
-                                // already minimal — rank-probing the full
-                                // secular matrix would cost more than it saves.
-                                return;
-                            }
-                            let defl = cells[m].defl();
-                            let k = defl.k;
-                            if k == 0 {
-                                return;
-                            }
-                            // SAFETY: node-key epoch excludes every writer of
-                            // the block; ws and X are read-shared here.
-                            let wb = unsafe { ws.range(off * n + off..block_end(k)) };
-                            let xb = unsafe { x.range(off * n + off..block_end(k)) };
-                            let plan =
-                                crate::structured::plan_update(wb, xb, n, n, nm, n1, &defl, n);
-                            if let Some(su) = plan {
-                                *cells[m].structured.lock().unwrap() = Some(Arc::new(su));
-                            }
-                        });
-                }
-                // StructBasis: the per-tile Q·U products, fanned out
-                // round-robin over a fixed panel-count of commuting tasks (the
-                // DAG stays matrix-independent; each is a no-op on dense
-                // merges). They touch only plan-owned buffers, so the node key
-                // is their whole footprint. A GEMM group: forked under the
-                // fork/join discipline.
-                for p in 0..npanels {
-                    let cells = cells.clone();
-                    panel_task(scope, "StructBasis", key_node(m), use_gatherv)
-                        .fork()
-                        .spawn(move || {
-                            let su = cells[m].structured.lock().unwrap().clone();
-                            if let Some(su) = su {
-                                su.compute_basis_chunk(p, npanels);
-                            }
-                        });
-                }
-                // StructJoin: epoch barrier so every basis product is in place
-                // before the first UpdateVect reads them.
-                scope
-                    .task("StructJoin")
-                    .high_priority()
-                    .read_write(key_node(m))
-                    .spawn(|| {});
-
-                // Phase 2b panels: the eigenvector update itself.
-                for p in 0..npanels {
-                    let s0 = p * nb;
-                    let s1 = ((p + 1) * nb).min(nm);
-                    // UpdateVect (dense: both structured GEMMs for this panel;
-                    // structured: the compressed multiply for its columns).
-                    {
-                        let (v, ws, x) = (v.clone(), ws.clone(), x.clone());
-                        let cells = cells.clone();
-                        panel_task(scope, "UpdateVect", key_node(m), use_gatherv)
-                            .read(key_x(off + s0))
-                            .fork()
-                            .spawn_try(move || {
-                                let defl = cells[m].defl();
-                                let k = defl.k;
-                                let mut j0 = s0.min(k);
-                                let mut j1 = s1.min(k);
-                                if let Some((jlo, jhi, _, _)) =
-                                    *cells[m].subset_plan.lock().unwrap()
-                                {
-                                    j0 = j0.max(jlo);
-                                    j1 = j1.min(jhi);
-                                }
-                                if j0 >= j1 {
-                                    return Ok(());
-                                }
-                                if let Some(su) = cells[m].structured.lock().unwrap().clone() {
-                                    // Relabel this record so traces show the
-                                    // structured and dense variants distinctly.
-                                    dcst_runtime::set_task_trace_name("UpdateVectStructured");
-                                    // SAFETY: V columns j0..j1 (full height)
-                                    // are exclusive to this panel; the plan
-                                    // owns its operands.
-                                    let vc = unsafe { v.range_mut((off + j0) * n..(off + j1) * n) };
-                                    return su.update_panel(vc, n, off, nm, j0..j1);
-                                }
-                                // SAFETY: ws block is read-shared in this phase; V
-                                // columns j0..j1 (full height) are exclusive.
-                                let wb = unsafe { ws.range(off * n + off..block_end(k)) };
-                                let xc = unsafe {
-                                    x.range((off + j0) * n + off..(off + j1 - 1) * n + off + k)
-                                };
-                                let vc = unsafe { v.range_mut((off + j0) * n..(off + j1) * n) };
-                                update_vect_panel(wb, xc, n, vc, n, off, nm, n1, &defl, j0..j1)
-                            });
-                    }
+                // Second panel group: what the payload does with the secular
+                // eigenvectors. The root's boundary rows have no reader, so
+                // its whole RowUpdate group is elided — a size-dependent (not
+                // matrix-dependent) asymmetry, like the panel counts.
+                if g.vectors.is_some() {
+                    self.submit_vector_update(&g, scope, m);
+                } else if m != root {
+                    self.submit_row_update(&g, scope, m);
                 }
             }
             self.level_barrier(scope)?;
         }
 
-        // ---- final sort + scale back on the root.
-        let root = tree.root;
-        let nroot_panels = n.div_ceil(nb);
-        // A subset solve gathers its k columns on the main thread after
-        // the graph drains — no full column sort.
-        if !tree.nodes[root].is_leaf() && subset.is_none() {
+        // ---- final sort + scale back on the root. A subset solve gathers
+        // its k values and columns on the main thread after the graph
+        // drains — no sort at all.
+        if !g.tree.nodes[root].is_leaf() && subset.is_none() {
             {
-                let d = d.clone();
-                let cells = cells.clone();
+                let g = g.clone();
                 scope
                     .task("SortEigenvalues")
                     .high_priority()
-                    .read_write(key_node(root))
+                    .read_write(g.key_node(root))
                     .spawn(move || {
-                        let idxq = cells[root].idxq();
+                        let idxq = g.cells[root].idxq();
                         // SAFETY: epoch-exclusive d.
-                        let ds = unsafe { d.slice_mut() };
+                        let ds = unsafe { g.d.slice_mut() };
                         let tmp: Vec<f64> = idxq.iter().map(|&s| ds[s]).collect();
                         ds.copy_from_slice(&tmp);
                     });
             }
-            for p in 0..nroot_panels {
-                let r0 = p * nb;
-                let r1 = ((p + 1) * nb).min(n);
-                let (v, ws) = (v.clone(), ws.clone());
-                let cells = cells.clone();
-                panel_task(scope, "SortCopy", key_node(root), use_gatherv).spawn(move || {
-                    let idxq = cells[root].idxq();
-                    // SAFETY: v fully read-shared; ws target columns
-                    // exclusive per panel.
-                    let vs = unsafe { v.slice() };
-                    let wt = unsafe { ws.range_mut(r0 * n..r1 * n) };
-                    // Full-height columns: batch runs of consecutive
-                    // sources into single spanning copies.
-                    let cols = r1 - r0;
-                    let mut t = 0;
-                    while t < cols {
-                        let src = idxq[r0 + t];
-                        let mut len = 1;
-                        while t + len < cols && idxq[r0 + t + len] == src + len {
-                            len += 1;
-                        }
-                        wt[t * n..(t + len) * n].copy_from_slice(&vs[src * n..(src + len) * n]);
-                        t += len;
-                    }
-                });
-            }
-            scope
-                .task("SortBarrier")
-                .high_priority()
-                .read_write(key_node(root))
-                .spawn(|| {});
-            for p in 0..nroot_panels {
-                let r0 = p * nb;
-                let r1 = ((p + 1) * nb).min(n);
-                let (v, ws) = (v.clone(), ws.clone());
-                panel_task(scope, "SortCopyBack", key_node(root), use_gatherv).spawn(move || {
-                    // SAFETY: ws read-shared, v target columns exclusive.
-                    let wsrc = unsafe { ws.range(r0 * n..r1 * n) };
-                    let vt = unsafe { v.range_mut(r0 * n..r1 * n) };
-                    vt.copy_from_slice(wsrc);
-                });
+            if g.vectors.is_some() {
+                self.submit_vector_sort(&g, scope);
             }
         }
         {
-            let d = d.clone();
+            let g = g.clone();
             scope
                 .task("ScaleBack")
                 .high_priority()
-                .read_write(key_node(root))
+                .read_write(g.key_node(root))
                 .spawn(move || {
-                    if scale != 1.0 {
+                    if g.scale != 1.0 {
                         // SAFETY: epoch-exclusive d.
-                        let ds = unsafe { d.slice_mut() };
-                        ds.iter_mut().for_each(|x| *x *= orgnrm);
+                        let ds = unsafe { g.d.slice_mut() };
+                        ds.iter_mut().for_each(|x| *x *= g.orgnrm);
                     }
                 });
         }
-
-        // Submission done: the master drops its e/ws/x/lam handles here;
-        // the workers' clones die with their tasks' GC at wait, so the
-        // collect phase can unwrap d and v.
-        Ok(FullPending {
-            n,
-            subset,
-            tree,
-            cells,
-            d,
-            v,
-        })
+        Ok(g)
     }
 
-    /// The values-only task graph ([`SolveMode::ValuesOnly`]): the same
-    /// matrix-independent DAG discipline as the full solve, but built on
-    /// boundary-row propagation (`crate::values`), so the three n×n
-    /// V/WS/X buffers disappear entirely — per-node state is two O(n)
-    /// rows plus the deflation record. This is the memory reduction the
-    /// `BENCH_modes.json` high-water gate measures.
-    fn submit_values(
-        &self,
-        t: &SymTridiag,
-        scope: &Scope<'_>,
-        ks: KeySpace,
-    ) -> Result<ValuesPending, DcError> {
-        let n = t.n();
-        let nb = self.opts.nb.max(1);
-        let orgnrm = t.max_norm();
-        let scale = if orgnrm > 0.0 { 1.0 / orgnrm } else { 1.0 };
-
-        let tree = Arc::new(PartitionTree::build(n, self.opts.min_part));
-        let mut betas = vec![0.0f64; tree.nodes.len()];
-        for &m in &tree.merges_postorder() {
-            let node = &tree.nodes[m];
-            betas[m] = t.e[node.off + node.n1 - 1] * scale;
-        }
-        let cuts: Vec<usize> = tree.cuts();
-
-        let d = SharedData::new(t.d.clone());
-        let e = SharedData::new(t.e.clone());
-        let lam = SharedData::new(vec![0.0f64; n]);
-        let cells: Arc<Vec<ValueCell>> = Arc::new(
-            (0..tree.nodes.len())
-                .map(|_| ValueCell::default())
-                .collect(),
-        );
-
-        let key_node = move |id: usize| DataKey::new(ks.node, id as u64);
+    /// Vector payload, second panel group of merge `m`: deflated columns
+    /// back into V, secular eigenvectors assembled in X, then the
+    /// eigenvector update `V ← WS·X` (dense or rank-structured).
+    fn submit_vector_update(&self, g: &Arc<Graph>, scope: &Scope<'_>, m: usize) {
         let use_gatherv = self.opts.use_gatherv;
-        let key_x = move |col: usize| DataKey::new(ks.x, col as u64);
-        let key_scale = DataKey::new(ks.scale, 0);
+        let Block { off, nm, .. } = g.block(m);
+        let npanels = nm.div_ceil(g.nb);
 
-        #[cfg(feature = "access-check")]
-        {
-            let node_keys: Vec<DataKey> = (0..tree.nodes.len()).map(key_node).collect();
-            let mut scale_and_nodes = vec![key_scale];
-            scale_and_nodes.extend_from_slice(&node_keys);
-            d.bind_keys(&scale_and_nodes);
-            e.bind_keys(&scale_and_nodes);
-            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(key_x).collect();
-            cols_and_nodes.extend_from_slice(&node_keys);
-            lam.bind_keys(&cols_and_nodes);
-        }
-
-        // ---- Scale T + rank-one tears (identical to the full graph).
-        {
-            let (d, e) = (d.clone(), e.clone());
-            let cuts = cuts.clone();
-            scope
-                .task("Scale")
-                .high_priority()
-                .write(key_scale)
-                .spawn(move || {
-                    // SAFETY: first task to touch d/e; leaves wait on the key.
-                    let ds = unsafe { d.slice_mut() };
-                    let es = unsafe { e.slice_mut() };
-                    if scale != 1.0 {
-                        ds.iter_mut().for_each(|v| *v *= scale);
-                        es.iter_mut().for_each(|v| *v *= scale);
+        for (_, s0, s1) in panels(nm, g.nb) {
+            {
+                let g = g.clone();
+                let mut task = panel_task(scope, "CopyBackDeflated", g.key_node(m), use_gatherv);
+                if !self.opts.extra_workspace {
+                    task = task.write(g.key_x(off + s0));
+                }
+                task.spawn(move || {
+                    let b @ Block { n, nm, .. } = g.block(m);
+                    let (cell, vp) = (&g.cells[m], g.vp());
+                    let c = clip(s0, s1, cell.spans(cell.defl().k, nm).1);
+                    if c.is_empty() {
+                        return;
                     }
-                    for &c in &cuts {
-                        let b = es[c - 1].abs();
-                        ds[c - 1] -= b;
-                        ds[c] -= b;
-                    }
+                    // SAFETY: disjoint deflated column ranges.
+                    let wc = unsafe { vp.ws.range(b.cols(c.clone(), nm)) };
+                    let vc = unsafe { vp.v.range_mut(b.cols(c.clone(), nm)) };
+                    copy_back_panel(wc, vc, n, nm, c.len());
                 });
-        }
-
-        // ---- leaves: QR iteration accumulating only the 2×nm row block.
-        for &l in &tree.leaves() {
-            let node = &tree.nodes[l];
-            let (off, nm) = (node.off, node.n);
-            let (d, e) = (d.clone(), e.clone());
-            let cells = cells.clone();
-            scope
-                .task("STEDC")
-                .high_priority()
-                .read(key_scale)
-                .write(key_node(l))
-                .spawn_try(move || -> Result<(), DcError> {
-                    // SAFETY: exclusive d block per leaf; the e block is
-                    // copied out under a shared read (no writer after
-                    // Scale).
-                    let db = unsafe { d.range_mut(off..off + nm) };
-                    let eb = unsafe { e.range(off..off + nm - 1) }.to_vec();
-                    let rows = solve_leaf_values(db, eb, off)?;
-                    *cells[l].rows.lock().unwrap() = Some(rows);
-                    *cells[l].idxq.lock().unwrap() = Some(Arc::new((0..nm).collect()));
-                    Ok(())
-                });
-        }
-
-        self.level_barrier(scope)?;
-
-        // ---- merges, bottom-up: deflation → pass-1 panels → ReduceW →
-        // pass-2 row-update panels.
-        for level in self.merge_groups(&tree) {
-            for &m in &level {
-                let node = &tree.nodes[m];
-                let (off, nm, n1) = (node.off, node.n, node.n1);
-                let (lc, rc) = node.children.unwrap();
-                let beta = betas[m];
-                let npanels = nm.div_ceil(nb);
-
-                // ComputeDeflation: consumes the children's boundary rows.
-                {
-                    let d = d.clone();
-                    let cells = cells.clone();
-                    scope
-                        .task("ComputeDeflation")
-                        .high_priority()
-                        .read(key_node(lc))
-                        .read(key_node(rc))
-                        .read_write(key_node(m))
-                        .spawn_try(move || -> Result<(), DcError> {
-                            // SAFETY: epoch-exclusive access to the d block.
-                            let db = unsafe { d.range_mut(off..off + nm) };
-                            let rows_l = cells[lc].take_rows();
-                            let rows_r = cells[rc].take_rows();
-                            let idxq_l = cells[lc].idxq();
-                            let idxq_r = cells[rc].idxq();
-                            let rd = deflate_rows(
-                                db, n1, beta, off, &rows_l, &rows_r, &idxq_l, &idxq_r,
-                            )?;
-                            // Deflated slots pass their row entries through
-                            // unchanged; the pass-2 panels overwrite j < k.
-                            *cells[m].rows.lock().unwrap() = Some(BoundaryRows {
-                                first: rd.w_first.clone(),
-                                last: rd.w_last.clone(),
-                            });
-                            *cells[m].partials.lock().unwrap() = vec![None; npanels];
-                            *cells[m].rd.lock().unwrap() = Some(Arc::new(rd));
-                            Ok(())
-                        });
-                }
-
-                // Pass-1 panels: secular roots + running local-W partial.
-                for p in 0..npanels {
-                    let s0 = p * nb;
-                    let s1 = ((p + 1) * nb).min(nm);
-                    let lam = lam.clone();
-                    let cells = cells.clone();
-                    panel_task(scope, "LAED4", key_node(m), use_gatherv)
-                        .write(key_x(off + s0))
-                        .spawn_try(move || -> Result<(), DcError> {
-                            let rd = cells[m].rd();
-                            let k = rd.defl.k;
-                            let j0 = s0.min(k);
-                            let j1 = s1.min(k);
-                            if j0 >= j1 {
-                                return Ok(());
-                            }
-                            // SAFETY: exclusive lam range per panel.
-                            let lo = unsafe { lam.range_mut(off + j0..off + j1) };
-                            let part = secular_rows_panel(&rd.defl, j0..j1, lo, off)?;
-                            cells[m].partials.lock().unwrap()[p] = Some(part);
-                            Ok(())
-                        });
-                }
-
-                // ReduceW: join partials into ẑ, finalize the block diagonal.
-                {
-                    let (d, lam) = (d.clone(), lam.clone());
-                    let cells = cells.clone();
-                    scope
-                        .task("ReduceW")
-                        .high_priority()
-                        .read_write(key_node(m))
-                        .spawn(move || {
-                            let rd = cells[m].rd();
-                            let k = rd.defl.k;
-                            if k > 0 {
-                                let parts: Vec<Vec<f64>> = cells[m]
-                                    .partials
-                                    .lock()
-                                    .unwrap()
-                                    .iter_mut()
-                                    .filter_map(|p| p.take())
-                                    .collect();
-                                let zhat = dcst_secular::reduce_w(&rd.defl.w, &parts);
-                                *cells[m].zhat.lock().unwrap() = Some(Arc::new(zhat));
-                            }
-                            // SAFETY: epoch-exclusive d block; lam read-only now.
-                            let db = unsafe { d.range_mut(off..off + nm) };
-                            let ls = unsafe { lam.range(off..off + k) };
-                            let idxq = finalize_d(&rd.defl, ls, db);
-                            *cells[m].idxq.lock().unwrap() = Some(Arc::new(idxq));
-                            *cells[m].stat.lock().unwrap() = Some(MergeStat { n: nm, n1, k });
-                        });
-                }
-
-                // Pass-2 panels: update the merged boundary rows. The root's
-                // rows have no reader, so its whole group is elided — a
-                // size-dependent (not matrix-dependent) asymmetry, like the
-                // panel counts themselves.
-                if m != tree.root {
-                    for p in 0..npanels {
-                        let s0 = p * nb;
-                        let s1 = ((p + 1) * nb).min(nm);
-                        let cells = cells.clone();
-                        panel_task(scope, "RowUpdate", key_node(m), use_gatherv).spawn_try(
-                            move || -> Result<(), DcError> {
-                                let rd = cells[m].rd();
-                                let k = rd.defl.k;
-                                let j0 = s0.min(k);
-                                let j1 = s1.min(k);
-                                if j0 >= j1 {
-                                    return Ok(());
-                                }
-                                let zhat = cells[m].zhat();
-                                // No shared-buffer borrows: the kernel re-solves
-                                // the secular roots from the node's own deflation
-                                // state (pass 2 of the two-pass scheme).
-                                let (f, l) = row_update_panel(&rd, &zhat, j0..j1, off)?;
-                                let mut rows = cells[m].rows.lock().unwrap();
-                                let rows = rows.as_mut().expect("rows initialized by deflation");
-                                rows.first[j0..j1].copy_from_slice(&f);
-                                rows.last[j0..j1].copy_from_slice(&l);
-                                Ok(())
-                            },
-                        );
-                    }
-                }
             }
-            self.level_barrier(scope)?;
+            {
+                let g = g.clone();
+                panel_task(scope, "ComputeVect", g.key_node(m), use_gatherv)
+                    .read_write(g.key_x(off + s0))
+                    .spawn(move || {
+                        let b @ Block { n, nm, .. } = g.block(m);
+                        let cell = &g.cells[m];
+                        let defl = cell.defl();
+                        let j = clip(s0, s1, cell.spans(defl.k, nm).0);
+                        if j.is_empty() {
+                            return;
+                        }
+                        // SAFETY: exclusive column range of X.
+                        let xc = unsafe { g.vp().x.range_mut(b.cols(j.clone(), defl.k)) };
+                        compute_vect_panel(defl, cell.zhat(), xc, n, j);
+                    });
+            }
         }
 
-        // ---- final sort + scale back (values only: a gather on d).
-        let root = tree.root;
-        if !tree.nodes[root].is_leaf() {
-            let d = d.clone();
-            let cells = cells.clone();
-            scope
-                .task("SortEigenvalues")
-                .high_priority()
-                .read_write(key_node(root))
-                .spawn(move || {
-                    let idxq = cells[root].idxq();
-                    // SAFETY: epoch-exclusive d.
-                    let ds = unsafe { d.slice_mut() };
-                    let tmp: Vec<f64> = idxq.iter().map(|&s| ds[s]).collect();
-                    ds.copy_from_slice(&tmp);
-                });
-        }
+        // CompressW: once every ComputeVect epoch retires, rank-probe the
+        // secular matrix and build the compressed operands + gathered Q when
+        // the structured path wins (crate::structured). The INOUT access on
+        // the node key orders it after the GATHERV writers above and before
+        // the UpdateVect group; its borrows (whole ws/X block, read) are
+        // covered by the node key the buffers are bound to, so the
+        // access-check tracker validates the footprint.
         {
-            let d = d.clone();
+            let g = g.clone();
             scope
-                .task("ScaleBack")
+                .task("CompressW")
                 .high_priority()
-                .read_write(key_node(root))
+                .read_write(g.key_node(m))
                 .spawn(move || {
-                    if scale != 1.0 {
-                        // SAFETY: epoch-exclusive d.
-                        let ds = unsafe { d.slice_mut() };
-                        ds.iter_mut().for_each(|x| *x *= orgnrm);
+                    if g.pruned(m).is_some() {
+                        // Subset-pruned root: the panels update only a column
+                        // slice, for which the dense GEMMs are already
+                        // minimal — rank-probing the full secular matrix
+                        // would cost more than it saves.
+                        return;
+                    }
+                    let b @ Block { n, nm, n1, .. } = g.block(m);
+                    let (cell, vp) = (&g.cells[m], g.vp());
+                    let defl = cell.defl();
+                    let k = defl.k;
+                    if k == 0 {
+                        return;
+                    }
+                    // SAFETY: node-key epoch excludes every writer of the
+                    // block; ws and X are read-shared here.
+                    let wb = unsafe { vp.ws.range(b.cols(0..k, nm)) };
+                    let xb = unsafe { vp.x.range(b.cols(0..k, nm)) };
+                    if let Some(su) = plan_update(wb, xb, n, n, nm, n1, defl, n) {
+                        publish(&cell.structured, Box::new(su));
                     }
                 });
         }
+        // StructBasis: the per-tile Q·U products, fanned out round-robin
+        // over a fixed panel-count of commuting tasks (the DAG stays
+        // matrix-independent; each is a no-op on dense merges). They touch
+        // only plan-owned buffers, so the node key is their whole footprint.
+        // A GEMM group: forked under the fork/join discipline.
+        for p in 0..npanels {
+            let g = g.clone();
+            panel_task(scope, "StructBasis", g.key_node(m), use_gatherv)
+                .fork()
+                .spawn(move || {
+                    if let Some(su) = g.cells[m].structured.get() {
+                        su.compute_basis_chunk(p, npanels);
+                    }
+                });
+        }
+        // StructJoin: epoch barrier so every basis product is in place
+        // before the first UpdateVect reads them.
+        scope
+            .task("StructJoin")
+            .high_priority()
+            .read_write(g.key_node(m))
+            .spawn(|| {});
 
-        Ok(ValuesPending { n, tree, cells, d })
+        // UpdateVect (dense: both structured GEMMs for this panel;
+        // structured: the compressed multiply for its columns).
+        for (_, s0, s1) in panels(nm, g.nb) {
+            let g = g.clone();
+            panel_task(scope, "UpdateVect", g.key_node(m), use_gatherv)
+                .read(g.key_x(off + s0))
+                .fork()
+                .spawn_try(move || {
+                    let b @ Block { n, off, nm, n1 } = g.block(m);
+                    let (cell, vp) = (&g.cells[m], g.vp());
+                    let defl = cell.defl();
+                    let k = defl.k;
+                    let j = clip(s0, s1, cell.spans(k, nm).0);
+                    if j.is_empty() {
+                        return Ok(());
+                    }
+                    // SAFETY: V columns j (full height) are exclusive to
+                    // this panel.
+                    let vc = unsafe { vp.v.range_mut(b.full_cols(j.clone())) };
+                    if let Some(su) = cell.structured.get() {
+                        // Relabel this record so traces show the structured
+                        // and dense variants distinctly. The plan owns its
+                        // operands.
+                        dcst_runtime::set_task_trace_name("UpdateVectStructured");
+                        return su.update_panel(vc, n, off, nm, j);
+                    }
+                    // SAFETY: the ws block and this panel's X columns are
+                    // read-shared in this phase.
+                    let wb = unsafe { vp.ws.range(b.cols(0..k, nm)) };
+                    let xc = unsafe { vp.x.range(b.cols(j.clone(), k)) };
+                    update_vect_panel(wb, xc, n, vc, n, off, nm, n1, defl, j)
+                });
+        }
+    }
+
+    /// Row payload, second panel group of merge `m`: update the merged
+    /// boundary rows (pass 2 of the two-pass scheme in `crate::values`).
+    fn submit_row_update(&self, g: &Arc<Graph>, scope: &Scope<'_>, m: usize) {
+        let Block { off, nm, .. } = g.block(m);
+        for (_, s0, s1) in panels(nm, g.nb) {
+            let g = g.clone();
+            panel_task(scope, "RowUpdate", g.key_node(m), self.opts.use_gatherv).spawn_try(
+                move || -> Result<(), DcError> {
+                    let cell = &g.cells[m];
+                    let defl = cell.defl();
+                    let j = clip(s0, s1, 0..defl.k);
+                    if j.is_empty() {
+                        return Ok(());
+                    }
+                    // No shared-buffer borrows: the kernel re-solves the
+                    // secular roots from the node's own deflation state.
+                    let w = cell.w.get().expect("slot-order rows not yet computed");
+                    let (f, l) = row_update_panel(defl, w, cell.zhat(), j.clone(), off)?;
+                    let mut rows = cell.rows.lock().unwrap();
+                    let rows = rows.as_mut().expect("rows initialized by deflation");
+                    rows.first[j.clone()].copy_from_slice(&f);
+                    rows.last[j].copy_from_slice(&l);
+                    Ok(())
+                },
+            );
+        }
+    }
+
+    /// Vector payload, after the root's `SortEigenvalues`: permute V's
+    /// columns into ascending order through the workspace.
+    fn submit_vector_sort(&self, g: &Arc<Graph>, scope: &Scope<'_>) {
+        let (n, root) = (g.n, g.tree.root);
+        let use_gatherv = self.opts.use_gatherv;
+        for (_, r0, r1) in panels(n, g.nb) {
+            let g = g.clone();
+            panel_task(scope, "SortCopy", g.key_node(root), use_gatherv).spawn(move || {
+                let (idxq, vp) = (g.cells[root].idxq(), g.vp());
+                // SAFETY: v fully read-shared; ws target columns
+                // exclusive per panel.
+                let vs = unsafe { vp.v.slice() };
+                let wt = unsafe { vp.ws.range_mut(r0 * n..r1 * n) };
+                // Full-height columns: batch runs of consecutive
+                // sources into single spanning copies.
+                let cols = r1 - r0;
+                let mut t = 0;
+                while t < cols {
+                    let src = idxq[r0 + t];
+                    let mut len = 1;
+                    while t + len < cols && idxq[r0 + t + len] == src + len {
+                        len += 1;
+                    }
+                    wt[t * n..(t + len) * n].copy_from_slice(&vs[src * n..(src + len) * n]);
+                    t += len;
+                }
+            });
+        }
+        scope
+            .task("SortBarrier")
+            .high_priority()
+            .read_write(g.key_node(root))
+            .spawn(|| {});
+        for (_, r0, r1) in panels(n, g.nb) {
+            let g = g.clone();
+            panel_task(scope, "SortCopyBack", g.key_node(root), use_gatherv).spawn(move || {
+                let vp = g.vp();
+                // SAFETY: ws read-shared, v target columns exclusive.
+                let wsrc = unsafe { vp.ws.range(r0 * n..r1 * n) };
+                let vt = unsafe { vp.v.range_mut(r0 * n..r1 * n) };
+                vt.copy_from_slice(wsrc);
+            });
+        }
     }
 }
 
@@ -1470,16 +1239,44 @@ mod tests {
         );
     }
 
+    /// The three graph-building modes at the pinned shape: full, values-only
+    /// and a subset wide enough (16·k > n) to run the pruned-root graph.
+    const DAG_MODES: [SolveMode; 3] = [
+        SolveMode::Full,
+        SolveMode::ValuesOnly,
+        SolveMode::Subset { il: 10, iu: 40 },
+    ];
+
+    fn dag_shape(ty: MatrixType, mode: SolveMode) -> (usize, usize) {
+        let mut o = opts(16, 8, 2);
+        o.mode = mode;
+        let (_, dag) = TaskFlowDc::new(o)
+            .solve_with_dag(&ty.generate(64, 3))
+            .unwrap();
+        (dag.num_nodes(), dag.num_edges())
+    }
+
     #[test]
     fn dag_is_matrix_independent() {
-        // Same size, very different deflation behaviour → identical DAG.
-        let t2 = MatrixType::Type2.generate(64, 3);
-        let t4 = MatrixType::Type4.generate(64, 3);
-        let solver = TaskFlowDc::new(opts(16, 8, 2));
-        let (_, dag2) = solver.solve_with_dag(&t2).unwrap();
-        let (_, dag4) = solver.solve_with_dag(&t4).unwrap();
-        assert_eq!(dag2.num_nodes(), dag4.num_nodes());
-        assert_eq!(dag2.num_edges(), dag4.num_edges());
+        // Same size, very different deflation behaviour → identical DAG,
+        // whichever payload the graph carries.
+        for mode in DAG_MODES {
+            assert_eq!(
+                dag_shape(MatrixType::Type2, mode),
+                dag_shape(MatrixType::Type4, mode),
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn dag_shape_is_pinned() {
+        // (nodes, edges) at n = 64, min_part = 16, nb = 8, recorded at commit
+        // b0549cf. An edit that changes the graph's shape has to change these.
+        let pinned = [(148, 344), (37, 66), (130, 312)];
+        for (mode, want) in DAG_MODES.into_iter().zip(pinned) {
+            assert_eq!(dag_shape(MatrixType::Type4, mode), want, "{mode:?}");
+        }
     }
 
     #[test]

@@ -23,12 +23,10 @@
 //!
 //! [`SolveMode::ValuesOnly`]: crate::SolveMode::ValuesOnly
 
-use crate::merge::{ensure_finite_merge_inputs, slot_rows};
+use crate::merge::slot_rows;
 use crate::DcError;
 use dcst_qriter::{steqr_mut, ZBlock};
-use dcst_secular::{
-    assemble_vectors, deflate, local_w_products, solve_secular_root, Deflation, DeflationInput,
-};
+use dcst_secular::{assemble_vectors, local_w_products, solve_secular_root, Deflation};
 
 /// The first and last row of a node's (never materialized) eigenvector
 /// matrix, indexed by the node's physical column order.
@@ -44,7 +42,7 @@ pub(crate) struct BoundaryRows {
 /// rows of the leaf's eigenvector matrix.
 pub(crate) fn solve_leaf_values(
     d: &mut [f64],
-    mut e: Vec<f64>,
+    e: &mut [f64],
     off: usize,
 ) -> Result<BoundaryRows, DcError> {
     let nm = d.len();
@@ -56,62 +54,33 @@ pub(crate) fn solve_leaf_values(
         ld: 2,
         nrows: 2,
     };
-    steqr_mut(d, &mut e, Some(z)).map_err(|err| DcError::Leaf(err.with_offset(off)))?;
+    steqr_mut(d, e, Some(z)).map_err(|err| DcError::Leaf(err.with_offset(off)))?;
     let first = (0..nm).map(|j| rows[2 * j]).collect();
     let last = (0..nm).map(|j| rows[2 * j + 1]).collect();
     Ok(BoundaryRows { first, last })
 }
 
-/// Deflation state of a values-only merge plus the merged block's
-/// boundary rows compressed into storage-slot order (masked to each
-/// slot's row span).
-pub(crate) struct RowDeflation {
-    pub defl: Deflation,
-    /// First row of the merged block in slot order; zero for slots whose
-    /// span excludes row 0 (Bottom).
-    pub w_first: Vec<f64>,
-    /// Last row in slot order; zero for Top slots.
-    pub w_last: Vec<f64>,
+/// The merge's rank-one vector from the children's boundary rows:
+/// `z = [left.last | right.first] / √2` — what `build_z` reads out of the
+/// vector payload's V block.
+pub(crate) fn rows_z(rows_l: &BoundaryRows, rows_r: &BoundaryRows) -> Vec<f64> {
+    let s2 = std::f64::consts::FRAC_1_SQRT_2;
+    let (l, r) = (&rows_l.last, &rows_r.first);
+    l.iter().chain(r).map(|x| x * s2).collect()
 }
 
-/// The deflation phase of a values-only merge: build `z` from the
-/// children's boundary rows, deflate the block diagonal, and carry the
-/// merged boundary rows through the deflation rotations into slot order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deflate_rows(
-    d_block: &mut [f64],
-    n1: usize,
-    beta: f64,
-    row_off: usize,
+/// Carry the merged block's boundary rows through the deflation rotations
+/// into storage-slot order, masked to each slot's row span — the row
+/// analogue of `apply_givens` + `PermuteV`. Deflated slots (`k..`) are
+/// final; the pass-2 panels overwrite `0..k`.
+pub(crate) fn carry_rows(
+    defl: &Deflation,
     rows_l: &BoundaryRows,
     rows_r: &BoundaryRows,
-    idxq_l: &[usize],
-    idxq_r: &[usize],
-) -> Result<RowDeflation, DcError> {
-    let nm = d_block.len();
-    let n2 = nm - n1;
+) -> BoundaryRows {
+    let (nm, n1) = (defl.n, defl.n1);
     debug_assert_eq!(rows_l.first.len(), n1);
-    debug_assert_eq!(rows_r.first.len(), n2);
-
-    // z = [left.last | right.first] / √2 — what build_z reads out of the
-    // full path's V panel.
-    let s2 = std::f64::consts::FRAC_1_SQRT_2;
-    let mut z = Vec::with_capacity(nm);
-    z.extend(rows_l.last.iter().map(|x| x * s2));
-    z.extend(rows_r.first.iter().map(|x| x * s2));
-    ensure_finite_merge_inputs(d_block, &z, row_off)?;
-
-    let mut idxq: Vec<usize> = Vec::with_capacity(nm);
-    idxq.extend_from_slice(idxq_l);
-    idxq.extend(idxq_r.iter().map(|&r| r + n1));
-    let defl = deflate(&DeflationInput {
-        d: d_block,
-        z: &z,
-        beta,
-        n1,
-        idxq: &idxq,
-    });
-
+    debug_assert_eq!(rows_r.first.len(), nm - n1);
     // The merged block's boundary rows over its physical (pre-permute)
     // columns: its first row lives entirely in the left child (right-child
     // columns are zero there), its last row in the right child.
@@ -131,23 +100,21 @@ pub(crate) fn deflate_rows(
     // span: the full path's update GEMMs read Top slots only for the top
     // rows and Bottom slots only for the bottom rows, so a Bottom slot
     // contributes nothing to the first row (and Top nothing to the last).
-    let mut w_first = vec![0.0f64; nm];
-    let mut w_last = vec![0.0f64; nm];
+    let mut w = BoundaryRows {
+        first: vec![0.0f64; nm],
+        last: vec![0.0f64; nm],
+    };
     for s in 0..nm {
         let src = defl.perm[s];
         let (r0, r1) = slot_rows(defl.slot_type[s], nm, n1);
         if r0 == 0 {
-            w_first[s] = first_cat[src];
+            w.first[s] = first_cat[src];
         }
         if r1 == nm {
-            w_last[s] = last_cat[src];
+            w.last[s] = last_cat[src];
         }
     }
-    Ok(RowDeflation {
-        defl,
-        w_first,
-        w_last,
-    })
+    w
 }
 
 /// Pass 1 over secular roots `jrange`: eigenvalues into `lam_out` (one
@@ -178,16 +145,16 @@ pub(crate) fn secular_rows_panel(
 /// Pass 2 over secular roots `jrange`: re-solve each root (the iteration
 /// is deterministic, so the deltas are bitwise identical to pass 1),
 /// assemble the slot-permuted normalized vector, and dot it with the
-/// compressed boundary rows — the 1×k row analogue of the full path's two
-/// structured GEMMs. Returns the new `(first, last)` row entries for the
-/// panel's columns.
+/// slot-order boundary rows `w` ([`carry_rows`]) — the 1×k row analogue of
+/// the full path's two structured GEMMs. Returns the new `(first, last)`
+/// row entries for the panel's columns.
 pub(crate) fn row_update_panel(
-    rd: &RowDeflation,
+    defl: &Deflation,
+    w: &BoundaryRows,
     zhat: &[f64],
     jrange: std::ops::Range<usize>,
     row_off: usize,
 ) -> Result<(Vec<f64>, Vec<f64>), DcError> {
-    let defl = &rd.defl;
     let k = defl.k;
     let mut col = vec![0.0f64; k];
     let mut first = Vec::with_capacity(jrange.len());
@@ -199,8 +166,8 @@ pub(crate) fn row_update_panel(
         let mut fr = 0.0;
         let mut lr = 0.0;
         for (s, &x) in col.iter().enumerate() {
-            fr += rd.w_first[s] * x;
-            lr += rd.w_last[s] * x;
+            fr += w.first[s] * x;
+            lr += w.last[s] * x;
         }
         if !(fr.is_finite() && lr.is_finite()) {
             return Err(DcError::Breakdown {
@@ -244,7 +211,7 @@ mod tests {
         .unwrap();
         // Values-only leaf solve.
         let mut d_rows = t.d.clone();
-        let rows = solve_leaf_values(&mut d_rows, t.e.clone(), 0).unwrap();
+        let rows = solve_leaf_values(&mut d_rows, &mut t.e.clone(), 0).unwrap();
         assert_eq!(d_rows, d_full);
         for j in 0..n {
             assert!((rows.first[j] - v[j * n]).abs() < 1e-14);
@@ -255,7 +222,7 @@ mod tests {
     #[test]
     fn single_row_leaf() {
         let mut d = vec![3.0];
-        let rows = solve_leaf_values(&mut d, vec![], 0).unwrap();
+        let rows = solve_leaf_values(&mut d, &mut [], 0).unwrap();
         assert_eq!(rows.first, vec![1.0]);
         assert_eq!(rows.last, vec![1.0]);
     }

@@ -5,7 +5,7 @@ use dcst_core::{
     DcError, DcOptions, ForkJoinDc, LevelParallelDc, SequentialDc, SolveMode, TaskFlowDc,
     TridiagEigensolver,
 };
-use dcst_matrix::residual_error;
+use dcst_matrix::{orthogonality_error, residual_error};
 use dcst_tridiag::gen::MatrixType;
 use dcst_tridiag::SymTridiag;
 use proptest::prelude::*;
@@ -85,6 +85,36 @@ fn subset_matches_full_all_types_all_drivers() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn narrow_subset_cutting_a_split_cluster() {
+    // Regression (MRRR fallback): type 2 at n = 128 is a 127-fold cluster
+    // at 1 that MRRR splits into 126 blocks; for these seeds the window cut
+    // for indices 0..=3 fell inside the cluster and the fallback failed
+    // typed `numerical` although the input is supported.
+    let (n, il, iu) = (128usize, 0usize, 3usize);
+    for seed in [160118888415, 661053094284] {
+        let t = MatrixType::Type2.generate(n, seed);
+        let eig = TaskFlowDc::new(opts(SolveMode::Subset { il, iu }))
+            .solve(&t)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!((eig.values.len(), eig.vectors.cols()), (4, 4));
+        let oracle = SequentialDc::new(opts(SolveMode::Full)).solve(&t).unwrap();
+        values_close(&eig.values, &oracle.values[il..=iu], n, t.max_norm(), 50.0);
+        // DMPV gates, both in units of nε (orthogonality_error divides by
+        // the column count, the gate by n).
+        let gate = 50.0 * f64::EPSILON;
+        let orth = orthogonality_error(&eig.vectors) * 4.0 / n as f64;
+        let res = residual_error(
+            n,
+            |x, y| t.matvec(x, y),
+            &eig.values,
+            &eig.vectors,
+            t.max_norm(),
+        );
+        assert!(orth < gate && res < gate, "seed {seed}: {orth:e} {res:e}");
     }
 }
 

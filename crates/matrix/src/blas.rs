@@ -7,12 +7,11 @@
 //! innermost rank-KC update from the packed panels. Packing buffers are
 //! recycled through a per-thread workspace, so steady-state GEMM performs
 //! zero heap allocation; depths below the packing break-even take an
-//! unpacked AXPY fast path. [`gemm_par`] partitions C into 2-D tiles
-//! executed on a persistent worker pool ([`crate::pool`]) instead of
-//! spawning scoped threads per call, keeping the sequential fallback below
-//! a flop threshold. The seed register-blocked AXPY GEMM survives as
-//! [`gemm_axpy_ref`]: it is the correctness oracle in tests and the
-//! baseline the GEMM benchmarks compare against.
+//! unpacked AXPY fast path. [`gemm_par`] is a reference path for the
+//! benches: scoped threads over contiguous column panels of C above a flop
+//! threshold, [`gemm`] below it. The seed register-blocked AXPY GEMM
+//! survives as [`gemm_axpy_ref`]: it is the correctness oracle in tests
+//! and the baseline the GEMM benchmarks compare against.
 
 // BLAS-shaped signatures (m, n, k, alpha, a, lda, …) throughout.
 #![allow(clippy::too_many_arguments)]
@@ -235,39 +234,17 @@ pub fn gemm_axpy_ref(
     }
 }
 
-/// A raw `*mut f64` that may cross thread boundaries. Used to hand each
-/// pool tile its disjoint sub-block of C.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-// SAFETY: SendPtr is only a conveyance — every dereference happens inside
-// a tile whose (i, j) block is disjoint from all other tiles', under the
-// caller's exclusive borrow of C (see run_tiles' safety comment below).
-unsafe impl Send for SendPtr {}
-// SAFETY: as above; shared access never dereferences overlapping regions.
-unsafe impl Sync for SendPtr {}
+/// Flop count below which `gemm_par` runs the sequential kernel: `2·256³`,
+/// the smallest size of the `gemm_flops` sweep (`BENCH_gemm.json`). Spawning
+/// the scoped threads costs tens of µs, which two threads win back from
+/// n = 256 up and lose below n ≈ 192 (0.7× at n = 96…128).
+const PAR_THRESHOLD_FLOPS: usize = 1 << 25;
 
-impl SendPtr {
-    /// Accessor taking `self`, so closures capture the `Sync` wrapper
-    /// rather than the raw pointer field (edition-2021 disjoint capture).
-    fn get(self) -> *mut f64 {
-        self.0
-    }
-}
-
-/// Flop count below which `gemm_par` runs the sequential kernel: even with
-/// a persistent pool, handing out tiles costs a few µs of synchronization
-/// that only pays off around a million flops (same threshold threaded BLAS
-/// implementations use for their sequential fallback).
-const PAR_THRESHOLD_FLOPS: usize = 1 << 20;
-
-/// Parallel GEMM: C is partitioned into a 2-D grid of tiles (edges aligned
-/// to the micro-kernel footprint), executed on the persistent worker pool
-/// with the calling thread participating. Tiles are claimed dynamically,
-/// so ragged edges and skewed shapes load-balance without a static
-/// schedule. `num_threads` bounds the tile overdecomposition; the pool
-/// itself is sized once from the machine.
-#[allow(clippy::too_many_arguments)]
-// dcst-hot
+/// Parallel GEMM, the reference path the benches compare [`gemm`] against:
+/// C is cut into `num_threads` contiguous column panels, each multiplied by
+/// [`gemm`] on its own scoped thread. No solver calls this — the D&C
+/// drivers parallelise one level up, by forking `UpdateVect` panel tasks
+/// onto the runtime's workers — and this crate owns no threads.
 pub fn gemm_par(
     num_threads: usize,
     m: usize,
@@ -282,53 +259,17 @@ pub fn gemm_par(
     c: &mut [f64],
     ldc: usize,
 ) {
-    if m == 0 || n == 0 {
-        return;
+    let cols = n.div_ceil(num_threads.max(1));
+    if m == 0 || cols >= n || 2 * m * n * k < PAR_THRESHOLD_FLOPS {
+        return gemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     }
-    let nt = num_threads.max(1).min(m * n);
-    if nt == 1 || 2 * m * n * k < PAR_THRESHOLD_FLOPS {
-        gemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
-        return;
-    }
-    debug_assert!(a.len() >= if k == 0 { 0 } else { (k - 1) * lda + m });
-    debug_assert!(b.len() >= if k == 0 { 0 } else { (n - 1) * ldb + k });
-    debug_assert!(c.len() >= (n - 1) * ldc + m);
-    debug_assert!(ldc >= m);
-    // Build a roughly square 2-D tile grid with ~3 tiles per executor so
-    // dynamic claiming can absorb load imbalance, tile edges rounded to
-    // the micro-kernel footprint (8 rows, 4 columns).
-    let target = 3 * nt;
-    let bm0 = (((target * m) as f64 / n.max(1) as f64).sqrt().round() as usize).clamp(1, target);
-    let tile_m = (m.div_ceil(bm0)).div_ceil(8) * 8;
-    let bm = m.div_ceil(tile_m);
-    let bn0 = (target / bm).max(1);
-    let tile_n = (n.div_ceil(bn0)).div_ceil(4) * 4;
-    let bn = n.div_ceil(tile_n);
-    let cptr = SendPtr(c.as_mut_ptr());
-    crate::pool::run_tiles(bm * bn, &move |t| {
-        let (bi, bj) = (t % bm, t / bm);
-        let i0 = bi * tile_m;
-        let i1 = m.min(i0 + tile_m);
-        let j0 = bj * tile_n;
-        let j1 = n.min(j0 + tile_n);
-        // SAFETY: tiles cover disjoint element sets of C, the caller's
-        // exclusive borrow of `c` outlives run_tiles, and each tile's
-        // writes stay inside its (i0..i1) x (j0..j1) block.
-        unsafe {
-            let cp = cptr.get().add(i0 + j0 * ldc);
-            crate::kernel::gemm_packed_raw(
-                i1 - i0,
-                j1 - j0,
-                k,
-                alpha,
-                &a[i0..],
-                lda,
-                &b[j0 * ldb..],
-                ldb,
-                beta,
-                cp,
-                ldc,
-            );
+    // The last panel may be short — fewer columns, and a buffer that ends
+    // right after the last column's m-th row — which `gemm` accepts.
+    let panels = c.chunks_mut(cols * ldc).take(n.div_ceil(cols));
+    std::thread::scope(|s| {
+        for (p, cp) in panels.enumerate() {
+            let (j0, nc) = (p * cols, cols.min(n - p * cols));
+            s.spawn(move || gemm(m, nc, k, alpha, a, lda, &b[j0 * ldb..], ldb, beta, cp, ldc));
         }
     });
 }
@@ -407,17 +348,19 @@ mod tests {
     #[test]
     fn gemm_par_matches_seq() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let (m, n, k) = (31, 23, 17);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        gemm(m, n, k, 1.0, &a, m, &b, k, 0.0, &mut c1, m);
-        for nt in [1, 2, 3, 8] {
-            c2.fill(0.0);
-            gemm_par(nt, m, n, k, 1.0, &a, m, &b, k, 0.0, &mut c2, m);
-            for (x, y) in c1.iter().zip(&c2) {
-                assert!((x - y).abs() < 1e-13);
+        // Below and above the flop threshold (sequential / scoped threads).
+        for (m, n, k) in [(31, 23, 17), (256, 250, 270)] {
+            let a = rand_vec(&mut rng, m * k);
+            let b = rand_vec(&mut rng, k * n);
+            let c0 = rand_vec(&mut rng, m * n);
+            let mut c1 = c0.clone();
+            gemm(m, n, k, 1.5, &a, m, &b, k, -0.5, &mut c1, m);
+            for nt in [1, 2, 3, 8] {
+                let mut c2 = c0.clone();
+                gemm_par(nt, m, n, k, 1.5, &a, m, &b, k, -0.5, &mut c2, m);
+                for (x, y) in c1.iter().zip(&c2) {
+                    assert!((x - y).abs() < 1e-12);
+                }
             }
         }
     }
@@ -452,7 +395,7 @@ mod tests {
         // parallel path. The seed's column-strip splitter miscomputed the
         // last panel's length for exactly this shape class.
         let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let (m, n, k, ldc, nt) = (3, 23, 8000, 7, 4);
+        let (m, n, k, ldc, nt) = (64, 23, 12000, 71, 4);
         assert!(
             2 * m * n * k >= super::PAR_THRESHOLD_FLOPS,
             "must exercise the parallel path"

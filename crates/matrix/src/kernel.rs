@@ -12,9 +12,8 @@
 //! selected at runtime by problem shape: `8 x 4` for tall-enough blocks,
 //! `4 x 4` when fewer than eight rows remain in the whole problem.
 //!
-//! Everything here works on a raw pointer for C so that `gemm_par` can hand
-//! out disjoint 2-D tiles of one C buffer without overlapping `&mut`
-//! slices; element sets of distinct tiles are disjoint.
+//! Everything here works on a raw pointer for C, written tile by tile at
+//! strided offsets; [`crate::gemm`] is the safe entry point.
 
 // BLAS-shaped signatures (m, n, k, alpha, a, lda, …) throughout.
 #![allow(clippy::too_many_arguments)]

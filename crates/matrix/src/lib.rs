@@ -5,9 +5,10 @@
 //! dimension)` pairs in the LAPACK style, so sub-matrices can be addressed
 //! without a dedicated view type. The GEMM is a packed, register-tiled
 //! implementation ([`kernel`]) with per-thread recycled packing buffers
-//! ([`workspace_growth_events`] exposes the allocation counter); the
-//! parallel GEMM runs 2-D C tiles on a persistent worker pool ([`pool`])
-//! instead of spawning threads per call.
+//! ([`workspace_growth_events`] exposes the allocation counter). The crate
+//! owns no threads: the solvers parallelise by running [`gemm`] inside
+//! forked panel tasks of the runtime, and [`gemm_par`] — scoped threads
+//! over column panels of C — exists only as the benches' reference path.
 
 mod blas;
 mod check;
@@ -17,7 +18,6 @@ pub mod lowrank;
 mod matrix;
 mod merge;
 pub mod metrics;
-mod pool;
 pub mod simd;
 pub mod util;
 mod workspace;
@@ -28,6 +28,5 @@ pub use kernel::{KC, MC, MR, MR_SMALL, NC, NR};
 pub use lowrank::{set_update_policy, update_policy, UpdatePolicy};
 pub use matrix::Matrix;
 pub use merge::merge_perm;
-pub use pool::pool_workers;
 pub use simd::{simd_level, SimdLevel};
 pub use workspace::workspace_growth_events;

@@ -25,7 +25,7 @@
 
 #![allow(clippy::too_many_arguments)]
 
-use crate::blas::gemm_par;
+use crate::blas::gemm;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which eigenvector-update path the merge phase may take.
@@ -294,7 +294,7 @@ impl StructuredMatrix {
 /// Precompute the basis product `Q(:, r0..r1) · U` (`m × rank`) for one
 /// low-rank tile; returns an empty vector for dense or rank-0 tiles. `q`
 /// is `m × sm.rows` column-major with leading dimension `ldq`.
-pub fn structured_basis(threads: usize, m: usize, q: &[f64], ldq: usize, tile: &Tile) -> Vec<f64> {
+pub fn structured_basis(m: usize, q: &[f64], ldq: usize, tile: &Tile) -> Vec<f64> {
     let TileKind::LowRank(lr) = &tile.kind else {
         return Vec::new();
     };
@@ -303,8 +303,7 @@ pub fn structured_basis(threads: usize, m: usize, q: &[f64], ldq: usize, tile: &
     }
     let tr = tile.r1 - tile.r0;
     let mut qu = vec![0.0f64; m * lr.rank];
-    gemm_par(
-        threads,
+    gemm(
         m,
         lr.rank,
         tr,
@@ -329,7 +328,6 @@ pub fn structured_basis(threads: usize, m: usize, q: &[f64], ldq: usize, tile: &
 /// tiles). Dense tiles run through the packed GEMM; low-rank tiles through
 /// one skinny GEMM against their basis product.
 pub fn gemm_structured(
-    threads: usize,
     m: usize,
     q: &[f64],
     ldq: usize,
@@ -362,8 +360,7 @@ pub fn gemm_structured(
                 if tr == 0 {
                     continue;
                 }
-                gemm_par(
-                    threads,
+                gemm(
                     m,
                     jc,
                     tr,
@@ -382,8 +379,7 @@ pub fn gemm_structured(
                     continue;
                 }
                 debug_assert_eq!(qu_t.len(), m * lr.rank);
-                gemm_par(
-                    threads,
+                gemm(
                     m,
                     jc,
                     lr.rank,
@@ -545,7 +541,7 @@ mod tests {
         let qu: Vec<Vec<f64>> = sm
             .tiles
             .iter()
-            .map(|t| structured_basis(1, m, &q, m, t))
+            .map(|t| structured_basis(m, &q, m, t))
             .collect();
         let qu_refs: Vec<&[f64]> = qu.iter().map(|v| v.as_slice()).collect();
         // Dense reference.
@@ -556,7 +552,7 @@ mod tests {
         for jrange in [0..k, 5..k - 3] {
             let ncols = jrange.len();
             let mut c = vec![f64::NAN; m * ncols];
-            gemm_structured(1, m, &q, m, &sm, &qu_refs, jrange.clone(), &mut c, m);
+            gemm_structured(m, &q, m, &sm, &qu_refs, jrange.clone(), &mut c, m);
             for j in 0..ncols {
                 for i in 0..m {
                     let want = cref[(jrange.start + j) * m + i];

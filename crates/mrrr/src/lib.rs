@@ -126,6 +126,35 @@ struct VecJob {
     twist_rank: usize,
 }
 
+/// The irreducible blocks of `t` as `(row offset, block)`: the matrix split
+/// at negligible off-diagonals (`dlarra` analogue).
+fn split_blocks(t: &SymTridiag) -> Vec<(usize, SymTridiag)> {
+    let n = t.n();
+    let mut starts = vec![0usize];
+    for i in 0..n.saturating_sub(1) {
+        let tol = f64::EPSILON * (t.d[i].abs() * t.d[i + 1].abs()).sqrt() + f64::MIN_POSITIVE;
+        if t.e[i].abs() <= tol {
+            starts.push(i + 1);
+        }
+    }
+    starts.push(n);
+    let block = |w: &[usize]| {
+        let (b0, b1) = (w[0], w[1]);
+        let e = t.e[b0..b1.saturating_sub(1).max(b0)].to_vec();
+        (b0, SymTridiag::new(t.d[b0..b1].to_vec(), e))
+    };
+    starts.windows(2).map(block).collect()
+}
+
+/// Eigenvalues below `x`, counted block by block. Dropping a negligible
+/// coupling moves eigenvalues by O(ε‖T‖), so where `x` cuts through a
+/// tight cluster this can differ from the Sturm count of the unsplit
+/// matrix — and it is the blocks that get solved.
+fn split_count(blocks: &[(usize, SymTridiag)], x: f64) -> usize {
+    let count = |(_, sub): &(usize, SymTridiag)| dcst_tridiag::sturm_count(sub, x);
+    blocks.iter().map(count).sum()
+}
+
 impl MrrrSolver {
     pub fn new(opts: MrrrOptions) -> Self {
         MrrrSolver { opts }
@@ -163,30 +192,16 @@ impl MrrrSolver {
             return Ok((vec![], Matrix::zeros(0, 0)));
         }
 
-        // Split at negligible couplings.
-        let mut starts = vec![0usize];
-        for i in 0..n.saturating_sub(1) {
-            let tol = f64::EPSILON * (t.d[i].abs() * t.d[i + 1].abs()).sqrt() + f64::MIN_POSITIVE;
-            if t.e[i].abs() <= tol {
-                starts.push(i + 1);
-            }
-        }
-        starts.push(n);
-
-        if starts.len() == 2 {
+        let blocks = split_blocks(t);
+        if blocks.len() == 1 {
             return self.solve_block(t);
         }
 
         // Solve each block; merge eigenvalues ascending; scatter columns.
         let mut per_block: Vec<(usize, Vec<f64>, Matrix)> = Vec::new();
-        for w in starts.windows(2) {
-            let (b0, b1) = (w[0], w[1]);
-            let sub = SymTridiag::new(
-                t.d[b0..b1].to_vec(),
-                t.e[b0..b1.saturating_sub(1).max(b0)].to_vec(),
-            );
-            let (lam, vloc) = self.solve_block(&sub)?;
-            per_block.push((b0, lam, vloc));
+        for (b0, sub) in &blocks {
+            let (lam, vloc) = self.solve_block(sub)?;
+            per_block.push((*b0, lam, vloc));
         }
         let mut order: Vec<(usize, usize)> = Vec::with_capacity(n); // (block, local col)
         for (bi, (_, lam, _)) in per_block.iter().enumerate() {
@@ -225,28 +240,26 @@ impl MrrrSolver {
         if n == 0 || hi <= lo {
             return Ok((vec![], Matrix::zeros(n, 0)));
         }
-        // Per irreducible block, the window selects a contiguous local
-        // index range found by Sturm counts.
-        let mut starts = vec![0usize];
-        for i in 0..n.saturating_sub(1) {
-            let tol = f64::EPSILON * (t.d[i].abs() * t.d[i + 1].abs()).sqrt() + f64::MIN_POSITIVE;
-            if t.e[i].abs() <= tol {
-                starts.push(i + 1);
-            }
-        }
-        starts.push(n);
+        self.solve_blocks_window(&split_blocks(t), n, lo, hi)
+    }
+
+    /// [`solve_window`](Self::solve_window) on an already split matrix:
+    /// per irreducible block, the window selects a contiguous local index
+    /// range found by Sturm counts.
+    fn solve_blocks_window(
+        &self,
+        blocks: &[(usize, SymTridiag)],
+        n: usize,
+        lo: f64,
+        hi: f64,
+    ) -> Result<(Vec<f64>, Matrix), MrrrError> {
         let mut parts: Vec<(usize, Vec<f64>, Matrix)> = Vec::new();
-        for w in starts.windows(2) {
-            let (b0, b1) = (w[0], w[1]);
-            let sub = SymTridiag::new(
-                t.d[b0..b1].to_vec(),
-                t.e[b0..b1.saturating_sub(1).max(b0)].to_vec(),
-            );
-            let klo = dcst_tridiag::sturm_count(&sub, lo);
-            let khi = dcst_tridiag::sturm_count(&sub, hi);
+        for (b0, sub) in blocks {
+            let klo = dcst_tridiag::sturm_count(sub, lo);
+            let khi = dcst_tridiag::sturm_count(sub, hi);
             if khi > klo {
-                let (vals, vecs) = self.solve_block_range(&sub, klo..khi)?;
-                parts.push((b0, vals, vecs));
+                let (vals, vecs) = self.solve_block_range(sub, klo..khi)?;
+                parts.push((*b0, vals, vecs));
             }
         }
         // Merge ascending across blocks.
@@ -285,8 +298,9 @@ impl MrrrSolver {
         if t.has_non_finite() {
             return Err(MrrrError::NonFinite);
         }
-        let (lo, hi) = self.range_window(t, il, iu)?;
-        self.solve_window(t, lo, hi)
+        let blocks = split_blocks(t);
+        let (lo, hi) = self.range_window(t, &blocks, il, iu)?;
+        self.solve_blocks_window(&blocks, t.n(), lo, hi)
     }
 
     /// Eigenpairs with indices `il..=iu`, trimmed to *exactly*
@@ -307,8 +321,9 @@ impl MrrrSolver {
         if t.has_non_finite() {
             return Err(MrrrError::NonFinite);
         }
-        let (lo, hi) = self.range_window(t, il, iu)?;
-        let (vals, vecs) = self.solve_window(t, lo, hi)?;
+        let blocks = split_blocks(t);
+        let (lo, hi) = self.range_window(t, &blocks, il, iu)?;
+        let (vals, vecs) = self.solve_blocks_window(&blocks, t.n(), lo, hi)?;
         let kreq = iu - il + 1;
         if vals.len() < kreq {
             return Err(MrrrError::ClusterFailure {
@@ -319,7 +334,7 @@ impl MrrrSolver {
         // Eigenvalues strictly below the window have index < il, so the
         // window's first pair sits `il - count(lo)` slots before λ_il.
         let lead = il
-            .saturating_sub(dcst_tridiag::sturm_count(t, lo))
+            .saturating_sub(split_count(&blocks, lo))
             .min(vals.len() - kreq);
         let values = vals[lead..lead + kreq].to_vec();
         let n = t.n();
@@ -332,8 +347,16 @@ impl MrrrSolver {
 
     /// The half-open eigenvalue window `[lo, hi)` containing exactly the
     /// spectrum's indices `il..=iu` (plus any boundary multiplets), with
-    /// cuts at the midpoints to the neighbouring eigenvalues.
-    fn range_window(&self, t: &SymTridiag, il: usize, iu: usize) -> Result<(f64, f64), MrrrError> {
+    /// cuts at the midpoints to the neighbouring eigenvalues. The cuts are
+    /// validated with [`split_count`] on `blocks`, the count the window
+    /// solve itself selects by.
+    fn range_window(
+        &self,
+        t: &SymTridiag,
+        blocks: &[(usize, SymTridiag)],
+        il: usize,
+        iu: usize,
+    ) -> Result<(f64, f64), MrrrError> {
         let n = t.n();
         let (gl, gu) = t.gershgorin_bounds();
         let span = (gu - gl).max(1.0);
@@ -349,7 +372,7 @@ impl MrrrSolver {
         // eigenvalues lie strictly below it; the extra low eigenvalues a
         // wider window admits are trimmed by the callers.
         let mut step = 1e-3 * span;
-        while il > 0 && dcst_tridiag::sturm_count(t, lo) > il {
+        while il > 0 && split_count(blocks, lo) > il {
             lo -= step;
             step *= 2.0;
         }
@@ -364,7 +387,7 @@ impl MrrrSolver {
         // from the denormal range, so verify with a Sturm count and walk
         // hi up until at least iu+1 eigenvalues sit below it.
         let mut step = 1e-3 * span;
-        while dcst_tridiag::sturm_count(t, hi) <= iu {
+        while split_count(blocks, hi) <= iu {
             hi += step;
             step *= 2.0;
         }
