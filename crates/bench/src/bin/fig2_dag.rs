@@ -2,8 +2,8 @@
 //!
 //! Reproduces the paper's configuration — a problem of size 1000 with a
 //! minimal partition size of 300 (four leaves of 250) and a panel size of
-//! 500 — and writes the recorded DAG in Graphviz DOT to stdout; summary
-//! statistics go to stderr.
+//! 500 — and writes the traced task graph in Graphviz DOT to stdout;
+//! summary statistics go to stderr.
 //!
 //! ```text
 //! cargo run --release -p dcst-bench --bin fig2_dag > dag.dot
@@ -29,12 +29,12 @@ fn main() {
         use_gatherv: true,
         mode: SolveMode::Full,
     });
-    let (_, dag) = solver.solve_with_dag(&t).expect("solve failed");
+    let (_, _, dag) = solver.solve_traced(&t).expect("solve failed");
 
     eprintln!(
         "DAG for n = {n}, min_part = {min_part}, nb = {nb}: {} tasks, {} edges, critical path {} tasks",
-        dag.num_nodes(),
-        dag.num_edges(),
+        dag.records.len(),
+        dag.edges.len(),
         dag.critical_path_len()
     );
     println!("{}", dag.to_dot());

@@ -1,282 +1,20 @@
-//! Table I: operation costs of the merge steps, plus the merge-phase
-//! perf trajectory for the SIMD secular kernels.
+//! Table I: operation costs of the merge steps (and Figure 1's tree).
 //!
-//! Runs the task-flow solver on a low-deflation matrix, prints the paper's
-//! cost model instantiated per merge (columns of Table I) next to the
-//! measured per-kernel times from the execution trace, folds the trace
-//! into the six merge buckets (deflate / LAED4 / local-W / assemble /
-//! GEMM / copy), measures the dense-vs-rank-structured eigenvector-update
-//! crossover, and micro-benchmarks the dispatched secular kernels against
-//! their retained scalar oracles at `k ≈ 1024`. Writes `BENCH_merge.json`
-//! (override with `--out`); with `--tree` also prints the merge tree of
-//! Figure 1; with `--baseline FILE [--max-regress-pct P]` exits 1 if the
-//! structured-update speedup regresses past the gate.
+//! Runs the task-flow solver on a low-deflation matrix and prints the
+//! paper's cost model instantiated per merge (the columns of Table I) next
+//! to the measured per-kernel totals of the execution trace; with `--tree`
+//! also prints the merge tree of Figure 1. The merge-bucket timings, the
+//! dense-vs-structured update ratio and the secular kernel costs are the
+//! `secular.*`, `core.copy_busy_ms` and `matrix.*` metrics of
+//! `dcst-bench run` (`BENCHMARK.json`), not this program's.
 //!
 //! ```text
-//! cargo run --release -p dcst-bench --bin table1_merge_costs -- --n 1000
+//! cargo run --release -p dcst-bench --bin table1_merge_costs -- --n 1000 --tree
 //! ```
 
-use dcst_bench::{fmt_s, Args, Table};
-use dcst_core::{
-    merge_cost_model, DcOptions, MetricsRecorder, PartitionTree, SolveMode, TaskFlowDc,
-};
-use dcst_matrix::{set_update_policy, UpdatePolicy};
-use dcst_runtime::{jsonv, Trace};
+use dcst_bench::{Args, Table};
+use dcst_core::{merge_cost_model, DcOptions, PartitionTree, SolveMode, TaskFlowDc};
 use dcst_tridiag::gen::MatrixType;
-use std::fmt::Write as _;
-use std::time::Instant;
-
-/// Merge bucket of a traced kernel (None for out-of-merge work).
-fn bucket_of(kernel: &str) -> Option<&'static str> {
-    match kernel {
-        "ComputeDeflation" => Some("deflate"),
-        "LAED4" => Some("laed4"),
-        "ComputeLocalW" | "ReduceW" => Some("local_w"),
-        "ComputeVect" => Some("assemble"),
-        // The rank-structured update tasks are the gemm step's replacements:
-        // planning/compression, the Q·U basis products, the join barrier
-        // and the structured multiply all displace dense GEMM time.
-        "UpdateVect" | "UpdateVectStructured" | "CompressW" | "StructBasis" | "StructJoin" => {
-            Some("gemm")
-        }
-        "PermuteV" | "CopyBackDeflated" | "SortEigenvalues" | "SortBarrier" | "SortCopy"
-        | "SortCopyBack" => Some("copy"),
-        _ => None,
-    }
-}
-
-/// Solver kernels that legitimately run outside the merge phase. Anything
-/// traced that is neither here nor in [`bucket_of`] trips the bucket
-/// audit below — that is how unbucketed kernels (the old double/missing
-/// attribution bug) surface instead of silently skewing the table.
-const OUT_OF_MERGE: [&str; 3] = ["Scale", "STEDC", "ScaleBack"];
-
-const BUCKETS: [&str; 6] = ["deflate", "laed4", "local_w", "assemble", "gemm", "copy"];
-
-/// Fold a trace into the six merge buckets by walking the raw records —
-/// each record lands in exactly one bucket (the old kernel_stats-based
-/// fold could attribute a renamed kernel twice or not at all). Returns
-/// the per-bucket totals and the merge wall-clock (total busy time minus
-/// known out-of-merge work); panics on an unrecognized kernel and when
-/// the six buckets do not sum to the merge time within 2%.
-fn merge_buckets(trace: &Trace) -> (std::collections::BTreeMap<&'static str, u64>, u64) {
-    let mut bucket_us = std::collections::BTreeMap::new();
-    for b in BUCKETS {
-        bucket_us.insert(b, 0u64);
-    }
-    let mut merge_us = 0u64;
-    for r in &trace.records {
-        let dur = r.end_us - r.start_us;
-        match bucket_of(r.name) {
-            Some(b) => {
-                *bucket_us.get_mut(b).unwrap() += dur;
-                merge_us += dur;
-            }
-            None => assert!(
-                OUT_OF_MERGE.contains(&r.name),
-                "kernel '{}' is neither bucketed nor known out-of-merge; \
-                 fix bucket_of() so the Table I shares stay exhaustive",
-                r.name
-            ),
-        }
-    }
-    let bucket_sum: u64 = bucket_us.values().sum();
-    let drift = (bucket_sum as f64 - merge_us as f64).abs();
-    assert!(
-        drift <= 0.02 * merge_us.max(1) as f64,
-        "six-bucket sum {bucket_sum}us vs merge wall-clock {merge_us}us: off by more than 2%"
-    );
-    (bucket_us, merge_us)
-}
-
-/// Best-of-`reps` wall-clock seconds for one kernel invocation.
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: faults pages, settles the SIMD dispatch
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// One dense-vs-structured crossover measurement.
-struct Crossover {
-    n: usize,
-    deflation: &'static str,
-    dense_merge_s: f64,
-    structured_merge_s: f64,
-    dense_gemm_s: f64,
-    structured_gemm_s: f64,
-    merges: u64,
-    blocks: u64,
-    rank: u64,
-    flops_saved: u64,
-}
-
-impl Crossover {
-    fn speedup(&self) -> f64 {
-        self.dense_merge_s / self.structured_merge_s.max(1e-12)
-    }
-    fn gemm_speedup(&self) -> f64 {
-        self.dense_gemm_s / self.structured_gemm_s.max(1e-12)
-    }
-}
-
-/// Merge-phase and gemm-bucket seconds of one traced single-thread solve
-/// under the current update policy, plus the structured counters.
-fn traced_merge_s(t: &dcst_tridiag::SymTridiag) -> (f64, f64, [u64; 4]) {
-    // min_part scales with n so every size gets a comparable two-level
-    // tree whose root merge is ~n (min_part = 300 would leave n = 250
-    // with no merge phase at all).
-    let solver = TaskFlowDc::new(DcOptions {
-        min_part: (t.n() / 4).max(32),
-        nb: 128,
-        threads: 1,
-        extra_workspace: true,
-        use_gatherv: true,
-        mode: SolveMode::Full,
-    });
-    let rec = MetricsRecorder::start();
-    let (_, stats, trace) = solver.solve_traced(t).expect("crossover solve failed");
-    let m = rec.finish(&stats);
-    let (bucket_us, merge_us) = merge_buckets(&trace);
-    (
-        merge_us as f64 / 1e6,
-        bucket_us["gemm"] as f64 / 1e6,
-        [
-            m.structured_merges,
-            m.structured_blocks,
-            m.structured_rank,
-            m.structured_flops_saved,
-        ],
-    )
-}
-
-/// The dense-vs-structured crossover curve: each size × deflation regime
-/// solved on one thread per forced policy (the regime the ISSUE's 39.7 ms
-/// GEMM-wall measurement comes from). The two policies alternate within
-/// every rep — best-of over interleaved pairs — so slow machine drift
-/// (thermal, frequency scaling) cannot skew the ratio the way timing all
-/// dense reps before all structured reps would. Restores the auto policy.
-fn bench_crossover(sizes: &[usize], reps: usize) -> Vec<Crossover> {
-    let mut out = Vec::new();
-    for &n in sizes {
-        for (deflation, mt) in [("low", MatrixType::Type4), ("high", MatrixType::Type2)] {
-            let t = mt.generate(n, 42);
-            let (mut dense_merge_s, mut dense_gemm_s) = (f64::INFINITY, f64::INFINITY);
-            let (mut structured_merge_s, mut structured_gemm_s) = (f64::INFINITY, f64::INFINITY);
-            let mut counters = [0u64; 4];
-            for _ in 0..reps.max(1) {
-                set_update_policy(UpdatePolicy::ForceDense);
-                let (dm, dg, _) = traced_merge_s(&t);
-                dense_merge_s = dense_merge_s.min(dm);
-                dense_gemm_s = dense_gemm_s.min(dg);
-                set_update_policy(UpdatePolicy::ForceStructured);
-                let (sm, sg, c) = traced_merge_s(&t);
-                structured_merge_s = structured_merge_s.min(sm);
-                structured_gemm_s = structured_gemm_s.min(sg);
-                counters = c;
-            }
-            out.push(Crossover {
-                n,
-                deflation,
-                dense_merge_s,
-                structured_merge_s,
-                dense_gemm_s,
-                structured_gemm_s,
-                merges: counters[0],
-                blocks: counters[1],
-                rank: counters[2],
-                flops_saved: counters[3],
-            });
-        }
-    }
-    set_update_policy(UpdatePolicy::Auto);
-    out
-}
-
-/// SIMD-vs-scalar micro-bench of the three secular hot loops on one
-/// synthetic k-pole problem. Returns (label, simd_s, scalar_s) triples in
-/// bucket order (LAED4, local-W, assemble).
-fn bench_secular_kernels(k: usize, reps: usize) -> Vec<(&'static str, f64, f64)> {
-    // Strictly ascending poles with irregular gaps, unit-norm w.
-    let dlamda: Vec<f64> = (0..k)
-        .map(|i| i as f64 + 0.3 * ((i * 7 % 13) as f64) / 13.0)
-        .collect();
-    let w = vec![(1.0 / k as f64).sqrt(); k];
-    let rho = 1.0;
-
-    let mut deltas = vec![0.0f64; k * k];
-    let mut lam = vec![0.0f64; k];
-
-    let solve_all = |scalar: bool, deltas: &mut [f64], lam: &mut [f64]| {
-        for j in 0..k {
-            let col = &mut deltas[j * k..(j + 1) * k];
-            lam[j] = if scalar {
-                dcst_secular::solve_secular_root_scalar(j, &dlamda, &w, rho, col)
-            } else {
-                dcst_secular::solve_secular_root(j, &dlamda, &w, rho, col)
-            }
-            .expect("secular root failed");
-        }
-    };
-
-    let laed4_simd = best_of(reps, || solve_all(false, &mut deltas, &mut lam));
-    let laed4_scalar = best_of(reps, || solve_all(true, &mut deltas, &mut lam));
-
-    // Re-solve with the dispatched path so downstream kernels see the
-    // deltas the real solver would produce.
-    solve_all(false, &mut deltas, &mut lam);
-
-    let lw_simd = best_of(reps, || {
-        std::hint::black_box(dcst_secular::local_w_products(&dlamda, &deltas, k, 0, 0..k));
-    });
-    let lw_scalar = best_of(reps, || {
-        std::hint::black_box(dcst_secular::local_w_products_scalar(
-            &dlamda,
-            &deltas,
-            k,
-            0,
-            0..k,
-        ));
-    });
-
-    let partials = vec![dcst_secular::local_w_products(&dlamda, &deltas, k, 0, 0..k)];
-    let zhat = dcst_secular::reduce_w(&w, &partials);
-    let ident: Vec<usize> = (0..k).collect();
-    // assemble_vectors overwrites the delta columns, so each timed run
-    // restores them first; the restore cost is measured separately and
-    // subtracted from both paths.
-    let pristine = deltas.clone();
-    let restore = best_of(reps, || {
-        deltas.copy_from_slice(&pristine);
-        std::hint::black_box(&deltas);
-    });
-    let asm_simd = best_of(reps, || {
-        deltas.copy_from_slice(&pristine);
-        dcst_secular::assemble_vectors(&zhat, &mut deltas, k, 0, 0..k, &ident);
-    }) - restore;
-    let asm_scalar = best_of(reps, || {
-        deltas.copy_from_slice(&pristine);
-        dcst_secular::assemble_vectors_scalar(&zhat, &mut deltas, k, 0, 0..k, &ident);
-    }) - restore;
-
-    vec![
-        ("LAED4 (all k roots)", laed4_simd, laed4_scalar),
-        (
-            "local-W (k columns)",
-            lw_simd.max(1e-9),
-            lw_scalar.max(1e-9),
-        ),
-        (
-            "assemble (k columns)",
-            asm_simd.max(1e-9),
-            asm_scalar.max(1e-9),
-        ),
-    ]
-}
 
 fn main() {
     let args = Args::parse();
@@ -284,9 +22,6 @@ fn main() {
     let min_part = args.usize_or("--min-part", 300);
     let nb = args.usize_or("--nb", 128);
     let threads = args.usize_or("--threads", dcst_bench::max_threads());
-    let ksec = args.usize_or("--k", 1024);
-    let reps = args.usize_or("--reps", 3);
-    let out_path = args.value("--out").unwrap_or("BENCH_merge.json");
 
     if args.flag("--tree") {
         let tree = PartitionTree::build(n, min_part);
@@ -370,191 +105,4 @@ fn main() {
         ]);
     }
     meas.print();
-
-    // ---- merge buckets (audited per-record attribution).
-    let (bucket_us, merge_total) = merge_buckets(&trace);
-    println!("\nMerge-phase buckets (sum audited against merge wall-clock):");
-    let mut btab = Table::new(&["bucket", "total time (us)", "share of merge"]);
-    for b in BUCKETS {
-        let us = bucket_us[b];
-        btab.row(vec![
-            b.to_string(),
-            us.to_string(),
-            format!("{:.1}%", 100.0 * us as f64 / merge_total.max(1) as f64),
-        ]);
-    }
-    btab.print();
-
-    // ---- dense vs rank-structured update crossover.
-    let xover = if args.flag("--skip-crossover") {
-        Vec::new()
-    } else {
-        let sizes: Vec<usize> = args
-            .value("--crossover-ns")
-            .map(|v| {
-                v.split(',')
-                    .map(|s| s.parse().expect("--crossover-ns is a comma list"))
-                    .collect()
-            })
-            .unwrap_or_else(|| vec![250, 500, 1000, 2000]);
-        // Enough interleaved pairs that a transient machine-noise burst
-        // (the runs are best-of) cannot cover the whole timing window.
-        let xreps = args.usize_or("--crossover-reps", 5);
-        bench_crossover(&sizes, xreps)
-    };
-    if !xover.is_empty() {
-        println!("\nDense vs rank-structured update (1 thread, forced policies):");
-        let mut xtab = Table::new(&[
-            "n",
-            "deflation",
-            "dense merge",
-            "structured merge",
-            "speedup",
-            "gemm speedup",
-            "blocks",
-            "total rank",
-        ]);
-        for e in &xover {
-            xtab.row(vec![
-                e.n.to_string(),
-                e.deflation.to_string(),
-                fmt_s(e.dense_merge_s),
-                fmt_s(e.structured_merge_s),
-                format!("{:.2}x", e.speedup()),
-                format!("{:.2}x", e.gemm_speedup()),
-                e.blocks.to_string(),
-                e.rank.to_string(),
-            ]);
-        }
-        xtab.print();
-        if let Some(e) = xover.iter().find(|e| e.n == 1000 && e.deflation == "low") {
-            // The acceptance bar: the structured path must beat the dense
-            // oracle by ≥ 1.3x on the low-deflation n = 1000 merge phase
-            // it was built for. In gate mode (--baseline) the committed
-            // baseline plus --max-regress-pct governs instead, so a noisy
-            // CI box compares against its own calibrated number.
-            if args.value("--baseline").is_none() {
-                assert!(
-                    e.speedup() >= 1.3,
-                    "rank-structured merge speedup {:.2}x at n=1000 low-deflation is below the 1.3x bar",
-                    e.speedup()
-                );
-            }
-            println!(
-                "crossover bar: {:.2}x merge speedup at n=1000 low-deflation (>= 1.3x required)",
-                e.speedup()
-            );
-        }
-    }
-
-    // ---- SIMD-vs-scalar secular kernels at k ≈ 1024.
-    let level = dcst_matrix::simd_level();
-    println!("\nSecular kernels, SIMD ({level:?}) vs scalar oracle at k = {ksec}:");
-    let kernels = bench_secular_kernels(ksec, reps);
-    let mut stab = Table::new(&["kernel", "simd", "scalar", "speedup"]);
-    let (mut simd_sum, mut scalar_sum) = (0.0f64, 0.0f64);
-    for &(name, simd, scalar) in &kernels {
-        simd_sum += simd;
-        scalar_sum += scalar;
-        stab.row(vec![
-            name.to_string(),
-            fmt_s(simd),
-            fmt_s(scalar),
-            format!("{:.2}x", scalar / simd),
-        ]);
-    }
-    let combined = scalar_sum / simd_sum;
-    stab.row(vec![
-        "combined".to_string(),
-        fmt_s(simd_sum),
-        fmt_s(scalar_sum),
-        format!("{combined:.2}x"),
-    ]);
-    stab.print();
-
-    // ---- JSON output.
-    let mut json = String::from("{\n  \"bench\": \"table1_merge_costs\",\n");
-    write!(
-        json,
-        "  \"n\": {n},\n  \"threads\": {threads},\n  \"simd_level\": \"{level:?}\",\n"
-    )
-    .unwrap();
-    json.push_str("  \"merge_buckets_us\": {");
-    for (i, b) in BUCKETS.iter().enumerate() {
-        let sep = if i + 1 < BUCKETS.len() { ", " } else { "" };
-        write!(json, "\"{b}\": {}{sep}", bucket_us[b]).unwrap();
-    }
-    json.push_str("},\n");
-    writeln!(json, "  \"merge_wall_us\": {merge_total},").unwrap();
-    if !xover.is_empty() {
-        json.push_str("  \"rank_structured\": {\n    \"entries\": [\n");
-        for (i, e) in xover.iter().enumerate() {
-            let sep = if i + 1 < xover.len() { "," } else { "" };
-            writeln!(
-                json,
-                "      {{\"n\": {}, \"deflation\": \"{}\", \"dense_merge_s\": {:.6}, \
-                 \"structured_merge_s\": {:.6}, \"speedup\": {:.3}, \"gemm_speedup\": {:.3}, \
-                 \"structured_merges\": {}, \"compressed_blocks\": {}, \"total_rank\": {}, \
-                 \"flops_saved\": {}}}{sep}",
-                e.n,
-                e.deflation,
-                e.dense_merge_s,
-                e.structured_merge_s,
-                e.speedup(),
-                e.gemm_speedup(),
-                e.merges,
-                e.blocks,
-                e.rank,
-                e.flops_saved
-            )
-            .unwrap();
-        }
-        json.push_str("    ]");
-        if let Some(e) = xover.iter().find(|e| e.n == 1000 && e.deflation == "low") {
-            write!(json, ",\n    \"speedup_n1000_low\": {:.3}", e.speedup()).unwrap();
-        }
-        json.push_str("\n  },\n");
-    }
-    write!(json, "  \"secular_kernels\": {{\n    \"k\": {ksec},\n").unwrap();
-    let labels = ["laed4", "local_w", "assemble"];
-    for (label, &(_, simd, scalar)) in labels.iter().zip(&kernels) {
-        writeln!(
-            json,
-            "    \"{label}_simd_s\": {simd:.6}, \"{label}_scalar_s\": {scalar:.6}, \
-             \"{label}_speedup\": {:.3},",
-            scalar / simd
-        )
-        .unwrap();
-    }
-    write!(json, "    \"combined_speedup\": {combined:.3}\n  }}\n}}\n").unwrap();
-    std::fs::write(out_path, &json).expect("write BENCH_merge.json");
-    println!("\nwrote {out_path}");
-
-    // ---- regression gate (CI): compare the structured-update speedup
-    // against a committed baseline, mirroring metrics_overhead.
-    if let Some(path) = args.value("--baseline") {
-        let max_pct: f64 = args
-            .value("--max-regress-pct")
-            .map(|v| v.parse().expect("--max-regress-pct is a number"))
-            .unwrap_or(15.0);
-        let new = xover
-            .iter()
-            .find(|e| e.n == 1000 && e.deflation == "low")
-            .expect("gate mode needs the n=1000 low-deflation crossover point")
-            .speedup();
-        let body = std::fs::read_to_string(path).expect("read baseline json");
-        let doc = jsonv::parse(&body).expect("baseline is valid JSON");
-        let base = doc
-            .get("rank_structured")
-            .and_then(|v| v.get("speedup_n1000_low"))
-            .and_then(|v| v.as_num())
-            .expect("baseline rank_structured.speedup_n1000_low");
-        let drop_pct = 100.0 * (base - new) / base;
-        println!("vs baseline {path}: speedup {new:.2}x vs {base:.2}x ({drop_pct:+.1}% drop, limit {max_pct}%)");
-        if drop_pct > max_pct {
-            eprintln!("FAIL: structured-update speedup regressed more than {max_pct}%");
-            std::process::exit(1);
-        }
-        println!("OK: structured-update speedup within the {max_pct}% gate");
-    }
 }

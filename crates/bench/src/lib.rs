@@ -1,12 +1,13 @@
-//! Shared harness for the figure/table regenerators (one binary per
-//! experiment in `src/bin/`) and the Criterion micro-benches.
+//! Shared helpers for the figure/table regenerators in `src/bin/`, which
+//! rewrite `results/*.txt` in the shape of the paper's evaluation. They time
+//! one cold solve per cell and are read for who-wins shapes only: every
+//! performance number the repository quotes comes from `dcst-bench run`
+//! (`benchmark/`, `BENCHMARK.json`), which imports [`sched::storm`] and
+//! [`max_threads`] from here.
 
 pub mod sched;
 
-use dcst_core::{
-    DcOptions, DcStats, Eigen, ForkJoinDc, LevelParallelDc, SequentialDc, TaskFlowDc,
-    TridiagEigensolver,
-};
+use dcst_core::{DcOptions, DcStats, Eigen, TaskFlowDc, TridiagEigensolver};
 use dcst_mrrr::{MrrrOptions, MrrrSolver};
 use dcst_tridiag::SymTridiag;
 use std::time::Instant;
@@ -91,16 +92,6 @@ pub fn time_mrrr(threads: usize, t: &SymTridiag) -> (f64, Vec<f64>, dcst_matrix:
     let start = Instant::now();
     let (lam, v) = solver.solve(t).expect("mrrr solve failed");
     (start.elapsed().as_secs_f64(), lam, v)
-}
-
-/// All four D&C variants at a thread count (for comparison tables).
-pub fn dc_suite(threads: usize) -> Vec<Box<dyn TridiagEigensolver>> {
-    vec![
-        Box::new(SequentialDc::new(opts(1))),
-        Box::new(ForkJoinDc::new(opts(threads))),
-        Box::new(LevelParallelDc::new(opts(threads))),
-        Box::new(TaskFlowDc::new(opts(threads))),
-    ]
 }
 
 /// Accuracy metrics `(orthogonality, residual)` of a decomposition of `t`.

@@ -1,4 +1,4 @@
-//! Fork-join task-storm driver for the scheduler-contention benchmark.
+//! Fork-join task storm over the work-stealing deques.
 //!
 //! Measures the raw work-stealing substrate — no runtime, no dependency
 //! tracking — so the deque protocol itself dominates. `roots` seed tasks
@@ -8,20 +8,16 @@
 //! with all the pop/steal races a real solve produces, compressed into
 //! no-op task bodies.
 //!
-//! The driver is generic over a [`Backend`] so the same storm runs against
-//! the production lock-free Chase–Lev deque ([`LockFree`]) and the
-//! `Mutex<VecDeque>` baseline kept in `crossbeam_deque::mutexed`
-//! ([`Mutexed`]); `metrics_overhead --sched-out` reports both and their
-//! ratio, which is the number the CI gate holds at ≥2× for 8+ workers.
+//! `benchmark/` runs it as the `runtime.ns_per_task` and
+//! `runtime.steal_success_rate` probes (`storm::<LockFree>`); the
+//! [`Backend`] parameter is the deque implementation under the storm.
 
 use crossbeam_deque::Steal;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// A work-stealing implementation the storm can drive. Both backends
-/// expose the same `crossbeam_deque` API; the trait only exists to make
-/// the choice a compile-time parameter (no dynamic dispatch inside the
-/// hot loop).
+/// A work-stealing implementation the storm can drive: a compile-time
+/// parameter, so there is no dynamic dispatch inside the hot loop.
 pub trait Backend {
     type Worker: Send;
     type Stealer: Send + Sync + Clone;
@@ -73,41 +69,6 @@ impl Backend for LockFree {
     }
 }
 
-/// The `Mutex<VecDeque>` contention baseline.
-pub struct Mutexed;
-
-impl Backend for Mutexed {
-    type Worker = crossbeam_deque::mutexed::Worker<u32>;
-    type Stealer = crossbeam_deque::mutexed::Stealer<u32>;
-    type Injector = crossbeam_deque::mutexed::Injector<u32>;
-    const NAME: &'static str = "mutexed";
-
-    fn worker() -> Self::Worker {
-        crossbeam_deque::mutexed::Worker::new_lifo()
-    }
-    fn stealer(w: &Self::Worker) -> Self::Stealer {
-        w.stealer()
-    }
-    fn injector() -> Self::Injector {
-        crossbeam_deque::mutexed::Injector::new()
-    }
-    fn inj_push(inj: &Self::Injector, v: u32) {
-        inj.push(v);
-    }
-    fn inj_steal(inj: &Self::Injector) -> Steal<u32> {
-        inj.steal()
-    }
-    fn push(w: &Self::Worker, v: u32) {
-        w.push(v);
-    }
-    fn pop(w: &Self::Worker) -> Option<u32> {
-        w.pop()
-    }
-    fn steal(s: &Self::Stealer) -> Steal<u32> {
-        s.steal()
-    }
-}
-
 /// One storm run's results.
 #[derive(Clone, Copy, Debug)]
 pub struct StormResult {
@@ -134,8 +95,8 @@ impl StormResult {
 
 /// Run one fork-join storm on `workers` threads. Every worker loops
 /// pop-local → poll-injector → sweep-siblings, yielding to the OS when a
-/// full sweep comes up dry (essential when the bench oversubscribes the
-/// machine, and identical for both backends so the comparison stays fair).
+/// full sweep comes up dry (essential when the storm oversubscribes the
+/// machine).
 pub fn storm<B: Backend>(workers: usize, roots: usize, depth: u32) -> StormResult {
     assert!(workers >= 1 && roots >= 1);
     let total = roots as u64 * ((1u64 << (depth + 1)) - 1);
@@ -232,16 +193,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn storm_executes_every_task_on_both_backends() {
+    fn storm_executes_every_task() {
         // 4 roots, depth 5 => 4 * 63 = 252 tasks; the exactly-once check
         // is the assert inside storm (remaining hits zero, never below).
         let lf = storm::<LockFree>(4, 4, 5);
         assert_eq!(lf.tasks, 252);
         assert!(lf.ns_per_task > 0.0);
-        let mx = storm::<Mutexed>(4, 4, 5);
-        assert_eq!(mx.tasks, 252);
-        // The injector seeded 4 roots across >1 worker: someone stole.
-        assert!(lf.steal_hits >= 1 && mx.steal_hits >= 1);
+        // The injector seeded the 4 roots: every one of them was stolen.
+        assert!(lf.steal_hits >= 4);
         assert!(lf.steal_success_rate() <= 1.0);
     }
 

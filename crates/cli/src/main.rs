@@ -77,6 +77,16 @@ impl Args {
                 .map_err(|_| format!("{name} wants a non-negative integer, got '{v}'")),
         }
     }
+    /// `--type K --n N` of a generated Table III matrix (defaults: type 4,
+    /// n = 1000); a type outside 1..=15 or an order of 0 is a usage error.
+    fn generated_spec(&self) -> Result<(MatrixType, usize), String> {
+        let ty =
+            MatrixType::from_index(self.usize_flag("--type", 4)?).ok_or("--type must be 1..=15")?;
+        match self.usize_flag("--n", 1000)? {
+            0 => Err("--n must be at least 1".to_string()),
+            n => Ok((ty, n)),
+        }
+    }
 }
 
 /// `il:iu` → a validated 0-based inclusive index range for a matrix of
@@ -188,15 +198,7 @@ fn main() -> ExitCode {
 
     match cmd.as_str() {
         "generate" => {
-            let ty_idx = match args.usize_flag("--type", 4) {
-                Ok(v) => v,
-                Err(e) => return fail(e, EXIT_USAGE),
-            };
-            let ty = match MatrixType::from_index(ty_idx) {
-                Some(t) => t,
-                None => return fail("--type must be 1..=15", EXIT_USAGE),
-            };
-            let n = match args.usize_flag("--n", 1000) {
+            let (ty, n) = match args.generated_spec() {
                 Ok(v) => v,
                 Err(e) => return fail(e, EXIT_USAGE),
             };
@@ -432,15 +434,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "trace" => {
-            let ty_idx = match args.usize_flag("--type", 4) {
-                Ok(v) => v,
-                Err(e) => return fail(e, EXIT_USAGE),
-            };
-            let ty = match MatrixType::from_index(ty_idx) {
-                Some(t) => t,
-                None => return fail("--type must be 1..=15", EXIT_USAGE),
-            };
-            let n = match args.usize_flag("--n", 1000) {
+            let (ty, n) = match args.generated_spec() {
                 Ok(v) => v,
                 Err(e) => return fail(e, EXIT_USAGE),
             };

@@ -106,9 +106,12 @@ pub struct DcOptions {
     pub nb: usize,
     /// Worker threads (task-flow, fork-join GEMMs, level-parallel).
     pub threads: usize,
-    /// Allocate extra workspace so the second task phase can stage into a
-    /// buffer distinct from the first phase's (the paper's §IV user
-    /// option, exposed for the ablation bench).
+    /// The paper's §IV user option, exposed for the ablation bench. It
+    /// allocates nothing: the staging buffers `ws` and `x` exist either
+    /// way. `false` only adds a write on the panel's `x` key to PermuteV
+    /// and CopyBackDeflated, which serializes each with the same panel's
+    /// LAED4/ComputeVect (the paper's shared-staging order); `true` lets
+    /// them overlap.
     pub extra_workspace: bool,
     /// Use the paper's GATHERV qualifier for panel tasks (default). When
     /// false, panel tasks declare INOUT on the merge's node key instead,

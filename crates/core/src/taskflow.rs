@@ -54,8 +54,7 @@ use crate::{DcError, DcOptions, DcStats, Eigen, SolveMode, TridiagEigensolver};
 use dcst_matrix::Matrix;
 use dcst_qriter::{steqr_mut, ZBlock};
 use dcst_runtime::{
-    CancelHandle, DagRecorder, DataKey, Runtime, RuntimeMetrics, Scope, SharedData, TaskBuilder,
-    Trace,
+    CancelHandle, DataKey, Runtime, RuntimeMetrics, Scope, SharedData, TaskBuilder, Trace,
 };
 use dcst_secular::Deflation;
 use dcst_tridiag::SymTridiag;
@@ -425,7 +424,8 @@ impl TaskFlowDc {
         pending.wait()
     }
 
-    /// Solve while recording an execution trace (Figures 3 and 4).
+    /// Solve while recording an execution trace: one record per task plus
+    /// the dependency edges (Figures 2, 3 and 4).
     pub fn solve_traced(&self, t: &SymTridiag) -> Result<(Eigen, DcStats, Trace), DcError> {
         let rt = self.discipline.runtime(self.opts.threads);
         rt.enable_tracing();
@@ -448,14 +448,6 @@ impl TaskFlowDc {
         let trace = rt.take_trace();
         let metrics = rt.runtime_metrics();
         Ok((eig, stats, trace, metrics))
-    }
-
-    /// Solve while recording the task DAG (Figure 2).
-    pub fn solve_with_dag(&self, t: &SymTridiag) -> Result<(Eigen, DagRecorder), DcError> {
-        let rt = Runtime::new(self.opts.threads);
-        rt.enable_dag_recording();
-        let (eig, _) = self.submit(t, &rt)?.wait()?;
-        Ok((eig, rt.take_dag().expect("dag recording was enabled")))
     }
 
     /// Submit this solve's task graph onto `rt` without waiting: the
@@ -591,8 +583,8 @@ impl TaskFlowDc {
             betas[m] = t.e[node.off + node.n1 - 1] * scale;
         }
         // The row payload has no n×n state at all: per node it carries two
-        // O(n) rows plus the deflation record — the memory reduction the
-        // `BENCH_modes.json` high-water gate measures.
+        // O(n) rows plus the deflation record — the memory reduction that
+        // `peak_alloc_mb` on the `values_t6_n4000` workload measures.
         let square = || SharedData::new(vec![0.0f64; n * n]);
         let vectors = (self.opts.mode != SolveMode::ValuesOnly).then(|| Vectors {
             v: square(),
@@ -1250,10 +1242,10 @@ mod tests {
     fn dag_shape(ty: MatrixType, mode: SolveMode) -> (usize, usize) {
         let mut o = opts(16, 8, 2);
         o.mode = mode;
-        let (_, dag) = TaskFlowDc::new(o)
-            .solve_with_dag(&ty.generate(64, 3))
+        let (_, _, trace) = TaskFlowDc::new(o)
+            .solve_traced(&ty.generate(64, 3))
             .unwrap();
-        (dag.num_nodes(), dag.num_edges())
+        (trace.records.len(), trace.edges.len())
     }
 
     #[test]

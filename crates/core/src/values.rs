@@ -10,7 +10,8 @@
 //! merge updates them from the secular eigenvectors it would otherwise
 //! have assembled into columns. Internal state drops from `O(n²)` to
 //! `O(n)` per node, which is what makes large values-only solves fit in
-//! cache-sized memory (the `BENCH_modes.json` high-water gate).
+//! cache-sized memory (`peak_alloc_mb` on the `values_t6_n4000` workload
+//! of `BENCHMARK.json`, bound 0.05).
 //!
 //! The secular phase runs **twice** over each root: pass 1 solves the
 //! secular equation to get the eigenvalue and accumulate the running

@@ -115,13 +115,13 @@ fn dag_size_scales_with_panels() {
     let t = MatrixType::Type4.generate(64, 1);
     let solver_coarse = TaskFlowDc::new(opts(16, 64, 2));
     let solver_fine = TaskFlowDc::new(opts(16, 8, 2));
-    let (_, dag_coarse) = solver_coarse.solve_with_dag(&t).unwrap();
-    let (_, dag_fine) = solver_fine.solve_with_dag(&t).unwrap();
+    let (_, _, coarse) = solver_coarse.solve_traced(&t).unwrap();
+    let (_, _, fine) = solver_fine.solve_traced(&t).unwrap();
     assert!(
-        dag_fine.num_nodes() > dag_coarse.num_nodes(),
+        fine.records.len() > coarse.records.len(),
         "finer panels ⇒ more tasks: {} vs {}",
-        dag_fine.num_nodes(),
-        dag_coarse.num_nodes()
+        fine.records.len(),
+        coarse.records.len()
     );
 }
 

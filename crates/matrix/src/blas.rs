@@ -234,13 +234,14 @@ pub fn gemm_axpy_ref(
     }
 }
 
-/// Flop count below which `gemm_par` runs the sequential kernel: `2·256³`,
-/// the smallest size of the `gemm_flops` sweep (`BENCH_gemm.json`). Spawning
-/// the scoped threads costs tens of µs, which two threads win back from
-/// n = 256 up and lose below n ≈ 192 (0.7× at n = 96…128).
+/// Flop count below which `gemm_par` runs the sequential kernel: `2·256³`.
+/// Spawning the scoped threads costs tens of µs, which a product this size
+/// wins back; `matrix.gemm_par_speedup` in `BENCHMARK.json` is the measured
+/// 2-thread gain above it (the root merge's own products, k ≈ 490 and
+/// k ≈ 1800).
 const PAR_THRESHOLD_FLOPS: usize = 1 << 25;
 
-/// Parallel GEMM, the reference path the benches compare [`gemm`] against:
+/// Parallel GEMM, the reference path the benchmark compares [`gemm`] against:
 /// C is cut into `num_threads` contiguous column panels, each multiplied by
 /// [`gemm`] on its own scoped thread. No solver calls this — the D&C
 /// drivers parallelise one level up, by forking `UpdateVect` panel tasks

@@ -8,7 +8,7 @@
 //! ([`workspace_growth_events`] exposes the allocation counter). The crate
 //! owns no threads: the solvers parallelise by running [`gemm`] inside
 //! forked panel tasks of the runtime, and [`gemm_par`] — scoped threads
-//! over column panels of C — exists only as the benches' reference path.
+//! over column panels of C — exists only as the benchmark's reference path.
 
 mod blas;
 mod check;

@@ -40,7 +40,6 @@
 
 #[cfg(feature = "access-check")]
 mod check;
-mod dag;
 mod dcst_sync;
 mod deps;
 pub mod jsonv;
@@ -49,7 +48,6 @@ mod pool;
 mod share;
 mod trace;
 
-pub use dag::DagRecorder;
 pub use deps::{Access, AccessMode, DataKey};
 pub use metrics::{RuntimeMetrics, WorkerMetrics};
 pub use pool::{

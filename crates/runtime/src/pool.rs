@@ -22,7 +22,6 @@
 //! inline task — the fork/join shape of a sequential code over threaded
 //! kernels.
 
-use crate::dag::DagRecorder;
 use crate::dcst_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::dcst_sync::deque::{Injector, Steal, Stealer, Worker as WorkerDeque};
 use crate::dcst_sync::{spawn_worker, Condvar, Mutex, WorkerHandle};
@@ -475,7 +474,6 @@ struct SubmitState {
     /// can retire its keys from the dependency tracker — without this the
     /// tracker grows without bound over a daemon's lifetime.
     scope_keys: HashMap<usize, HashSet<DataKey>>,
-    dag: Option<DagRecorder>,
 }
 
 /// The sequential-task-flow runtime. See the crate docs for the model.
@@ -559,7 +557,6 @@ impl Runtime {
                 next_scope_id: 1,
                 nodes: HashMap::new(),
                 scope_keys: HashMap::new(),
-                dag: None,
             }),
             default_scope: Arc::new(ScopeState::new(0, false)),
             num_threads,
@@ -729,16 +726,6 @@ impl Runtime {
         self.shared.metrics.depth()
     }
 
-    /// Start recording the task DAG (names + dependency edges).
-    pub fn enable_dag_recording(&self) {
-        self.submit.lock().dag = Some(DagRecorder::default());
-    }
-
-    /// Stop DAG recording and return the recorder (None if never enabled).
-    pub fn take_dag(&self) -> Option<DagRecorder> {
-        self.submit.lock().dag.take()
-    }
-
     /// A node counted as outstanding in its scope and in the pool. Its
     /// `pending` count starts at the +1 sentinel that keeps the task from
     /// firing while `submit_task` wires its edges.
@@ -849,9 +836,6 @@ impl Runtime {
                 .entry(scope.id)
                 .or_default()
                 .extend(accesses.iter().map(|a| a.key));
-        }
-        if let Some(dag) = st.dag.as_mut() {
-            dag.record(id, name, &deps);
         }
         if !deps.is_empty() && self.shared.tracing.load(Ordering::Relaxed) {
             let mut edges = self.shared.trace_edges.lock();

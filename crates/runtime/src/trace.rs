@@ -2,10 +2,11 @@
 //!
 //! A [`Trace`] is the flat record list plus the dependency edges observed
 //! at submission time, with exporters for the paper-style SVG timeline,
-//! an ASCII stand-in, a plain JSON dump, and the Chrome trace-event
+//! an ASCII stand-in, a plain JSON dump, the Chrome trace-event
 //! format ([`Trace::to_chrome_json`]) that `chrome://tracing` and
 //! Perfetto load directly — tasks as complete events on one lane per
-//! worker, dependency edges as flow arrows.
+//! worker, dependency edges as flow arrows — and the task graph itself in
+//! Graphviz DOT ([`Trace::to_dot`], Figure 2).
 
 /// Timing record for one executed task.
 #[derive(Clone, Copy, Debug)]
@@ -56,6 +57,15 @@ pub struct WorkerTimeline {
     pub gaps: usize,
     /// Longest single idle gap, in microseconds.
     pub largest_gap_us: u64,
+}
+
+/// Index of `name` among the kernels seen so far, appending it when new:
+/// the figures color kernels in order of first appearance.
+fn kernel_index(seen: &mut Vec<&'static str>, name: &'static str) -> usize {
+    seen.iter().position(|n| *n == name).unwrap_or_else(|| {
+        seen.push(name);
+        seen.len() - 1
+    })
 }
 
 impl Trace {
@@ -292,6 +302,58 @@ impl Trace {
         out
     }
 
+    /// Longest dependency chain of the traced graph, in tasks. Edges with
+    /// an endpoint that never executed are skipped, as in the Chrome export.
+    pub fn critical_path_len(&self) -> usize {
+        // A predecessor is submitted before its successor, so its id is
+        // lower: visiting edges by ascending target finalizes every depth
+        // before it is read.
+        let mut edges = self.edges.clone();
+        edges.sort_unstable_by_key(|&(_, to)| to);
+        let mut depth: std::collections::HashMap<usize, usize> =
+            self.records.iter().map(|r| (r.id, 1)).collect();
+        for (from, to) in edges {
+            let Some(&d) = depth.get(&from) else { continue };
+            if let Some(e) = depth.get_mut(&to) {
+                *e = (*e).max(d + 1);
+            }
+        }
+        depth.into_values().max().unwrap_or(0)
+    }
+
+    /// Render the traced task graph in Graphviz DOT (the paper's Figure 2):
+    /// one node per executed task in submission order, colored per kernel,
+    /// and one arrow per dependency edge.
+    pub fn to_dot(&self) -> String {
+        use std::fmt::Write;
+        const PALETTE: [&str; 10] = [
+            "lightblue",
+            "salmon",
+            "palegreen",
+            "gold",
+            "plum",
+            "khaki",
+            "lightcyan",
+            "orange",
+            "lightpink",
+            "lightgray",
+        ];
+        let mut nodes: Vec<&TaskRecord> = self.records.iter().collect();
+        nodes.sort_unstable_by_key(|r| r.id);
+        let mut kernels: Vec<&'static str> = Vec::new();
+        let mut s =
+            String::from("digraph dcst {\n  rankdir=TB;\n  node [style=filled, shape=box];\n");
+        for r in nodes {
+            let color = PALETTE[kernel_index(&mut kernels, r.name) % PALETTE.len()];
+            writeln!(s, "  t{} [label=\"{}\", fillcolor={color}];", r.id, r.name).unwrap();
+        }
+        for &(from, to) in &self.edges {
+            writeln!(s, "  t{from} -> t{to};").unwrap();
+        }
+        s.push_str("}\n");
+        s
+    }
+
     /// Render the trace as an SVG timeline — one lane per worker, one
     /// colored rectangle per task, kernel colors assigned in order of
     /// first appearance (the paper's Figures 3 and 4 are exactly this
@@ -313,7 +375,7 @@ impl Trace {
         let scale = width as f64 / (t1 - t0) as f64;
         let legend_h = 18;
         let height = self.num_workers as u32 * (lane_height + 4) + legend_h + 8;
-        let mut colors: Vec<(&'static str, &'static str)> = Vec::new();
+        let mut kernels: Vec<&'static str> = Vec::new();
         let mut svg = String::new();
         write!(
             svg,
@@ -323,14 +385,7 @@ impl Trace {
         )
         .unwrap();
         for r in &self.records {
-            let color = match colors.iter().find(|(n, _)| *n == r.name) {
-                Some((_, c)) => *c,
-                None => {
-                    let c = PALETTE[colors.len() % PALETTE.len()];
-                    colors.push((r.name, c));
-                    c
-                }
-            };
+            let color = PALETTE[kernel_index(&mut kernels, r.name) % PALETTE.len()];
             let x = (r.start_us - t0) as f64 * scale;
             let w = (((r.end_us - r.start_us) as f64) * scale).max(0.5);
             let y = legend_h as f64 + r.worker as f64 * (lane_height + 4) as f64;
@@ -346,7 +401,8 @@ impl Trace {
         }
         // Legend.
         let mut x = 2.0f64;
-        for (name, color) in &colors {
+        for (i, name) in kernels.iter().enumerate() {
+            let color = PALETTE[i % PALETTE.len()];
             writeln!(
                 svg,
                 "<rect x=\"{x:.1}\" y=\"2\" width=\"10\" height=\"10\" fill=\"{color}\"/>\
@@ -607,6 +663,57 @@ mod tests {
         assert_eq!(lanes[1].largest_gap_us, 25);
     }
 
+    /// A trace of instantaneous tasks `(id, name, predecessor ids)`.
+    fn graph(tasks: &[(usize, &'static str, &[usize])]) -> Trace {
+        Trace {
+            records: tasks
+                .iter()
+                .map(|&(id, name, _)| TaskRecord {
+                    id,
+                    name,
+                    worker: 0,
+                    start_us: 0,
+                    end_us: 0,
+                })
+                .collect(),
+            edges: tasks
+                .iter()
+                .flat_map(|&(id, _, deps)| deps.iter().map(move |&d| (d, id)))
+                .collect(),
+            num_workers: 1,
+        }
+    }
+
+    #[test]
+    fn critical_path_takes_the_longest_chain() {
+        // a → b → c with the shortcut a → c: three tasks deep, not two.
+        let mut t = graph(&[(0, "a", &[]), (1, "b", &[0]), (2, "c", &[0, 1])]);
+        assert_eq!(t.critical_path_len(), 3);
+        // Neither the order of the edge list nor an edge to a task that
+        // never executed (cancelled) changes the answer.
+        t.edges.reverse();
+        t.edges.push((2, 99));
+        assert_eq!(t.critical_path_len(), 3);
+    }
+
+    #[test]
+    fn dot_output_has_all_nodes() {
+        let dot = graph(&[(0, "Scale", &[]), (1, "STEDC", &[0])]).to_dot();
+        assert!(dot.contains("t0 [label=\"Scale\""));
+        assert!(dot.contains("t1 [label=\"STEDC\""));
+        assert!(dot.contains("t0 -> t1;"));
+        assert!(dot.starts_with("digraph"));
+    }
+
+    #[test]
+    fn parallel_tasks_do_not_extend_critical_path() {
+        let fan: Vec<usize> = (1..=10).collect();
+        let mut tasks: Vec<(usize, &'static str, &[usize])> = vec![(0, "root", &[])];
+        tasks.extend(fan.iter().map(|&i| (i, "leaf", &[0][..])));
+        tasks.push((11, "join", &fan));
+        assert_eq!(graph(&tasks).critical_path_len(), 3);
+    }
+
     #[test]
     fn ascii_timeline_shapes() {
         let t = sample();
@@ -654,5 +761,6 @@ mod tests {
         assert!(jsonv::parse(&t.to_json()).is_ok());
         assert!(jsonv::parse(&t.to_chrome_json()).is_ok());
         assert_eq!(t.worker_timelines().len(), 4);
+        assert_eq!(t.critical_path_len(), 0);
     }
 }

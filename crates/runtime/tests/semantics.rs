@@ -206,9 +206,9 @@ fn trace_covers_all_phases() {
 }
 
 #[test]
-fn dag_recorder_chain_and_diamond() {
+fn traced_graph_chain_and_diamond() {
     let rt = Runtime::new(2);
-    rt.enable_dag_recording();
+    rt.enable_tracing();
     let a = DataKey::new(7, 1);
     let b = DataKey::new(7, 2);
     rt.task("src").write(a).write(b).spawn(|| {});
@@ -216,9 +216,9 @@ fn dag_recorder_chain_and_diamond() {
     rt.task("right").read_write(b).spawn(|| {});
     rt.task("sink").read(a).read(b).spawn(|| {});
     rt.wait().unwrap();
-    let dag = rt.take_dag().unwrap();
-    assert_eq!(dag.num_nodes(), 4);
-    assert_eq!(dag.num_edges(), 4); // src→left, src→right, left→sink, right→sink
+    let dag = rt.take_trace();
+    assert_eq!(dag.records.len(), 4);
+    assert_eq!(dag.edges.len(), 4); // src→left, src→right, left→sink, right→sink
     assert_eq!(dag.critical_path_len(), 3);
     let dot = dag.to_dot();
     assert!(dot.contains("t0 -> t1;") && dot.contains("t0 -> t2;"));

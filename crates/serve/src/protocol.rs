@@ -90,6 +90,9 @@ impl MatrixSpec {
             MatrixSpec::Generated { ty, n, seed } => {
                 let ty = MatrixType::from_index(*ty)
                     .ok_or_else(|| WireError::bad("matrix type must be 1..=15"))?;
+                if *n == 0 {
+                    return Err(WireError::bad("generated matrix needs \"n\" >= 1"));
+                }
                 Ok(ty.generate(*n, *seed))
             }
             MatrixSpec::Inline { d, e } => {

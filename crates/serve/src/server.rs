@@ -25,6 +25,7 @@ use dcst_tridiag::SymTridiag;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -402,14 +403,8 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
                     write_line(&writer, &error_response(Some(id), &e));
                     continue;
                 }
-                let job_inner = inner.clone();
-                let job_writer = writer.clone();
-                thread::spawn(move || {
-                    let resp = solve_response(
-                        &job_inner, conn, id, &problem, priority, vectors, check, trace,
-                    );
-                    job_inner.finish_job((conn, id));
-                    write_line(&job_writer, &resp);
+                spawn_job(&inner, &writer, (conn, id), move |inner| {
+                    solve_response(inner, conn, id, &problem, priority, vectors, check, trace)
                 });
             }
             Ok(Request::Batch {
@@ -422,12 +417,8 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
                     write_line(&writer, &error_response(Some(id), &e));
                     continue;
                 }
-                let job_inner = inner.clone();
-                let job_writer = writer.clone();
-                thread::spawn(move || {
-                    let resp = batch_response(&job_inner, conn, id, &problems, priority, check);
-                    job_inner.finish_job((conn, id));
-                    write_line(&job_writer, &resp);
+                spawn_job(&inner, &writer, (conn, id), move |inner| {
+                    batch_response(inner, conn, id, &problems, priority, check)
                 });
             }
         }
@@ -467,6 +458,38 @@ fn admit(inner: &Arc<Inner>, conn: u64, id: u64) -> Result<(), WireError> {
         },
     );
     Ok(())
+}
+
+/// Run an admitted job's body and retire the job whatever the body did: a
+/// panic inside it becomes a typed `internal` response, so the client gets
+/// an answer and the admission slot and job-table entry are always freed.
+fn run_job(
+    inner: &Arc<Inner>,
+    key: (u64, u64),
+    body: impl FnOnce(&Arc<Inner>) -> String,
+) -> String {
+    let resp = catch_unwind(AssertUnwindSafe(|| body(inner))).unwrap_or_else(|panic| {
+        let what = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or("no message");
+        let e = WireError::new("internal", format!("the job panicked: {what}"));
+        error_response(Some(key.1), &e)
+    });
+    inner.finish_job(key);
+    resp
+}
+
+/// The job thread of one admitted `solve`/`batch` request.
+fn spawn_job(
+    inner: &Arc<Inner>,
+    writer: &SharedWriter,
+    key: (u64, u64),
+    body: impl FnOnce(&Arc<Inner>) -> String + Send + 'static,
+) {
+    let (inner, writer) = (inner.clone(), writer.clone());
+    thread::spawn(move || write_line(&writer, &run_job(&inner, key, body)));
 }
 
 fn ok_line(id: Option<u64>, body: &str) -> String {
@@ -679,4 +702,32 @@ fn batch_response(
         inner.cancelled.fetch_add(1, Ordering::Relaxed);
     }
     ok_line(Some(id), &format!("\"results\":[{}]", results.join(",")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcst_runtime::jsonv;
+
+    #[test]
+    fn a_panicking_job_answers_internal_and_is_retired() {
+        let server = Server::start(ServerConfig::default()).expect("bind loopback");
+        let inner = &server.inner;
+        let before = inner.inflight.load(Ordering::SeqCst);
+        admit(inner, 1, 7).unwrap();
+        assert_eq!(inner.inflight.load(Ordering::SeqCst), before + 1);
+        let resp = run_job(inner, (1, 7), |_| panic!("boom"));
+        let doc = jsonv::parse(&resp).unwrap();
+        assert_eq!(doc.get("id").and_then(|v| v.as_num()), Some(7.0));
+        let err = doc.get("error").unwrap();
+        assert_eq!(err.get("code").and_then(|v| v.as_str()), Some("internal"));
+        assert!(err
+            .get("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("boom"));
+        assert_eq!(inner.inflight.load(Ordering::SeqCst), before);
+        assert!(!inner.jobs.lock().unwrap().contains_key(&(1, 7)));
+    }
 }

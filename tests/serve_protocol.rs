@@ -217,3 +217,38 @@ fn disconnect_releases_capacity() {
         thread::sleep(Duration::from_millis(50));
     }
 }
+
+/// A generated spec of order 0 is a typed `bad-request` — as a `solve`
+/// and as a `batch` member — and holds no admission slot afterwards: more
+/// of them than `max_inflight`, then a normal solve is still admitted.
+#[test]
+fn zero_order_specs_are_typed_and_hold_no_slot() {
+    let server = server(2, 2);
+    let addr = server.addr();
+    // A daemon that stops answering must fail the test, not hang it.
+    let (done, finished) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let mut cl = Client::connect(addr).unwrap();
+        for id in 1..=4u64 {
+            let line = if id % 2 == 1 {
+                solve_line(id, 4, 0, 1, "")
+            } else {
+                format!(
+                    r#"{{"op":"batch","id":{id},"problems":[{{"matrix":{{"type":4,"n":16}}}},{{"matrix":{{"type":4,"n":0}}}}]}}"#
+                )
+            };
+            let doc = cl.call(&line).unwrap();
+            assert_eq!(req_id(&doc), Some(id));
+            assert_eq!(error_code(&doc).as_deref(), Some("bad-request"), "{doc:?}");
+        }
+        let doc = cl.call(r#"{"op":"metrics"}"#).unwrap();
+        let m = doc.get("metrics").unwrap();
+        assert_eq!(m.get("inflight").unwrap().as_num().unwrap(), 0.0);
+        let doc = cl.call(&solve_line(5, 4, 16, 1, "")).unwrap();
+        assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the daemon stopped answering, or an assertion above failed");
+}
