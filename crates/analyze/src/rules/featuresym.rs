@@ -1,10 +1,11 @@
-//! Feature-gate symmetry: the two-`mod imp` idiom (metrics, failpoints,
-//! dcst_sync) compiles exactly one of two same-named modules depending on
-//! a cfg predicate:
+//! Feature-gate symmetry: the two-`mod imp` idiom (`failpoints` in
+//! `dcst-matrix`, `dcst_sync` in `dcst-runtime` — the pairs that remain)
+//! compiles exactly one of two same-named modules depending on a cfg
+//! predicate:
 //!
 //! ```text
-//! #[cfg(feature = "metrics")]      mod imp { pub fn add(n: u64) { … } }
-//! #[cfg(not(feature = "metrics"))] mod imp { pub fn add(_n: u64) {} }
+//! #[cfg(feature = "failpoints")]      mod imp { pub fn hit(site: &str) { … } }
+//! #[cfg(not(feature = "failpoints"))] mod imp { pub fn hit(_site: &str) {} }
 //! ```
 //!
 //! The idiom only works if both variants expose the same `pub fn`

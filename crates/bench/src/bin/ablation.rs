@@ -2,8 +2,7 @@
 //!
 //! * panel width `nb` (task granularity — the paper's §IV tuning knob);
 //! * minimal partition size (leaf size of the merge tree);
-//! * the extra-workspace option (§IV: lets `PermuteV` overlap `LAED4` and
-//!   `CopyBackDeflated` overlap `ComputeVect`).
+//! * the GATHERV qualifier against serialized (INOUT) panel tasks.
 //!
 //! ```text
 //! cargo run --release -p dcst-bench --bin ablation -- --n 1500
@@ -29,7 +28,7 @@ fn main() {
 
     println!("Ablation on type 4 (low deflation), n = {n}, {threads} threads.\n");
 
-    println!("Panel width nb (min_part = 64, extra workspace on):");
+    println!("Panel width nb (min_part = 64):");
     let mut tb = Table::new(&["nb", "time"]);
     for nb in [16, 32, 64, 128, 256, n] {
         let time = run(
@@ -38,7 +37,6 @@ fn main() {
                 min_part: 64,
                 nb,
                 threads,
-                extra_workspace: true,
                 use_gatherv: true,
                 mode: SolveMode::Full,
             },
@@ -57,30 +55,11 @@ fn main() {
                 min_part: mp,
                 nb: 64,
                 threads,
-                extra_workspace: true,
                 use_gatherv: true,
                 mode: SolveMode::Full,
             },
         );
         tb.row(vec![mp.to_string(), leaves.to_string(), fmt_s(time)]);
-    }
-    tb.print();
-
-    println!("\nExtra workspace (overlap PermuteV/LAED4 and CopyBack/ComputeVect):");
-    let mut tb = Table::new(&["extra workspace", "time"]);
-    for extra in [false, true] {
-        let time = run(
-            &t,
-            DcOptions {
-                min_part: 64,
-                nb: 64,
-                threads,
-                extra_workspace: extra,
-                use_gatherv: true,
-                mode: SolveMode::Full,
-            },
-        );
-        tb.row(vec![extra.to_string(), fmt_s(time)]);
     }
     tb.print();
 
@@ -93,7 +72,6 @@ fn main() {
                 min_part: 64,
                 nb: 64,
                 threads,
-                extra_workspace: true,
                 use_gatherv: gatherv,
                 mode: SolveMode::Full,
             },
@@ -107,7 +85,6 @@ fn main() {
         min_part: 64,
         nb: 64,
         threads,
-        extra_workspace: true,
         use_gatherv: true,
         mode: SolveMode::Full,
     })
@@ -117,7 +94,6 @@ fn main() {
         min_part: 300,
         nb: 16,
         threads,
-        extra_workspace: false,
         use_gatherv: true,
         mode: SolveMode::Full,
     })

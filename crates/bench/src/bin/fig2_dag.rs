@@ -25,7 +25,6 @@ fn main() {
         min_part,
         nb,
         threads: 2,
-        extra_workspace: true,
         use_gatherv: true,
         mode: SolveMode::Full,
     });

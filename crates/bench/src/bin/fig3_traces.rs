@@ -43,7 +43,6 @@ fn main() {
                 min_part: 64,
                 nb: n,
                 threads,
-                extra_workspace: true,
                 use_gatherv: true,
                 mode: SolveMode::Full,
             },
@@ -54,7 +53,6 @@ fn main() {
                 min_part: n / 2,
                 nb: 64,
                 threads,
-                extra_workspace: true,
                 use_gatherv: true,
                 mode: SolveMode::Full,
             },
@@ -65,7 +63,6 @@ fn main() {
                 min_part: 64,
                 nb: 64,
                 threads,
-                extra_workspace: true,
                 use_gatherv: true,
                 mode: SolveMode::Full,
             },

@@ -56,7 +56,6 @@ fn main() {
         min_part,
         nb,
         threads,
-        extra_workspace: true,
         use_gatherv: true,
         mode: SolveMode::Full,
     });

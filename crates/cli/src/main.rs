@@ -30,8 +30,7 @@
 //! other typed error.
 
 use dcst_core::{
-    DcError, DcOptions, DcStats, ForkJoinDc, LevelParallelDc, MetricsRecorder, SequentialDc,
-    SolveMode, TaskFlowDc,
+    DcError, DcOptions, DcStats, ForkJoinDc, LevelParallelDc, SequentialDc, SolveMode, TaskFlowDc,
 };
 use dcst_mrrr::{bisect_range, MrrrError, MrrrOptions, MrrrSolver};
 use dcst_qriter::QrError;
@@ -278,10 +277,8 @@ fn main() -> ExitCode {
                 ..DcOptions::default()
             };
             let trace_path = std::env::var("DCST_TRACE").ok();
-            // Bracket the solve with kernel-counter snapshots (no-op
-            // counters unless built with the `metrics` feature, which the
-            // CLI enables by default).
-            let recorder = args.flag("--metrics").then(MetricsRecorder::start);
+            // --metrics brackets the solve with kernel-counter snapshots.
+            let counters_before = args.flag("--metrics").then(dcst_matrix::metrics::snapshot);
             let mut dc_stats: Option<DcStats> = None;
             let mut observed: Option<(Trace, RuntimeMetrics)> = None;
             let start = Instant::now();
@@ -355,8 +352,8 @@ fn main() -> ExitCode {
                     let eig = match result {
                         Ok((eig, stats, trace, rm)) => {
                             dc_stats = Some(stats);
-                            observed =
-                                (trace_path.is_some() || recorder.is_some()).then_some((trace, rm));
+                            observed = (trace_path.is_some() || counters_before.is_some())
+                                .then_some((trace, rm));
                             eig
                         }
                         Err(e) => return fail(&e, dc_code(&e)),
@@ -394,19 +391,32 @@ fn main() -> ExitCode {
                     );
                 }
                 // Parseable reconciliation line: the trace records every
-                // retired task, so this always equals the record count
-                // (zeros without the `metrics` feature compiled in).
+                // retired task, so this always equals the record count.
                 eprintln!("tasks executed = {}", rm.tasks_executed());
             }
-            if let Some(rec) = recorder {
-                match &dc_stats {
-                    Some(stats) => {
-                        eprintln!("{}", rec.finish(stats).report());
-                        if let Some((_, rm)) = &observed {
-                            eprintln!("{}", rm.report());
-                        }
-                    }
-                    None => eprintln!("note: --metrics has no statistics for '{solver_name}'"),
+            if let Some(before) = counters_before {
+                // Deflation statistics and the scheduler table exist for the
+                // D&C disciplines only; the kernel counters move under every
+                // solver (QR shows its sweeps in `steqr.*`).
+                if let Some(stats) = &dc_stats {
+                    eprintln!(
+                        "merges: {} (total n {}), overall deflation {:.1}%",
+                        stats.merges.len(),
+                        stats.merges.iter().map(|m| m.n).sum::<usize>(),
+                        100.0 * stats.overall_deflation()
+                    );
+                }
+                let delta = dcst_matrix::metrics::snapshot().delta(&before);
+                for (name, v) in delta.iter() {
+                    eprintln!("{name} = {v}");
+                }
+                let roots = delta.get("secular.root_solves");
+                if roots > 0 {
+                    let per_root = delta.get("secular.iters") as f64 / roots as f64;
+                    eprintln!("secular iters per root = {per_root:.2}");
+                }
+                if let Some((_, rm)) = &observed {
+                    eprintln!("{}", rm.report());
                 }
             }
             // Residual/orthogonality checks hold for any n×k slice of the

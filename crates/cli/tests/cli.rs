@@ -379,13 +379,12 @@ fn metrics_flag_reports_solver_and_runtime_counters() {
     );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("overall deflation"), "{err}");
-    assert!(err.contains("root solves"), "{err}");
-    assert!(err.contains("gemm:"), "{err}");
-    // Runtime counter table follows the solver report for taskflow runs.
+    assert!(err.contains("gemm.flops = "), "{err}");
+    assert!(err.contains("secular iters per root = "), "{err}");
+    // Runtime counter table follows the kernel counters for taskflow runs.
     assert!(err.contains("max ready-queue depth"), "{err}");
-    // The counters are compiled in by default for the CLI, so real work
-    // must be visible in the report.
-    assert!(!err.contains("secular: 0 root solves"), "{err}");
+    // Real work must be visible in the report.
+    assert!(!err.contains("secular.root_solves = 0"), "{err}");
 
     // Every D&C variant runs the one task graph, so --metrics reports the
     // same deflation statistics and executed-task counter for all of them.
@@ -404,6 +403,26 @@ fn metrics_flag_reports_solver_and_runtime_counters() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("overall deflation"), "{err}");
     assert!(err.contains("tasks executed = "), "{err}");
+
+    // The kernel counters do not depend on the solver: QR reports its
+    // sweeps, with no deflation line and no scheduler table.
+    let out = dcst()
+        .args([
+            "solve",
+            "--in",
+            path.to_str().unwrap(),
+            "--solver",
+            "qr",
+            "--metrics",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("steqr.sweeps = "), "{err}");
+    assert!(!err.contains("steqr.sweeps = 0"), "{err}");
+    assert!(!err.contains("overall deflation"), "{err}");
+    assert!(!err.contains("max ready-queue depth"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -35,7 +35,6 @@
 //! ```
 
 mod merge;
-mod metrics;
 mod opcount;
 mod seq;
 mod structured;
@@ -44,7 +43,6 @@ mod tree;
 mod values;
 
 pub use merge::MergeStat;
-pub use metrics::{MetricsRecorder, SolverMetrics};
 pub use opcount::{merge_cost_model, solve_cost_model, MergeCosts};
 pub use seq::{ForkJoinDc, LevelParallelDc, SequentialDc};
 pub use taskflow::{PendingSolve, TaskFlowDc};
@@ -106,13 +104,6 @@ pub struct DcOptions {
     pub nb: usize,
     /// Worker threads (task-flow, fork-join GEMMs, level-parallel).
     pub threads: usize,
-    /// The paper's §IV user option, exposed for the ablation bench. It
-    /// allocates nothing: the staging buffers `ws` and `x` exist either
-    /// way. `false` only adds a write on the panel's `x` key to PermuteV
-    /// and CopyBackDeflated, which serializes each with the same panel's
-    /// LAED4/ComputeVect (the paper's shared-staging order); `true` lets
-    /// them overlap.
-    pub extra_workspace: bool,
     /// Use the paper's GATHERV qualifier for panel tasks (default). When
     /// false, panel tasks declare INOUT on the merge's node key instead,
     /// which serializes them — the fork/join behaviour the paper's runtime
@@ -131,7 +122,6 @@ impl Default for DcOptions {
             threads: std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1),
-            extra_workspace: false,
             use_gatherv: true,
             mode: SolveMode::Full,
         }

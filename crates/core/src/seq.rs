@@ -93,7 +93,6 @@ mod tests {
             min_part,
             nb: 16,
             threads,
-            extra_workspace: false,
             use_gatherv: true,
             mode: SolveMode::Full,
         }

@@ -435,8 +435,7 @@ impl TaskFlowDc {
 
     /// Solve with full observability: execution trace plus the pool's
     /// scheduler counters, taken from the same run so the metrics
-    /// reconcile with the trace (executed-task count == record count;
-    /// counters are all zeros unless built with the `metrics` feature).
+    /// reconcile with the trace (executed-task count == record count).
     #[allow(clippy::type_complexity)]
     pub fn solve_observed(
         &self,
@@ -751,21 +750,17 @@ impl TaskFlowDc {
                 for (p, s0, s1) in panels(nm, g.nb) {
                     if g.vectors.is_some() {
                         let g = g.clone();
-                        let mut task = panel_task(scope, "PermuteV", g.key_node(m), use_gatherv);
-                        if !self.opts.extra_workspace {
-                            // Without extra workspace the paper serializes the
-                            // permute with the panel's LAED4 (shared staging).
-                            task = task.write(g.key_x(off + s0));
-                        }
-                        task.spawn(move || {
-                            let b @ Block { n, nm, n1, .. } = g.block(m);
-                            let vp = g.vp();
-                            // SAFETY: reads the whole block (shared, no writer
-                            // in this phase), writes only columns s0..s1 of ws.
-                            let vb = unsafe { vp.v.range(b.cols(0..nm, nm)) };
-                            let wcols = unsafe { vp.ws.range_mut(b.cols(s0..s1, nm)) };
-                            permute_slots(vb, wcols, n, nm, n1, g.cells[m].defl(), s0..s1);
-                        });
+                        panel_task(scope, "PermuteV", g.key_node(m), use_gatherv).spawn(
+                            move || {
+                                let b @ Block { n, nm, n1, .. } = g.block(m);
+                                let vp = g.vp();
+                                // SAFETY: reads the whole block (shared, no writer
+                                // in this phase), writes only columns s0..s1 of ws.
+                                let vb = unsafe { vp.v.range(b.cols(0..nm, nm)) };
+                                let wcols = unsafe { vp.ws.range_mut(b.cols(s0..s1, nm)) };
+                                permute_slots(vb, wcols, n, nm, n1, g.cells[m].defl(), s0..s1);
+                            },
+                        );
                     }
                     {
                         let g = g.clone();
@@ -920,22 +915,20 @@ impl TaskFlowDc {
         for (_, s0, s1) in panels(nm, g.nb) {
             {
                 let g = g.clone();
-                let mut task = panel_task(scope, "CopyBackDeflated", g.key_node(m), use_gatherv);
-                if !self.opts.extra_workspace {
-                    task = task.write(g.key_x(off + s0));
-                }
-                task.spawn(move || {
-                    let b @ Block { n, nm, .. } = g.block(m);
-                    let (cell, vp) = (&g.cells[m], g.vp());
-                    let c = clip(s0, s1, cell.spans(cell.defl().k, nm).1);
-                    if c.is_empty() {
-                        return;
-                    }
-                    // SAFETY: disjoint deflated column ranges.
-                    let wc = unsafe { vp.ws.range(b.cols(c.clone(), nm)) };
-                    let vc = unsafe { vp.v.range_mut(b.cols(c.clone(), nm)) };
-                    copy_back_panel(wc, vc, n, nm, c.len());
-                });
+                panel_task(scope, "CopyBackDeflated", g.key_node(m), use_gatherv).spawn(
+                    move || {
+                        let b @ Block { n, nm, .. } = g.block(m);
+                        let (cell, vp) = (&g.cells[m], g.vp());
+                        let c = clip(s0, s1, cell.spans(cell.defl().k, nm).1);
+                        if c.is_empty() {
+                            return;
+                        }
+                        // SAFETY: disjoint deflated column ranges.
+                        let wc = unsafe { vp.ws.range(b.cols(c.clone(), nm)) };
+                        let vc = unsafe { vp.v.range_mut(b.cols(c.clone(), nm)) };
+                        copy_back_panel(wc, vc, n, nm, c.len());
+                    },
+                );
             }
             {
                 let g = g.clone();
@@ -1146,7 +1139,6 @@ mod tests {
             min_part,
             nb,
             threads,
-            extra_workspace: true,
             use_gatherv: true,
             mode: SolveMode::Full,
         }
@@ -1297,18 +1289,6 @@ mod tests {
             "type 2 deflates heavily: {}",
             stats.overall_deflation()
         );
-    }
-
-    #[test]
-    fn extra_workspace_toggle_is_equivalent() {
-        let t = MatrixType::Type3.generate(90, 11);
-        let mut o = opts(16, 8, 2);
-        let a = TaskFlowDc::new(o).solve(&t).unwrap();
-        o.extra_workspace = false;
-        let b = TaskFlowDc::new(o).solve(&t).unwrap();
-        for (x, y) in a.values.iter().zip(&b.values) {
-            assert!((x - y).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -11,7 +11,6 @@ fn opts(min_part: usize, nb: usize, threads: usize) -> DcOptions {
         min_part,
         nb,
         threads,
-        extra_workspace: true,
         use_gatherv: true,
         mode: SolveMode::Full,
     }
@@ -123,6 +122,22 @@ fn dag_size_scales_with_panels() {
         fine.records.len(),
         coarse.records.len()
     );
+}
+
+/// LAED4, steqr and GEMM counters move across one `TaskFlowDc` solve.
+/// The registry is process-global and other tests add concurrently, so
+/// assert presence, not equality.
+#[test]
+fn kernel_counters_move_across_a_solve() {
+    let before = dcst_matrix::metrics::snapshot();
+    let t = SymTridiag::toeplitz121(96);
+    TaskFlowDc::new(opts(24, 16, 2)).solve(&t).unwrap();
+    let d = dcst_matrix::metrics::snapshot().delta(&before);
+    assert!(d.get("secular.root_solves") > 0, "LAED4 ran");
+    assert!(d.get("secular.iters") >= d.get("secular.root_solves") / 2);
+    assert!(d.get("steqr.sweeps") > 0, "leaf solver ran");
+    assert!(d.get("gemm.calls") > 0, "UpdateVect ran");
+    assert!(d.get("gemm.flops") >= d.get("gemm.calls"));
 }
 
 #[test]

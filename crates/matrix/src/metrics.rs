@@ -1,4 +1,4 @@
-//! Feature-gated global kernel counters for solver observability.
+//! Global kernel counters for solver observability.
 //!
 //! A fixed set of named monotonic counters that the numerical kernels bump
 //! as they run (secular iterations, rescue-path activations, GEMM volume —
@@ -8,14 +8,11 @@
 //! per panel, never per inner-loop step), so the hot paths see at most a
 //! handful of uncontended atomic RMWs.
 //!
-//! When the `metrics` feature is off every function here compiles to a
-//! no-op ([`add`] is inlined away and [`snapshot`] returns zeros), so call
-//! sites need no `cfg` of their own — the same idiom as
-//! [`failpoints`](crate::failpoints).
-//!
 //! Counters are global while Rust tests run on parallel threads, so tests
 //! must only assert *monotonic* properties (value after ≥ value before +
 //! own contribution) — concurrent solves can only add, never subtract.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The registered counter names, in snapshot order.
 pub const NAMES: [&str; 11] = [
@@ -36,9 +33,12 @@ fn index_of(name: &str) -> usize {
     NAMES
         .iter()
         .position(|n| *n == name)
-        // The analyzer reaches this only through a name collision on `get`,
-        // and a typo'd counter name is a programming error worth a loud panic.
-        // xtask-lint: allow(hot-path) — cold diagnostics lookup
+        // A typo'd counter name is a programming error worth a loud panic.
+        // The analyzer reaches this through a name collision on `get`; the
+        // real caller on kernel paths is `add`, in every build — but kernels
+        // batch their adds (per root solve or panel, never per inner-loop
+        // step) and pass literal names: ≤ 11 short compares, panic arm dead.
+        // xtask-lint: allow(hot-path) — batched lookup; panic arm is a typo'd literal
         .unwrap_or_else(|| panic!("unknown metrics counter '{name}'"))
 }
 
@@ -72,72 +72,24 @@ impl CounterSnapshot {
     }
 }
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use super::{index_of, CounterSnapshot, NAMES};
-    use std::sync::atomic::{AtomicU64, Ordering};
+#[allow(clippy::declare_interior_mutable_const)]
+const ZERO: AtomicU64 = AtomicU64::new(0);
+static VALUES: [AtomicU64; NAMES.len()] = [ZERO; NAMES.len()];
 
-    #[allow(clippy::declare_interior_mutable_const)]
-    const ZERO: AtomicU64 = AtomicU64::new(0);
-    static VALUES: [AtomicU64; NAMES.len()] = [ZERO; NAMES.len()];
-
-    /// Add `v` to the named counter.
-    #[inline]
-    pub fn add(name: &str, v: u64) {
-        VALUES[index_of(name)].fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Current value of the named counter.
-    pub fn get(name: &str) -> u64 {
-        VALUES[index_of(name)].load(Ordering::Relaxed)
-    }
-
-    /// Copy every counter.
-    pub fn snapshot() -> CounterSnapshot {
-        let mut snap = CounterSnapshot::default();
-        for (slot, v) in snap.values.iter_mut().zip(VALUES.iter()) {
-            *slot = v.load(Ordering::Relaxed);
-        }
-        snap
-    }
-
-    /// Zero every counter. Intended for single-threaded contexts (a CLI
-    /// run, a bench); racing solves on other threads lose increments.
-    pub fn reset_all() {
-        for v in &VALUES {
-            v.store(0, Ordering::Relaxed);
-        }
-    }
+/// Add `v` to the named counter.
+#[inline]
+pub fn add(name: &str, v: u64) {
+    VALUES[index_of(name)].fetch_add(v, Ordering::Relaxed);
 }
 
-#[cfg(not(feature = "metrics"))]
-mod imp {
-    //! No-op stand-ins: the optimizer erases every call site.
-    use super::{index_of, CounterSnapshot};
-
-    /// No-op when the `metrics` feature is off.
-    #[inline(always)]
-    pub fn add(_name: &str, _v: u64) {}
-
-    /// Always 0 when the `metrics` feature is off (still validates `name`).
-    #[inline]
-    pub fn get(name: &str) -> u64 {
-        let _ = index_of(name);
-        0
+/// Copy every counter.
+pub fn snapshot() -> CounterSnapshot {
+    let mut snap = CounterSnapshot::default();
+    for (slot, v) in snap.values.iter_mut().zip(VALUES.iter()) {
+        *slot = v.load(Ordering::Relaxed);
     }
-
-    /// All zeros when the `metrics` feature is off.
-    #[inline]
-    pub fn snapshot() -> CounterSnapshot {
-        CounterSnapshot::default()
-    }
-
-    /// No-op when the `metrics` feature is off.
-    #[inline(always)]
-    pub fn reset_all() {}
+    snap
 }
-
-pub use imp::*;
 
 #[cfg(test)]
 mod tests {
@@ -155,10 +107,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown metrics counter")]
     fn unknown_name_panics() {
-        get("no.such.counter");
+        snapshot().get("no.such.counter");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
     fn add_is_visible_and_monotonic() {
         let before = snapshot();
@@ -169,13 +120,5 @@ mod tests {
         assert!(d.get("gemm.calls") >= 3);
         assert!(d.get("gemm.flops") >= 1000);
         assert!(after.get("gemm.calls") >= before.get("gemm.calls") + 3);
-    }
-
-    #[cfg(not(feature = "metrics"))]
-    #[test]
-    fn disabled_counters_stay_zero() {
-        add("gemm.calls", 7);
-        assert_eq!(get("gemm.calls"), 0);
-        assert_eq!(snapshot(), CounterSnapshot::default());
     }
 }

@@ -1,4 +1,4 @@
-//! Per-worker scheduler counters behind the `metrics` feature.
+//! Per-worker scheduler counters.
 //!
 //! Every worker owns one cache-line-aligned block of `AtomicU64` cells
 //! ([`PoolCounters`]), so the hot-path increments (task retired, steal
@@ -7,10 +7,8 @@
 //! -queue depth gauge and its high-water mark, bumped once per task push
 //! and pop.
 //!
-//! [`RuntimeMetrics`] / [`WorkerMetrics`] are plain data and always
-//! present, so downstream code can consume snapshots without `cfg`; when
-//! the `metrics` feature is off, [`PoolCounters`] is a zero-sized no-op
-//! and snapshots are all zeros.
+//! [`RuntimeMetrics`] / [`WorkerMetrics`] are the plain-data snapshots
+//! downstream code consumes.
 //!
 //! Counter semantics (fixed, tests rely on them):
 //! - `executed` counts tasks *retired* through the pool's execute path,
@@ -32,6 +30,8 @@
 //!   `Runtime::runtime_metrics`.
 //! - `max_queue_depth` is the high-water mark of tasks pushed ready but
 //!   not yet started, across the whole pool.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Scheduler counters for one worker, as captured by a snapshot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -148,177 +148,116 @@ impl RuntimeMetrics {
     }
 }
 
-#[cfg(feature = "metrics")]
-mod imp {
-    use super::{RuntimeMetrics, WorkerMetrics};
-    use std::sync::atomic::{AtomicU64, Ordering};
+/// One worker's counters, padded to a cache line so neighbouring
+/// workers' increments never false-share.
+#[repr(align(64))]
+#[derive(Default)]
+struct WorkerCells {
+    executed: AtomicU64,
+    steals_attempted: AtomicU64,
+    steals_succeeded: AtomicU64,
+    steal_retries: AtomicU64,
+    priority_hits: AtomicU64,
+    parks: AtomicU64,
+}
 
-    /// One worker's counters, padded to a cache line so neighbouring
-    /// workers' increments never false-share.
-    #[repr(align(64))]
-    #[derive(Default)]
-    struct WorkerCells {
-        executed: AtomicU64,
-        steals_attempted: AtomicU64,
-        steals_succeeded: AtomicU64,
-        steal_retries: AtomicU64,
-        priority_hits: AtomicU64,
-        parks: AtomicU64,
+/// Live counter cells owned by the pool (`Shared.metrics`).
+pub(crate) struct PoolCounters {
+    workers: Box<[WorkerCells]>,
+    depth: AtomicU64,
+    max_depth: AtomicU64,
+}
+
+impl PoolCounters {
+    pub fn new(num_workers: usize) -> Self {
+        PoolCounters {
+            workers: (0..num_workers).map(|_| WorkerCells::default()).collect(),
+            depth: AtomicU64::new(0),
+            max_depth: AtomicU64::new(0),
+        }
     }
 
-    /// Live counter cells owned by the pool (`Shared.metrics`).
-    pub struct PoolCounters {
-        workers: Box<[WorkerCells]>,
-        depth: AtomicU64,
-        max_depth: AtomicU64,
+    #[inline]
+    pub fn executed(&self, worker: usize) {
+        self.workers[worker]
+            .executed
+            .fetch_add(1, Ordering::Relaxed);
     }
 
-    impl PoolCounters {
-        pub fn new(num_workers: usize) -> Self {
-            PoolCounters {
-                workers: (0..num_workers).map(|_| WorkerCells::default()).collect(),
-                depth: AtomicU64::new(0),
-                max_depth: AtomicU64::new(0),
-            }
-        }
+    #[inline]
+    pub fn steal_attempt(&self, worker: usize) {
+        self.workers[worker]
+            .steals_attempted
+            .fetch_add(1, Ordering::Relaxed);
+    }
 
-        #[inline]
-        pub fn executed(&self, worker: usize) {
-            self.workers[worker]
-                .executed
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    #[inline]
+    pub fn steal_success(&self, worker: usize) {
+        self.workers[worker]
+            .steals_succeeded
+            .fetch_add(1, Ordering::Relaxed);
+    }
 
-        #[inline]
-        pub fn steal_attempt(&self, worker: usize) {
-            self.workers[worker]
-                .steals_attempted
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    #[inline]
+    pub fn steal_retry(&self, worker: usize) {
+        self.workers[worker]
+            .steal_retries
+            .fetch_add(1, Ordering::Relaxed);
+    }
 
-        #[inline]
-        pub fn steal_success(&self, worker: usize) {
-            self.workers[worker]
-                .steals_succeeded
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    #[inline]
+    pub fn priority_hit(&self, worker: usize) {
+        self.workers[worker]
+            .priority_hits
+            .fetch_add(1, Ordering::Relaxed);
+    }
 
-        #[inline]
-        pub fn steal_retry(&self, worker: usize) {
-            self.workers[worker]
-                .steal_retries
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    #[inline]
+    pub fn park(&self, worker: usize) {
+        self.workers[worker].parks.fetch_add(1, Ordering::Relaxed);
+    }
 
-        #[inline]
-        pub fn priority_hit(&self, worker: usize) {
-            self.workers[worker]
-                .priority_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
+    /// A task became ready: raise the depth gauge and fold it into the
+    /// high-water mark.
+    #[inline]
+    pub fn depth_inc(&self) {
+        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.max_depth.fetch_max(d, Ordering::Relaxed);
+    }
 
-        #[inline]
-        pub fn park(&self, worker: usize) {
-            self.workers[worker].parks.fetch_add(1, Ordering::Relaxed);
-        }
+    /// A ready task started executing: lower the depth gauge.
+    #[inline]
+    pub fn depth_dec(&self) {
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+    }
 
-        /// A task became ready: raise the depth gauge and fold it into the
-        /// high-water mark.
-        #[inline]
-        pub fn depth_inc(&self) {
-            let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-            self.max_depth.fetch_max(d, Ordering::Relaxed);
-        }
+    /// Current ready-queue depth gauge (tasks ready but not started) —
+    /// the load signal a server's admission control keys off.
+    pub fn depth(&self) -> u64 {
+        self.depth.load(Ordering::Relaxed)
+    }
 
-        /// A ready task started executing: lower the depth gauge.
-        #[inline]
-        pub fn depth_dec(&self) {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-
-        /// Current ready-queue depth gauge (tasks ready but not started) —
-        /// the load signal a server's admission control keys off.
-        pub fn depth(&self) -> u64 {
-            self.depth.load(Ordering::Relaxed)
-        }
-
-        /// Copy every counter into a plain-data snapshot.
-        pub fn snapshot(&self) -> RuntimeMetrics {
-            RuntimeMetrics {
-                workers: self
-                    .workers
-                    .iter()
-                    .map(|w| WorkerMetrics {
-                        executed: w.executed.load(Ordering::Relaxed),
-                        steals_attempted: w.steals_attempted.load(Ordering::Relaxed),
-                        steals_succeeded: w.steals_succeeded.load(Ordering::Relaxed),
-                        steal_retries: w.steal_retries.load(Ordering::Relaxed),
-                        priority_hits: w.priority_hits.load(Ordering::Relaxed),
-                        parks: w.parks.load(Ordering::Relaxed),
-                        // Filled from the deques by Runtime::runtime_metrics.
-                        deque_grows: 0,
-                    })
-                    .collect(),
-                max_queue_depth: self.max_depth.load(Ordering::Relaxed),
-            }
+    /// Copy every counter into a plain-data snapshot.
+    pub fn snapshot(&self) -> RuntimeMetrics {
+        RuntimeMetrics {
+            workers: self
+                .workers
+                .iter()
+                .map(|w| WorkerMetrics {
+                    executed: w.executed.load(Ordering::Relaxed),
+                    steals_attempted: w.steals_attempted.load(Ordering::Relaxed),
+                    steals_succeeded: w.steals_succeeded.load(Ordering::Relaxed),
+                    steal_retries: w.steal_retries.load(Ordering::Relaxed),
+                    priority_hits: w.priority_hits.load(Ordering::Relaxed),
+                    parks: w.parks.load(Ordering::Relaxed),
+                    // Filled from the deques by Runtime::runtime_metrics.
+                    deque_grows: 0,
+                })
+                .collect(),
+            max_queue_depth: self.max_depth.load(Ordering::Relaxed),
         }
     }
 }
-
-#[cfg(not(feature = "metrics"))]
-mod imp {
-    //! Zero-sized no-op stand-in: every increment inlines to nothing and a
-    //! snapshot is all zeros.
-    use super::{RuntimeMetrics, WorkerMetrics};
-
-    pub struct PoolCounters {
-        num_workers: usize,
-    }
-
-    impl PoolCounters {
-        #[inline]
-        pub fn new(num_workers: usize) -> Self {
-            PoolCounters { num_workers }
-        }
-
-        #[inline(always)]
-        pub fn executed(&self, _worker: usize) {}
-
-        #[inline(always)]
-        pub fn steal_attempt(&self, _worker: usize) {}
-
-        #[inline(always)]
-        pub fn steal_success(&self, _worker: usize) {}
-
-        #[inline(always)]
-        pub fn steal_retry(&self, _worker: usize) {}
-
-        #[inline(always)]
-        pub fn priority_hit(&self, _worker: usize) {}
-
-        #[inline(always)]
-        pub fn park(&self, _worker: usize) {}
-
-        #[inline(always)]
-        pub fn depth_inc(&self) {}
-
-        #[inline(always)]
-        pub fn depth_dec(&self) {}
-
-        pub fn depth(&self) -> u64 {
-            0
-        }
-
-        pub fn snapshot(&self) -> RuntimeMetrics {
-            RuntimeMetrics {
-                workers: vec![WorkerMetrics::default(); self.num_workers],
-                max_queue_depth: 0,
-            }
-        }
-    }
-}
-
-pub(crate) use imp::PoolCounters;
 
 #[cfg(test)]
 mod tests {
@@ -379,22 +318,13 @@ mod tests {
         c.depth_dec();
         let snap = c.snapshot();
         assert_eq!(snap.workers.len(), 3);
-        if cfg!(feature = "metrics") {
-            assert_eq!(snap.workers[0].executed, 2);
-            assert_eq!(snap.workers[1].steals_attempted, 1);
-            assert_eq!(snap.workers[1].steals_succeeded, 1);
-            assert_eq!(snap.workers[1].steal_retries, 3);
-            assert_eq!(snap.workers[2].priority_hits, 1);
-            assert_eq!(snap.workers[2].parks, 1);
-            assert_eq!(snap.max_queue_depth, 2);
-        } else {
-            assert_eq!(
-                snap,
-                RuntimeMetrics {
-                    workers: vec![WorkerMetrics::default(); 3],
-                    max_queue_depth: 0,
-                }
-            );
-        }
+        assert_eq!(snap.workers[0].executed, 2);
+        assert_eq!(snap.workers[1].steals_attempted, 1);
+        assert_eq!(snap.workers[1].steals_succeeded, 1);
+        assert_eq!(snap.workers[1].steal_retries, 3);
+        assert_eq!(snap.workers[2].priority_hits, 1);
+        assert_eq!(snap.workers[2].parks, 1);
+        assert_eq!(snap.max_queue_depth, 2);
+        assert_eq!(c.depth(), 1);
     }
 }

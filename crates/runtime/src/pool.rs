@@ -256,8 +256,8 @@ struct Shared {
     /// Dependency edges observed at submission while tracing is enabled,
     /// tagged with the successor's scope id.
     trace_edges: Mutex<Vec<(usize, usize, usize)>>,
-    /// Per-worker scheduler counters (no-op unless the `metrics` feature
-    /// is on; see `crate::metrics` for the exact counter semantics).
+    /// Per-worker scheduler counters (see `crate::metrics` for the exact
+    /// counter semantics).
     metrics: PoolCounters,
     epoch: Instant,
 }
@@ -697,31 +697,23 @@ impl Runtime {
         }
     }
 
-    /// Snapshot the scheduler counters accumulated since the pool started
-    /// (all zeros unless built with the `metrics` feature). Counters are
-    /// cumulative across phases; diff two snapshots to isolate one phase.
+    /// Snapshot the scheduler counters accumulated since the pool started.
+    /// Counters are cumulative across phases; diff two snapshots to
+    /// isolate one phase.
     pub fn runtime_metrics(&self) -> RuntimeMetrics {
-        let snap = self.shared.metrics.snapshot();
+        let mut snap = self.shared.metrics.snapshot();
         // Growth is counted inside each deque (the owner bumps a plain
         // relaxed counter per doubling); fold it in here rather than in
-        // PoolCounters so the hot push path carries no extra probe. Gated
-        // like every other counter to keep the feature-off snapshot
-        // all-zeros.
-        #[cfg(feature = "metrics")]
-        let snap = {
-            let mut snap = snap;
-            for (w, s) in snap.workers.iter_mut().zip(self.shared.stealers.iter()) {
-                w.deque_grows = s.grow_count();
-            }
-            snap
-        };
+        // PoolCounters so the hot push path carries no extra probe.
+        for (w, s) in snap.workers.iter_mut().zip(self.shared.stealers.iter()) {
+            w.deque_grows = s.grow_count();
+        }
         snap
     }
 
     /// Current ready-queue depth: tasks released to the injectors or local
-    /// deques but not yet started. Always 0 without the `metrics` feature.
-    /// A server's admission control reads this gauge to shed load when the
-    /// pool's backlog saturates.
+    /// deques but not yet started. A server's admission control reads this
+    /// gauge to shed load when the pool's backlog saturates.
     pub fn ready_queue_depth(&self) -> u64 {
         self.shared.metrics.depth()
     }

@@ -137,28 +137,22 @@ proptest! {
     fn counters_reconcile_with_the_trace((workers, specs) in arb_dag()) {
         let (trace, rm) = run(workers, &specs);
         prop_assert_eq!(rm.workers.len(), workers);
-        if cfg!(feature = "metrics") {
-            prop_assert_eq!(rm.tasks_executed(), trace.records.len() as u64);
-            prop_assert!(rm.max_queue_depth >= 1);
-            for w in &rm.workers {
-                prop_assert!(w.steals_succeeded <= w.steals_attempted);
-                prop_assert!(w.steals_succeeded <= rm.tasks_executed());
-                prop_assert!(w.priority_hits <= rm.tasks_executed());
-            }
-        } else {
-            prop_assert_eq!(rm.tasks_executed(), 0);
-            prop_assert_eq!(rm.max_queue_depth, 0);
+        prop_assert_eq!(rm.tasks_executed(), trace.records.len() as u64);
+        prop_assert!(rm.max_queue_depth >= 1);
+        for w in &rm.workers {
+            prop_assert!(w.steals_succeeded <= w.steals_attempted);
+            prop_assert!(w.steals_succeeded <= rm.tasks_executed());
+            prop_assert!(w.priority_hits <= rm.tasks_executed());
         }
         let report = rm.report();
         prop_assert!(report.contains("max ready-queue depth"));
     }
 }
 
-/// High-priority tasks land in the priority lane: with the metrics feature
-/// on, a burst of high-priority submissions must register priority-lane
-/// hits (every such task is either a priority-lane steal or, rarely, a
-/// local pop after a batch steal — so assert on a generous margin).
-#[cfg(feature = "metrics")]
+/// High-priority tasks land in the priority lane: a burst of
+/// high-priority submissions must register priority-lane hits (every such
+/// task is either a priority-lane steal or, rarely, a local pop after a
+/// batch steal — so assert on a generous margin).
 #[test]
 fn priority_lane_hits_are_counted() {
     let rt = Runtime::new(2);
@@ -177,7 +171,6 @@ fn priority_lane_hits_are_counted() {
 
 /// Counters accumulate across phases on one runtime; two equal batches
 /// must double the executed count (diffing snapshots isolates a phase).
-#[cfg(feature = "metrics")]
 #[test]
 fn metrics_accumulate_across_phases() {
     let rt = Runtime::new(2);

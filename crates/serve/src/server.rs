@@ -41,9 +41,9 @@ pub struct ServerConfig {
     /// Admission bound on concurrently admitted `solve`/`batch` requests;
     /// the `cur >= max` request is shed with `busy`.
     pub max_inflight: usize,
-    /// Admission bound on the pool's ready-queue depth gauge (the PR-5
-    /// high-water counter; always 0 without the `metrics` feature, so
-    /// this gate only bites in metrics builds).
+    /// Admission bound on the pool's ready-queue depth gauge
+    /// ([`Runtime::ready_queue_depth`]); a request arriving over it is shed
+    /// with `busy`.
     pub max_ready_depth: u64,
     /// Largest accepted matrix order; larger specs are shed with
     /// `oversized` before any O(n²) allocation.

@@ -127,7 +127,6 @@ fn large_min_part_and_tiny_min_part_agree() {
         min_part: 100,
         nb: 16,
         threads: 2,
-        extra_workspace: true,
         use_gatherv: true,
         mode: SolveMode::Full,
     })
@@ -137,7 +136,6 @@ fn large_min_part_and_tiny_min_part_agree() {
         min_part: 4,
         nb: 16,
         threads: 2,
-        extra_workspace: true,
         use_gatherv: true,
         mode: SolveMode::Full,
     })

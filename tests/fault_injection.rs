@@ -21,7 +21,6 @@ fn opts() -> DcOptions {
         min_part: 16,
         nb: 8,
         threads: 2,
-        extra_workspace: false,
         use_gatherv: true,
         mode: SolveMode::Full,
     }

@@ -45,7 +45,7 @@ proptest! {
     /// vectors and small residuals on random tridiagonals.
     #[test]
     fn taskflow_decomposes_random_tridiagonals(t in arb_tridiag(60)) {
-        let opts = DcOptions { min_part: 8, nb: 8, threads: 2, extra_workspace: true, use_gatherv: true, mode: SolveMode::Full };
+        let opts = DcOptions { min_part: 8, nb: 8, threads: 2, use_gatherv: true, mode: SolveMode::Full };
         let eig = TaskFlowDc::new(opts).solve(&t).unwrap();
         prop_assert!(eig.values.windows(2).all(|w| w[0] <= w[1]));
         prop_assert!(orthogonality_error(&eig.vectors) < 1e-12);
@@ -56,7 +56,7 @@ proptest! {
     /// D&C and QR iteration agree on the spectrum of random tridiagonals.
     #[test]
     fn taskflow_matches_qr_spectrum(t in arb_tridiag(50)) {
-        let eig = TaskFlowDc::new(DcOptions { min_part: 8, nb: 8, threads: 2, extra_workspace: true, use_gatherv: true, mode: SolveMode::Full })
+        let eig = TaskFlowDc::new(DcOptions { min_part: 8, nb: 8, threads: 2, use_gatherv: true, mode: SolveMode::Full })
             .solve(&t).unwrap();
         let lam_qr = QrIteration.solve_values(&t).unwrap();
         for (a, b) in eig.values.iter().zip(&lam_qr) {

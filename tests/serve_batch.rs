@@ -157,7 +157,6 @@ fn server_values_are_bitwise_the_library_values() {
         min_part: 16,
         nb: 32,
         threads: 2,
-        extra_workspace: false,
         use_gatherv: true,
         mode: SolveMode::Full,
     };

@@ -173,6 +173,60 @@ fn cancellation_frees_admission_capacity() {
     assert_eq!(m.get("inflight").unwrap().as_num().unwrap(), 0.0);
 }
 
+/// The other half of admission control: the pool's ready-queue depth.
+/// With the high-water mark at 0, any backlog on the one worker sheds the
+/// next request with a typed `busy` naming the depth, while the solve that
+/// built the backlog completes untouched.
+#[test]
+fn ready_depth_backlog_sheds_with_typed_busy() {
+    let server = Server::start(ServerConfig {
+        threads: 1,
+        max_inflight: 8,
+        max_ready_depth: 0,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut a = Client::connect(server.addr()).unwrap();
+    let mut b = Client::connect(server.addr()).unwrap();
+    let metric = |cl: &mut Client, key: &str| {
+        let doc = cl.call(r#"{"op":"metrics"}"#).unwrap();
+        doc.get("metrics")
+            .unwrap()
+            .get(key)
+            .unwrap()
+            .as_num()
+            .unwrap()
+    };
+    let shed_before = metric(&mut b, "shed");
+    // A: one worker cannot keep up with the submitter, so ready tasks pile up.
+    a.send(&solve_line(1, 4, 1500, 1, "")).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let busy = loop {
+        assert!(Instant::now() < deadline, "no ready-depth shed within 60 s");
+        if metric(&mut b, "ready_depth") > 0.0 {
+            // The gauge can touch 0 between the poll and the admission
+            // check (a serial spine task running alone); such a solve is
+            // admitted and simply completes — poll again.
+            let doc = b.call(&solve_line(2, 4, 16, 1, "")).unwrap();
+            if obj_bool(&doc, "ok") != Some(true) {
+                break doc;
+            }
+        }
+    };
+    assert_eq!(req_id(&busy), Some(2));
+    assert_eq!(error_code(&busy).as_deref(), Some("busy"));
+    let msg = busy.get("error").unwrap().get("message").unwrap();
+    assert!(
+        msg.as_str().unwrap().contains("ready-queue depth"),
+        "{busy:?}"
+    );
+    assert_eq!(metric(&mut b, "shed"), shed_before + 1.0);
+    let doc = a.recv().unwrap().expect("A's response");
+    assert_eq!(req_id(&doc), Some(1));
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    assert_eq!(metric(&mut b, "inflight"), 0.0);
+}
+
 /// A duplicate in-flight id on one connection is rejected (responses
 /// would be indistinguishable), and cancel on an unknown id reports
 /// `cancelled: false` instead of an error.

@@ -105,6 +105,7 @@ fn assert_structured_matches_dense(t: &SymTridiag, solver: &dyn TridiagEigensolv
 #[test]
 fn table_iii_types_agree_with_dense_oracle() {
     let n = 72;
+    let before = dcst::matrix::metrics::snapshot();
     for ty in MT::ALL {
         let t = ty.generate(n, 42);
         for solver in solvers() {
@@ -112,6 +113,13 @@ fn table_iii_types_agree_with_dense_oracle() {
             assert_structured_matches_dense(&t, solver.as_ref(), &who);
         }
     }
+    // The forced arm really took the compressed path — and the counter the
+    // Auto test below pins to zero is a live one.
+    let delta = dcst::matrix::metrics::snapshot().delta(&before);
+    assert!(
+        delta.get("update.structured_merges") > 0,
+        "forced-structured solves never planned a structured merge"
+    );
 }
 
 #[test]
