@@ -3,11 +3,13 @@
 //! This crate is the paper's contribution: Cuppen's divide & conquer
 //! algorithm expressed as a *sequential task flow* over panel-granular
 //! tasks — `ComputeDeflation → {PermuteV | LAED4 | ComputeLocalW}ₚ →
-//! ReduceW → {CopyBackDeflated | ComputeVect | UpdateVect}ₚ` per merge —
-//! scheduled out of order by the [`dcst_runtime`] QUARK-analogue, so
-//! independent merges of the tree overlap and the quadratic kernels
-//! (secular equation, stabilization) parallelize alongside the cubic ones
-//! (eigenvector update GEMMs).
+//! ReduceW → {ComputeVect | UpdateVect}ₚ` per merge — scheduled out of
+//! order by the [`dcst_runtime`] QUARK-analogue, so independent merges of
+//! the tree overlap and the quadratic kernels (secular equation,
+//! stabilization) parallelize alongside the cubic ones (eigenvector update
+//! GEMMs). A merge moves only its `k` non-deflated eigenvector columns: a
+//! deflated column is renamed through the node's slot→column map, and the
+//! map is applied once, by the root's column sort.
 //!
 //! The algorithm is stated once, as that task graph. The four solver
 //! variants are four *scheduling disciplines* over it — the paper's own

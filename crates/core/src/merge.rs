@@ -6,6 +6,13 @@
 //! leading dimension `ld` (the global problem size). This lets the task
 //! bodies hand in disjoint [`SharedData`](dcst_runtime::SharedData) ranges
 //! without any coordinate translation inside the kernels.
+//!
+//! Storage *slots* and physical *columns* are distinct: a node's slot `s`
+//! (the index its `d` entry and its `idxq` use) lives in block-local column
+//! `col[s]` of V. [`column_map`] derives a merge's map from its children's,
+//! renaming the deflated columns in place, so the vector kernels of
+//! `ComputeDeflation → {PermuteV, LAED4, ComputeLocalW}ₚ → ReduceW →
+//! {ComputeVect, UpdateVect}ₚ` move only the `k` non-deflated columns.
 
 use crate::DcError;
 use dcst_matrix::{gemm, merge_perm};
@@ -13,6 +20,7 @@ use dcst_secular::{
     assemble_vectors, deflate, local_w_products, solve_secular_root, Deflation, DeflationInput,
     GivensRot, SlotType,
 };
+use std::cell::RefCell;
 use std::ops::Range;
 
 /// Statistics of one merge node.
@@ -40,18 +48,42 @@ impl MergeStat {
 /// `1/√2`, the z-vector normalization of the paper's Eq. (6).
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// Build the rank-one vector `z` (physical order): the last row of the
+/// Join two children's block-local index maps into one over the merge's
+/// block: the left child's entries, then the right child's shifted by `n1`.
+/// Of the children's column maps this makes the merge's *source* map —
+/// child slot `j` lives in block-local column `src[j]`.
+pub(crate) fn join_children(left: &[usize], right: &[usize]) -> Vec<usize> {
+    let n1 = left.len();
+    left.iter()
+        .copied()
+        .chain(right.iter().map(|&r| r + n1))
+        .collect()
+}
+
+/// The merge's column map from the source map `src`, the deflation's slot
+/// permutation `perm` and its non-deflated count `k`: returns `(from, col)`.
+///
+/// `from[s] = src[perm[s]]` is the column slot `s` is read from. A deflated
+/// slot (`s ≥ k`) keeps that column — `col[s] = from[s]`, a rename. The `k`
+/// non-deflated sources are gathered into the workspace, which vacates
+/// their columns; the `k` updated vectors land there in ascending order, so
+/// a merge without deflation maps slot `s` to column `s`.
+pub(crate) fn column_map(src: &[usize], perm: &[usize], k: usize) -> (Vec<usize>, Vec<usize>) {
+    let from: Vec<usize> = perm.iter().map(|&p| src[p]).collect();
+    let mut col = from.clone();
+    col[..k].sort_unstable();
+    (from, col)
+}
+
+/// Build the rank-one vector `z` (child slot order): the last row of the
 /// left child's eigenvector block and the first row of the right child's,
-/// scaled to unit norm. `v_block` starts at `(off, off)`.
-pub(crate) fn build_z(v_block: &[f64], ld: usize, nm: usize, n1: usize) -> Vec<f64> {
-    let mut z = Vec::with_capacity(nm);
-    for j in 0..n1 {
-        z.push(v_block[j * ld + (n1 - 1)] * FRAC_1_SQRT_2);
-    }
-    for j in n1..nm {
-        z.push(v_block[j * ld + n1] * FRAC_1_SQRT_2);
-    }
-    z
+/// scaled to unit norm. `v_block` starts at `(off, off)`; child slot `j`
+/// is read from column `src[j]`.
+pub(crate) fn build_z(v_block: &[f64], ld: usize, n1: usize, src: &[usize]) -> Vec<f64> {
+    src.iter()
+        .enumerate()
+        .map(|(j, &c)| v_block[c * ld + if j < n1 { n1 - 1 } else { n1 }] * FRAC_1_SQRT_2)
+        .collect()
 }
 
 /// `ComputeDeflation`, payload-independent part: validate the merge's
@@ -75,23 +107,28 @@ pub(crate) fn deflate_block(
             off,
         });
     }
-    let mut idxq = idxq_l.to_vec();
-    idxq.extend(idxq_r.iter().map(|&r| r + n1));
     Ok(deflate(&DeflationInput {
         d: d_block,
         z,
         beta,
         n1,
-        idxq: &idxq,
+        idxq: &join_children(idxq_l, idxq_r),
     }))
 }
 
 /// Apply the deflation Givens rotations to eigenvector columns (block rows
-/// only — columns are zero outside them). BLAS `drot` convention, matching
+/// only — columns are zero outside them); a rotation names child slots,
+/// which live in columns `src[·]`. BLAS `drot` convention, matching
 /// [`GivensRot`]'s contract.
-pub(crate) fn apply_givens(v_block: &mut [f64], ld: usize, nm: usize, rots: &[GivensRot]) {
+pub(crate) fn apply_givens(
+    v_block: &mut [f64],
+    ld: usize,
+    nm: usize,
+    src: &[usize],
+    rots: &[GivensRot],
+) {
     for r in rots {
-        let (a, b) = (r.col_a, r.col_b);
+        let (a, b) = (src[r.col_a], src[r.col_b]);
         debug_assert!(a != b && a < nm && b < nm);
         let (lo, hi) = (a.min(b), a.max(b));
         let (first, second) = v_block.split_at_mut(hi * ld);
@@ -116,56 +153,26 @@ pub(crate) fn slot_rows(t: SlotType, nm: usize, n1: usize) -> (usize, usize) {
     }
 }
 
-/// `PermuteV`: copy source columns into the compressed workspace for the
-/// storage slots in `slots`. `v_block` starts at `(off, off)`; `ws_cols`
+/// `PermuteV`: gather the source columns `from[s]` of the non-deflated
+/// storage slots `slots ⊂ 0..k` into the compressed workspace, each over
+/// its slot type's row support. `v_block` starts at `(off, off)`; `ws_cols`
 /// starts at `(off, off + slots.start)`.
-///
-/// When the block spans the full column height (`ld == nm`, i.e. the root
-/// merge, where half the total copy traffic lives) runs of full-height
-/// slots with consecutive source columns collapse into single spanning
-/// `copy_from_slice` calls instead of per-column slicing. With `ld > nm`
-/// the rows between columns belong to other blocks, so a spanning copy
-/// would clobber them — those blocks keep the per-slot row-span copies.
 pub(crate) fn permute_slots(
     v_block: &[f64],
     ws_cols: &mut [f64],
     ld: usize,
-    nm: usize,
-    n1: usize,
     defl: &Deflation,
+    from: &[usize],
     slots: Range<usize>,
 ) {
-    let s0 = slots.start;
-    if ld == nm {
-        let mut s = slots.start;
-        while s < slots.end {
-            let src = defl.perm[s];
-            let (r0, r1) = slot_rows(defl.slot_type[s], nm, n1);
-            if (r0, r1) == (0, nm) {
-                let mut len = 1;
-                while s + len < slots.end
-                    && defl.perm[s + len] == src + len
-                    && slot_rows(defl.slot_type[s + len], nm, n1) == (0, nm)
-                {
-                    len += 1;
-                }
-                ws_cols[(s - s0) * ld..(s - s0 + len) * ld]
-                    .copy_from_slice(&v_block[src * ld..(src + len) * ld]);
-                s += len;
-            } else {
-                ws_cols[(s - s0) * ld + r0..(s - s0) * ld + r1]
-                    .copy_from_slice(&v_block[src * ld + r0..src * ld + r1]);
-                s += 1;
-            }
-        }
-        return;
+    let mut moved = 0;
+    for (t, s) in slots.enumerate() {
+        let (r0, r1) = slot_rows(defl.slot_type[s], defl.n, defl.n1);
+        ws_cols[t * ld + r0..t * ld + r1]
+            .copy_from_slice(&v_block[from[s] * ld + r0..from[s] * ld + r1]);
+        moved += r1 - r0;
     }
-    for s in slots.clone() {
-        let src = defl.perm[s];
-        let (r0, r1) = slot_rows(defl.slot_type[s], nm, n1);
-        let dst = &mut ws_cols[(s - s0) * ld + r0..(s - s0) * ld + r1];
-        dst.copy_from_slice(&v_block[src * ld + r0..src * ld + r1]);
-    }
+    dcst_matrix::metrics::add("copy.elems", moved as u64);
 }
 
 /// `LAED4`: solve secular roots `jrange`, writing delta columns into
@@ -210,21 +217,40 @@ pub(crate) fn compute_vect_panel(
     assemble_vectors(zhat, x_cols, ld, jrange.start, jrange, &defl.sec_to_slot);
 }
 
+thread_local! {
+    /// This thread's `UpdateVect` staging buffer; grow-only, like the GEMM
+    /// packing workspace, so the steady state allocates nothing.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on `len` elements of this thread's staging buffer. The contents
+/// are whatever the previous user left: `f` must write before it reads.
+pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    SCRATCH.with(|scratch| {
+        let mut buf = scratch.borrow_mut();
+        if buf.len() < len {
+            buf.resize(len, 0.0);
+        }
+        f(&mut buf[..len])
+    })
+}
+
 /// `UpdateVect`: the two structured GEMMs producing the merged
 /// eigenvectors for secular columns `jrange`.
 ///
-/// * `ws_block` starts at `(off, off)` (all `k` compressed columns);
-/// * `x_cols` starts at `(off, off + jrange.start)`;
-/// * `v_cols` starts at `(0, off + jrange.start)` — **full column height**,
-///   with `row_off = off` giving the block's first row within the column.
+/// * `ws_block` starts at `(off, off)` (all `k` compressed columns, ld `ld`);
+/// * `x_cols` starts at column `jrange.start` of the merge's X (ld `xld`);
+/// * `out` receives the `nm × jrange.len()` product, ld `nm` — the caller
+///   scatters its columns to where the merge's column map puts them;
+/// * `off` is the merge's row offset, for error attribution.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_vect_panel(
     ws_block: &[f64],
+    ld: usize,
     x_cols: &[f64],
     xld: usize,
-    v_cols: &mut [f64],
-    ld: usize,
-    row_off: usize,
+    out: &mut [f64],
+    off: usize,
     nm: usize,
     n1: usize,
     defl: &Deflation,
@@ -235,10 +261,7 @@ pub(crate) fn update_vect_panel(
         return Ok(());
     }
     if dcst_matrix::failpoints::fire("gemm") {
-        return Err(DcError::Breakdown {
-            stage: "gemm",
-            off: row_off,
-        });
+        return Err(DcError::Breakdown { stage: "gemm", off });
     }
     let n2 = nm - n1;
     let c1 = defl.ctot[0];
@@ -262,12 +285,12 @@ pub(crate) fn update_vect_panel(
                 x_cols,
                 xld,
                 0.0,
-                &mut v_cols[row_off..],
-                ld,
+                out,
+                nm,
             );
         } else {
             for j in 0..ncols {
-                v_cols[j * ld + row_off..j * ld + row_off + n1].fill(0.0);
+                out[j * nm..j * nm + n1].fill(0.0);
             }
         }
     }
@@ -287,12 +310,12 @@ pub(crate) fn update_vect_panel(
                 &x_cols[c1..],
                 xld,
                 0.0,
-                &mut v_cols[row_off + n1..],
-                ld,
+                &mut out[n1..],
+                nm,
             );
         } else {
             for j in 0..ncols {
-                v_cols[j * ld + row_off + n1..j * ld + row_off + nm].fill(0.0);
+                out[j * nm + n1..(j + 1) * nm].fill(0.0);
             }
         }
     }
@@ -301,73 +324,41 @@ pub(crate) fn update_vect_panel(
         dcst_matrix::metrics::add("gemm.flops", gemm_flops);
     }
     // NaN-corruption site: models a GEMM that silently produced garbage.
-    dcst_matrix::failpoints::poke_nan("nan-gemm", &mut v_cols[row_off..]);
-    // Always-on finite scan of the freshly written block rows: O(nm·ncols)
+    dcst_matrix::failpoints::poke_nan("nan-gemm", out);
+    // Always-on finite scan of the freshly written columns: O(nm·ncols)
     // against the GEMMs' O(nm·ncols·k), so ~1/k of the kernel's cost. This
     // is where mid-tree corruption (from any upstream kernel feeding the
     // update) is converted into a typed error instead of a wrong answer.
-    for j in 0..ncols {
-        let col = &v_cols[j * ld + row_off..j * ld + row_off + nm];
-        if !col.iter().all(|x| x.is_finite()) {
-            return Err(DcError::Breakdown {
-                stage: "update-vect",
-                off: row_off,
-            });
-        }
+    if !out.iter().all(|x| x.is_finite()) {
+        return Err(DcError::Breakdown {
+            stage: "update-vect",
+            off,
+        });
     }
     Ok(())
 }
 
-/// `CopyBackDeflated`: copy deflated workspace columns back into V.
-/// Both slices start at `(off, off + slot0)`; `count` columns are copied
-/// over the full block height.
-///
-/// With `ld == nm` (root merge) the columns are contiguous and the whole
-/// panel moves in one `copy_from_slice`; smaller blocks keep the strided
-/// per-column copies so the rows owned by neighbouring blocks stay
-/// untouched.
-pub(crate) fn copy_back_panel(
-    ws_cols: &[f64],
-    v_cols: &mut [f64],
-    ld: usize,
-    nm: usize,
-    count: usize,
-) {
-    if ld == nm {
-        v_cols[..count * ld].copy_from_slice(&ws_cols[..count * ld]);
-        return;
-    }
-    for s in 0..count {
-        v_cols[s * ld..s * ld + nm].copy_from_slice(&ws_cols[s * ld..s * ld + nm]);
-    }
-}
-
-/// Storage-slot spans selected by a subset of *sorted* positions: given
-/// the slots `idxq[il..=iu]`, return the secular span and the deflated
-/// span they occupy. Both are contiguous because the sorting permutation
-/// merges two ascending runs (secular eigenvalues in slots `0..k`,
-/// deflated ones in `k..nm`) — any window of sorted positions draws a
-/// prefix-free contiguous chunk from each run.
-pub(crate) fn subset_slot_spans(
-    slots: &[usize],
-    k: usize,
-    nm: usize,
-) -> (Range<usize>, Range<usize>) {
-    let (mut sec, mut defl) = (k..k, nm..nm);
-    for &s in slots {
-        let span = if s < k { &mut sec } else { &mut defl };
-        *span = if Range::is_empty(span) {
+/// The secular storage-slot span (`⊂ 0..k`) selected by a subset of
+/// *sorted* positions, given the slots `idxq[il..=iu]`. It is contiguous
+/// because the sorting permutation merges two ascending runs (secular
+/// eigenvalues in slots `0..k`, deflated ones in `k..nm`) — any window of
+/// sorted positions draws a contiguous chunk from each run. The deflated
+/// slots of the window need no work: their columns already hold the result.
+pub(crate) fn subset_secular_span(slots: &[usize], k: usize) -> Range<usize> {
+    let mut span = k..k;
+    for &s in slots.iter().filter(|&&s| s < k) {
+        span = if span.is_empty() {
             s..s + 1
         } else {
             span.start.min(s)..span.end.max(s + 1)
         };
     }
     debug_assert_eq!(
-        sec.len() + defl.len(),
-        slots.len(),
-        "subset slots must form two contiguous spans"
+        span.len(),
+        slots.iter().filter(|&&s| s < k).count(),
+        "secular subset slots must form one contiguous span"
     );
-    (sec, defl)
+    span
 }
 
 /// Finalize a merge: write the block's new diagonal (secular eigenvalues
@@ -387,26 +378,30 @@ mod tests {
 
     #[test]
     fn build_z_extracts_rows() {
-        // 4x4 block, n1 = 2: z = [V[1,0], V[1,1], V[2,2], V[2,3]] / √2.
+        // 4x4 block, n1 = 2, child slots 0..4 living in columns [1, 0, 3, 2]:
+        // z = [V[1,1], V[1,0], V[2,3], V[2,2]] / √2.
         let mut v = Matrix::zeros(4, 4);
         v[(1, 0)] = 1.0;
         v[(1, 1)] = 2.0;
         v[(2, 2)] = 3.0;
         v[(2, 3)] = 4.0;
-        let z = build_z(v.as_slice(), 4, 4, 2);
+        let z = build_z(v.as_slice(), 4, 2, &[1, 0, 3, 2]);
         let s = FRAC_1_SQRT_2;
-        assert_eq!(z, vec![s, 2.0 * s, 3.0 * s, 4.0 * s]);
+        assert_eq!(z, vec![2.0 * s, s, 4.0 * s, 3.0 * s]);
     }
 
     #[test]
     fn givens_rotation_preserves_norms() {
         let mut v = Matrix::from_fn(3, 3, |i, j| (i + j) as f64 + 1.0);
         let before: f64 = v.as_slice().iter().map(|x| x * x).sum();
+        let untouched = v.col(0).to_vec();
         let th = 0.3f64;
+        // Slots 0 and 2 live in columns 1 and 2: column 0 must not move.
         apply_givens(
             v.as_mut_slice(),
             3,
             3,
+            &[1, 0, 2],
             &[GivensRot {
                 col_a: 0,
                 col_b: 2,
@@ -416,6 +411,70 @@ mod tests {
         );
         let after: f64 = v.as_slice().iter().map(|x| x * x).sum();
         assert!((before - after).abs() < 1e-12);
+        assert_eq!(v.col(0), &untouched[..]);
+    }
+
+    /// The invariants of one merge's column map.
+    fn check_column_map(src: &[usize], perm: &[usize], k: usize) -> Vec<usize> {
+        let nm = src.len();
+        let (from, col) = column_map(src, perm, k);
+        for s in 0..nm {
+            assert_eq!(from[s], src[perm[s]]);
+        }
+        let mut seen = col.clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..nm).collect::<Vec<_>>(), "col is a permutation");
+        assert_eq!(col[k..], from[k..], "deflated slots keep their column");
+        let mut vacated = from[..k].to_vec();
+        vacated.sort_unstable();
+        assert_eq!(
+            col[..k],
+            vacated[..],
+            "updates fill the vacated columns ascending"
+        );
+        col
+    }
+
+    #[test]
+    fn column_map_renames_deflated_slots() {
+        // Children of 2 and 3 slots; the right child's columns are shifted.
+        let src = join_children(&[1, 0], &[2, 0, 1]);
+        assert_eq!(src, vec![1, 0, 4, 2, 3]);
+        // Slots 0..2 are non-deflated, read from columns 4 and 0; slots
+        // 2..5 are deflated and stay in columns 2, 1, 3.
+        let col = check_column_map(&src, &[2, 1, 3, 0, 4], 2);
+        assert_eq!(col, vec![0, 4, 2, 1, 3]);
+        // No deflation, whatever the slot order: the identity map.
+        let col = check_column_map(&src, &[4, 2, 0, 3, 1], 5);
+        assert_eq!(col, vec![0, 1, 2, 3, 4]);
+    }
+
+    proptest::proptest! {
+        /// Bijectivity survives a random tree of merges, each with a random
+        /// slot permutation and deflation count.
+        #[test]
+        fn column_map_survives_a_random_tree(
+            leaves in proptest::collection::vec(1usize..7, 2..10),
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut level: Vec<Vec<usize>> = leaves.iter().map(|&n| (0..n).collect()).collect();
+            while level.len() > 1 {
+                level = level
+                    .chunks(2)
+                    .map(|pair| {
+                        let [l, r] = pair else { return pair[0].clone() };
+                        let src = join_children(l, r);
+                        let mut perm: Vec<usize> = (0..src.len()).collect();
+                        for i in (1..perm.len()).rev() {
+                            perm.swap(i, rng.gen_range(0..i + 1));
+                        }
+                        check_column_map(&src, &perm, rng.gen_range(0..src.len() + 1))
+                    })
+                    .collect();
+            }
+        }
     }
 
     #[test]

@@ -208,26 +208,22 @@ impl StructuredUpdate {
     }
 
     /// The structured `UpdateVect` for secular columns `jrange`: same
-    /// contract, failpoints and finite scan as the dense
-    /// `update_vect_panel`, with both row strips multiplied through the
-    /// compressed operands. All basis products must already be computed.
+    /// contract (`out` is `nm × jrange.len()`, ld `nm`), failpoints and
+    /// finite scan as the dense `update_vect_panel`, with both row strips
+    /// multiplied through the compressed operands. All basis products must
+    /// already be computed.
     pub(crate) fn update_panel(
         &self,
-        v_cols: &mut [f64],
-        ld: usize,
-        row_off: usize,
+        out: &mut [f64],
+        off: usize,
         nm: usize,
         jrange: Range<usize>,
     ) -> Result<(), DcError> {
-        let ncols = jrange.len();
-        if ncols == 0 {
+        if jrange.is_empty() {
             return Ok(());
         }
         if dcst_matrix::failpoints::fire("gemm") {
-            return Err(DcError::Breakdown {
-                stage: "gemm",
-                off: row_off,
-            });
+            return Err(DcError::Breakdown { stage: "gemm", off });
         }
         let (n1, n2) = (self.n1, self.n2);
         let ntop = self.sx.top.tiles.len();
@@ -244,8 +240,8 @@ impl StructuredUpdate {
                 &self.sx.top,
                 &qu_refs[..ntop],
                 jrange.clone(),
-                &mut v_cols[row_off..],
-                ld,
+                out,
+                nm,
             );
         }
         if n2 > 0 {
@@ -256,21 +252,18 @@ impl StructuredUpdate {
                 &self.sx.bot,
                 &qu_refs[ntop..],
                 jrange.clone(),
-                &mut v_cols[row_off + n1..],
-                ld,
+                &mut out[n1..],
+                nm,
             );
         }
         dcst_matrix::metrics::add("gemm.calls", 2);
         dcst_matrix::metrics::add("gemm.flops", self.panel_flops(&jrange));
-        dcst_matrix::failpoints::poke_nan("nan-gemm", &mut v_cols[row_off..]);
-        for j in 0..ncols {
-            let col = &v_cols[j * ld + row_off..j * ld + row_off + nm];
-            if !col.iter().all(|x| x.is_finite()) {
-                return Err(DcError::Breakdown {
-                    stage: "update-vect",
-                    off: row_off,
-                });
-            }
+        dcst_matrix::failpoints::poke_nan("nan-gemm", out);
+        if !out.iter().all(|x| x.is_finite()) {
+            return Err(DcError::Breakdown {
+                stage: "update-vect",
+                off,
+            });
         }
         Ok(())
     }

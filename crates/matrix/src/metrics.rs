@@ -1,12 +1,13 @@
 //! Global kernel counters for solver observability.
 //!
 //! A fixed set of named monotonic counters that the numerical kernels bump
-//! as they run (secular iterations, rescue-path activations, GEMM volume —
-//! the quantities behind the paper's Figures 5–6 deflation narrative and
-//! Table I cost model). Counters are process-global `AtomicU64`s with
-//! `Relaxed` increments: kernels batch their adds (one `add` per solve or
-//! per panel, never per inner-loop step), so the hot paths see at most a
-//! handful of uncontended atomic RMWs.
+//! as they run (secular iterations, rescue-path activations, GEMM volume,
+//! eigenvector elements copied — the quantities behind the paper's Figures
+//! 5–6 deflation narrative and Table I cost model). Counters are
+//! process-global `AtomicU64`s with `Relaxed` increments: kernels batch
+//! their adds (one `add` per solve or per panel, never per inner-loop
+//! step), so the hot paths see at most a handful of uncontended atomic
+//! RMWs.
 //!
 //! Counters are global while Rust tests run on parallel threads, so tests
 //! must only assert *monotonic* properties (value after ≥ value before +
@@ -15,7 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The registered counter names, in snapshot order.
-pub const NAMES: [&str; 11] = [
+pub const NAMES: [&str; 12] = [
     "secular.root_solves",
     "secular.iters",
     "secular.bisection_rescues",
@@ -27,6 +28,7 @@ pub const NAMES: [&str; 11] = [
     "update.structured_blocks",
     "update.structured_rank",
     "update.flops_saved",
+    "copy.elems",
 ];
 
 fn index_of(name: &str) -> usize {
@@ -37,7 +39,7 @@ fn index_of(name: &str) -> usize {
         // The analyzer reaches this through a name collision on `get`; the
         // real caller on kernel paths is `add`, in every build — but kernels
         // batch their adds (per root solve or panel, never per inner-loop
-        // step) and pass literal names: ≤ 11 short compares, panic arm dead.
+        // step) and pass literal names: ≤ 12 short compares, panic arm dead.
         // xtask-lint: allow(hot-path) — batched lookup; panic arm is a typo'd literal
         .unwrap_or_else(|| panic!("unknown metrics counter '{name}'"))
 }
