@@ -1,17 +1,14 @@
 //! BLAS-like kernels on `(slice, leading-dimension)` pairs, column-major.
 //!
-//! [`gemm`] is a packed, register-tiled implementation (see
-//! [`crate::kernel`]): A is packed into `MR`-tall row panels and B into
-//! `NR`-wide column panels per `MC x KC x NC` cache block, and an
-//! `8 x 4` / `4 x 4` micro-kernel (chosen by problem shape) performs the
-//! innermost rank-KC update from the packed panels. Packing buffers are
+//! [`gemm`] checks the operand extents and hands the product to the blocked
+//! driver in [`crate::kernel`] with the micro-kernel dispatched for this
+//! process's [`crate::simd_level`]: an explicit-FMA register tile (24 × 8 on
+//! AVX-512, 8 × 6 on AVX2, an autovectorised 8 × 2 otherwise) that reads A
+//! in place and B from `nr`-wide packed panels. The packing buffer is
 //! recycled through a per-thread workspace, so steady-state GEMM performs
-//! zero heap allocation; depths below the packing break-even take an
-//! unpacked AXPY fast path. [`gemm_par`] is a reference path for the
-//! benches: scoped threads over contiguous column panels of C above a flop
-//! threshold, [`gemm`] below it. The seed register-blocked AXPY GEMM
-//! survives as [`gemm_axpy_ref`]: it is the correctness oracle in tests
-//! and the baseline the GEMM benchmarks compare against.
+//! zero heap allocation. [`gemm_par`] is a reference path for the benchmark:
+//! scoped threads over contiguous column panels of C above a flop
+//! threshold, [`gemm`] below it. The tests' oracle is a naive triple loop.
 
 // BLAS-shaped signatures (m, n, k, alpha, a, lda, …) throughout.
 #![allow(clippy::too_many_arguments)]
@@ -86,65 +83,18 @@ pub fn gemv(
     }
 }
 
-/// Inner kernel: one block-column update of GEMM over a k-range, with the
-/// C-column loop unrolled by 4 so each A column is loaded once per 4 C
-/// columns.
-fn gemm_block(
-    m: usize,
-    n: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    krange: std::ops::Range<usize>,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    let mut j = 0;
-    while j + 4 <= n {
-        // Split the four target columns out of C so the inner loop writes
-        // through independent slices.
-        let (c0, rest) = c[j * ldc..].split_at_mut(ldc);
-        let (c1, rest) = rest.split_at_mut(ldc);
-        let (c2, rest) = rest.split_at_mut(ldc);
-        // The buffer may end right after the last column's m-th row.
-        let c3 = &mut rest[..m];
-        let (c0, c1, c2, c3) = (&mut c0[..m], &mut c1[..m], &mut c2[..m], &mut c3[..m]);
-        for l in krange.clone() {
-            let acol = &a[l * lda..l * lda + m];
-            let t0 = alpha * b[l + j * ldb];
-            let t1 = alpha * b[l + (j + 1) * ldb];
-            let t2 = alpha * b[l + (j + 2) * ldb];
-            let t3 = alpha * b[l + (j + 3) * ldb];
-            for i in 0..m {
-                let ai = acol[i];
-                c0[i] += t0 * ai;
-                c1[i] += t1 * ai;
-                c2[i] += t2 * ai;
-                c3[i] += t3 * ai;
-            }
-        }
-        j += 4;
-    }
-    while j < n {
-        let cj = &mut c[j * ldc..j * ldc + m];
-        for l in krange.clone() {
-            let t = alpha * b[l + j * ldb];
-            if t != 0.0 {
-                axpy(t, &a[l * lda..l * lda + m], cj);
-            }
-        }
-        j += 1;
-    }
-}
-
-/// `C = alpha * A * B + beta * C` via the packed micro-kernel driver.
+/// `C = alpha * A * B + beta * C` via the register-tiled driver.
 ///
 /// `A` is `m x k` (ld `lda`), `B` is `k x n` (ld `ldb`), `C` is `m x n`
 /// (ld `ldc`), all column-major. After one call at a given problem size,
-/// repeated calls perform zero heap allocation (packing buffers are
+/// repeated calls perform zero heap allocation (the packing buffer is
 /// per-thread and grow-once; see [`crate::workspace_growth_events`]).
+///
+/// # Panics
+/// If `a`, `b` or `c` is shorter than its `(cols − 1)·ld + rows` extent, or
+/// `ldc < m`. The kernel reads A through a raw pointer at a stride, so these
+/// checks are what keeps a short operand a panic instead of an
+/// out-of-bounds load; they hold in release builds.
 pub fn gemm(
     m: usize,
     n: usize,
@@ -158,79 +108,41 @@ pub fn gemm(
     c: &mut [f64],
     ldc: usize,
 ) {
-    debug_assert!(m == 0 || k == 0 || a.len() >= (k - 1) * lda + m);
-    debug_assert!(n == 0 || k == 0 || b.len() >= (n - 1) * ldb + k);
-    debug_assert!(m == 0 || n == 0 || c.len() >= (n - 1) * ldc + m);
-    debug_assert!(ldc >= m.max(1));
-    // SAFETY: `c` is an exclusive slice covering (n-1)*ldc + m elements
-    // (asserted above), so every column the kernel writes through the raw
-    // pointer stays inside the borrow; a/b are only read within the
-    // extents implied by (m, n, k, lda, ldb).
+    assert!(
+        m == 0 || k == 0 || a.len() >= (k - 1) * lda + m,
+        "gemm: a is shorter than (k-1)*lda + m"
+    );
+    assert!(
+        n == 0 || k == 0 || b.len() >= (n - 1) * ldb + k,
+        "gemm: b is shorter than (n-1)*ldb + k"
+    );
+    assert!(
+        m == 0 || n == 0 || c.len() >= (n - 1) * ldc + m,
+        "gemm: c is shorter than (n-1)*ldc + m"
+    );
+    assert!(ldc >= m.max(1), "gemm: ldc < m");
+    let uk = crate::kernel::variant(crate::simd::simd_level());
+    // SAFETY: `simd_level` only reports what the CPU supports, and `variant`
+    // returns a kernel compiled for at most that level. `a` covers
+    // (k-1)*lda + m elements and `c` is an exclusive slice covering
+    // (n-1)*ldc + m (both asserted above), so every strided read of A and
+    // every tile written through the raw C pointer stays inside its borrow;
+    // `b` is passed as a slice and stays bounds-checked.
     unsafe {
-        crate::kernel::gemm_packed_raw(m, n, k, alpha, a, lda, b, ldb, beta, c.as_mut_ptr(), ldc)
-    }
-}
-
-/// Reference GEMM: the register-blocked AXPY scheme this crate shipped
-/// before the packed micro-kernel rewrite (C swept four columns at a time,
-/// k-loop blocked for cache). Kept as the independent correctness oracle
-/// for the packed kernel's property tests and as the baseline the GEMM
-/// throughput benchmarks report speedups against. Semantics are identical
-/// to [`gemm`].
-pub fn gemm_axpy_ref(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    beta: f64,
-    c: &mut [f64],
-    ldc: usize,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    // Apply beta once up front.
-    for j in 0..n {
-        let cj = &mut c[j * ldc..j * ldc + m];
-        if beta == 0.0 {
-            cj.fill(0.0);
-        } else if beta != 1.0 {
-            scal(beta, cj);
-        }
-    }
-    if k == 0 || alpha == 0.0 {
-        return;
-    }
-    // Cache blocking: KC k-steps × MC rows. The A block (MC × KC ≈ 256 KiB)
-    // stays in L2 across the whole column sweep, so DRAM traffic for A is
-    // paid once instead of once per 4-column group.
-    const KC: usize = 256;
-    const MC: usize = 512;
-    let mut l0 = 0;
-    while l0 < k {
-        let l1 = (l0 + KC).min(k);
-        let mut i0 = 0;
-        while i0 < m {
-            let i1 = (i0 + MC).min(m);
-            gemm_block(
-                i1 - i0,
-                n,
-                alpha,
-                &a[i0..],
-                lda,
-                b,
-                ldb,
-                l0..l1,
-                &mut c[i0..],
-                ldc,
-            );
-            i0 = i1;
-        }
-        l0 = l1;
+        crate::kernel::gemm_raw(
+            uk,
+            m,
+            n,
+            k,
+            alpha,
+            a.as_ptr(),
+            lda,
+            b,
+            ldb,
+            beta,
+            c.as_mut_ptr(),
+            ldc,
+        )
     }
 }
 
@@ -276,21 +188,36 @@ pub fn gemm_par(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::prelude::*;
     use rand_chacha::ChaCha8Rng;
 
-    fn gemm_naive(m: usize, n: usize, k: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
-        let mut c = vec![0.0; m * n];
+    /// Naive `C = alpha*A*B + beta*C` with explicit leading dimensions — the
+    /// independent oracle (no blocking, no packing, no unrolling, no FMA).
+    pub(crate) fn gemm_naive(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
         for j in 0..n {
-            for l in 0..k {
-                for i in 0..m {
-                    c[i + j * m] += a[i + l * m] * b[l + j * k];
+            for i in 0..m {
+                let mut acc = 0.0;
+                for l in 0..k {
+                    acc += a[i + l * lda] * b[l + j * ldb];
                 }
+                c[i + j * ldc] = alpha * acc + beta * c[i + j * ldc];
             }
         }
-        c
     }
 
     fn rand_vec(rng: &mut impl Rng, len: usize) -> Vec<f64> {
@@ -307,12 +234,17 @@ mod tests {
             (17, 13, 29),
             (64, 5, 300),
             (5, 64, 300),
+            (1, 1, 50),
+            (8, 4, 256),
+            (9, 5, 257),
+            (33, 12, 64),
         ] {
             let a = rand_vec(&mut rng, m * k);
             let b = rand_vec(&mut rng, k * n);
             let mut c = vec![0.0; m * n];
+            let mut cref = vec![0.0; m * n];
             gemm(m, n, k, 1.0, &a, m, &b, k, 0.0, &mut c, m);
-            let cref = gemm_naive(m, n, k, &a, &b);
+            gemm_naive(m, n, k, 1.0, &a, m, &b, k, 0.0, &mut cref, m);
             for (x, y) in c.iter().zip(&cref) {
                 assert!((x - y).abs() < 1e-12 * (k as f64), "{x} vs {y}");
             }
@@ -327,11 +259,11 @@ mod tests {
         let b = rand_vec(&mut rng, k * n);
         let c0 = rand_vec(&mut rng, m * n);
         let mut c = c0.clone();
+        let mut cref = c0;
         gemm(m, n, k, 2.0, &a, m, &b, k, -0.5, &mut c, m);
-        let prod = gemm_naive(m, n, k, &a, &b);
-        for i in 0..m * n {
-            let expect = 2.0 * prod[i] - 0.5 * c0[i];
-            assert!((c[i] - expect).abs() < 1e-12, "{} vs {}", c[i], expect);
+        gemm_naive(m, n, k, 2.0, &a, m, &b, k, -0.5, &mut cref, m);
+        for (x, y) in c.iter().zip(&cref) {
+            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
         }
     }
 
@@ -344,6 +276,30 @@ mod tests {
         gemm(2, 2, 2, 1.0, &a, 4, &b, 4, 0.0, &mut c, 2);
         // A2 = [[0,4],[1,5]]; B2 = [[0,16],[1,25]]
         assert_eq!(c, vec![4.0, 5.0, 100.0, 141.0]);
+    }
+
+    // The kernel reads A through a raw pointer, so an undersized operand
+    // must be refused up front — by `assert!`, in release builds too (CI
+    // runs this crate's tests with `--release`).
+    #[test]
+    #[should_panic(expected = "a is shorter")]
+    fn gemm_short_a_panics() {
+        let (a, b, mut c) = (vec![0.0; 8 * 3 - 1], vec![0.0; 12], vec![0.0; 32]);
+        gemm(8, 4, 3, 1.0, &a, 8, &b, 3, 0.0, &mut c, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "b is shorter")]
+    fn gemm_short_b_panics() {
+        let (a, b, mut c) = (vec![0.0; 24], vec![0.0; 3 * 4 - 1], vec![0.0; 32]);
+        gemm(8, 4, 3, 1.0, &a, 8, &b, 3, 0.0, &mut c, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "c is shorter")]
+    fn gemm_short_c_panics() {
+        let (a, b, mut c) = (vec![0.0; 24], vec![0.0; 12], vec![0.0; 8 * 4 - 1]);
+        gemm(8, 4, 3, 1.0, &a, 8, &b, 3, 0.0, &mut c, 8);
     }
 
     #[test]
@@ -407,7 +363,7 @@ mod tests {
         let mut c = vec![7.0; (n - 1) * ldc + m];
         gemm_par(nt, m, n, k, 1.0, &a, m, &b, k, 0.0, &mut c, ldc);
         let mut cref = vec![0.0; m * n];
-        gemm_axpy_ref(m, n, k, 1.0, &a, m, &b, k, 0.0, &mut cref, m);
+        gemm_naive(m, n, k, 1.0, &a, m, &b, k, 0.0, &mut cref, m);
         for j in 0..n {
             for i in 0..ldc {
                 let idx = i + j * ldc;
@@ -446,29 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_matches_axpy_reference() {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        for &(m, n, k) in &[
-            (1, 1, 50),
-            (7, 4, 9),
-            (8, 4, 256),
-            (9, 5, 257),
-            (33, 12, 64),
-        ] {
-            let a = rand_vec(&mut rng, m * k);
-            let b = rand_vec(&mut rng, k * n);
-            let c0 = rand_vec(&mut rng, m * n);
-            let mut c1 = c0.clone();
-            let mut c2 = c0.clone();
-            gemm(m, n, k, 1.5, &a, m, &b, k, -0.5, &mut c1, m);
-            gemm_axpy_ref(m, n, k, 1.5, &a, m, &b, k, -0.5, &mut c2, m);
-            for (x, y) in c1.iter().zip(&c2) {
-                assert!((x - y).abs() < 1e-11 * (k as f64).max(1.0), "{x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
     fn gemv_matches_gemm() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let (m, n) = (9, 11);
@@ -501,5 +434,122 @@ mod tests {
         assert_eq!(y, vec![3.0, 5.0, 7.0]);
         scal(0.5, &mut y);
         assert_eq!(y, vec![1.5, 2.5, 3.5]);
+    }
+
+    // Property tests pitting `gemm` (and its scoped-thread parallel form)
+    // against the naive triple loop across adversarial shapes: every
+    // dimension drawn from the dispatched micro-kernel's tile and
+    // cache-block boundaries, operands embedded in larger buffers with slack
+    // leading dimensions, alpha/beta from {0, 1, -0.5}. The sweep over
+    // *every* variant the CPU can run is `kernel::tests`.
+
+    fn dim() -> impl Strategy<Value = usize> {
+        let uk = crate::kernel::variant(crate::simd_level());
+        (0usize..5).prop_map(move |i| [1, uk.mr - 1, uk.mr, uk.mr + 1, 2 * uk.mc + 3][i])
+    }
+
+    fn coeff() -> impl Strategy<Value = f64> {
+        (0usize..3).prop_map(|i| [0.0, 1.0, -0.5][i])
+    }
+
+    struct Case {
+        m: usize,
+        n: usize,
+        k: usize,
+        lda: usize,
+        ldb: usize,
+        ldc: usize,
+        alpha: f64,
+        beta: f64,
+        a: Vec<f64>,
+        b: Vec<f64>,
+        c0: Vec<f64>,
+    }
+
+    fn arb_case() -> impl Strategy<Value = Case> {
+        (
+            dim(),
+            dim(),
+            dim(),
+            0usize..4,
+            0usize..4,
+            0usize..4,
+            coeff(),
+            coeff(),
+        )
+            .prop_flat_map(|(m, n, k, sa, sb, sc, alpha, beta)| {
+                // Slack pads the leading dimension, embedding each operand as
+                // a sub-matrix of a taller buffer.
+                let (lda, ldb, ldc) = (m + sa, k + sb, m + sc);
+                (
+                    proptest::collection::vec(-1.0f64..1.0, (k - 1) * lda + m),
+                    proptest::collection::vec(-1.0f64..1.0, (n - 1) * ldb + k),
+                    proptest::collection::vec(-1.0f64..1.0, (n - 1) * ldc + m),
+                )
+                    .prop_map(move |(a, b, c0)| Case {
+                        m,
+                        n,
+                        k,
+                        lda,
+                        ldb,
+                        ldc,
+                        alpha,
+                        beta,
+                        a,
+                        b,
+                        c0,
+                    })
+            })
+    }
+
+    fn tolerance(k: usize) -> f64 {
+        1e-12 * (k as f64).max(1.0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        #[test]
+        fn packed_gemm_matches_naive(case in arb_case()) {
+            let Case { m, n, k, lda, ldb, ldc, alpha, beta, a, b, c0 } = case;
+            let mut c = c0.clone();
+            let mut cref = c0.clone();
+            gemm(m, n, k, alpha, &a, lda, &b, ldb, beta, &mut c, ldc);
+            gemm_naive(m, n, k, alpha, &a, lda, &b, ldb, beta, &mut cref, ldc);
+            for j in 0..n {
+                for i in 0..m {
+                    let (x, y) = (c[i + j * ldc], cref[i + j * ldc]);
+                    prop_assert!((x - y).abs() < tolerance(k),
+                        "C[{i},{j}] = {x} vs naive {y} (m={m} n={n} k={k} lda={lda} alpha={alpha} beta={beta})");
+                }
+            }
+            // Slack rows between columns must never be written.
+            for j in 0..n {
+                for i in m..ldc {
+                    let idx = i + j * ldc;
+                    if idx < c.len() {
+                        prop_assert_eq!(c[idx], c0[idx]);
+                    }
+                }
+            }
+            return Ok(());
+        }
+
+        #[test]
+        fn parallel_gemm_matches_sequential(case in arb_case(), nt in 1usize..5) {
+            let Case { m, n, k, lda, ldb, ldc, alpha, beta, a, b, c0 } = case;
+            let mut cpar = c0.clone();
+            let mut cseq = c0.clone();
+            gemm_par(nt, m, n, k, alpha, &a, lda, &b, ldb, beta, &mut cpar, ldc);
+            gemm(m, n, k, alpha, &a, lda, &b, ldb, beta, &mut cseq, ldc);
+            for j in 0..n {
+                for i in 0..m {
+                    let (x, y) = (cpar[i + j * ldc], cseq[i + j * ldc]);
+                    prop_assert!((x - y).abs() < tolerance(k),
+                        "C[{i},{j}] = {x} (par, nt={nt}) vs {y} (seq)");
+                }
+            }
+            return Ok(());
+        }
     }
 }

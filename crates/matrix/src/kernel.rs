@@ -1,243 +1,362 @@
-//! Packed, register-tiled GEMM core (BLIS-style five-loop structure).
+//! Register-tiled GEMM core: one blocked driver over a small table of
+//! explicit-FMA micro-kernels, one per [`SimdLevel`].
 //!
-//! The driver walks C in `NC`-wide column slabs and `KC`-deep rank updates.
-//! For each slab the relevant `KC x NC` block of B is packed once into
-//! contiguous `NR`-wide column panels; for each `MC x KC` block of A packed
-//! into `MR`-tall row panels, an `MR x NR` register-tiled micro-kernel
-//! performs the innermost rank-KC update. Packing buffers come from the
-//! per-thread [`crate::workspace::Workspace`], so steady-state execution
-//! performs no heap allocation.
+//! | level   | tile `mr × nr` | accumulators (+ A, B registers) | `mc` |
+//! |---------|----------------|---------------------------------|------|
+//! | AVX-512 | 24 × 8         | 24 zmm (+ 3 + 1–2 of 32)        | 192  |
+//! | AVX2    | 8 × 6          | 12 ymm (+ 2 + 1 of 16)          | 192  |
+//! | scalar  | 8 × 2          | 16 `f64`, autovectorised (8 xmm of 16 on SSE2) | 192 |
 //!
-//! Two micro-kernel shapes are compiled from one const-generic body and
-//! selected at runtime by problem shape: `8 x 4` for tall-enough blocks,
-//! `4 x 4` when fewer than eight rows remain in the whole problem.
+//! All three are the same generic tile body ([`tile`]) instantiated over a
+//! register type ([`Lanes`]): per k-step it loads `mr` rows of A, broadcasts
+//! `nr` values of B and issues `mr/N · nr` independent multiply-adds. The
+//! SIMD impls call the FMA intrinsics directly — Rust never contracts
+//! `a * b + c`, so `#[target_feature(enable = "fma")]` on an autovectorised
+//! body emits `vmulpd` + `vaddpd` — and 24 (12) independent chains cover
+//! FMA latency × 2 ports where the old 8 × 4 tile's four did not. The tile
+//! is as large as the register file allows *without a spill in the k-loop*:
+//! 12 × 4 on AVX2 and 8 × 4 on SSE2 need all 16 registers for accumulators
+//! and operands, and measured half the rate of the shapes above.
 //!
-//! Everything here works on a raw pointer for C, written tile by tile at
-//! strided offsets; [`crate::gemm`] is the safe entry point.
+//! The driver ([`gemm_raw`]) walks C in `NC`-wide column slabs and `KC`-deep
+//! rank updates. Only B is packed (into `nr`-wide column panels, zero-padded
+//! on the right edge, in the per-thread [`crate::workspace::Workspace`]): the
+//! micro-kernel takes A's **column stride** and reads the column-major
+//! operand in place, `mc` rows at a time so the block stays in L2 across the
+//! sweep over B's panels. The ragged last `m % mr` rows and `n % nr` columns
+//! go through masked loads and stores, so nothing past `m`/`n` is touched.
+//!
+//! Everything here works on raw pointers; [`crate::gemm`] is the safe,
+//! extent-checked entry point.
 
 // BLAS-shaped signatures (m, n, k, alpha, a, lda, …) throughout.
 #![allow(clippy::too_many_arguments)]
 
+use crate::simd::SimdLevel;
 use crate::workspace::with_workspace;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
-/// Rows per A micro-panel (large variant).
-pub const MR: usize = 8;
-/// Rows per A micro-panel (small variant, used when `m < MR`).
-pub const MR_SMALL: usize = 4;
-/// Columns per B micro-panel.
-pub const NR: usize = 4;
-/// Rows of A packed per cache block (fits L2 alongside the B panel slice).
-pub const MC: usize = 128;
-/// Depth of one packed rank-update block.
-pub const KC: usize = 256;
+/// Depth of one rank-update block: a packed `KC × nr` panel of B stays in
+/// L1 while the A block streams past it.
+const KC: usize = 256;
 /// Columns of B packed per outer slab.
-pub const NC: usize = 1024;
+const NC: usize = 1024;
 
-#[inline]
-fn round_up(x: usize, a: usize) -> usize {
-    x.div_ceil(a) * a
-}
-
-/// Pack `A[0..mc, pc..pc+kc]` (column-major, ld `lda`) into `MR_P`-tall row
-/// panels: panel `i` holds rows `i*MR_P..` stored as `kc` consecutive
-/// groups of `MR_P` values, zero-padded on the bottom edge.
-// dcst-hot
-fn pack_a<const MR_P: usize>(mc: usize, kc: usize, a: &[f64], lda: usize, dst: &mut [f64]) {
-    debug_assert!(dst.len() >= round_up(mc, MR_P) * kc);
-    let mut offset = 0;
-    let mut ir = 0;
-    while ir < mc {
-        let pr = MR_P.min(mc - ir);
-        if pr == MR_P {
-            for p in 0..kc {
-                let src = &a[ir + p * lda..ir + p * lda + MR_P];
-                dst[offset + p * MR_P..offset + (p + 1) * MR_P].copy_from_slice(src);
-            }
-        } else {
-            for p in 0..kc {
-                let src = &a[ir + p * lda..ir + p * lda + pr];
-                let out = &mut dst[offset + p * MR_P..offset + (p + 1) * MR_P];
-                out[..pr].copy_from_slice(src);
-                out[pr..].fill(0.0);
-            }
-        }
-        offset += kc * MR_P;
-        ir += MR_P;
-    }
-}
-
-/// Pack `B[0..kc, 0..nc]` (column-major, ld `ldb`) into `NR`-wide column
-/// panels: panel `j` holds columns `j*NR..` stored as `kc` consecutive
-/// groups of `NR` values, zero-padded on the right edge.
-// dcst-hot
-fn pack_b(kc: usize, nc: usize, b: &[f64], ldb: usize, dst: &mut [f64]) {
-    debug_assert!(dst.len() >= kc * round_up(nc, NR));
-    let mut offset = 0;
-    let mut jr = 0;
-    while jr < nc {
-        let qr = NR.min(nc - jr);
-        for p in 0..kc {
-            let out = &mut dst[offset + p * NR..offset + (p + 1) * NR];
-            for (c, o) in out.iter_mut().enumerate().take(qr) {
-                *o = b[p + (jr + c) * ldb];
-            }
-            out[qr..].fill(0.0);
-        }
-        offset += kc * NR;
-        jr += NR;
-    }
-}
-
-/// `MR_P x NR` micro-kernel body: `C[0..mr, 0..nr] += alpha * Ap * Bp`
-/// where `Ap`/`Bp` are packed panels of depth `kc`. The accumulator lives
-/// in registers; the zero padding in the panels makes the multiply loop
-/// shape-independent, only the write-back respects `mr`/`nr`.
-///
-/// Always-inlined so the `#[target_feature]` wrappers below recompile the
-/// same body with wider vector ISAs.
+/// One register of `f64` lanes, as the tile body uses it. Implementations
+/// mark every method `#[inline(always)]` so the `#[target_feature]` entry
+/// points below compile the one generic body with their ISA.
 ///
 /// # Safety
-/// `c` must be valid for reads and writes at `c[i + j*ldc]` for all
-/// `i < mr`, `j < nr`.
+/// Every method requires that the running CPU supports the implementing
+/// type's ISA; the pointer methods additionally require the selected lanes
+/// (all `N`, or those the mask enables) to be valid for the access.
+trait Lanes: Copy {
+    /// Lanes per register.
+    const N: usize;
+    type Mask: Copy;
+    /// Mask enabling the first `rows.min(N)` lanes.
+    unsafe fn mask(rows: usize) -> Self::Mask;
+    unsafe fn splat(x: f64) -> Self;
+    unsafe fn load(p: *const f64) -> Self;
+    /// Disabled lanes read as zero and are not accessed.
+    unsafe fn load_masked(p: *const f64, m: Self::Mask) -> Self;
+    unsafe fn store(p: *mut f64, v: Self);
+    /// Disabled lanes are not accessed.
+    unsafe fn store_masked(p: *mut f64, m: Self::Mask, v: Self);
+    /// `a * b + c`, fused where the ISA has FMA.
+    unsafe fn madd(a: Self, b: Self, c: Self) -> Self;
+}
+
+/// The portable register: one lane, unfused multiply-add. Eight of them per
+/// column unroll into the autovectorised 8 × 2 body.
+impl Lanes for f64 {
+    const N: usize = 1;
+    type Mask = bool;
+    #[inline(always)]
+    unsafe fn mask(rows: usize) -> bool {
+        rows > 0
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> f64 {
+        x
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> f64 {
+        *p
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, m: bool) -> f64 {
+        if m {
+            *p
+        } else {
+            0.0
+        }
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, v: f64) {
+        *p = v
+    }
+    #[inline(always)]
+    unsafe fn store_masked(p: *mut f64, m: bool, v: f64) {
+        if m {
+            *p = v
+        }
+    }
+    #[inline(always)]
+    unsafe fn madd(a: f64, b: f64, c: f64) -> f64 {
+        a * b + c
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for __m256d {
+    const N: usize = 4;
+    type Mask = __m256i;
+    #[inline(always)]
+    unsafe fn mask(rows: usize) -> __m256i {
+        _mm256_cmpgt_epi64(
+            _mm256_set1_epi64x(rows as i64),
+            _mm256_setr_epi64x(0, 1, 2, 3),
+        )
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        _mm256_set1_pd(x)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        _mm256_loadu_pd(p)
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, m: __m256i) -> Self {
+        _mm256_maskload_pd(p, m)
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, v: Self) {
+        _mm256_storeu_pd(p, v)
+    }
+    #[inline(always)]
+    unsafe fn store_masked(p: *mut f64, m: __m256i, v: Self) {
+        _mm256_maskstore_pd(p, m, v)
+    }
+    #[inline(always)]
+    unsafe fn madd(a: Self, b: Self, c: Self) -> Self {
+        _mm256_fmadd_pd(a, b, c)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for __m512d {
+    const N: usize = 8;
+    type Mask = __mmask8;
+    #[inline(always)]
+    unsafe fn mask(rows: usize) -> __mmask8 {
+        ((1u32 << rows.min(8)) - 1) as __mmask8
+    }
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        _mm512_set1_pd(x)
+    }
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        _mm512_loadu_pd(p)
+    }
+    #[inline(always)]
+    unsafe fn load_masked(p: *const f64, m: __mmask8) -> Self {
+        _mm512_maskz_loadu_pd(m, p)
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, v: Self) {
+        _mm512_storeu_pd(p, v)
+    }
+    #[inline(always)]
+    unsafe fn store_masked(p: *mut f64, m: __mmask8, v: Self) {
+        _mm512_mask_storeu_pd(p, m, v)
+    }
+    #[inline(always)]
+    unsafe fn madd(a: Self, b: Self, c: Self) -> Self {
+        _mm512_fmadd_pd(a, b, c)
+    }
+}
+
+/// One micro-kernel call: `C[0..mr, 0..nr] += alpha · A[0..mr, 0..kc] · Bp`,
+/// where A is read in place (column `p` at `a + p·lda`) and `Bp` is a packed
+/// panel of `kc` groups of the variant's `nr` values.
+///
+/// # Safety
+/// What a call requires of these fields: `a` valid for reads at
+/// `a[i + p·lda]` for `i < mr`, `p < kc` — `(kc−1)·lda + mr` elements; `bp`
+/// for `kc·nr` reads (the variant's full `nr`); `c` for reads and writes at
+/// `c[i + j·ldc]` for `i < mr`, `j < nr`, with no concurrent access to those
+/// elements; `1 ≤ mr`, `nr` ≤ the variant's tile.
+#[derive(Clone, Copy)]
+struct TileArgs {
+    kc: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+}
+
+/// The micro-kernel body on an `RV·N × NR` register tile. The accumulators
+/// `[[V; RV]; NR]` live in registers: every loop over them has a constant
+/// trip count. `FULL` tiles (`mr = RV·N`, `nr = NR`) use plain loads and
+/// stores; edge tiles mask the rows past `mr` (so they are neither read
+/// from A nor written to C) and skip the columns past `nr`.
+///
+/// # Safety
+/// The CPU must support `V`'s ISA, and `t` must meet [`TileArgs`]'s
+/// contract with `FULL` saying whether the tile is a whole one.
 #[inline(always)]
 // dcst-hot
-unsafe fn microkernel_body<const MR_P: usize>(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: *mut f64,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    debug_assert!(ap.len() >= kc * MR_P && bp.len() >= kc * NR);
-    let mut acc = [[0.0f64; MR_P]; NR];
-    // `chunks_exact` hands LLVM compile-time panel widths, so the inner
-    // loops fully unroll into bounds-check-free vector FMAs.
-    for (a, b) in ap.chunks_exact(MR_P).zip(bp.chunks_exact(NR)).take(kc) {
+unsafe fn tile<V: Lanes, const RV: usize, const NR: usize, const FULL: bool>(t: TileArgs) {
+    let mut masks = [V::mask(0); RV];
+    for (r, m) in masks.iter_mut().enumerate() {
+        *m = V::mask(t.mr.saturating_sub(r * V::N));
+    }
+    // A masked-off register may start past the end of the operand, where
+    // `add` itself would be out of bounds; `wrapping_add` only forms the
+    // address, and a fully masked access touches nothing.
+    let mut acc = [[V::splat(0.0); RV]; NR];
+    for p in 0..t.kc {
+        let ap = t.a.add(p * t.lda);
+        let mut av = [V::splat(0.0); RV];
+        for (r, v) in av.iter_mut().enumerate() {
+            *v = if FULL {
+                V::load(ap.add(r * V::N))
+            } else {
+                V::load_masked(ap.wrapping_add(r * V::N), masks[r])
+            };
+        }
         for (j, accj) in acc.iter_mut().enumerate() {
-            let bj = b[j];
-            for i in 0..MR_P {
-                accj[i] += a[i] * bj;
+            let bj = V::splat(*t.bp.add(p * NR + j));
+            for (r, x) in accj.iter_mut().enumerate() {
+                *x = V::madd(av[r], bj, *x);
             }
         }
     }
-    if mr == MR_P && nr == NR {
-        for (j, accj) in acc.iter().enumerate() {
-            let col = c.add(j * ldc);
-            for (i, &v) in accj.iter().enumerate() {
-                *col.add(i) += alpha * v;
-            }
-        }
-    } else {
-        for (j, accj) in acc.iter().enumerate().take(nr) {
-            let col = c.add(j * ldc);
-            for (i, &v) in accj.iter().enumerate().take(mr) {
-                *col.add(i) += alpha * v;
+    let alpha = V::splat(t.alpha);
+    for (j, accj) in acc.iter().enumerate() {
+        if FULL || j < t.nr {
+            let col = t.c.add(j * t.ldc);
+            for (r, &x) in accj.iter().enumerate() {
+                if FULL {
+                    let p = col.add(r * V::N);
+                    V::store(p, V::madd(alpha, x, V::load(p)));
+                } else {
+                    let p = col.wrapping_add(r * V::N);
+                    let old = V::load_masked(p, masks[r]);
+                    V::store_masked(p, masks[r], V::madd(alpha, x, old));
+                }
             }
         }
     }
 }
 
-/// Micro-kernel entry point type: one monomorphization per panel height.
-type MicroFn = unsafe fn(usize, f64, &[f64], &[f64], *mut f64, usize, usize, usize);
+/// Whole-or-edge dispatch shared by the three entry points.
+///
+/// # Safety
+/// As for [`tile`].
+#[inline(always)]
+// dcst-hot
+unsafe fn tile_any<V: Lanes, const RV: usize, const NR: usize>(t: TileArgs) {
+    if t.mr == RV * V::N && t.nr == NR {
+        tile::<V, RV, NR, true>(t)
+    } else {
+        tile::<V, RV, NR, false>(t)
+    }
+}
+
+// The entry points: the one body compiled per ISA. Safety as for [`tile`].
 
 // dcst-hot
-unsafe fn microkernel_generic<const MR_P: usize>(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: *mut f64,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    microkernel_body::<MR_P>(kc, alpha, ap, bp, c, ldc, mr, nr)
+unsafe fn tile_scalar(t: TileArgs) {
+    tile_any::<f64, 8, 2>(t)
 }
 
-/// The portable x86-64 baseline is SSE2; recompiling the identical body
-/// with FMA + 256/512-bit vectors is worth 2-4x on the multiply loop, so
-/// the dispatcher below picks the widest ISA the running CPU reports.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 // dcst-hot
-unsafe fn microkernel_avx2<const MR_P: usize>(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: *mut f64,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    microkernel_body::<MR_P>(kc, alpha, ap, bp, c, ldc, mr, nr)
+unsafe fn tile_avx2(t: TileArgs) {
+    tile_any::<__m256d, 2, 6>(t)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,fma")]
 // dcst-hot
-unsafe fn microkernel_avx512<const MR_P: usize>(
-    kc: usize,
-    alpha: f64,
-    ap: &[f64],
-    bp: &[f64],
-    c: *mut f64,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    microkernel_body::<MR_P>(kc, alpha, ap, bp, c, ldc, mr, nr)
+unsafe fn tile_avx512(t: TileArgs) {
+    tile_any::<__m512d, 3, 8>(t)
 }
 
-/// Pick the widest micro-kernel the CPU supports, through the shared
-/// workspace dispatcher (one detection, one `DCST_FORCE_SCALAR` knob).
-// dcst-hot
-fn select_microkernel<const MR_P: usize>() -> MicroFn {
-    #[cfg(target_arch = "x86_64")]
-    {
-        match crate::simd::simd_level() {
-            crate::simd::SimdLevel::Avx512 => microkernel_avx512::<MR_P>,
-            crate::simd::SimdLevel::Avx2 => microkernel_avx2::<MR_P>,
-            crate::simd::SimdLevel::Scalar => microkernel_generic::<MR_P>,
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        microkernel_generic::<MR_P>
+/// One row of the variant table: a micro-kernel and the blocking it wants.
+#[derive(Clone, Copy)]
+pub(crate) struct MicroKernel {
+    /// The ISA `run` was compiled for.
+    pub level: SimdLevel,
+    /// Register tile, rows × columns.
+    pub mr: usize,
+    pub nr: usize,
+    /// Rows of A swept per cache block; a multiple of `mr`, so only the
+    /// last block of a product has a ragged panel.
+    pub mc: usize,
+    run: unsafe fn(TileArgs),
+}
+
+/// The micro-kernel compiled for `level` (the scalar one where this target
+/// has nothing wider). Whether the CPU can *run* it is
+/// [`crate::simd::cpu_supports`]'s question.
+pub(crate) fn variant(level: SimdLevel) -> MicroKernel {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => MicroKernel {
+            level,
+            mr: 24,
+            nr: 8,
+            mc: 192,
+            run: tile_avx512,
+        },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => MicroKernel {
+            level,
+            mr: 8,
+            nr: 6,
+            mc: 192,
+            run: tile_avx2,
+        },
+        _ => MicroKernel {
+            level: SimdLevel::Scalar,
+            mr: 8,
+            nr: 2,
+            mc: 192,
+            run: tile_scalar,
+        },
     }
 }
 
-/// Sweep all micro-tiles of one packed (A-block, B-slab) pair.
-///
-/// # Safety
-/// `c` must cover the `mc x nc` block with leading dimension `ldc`.
+/// Pack `B[0..kc, 0..nc]` (column-major, ld `ldb`) into `nr`-wide column
+/// panels: panel `j` holds columns `j*nr..` stored as `kc` consecutive
+/// groups of `nr` values, zero-padded on the right edge.
 // dcst-hot
-unsafe fn macro_kernel<const MR_P: usize>(
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    alpha: f64,
-    a_pack: &[f64],
-    b_pack: &[f64],
-    c: *mut f64,
-    ldc: usize,
-) {
-    let micro = select_microkernel::<MR_P>();
+fn pack_b(nr: usize, kc: usize, nc: usize, b: &[f64], ldb: usize, dst: &mut [f64]) {
+    debug_assert!(dst.len() >= kc * nc.next_multiple_of(nr));
+    let mut offset = 0;
     let mut jr = 0;
     while jr < nc {
-        let nr = NR.min(nc - jr);
-        let bp = &b_pack[(jr / NR) * kc * NR..];
-        let mut ir = 0;
-        while ir < mc {
-            let mr = MR_P.min(mc - ir);
-            let ap = &a_pack[(ir / MR_P) * kc * MR_P..];
-            micro(kc, alpha, ap, bp, c.add(ir + jr * ldc), ldc, mr, nr);
-            ir += MR_P;
+        let qr = nr.min(nc - jr);
+        for p in 0..kc {
+            let out = &mut dst[offset + p * nr..offset + (p + 1) * nr];
+            for (c, o) in out.iter_mut().enumerate().take(qr) {
+                *o = b[p + (jr + c) * ldb];
+            }
+            out[qr..].fill(0.0);
         }
-        jr += NR;
+        offset += kc * nr;
+        jr += nr;
     }
 }
 
@@ -262,55 +381,24 @@ unsafe fn scale_c(m: usize, n: usize, beta: f64, c: *mut f64, ldc: usize) {
     }
 }
 
-/// Rank-k update without packing, for depths where packing traffic would
-/// dominate: the classic AXPY sweep, one B element at a time.
+/// The blocked driver, `C = alpha·A·B + beta·C`, for any row of the variant
+/// table.
 ///
 /// # Safety
-/// `c` must cover the `m x n` block with leading dimension `ldc`; beta must
-/// already have been applied.
+/// The CPU must support `uk.level`. `a` must be valid for reads at
+/// `a[i + p·lda]` for `i < m`, `p < k` — `(k−1)·lda + m` elements — and is
+/// read through the raw pointer with no further check; `c` must be valid
+/// for reads and writes at `c[i + j·ldc]` for `i < m`, `j < n`, and no
+/// other thread may access those elements concurrently. `b` (`k × n`, ld
+/// `ldb`) is a slice and stays bounds-checked.
 // dcst-hot
-unsafe fn gemm_smallk_raw(
+pub(crate) unsafe fn gemm_raw(
+    uk: MicroKernel,
     m: usize,
     n: usize,
     k: usize,
     alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-) {
-    for j in 0..n {
-        let col = c.add(j * ldc);
-        for l in 0..k {
-            let t = alpha * b[l + j * ldb];
-            if t != 0.0 {
-                let acol = &a[l * lda..l * lda + m];
-                for (i, &ai) in acol.iter().enumerate() {
-                    *col.add(i) += t * ai;
-                }
-            }
-        }
-    }
-}
-
-/// Depth below which the unpacked AXPY sweep beats pack + micro-kernel.
-const SMALL_K: usize = 8;
-
-/// Full packed GEMM on a raw C pointer: `C = alpha*A*B + beta*C`.
-///
-/// # Safety
-/// `c` must be valid for reads/writes at `c[i + j*ldc]` for `i < m`,
-/// `j < n`, and no other thread may access those elements concurrently.
-/// `a` and `b` must cover `m x k` (ld `lda`) and `k x n` (ld `ldb`).
-// dcst-hot
-pub(crate) unsafe fn gemm_packed_raw(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
+    a: *const f64,
     lda: usize,
     b: &[f64],
     ldb: usize,
@@ -318,6 +406,7 @@ pub(crate) unsafe fn gemm_packed_raw(
     c: *mut f64,
     ldc: usize,
 ) {
+    debug_assert!(crate::simd::cpu_supports(uk.level));
     if m == 0 || n == 0 {
         return;
     }
@@ -325,65 +414,37 @@ pub(crate) unsafe fn gemm_packed_raw(
     if k == 0 || alpha == 0.0 {
         return;
     }
-    if k < SMALL_K {
-        gemm_smallk_raw(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-        return;
-    }
-    // Micro-kernel height: the 8x4 kernel whenever a full 8-row panel
-    // exists; narrow problems fall back to 4x4 to waste less padding.
-    if m >= MR {
-        gemm_blocked::<MR>(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-    } else {
-        gemm_blocked::<MR_SMALL>(m, n, k, alpha, a, lda, b, ldb, c, ldc);
-    }
-}
-
-/// The five-loop blocked driver for one micro-kernel height.
-///
-/// # Safety
-/// As for [`gemm_packed_raw`]; beta must already have been applied.
-// dcst-hot
-unsafe fn gemm_blocked<const MR_P: usize>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: *mut f64,
-    ldc: usize,
-) {
     with_workspace(|ws| {
-        let mut jc = 0;
-        while jc < n {
+        for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
+            for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                let (a_pack, b_pack) =
-                    ws.panels(round_up(m.min(MC), MR_P) * kc, kc * round_up(nc, NR));
-                pack_b(kc, nc, &b[pc + jc * ldb..], ldb, b_pack);
-                let mut ic = 0;
-                while ic < m {
-                    let mc = MC.min(m - ic);
-                    pack_a::<MR_P>(mc, kc, &a[ic + pc * lda..], lda, a_pack);
-                    macro_kernel::<MR_P>(
-                        mc,
-                        nc,
-                        kc,
-                        alpha,
-                        a_pack,
-                        b_pack,
-                        c.add(ic + jc * ldc),
-                        ldc,
-                    );
-                    ic += mc;
+                let b_pack = ws.panel(kc * nc.next_multiple_of(uk.nr));
+                pack_b(uk.nr, kc, nc, &b[pc + jc * ldb..], ldb, b_pack);
+                for ic in (0..m).step_by(uk.mc) {
+                    let mc = uk.mc.min(m - ic);
+                    for jr in (0..nc).step_by(uk.nr) {
+                        let nr = uk.nr.min(nc - jr);
+                        // Panel `jr / nr` starts at `(jr / nr)·kc·nr`.
+                        let bp = b_pack[jr * kc..].as_ptr();
+                        for ir in (0..mc).step_by(uk.mr) {
+                            let mr = uk.mr.min(mc - ir);
+                            let (i, j) = (ic + ir, jc + jr);
+                            (uk.run)(TileArgs {
+                                kc,
+                                alpha,
+                                a: a.add(i + pc * lda),
+                                lda,
+                                bp,
+                                c: c.add(i + j * ldc),
+                                ldc,
+                                mr,
+                                nr,
+                            });
+                        }
+                    }
                 }
-                pc += kc;
             }
-            jc += nc;
         }
     });
 }
@@ -391,20 +452,158 @@ unsafe fn gemm_blocked<const MR_P: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas::tests::gemm_naive;
+    use crate::simd::cpu_supports;
 
+    const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+
+    /// The variant for `level`, if this build has one and the CPU runs it.
+    fn runnable(level: SimdLevel) -> Option<MicroKernel> {
+        let uk = variant(level);
+        (uk.level == level && cpu_supports(level)).then_some(uk)
+    }
+
+    /// Deterministic fill in [-1, 1): the sweep below is a table, not a
+    /// property test, so a failure names its case.
+    fn fill(len: usize, seed: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((i * 7919 + seed * 104_729) % 2003) as f64 / 1001.5 - 1.0)
+            .collect()
+    }
+
+    /// Run the full driver with `uk` on an `m × n × k` product whose
+    /// operands sit at odd offsets inside larger buffers with slack leading
+    /// dimensions, and compare with the naive oracle: every element of the
+    /// C buffer — the product, the slack rows and the margins around the
+    /// block — must match, the untouched ones bitwise.
+    fn check(uk: MicroKernel, m: usize, n: usize, k: usize, alpha: f64, beta: f64, case: usize) {
+        let (lda, ldb, ldc) = (m + case % 3, k + (case / 3) % 3, m + (case / 9) % 3);
+        let (oa, ob, oc) = (1 + 2 * (case % 2), 1, 3);
+        let a = fill(oa + (k - 1) * lda + m, case);
+        let b = fill(ob + (n - 1) * ldb + k, case + 1);
+        let c0 = fill(oc + (n - 1) * ldc + m + 5, case + 2);
+        let mut c = c0.clone();
+        let mut cref = c0;
+        // SAFETY: the CPU supports `uk.level` (the caller checked); `a[oa..]`
+        // holds (k-1)*lda + m elements and `c[oc..]` at least (n-1)*ldc + m.
+        unsafe {
+            let (ap, cp) = (a[oa..].as_ptr(), c[oc..].as_mut_ptr());
+            gemm_raw(uk, m, n, k, alpha, ap, lda, &b[ob..], ldb, beta, cp, ldc);
+        }
+        gemm_naive(
+            m,
+            n,
+            k,
+            alpha,
+            &a[oa..],
+            lda,
+            &b[ob..],
+            ldb,
+            beta,
+            &mut cref[oc..],
+            ldc,
+        );
+        let tol = 1e-12 * k as f64;
+        for (idx, (&x, &y)) in c.iter().zip(&cref).enumerate() {
+            let inside = idx >= oc && (idx - oc) % ldc < m && (idx - oc) / ldc < n;
+            let ok = if inside {
+                (x - y).abs() < tol
+            } else {
+                x.to_bits() == y.to_bits()
+            };
+            assert!(
+                ok,
+                "{:?} {}x{}: C[{idx}] = {x} vs {y} (inside = {inside}; m={m} n={n} k={k} \
+                 lda={lda} ldb={ldb} ldc={ldc} alpha={alpha} beta={beta})",
+                uk.level, uk.mr, uk.nr
+            );
+        }
+    }
+
+    /// Every micro-kernel this CPU can run — not only the one `simd_level()`
+    /// dispatches — through the one driver, against the naive oracle, over
+    /// its own tile and cache-block boundaries. Prints which variants ran:
+    /// a green run on a host without AVX-512 is not coverage of that kernel.
     #[test]
-    fn pack_a_pads_ragged_panels() {
-        // 5x3 block out of a 6-row matrix, MR_P = 4: two panels of 4.
-        let lda = 6;
-        let a: Vec<f64> = (0..lda * 3).map(|x| x as f64).collect();
-        let mut dst = vec![-1.0; 8 * 3];
-        pack_a::<4>(5, 3, &a, lda, &mut dst);
-        // Panel 0, p=0 holds rows 0..4 of column 0.
-        assert_eq!(&dst[0..4], &[0.0, 1.0, 2.0, 3.0]);
-        // Panel 1, p=0 holds row 4 then zero padding.
-        assert_eq!(&dst[12..16], &[4.0, 0.0, 0.0, 0.0]);
-        // Panel 1, p=2 holds row 4 of column 2.
-        assert_eq!(&dst[20..24], &[16.0, 0.0, 0.0, 0.0]);
+    fn every_variant_matches_naive() {
+        const COEFF: [f64; 3] = [0.0, 1.0, -0.5];
+        for level in LEVELS {
+            let uk = variant(level);
+            let name = format!("{level:?} {}x{}", uk.mr, uk.nr).to_lowercase();
+            if runnable(level).is_none() {
+                println!("gemm variant {name}: skipped (no CPU support)");
+                continue;
+            }
+            assert_eq!(uk.mc % uk.mr, 0, "{name}: mc must be a multiple of mr");
+            let mut dims = vec![
+                1,
+                uk.mr - 1,
+                uk.mr,
+                uk.mr + 1,
+                uk.nr - 1,
+                uk.nr + 1,
+                2 * uk.mc + 3,
+            ];
+            dims.sort_unstable();
+            dims.dedup();
+            let mut case = 0;
+            for &m in &dims {
+                for &n in &dims {
+                    for &k in &dims {
+                        // Nine (alpha, beta) pairs cycle against the 27
+                        // slack patterns `check` derives from `case`.
+                        let (alpha, beta) = (COEFF[case % 3], COEFF[(case / 3 + case / 27) % 3]);
+                        check(uk, m, n, k, alpha, beta, case);
+                        case += 1;
+                    }
+                }
+            }
+            // One product deeper than KC and wider than NC.
+            check(uk, uk.mr + 1, NC + uk.nr + 1, KC + 1, 1.0, 1.0, 5);
+            println!("gemm variant {name}: ran ({case} shapes)");
+        }
+    }
+
+    /// A NaN anywhere in A or B must reach C — the `nan-gemm` failpoint and
+    /// the eigenvector update's finite scan rely on the product not hiding
+    /// one (behind a masked lane, a padded panel column or a zero in B).
+    #[test]
+    fn nan_in_either_operand_reaches_c() {
+        for level in LEVELS {
+            let Some(uk) = runnable(level) else { continue };
+            let (m, n, k) = (uk.mr + 3, uk.nr + 1, 5);
+            for (in_a, idx) in [(true, 0), (true, m * k - 1), (false, 0), (false, k * n - 1)] {
+                let mut a = vec![1.0; m * k];
+                let mut b = vec![0.0; k * n];
+                if in_a {
+                    a[idx] = f64::NAN;
+                } else {
+                    b[idx] = f64::NAN;
+                }
+                let mut c = vec![0.0; m * n];
+                // SAFETY: supported level; a is m*k = (k-1)*m + m long and
+                // c is m*n = (n-1)*m + m.
+                unsafe {
+                    gemm_raw(
+                        uk,
+                        m,
+                        n,
+                        k,
+                        1.0,
+                        a.as_ptr(),
+                        m,
+                        &b,
+                        k,
+                        0.0,
+                        c.as_mut_ptr(),
+                        m,
+                    )
+                };
+                // NaN in A[i, ·] poisons row i; NaN in B[·, j] column j.
+                let hit = if in_a { idx % m } else { (idx / k) * m };
+                assert!(c[hit].is_nan(), "{level:?}: in_a={in_a} idx={idx}");
+            }
+        }
     }
 
     #[test]
@@ -413,7 +612,7 @@ mod tests {
         let ldb = 3;
         let b: Vec<f64> = (0..ldb * 5).map(|x| x as f64).collect();
         let mut dst = vec![-1.0; 2 * 8];
-        pack_b(2, 5, &b, ldb, &mut dst);
+        pack_b(4, 2, 5, &b, ldb, &mut dst);
         // Panel 0, p=0: row 0 of columns 0..4.
         assert_eq!(&dst[0..4], &[0.0, 3.0, 6.0, 9.0]);
         // Panel 0, p=1: row 1 of columns 0..4.
@@ -424,19 +623,41 @@ mod tests {
 
     #[test]
     fn microkernel_edge_write_respects_bounds() {
-        // kc = 1, A panel = [1,2,0,0] (mr = 2), B panel = [3,4,5,0] (nr = 3).
-        let ap = [1.0, 2.0, 0.0, 0.0];
-        let bp = [3.0, 4.0, 5.0, 0.0];
-        let ldc = 3;
-        let mut c = vec![10.0; ldc * 4];
-        // SAFETY: packed panels hold kc*MR / kc*NR elements and c spans
-        // ldc*4 >= (nr-1)*ldc + mr, the extent the micro-kernel writes.
-        unsafe { microkernel_generic::<4>(1, 1.0, &ap, &bp, c.as_mut_ptr(), ldc, 2, 3) };
-        assert_eq!(c[0], 13.0);
-        assert_eq!(c[1], 16.0);
-        assert_eq!(c[2], 10.0, "row past mr untouched");
-        assert_eq!(c[ldc], 14.0);
-        assert_eq!(c[2 * ldc], 15.0);
-        assert_eq!(c[3 * ldc], 10.0, "column past nr untouched");
+        // One k-step of a 2 × (nr−1) edge tile on every variant. A is
+        // exactly mr = 2 long, so a read past row mr would leave the
+        // buffer; the B panel's last column is non-zero, so only the `nr`
+        // argument keeps it out of C.
+        for level in LEVELS {
+            let Some(uk) = runnable(level) else { continue };
+            let a = [1.0, 2.0];
+            let bp: Vec<f64> = (0..uk.nr).map(|j| 3.0 + j as f64).collect();
+            let (ldc, nr) = (3, uk.nr - 1);
+            let mut c = vec![10.0; ldc * uk.nr];
+            // SAFETY: supported level; a holds (kc-1)*lda + mr = 2 elements,
+            // bp holds kc*nr, and c spans ldc*uk.nr >= (nr-1)*ldc + mr, the
+            // extent the micro-kernel may write.
+            unsafe {
+                (uk.run)(TileArgs {
+                    kc: 1,
+                    alpha: 1.0,
+                    a: a.as_ptr(),
+                    lda: 7,
+                    bp: bp.as_ptr(),
+                    c: c.as_mut_ptr(),
+                    ldc,
+                    mr: 2,
+                    nr,
+                })
+            };
+            for j in 0..nr {
+                assert_eq!(c[j * ldc], 10.0 + bp[j], "{level:?}");
+                assert_eq!(c[j * ldc + 1], 10.0 + 2.0 * bp[j], "{level:?}");
+                assert_eq!(c[j * ldc + 2], 10.0, "{level:?}: row past mr untouched");
+            }
+            assert!(
+                c[nr * ldc..].iter().all(|&x| x == 10.0),
+                "{level:?}: column past nr untouched"
+            );
+        }
     }
 }

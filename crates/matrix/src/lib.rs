@@ -3,8 +3,9 @@
 //! This crate is the BLAS-like substrate of the workspace: a column-major
 //! [`Matrix`] container plus free functions operating on `(slice, leading
 //! dimension)` pairs in the LAPACK style, so sub-matrices can be addressed
-//! without a dedicated view type. The GEMM is a packed, register-tiled
-//! implementation ([`kernel`]) with per-thread recycled packing buffers
+//! without a dedicated view type. The GEMM is register-tiled with one
+//! explicit-FMA micro-kernel per SIMD level (`kernel`): A is read in
+//! place, only B is packed, into a per-thread recycled buffer
 //! ([`workspace_growth_events`] exposes the allocation counter). The crate
 //! owns no threads: the solvers parallelise by running [`gemm`] inside
 //! forked panel tasks of the runtime, and [`gemm_par`] — scoped threads
@@ -22,9 +23,8 @@ pub mod simd;
 pub mod util;
 mod workspace;
 
-pub use blas::{axpy, dot, gemm, gemm_axpy_ref, gemm_par, gemv, nrm2, scal};
+pub use blas::{axpy, dot, gemm, gemm_par, gemv, nrm2, scal};
 pub use check::{orthogonality_error, residual_error, symmetric_residual_error};
-pub use kernel::{KC, MC, MR, MR_SMALL, NC, NR};
 pub use lowrank::{set_update_policy, update_policy, UpdatePolicy};
 pub use matrix::Matrix;
 pub use merge::merge_perm;

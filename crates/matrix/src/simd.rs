@@ -30,24 +30,36 @@ pub enum SimdLevel {
 /// 0 = not yet detected.
 static LEVEL: AtomicU8 = AtomicU8::new(0);
 
+/// Whether the running CPU can execute kernels compiled for `level`,
+/// whatever `DCST_FORCE_SCALAR` says: what lets a test drive every variant
+/// the machine has, not only the dispatched one.
+pub(crate) fn cpu_supports(level: SimdLevel) -> bool {
+    match level {
+        SimdLevel::Scalar => true,
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => false,
+    }
+}
+
 #[cold]
 fn detect() -> u8 {
     if std::env::var_os("DCST_FORCE_SCALAR").is_some_and(|v| v != "0" && !v.is_empty()) {
         return SimdLevel::Scalar as u8;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdLevel::Avx512 as u8;
-        }
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return SimdLevel::Avx2 as u8;
-        }
-    }
-    SimdLevel::Scalar as u8
+    let widest = [SimdLevel::Avx512, SimdLevel::Avx2]
+        .into_iter()
+        .find(|&l| cpu_supports(l));
+    widest.unwrap_or(SimdLevel::Scalar) as u8
 }
 
 /// The SIMD level all dispatched kernels in this process use. Detected on

@@ -1,11 +1,11 @@
 //! Per-thread packing workspace for the blocked GEMM.
 //!
 //! Each thread that executes GEMM work owns one [`Workspace`] holding the
-//! A-panel (`MC x KC`) and B-panel (`KC x NC`) packing buffers. Buffers grow
-//! monotonically and are never shrunk, so after a warm-up call at a given
-//! problem size the steady state performs **zero heap allocation** inside
-//! GEMM. Every actual growth bumps a global counter, which the allocation
-//! regression test snapshots across repeated calls.
+//! packed B slab (`KC x NC`); A is read in place and needs none. The buffer
+//! grows monotonically and is never shrunk, so after a warm-up call at a
+//! given problem size the steady state performs **zero heap allocation**
+//! inside GEMM. Every actual growth bumps a thread-local counter, which the
+//! allocation regression test snapshots across repeated calls.
 
 use std::cell::{Cell, RefCell};
 
@@ -24,27 +24,21 @@ pub fn workspace_growth_events() -> usize {
     GROWTH_EVENTS.with(|c| c.get())
 }
 
-/// Reusable packing buffers for one thread.
+/// Reusable B-packing buffer for one thread.
 #[derive(Default)]
 pub struct Workspace {
-    a_pack: Vec<f64>,
     b_pack: Vec<f64>,
 }
 
 impl Workspace {
-    /// Mutable views of the A- and B-packing buffers, grown (never shrunk)
-    /// to at least `a_len` / `b_len` elements.
-    pub fn panels(&mut self, a_len: usize, b_len: usize) -> (&mut [f64], &mut [f64]) {
-        grow(&mut self.a_pack, a_len);
-        grow(&mut self.b_pack, b_len);
-        (&mut self.a_pack[..a_len], &mut self.b_pack[..b_len])
-    }
-}
-
-fn grow(buf: &mut Vec<f64>, len: usize) {
-    if buf.len() < len {
-        GROWTH_EVENTS.with(|c| c.set(c.get() + 1));
-        buf.resize(len, 0.0);
+    /// Mutable view of the packing buffer, grown (never shrunk) to at
+    /// least `len` elements.
+    pub fn panel(&mut self, len: usize) -> &mut [f64] {
+        if self.b_pack.len() < len {
+            GROWTH_EVENTS.with(|c| c.set(c.get() + 1));
+            self.b_pack.resize(len, 0.0);
+        }
+        &mut self.b_pack[..len]
     }
 }
 
@@ -69,16 +63,12 @@ mod tests {
         let t = std::thread::spawn(|| {
             let before = workspace_growth_events();
             with_workspace(|ws| {
-                ws.panels(100, 200);
+                ws.panel(200);
             });
             let after_first = workspace_growth_events();
-            assert!(after_first >= before + 2, "first use allocates both panels");
+            assert_eq!(after_first, before + 1, "first use allocates the panel");
             for _ in 0..10 {
-                with_workspace(|ws| {
-                    let (a, b) = ws.panels(100, 200);
-                    a[99] = 1.0;
-                    b[199] = 1.0;
-                });
+                with_workspace(|ws| ws.panel(200)[199] = 1.0);
             }
             assert_eq!(
                 workspace_growth_events(),
@@ -86,9 +76,9 @@ mod tests {
                 "steady state allocates nothing"
             );
             with_workspace(|ws| {
-                ws.panels(101, 200);
+                ws.panel(201);
             });
-            assert_eq!(workspace_growth_events(), after_first + 1, "only A grew");
+            assert_eq!(workspace_growth_events(), after_first + 1, "grew once");
         });
         t.join().unwrap();
     }

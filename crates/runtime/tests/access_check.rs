@@ -116,6 +116,15 @@ fn unbound_buffers_are_not_tracked() {
     let _s = unsafe { buf.range(0..8) };
 }
 
+/// Raises its flag when dropped, normally or by a panic's unwind.
+struct SetOnDrop(Arc<AtomicBool>);
+
+impl Drop for SetOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 #[test]
 fn overlapping_gatherv_writers_are_caught() {
     let rt = Runtime::new(2);
@@ -132,8 +141,9 @@ fn overlapping_gatherv_writers_are_caught() {
             let _s = unsafe { buf.range_mut(0..60) };
             a_borrowed.store(true, Ordering::SeqCst);
             // Hold the borrow live until B has tried (and failed) to take
-            // an overlapping range; B flags *before* borrowing, so this
-            // loop terminates even though B panics.
+            // an overlapping range: B flags from a drop guard that runs
+            // *after* its attempt, on the unwind path too, so `_s` is still
+            // live when the tracker looks and this loop still terminates.
             while !b_attempted.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
             }
@@ -146,7 +156,9 @@ fn overlapping_gatherv_writers_are_caught() {
             while !a_borrowed.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
             }
-            b_attempted.store(true, Ordering::SeqCst);
+            // Declared before the borrow, so dropped after it — or by the
+            // unwind out of `range_mut`.
+            let _attempted = SetOnDrop(b_attempted);
             // Declaration-correct (GATHERV on the right key) but ranges
             // overlap 40..60: the live-interval check must fire.
             // SAFETY: the tracker panics before the alias is created.

@@ -169,8 +169,8 @@ fn small_zero_deflation_merges_never_structure_under_auto() {
     let _p = PolicyLock::take(UpdatePolicy::Auto);
     // Glued Wilkinson blocks: tightly clustered eigenvalue pairs, glue
     // small enough to keep the spectrum clustered but large enough that
-    // nothing deflates. n = 5·17 = 85 keeps every merge below the k = 96
-    // auto threshold, where tiling can only lose.
+    // nothing deflates. n = 5·17 = 85 keeps every merge far below the
+    // auto threshold (k = 512), where tiling can only lose.
     let t = glued_wilkinson(17, 5, 1e-4);
     let before = dcst::matrix::metrics::snapshot();
     for solver in solvers() {
@@ -183,6 +183,43 @@ fn small_zero_deflation_merges_never_structure_under_auto() {
         0,
         "auto policy structured a merge whose estimated cost exceeds dense"
     );
+}
+
+/// The other side of the cost rule: a low-deflation matrix whose root merge
+/// clears the auto threshold (type 4 at n = 640 keeps k ≈ 0.9·n ≥ 512 at the
+/// root, and no other merge has 512 rows) is structured there and only
+/// there, passes the gates, and agrees with the dense oracle.
+#[test]
+fn large_low_deflation_root_structures_under_auto() {
+    let n = 640;
+    let t = MT::Type4.generate(n, 42);
+    let solver = TaskFlowDc::new(opts(2));
+    let dense = {
+        let _p = PolicyLock::take(UpdatePolicy::ForceDense);
+        gated_solve(&t, &solver, "auto large [dense]")
+    };
+    let (auto, structured) = {
+        let _p = PolicyLock::take(UpdatePolicy::Auto);
+        let before = dcst::matrix::metrics::snapshot();
+        let eig = gated_solve(&t, &solver, "auto large [auto]");
+        let delta = dcst::matrix::metrics::snapshot().delta(&before);
+        (eig, delta.get("update.structured_merges"))
+    };
+    let merges = dcst::core::PartitionTree::build(n, opts(2).min_part)
+        .merges_postorder()
+        .len() as u64;
+    assert!(
+        0 < structured && structured < merges,
+        "auto structured {structured} of {merges} merges: the root must clear the \
+         threshold and the small merges must not"
+    );
+    let scale = t.max_norm().max(1.0);
+    for (i, (a, b)) in dense.values.iter().zip(&auto.values).enumerate() {
+        assert!(
+            (a - b).abs() < 1e-11 * scale,
+            "eigenvalue {i} diverges: dense {a} vs auto {b}"
+        );
+    }
 }
 
 proptest! {
