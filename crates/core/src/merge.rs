@@ -17,8 +17,8 @@
 use crate::DcError;
 use dcst_matrix::{gemm, merge_perm};
 use dcst_secular::{
-    assemble_vectors, deflate, local_w_products, solve_secular_root, Deflation, DeflationInput,
-    GivensRot, SlotType,
+    assemble_vectors, deflate, local_w_products, Deflation, DeflationInput, GivensRot,
+    SecularProblem, SlotType,
 };
 use std::cell::RefCell;
 use std::ops::Range;
@@ -186,9 +186,10 @@ pub(crate) fn solve_roots_panel(
     lam_out: &mut [f64],
 ) -> Result<(), DcError> {
     let k = defl.k;
+    let problem = SecularProblem::new(&defl.dlamda, &defl.w, defl.rho)?;
     for j in jrange.clone() {
         let col = &mut x_cols[(j - jrange.start) * ld..(j - jrange.start) * ld + k];
-        lam_out[j - jrange.start] = solve_secular_root(j, &defl.dlamda, &defl.w, defl.rho, col)?;
+        lam_out[j - jrange.start] = problem.solve_root(j, col)?.lambda;
     }
     Ok(())
 }
@@ -218,8 +219,9 @@ pub(crate) fn compute_vect_panel(
 }
 
 thread_local! {
-    /// This thread's `UpdateVect` staging buffer; grow-only, like the GEMM
-    /// packing workspace, so the steady state allocates nothing.
+    /// This thread's staging buffer (`UpdateVect`'s product, the row
+    /// payload's delta column); grow-only, like the GEMM packing workspace,
+    /// so the steady state allocates nothing.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 

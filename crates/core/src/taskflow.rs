@@ -33,7 +33,8 @@
 //!   the map: `ws[:, t] ← v[:, col[idxq[t]]]`;
 //! * the **row payload** (values-only solves, `crate::values`): the node's
 //!   two boundary rows, O(n) per node and nothing n×n. Its `LAED4` folds
-//!   the local-W product in, and its only own task is `RowUpdate`.
+//!   the local-W product in and hands each root's `(μ, origin)` to its only
+//!   own task, `RowUpdate`, so no root is solved twice.
 //!
 //! Data is shared through [`SharedData`] buffers held by one [`Graph`]
 //! context that every task body reaches through a single `Arc`; each body
@@ -53,6 +54,7 @@ use crate::structured::{plan_update, StructuredUpdate};
 use crate::tree::PartitionTree;
 use crate::values::{
     carry_rows, row_update_panel, rows_z, secular_rows_panel, solve_leaf_values, BoundaryRows,
+    PanelRoots,
 };
 use crate::{DcError, DcOptions, DcStats, Eigen, SolveMode, TridiagEigensolver};
 use dcst_matrix::Matrix;
@@ -188,6 +190,9 @@ struct NodeCell {
     /// the parent's.
     x: Mutex<Option<SharedData<f64>>>,
     partials: Mutex<Vec<Option<Vec<f64>>>>,
+    /// Row payload: per panel, the roots its `LAED4` solved, taken by the
+    /// `RowUpdate` of the same index as `partials` is by `ReduceW`.
+    panel_roots: Mutex<Vec<Option<PanelRoots>>>,
     stat: OnceLock<MergeStat>,
     /// Vector payload: rank-structured update plan for this merge; unset
     /// means the dense path (either the auto-switch chose it or `CompressW`
@@ -204,8 +209,8 @@ struct NodeCell {
     /// or by `ComputeDeflation`, overwritten per secular panel by
     /// `RowUpdate`, consumed by the parent's `ComputeDeflation`.
     rows: Mutex<Option<BoundaryRows>>,
-    /// Row payload: the pre-update rows `RowUpdate` multiplies (the row
-    /// analogue of the compressed workspace).
+    /// Row payload: the `k` pre-update row entries `RowUpdate` multiplies,
+    /// in secular order (the row analogue of the compressed workspace).
     w: OnceLock<BoundaryRows>,
 }
 
@@ -312,6 +317,14 @@ impl Graph {
 
     fn vp(&self) -> &Vectors {
         self.vectors.as_ref().expect("vector-payload task")
+    }
+
+    /// Row payload: whether merge `m`'s boundary rows have a reader — every
+    /// merge's but the root's, which therefore carries no rows, no ẑ and no
+    /// `RowUpdate` group. A size-dependent (not matrix-dependent)
+    /// asymmetry, like the panel counts.
+    fn rows_have_reader(&self, m: usize) -> bool {
+        m != self.tree.root
     }
 
     /// Unwrap a drained graph into its result. The workers' handles died
@@ -776,12 +789,16 @@ impl TaskFlowDc {
                                     // Consumes the children's boundary rows.
                                     let (rows_l, rows_r) = (left.take_rows(), right.take_rows());
                                     let defl = deflate(&rows_z(&rows_l, &rows_r))?;
-                                    // Deflated slots pass their row entries
-                                    // through unchanged; RowUpdate overwrites
-                                    // the secular ones.
-                                    let w = carry_rows(&defl, &rows_l, &rows_r);
-                                    *cell.rows.lock().unwrap() = Some(w.clone());
-                                    publish(&cell.w, w);
+                                    if g.rows_have_reader(m) {
+                                        // Deflated slots pass their row
+                                        // entries through unchanged; RowUpdate
+                                        // overwrites the secular ones.
+                                        let (rows, w) = carry_rows(&defl, &rows_l, &rows_r);
+                                        *cell.rows.lock().unwrap() = Some(rows);
+                                        publish(&cell.w, w);
+                                        *cell.panel_roots.lock().unwrap() =
+                                            (0..nm.div_ceil(g.nb)).map(|_| None).collect();
+                                    }
                                     defl
                                 }
                             };
@@ -840,9 +857,15 @@ impl TaskFlowDc {
                                     None => {
                                         // One k-length delta column is reused
                                         // across roots, so the local-W partial
-                                        // is accumulated right here.
-                                        let part = secular_rows_panel(defl, j, lo, off)?;
-                                        cell.partials.lock().unwrap()[p] = Some(part);
+                                        // is accumulated right here — where the
+                                        // merge's rows have a reader at all.
+                                        let carry = g.rows_have_reader(m);
+                                        if let Some((part, roots)) =
+                                            secular_rows_panel(defl, j, lo, off, carry)?
+                                        {
+                                            cell.partials.lock().unwrap()[p] = Some(part);
+                                            cell.panel_roots.lock().unwrap()[p] = Some(roots);
+                                        }
                                         Ok(())
                                     }
                                 }
@@ -881,7 +904,9 @@ impl TaskFlowDc {
                             let cell = &g.cells[m];
                             let defl = cell.defl();
                             let k = defl.k;
-                            if k > 0 {
+                            // ẑ feeds the second panel group: the row
+                            // payload's root has none.
+                            if k > 0 && (g.vectors.is_some() || g.rows_have_reader(m)) {
                                 let parts: Vec<Vec<f64>> = cell
                                     .partials
                                     .lock()
@@ -905,11 +930,10 @@ impl TaskFlowDc {
 
                 // Second panel group: what the payload does with the secular
                 // eigenvectors. The root's boundary rows have no reader, so
-                // its whole RowUpdate group is elided — a size-dependent (not
-                // matrix-dependent) asymmetry, like the panel counts.
+                // its whole RowUpdate group is elided.
                 if g.vectors.is_some() {
                     self.submit_vector_update(&g, scope, m);
-                } else if m != root {
+                } else if g.rows_have_reader(m) {
                     self.submit_row_update(&g, scope, m);
                 }
             }
@@ -1088,10 +1112,11 @@ impl TaskFlowDc {
     }
 
     /// Row payload, second panel group of merge `m`: update the merged
-    /// boundary rows (pass 2 of the two-pass scheme in `crate::values`).
+    /// boundary rows from the roots `LAED4` solved (pass 2 of the scheme in
+    /// `crate::values`).
     fn submit_row_update(&self, g: &Arc<Graph>, scope: &Scope<'_>, m: usize) {
         let Block { off, nm, .. } = g.block(m);
-        for (_, s0, s1) in panels(nm, g.nb) {
+        for (p, s0, s1) in panels(nm, g.nb) {
             let g = g.clone();
             panel_task(scope, "RowUpdate", g.key_node(m), self.opts.use_gatherv).spawn_try(
                 move || -> Result<(), DcError> {
@@ -1101,10 +1126,15 @@ impl TaskFlowDc {
                     if j.is_empty() {
                         return Ok(());
                     }
-                    // No shared-buffer borrows: the kernel re-solves the
-                    // secular roots from the node's own deflation state.
-                    let w = cell.w.get().expect("slot-order rows not yet computed");
-                    let (f, l) = row_update_panel(defl, w, cell.zhat(), j.clone(), off)?;
+                    // No shared-buffer borrows: the kernel rebuilds each
+                    // root's pole distances from the node's own deflation
+                    // state and the (μ, origin) its LAED4 panel left here —
+                    // taken, so the record is gone when the group ends.
+                    let w = cell.w.get().expect("secular-order rows not yet computed");
+                    let roots = cell.panel_roots.lock().unwrap()[p]
+                        .take()
+                        .expect("panel roots not yet solved");
+                    let (f, l) = row_update_panel(defl, w, cell.zhat(), &roots, off)?;
                     let mut rows = cell.rows.lock().unwrap();
                     let rows = rows.as_mut().expect("rows initialized by deflation");
                     rows.first[j.clone()].copy_from_slice(&f);

@@ -13,21 +13,24 @@
 //! cache-sized memory (`peak_alloc_mb` on the `values_t6_n4000` workload
 //! of `BENCHMARK.json`, bound 0.05).
 //!
-//! The secular phase runs **twice** over each root: pass 1 solves the
-//! secular equation to get the eigenvalue and accumulate the running
-//! Gu–Eisenstat `local_w` partial (one k-length column buffer, reused);
-//! pass 2 re-solves (the iteration is deterministic, so the deltas are
-//! bitwise identical), assembles the slot-permuted normalized vector one
-//! column at a time, and dots it with the compressed boundary rows. Twice
-//! the LAED4 flops buys truly `O(n)` transient memory — and the root
-//! merge, whose output rows nobody reads, skips pass 2 entirely.
+//! Each secular root is **solved once**, in two passes over the merge's
+//! roots. Pass 1 (`LAED4`) solves the secular equation for the eigenvalue,
+//! multiplies the root's factors into the running Gu–Eisenstat `local_w`
+//! partial (one k-length delta column, reused) and keeps the accepted
+//! `(μ, origin)` — 12 bytes per root, O(k) per merge, inside the mode's
+//! O(n) budget. Pass 2 (`RowUpdate`, once ẑ is known) rebuilds each root's
+//! pole distances from that pair, `δᵢ = (dᵢ − d_origin) − μ`, bit for bit
+//! what the solver wrote, and in the same division pass forms
+//! `xᵢ = ẑᵢ/δᵢ`, its norm and its dots with the carried boundary rows: the
+//! vector is never stored. The root merge, whose output rows nobody reads,
+//! solves for its eigenvalues and keeps nothing.
 //!
 //! [`SolveMode::ValuesOnly`]: crate::SolveMode::ValuesOnly
 
-use crate::merge::slot_rows;
+use crate::merge::{slot_rows, with_scratch};
 use crate::DcError;
 use dcst_qriter::{steqr_mut, ZBlock};
-use dcst_secular::{assemble_vectors, local_w_products, solve_secular_root, Deflation};
+use dcst_secular::{local_w_accumulate, secular_row_entries, Deflation, SecularProblem};
 
 /// The first and last row of a node's (never materialized) eigenvector
 /// matrix, indexed by the node's physical column order.
@@ -72,13 +75,15 @@ pub(crate) fn rows_z(rows_l: &BoundaryRows, rows_r: &BoundaryRows) -> Vec<f64> {
 
 /// Carry the merged block's boundary rows through the deflation rotations
 /// into storage-slot order, masked to each slot's row span — the row
-/// analogue of `apply_givens` + `PermuteV`. Deflated slots (`k..`) are
-/// final; the pass-2 panels overwrite `0..k`.
+/// analogue of `apply_givens` + `PermuteV`. Returns `(rows, w)`: `rows`
+/// over all `nm` slots, in which the deflated ones (`k..`) are final and
+/// the pass-2 panels overwrite `0..k`; and `w`, those `k` pre-update
+/// entries gathered into secular order, which is what pass 2 multiplies.
 pub(crate) fn carry_rows(
     defl: &Deflation,
     rows_l: &BoundaryRows,
     rows_r: &BoundaryRows,
-) -> BoundaryRows {
+) -> (BoundaryRows, BoundaryRows) {
     let (nm, n1) = (defl.n, defl.n1);
     debug_assert_eq!(rows_l.first.len(), n1);
     debug_assert_eq!(rows_r.first.len(), nm - n1);
@@ -101,7 +106,7 @@ pub(crate) fn carry_rows(
     // span: the full path's update GEMMs read Top slots only for the top
     // rows and Bottom slots only for the bottom rows, so a Bottom slot
     // contributes nothing to the first row (and Top nothing to the last).
-    let mut w = BoundaryRows {
+    let mut rows = BoundaryRows {
         first: vec![0.0f64; nm],
         last: vec![0.0f64; nm],
     };
@@ -109,67 +114,85 @@ pub(crate) fn carry_rows(
         let src = defl.perm[s];
         let (r0, r1) = slot_rows(defl.slot_type[s], nm, n1);
         if r0 == 0 {
-            w.first[s] = first_cat[src];
+            rows.first[s] = first_cat[src];
         }
         if r1 == nm {
-            w.last[s] = last_cat[src];
+            rows.last[s] = last_cat[src];
         }
     }
-    w
+    let secular = |row: &[f64]| defl.sec_to_slot.iter().map(|&s| row[s]).collect();
+    let w = BoundaryRows {
+        first: secular(&rows.first),
+        last: secular(&rows.last),
+    };
+    (rows, w)
+}
+
+/// What pass 1 keeps of a panel's secular roots for pass 2: the accepted
+/// `(μ, origin)` of each, 12 bytes a root.
+pub(crate) struct PanelRoots {
+    mu: Vec<f64>,
+    origin: Vec<u32>,
 }
 
 /// Pass 1 over secular roots `jrange`: eigenvalues into `lam_out` (one
-/// entry per root) and the panel's running Gu–Eisenstat local-W partial as
-/// the return value. One k-length delta column is reused across roots, so
-/// transient memory is O(k) regardless of panel width.
+/// entry per root). With `carry` — the merge's rows have a reader — also
+/// returns the panel's running Gu–Eisenstat local-W partial and its roots
+/// for pass 2. One k-length delta column of per-thread scratch is reused
+/// across roots, so transient memory is O(k) regardless of panel width.
 pub(crate) fn secular_rows_panel(
     defl: &Deflation,
     jrange: std::ops::Range<usize>,
     lam_out: &mut [f64],
     row_off: usize,
-) -> Result<Vec<f64>, DcError> {
+    carry: bool,
+) -> Result<Option<(Vec<f64>, PanelRoots)>, DcError> {
     let k = defl.k;
-    let mut col = vec![0.0f64; k];
-    let mut partial = vec![1.0f64; k];
-    for j in jrange.clone() {
-        lam_out[j - jrange.start] =
-            solve_secular_root(j, &defl.dlamda, &defl.w, defl.rho, &mut col)
-                .map_err(|e| DcError::Secular(e.with_offset(row_off)))?;
-        let p = local_w_products(&defl.dlamda, &col, k, j, j..j + 1);
-        for (acc, f) in partial.iter_mut().zip(&p) {
-            *acc *= f;
+    let at_off = |e: dcst_secular::SecularError| DcError::Secular(e.with_offset(row_off));
+    let problem = SecularProblem::new(&defl.dlamda, &defl.w, defl.rho).map_err(at_off)?;
+    let mut kept = carry.then(|| {
+        let roots = PanelRoots {
+            mu: Vec::with_capacity(jrange.len()),
+            origin: Vec::with_capacity(jrange.len()),
+        };
+        (vec![1.0f64; k], roots)
+    });
+    with_scratch(k, |col| -> Result<(), DcError> {
+        for (lam, j) in lam_out.iter_mut().zip(jrange) {
+            let root = problem.solve_root(j, col).map_err(at_off)?;
+            *lam = root.lambda;
+            if let Some((partial, roots)) = &mut kept {
+                local_w_accumulate(&defl.dlamda, col, j, partial);
+                roots.mu.push(root.mu);
+                roots
+                    .origin
+                    .push(u32::try_from(root.origin).expect("merge order fits u32"));
+            }
         }
-    }
-    Ok(partial)
+        Ok(())
+    })?;
+    Ok(kept)
 }
 
-/// Pass 2 over secular roots `jrange`: re-solve each root (the iteration
-/// is deterministic, so the deltas are bitwise identical to pass 1),
-/// assemble the slot-permuted normalized vector, and dot it with the
-/// slot-order boundary rows `w` ([`carry_rows`]) — the 1×k row analogue of
-/// the full path's two structured GEMMs. Returns the new `(first, last)`
+/// Pass 2 over the secular roots of one panel, whose pass-1 record is
+/// `roots`: per root one fused division pass rebuilds the pole distances
+/// from the stored `(μ, origin)`, forms the normalized secular
+/// eigenvector's dots with the secular-order boundary rows `w`
+/// ([`carry_rows`]) — the 1×k row analogue of the full path's two
+/// structured GEMMs — and stores neither. Returns the new `(first, last)`
 /// row entries for the panel's columns.
 pub(crate) fn row_update_panel(
     defl: &Deflation,
     w: &BoundaryRows,
     zhat: &[f64],
-    jrange: std::ops::Range<usize>,
+    roots: &PanelRoots,
     row_off: usize,
 ) -> Result<(Vec<f64>, Vec<f64>), DcError> {
-    let k = defl.k;
-    let mut col = vec![0.0f64; k];
-    let mut first = Vec::with_capacity(jrange.len());
-    let mut last = Vec::with_capacity(jrange.len());
-    for j in jrange {
-        solve_secular_root(j, &defl.dlamda, &defl.w, defl.rho, &mut col)
-            .map_err(|e| DcError::Secular(e.with_offset(row_off)))?;
-        assemble_vectors(zhat, &mut col, k, j, j..j + 1, &defl.sec_to_slot);
-        let mut fr = 0.0;
-        let mut lr = 0.0;
-        for (s, &x) in col.iter().enumerate() {
-            fr += w.first[s] * x;
-            lr += w.last[s] * x;
-        }
+    let mut first = Vec::with_capacity(roots.mu.len());
+    let mut last = Vec::with_capacity(roots.mu.len());
+    for (&mu, &origin) in roots.mu.iter().zip(&roots.origin) {
+        let (fr, lr) =
+            secular_row_entries(&defl.dlamda, origin as usize, mu, zhat, &w.first, &w.last);
         if !(fr.is_finite() && lr.is_finite()) {
             return Err(DcError::Breakdown {
                 stage: "row-update",

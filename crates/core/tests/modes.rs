@@ -7,7 +7,7 @@ use dcst_core::{
 };
 use dcst_matrix::{orthogonality_error, residual_error};
 use dcst_tridiag::gen::MatrixType;
-use dcst_tridiag::SymTridiag;
+use dcst_tridiag::{sturm_count, SymTridiag};
 use proptest::prelude::*;
 
 fn opts(mode: SolveMode) -> DcOptions {
@@ -50,6 +50,36 @@ fn values_only_matches_full_all_types_all_drivers() {
             assert_eq!(eig.vectors.cols(), 0, "{}: no vectors", s.name());
             assert_eq!(eig.vectors.rows(), n);
             values_close(&eig.values, &oracle.values, n, t.max_norm(), 50.0);
+        }
+    }
+}
+
+#[test]
+fn values_only_brackets_sturm_counts_at_n_1000() {
+    // Values mode at a size whose merges span many panels, against an
+    // oracle that shares nothing with the merge kernels: every returned
+    // eigenvalue sits between Sturm counts that bracket its index.
+    let n = 1000;
+    let solver = TaskFlowDc::new(DcOptions {
+        threads: 2,
+        mode: SolveMode::ValuesOnly,
+        ..DcOptions::default()
+    });
+    for ty in MatrixType::ALL {
+        let t = ty.generate(n, 7);
+        let eig = solver.solve(&t).unwrap();
+        assert_eq!(eig.values.len(), n, "{ty:?}");
+        assert!(
+            eig.values.windows(2).all(|w| w[0] <= w[1]),
+            "{ty:?}: sorted"
+        );
+        let tol = 50.0 * n as f64 * f64::EPSILON * t.max_norm().max(f64::MIN_POSITIVE);
+        for (i, &lam) in eig.values.iter().enumerate() {
+            let (below, above) = (sturm_count(&t, lam - tol), sturm_count(&t, lam + tol));
+            assert!(
+                below <= i && i < above,
+                "{ty:?}: eigenvalue {i} = {lam:e}, Sturm counts {below}..{above}"
+            );
         }
     }
 }

@@ -6,13 +6,16 @@
 //!
 //! * [`deflate`] — deflation detection, Givens pairing and 4-group
 //!   permutation (`dlaed2` analogue);
-//! * [`solve_secular_root`] — one root of the secular equation with
-//!   accurately-computed pole distances (`dlaed4` analogue);
+//! * [`SecularProblem::solve_root`] — one root of a once-validated secular
+//!   equation with accurately-computed pole distances (`dlaed4` analogue;
+//!   [`solve_secular_root`] is the one-call form);
 //! * [`local_w_products`] / [`reduce_w`] — the Gu–Eisenstat ẑ
 //!   recomputation, split the way the paper's `ComputeLocalW`/`ReduceW`
 //!   tasks split it (`dlaed3` analogue);
 //! * [`assemble_vectors`] — stable eigenvector assembly for a panel of
-//!   secular roots.
+//!   secular roots;
+//! * [`secular_row_entries`] — what a values-only merge needs of such a
+//!   vector (two dots over its norm), from the stored root alone.
 //!
 //! Everything here is sequential by design: the *parallelism* lives in
 //! `dcst-core`, which calls these kernels from panel tasks.
@@ -32,12 +35,13 @@ mod vectors;
 pub use deflate::{deflate, Deflation, DeflationInput, GivensRot, SlotType};
 pub use roots::{
     secular_function, solve_secular_root, solve_secular_root_scalar, solve_secular_root_with_maxit,
-    SecularError,
+    SecularError, SecularProblem, SecularRoot,
 };
 pub use simd::{max_abs, max_abs_scalar};
 pub use structured::{
     compress_secular_x, estimate_offdiag_rank, leaf_size, rank_tolerance, StructuredX,
 };
 pub use vectors::{
-    assemble_vectors, assemble_vectors_scalar, local_w_products, local_w_products_scalar, reduce_w,
+    assemble_vectors, assemble_vectors_scalar, local_w_accumulate, local_w_products,
+    local_w_products_scalar, reduce_w, secular_row_entries, secular_row_entries_scalar,
 };

@@ -23,7 +23,8 @@ pub enum SecularError {
     /// Iteration did not reach the convergence criterion (returns the best
     /// bracket midpoint anyway in practice; this signals a numerical bug).
     NoConvergence { root: usize },
-    /// Invalid input (non-positive rho, unsorted d, zero z entry).
+    /// Invalid input (non-positive rho, unsorted d, zero z entry, or a
+    /// non-finite value in any of them).
     InvalidInput(&'static str),
 }
 
@@ -76,14 +77,252 @@ fn eval_shifted(z: &[f64], rho: f64, delta: &[f64]) -> (f64, f64) {
     (1.0 + rho * val, 1.0 + rho * abs)
 }
 
-/// Solve for root `j` (0-based) of the secular equation.
-///
-/// On success returns `λ_j`; `delta` (length k) is filled with the
-/// accurately-computed distances `d_i − λ_j`.
-///
-/// The per-iteration k-term sweeps run through the runtime-dispatched
-/// SIMD kernels in [`crate::simd`]; [`solve_secular_root_scalar`] pins the
-/// scalar bodies and serves as the oracle.
+/// A secular problem `D + ρzzᵀ`, validated once: ρ positive and finite,
+/// the poles `d` finite and strictly ascending, every `z` entry finite and
+/// non-zero (deflation removes the zero ones before a solver sees them).
+/// A panel task builds one and solves its roots against it, so nothing
+/// here is re-checked or re-summed per root.
+#[derive(Clone, Copy, Debug)]
+pub struct SecularProblem<'a> {
+    d: &'a [f64],
+    z: &'a [f64],
+    rho: f64,
+    znorm2: f64,
+}
+
+/// One solved secular root, in the coordinates it was solved in:
+/// `λ = d[origin] + μ`, with `origin` the pole closest to the root. The
+/// pair is the whole state a pole-distance column can be rebuilt from —
+/// `delta[i] = (d[i] − d[origin]) − μ`, bit for bit what the solver wrote.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SecularRoot {
+    pub lambda: f64,
+    pub mu: f64,
+    pub origin: usize,
+}
+
+impl<'a> SecularProblem<'a> {
+    /// Validate `(d, z, ρ)`; `d` and `z` must have one length.
+    pub fn new(d: &'a [f64], z: &'a [f64], rho: f64) -> Result<Self, SecularError> {
+        assert_eq!(d.len(), z.len(), "one z entry per pole");
+        if !(rho > 0.0 && rho.is_finite()) {
+            return Err(SecularError::InvalidInput("rho must be positive"));
+        }
+        if !d.iter().all(|x| x.is_finite()) {
+            return Err(SecularError::InvalidInput("poles must be finite"));
+        }
+        // `all(<)`, not `any(>=)`: no ordering of a NaN passes either.
+        if !d.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SecularError::InvalidInput(
+                "poles must be strictly ascending",
+            ));
+        }
+        if !z.iter().all(|&x| x.is_finite() && x != 0.0) {
+            return Err(SecularError::InvalidInput(
+                "z entries must be finite and non-zero",
+            ));
+        }
+        let znorm2 = z.iter().map(|x| x * x).sum();
+        Ok(SecularProblem { d, z, rho, znorm2 })
+    }
+
+    /// Solve for root `j` (0-based). `delta` (length k) is filled with the
+    /// accurately-computed distances `d_i − λ_j`.
+    ///
+    /// The per-iteration k-term sweeps run through the runtime-dispatched
+    /// SIMD kernels in [`crate::simd`]; [`Self::solve_root_scalar`] pins
+    /// the scalar bodies and serves as the oracle.
+    pub fn solve_root(&self, j: usize, delta: &mut [f64]) -> Result<SecularRoot, SecularError> {
+        self.solve(j, delta, !simd::use_simd(), MAXIT)
+    }
+
+    /// [`Self::solve_root`] forced onto the scalar kernel bodies. Retained
+    /// as the property-test oracle and for SIMD-vs-scalar benchmarking
+    /// within one process.
+    pub fn solve_root_scalar(
+        &self,
+        j: usize,
+        delta: &mut [f64],
+    ) -> Result<SecularRoot, SecularError> {
+        self.solve(j, delta, true, MAXIT)
+    }
+
+    fn solve(
+        &self,
+        j: usize,
+        delta: &mut [f64],
+        scalar: bool,
+        maxit: usize,
+    ) -> Result<SecularRoot, SecularError> {
+        let (d, z, rho) = (self.d, self.z, self.rho);
+        let k = d.len();
+        assert!(j < k && delta.len() == k);
+        if dcst_matrix::failpoints::fire("laed4") {
+            return Err(SecularError::NoConvergence { root: j });
+        }
+
+        if k == 1 {
+            // 1 + ρ z₀²/(d₀ − λ) = 0  ⇒  λ = d₀ + ρ z₀².
+            let mu = rho * z[0] * z[0];
+            delta[0] = -mu;
+            metrics::add("secular.root_solves", 1);
+            return Ok(SecularRoot {
+                lambda: d[0] + mu,
+                mu,
+                origin: 0,
+            });
+        }
+
+        let last = j == k - 1;
+        // Terms below `split` are the ψ side, the rest the φ side; the two
+        // model poles — the interval endpoints, for the last root the last
+        // two poles — are the ones either side of it.
+        let split = if last { k - 1 } else { j + 1 };
+
+        // ---- origin pole K and bracket for μ = λ − d_K. Every root starts
+        // at origin d_j in the middle of its interval: (d_j, d_{j+1}) for an
+        // interior root, (d_{k−1}, d_{k−1} + ρ‖z‖²] for the last. The first
+        // sweep below evaluates f there; for an interior root its sign also
+        // picks the closer endpoint as the origin.
+        let mut origin = j;
+        let mut lo = 0.0;
+        let mut hi = if last {
+            rho * self.znorm2
+        } else {
+            d[j + 1] - d[j]
+        };
+        let mut mu = 0.5 * hi;
+
+        // The (origin, μ) `delta` was last filled at.
+        let mut swept = (usize::MAX, 0.0);
+        let mut converged = false;
+        let mut iters = 0u64;
+        // The midpoint sweep, then up to `maxit` rational-model steps.
+        for it in 0..=maxit {
+            iters += 1;
+            // Fused sweep: fill delta[i] = (d_i − d_K) − μ and accumulate
+            // the secular sum, its absolute-value companion, and both
+            // side-wise derivative sums in one dispatched pass over the k
+            // terms.
+            let sums = simd::secular_sweep(scalar, d, d[origin], mu, z, split, delta);
+            swept = (origin, mu);
+            let f = 1.0 + rho * sums.val;
+            let fabs = 1.0 + rho * sums.abs;
+            let tol = 8.0 * EPS * (k as f64) * fabs;
+            if f.abs() <= tol {
+                converged = true;
+                break;
+            }
+            // Distances of the two model poles at this iterate.
+            let (a, b) = (delta[split - 1], delta[split]);
+            if it == 0 && !last && f < 0.0 {
+                // Root in the upper half: origin d_{j+1}, where the
+                // midpoint is μ = −gap/2 and the bracket [−gap/2, 0).
+                origin = j + 1;
+                mu = -mu;
+                lo = mu;
+                hi = 0.0;
+            } else if f > 0.0 {
+                hi = mu;
+            } else {
+                lo = mu;
+            }
+            // --- rational model step: f̃(μ̂) = C + A/(a − μ̂) + B/(b − μ̂)
+            // with the ψ/φ split across the two model poles, matching f
+            // and the side-wise derivatives ψ′/φ′.
+            let a_coef = rho * sums.psi_p * a * a;
+            let b_coef = rho * sums.phi_p * b * b;
+            let c_coef = f - rho * sums.psi_p * a - rho * sums.phi_p * b;
+            // Solve C + A/(a − η) + B/(b − η) = 0 for the step η (shift
+            // μ̂ = μ + η): quadratic
+            //   C(a−η)(b−η) + A(b−η) + B(a−η) = 0.
+            let qa = c_coef;
+            let qb = -(c_coef * (a + b) + a_coef + b_coef);
+            let qc = c_coef * a * b + a_coef * b + b_coef * a;
+            let eta = solve_quadratic_closest_to_zero(qa, qb, qc);
+            let mut next = match eta {
+                Some(eta) if (lo < mu + eta) && (mu + eta < hi) => mu + eta,
+                _ => 0.5 * (lo + hi),
+            };
+            if next == mu {
+                next = 0.5 * (lo + hi);
+            }
+            mu = next;
+            // Bracket exhausted to rounding: accept.
+            if hi - lo <= 2.0 * EPS * (lo.abs().max(hi.abs())) {
+                converged = true;
+                break;
+            }
+        }
+        let rescued = !converged;
+        if !converged {
+            // Safeguarded-bisection rescue: the rational model can stagnate
+            // on extreme pole configurations, but the sign-tested bracket
+            // [lo, hi] survives every iteration above, so bisecting it
+            // converges unconditionally (up to rounding) at ~1 bit per
+            // sweep. This is the dlaed4 lineage's safeguard: failure should
+            // become reportable only when the bracket itself is numerically
+            // exhausted.
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                iters += 1;
+                let sums = simd::secular_sweep(scalar, d, d[origin], mid, z, split, delta);
+                mu = mid;
+                swept = (origin, mu);
+                let f = 1.0 + rho * sums.val;
+                let fabs = 1.0 + rho * sums.abs;
+                if f.abs() <= 8.0 * EPS * (k as f64) * fabs {
+                    converged = true;
+                    break;
+                }
+                if f > 0.0 {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+                if hi - lo <= 2.0 * EPS * (lo.abs().max(hi.abs())) {
+                    converged = true;
+                    break;
+                }
+            }
+        }
+        // One batched registry update per root solve (never per sweep).
+        metrics::add("secular.root_solves", 1);
+        metrics::add("secular.iters", iters);
+        if rescued {
+            metrics::add("secular.bisection_rescues", 1);
+        }
+        // Delta refresh at the accepted μ, unless the last sweep ran there
+        // (it wrote these very values).
+        if swept != (origin, mu) {
+            for (de, &di) in delta.iter_mut().zip(d) {
+                *de = (di - d[origin]) - mu;
+            }
+        }
+        if !converged {
+            let (f, fabs) = eval_shifted(z, rho, delta);
+            // Accept if the bracket is as tight as representable.
+            if f.abs() > 1e3 * EPS * (k as f64) * fabs
+                && hi - lo > 4.0 * EPS * (lo.abs().max(hi.abs()) + EPS)
+            {
+                return Err(SecularError::NoConvergence { root: j });
+            }
+        }
+        Ok(SecularRoot {
+            lambda: d[origin] + mu,
+            mu,
+            origin,
+        })
+    }
+}
+
+/// Solve for root `j` (0-based) of the secular equation: validate the
+/// problem, solve, return `λ_j` with `delta` filled — one call of
+/// [`SecularProblem::new`] and [`SecularProblem::solve_root`]. A caller
+/// with more than one root to solve builds the problem once instead.
 pub fn solve_secular_root(
     j: usize,
     d: &[f64],
@@ -91,12 +330,12 @@ pub fn solve_secular_root(
     rho: f64,
     delta: &mut [f64],
 ) -> Result<f64, SecularError> {
-    solve_root_impl(j, d, z, rho, delta, !simd::use_simd(), MAXIT)
+    Ok(SecularProblem::new(d, z, rho)?.solve_root(j, delta)?.lambda)
 }
 
 /// Test hook: run the root finder with an explicit rational-iteration
 /// budget, so the safeguarded-bisection rescue can be exercised directly
-/// (a zero budget skips the Newton phase entirely).
+/// (a zero budget leaves only the midpoint sweep that picks the origin).
 #[doc(hidden)]
 pub fn solve_secular_root_with_maxit(
     j: usize,
@@ -106,12 +345,12 @@ pub fn solve_secular_root_with_maxit(
     delta: &mut [f64],
     maxit: usize,
 ) -> Result<f64, SecularError> {
-    solve_root_impl(j, d, z, rho, delta, !simd::use_simd(), maxit)
+    let root = SecularProblem::new(d, z, rho)?.solve(j, delta, !simd::use_simd(), maxit)?;
+    Ok(root.lambda)
 }
 
-/// [`solve_secular_root`] forced onto the scalar kernel bodies — the seed
-/// implementation, bit for bit. Retained as the property-test oracle and
-/// for SIMD-vs-scalar benchmarking within one process.
+/// [`solve_secular_root`] forced onto the scalar kernel bodies (the test
+/// oracle).
 pub fn solve_secular_root_scalar(
     j: usize,
     d: &[f64],
@@ -119,194 +358,13 @@ pub fn solve_secular_root_scalar(
     rho: f64,
     delta: &mut [f64],
 ) -> Result<f64, SecularError> {
-    solve_root_impl(j, d, z, rho, delta, true, MAXIT)
+    let root = SecularProblem::new(d, z, rho)?.solve_root_scalar(j, delta)?;
+    Ok(root.lambda)
 }
 
 /// Rational-model iterations before the safeguarded-bisection rescue
 /// takes over (LAPACK's dlaed4 uses 30; the bracket makes more harmless).
 const MAXIT: usize = 100;
-
-fn solve_root_impl(
-    j: usize,
-    d: &[f64],
-    z: &[f64],
-    rho: f64,
-    delta: &mut [f64],
-    scalar: bool,
-    maxit: usize,
-) -> Result<f64, SecularError> {
-    let k = d.len();
-    assert!(j < k && z.len() == k && delta.len() == k);
-    if rho.is_nan() || rho <= 0.0 {
-        return Err(SecularError::InvalidInput("rho must be positive"));
-    }
-    if d.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(SecularError::InvalidInput(
-            "poles must be strictly ascending",
-        ));
-    }
-    if dcst_matrix::failpoints::fire("laed4") {
-        return Err(SecularError::NoConvergence { root: j });
-    }
-
-    if k == 1 {
-        // 1 + ρ z₀²/(d₀ − λ) = 0  ⇒  λ = d₀ + ρ z₀².
-        let mu = rho * z[0] * z[0];
-        delta[0] = -mu;
-        return Ok(d[0] + mu);
-    }
-
-    let znorm2: f64 = z.iter().map(|x| x * x).sum();
-    let last = j == k - 1;
-
-    // ---- choose the origin pole K and the initial bracket for μ = λ − d_K.
-    // For interior roots the root lies in (d_j, d_{j+1}); pick the closer
-    // endpoint by the sign of f at the midpoint. For the last root the
-    // origin is d_{k−1} and μ ∈ (0, ρ‖z‖²].
-    let (origin, mut lo, mut hi);
-    if last {
-        origin = k - 1;
-        lo = 0.0;
-        hi = rho * znorm2;
-    } else {
-        let gap = d[j + 1] - d[j];
-        // f at the midpoint, evaluated in shifted coords around d_j.
-        let mid = 0.5 * gap;
-        let fmid = 1.0 + rho * simd::secular_probe(scalar, d, d[j], mid, z, delta);
-        if fmid >= 0.0 {
-            // Root in the lower half: origin d_j, μ ∈ (0, gap/2].
-            origin = j;
-            lo = 0.0;
-            hi = mid;
-        } else {
-            // Root in the upper half: origin d_{j+1}, μ ∈ [−gap/2, 0).
-            origin = j + 1;
-            lo = -mid;
-            hi = 0.0;
-        }
-    }
-
-    // Pole distances from the origin (exact in the d-grid).
-    let dk: Vec<f64> = d.iter().map(|&di| di - d[origin]).collect();
-    // The two model poles: the interval endpoints (for the last root, the
-    // last two poles).
-    let (p1, p2) = if last { (k - 1, k - 2) } else { (j, j + 1) };
-
-    // Initial guess: bracket midpoint.
-    let mut mu = 0.5 * (lo + hi);
-    if mu == 0.0 {
-        // Degenerate when lo == -hi == 0 can't happen (hi > lo), but μ may
-        // round to an endpoint; nudge inside.
-        mu = lo + 0.25 * (hi - lo);
-    }
-
-    let split = if last { k - 1 } else { j + 1 };
-    let mut converged = false;
-    let mut iters = 0u64;
-    for _ in 0..maxit {
-        iters += 1;
-        // Fused sweep: fill delta[i] = dk[i] − μ and accumulate the secular
-        // sum, its absolute-value companion, and both side-wise derivative
-        // sums in one dispatched pass over the k terms.
-        let sums = simd::secular_sweep(scalar, &dk, mu, z, split, delta);
-        let f = 1.0 + rho * sums.val;
-        let fabs = 1.0 + rho * sums.abs;
-        let tol = 8.0 * EPS * (k as f64) * fabs;
-        if f.abs() <= tol {
-            converged = true;
-            break;
-        }
-        if f > 0.0 {
-            hi = mu;
-        } else {
-            lo = mu;
-        }
-        // --- rational model step: f̃(μ̂) = C + A/(δ₁ − μ̂) + B/(δ₂ − μ̂)
-        // with the ψ/φ split across the two model poles, matching f and
-        // the side-wise derivatives ψ′/φ′.
-        let s1 = dk[p1] - mu;
-        let s2 = dk[p2] - mu;
-        let (psi_p, phi_p) = (sums.psi_p, sums.phi_p);
-        // Guard the split so each model pole owns its own side.
-        let (a_side, b_side) = if p1 < split { (s1, s2) } else { (s2, s1) };
-        let a_coef = rho * psi_p * a_side * a_side;
-        let b_coef = rho * phi_p * b_side * b_side;
-        let c_coef = f - rho * psi_p * a_side - rho * phi_p * b_side;
-        // Solve C + A/(a_side − η) + B/(b_side − η) = 0 for the step η
-        // (shift μ̂ = μ + η): quadratic
-        //   C(a−η)(b−η) + A(b−η) + B(a−η) = 0.
-        let (a, b) = (a_side, b_side);
-        let qa = c_coef;
-        let qb = -(c_coef * (a + b) + a_coef + b_coef);
-        let qc = c_coef * a * b + a_coef * b + b_coef * a;
-        let eta = solve_quadratic_closest_to_zero(qa, qb, qc);
-        let mut next = match eta {
-            Some(eta) if (lo < mu + eta) && (mu + eta < hi) => mu + eta,
-            _ => 0.5 * (lo + hi),
-        };
-        if next == mu {
-            next = 0.5 * (lo + hi);
-        }
-        mu = next;
-        // Bracket exhausted to rounding: accept.
-        if hi - lo <= 2.0 * EPS * (lo.abs().max(hi.abs())) {
-            converged = true;
-            break;
-        }
-    }
-    let rescued = !converged;
-    if !converged {
-        // Safeguarded-bisection rescue: the rational model can stagnate on
-        // extreme pole configurations, but the sign-tested bracket [lo, hi]
-        // survives every iteration above, so bisecting it converges
-        // unconditionally (up to rounding) at ~1 bit per probe. This is the
-        // dlaed4 lineage's safeguard: failure should become reportable only
-        // when the bracket itself is numerically exhausted.
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if mid <= lo || mid >= hi {
-                break;
-            }
-            let sums = simd::secular_sweep(scalar, &dk, mid, z, split, delta);
-            mu = mid;
-            let f = 1.0 + rho * sums.val;
-            let fabs = 1.0 + rho * sums.abs;
-            if f.abs() <= 8.0 * EPS * (k as f64) * fabs {
-                converged = true;
-                break;
-            }
-            if f > 0.0 {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-            if hi - lo <= 2.0 * EPS * (lo.abs().max(hi.abs())) {
-                converged = true;
-                break;
-            }
-        }
-    }
-    // One batched registry update per root solve (never per iteration).
-    metrics::add("secular.root_solves", 1);
-    metrics::add("secular.iters", iters);
-    if rescued {
-        metrics::add("secular.bisection_rescues", 1);
-    }
-    // Final delta refresh at the accepted μ.
-    for (de, &dki) in delta.iter_mut().zip(&dk) {
-        *de = dki - mu;
-    }
-    if !converged {
-        let (f, fabs) = eval_shifted(z, rho, delta);
-        // Accept if the bracket is as tight as representable.
-        if f.abs() > 1e3 * EPS * (k as f64) * fabs
-            && hi - lo > 4.0 * EPS * (lo.abs().max(hi.abs()) + EPS)
-        {
-            return Err(SecularError::NoConvergence { root: j });
-        }
-    }
-    Ok(d[origin] + mu)
-}
 
 /// Smaller-magnitude real root of `qa η² + qb η + qc = 0`, computed with
 /// the stable formula; `None` when no real root exists.
@@ -519,17 +577,74 @@ mod tests {
         assert_eq!(inv.clone().with_offset(40), inv);
     }
 
+    fn invalid(d: &[f64], z: &[f64], rho: f64) -> &'static str {
+        match SecularProblem::new(d, z, rho) {
+            Err(SecularError::InvalidInput(msg)) => msg,
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn rejects_bad_input() {
+    fn rejects_bad_rho() {
+        for rho in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                invalid(&[0.0, 1.0], &[0.5, 0.5], rho),
+                "rho must be positive"
+            );
+        }
+        // The one-call form validates too.
         let mut delta = vec![0.0; 2];
         assert!(matches!(
             solve_secular_root(0, &[0.0, 1.0], &[0.5, 0.5], -1.0, &mut delta),
             Err(SecularError::InvalidInput(_))
         ));
-        assert!(matches!(
-            solve_secular_root(0, &[1.0, 0.0], &[0.5, 0.5], 1.0, &mut delta),
-            Err(SecularError::InvalidInput(_))
-        ));
+    }
+
+    #[test]
+    fn rejects_unsorted_or_equal_poles() {
+        let z = [0.5, 0.5, 0.5];
+        for d in [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]] {
+            assert_eq!(invalid(&d, &z, 1.0), "poles must be strictly ascending");
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_poles() {
+        // A NaN pole compares false both ways: `w[0] >= w[1]` let it pass.
+        let z = [0.5, 0.5, 0.5];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in 0..3 {
+                let mut d = [0.0, 1.0, 2.0];
+                d[at] = bad;
+                assert_eq!(invalid(&d, &z, 1.0), "poles must be finite");
+            }
+        }
+        assert_eq!(invalid(&[f64::NAN], &[0.5], 1.0), "poles must be finite");
+    }
+
+    #[test]
+    fn rejects_zero_or_non_finite_z() {
+        let d = [0.0, 1.0, 2.0];
+        for bad in [0.0, -0.0, f64::NAN, f64::INFINITY] {
+            let msg = invalid(&d, &[0.5, bad, 0.5], 1.0);
+            assert_eq!(msg, "z entries must be finite and non-zero");
+        }
+    }
+
+    #[test]
+    fn stored_root_rebuilds_the_delta_column() {
+        let d = [-1.0, 0.0, 0.5, 3.0];
+        let z = [0.6, 0.2, 0.4, 0.3];
+        let problem = SecularProblem::new(&d, &z, 2.0).unwrap();
+        let mut delta = vec![0.0; 4];
+        for j in 0..4 {
+            let root = problem.solve_root(j, &mut delta).unwrap();
+            assert!(root.origin == j || root.origin == j + 1);
+            assert_eq!(root.lambda, d[root.origin] + root.mu);
+            for i in 0..4 {
+                assert_eq!(delta[i], (d[i] - d[root.origin]) - root.mu);
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! Once the eigenvector-update GEMMs are fast, the merge phase is
 //! dominated by these O(k²) sweeps: the secular-function/derivative
-//! evaluation inside every `solve_secular_root` iteration, the
-//! Gu–Eisenstat per-column products of `local_w_products`, and the
-//! per-column normalization of `assemble_vectors`. Each kernel here comes
-//! in two forms:
+//! evaluation inside every root-finder iteration (one kernel,
+//! [`secular_sweep`], for the midpoint evaluation, the rational steps and
+//! the bisection rescue alike), the Gu–Eisenstat per-column products of
+//! `local_w_products`, the per-column normalization of `assemble_vectors`,
+//! and the values-only path's fused boundary-row pass ([`row_sums`]). Each
+//! kernel here comes in two forms:
 //!
 //! * a **scalar** body — the original seed loops, bit-for-bit, retained as
 //!   the property-test oracle and the `DCST_FORCE_SCALAR=1` path;
@@ -53,21 +55,36 @@ pub(crate) struct SweepSums {
     pub phi_p: f64,
 }
 
+/// Sums of one fused pass over a secular eigenvector `xᵢ = ẑᵢ/δᵢ` that
+/// is never stored: its squared norm and its dots with two carried rows.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RowSums {
+    /// `Σ xᵢ²`.
+    pub nrm2: f64,
+    /// `Σ wfᵢ·xᵢ`.
+    pub first: f64,
+    /// `Σ wlᵢ·xᵢ`.
+    pub last: f64,
+}
+
 // ---------------------------------------------------------------- scalar
 
-/// Scalar oracle: fill `delta[i] = dk[i] − μ` and accumulate all four
-/// sums with the seed's exact operation order (`t = z²/δ`, `t′ = t/δ`).
+/// Scalar oracle: fill `delta[i] = (d[i] − origin) − μ` — the pole
+/// distances in coordinates shifted to the origin pole, two subtractions
+/// and no cancellation — and accumulate all four sums with the seed's
+/// exact operation order (`t = z²/δ`, `t′ = t/δ`).
 // dcst-hot
 pub(crate) fn secular_sweep_scalar(
-    dk: &[f64],
+    d: &[f64],
+    origin: f64,
     mu: f64,
     z: &[f64],
     split: usize,
     delta: &mut [f64],
 ) -> SweepSums {
     let mut s = SweepSums::default();
-    for i in 0..dk.len() {
-        let de = dk[i] - mu;
+    for i in 0..d.len() {
+        let de = (d[i] - origin) - mu;
         delta[i] = de;
         let t = z[i] * z[i] / de;
         s.val += t;
@@ -82,23 +99,26 @@ pub(crate) fn secular_sweep_scalar(
     s
 }
 
-/// Scalar oracle for the bracket-side probe: fill
-/// `delta[i] = (d[i] − dj) − mid` and return `Σ zᵢ²/δᵢ`.
+/// Scalar oracle for the fused boundary-row pass: with
+/// `δᵢ = (d[i] − origin) − μ` rebuilt from a stored root, one division per
+/// term gives `xᵢ = ẑᵢ/δᵢ` and the three sums.
 // dcst-hot
-pub(crate) fn secular_probe_scalar(
+pub(crate) fn row_sums_scalar(
     d: &[f64],
-    dj: f64,
-    mid: f64,
-    z: &[f64],
-    delta: &mut [f64],
-) -> f64 {
-    let mut val = 0.0;
+    origin: f64,
+    mu: f64,
+    zhat: &[f64],
+    wf: &[f64],
+    wl: &[f64],
+) -> RowSums {
+    let mut s = RowSums::default();
     for i in 0..d.len() {
-        let de = (d[i] - dj) - mid;
-        delta[i] = de;
-        val += z[i] * z[i] / de;
+        let x = zhat[i] / ((d[i] - origin) - mu);
+        s.nrm2 += x * x;
+        s.first += wf[i] * x;
+        s.last += wl[i] * x;
     }
-    val
+    s
 }
 
 /// Scalar oracle for one Gu–Eisenstat column:
@@ -139,7 +159,7 @@ pub fn max_abs_scalar(x: &[f64]) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::SweepSums;
+    use super::{RowSums, SweepSums};
     use core::arch::x86_64::*;
 
     /// Horizontal sum of a 4-lane double vector.
@@ -160,14 +180,17 @@ mod avx2 {
     /// Requires AVX2+FMA; `lo ≤ hi ≤ len` of all three slices.
     #[target_feature(enable = "avx2,fma")]
     // dcst-hot
+    #[allow(clippy::too_many_arguments)]
     unsafe fn sweep_segment(
-        dk: &[f64],
-        z: &[f64],
+        d: &[f64],
+        origin: f64,
         mu: f64,
+        z: &[f64],
         delta: &mut [f64],
         lo: usize,
         hi: usize,
     ) -> (f64, f64, f64) {
+        let vorigin = _mm256_set1_pd(origin);
         let vmu = _mm256_set1_pd(mu);
         let sign = _mm256_set1_pd(-0.0);
         let mut vval = _mm256_setzero_pd();
@@ -175,9 +198,9 @@ mod avx2 {
         let mut vder = _mm256_setzero_pd();
         let mut i = lo;
         while i + 4 <= hi {
-            let vdk = _mm256_loadu_pd(dk.as_ptr().add(i));
+            let vd = _mm256_loadu_pd(d.as_ptr().add(i));
             let vz = _mm256_loadu_pd(z.as_ptr().add(i));
-            let vde = _mm256_sub_pd(vdk, vmu);
+            let vde = _mm256_sub_pd(_mm256_sub_pd(vd, vorigin), vmu);
             _mm256_storeu_pd(delta.as_mut_ptr().add(i), vde);
             let vr = _mm256_div_pd(vz, vde); // z/δ
             let vt = _mm256_mul_pd(vz, vr); // z²/δ
@@ -188,7 +211,7 @@ mod avx2 {
         }
         let (mut val, mut abs, mut der) = (hsum(vval), hsum(vabs), hsum(vder));
         while i < hi {
-            let de = dk[i] - mu;
+            let de = (d[i] - origin) - mu;
             delta[i] = de;
             let r = z[i] / de;
             let t = z[i] * r;
@@ -205,15 +228,16 @@ mod avx2 {
     #[target_feature(enable = "avx2,fma")]
     // dcst-hot
     pub(super) unsafe fn secular_sweep(
-        dk: &[f64],
+        d: &[f64],
+        origin: f64,
         mu: f64,
         z: &[f64],
         split: usize,
         delta: &mut [f64],
     ) -> SweepSums {
-        let k = dk.len();
-        let (v1, a1, psi_p) = sweep_segment(dk, z, mu, delta, 0, split);
-        let (v2, a2, phi_p) = sweep_segment(dk, z, mu, delta, split, k);
+        let k = d.len();
+        let (v1, a1, psi_p) = sweep_segment(d, origin, mu, z, delta, 0, split);
+        let (v2, a2, phi_p) = sweep_segment(d, origin, mu, z, delta, split, k);
         SweepSums {
             val: v1 + v2,
             abs: a1 + a2,
@@ -223,38 +247,46 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires AVX2+FMA; all slices have equal length.
+    /// Requires AVX2+FMA; all five slices have equal length.
     #[target_feature(enable = "avx2,fma")]
     // dcst-hot
-    pub(super) unsafe fn secular_probe(
+    pub(super) unsafe fn row_sums(
         d: &[f64],
-        dj: f64,
-        mid: f64,
-        z: &[f64],
-        delta: &mut [f64],
-    ) -> f64 {
+        origin: f64,
+        mu: f64,
+        zhat: &[f64],
+        wf: &[f64],
+        wl: &[f64],
+    ) -> RowSums {
         let k = d.len();
-        let vdj = _mm256_set1_pd(dj);
-        let vmid = _mm256_set1_pd(mid);
-        let mut vval = _mm256_setzero_pd();
+        let vorigin = _mm256_set1_pd(origin);
+        let vmu = _mm256_set1_pd(mu);
+        let mut vn = _mm256_setzero_pd();
+        let mut vf = _mm256_setzero_pd();
+        let mut vl = _mm256_setzero_pd();
         let mut i = 0;
         while i + 4 <= k {
             let vd = _mm256_loadu_pd(d.as_ptr().add(i));
-            let vz = _mm256_loadu_pd(z.as_ptr().add(i));
-            let vde = _mm256_sub_pd(_mm256_sub_pd(vd, vdj), vmid);
-            _mm256_storeu_pd(delta.as_mut_ptr().add(i), vde);
-            let vr = _mm256_div_pd(vz, vde);
-            vval = _mm256_fmadd_pd(vz, vr, vval);
+            let vde = _mm256_sub_pd(_mm256_sub_pd(vd, vorigin), vmu);
+            let vx = _mm256_div_pd(_mm256_loadu_pd(zhat.as_ptr().add(i)), vde);
+            vn = _mm256_fmadd_pd(vx, vx, vn);
+            vf = _mm256_fmadd_pd(_mm256_loadu_pd(wf.as_ptr().add(i)), vx, vf);
+            vl = _mm256_fmadd_pd(_mm256_loadu_pd(wl.as_ptr().add(i)), vx, vl);
             i += 4;
         }
-        let mut val = hsum(vval);
+        let mut s = RowSums {
+            nrm2: hsum(vn),
+            first: hsum(vf),
+            last: hsum(vl),
+        };
         while i < k {
-            let de = (d[i] - dj) - mid;
-            delta[i] = de;
-            val += z[i] * z[i] / de;
+            let x = zhat[i] / ((d[i] - origin) - mu);
+            s.nrm2 += x * x;
+            s.first += wf[i] * x;
+            s.last += wl[i] * x;
             i += 1;
         }
-        val
+        s
     }
 
     /// Multiply `out[i] *= col[i] / (dlamda[i] − dj)` over `[lo, hi)`.
@@ -351,14 +383,15 @@ mod avx2 {
 
 // ------------------------------------------------------------- dispatch
 
-/// Fused secular sweep at μ: fill `delta[i] = dk[i] − μ` and return the
-/// four sums. `scalar` forces the oracle body (the dispatched entry points
-/// pass `!use_simd()`).
+/// Fused secular sweep at μ: fill `delta[i] = (d[i] − origin) − μ` and
+/// return the four sums. `scalar` forces the oracle body (the dispatched
+/// entry points pass `!use_simd()`).
 #[inline]
 // dcst-hot
 pub(crate) fn secular_sweep(
     scalar: bool,
-    dk: &[f64],
+    d: &[f64],
+    origin: f64,
     mu: f64,
     z: &[f64],
     split: usize,
@@ -367,30 +400,33 @@ pub(crate) fn secular_sweep(
     #[cfg(target_arch = "x86_64")]
     if !scalar {
         // SAFETY: use_simd() verified AVX2+FMA support.
-        return unsafe { avx2::secular_sweep(dk, mu, z, split, delta) };
+        return unsafe { avx2::secular_sweep(d, origin, mu, z, split, delta) };
     }
     let _ = scalar;
-    secular_sweep_scalar(dk, mu, z, split, delta)
+    secular_sweep_scalar(d, origin, mu, z, split, delta)
 }
 
-/// Bracket-side probe: fill `delta[i] = (d[i] − dj) − mid`, return `Σ z²/δ`.
+/// Fused boundary-row pass for the root stored as `(origin, μ)`: one
+/// division per term, nothing written. All five slices have one length
+/// (asserted by the public caller, `secular_row_entries`).
 #[inline]
 // dcst-hot
-pub(crate) fn secular_probe(
+pub(crate) fn row_sums(
     scalar: bool,
     d: &[f64],
-    dj: f64,
-    mid: f64,
-    z: &[f64],
-    delta: &mut [f64],
-) -> f64 {
+    origin: f64,
+    mu: f64,
+    zhat: &[f64],
+    wf: &[f64],
+    wl: &[f64],
+) -> RowSums {
     #[cfg(target_arch = "x86_64")]
     if !scalar {
         // SAFETY: use_simd() verified AVX2+FMA support.
-        return unsafe { avx2::secular_probe(d, dj, mid, z, delta) };
+        return unsafe { avx2::row_sums(d, origin, mu, zhat, wf, wl) };
     }
     let _ = scalar;
-    secular_probe_scalar(d, dj, mid, z, delta)
+    row_sums_scalar(d, origin, mu, zhat, wf, wl)
 }
 
 /// One Gu–Eisenstat column product (element-wise; SIMD is bit-identical
@@ -439,22 +475,25 @@ mod tests {
     use super::*;
 
     fn problem(k: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        // dk grid around 0 with μ strictly inside (dk[0], dk[1]).
-        let dk: Vec<f64> = (0..k).map(|i| i as f64 * 1.25 - 0.5).collect();
+        // Pole grid with ORIGIN + MU strictly inside (d[0], d[1]).
+        let d: Vec<f64> = (0..k).map(|i| i as f64 * 1.25).collect();
         let z: Vec<f64> = (0..k).map(|i| 0.3 + 0.05 * (i % 7) as f64).collect();
         let delta = vec![0.0; k];
-        (dk, z, delta)
+        (d, z, delta)
     }
+
+    const ORIGIN: f64 = 0.5;
+    const MU: f64 = 0.117;
 
     #[test]
     fn sweep_simd_matches_scalar() {
         for k in [1usize, 2, 3, 4, 5, 7, 8, 9, 16, 31, 257] {
-            let (dk, z, mut da) = problem(k);
+            let (d, z, mut da) = problem(k);
             let mut db = da.clone();
-            let mu = 0.117;
             let split = k.div_ceil(2);
-            let a = secular_sweep(false, &dk, mu, &z, split, &mut da);
-            let b = secular_sweep(true, &dk, mu, &z, split, &mut db);
+            let a = secular_sweep(false, &d, ORIGIN, MU, &z, split, &mut da);
+            let b = secular_sweep(true, &d, ORIGIN, MU, &z, split, &mut db);
+            assert_eq!(db[0], (d[0] - ORIGIN) - MU, "two subtractions, in order");
             assert_eq!(da, db, "delta fill differs at k={k}");
             for (x, y) in [
                 (a.val, b.val),
@@ -471,17 +510,20 @@ mod tests {
     }
 
     #[test]
-    fn probe_simd_matches_scalar() {
-        for k in [1usize, 4, 6, 8, 31] {
-            let (d, z, mut da) = problem(k);
-            let mut db = da.clone();
-            let a = secular_probe(false, &d, d[0], 0.3, &z, &mut da);
-            let b = secular_probe(true, &d, d[0], 0.3, &z, &mut db);
-            assert_eq!(da, db);
-            assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                "k={k}: {a} vs {b}"
-            );
+    fn row_sums_simd_matches_scalar() {
+        for k in [1usize, 3, 4, 5, 8, 31, 257] {
+            let (d, zhat, _) = problem(k);
+            let wf: Vec<f64> = (0..k).map(|i| ((i * 7) % 5) as f64 - 2.0).collect();
+            let wl: Vec<f64> = (0..k).map(|i| 0.5 - ((i * 3) % 4) as f64).collect();
+            let a = row_sums(false, &d, ORIGIN, MU, &zhat, &wf, &wl);
+            let b = row_sums(true, &d, ORIGIN, MU, &zhat, &wf, &wl);
+            let scale = b.nrm2.sqrt() * (k as f64).sqrt();
+            for (x, y) in [(a.nrm2, b.nrm2), (a.first, b.first), (a.last, b.last)] {
+                assert!(
+                    (x - y).abs() <= 1e-14 * scale.max(y.abs()),
+                    "k={k}: {x} vs {y}"
+                );
+            }
         }
     }
 

@@ -51,6 +51,17 @@ pub fn local_w_products_scalar(
     local_w_impl(dlamda, deltas, ld, col0, jrange, true)
 }
 
+/// Multiply root `j`'s Gu–Eisenstat factors into a running partial
+/// product, in place: `acc[i] *= tᵢⱼ` with `tᵢⱼ` as in
+/// [`local_w_products`] and `delta` root `j`'s pole-distance column. For a
+/// caller that holds one delta column at a time; starting from ones, the
+/// result is bit-identical to `local_w_products` over the same roots.
+pub fn local_w_accumulate(dlamda: &[f64], delta: &[f64], j: usize, acc: &mut [f64]) {
+    let k = dlamda.len();
+    assert!(j < k && delta.len() == k && acc.len() == k);
+    simd::local_w_col(!simd::use_simd(), dlamda, delta, j, acc);
+}
+
 fn local_w_impl(
     dlamda: &[f64],
     deltas: &[f64],
@@ -149,6 +160,54 @@ fn assemble_impl(
             col[sec_to_slot[i]] = tmp[i] * inv;
         }
     }
+}
+
+/// The two boundary-row entries a merge's secular root contributes, for a
+/// root stored as `(origin, μ)` (a [`SecularRoot`](crate::SecularRoot)):
+/// with `δᵢ = (dlamda[i] − dlamda[origin]) − μ` rebuilt as the solver wrote
+/// it and `x = (ẑᵢ/δᵢ)ᵢ` the root's unnormalized eigenvector, returns
+/// `(wf·x, wl·x) / ‖x‖` — what assembling, normalizing and dotting the
+/// vector would give, in one division pass and without storing it. `wf`
+/// and `wl` are in secular order, like `dlamda` and `zhat`.
+pub fn secular_row_entries(
+    dlamda: &[f64],
+    origin: usize,
+    mu: f64,
+    zhat: &[f64],
+    wf: &[f64],
+    wl: &[f64],
+) -> (f64, f64) {
+    row_entries_impl(dlamda, origin, mu, zhat, wf, wl, !simd::use_simd())
+}
+
+/// [`secular_row_entries`] forced onto the scalar kernel body (the test
+/// oracle); the SIMD body reassociates the three sums.
+pub fn secular_row_entries_scalar(
+    dlamda: &[f64],
+    origin: usize,
+    mu: f64,
+    zhat: &[f64],
+    wf: &[f64],
+    wl: &[f64],
+) -> (f64, f64) {
+    row_entries_impl(dlamda, origin, mu, zhat, wf, wl, true)
+}
+
+fn row_entries_impl(
+    dlamda: &[f64],
+    origin: usize,
+    mu: f64,
+    zhat: &[f64],
+    wf: &[f64],
+    wl: &[f64],
+    scalar: bool,
+) -> (f64, f64) {
+    let k = dlamda.len();
+    // The vector body reads all four slices through raw pointers.
+    assert!(zhat.len() == k && wf.len() == k && wl.len() == k);
+    let s = simd::row_sums(scalar, dlamda, dlamda[origin], mu, zhat, wf, wl);
+    let nrm = s.nrm2.sqrt();
+    (s.first / nrm, s.last / nrm)
 }
 
 #[cfg(test)]

@@ -59,8 +59,15 @@ fn gen_problem(k: usize, regime: usize, seed: u64) -> (Vec<f64>, Vec<f64>, f64) 
             10f64.powf(rng.gen_range(-3.0..3.0)),
         ),
     };
+    // The first pole at the regime's own scale: an O(1) start would absorb
+    // every 1e-60 gap and hand the solver k equal poles, which it rejects.
+    let scale = match regime {
+        2 => 1e-60,
+        3 => 1e150,
+        _ => 1.0,
+    };
     let mut d = Vec::with_capacity(k);
-    let mut acc = rng.gen_range(-1.0..1.0);
+    let mut acc = rng.gen_range(-1.0..1.0) * scale;
     for g in gaps {
         d.push(acc);
         acc += g;
@@ -299,6 +306,77 @@ fn every_k_and_regime_covered() {
                 bits(&local_w_products_scalar(&d, &da, k, 0, 0..k)),
                 "k={k} regime={regime}"
             );
+        }
+    }
+}
+
+/// What values mode keeps of a root is `(μ, origin)`: over the same grid,
+/// on the dispatched and the scalar path, that pair rebuilds the solver's
+/// delta column bit for bit, and the fused row kernel fed with it agrees
+/// with assembling the vector (`assemble_vectors_scalar`) and taking plain
+/// dots, to a few ulp·√k — SIMD against scalar likewise.
+#[test]
+fn stored_roots_rebuild_deltas_and_row_entries() {
+    for (ki, &k) in K_SET.iter().enumerate() {
+        for regime in 0..REGIMES {
+            // The mixed regime can round two poles together: take the
+            // first seed of the cell whose problem is a valid one.
+            let cell = (ki * REGIMES + regime) as u64;
+            let (d, z, rho) = (0u64..)
+                .map(|s| gen_problem(k, regime, 1000 * s + cell))
+                .find(|(d, z, rho)| SecularProblem::new(d, z, *rho).is_ok())
+                .unwrap();
+            let problem = SecularProblem::new(&d, &z, rho).unwrap();
+            let mut deltas = vec![0.0f64; k * k];
+            let mut col = vec![0.0f64; k];
+            let mut roots = Vec::with_capacity(k);
+            for j in 0..k {
+                let rebuilt = |r: &SecularRoot| -> Vec<f64> {
+                    d.iter().map(|&di| (di - d[r.origin]) - r.mu).collect()
+                };
+                let scalar = problem.solve_root_scalar(j, &mut col).unwrap();
+                assert_eq!(
+                    bits(&rebuilt(&scalar)),
+                    bits(&col),
+                    "scalar k={k} regime={regime} root {j}"
+                );
+                let delta = &mut deltas[j * k..(j + 1) * k];
+                let root = problem.solve_root(j, delta).unwrap();
+                assert_eq!(
+                    bits(&rebuilt(&root)),
+                    bits(delta),
+                    "simd k={k} regime={regime} root {j}"
+                );
+                assert_eq!(root.lambda, d[root.origin] + root.mu);
+                roots.push(root);
+            }
+
+            let zhat = reduce_w(&z, &[local_w_products(&d, &deltas, k, 0, 0..k)]);
+            let mut rng = ChaCha8Rng::seed_from_u64(k as u64 ^ 0x726f77);
+            let wf: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let wl: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let ident: Vec<usize> = (0..k).collect();
+            assemble_vectors_scalar(&zhat, &mut deltas, k, 0, 0..k, &ident);
+            let norm = |w: &[f64]| w.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let tol = 8.0 * f64::EPSILON * (k as f64).sqrt();
+            for (j, root) in roots.iter().enumerate() {
+                let x = &deltas[j * k..(j + 1) * k];
+                if !x.iter().all(|v| v.is_finite()) {
+                    continue; // the oracle overflowed
+                }
+                let dot = |w: &[f64]| w.iter().zip(x).map(|(a, b)| a * b).sum::<f64>();
+                let want = (dot(&wf), dot(&wl));
+                let simd = secular_row_entries(&d, root.origin, root.mu, &zhat, &wf, &wl);
+                let scalar = secular_row_entries_scalar(&d, root.origin, root.mu, &zhat, &wf, &wl);
+                for (tag, got) in [("simd", simd), ("scalar", scalar)] {
+                    for (g, w, scale) in [(got.0, want.0, norm(&wf)), (got.1, want.1, norm(&wl))] {
+                        assert!(
+                            (g - w).abs() <= tol * scale,
+                            "{tag} k={k} regime={regime} root {j}: {g:e} vs {w:e}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -1,5 +1,6 @@
-//! The vector payload moves O(n·k) elements per merge, not O(n²): exact
-//! counts of the `copy.elems` counter.
+//! The vector payload moves O(n·k) elements per merge, not O(n²), and
+//! every mode solves each secular root once: exact counts of the
+//! `copy.elems` and `secular.root_solves` counters.
 //!
 //! The counter registry is process-global, so exact deltas need a process
 //! with no other solve in it: this file holds a single `#[test]`.
@@ -25,8 +26,8 @@ const DISCIPLINES: [(&str, Solve); 4] = [
     }),
 ];
 
-/// Solve and return the merge statistics with the elements the solve copied.
-fn copied(solve: Solve, mode: SolveMode, t: &SymTridiag) -> (DcStats, u64) {
+/// Solve and return the merge statistics with the solve's delta of `counter`.
+fn counted(solve: Solve, mode: SolveMode, t: &SymTridiag, counter: &str) -> (DcStats, u64) {
     let opts = DcOptions {
         threads: 2,
         mode,
@@ -34,8 +35,13 @@ fn copied(solve: Solve, mode: SolveMode, t: &SymTridiag) -> (DcStats, u64) {
     };
     let before = metrics::snapshot();
     let (_, stats) = solve(opts, t);
-    let moved = metrics::snapshot().delta(&before).get("copy.elems");
-    (stats, moved)
+    let count = metrics::snapshot().delta(&before).get(counter);
+    (stats, count)
+}
+
+/// Solve and return the merge statistics with the elements the solve copied.
+fn copied(solve: Solve, mode: SolveMode, t: &SymTridiag) -> (DcStats, u64) {
+    counted(solve, mode, t, "copy.elems")
 }
 
 #[test]
@@ -66,6 +72,28 @@ fn copies_are_proportional_to_k() {
         assert!(
             (scattered + sq..=2 * scattered + sq).contains(&moved),
             "{ty:?}: moved {moved}, scatter {scattered}, sort {sq}"
+        );
+    }
+
+    // One solve per secular root, whatever the mode: a values-only solve of
+    // a partially deflating matrix runs the root finder Σ k_m times — the
+    // non-root merges' row updates rebuild their deltas from the stored
+    // (μ, origin) instead of solving again — which on this matrix is also
+    // what the full solve runs.
+    let t = MatrixType::Type4.generate(n, 3);
+    let secular = |stats: &DcStats| stats.merges.iter().map(|m| m.k as u64).sum::<u64>();
+    let (full_stats, full_solves) =
+        counted(DISCIPLINES[0].1, SolveMode::Full, &t, "secular.root_solves");
+    assert!(secular(&full_stats) > 0, "type 4 keeps secular work");
+    assert_eq!(full_solves, secular(&full_stats), "full solve");
+    for (name, solve) in DISCIPLINES {
+        let (stats, solves) = counted(solve, SolveMode::ValuesOnly, &t, "secular.root_solves");
+        let deflated = stats.merges.iter().any(|m| m.k < m.n);
+        assert!(deflated, "{name}: type 4 deflates partially");
+        assert_eq!(solves, secular(&stats), "{name}: one solve per root");
+        assert_eq!(
+            solves, full_solves,
+            "{name}: values-only solves what full does"
         );
     }
 }
