@@ -15,7 +15,10 @@
 //! the property the paper added GATHERV to QUARK for. Since the deflation
 //! count `k` is only known at run time, every panel task is submitted
 //! regardless and computes its actual (possibly empty) work range from the
-//! shared deflation state — the paper's "matrix-independent DAG".
+//! shared deflation state — the paper's "matrix-independent DAG". Keys are
+//! names within the submission's [`Scope`], which owns its dependency
+//! domain: every solve declares the same `(object, index)` keys on its own
+//! buffers, and solves sharing a runtime never order against each other.
 //!
 //! One builder, [`TaskFlowDc::submit_graph`], states that graph for every
 //! solve mode. The spine — `Scale`, `STEDC`, `ComputeDeflation`, `LAED4`,
@@ -65,38 +68,26 @@ use dcst_runtime::{
 use dcst_secular::Deflation;
 use dcst_tridiag::SymTridiag;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 const OBJ_NODE: u64 = 1;
 const OBJ_X: u64 = 2;
 const OBJ_SCALE: u64 = 3;
 
-/// The dependency tracker's key namespace is global to a [`Runtime`], so
-/// concurrent submissions onto a *shared* runtime (the service path) must
-/// not reuse object ids. Each submission claims a fresh 38-bit block of
-/// the 40-bit object-id space from a process-global counter and derives
-/// its three object ids from it; the first submission of a process gets
-/// the historic `OBJ_NODE`/`OBJ_X`/`OBJ_SCALE` ids.
-#[derive(Clone, Copy)]
-struct KeySpace {
-    node: u64,
-    x: u64,
-    scale: u64,
+/// Tree node `id`: its block of every buffer, and its [`NodeCell`].
+fn key_node(id: usize) -> DataKey {
+    DataKey::new(OBJ_NODE, id as u64)
 }
 
-static KEY_SEQ: AtomicU64 = AtomicU64::new(0);
+/// The secular panel starting at global column `col`: its roots in `lam`
+/// and its columns of the merge's `x`.
+fn key_x(col: usize) -> DataKey {
+    DataKey::new(OBJ_X, col as u64)
+}
 
-impl KeySpace {
-    fn fresh() -> Self {
-        let seq = KEY_SEQ.fetch_add(1, Ordering::Relaxed);
-        let base = (seq & ((1u64 << 38) - 1)) << 2;
-        KeySpace {
-            node: base | OBJ_NODE,
-            x: base | OBJ_X,
-            scale: base | OBJ_SCALE,
-        }
-    }
+/// All of `d`/`e`, from `Scale` to the leaves.
+fn key_scale() -> DataKey {
+    DataKey::new(OBJ_SCALE, 0)
 }
 
 /// How a driver executes the one merge graph — the paper's framing of its
@@ -129,12 +120,12 @@ impl Discipline {
 /// Start a panel task: GATHERV on the node key (the paper's commuting
 /// qualifier) normally, or a serializing INOUT in the ablation mode
 /// without the runtime extension.
-fn panel_task<'rt>(
-    scope: &Scope<'rt>,
+fn panel_task<'s>(
+    scope: &'s Scope<'_>,
     name: &'static str,
     node: DataKey,
     use_gatherv: bool,
-) -> TaskBuilder<'rt> {
+) -> TaskBuilder<'s> {
     if use_gatherv {
         scope.task(name).gatherv(node)
     } else {
@@ -271,7 +262,6 @@ struct Graph {
     /// `1 / orgnrm`: the graph works on the matrix scaled to unit max-norm.
     scale: f64,
     orgnrm: f64,
-    keys: KeySpace,
     tree: PartitionTree,
     /// Signed β per internal node, from the unscaled input.
     betas: Vec<f64>,
@@ -286,18 +276,6 @@ struct Graph {
 }
 
 impl Graph {
-    fn key_node(&self, id: usize) -> DataKey {
-        DataKey::new(self.keys.node, id as u64)
-    }
-
-    fn key_x(&self, col: usize) -> DataKey {
-        DataKey::new(self.keys.x, col as u64)
-    }
-
-    fn key_scale(&self) -> DataKey {
-        DataKey::new(self.keys.scale, 0)
-    }
-
     fn block(&self, id: usize) -> Block {
         let node = &self.tree.nodes[id];
         Block {
@@ -637,7 +615,6 @@ impl TaskFlowDc {
             nb: self.opts.nb.max(1),
             scale,
             orgnrm,
-            keys: KeySpace::fresh(),
             betas,
             d: SharedData::new(t.d.clone()),
             e: SharedData::new(t.e.clone()),
@@ -654,12 +631,12 @@ impl TaskFlowDc {
         // the graph below against the declared footprint.
         #[cfg(feature = "access-check")]
         {
-            let node_keys: Vec<DataKey> = (0..g.cells.len()).map(|id| g.key_node(id)).collect();
-            let mut scale_and_nodes = vec![g.key_scale()];
+            let node_keys: Vec<DataKey> = (0..g.cells.len()).map(key_node).collect();
+            let mut scale_and_nodes = vec![key_scale()];
             scale_and_nodes.extend_from_slice(&node_keys);
             g.d.bind_keys(&scale_and_nodes);
             g.e.bind_keys(&scale_and_nodes);
-            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(|col| g.key_x(col)).collect();
+            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(key_x).collect();
             cols_and_nodes.extend_from_slice(&node_keys);
             g.lam.bind_keys(&cols_and_nodes);
             if let Some(vp) = &g.vectors {
@@ -676,7 +653,7 @@ impl TaskFlowDc {
             scope
                 .task("Scale")
                 .high_priority()
-                .write(g.key_scale())
+                .write(key_scale())
                 .spawn(move || {
                     // SAFETY: first task to touch d/e; leaves wait on the key.
                     let ds = unsafe { g.d.slice_mut() };
@@ -700,8 +677,8 @@ impl TaskFlowDc {
             scope
                 .task("STEDC")
                 .high_priority()
-                .read(g.key_scale())
-                .write(g.key_node(l))
+                .read(key_scale())
+                .write(key_node(l))
                 .spawn_try(move || -> Result<(), DcError> {
                     let b @ Block { n, off, nm, .. } = g.block(l);
                     // SAFETY: exclusive block ranges per leaf; ordered after
@@ -750,9 +727,9 @@ impl TaskFlowDc {
                     scope
                         .task("ComputeDeflation")
                         .high_priority()
-                        .read(g.key_node(lc))
-                        .read(g.key_node(rc))
-                        .read_write(g.key_node(m))
+                        .read(key_node(lc))
+                        .read(key_node(rc))
+                        .read_write(key_node(m))
                         .spawn_try(move || -> Result<(), DcError> {
                             let b @ Block { n, off, nm, n1 } = g.block(m);
                             let (cell, left, right) = (&g.cells[m], &g.cells[lc], &g.cells[rc]);
@@ -778,8 +755,8 @@ impl TaskFlowDc {
                                     #[cfg(feature = "access-check")]
                                     x.bind_keys(
                                         &panels(nm, g.nb)
-                                            .map(|(_, s0, _)| g.key_x(off + s0))
-                                            .chain([g.key_node(m)])
+                                            .map(|(_, s0, _)| key_x(off + s0))
+                                            .chain([key_node(m)])
                                             .collect::<Vec<_>>(),
                                     );
                                     *cell.x.lock().unwrap() = Some(x);
@@ -813,28 +790,26 @@ impl TaskFlowDc {
                 for (p, s0, s1) in panels(nm, g.nb) {
                     if g.vectors.is_some() {
                         let g = g.clone();
-                        panel_task(scope, "PermuteV", g.key_node(m), use_gatherv).spawn(
-                            move || {
-                                let b @ Block { n, nm, .. } = g.block(m);
-                                let (cell, vp) = (&g.cells[m], g.vp());
-                                let defl = cell.defl();
-                                let j = clip(s0, s1, 0..defl.k);
-                                if j.is_empty() {
-                                    return;
-                                }
-                                // SAFETY: reads the whole block (shared, no writer
-                                // in this phase), writes only columns j of ws.
-                                let vb = unsafe { vp.v.range(b.cols(0..nm, nm)) };
-                                let wcols = unsafe { vp.ws.range_mut(b.cols(j.clone(), nm)) };
-                                let from = cell.from.get().expect("column map not yet computed");
-                                permute_slots(vb, wcols, n, defl, from, j);
-                            },
-                        );
+                        panel_task(scope, "PermuteV", key_node(m), use_gatherv).spawn(move || {
+                            let b @ Block { n, nm, .. } = g.block(m);
+                            let (cell, vp) = (&g.cells[m], g.vp());
+                            let defl = cell.defl();
+                            let j = clip(s0, s1, 0..defl.k);
+                            if j.is_empty() {
+                                return;
+                            }
+                            // SAFETY: reads the whole block (shared, no writer
+                            // in this phase), writes only columns j of ws.
+                            let vb = unsafe { vp.v.range(b.cols(0..nm, nm)) };
+                            let wcols = unsafe { vp.ws.range_mut(b.cols(j.clone(), nm)) };
+                            let from = cell.from.get().expect("column map not yet computed");
+                            permute_slots(vb, wcols, n, defl, from, j);
+                        });
                     }
                     {
                         let g = g.clone();
-                        panel_task(scope, "LAED4", g.key_node(m), use_gatherv)
-                            .write(g.key_x(off + s0))
+                        panel_task(scope, "LAED4", key_node(m), use_gatherv)
+                            .write(key_x(off + s0))
                             .spawn_try(move || -> Result<(), DcError> {
                                 let off = g.block(m).off;
                                 let cell = &g.cells[m];
@@ -873,8 +848,8 @@ impl TaskFlowDc {
                     }
                     if g.vectors.is_some() {
                         let g = g.clone();
-                        panel_task(scope, "ComputeLocalW", g.key_node(m), use_gatherv)
-                            .read(g.key_x(off + s0))
+                        panel_task(scope, "ComputeLocalW", key_node(m), use_gatherv)
+                            .read(key_x(off + s0))
                             .spawn(move || {
                                 let cell = &g.cells[m];
                                 let defl = cell.defl();
@@ -898,7 +873,7 @@ impl TaskFlowDc {
                     scope
                         .task("ReduceW")
                         .high_priority()
-                        .read_write(g.key_node(m))
+                        .read_write(key_node(m))
                         .spawn(move || {
                             let Block { off, nm, n1, .. } = g.block(m);
                             let cell = &g.cells[m];
@@ -949,7 +924,7 @@ impl TaskFlowDc {
                 scope
                     .task("SortEigenvalues")
                     .high_priority()
-                    .read_write(g.key_node(root))
+                    .read_write(key_node(root))
                     .spawn(move || {
                         let idxq = g.cells[root].idxq();
                         // SAFETY: epoch-exclusive d.
@@ -967,7 +942,7 @@ impl TaskFlowDc {
             scope
                 .task("ScaleBack")
                 .high_priority()
-                .read_write(g.key_node(root))
+                .read_write(key_node(root))
                 .spawn(move || {
                     if g.scale != 1.0 {
                         // SAFETY: epoch-exclusive d.
@@ -990,8 +965,8 @@ impl TaskFlowDc {
 
         for (_, s0, s1) in panels(nm, g.nb) {
             let g = g.clone();
-            panel_task(scope, "ComputeVect", g.key_node(m), use_gatherv)
-                .read_write(g.key_x(off + s0))
+            panel_task(scope, "ComputeVect", key_node(m), use_gatherv)
+                .read_write(key_x(off + s0))
                 .spawn(move || {
                     let cell = &g.cells[m];
                     let defl = cell.defl();
@@ -1019,7 +994,7 @@ impl TaskFlowDc {
             scope
                 .task("CompressW")
                 .high_priority()
-                .read_write(g.key_node(m))
+                .read_write(key_node(m))
                 .spawn(move || {
                     if g.pruned(m).is_some() {
                         // Subset-pruned root: the panels update only a column
@@ -1052,7 +1027,7 @@ impl TaskFlowDc {
         // A GEMM group: forked under the fork/join discipline.
         for p in 0..npanels {
             let g = g.clone();
-            panel_task(scope, "StructBasis", g.key_node(m), use_gatherv)
+            panel_task(scope, "StructBasis", key_node(m), use_gatherv)
                 .fork()
                 .spawn(move || {
                     if let Some(su) = g.cells[m].structured.get() {
@@ -1065,15 +1040,15 @@ impl TaskFlowDc {
         scope
             .task("StructJoin")
             .high_priority()
-            .read_write(g.key_node(m))
+            .read_write(key_node(m))
             .spawn(|| {});
 
         // UpdateVect (dense: both structured GEMMs for this panel;
         // structured: the compressed multiply for its columns).
         for (_, s0, s1) in panels(nm, g.nb) {
             let g = g.clone();
-            panel_task(scope, "UpdateVect", g.key_node(m), use_gatherv)
-                .read(g.key_x(off + s0))
+            panel_task(scope, "UpdateVect", key_node(m), use_gatherv)
+                .read(key_x(off + s0))
                 .fork()
                 .spawn_try(move || -> Result<(), DcError> {
                     let b @ Block { n, off, nm, n1 } = g.block(m);
@@ -1118,7 +1093,7 @@ impl TaskFlowDc {
         let Block { off, nm, .. } = g.block(m);
         for (p, s0, s1) in panels(nm, g.nb) {
             let g = g.clone();
-            panel_task(scope, "RowUpdate", g.key_node(m), self.opts.use_gatherv).spawn_try(
+            panel_task(scope, "RowUpdate", key_node(m), self.opts.use_gatherv).spawn_try(
                 move || -> Result<(), DcError> {
                     let cell = &g.cells[m];
                     let defl = cell.defl();
@@ -1152,20 +1127,18 @@ impl TaskFlowDc {
         let (n, root) = (g.n, g.tree.root);
         for (_, r0, r1) in panels(n, g.nb) {
             let g = g.clone();
-            panel_task(scope, "SortCopy", g.key_node(root), self.opts.use_gatherv).spawn(
-                move || {
-                    let (cell, vp) = (&g.cells[root], g.vp());
-                    let col = cell.col();
-                    // SAFETY: v fully read-shared; ws target columns
-                    // exclusive per panel.
-                    let vs = unsafe { vp.v.slice() };
-                    let wt = unsafe { vp.ws.range_mut(r0 * n..r1 * n) };
-                    for (dst, &s) in wt.chunks_exact_mut(n).zip(&cell.idxq()[r0..r1]) {
-                        dst.copy_from_slice(&vs[col[s] * n..(col[s] + 1) * n]);
-                    }
-                    dcst_matrix::metrics::add("copy.elems", wt.len() as u64);
-                },
-            );
+            panel_task(scope, "SortCopy", key_node(root), self.opts.use_gatherv).spawn(move || {
+                let (cell, vp) = (&g.cells[root], g.vp());
+                let col = cell.col();
+                // SAFETY: v fully read-shared; ws target columns
+                // exclusive per panel.
+                let vs = unsafe { vp.v.slice() };
+                let wt = unsafe { vp.ws.range_mut(r0 * n..r1 * n) };
+                for (dst, &s) in wt.chunks_exact_mut(n).zip(&cell.idxq()[r0..r1]) {
+                    dst.copy_from_slice(&vs[col[s] * n..(col[s] + 1) * n]);
+                }
+                dcst_matrix::metrics::add("copy.elems", wt.len() as u64);
+            });
         }
     }
 }

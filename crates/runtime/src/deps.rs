@@ -69,8 +69,9 @@ struct KeyState {
     group_preds: Vec<usize>,
 }
 
-/// Sequential-consistency dependency tracker. Lives behind the runtime's
-/// submission lock; task ids are the submission order.
+/// Sequential-consistency dependency tracker. One per scope, behind that
+/// scope's submission lock; a task's id is its position in the scope's
+/// submission order.
 #[derive(Default)]
 pub(crate) struct DepTracker {
     keys: HashMap<DataKey, KeyState>,
@@ -123,34 +124,11 @@ impl DepTracker {
         deps
     }
 
-    /// Retire keys whose entire access history has completed: each key in
-    /// `keys` is dropped unless some task id it references is still live
-    /// (per `is_live`). Dropping a fully-completed key is semantically
-    /// neutral — a future task on it would have inferred only dependencies
-    /// on finished tasks, which release immediately — but without this a
-    /// long-lived runtime's key map grows with every submission ever made.
-    pub fn forget_keys<F>(&mut self, keys: &std::collections::HashSet<DataKey>, is_live: F)
-    where
-        F: Fn(usize) -> bool,
-    {
-        for k in keys {
-            if let Some(st) = self.keys.get(k) {
-                let live = st
-                    .writers
-                    .iter()
-                    .chain(st.readers.iter())
-                    .chain(st.group_preds.iter())
-                    .any(|&id| is_live(id));
-                if !live {
-                    self.keys.remove(k);
-                }
-            }
-        }
-    }
-
-    /// Number of keys currently tracked.
-    pub fn len(&self) -> usize {
-        self.keys.len()
+    /// Forget every key's history. Neutral once every recorded task has
+    /// finished: a later task on such a key would infer only dependencies
+    /// that release immediately.
+    pub fn clear(&mut self) {
+        self.keys.clear();
     }
 }
 

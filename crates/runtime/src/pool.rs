@@ -1,11 +1,13 @@
 //! Out-of-order task execution on a work-stealing worker pool.
 //!
-//! The master thread submits tasks ([`Runtime::task`]); dependencies are
-//! inferred by [`DepTracker`](crate::deps) and encoded as edges between
-//! nodes. A node becomes *ready* when its last unfinished predecessor
-//! completes, at which point it is pushed to a crossbeam injector that the
-//! worker threads drain (local LIFO deque first, then the priority
-//! injector, then the regular injector, then stealing).
+//! A submitter states its flow through a scope ([`Runtime::task`] for the
+//! runtime's default one, [`Scope::task`] for its own); dependencies are
+//! inferred by that scope's [`DepTracker`](crate::deps) — keys are names
+//! within a scope — and encoded as edges between nodes. A node becomes
+//! *ready* when its last unfinished predecessor completes, at which point
+//! it is pushed to a crossbeam injector that the worker threads drain
+//! (local LIFO deque first, then the priority injector, then the regular
+//! injector, then stealing).
 //!
 //! The scheduler is critical-path-aware: tasks marked
 //! [`TaskBuilder::high_priority`] (the merge phase's serial spine —
@@ -28,7 +30,6 @@ use crate::dcst_sync::{spawn_worker, Condvar, Mutex, WorkerHandle};
 use crate::deps::{Access, AccessMode, DataKey, DepTracker};
 use crate::metrics::{PoolCounters, RuntimeMetrics};
 use crate::trace::{TaskRecord, Trace};
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -464,26 +465,51 @@ fn worker_loop(shared: Arc<Shared>, local: WorkerDeque<Arc<Node>>, worker_id: us
     }
 }
 
-struct SubmitState {
+/// One scope's dependency domain: the access history of the keys its
+/// tasks have named, and the nodes that history refers to. It lives and
+/// dies with its scope, so a [`DataKey`] is a name *within* a scope and
+/// nothing outlives a request.
+#[derive(Default)]
+struct DepDomain {
+    /// Knows a task by its position in `nodes`.
     tracker: DepTracker,
-    next_id: usize,
-    next_scope_id: usize,
-    /// Unfinished (or not yet GC'd) nodes by id, for edge wiring.
-    nodes: HashMap<usize, Arc<Node>>,
-    /// Data keys each live scope's tasks have declared, so a scope's wait
-    /// can retire its keys from the dependency tracker — without this the
-    /// tracker grows without bound over a daemon's lifetime.
-    scope_keys: HashMap<usize, HashSet<DataKey>>,
+    /// The scope's nodes since it was last waited quiescent, in submission
+    /// order, for edge wiring.
+    nodes: Vec<Arc<Node>>,
+}
+
+/// What a submission handle — a [`Scope`], or the [`Runtime`] for its
+/// default scope — owns of a scope. The domain sits *beside* the shared
+/// state, never inside it: every `Node` holds its `Arc<ScopeState>`, so a
+/// node table reachable from there would be a cycle keeping an abandoned
+/// scope alive for good.
+struct ScopeCore {
+    state: Arc<ScopeState>,
+    /// Held by a submitter while it allocates the task's id, infers its
+    /// dependencies and counts it outstanding.
+    deps: Mutex<DepDomain>,
+}
+
+impl ScopeCore {
+    fn new(id: usize, boost: bool) -> Self {
+        ScopeCore {
+            state: Arc::new(ScopeState::new(id, boost)),
+            deps: Mutex::new(DepDomain::default()),
+        }
+    }
 }
 
 /// The sequential-task-flow runtime. See the crate docs for the model.
 pub struct Runtime {
     shared: Arc<Shared>,
     threads: Vec<WorkerHandle>,
-    submit: Mutex<SubmitState>,
-    /// Failure/cancellation domain of tasks submitted via [`Runtime::task`]
-    /// (the single-caller API predating [`Runtime::scope`]).
-    default_scope: Arc<ScopeState>,
+    /// Task and scope ids are unique per runtime, whichever scope draws
+    /// them: trace records and edges of every scope share one id space.
+    next_task_id: AtomicUsize,
+    next_scope_id: AtomicUsize,
+    /// The scope of tasks submitted via [`Runtime::task`] (the
+    /// single-caller API predating [`Runtime::scope`]).
+    default_scope: ScopeCore,
     num_threads: usize,
     /// The inline discipline ([`Runtime::inline`]): task bodies run on the
     /// submitting thread, which owns trace lane `num_threads`.
@@ -551,14 +577,9 @@ impl Runtime {
         Runtime {
             shared,
             threads,
-            submit: Mutex::new(SubmitState {
-                tracker: DepTracker::default(),
-                next_id: 0,
-                next_scope_id: 1,
-                nodes: HashMap::new(),
-                scope_keys: HashMap::new(),
-            }),
-            default_scope: Arc::new(ScopeState::new(0, false)),
+            next_task_id: AtomicUsize::new(0),
+            next_scope_id: AtomicUsize::new(1),
+            default_scope: ScopeCore::new(0, false),
             num_threads,
             inline,
             #[cfg(dcst_model_check)]
@@ -593,7 +614,7 @@ impl Runtime {
     pub fn task(&self, name: &'static str) -> TaskBuilder<'_> {
         TaskBuilder {
             rt: self,
-            scope: self.default_scope.clone(),
+            scope: &self.default_scope,
             name,
             accesses: Vec::new(),
             high: false,
@@ -601,11 +622,12 @@ impl Runtime {
         }
     }
 
-    /// Open a fresh submission scope: an isolated failure/cancellation
-    /// domain over the shared pool. Tasks submitted through the scope
-    /// ([`Scope::task`]) run on the same workers as everything else, but a
-    /// failure (or [`Scope::cancel`]) latches only this scope — concurrent
-    /// scopes keep running — and [`Scope::wait`] observes only this scope's
+    /// Open a fresh submission scope: an isolated dependency and
+    /// failure/cancellation domain over the shared pool. Tasks submitted
+    /// through the scope ([`Scope::task`]) run on the same workers as
+    /// everything else, but they order only against each other, a failure
+    /// (or [`Scope::cancel`]) latches only this scope — concurrent scopes
+    /// keep running — and [`Scope::wait`] observes only this scope's
     /// completion and first failure.
     pub fn scope(&self) -> Scope<'_> {
         self.new_scope(false)
@@ -619,15 +641,10 @@ impl Runtime {
     }
 
     fn new_scope(&self, boost: bool) -> Scope<'_> {
-        let id = {
-            let mut st = self.submit.lock();
-            let id = st.next_scope_id;
-            st.next_scope_id += 1;
-            id
-        };
+        let id = self.next_scope_id.fetch_add(1, Ordering::Relaxed);
         Scope {
             rt: self,
-            state: Arc::new(ScopeState::new(id, boost)),
+            core: ScopeCore::new(id, boost),
         }
     }
 
@@ -663,7 +680,7 @@ impl Runtime {
     /// own timeline. Call after the scope's `wait` so the records are
     /// complete.
     pub fn take_scope_trace(&self, scope: &Scope<'_>) -> Trace {
-        let sid = scope.state.id;
+        let sid = scope.core.state.id;
         let mut records = Vec::new();
         {
             let mut all = self.shared.trace.lock();
@@ -760,11 +777,7 @@ impl Runtime {
         fork: bool,
         f: TaskFn,
     ) {
-        let id = {
-            let mut st = self.submit.lock();
-            st.next_id += 1;
-            st.next_id - 1
-        };
+        let id = self.next_task_id.fetch_add(1, Ordering::Relaxed);
         let fork = fork && self.num_threads > 0;
         if !fork {
             // The flow continues past a forked group: join it first.
@@ -801,44 +814,38 @@ impl Runtime {
 
     fn submit_task(
         &self,
-        scope: &Arc<ScopeState>,
+        core: &ScopeCore,
         name: &'static str,
         accesses: Vec<Access>,
         high: bool,
         fork: bool,
         f: TaskFn,
     ) {
+        let scope = &core.state;
         if self.inline {
             return self.submit_inline(scope, name, accesses, fork, f);
         }
         // A scope-wide priority class boosts every one of its tasks into
         // the priority lane, on top of per-task high_priority.
         let high = high || scope.boost;
-        // Under the submission lock: allocate the id, infer dependencies,
-        // and resolve predecessor ids to live nodes. The per-predecessor
-        // edge wiring (which takes each predecessor's body lock and can
-        // contend with finishing workers) happens after the lock drops, so
-        // a long dependency list no longer serializes other submitters.
-        let mut st = self.submit.lock();
-        let id = st.next_id;
-        st.next_id += 1;
-        let deps = st.tracker.submit(id, &accesses);
-        if !accesses.is_empty() {
-            st.scope_keys
-                .entry(scope.id)
-                .or_default()
-                .extend(accesses.iter().map(|a| a.key));
-        }
-        if !deps.is_empty() && self.shared.tracing.load(Ordering::Relaxed) {
+        // Under the scope's own lock: allocate the id (so ids rise in the
+        // scope's submission order), infer dependencies, and resolve the
+        // predecessors to nodes. Other scopes submit concurrently. The
+        // per-predecessor edge wiring (which takes each predecessor's body
+        // lock and can contend with finishing workers) happens after the
+        // lock drops, so a long dependency list does not hold up a second
+        // submitter of this scope either.
+        let mut st = core.deps.lock();
+        let id = self.next_task_id.fetch_add(1, Ordering::Relaxed);
+        let seq = st.nodes.len();
+        let deps = st.tracker.submit(seq, &accesses);
+        let preds: Vec<Arc<Node>> = deps.iter().map(|&d| st.nodes[d].clone()).collect();
+        if !preds.is_empty() && self.shared.tracing.load(Ordering::Relaxed) {
             let mut edges = self.shared.trace_edges.lock();
-            edges.extend(deps.iter().map(|&d| (d, id, scope.id)));
+            edges.extend(preds.iter().map(|p| (p.id, id, scope.id)));
         }
         let node = self.new_node(id, scope, name, accesses, high, f);
-        let preds: Vec<Arc<Node>> = deps
-            .iter()
-            .filter_map(|d| st.nodes.get(d).cloned())
-            .collect();
-        st.nodes.insert(node.id, node.clone());
+        st.nodes.push(node.clone());
         drop(st);
         #[cfg(dcst_model_check)]
         if self.buggy_wiring {
@@ -858,8 +865,9 @@ impl Runtime {
             }
             return;
         }
-        // The Arc clones keep predecessors alive across `wait`'s GC; each
-        // body lock decides finished-vs-pending race per predecessor.
+        // The Arc clones keep predecessors alive should a concurrent `wait`
+        // clear the table; each body lock decides the finished-vs-pending
+        // race per predecessor.
         for pred in preds {
             let mut body = pred.body.lock();
             if !body.finished {
@@ -879,8 +887,7 @@ impl Runtime {
     /// failure slot and the cancellation latch so the runtime is reusable.
     /// Explicit [`Scope`]s are waited independently via [`Scope::wait`].
     pub fn wait(&self) -> Result<(), RuntimeError> {
-        let scope = self.default_scope.clone();
-        self.wait_scope(&scope)
+        self.wait_scope(&self.default_scope)
     }
 
     /// Sleep until every submitted task of `scope` has finished.
@@ -897,9 +904,21 @@ impl Runtime {
         }
     }
 
-    fn wait_scope(&self, scope: &Arc<ScopeState>) -> Result<(), RuntimeError> {
+    fn wait_scope(&self, core: &ScopeCore) -> Result<(), RuntimeError> {
+        let scope = &core.state;
         self.drain(scope);
-        self.gc_after_wait(scope.id);
+        {
+            // A task is counted outstanding under this lock, so zero here
+            // means every task the domain names has finished: a later task
+            // could only infer edges that release at once, and forgetting
+            // them changes nothing. (Non-zero: another thread submitted
+            // since the drain; its wait clears.)
+            let mut st = core.deps.lock();
+            if scope.outstanding.load(Ordering::Acquire) == 0 {
+                st.tracker.clear();
+                st.nodes.clear();
+            }
+        }
         let failure = scope.failure.lock().take();
         // Reset the latch only after the slot is drained: every task of the
         // failed phase has finished (outstanding hit zero), so nothing can
@@ -909,27 +928,6 @@ impl Runtime {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// Post-wait bookkeeping GC: completed nodes are no longer needed for
-    /// edge wiring, and the waited scope's data keys are retired from the
-    /// dependency tracker unless a still-live task (necessarily of another
-    /// scope — this scope is quiescent) references them. Keeps both maps
-    /// bounded by the *in-flight* working set over a daemon's lifetime.
-    fn gc_after_wait(&self, scope_id: usize) {
-        let mut st = self.submit.lock();
-        st.nodes.retain(|_, n| !n.body.lock().finished);
-        if let Some(keys) = st.scope_keys.remove(&scope_id) {
-            let SubmitState { tracker, nodes, .. } = &mut *st;
-            tracker.forget_keys(&keys, |id| nodes.contains_key(&id));
-        }
-    }
-
-    /// Number of data keys the dependency tracker currently retains — an
-    /// observability probe for tests that bound bookkeeping growth across
-    /// many scopes (a long-lived server must not accumulate key state).
-    pub fn tracked_keys(&self) -> usize {
-        self.submit.lock().tracker.len()
     }
 }
 
@@ -961,8 +959,8 @@ impl Drop for Runtime {
     }
 }
 
-/// An isolated failure/cancellation domain over the shared pool, opened by
-/// [`Runtime::scope`] / [`Runtime::priority_scope`].
+/// An isolated dependency and failure/cancellation domain over the shared
+/// pool, opened by [`Runtime::scope`] / [`Runtime::priority_scope`].
 ///
 /// A long-lived runtime multiplexing independent submissions (the serve
 /// daemon's concurrent solve requests) gives each its own scope: tasks of
@@ -972,21 +970,23 @@ impl Drop for Runtime {
 /// first failure, and every other scope is untouched. After a successful
 /// `wait` the scope is reusable for another phase.
 ///
-/// Scopes should not share [`DataKey`]s: dependency inference spans scopes
-/// (keys are global), which would order one request's tasks behind
-/// another's and defeat the isolation the scope provides. Derive keys from
-/// a per-scope object-id base instead.
+/// [`DataKey`]s are names *within* a scope: dependencies are inferred
+/// among this scope's tasks only, so two scopes may declare the same key
+/// — on different data — and impose no order on each other, and two
+/// submitters never wait on one lock. Dropping the scope drops its
+/// dependency bookkeeping, tasks still in flight or not; they finish on
+/// the pool and free themselves.
 pub struct Scope<'rt> {
     rt: &'rt Runtime,
-    state: Arc<ScopeState>,
+    core: ScopeCore,
 }
 
 impl<'rt> Scope<'rt> {
     /// Begin building a task in this scope.
-    pub fn task(&self, name: &'static str) -> TaskBuilder<'rt> {
+    pub fn task(&self, name: &'static str) -> TaskBuilder<'_> {
         TaskBuilder {
             rt: self.rt,
-            scope: self.state.clone(),
+            scope: &self.core,
             name,
             accesses: Vec::new(),
             high: false,
@@ -999,7 +999,7 @@ impl<'rt> Scope<'rt> {
     /// [`Cancelled`](FailureKind::Cancelled)), then reset the scope for
     /// reuse. Only this scope's tasks are observed.
     pub fn wait(&self) -> Result<(), RuntimeError> {
-        self.rt.wait_scope(&self.state)
+        self.rt.wait_scope(&self.core)
     }
 
     /// Latch this scope's cancellation: bodies of its not-yet-started
@@ -1007,7 +1007,7 @@ impl<'rt> Scope<'rt> {
     /// reports [`FailureKind::Cancelled`] unless a real failure latched
     /// first. Idempotent; other scopes are unaffected.
     pub fn cancel(&self) {
-        self.state.cancel();
+        self.core.state.cancel();
     }
 
     /// An owner-independent handle that can cancel this scope from another
@@ -1015,18 +1015,18 @@ impl<'rt> Scope<'rt> {
     /// owns the `Scope` and blocks in [`wait`](Scope::wait)).
     pub fn cancel_handle(&self) -> CancelHandle {
         CancelHandle {
-            state: self.state.clone(),
+            state: self.core.state.clone(),
         }
     }
 
     /// True once a failure or cancel has latched this scope's current phase.
     pub fn is_cancelled(&self) -> bool {
-        self.state.cancelled.load(Ordering::SeqCst)
+        self.core.state.cancelled.load(Ordering::SeqCst)
     }
 
     /// Scope id (unique per runtime; tags this scope's trace records).
     pub fn id(&self) -> usize {
-        self.state.id
+        self.core.state.id
     }
 
     /// The runtime this scope submits into.
@@ -1037,13 +1037,13 @@ impl<'rt> Scope<'rt> {
 
 impl Drop for Scope<'_> {
     fn drop(&mut self) {
-        // Non-blocking: if the scope is already quiescent, retire its
-        // bookkeeping and report a failure nobody waited for (deliberate
-        // cancellation is not noise-worthy). In-flight tasks stay owned by
-        // the pool and are drained by `Runtime::drop`'s global drain.
-        if self.state.outstanding.load(Ordering::Acquire) == 0 {
-            self.rt.gc_after_wait(self.state.id);
-            if let Some(err) = self.state.failure.lock().take() {
+        // Non-blocking: if the scope is already quiescent, report a failure
+        // nobody waited for (deliberate cancellation is not noise-worthy).
+        // In-flight tasks stay owned by the pool and are drained by
+        // `Runtime::drop`'s global drain.
+        let state = &self.core.state;
+        if state.outstanding.load(Ordering::Acquire) == 0 {
+            if let Some(err) = state.failure.lock().take() {
                 if !err.is_cancelled() {
                     eprintln!("dcst-runtime: scope dropped with unobserved task failure: {err}");
                 }
@@ -1072,9 +1072,9 @@ impl CancelHandle {
 }
 
 /// Builder for one task: declare accesses, then [`spawn`](Self::spawn).
-pub struct TaskBuilder<'rt> {
-    rt: &'rt Runtime,
-    scope: Arc<ScopeState>,
+pub struct TaskBuilder<'s> {
+    rt: &'s Runtime,
+    scope: &'s ScopeCore,
     name: &'static str,
     accesses: Vec<Access>,
     high: bool,
@@ -1139,7 +1139,7 @@ impl TaskBuilder<'_> {
     /// Submit the task. It runs as soon as its dependencies are satisfied.
     pub fn spawn(self, f: impl FnOnce() + Send + 'static) {
         self.rt.submit_task(
-            &self.scope,
+            self.scope,
             self.name,
             self.accesses,
             self.high,
@@ -1160,7 +1160,7 @@ impl TaskBuilder<'_> {
         E: std::error::Error + Send + Sync + 'static,
     {
         self.rt.submit_task(
-            &self.scope,
+            self.scope,
             self.name,
             self.accesses,
             self.high,
@@ -1400,6 +1400,59 @@ mod tests {
             got[1], "join",
             "priority task must overtake queued panels: {got:?}"
         );
+    }
+
+    #[test]
+    fn abandoned_scope_leaves_nothing_behind() {
+        // A scope dropped with its chain still queued behind a gate: the
+        // dependency domain goes with the handle, and the nodes free
+        // themselves as they finish — no table is left holding them.
+        let rt = Runtime::new(1);
+        let started = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        {
+            let (s, r) = (started.clone(), release.clone());
+            rt.task("gate").spawn(move || {
+                s.store(true, Ordering::SeqCst);
+                while !r.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        while !started.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        let scope = rt.scope();
+        let ran = Arc::new(AtomicUsize::new(0));
+        for _ in 0..4 {
+            let ran = ran.clone();
+            scope
+                .task("queued")
+                .read_write(DataKey::new(0, 0))
+                .spawn(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+        }
+        let nodes: Vec<_> = {
+            let st = scope.core.deps.lock();
+            st.nodes.iter().map(Arc::downgrade).collect()
+        };
+        assert_eq!(nodes.len(), 4);
+        drop(scope);
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "the gate holds the worker");
+        assert!(nodes.iter().all(|n| n.upgrade().is_some()));
+        release.store(true, Ordering::SeqCst);
+        // Not `rt.wait()`: nothing may need a wait to be reclaimed. The
+        // worker drops its own handle on a node just after counting it
+        // finished, hence a poll rather than one look.
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while rt.shared.outstanding.load(Ordering::Acquire) != 0
+            || nodes.iter().any(|n| n.upgrade().is_some())
+        {
+            assert!(Instant::now() < deadline, "abandoned scope's nodes leaked");
+            std::thread::yield_now();
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), 4);
     }
 
     #[test]

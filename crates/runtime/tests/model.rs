@@ -228,6 +228,72 @@ fn pending_sentinel_survives_submission_racing_completion() {
 }
 
 #[test]
+fn two_scopes_on_one_key_share_no_edge_and_lose_no_task() {
+    // W1/W2 restated for scopes. Two submitter threads, one scope each,
+    // both chaining two tasks through the *same* key on a one-worker pool:
+    // each submits under its own scope's lock, racing the other and the
+    // worker. Every body runs exactly once, each scope keeps its own
+    // order, both waits return (a lost release or wakeup is a model
+    // deadlock), and the only edge wired per scope joins its own two
+    // tasks — a shared key table would wire one scope's first task behind
+    // the other's chain.
+    let report = Builder {
+        max_dfs_executions: 3000,
+        random_iterations: 1500,
+        ..Builder::default()
+    }
+    .check(|| {
+        let rt = Arc::new(Runtime::new(1));
+        rt.enable_tracing();
+        let hits = Arc::new(AtomicUsize::new(0));
+        let violations = Arc::new(AtomicUsize::new(0));
+        let run_scope = {
+            let (hits, violations) = (hits.clone(), violations.clone());
+            move |rt: &Runtime| {
+                let scope = rt.scope();
+                let k = DataKey::new(0, 0);
+                let first_ran = Arc::new(AtomicBool::new(false));
+                {
+                    let (hits, first_ran) = (hits.clone(), first_ran.clone());
+                    scope.task("first").write(k).spawn(move || {
+                        hits.fetch_add(1, Ordering::SeqCst);
+                        first_ran.store(true, Ordering::SeqCst);
+                    });
+                }
+                {
+                    let (hits, violations) = (hits.clone(), violations.clone());
+                    scope.task("second").read_write(k).spawn(move || {
+                        hits.fetch_add(1, Ordering::SeqCst);
+                        if !first_ran.load(Ordering::SeqCst) {
+                            violations.fetch_add(1, Ordering::SeqCst);
+                        }
+                    });
+                }
+                scope.wait().unwrap();
+                let trace = rt.take_scope_trace(&scope);
+                let ids: Vec<usize> = trace.records.iter().map(|r| r.id).collect();
+                assert_eq!(ids.len(), 2, "lost or duplicated task: {ids:?}");
+                assert_eq!(trace.edges.len(), 1, "edges: {:?}", trace.edges);
+                let (from, to) = trace.edges[0];
+                assert!(
+                    ids.contains(&from) && ids.contains(&to),
+                    "cross-scope edge {from}->{to}, own ids {ids:?}"
+                );
+            }
+        };
+        let other = {
+            let (rt, run_scope) = (rt.clone(), run_scope.clone());
+            loom_lite::thread::spawn(move || run_scope(&rt))
+        };
+        run_scope(&rt);
+        other.join().unwrap();
+        assert_eq!(hits.load(Ordering::SeqCst), 4);
+        assert_eq!(violations.load(Ordering::SeqCst), 0);
+    });
+    assert_explored(&report, 4500);
+}
+
+#[test]
 fn reintroduced_wiring_race_is_caught_as_deadlock() {
     // The mutation proof: `new_with_buggy_wiring` re-creates the
     // pre-sentinel protocol (finished-check and successor-push under two

@@ -6,7 +6,8 @@ use dcst_runtime::{DataKey, Runtime, Scope};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Per-scope object-id bases so concurrent scopes never share keys.
+/// Keys are scope-local names; the distinct bases below only keep the
+/// tests readable.
 fn key(base: u64, idx: u64) -> DataKey {
     DataKey::new(base, idx)
 }
@@ -292,25 +293,64 @@ fn per_scope_traces_split_cleanly() {
 }
 
 #[test]
-fn tracker_keys_are_retired_when_scopes_complete() {
-    // Daemon-lifetime bound: key state must not accumulate across requests.
+fn same_key_in_two_scopes_imposes_no_order() {
+    // Keys are names within a scope: B's chain on key(7, 0) must run to
+    // completion while A's first task on the *same* key is still blocked.
     let rt = Runtime::new(2);
-    let baseline = rt.tracked_keys();
-    for round in 0u64..50 {
-        let scope = rt.scope();
-        for idx in 0..16 {
-            scope
-                .task("req")
-                .read_write(key(1000 + round, idx))
-                .spawn(|| {});
-        }
-        scope.wait().unwrap();
+    rt.enable_tracing();
+    let sa = rt.scope();
+    let sb = rt.scope();
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    {
+        let (s, r) = (started.clone(), release.clone());
+        sa.task("held").read_write(key(7, 0)).spawn(move || {
+            s.store(true, Ordering::SeqCst);
+            while !r.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+        });
     }
-    assert_eq!(
-        rt.tracked_keys(),
-        baseline,
-        "completed scopes must not leave key state behind"
-    );
+    sa.task("after-held").read_write(key(7, 0)).spawn(|| {});
+    while !started.load(Ordering::SeqCst) {
+        std::hint::spin_loop();
+    }
+    let ran_b = Arc::new(AtomicUsize::new(0));
+    for _ in 0..2 {
+        let ran_b = ran_b.clone();
+        sb.task("free").read_write(key(7, 0)).spawn(move || {
+            ran_b.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    // A shared key namespace orders B behind A and this wait never returns:
+    // time it out, and let A go either way so the pool can drain.
+    let b_done = std::thread::scope(|ts| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sb = &sb;
+        ts.spawn(move || tx.send(sb.wait()));
+        let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+        let a_still_blocked = !release.swap(true, Ordering::SeqCst);
+        got.map(|res| (res, a_still_blocked))
+    });
+    let (res_b, a_still_blocked) = b_done.expect("scope B waited on scope A's task");
+    res_b.unwrap();
+    assert!(a_still_blocked);
+    assert_eq!(ran_b.load(Ordering::SeqCst), 2);
+    sa.wait().unwrap();
+    // Each scope's chain is one edge, between its own two tasks.
+    for scope in [&sa, &sb] {
+        let t = rt.take_scope_trace(scope);
+        let ids: Vec<usize> = t.records.iter().map(|r| r.id).collect();
+        assert_eq!(ids.len(), 2);
+        assert_eq!(t.edges.len(), 1);
+        assert!(
+            t.edges
+                .iter()
+                .all(|(from, to)| ids.contains(from) && ids.contains(to)),
+            "edge into another scope: {:?} vs ids {ids:?}",
+            t.edges
+        );
+    }
 }
 
 #[test]
