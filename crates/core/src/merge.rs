@@ -13,6 +13,14 @@
 //! renaming the deflated columns in place, so the vector kernels of
 //! `ComputeDeflation → {PermuteV, LAED4, ComputeLocalW}ₚ → ReduceW →
 //! {ComputeVect, UpdateVect}ₚ` move only the `k` non-deflated columns.
+//!
+//! A renamed column keeps the rows it was last written over, so every slot
+//! also carries a [`RowSpan`], its *row support*: the block-local rows
+//! outside which its column of V is bitwise `+0.0` (V is allocated zero and
+//! nothing writes outside a support). [`join_supports`], [`apply_givens`]
+//! and [`column_map`] derive a merge's supports from its children's, and
+//! every pass over a column — the z row, a rotation, the root sort, the
+//! subset gather — touches only that span.
 
 use crate::DcError;
 use dcst_matrix::{gemm, merge_perm};
@@ -22,6 +30,7 @@ use dcst_secular::{
 };
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Statistics of one merge node.
 #[derive(Clone, Copy, Debug)]
@@ -48,6 +57,43 @@ impl MergeStat {
 /// `1/√2`, the z-vector normalization of the paper's Eq. (6).
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
+/// A slot's row support: the half-open block-local row span outside which
+/// the slot's column of V is bitwise `+0.0`. Two `u32`s — a column of an n×n
+/// `f64` matrix that fits in memory has far fewer than 2³² rows.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct RowSpan {
+    lo: u32,
+    hi: u32,
+}
+
+impl RowSpan {
+    pub(crate) fn new(rows: Range<usize>) -> Self {
+        let row = |r| u32::try_from(r).expect("an n×n f64 matrix in memory has n < 2³²");
+        RowSpan {
+            lo: row(rows.start),
+            hi: row(rows.end),
+        }
+    }
+
+    pub(crate) fn rows(self) -> Range<usize> {
+        self.lo as usize..self.hi as usize
+    }
+}
+
+/// Join two children's row supports into one over the merge's block, in
+/// child slot order: the left child's, then the right child's shifted down
+/// by `n1` rows.
+pub(crate) fn join_supports(left: &[RowSpan], right: &[RowSpan]) -> Vec<RowSpan> {
+    let n1 = left.len();
+    left.iter()
+        .copied()
+        .chain(right.iter().map(|r| {
+            let rows = r.rows();
+            RowSpan::new(rows.start + n1..rows.end + n1)
+        }))
+        .collect()
+}
+
 /// Join two children's block-local index maps into one over the merge's
 /// block: the left child's entries, then the right child's shifted by `n1`.
 /// Of the children's column maps this makes the merge's *source* map —
@@ -61,28 +107,54 @@ pub(crate) fn join_children(left: &[usize], right: &[usize]) -> Vec<usize> {
 }
 
 /// The merge's column map from the source map `src`, the deflation's slot
-/// permutation `perm` and its non-deflated count `k`: returns `(from, col)`.
+/// permutation `perm` and its non-deflated count `k`, with the merged
+/// slots' row supports from the (rotated, see [`apply_givens`]) source
+/// supports `src_support`: returns `(from, col, support)`.
 ///
 /// `from[s] = src[perm[s]]` is the column slot `s` is read from. A deflated
-/// slot (`s ≥ k`) keeps that column — `col[s] = from[s]`, a rename. The `k`
-/// non-deflated sources are gathered into the workspace, which vacates
-/// their columns; the `k` updated vectors land there in ascending order, so
-/// a merge without deflation maps slot `s` to column `s`.
-pub(crate) fn column_map(src: &[usize], perm: &[usize], k: usize) -> (Vec<usize>, Vec<usize>) {
+/// slot (`s ≥ k`) keeps that column — `col[s] = from[s]`, a rename — and
+/// with it that column's support. The `k` non-deflated sources are gathered
+/// into the workspace, which vacates their columns; the `k` updated vectors
+/// land there in ascending order, so a merge without deflation maps slot
+/// `s` to column `s`, each written over the whole block.
+pub(crate) fn column_map(
+    src: &[usize],
+    src_support: &[RowSpan],
+    perm: &[usize],
+    k: usize,
+) -> (Vec<usize>, Vec<usize>, Arc<[RowSpan]>) {
     let from: Vec<usize> = perm.iter().map(|&p| src[p]).collect();
     let mut col = from.clone();
     col[..k].sort_unstable();
-    (from, col)
+    let block = RowSpan::new(0..src.len());
+    let slot_support = |(s, &p): (usize, &usize)| if s < k { block } else { src_support[p] };
+    let support = perm.iter().enumerate().map(slot_support).collect();
+    (from, col, support)
 }
 
 /// Build the rank-one vector `z` (child slot order): the last row of the
 /// left child's eigenvector block and the first row of the right child's,
 /// scaled to unit norm. `v_block` starts at `(off, off)`; child slot `j`
-/// is read from column `src[j]`.
-pub(crate) fn build_z(v_block: &[f64], ld: usize, n1: usize, src: &[usize]) -> Vec<f64> {
+/// is read from column `src[j]`, or is zero without a load when the row
+/// lies outside its support `support[j]`.
+pub(crate) fn build_z(
+    v_block: &[f64],
+    ld: usize,
+    n1: usize,
+    src: &[usize],
+    support: &[RowSpan],
+) -> Vec<f64> {
     src.iter()
+        .zip(support)
         .enumerate()
-        .map(|(j, &c)| v_block[c * ld + if j < n1 { n1 - 1 } else { n1 }] * FRAC_1_SQRT_2)
+        .map(|(j, (&c, span))| {
+            let row = if j < n1 { n1 - 1 } else { n1 };
+            if span.rows().contains(&row) {
+                v_block[c * ld + row] * FRAC_1_SQRT_2
+            } else {
+                0.0
+            }
+        })
         .collect()
 }
 
@@ -116,20 +188,25 @@ pub(crate) fn deflate_block(
     }))
 }
 
-/// Apply the deflation Givens rotations to eigenvector columns (block rows
-/// only — columns are zero outside them); a rotation names child slots,
-/// which live in columns `src[·]`. BLAS `drot` convention, matching
+/// Apply the deflation Givens rotations to eigenvector columns; a rotation
+/// names child slots, which live in columns `src[·]` with row supports
+/// `support[·]`. A rotation runs over the whole block's rows, so the block
+/// becomes the support of both its slots. BLAS `drot` convention, matching
 /// [`GivensRot`]'s contract.
 pub(crate) fn apply_givens(
     v_block: &mut [f64],
     ld: usize,
-    nm: usize,
     src: &[usize],
+    support: &mut [RowSpan],
     rots: &[GivensRot],
 ) {
+    let nm = src.len();
+    let block = RowSpan::new(0..nm);
     for r in rots {
         let (a, b) = (src[r.col_a], src[r.col_b]);
         debug_assert!(a != b && a < nm && b < nm);
+        support[r.col_a] = block;
+        support[r.col_b] = block;
         let (lo, hi) = (a.min(b), a.max(b));
         let (first, second) = v_block.split_at_mut(hi * ld);
         let ca = &mut first[lo * ld..lo * ld + nm];
@@ -378,6 +455,10 @@ mod tests {
     use super::*;
     use dcst_matrix::Matrix;
 
+    fn spans(rows: &[Range<usize>]) -> Vec<RowSpan> {
+        rows.iter().cloned().map(RowSpan::new).collect()
+    }
+
     #[test]
     fn build_z_extracts_rows() {
         // 4x4 block, n1 = 2, child slots 0..4 living in columns [1, 0, 3, 2]:
@@ -387,9 +468,28 @@ mod tests {
         v[(1, 1)] = 2.0;
         v[(2, 2)] = 3.0;
         v[(2, 3)] = 4.0;
-        let z = build_z(v.as_slice(), 4, 2, &[1, 0, 3, 2]);
+        let src = [1, 0, 3, 2];
+        let z = build_z(v.as_slice(), 4, 2, &src, &spans(&[0..2, 0..2, 2..4, 2..4]));
         let s = FRAC_1_SQRT_2;
         assert_eq!(z, vec![2.0 * s, s, 4.0 * s, 3.0 * s]);
+        // A slot whose support misses the boundary row contributes zero.
+        let z = build_z(v.as_slice(), 4, 2, &src, &spans(&[0..1, 0..2, 3..4, 2..4]));
+        assert_eq!(z, vec![0.0, s, 0.0, 3.0 * s]);
+    }
+
+    #[test]
+    fn join_supports_shifts_the_right_child() {
+        let joined = join_supports(&spans(&[0..2, 1..2]), &spans(&[0..3, 2..3, 0..1]));
+        assert_eq!(joined, spans(&[0..2, 1..2, 2..5, 4..5, 2..3]));
+    }
+
+    fn rot(col_a: usize, col_b: usize, th: f64) -> GivensRot {
+        GivensRot {
+            col_a,
+            col_b,
+            c: th.cos(),
+            s: th.sin(),
+        }
     }
 
     #[test]
@@ -397,29 +497,100 @@ mod tests {
         let mut v = Matrix::from_fn(3, 3, |i, j| (i + j) as f64 + 1.0);
         let before: f64 = v.as_slice().iter().map(|x| x * x).sum();
         let untouched = v.col(0).to_vec();
-        let th = 0.3f64;
-        // Slots 0 and 2 live in columns 1 and 2: column 0 must not move.
+        // Slots 0 and 2 live in columns 1 and 2: column 0 must not move, nor
+        // slot 1's support. The rotated slots end with the whole block.
+        let mut support = spans(&[0..1, 1..2, 1..3]);
         apply_givens(
             v.as_mut_slice(),
             3,
-            3,
             &[1, 0, 2],
-            &[GivensRot {
-                col_a: 0,
-                col_b: 2,
-                c: th.cos(),
-                s: th.sin(),
-            }],
+            &mut support,
+            &[rot(0, 2, 0.3)],
         );
         let after: f64 = v.as_slice().iter().map(|x| x * x).sum();
         assert!((before - after).abs() < 1e-12);
         assert_eq!(v.col(0), &untouched[..]);
+        assert_eq!(support, spans(&[0..3, 1..2, 0..3]));
     }
 
-    /// The invariants of one merge's column map.
-    fn check_column_map(src: &[usize], perm: &[usize], k: usize) -> Vec<usize> {
+    #[test]
+    fn rows_outside_the_supports_are_never_read() {
+        // Two 4-slot children; child slot j lives in column src[j] over
+        // support[j]. One block is zero outside the supports — the invariant
+        // — the other NaN there: the z row and the rotations must come out
+        // bit for bit the same, and leave the poison where it was.
+        let src = join_children(&[2, 0, 3, 1], &[1, 3, 0, 2]);
+        let support = join_supports(
+            &spans(&[0..2, 2..4, 0..4, 3..4]),
+            &spans(&[0..1, 0..4, 2..4, 0..2]),
+        );
+        let inside = |i: usize, c: usize, support: &[RowSpan]| {
+            let j = src.iter().position(|&x| x == c).unwrap();
+            support[j].rows().contains(&i)
+        };
+        // Values inside `support`, `outside` beyond `reach`, zero between.
+        let block = |reach: &[RowSpan], outside: f64| {
+            Matrix::from_fn(8, 8, |i, c| {
+                if inside(i, c, &support) {
+                    (1 + i + 8 * c) as f64 / 7.0
+                } else if inside(i, c, reach) {
+                    0.0
+                } else {
+                    outside
+                }
+            })
+        };
+        let z_bits = |v: Matrix| -> Vec<u64> {
+            let z = build_z(v.as_slice(), 8, 4, &src, &support);
+            z.into_iter().map(f64::to_bits).collect()
+        };
+        assert_eq!(
+            z_bits(block(&support, 0.0)),
+            z_bits(block(&support, f64::NAN))
+        );
+        // A chain within the left child, one within the right, one across:
+        // the rotated slots end with the whole block, slots 2 and 5 keep
+        // their supports and the poison outside them.
+        let rots = [
+            rot(0, 1, 0.4),
+            rot(1, 3, 1.1),
+            rot(4, 7, 0.2),
+            rot(3, 6, 0.9),
+        ];
+        let mut clean = block(&support, 0.0);
+        let mut after = support.clone();
+        apply_givens(clean.as_mut_slice(), 8, &src, &mut after, &rots);
+        assert_eq!(after[..4], spans(&[0..8, 0..8, 0..4, 0..8])[..]);
+        assert_eq!(after[4..], spans(&[0..8, 4..8, 0..8, 0..8])[..]);
+        let mut poisoned = block(&after, f64::NAN);
+        apply_givens(
+            poisoned.as_mut_slice(),
+            8,
+            &src,
+            &mut support.clone(),
+            &rots,
+        );
+        for c in 0..8 {
+            for i in 0..8 {
+                let (x, y) = (clean[(i, c)], poisoned[(i, c)]);
+                if inside(i, c, &after) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "({i}, {c})");
+                } else {
+                    assert!(x.to_bits() == 0 && y.is_nan(), "({i}, {c})");
+                }
+            }
+        }
+    }
+
+    /// The invariants of one merge's column map and row supports.
+    fn check_column_map(
+        src: &[usize],
+        src_support: &[RowSpan],
+        perm: &[usize],
+        k: usize,
+    ) -> (Vec<usize>, Arc<[RowSpan]>) {
         let nm = src.len();
-        let (from, col) = column_map(src, perm, k);
+        let (from, col, support) = column_map(src, src_support, perm, k);
         for s in 0..nm {
             assert_eq!(from[s], src[perm[s]]);
         }
@@ -434,26 +605,40 @@ mod tests {
             vacated[..],
             "updates fill the vacated columns ascending"
         );
-        col
+        for s in 0..nm {
+            let want = if s < k {
+                RowSpan::new(0..nm)
+            } else {
+                src_support[perm[s]]
+            };
+            assert_eq!(support[s], want, "slot {s} of {nm}, k = {k}");
+        }
+        (col, support)
     }
 
     #[test]
     fn column_map_renames_deflated_slots() {
-        // Children of 2 and 3 slots; the right child's columns are shifted.
+        // Children of 2 and 3 slots; the right child's columns and rows are
+        // shifted.
         let src = join_children(&[1, 0], &[2, 0, 1]);
         assert_eq!(src, vec![1, 0, 4, 2, 3]);
-        // Slots 0..2 are non-deflated, read from columns 4 and 0; slots
-        // 2..5 are deflated and stay in columns 2, 1, 3.
-        let col = check_column_map(&src, &[2, 1, 3, 0, 4], 2);
+        let src_support = join_supports(&spans(&[0..2, 1..2]), &spans(&[0..3, 0..1, 1..3]));
+        // Slots 0..2 are non-deflated, read from columns 4 and 0, and end
+        // up written over the whole block; slots 2..5 are deflated and stay
+        // in columns 2, 1, 3 over the rows those held.
+        let (col, support) = check_column_map(&src, &src_support, &[2, 1, 3, 0, 4], 2);
         assert_eq!(col, vec![0, 4, 2, 1, 3]);
+        assert_eq!(support[..], spans(&[0..5, 0..5, 2..3, 0..2, 3..5])[..]);
         // No deflation, whatever the slot order: the identity map.
-        let col = check_column_map(&src, &[4, 2, 0, 3, 1], 5);
+        let (col, support) = check_column_map(&src, &src_support, &[4, 2, 0, 3, 1], 5);
         assert_eq!(col, vec![0, 1, 2, 3, 4]);
+        assert_eq!(support[..], [RowSpan::new(0..5); 5]);
     }
 
     proptest::proptest! {
-        /// Bijectivity survives a random tree of merges, each with a random
-        /// slot permutation and deflation count.
+        /// Bijectivity, and the supports' inheritance, survive a random
+        /// tree of merges, each with a random slot permutation and
+        /// deflation count.
         #[test]
         fn column_map_survives_a_random_tree(
             leaves in proptest::collection::vec(1usize..7, 2..10),
@@ -461,18 +646,23 @@ mod tests {
         ) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut level: Vec<Vec<usize>> = leaves.iter().map(|&n| (0..n).collect()).collect();
+            let mut level: Vec<(Vec<usize>, Arc<[RowSpan]>)> = leaves
+                .iter()
+                .map(|&n| ((0..n).collect(), vec![RowSpan::new(0..n); n].into()))
+                .collect();
             while level.len() > 1 {
                 level = level
                     .chunks(2)
                     .map(|pair| {
                         let [l, r] = pair else { return pair[0].clone() };
-                        let src = join_children(l, r);
+                        let src = join_children(&l.0, &r.0);
+                        let src_support = join_supports(&l.1, &r.1);
                         let mut perm: Vec<usize> = (0..src.len()).collect();
                         for i in (1..perm.len()).rev() {
                             perm.swap(i, rng.gen_range(0..i + 1));
                         }
-                        check_column_map(&src, &perm, rng.gen_range(0..src.len() + 1))
+                        let k = rng.gen_range(0..src.len() + 1);
+                        check_column_map(&src, &src_support, &perm, k)
                     })
                     .collect();
             }

@@ -28,12 +28,14 @@
 //! * the **vector payload** ([`Vectors`]; full and subset solves): the
 //!   node's eigenvector block in the n×n `v`, addressed through the node's
 //!   slot→column map ([`NodeCell::col`]) so that a deflated column is
-//!   renamed, never moved; the n×n `ws` the `k` non-deflated columns are
-//!   gathered into; and a k×k `x` per merge. It adds `PermuteV`/
-//!   `ComputeLocalW` to the first panel group, the whole second group
-//!   (`ComputeVect`, `CompressW`, `StructBasis`, `StructJoin`,
-//!   `UpdateVect`) and the final column sort, the one pass that applies
-//!   the map: `ws[:, t] ← v[:, col[idxq[t]]]`;
+//!   renamed, never moved, and keeps the rows it was last written over as
+//!   its row support ([`NodeCell::support`]); the n×n `ws` the `k`
+//!   non-deflated columns are gathered into; and a k×k `x` per merge. It
+//!   adds `PermuteV`/`ComputeLocalW` to the first panel group, the whole
+//!   second group (`ComputeVect`, `CompressW`, `StructBasis`,
+//!   `StructJoin`, `UpdateVect`) and the final column sort, the one pass
+//!   that applies the map, each column over its support `r`:
+//!   `ws[r, t] ← v[r, col[idxq[t]]]`;
 //! * the **row payload** (values-only solves, `crate::values`): the node's
 //!   two boundary rows, O(n) per node and nothing n×n. Its `LAED4` folds
 //!   the local-W product in and hands each root's `(μ, origin)` to its only
@@ -50,8 +52,8 @@
 
 use crate::merge::{
     apply_givens, build_z, column_map, compute_vect_panel, deflate_block, finalize_d,
-    join_children, local_w_panel, permute_slots, solve_roots_panel, subset_secular_span,
-    update_vect_panel, with_scratch, MergeStat,
+    join_children, join_supports, local_w_panel, permute_slots, solve_roots_panel,
+    subset_secular_span, update_vect_panel, with_scratch, MergeStat, RowSpan,
 };
 use crate::structured::{plan_update, StructuredUpdate};
 use crate::tree::PartitionTree;
@@ -176,6 +178,12 @@ struct NodeCell {
     /// Vector payload: the column each slot of this merge is read *from*;
     /// `PermuteV` gathers `from[..k]`.
     from: OnceLock<Vec<usize>>,
+    /// Vector payload: per slot, the block-local rows outside which column
+    /// `col[s]` of V is bitwise `+0.0` — all of them at a leaf and for an
+    /// updated slot, the renamed column's own for a deflated one. Published
+    /// with `col`; released by the parent's `ComputeDeflation` once joined
+    /// into its own, so only the root's outlives the merges.
+    support: Mutex<Option<Arc<[RowSpan]>>>,
     /// Vector payload: the merge's k×k secular eigenvectors (ld `k`),
     /// allocated by `ComputeDeflation` once `k` is known and released by
     /// the parent's.
@@ -220,6 +228,11 @@ impl NodeCell {
 
     fn col(&self) -> &[usize] {
         self.col.get().expect("column map not yet computed")
+    }
+
+    fn support(&self) -> Arc<[RowSpan]> {
+        let support = self.support.lock().unwrap();
+        support.clone().expect("row supports not yet computed")
     }
 
     fn x(&self) -> SharedData<f64> {
@@ -305,6 +318,25 @@ impl Graph {
         m != self.tree.root
     }
 
+    /// Vector payload, once every merge has run: the rows of workspace
+    /// column `t` a `PermuteV` may have written. Merge `m` gathers into its
+    /// block's rows of columns `off_m..off_m + k_m`, and the blocks holding
+    /// column `t` are nested, so the span is the block of the highest such
+    /// merge over `t` — empty when none gathered into it.
+    fn ws_dirty_rows(&self, t: usize) -> Range<usize> {
+        let mut m = self.tree.root;
+        loop {
+            let node = &self.tree.nodes[m];
+            let Some((lc, rc)) = node.children else {
+                return 0..0;
+            };
+            if t - node.off < self.cells[m].defl().k {
+                return node.off..node.off + node.n;
+            }
+            m = if t < node.off + node.n1 { lc } else { rc };
+        }
+    }
+
     /// Unwrap a drained graph into its result. The workers' handles died
     /// with their tasks (garbage collected by `wait`), so the master's is
     /// the last one.
@@ -340,13 +372,17 @@ impl Graph {
                 let v = unwrap(v);
                 // d and V are still in slot order (the sort tasks were
                 // skipped); gather the requested values/columns directly.
+                // A column is zero outside its support: copy that span only.
                 let slots = &root.idxq()[il..=iu];
-                let mut vsub = Vec::with_capacity(n * slots.len());
-                for &s in slots {
-                    let src = root.col()[s];
-                    vsub.extend_from_slice(&v[src * n..(src + 1) * n]);
+                let (col, support) = (root.col(), root.support());
+                let mut vsub = vec![0.0f64; n * slots.len()];
+                let mut moved = 0;
+                for (dst, &s) in vsub.chunks_exact_mut(n).zip(slots) {
+                    let rows = support[s].rows();
+                    dst[rows.clone()].copy_from_slice(&v[col[s] * n..][rows.clone()]);
+                    moved += rows.len();
                 }
-                dcst_matrix::metrics::add("copy.elems", vsub.len() as u64);
+                dcst_matrix::metrics::add("copy.elems", moved as u64);
                 let vals = slots.iter().map(|&s| values[s]).collect();
                 (vals, Matrix::from_vec(n, slots.len(), vsub))
             }
@@ -699,6 +735,9 @@ impl TaskFlowDc {
                             steqr_mut(db, eb, Some(z))
                                 .map_err(|err| DcError::Leaf(err.with_offset(off)))?;
                             publish(&g.cells[l].col, (0..nm).collect());
+                            let rows = RowSpan::new(0..nm);
+                            *g.cells[l].support.lock().unwrap() =
+                                Some(std::iter::repeat_n(rows, nm).collect());
                         }
                         None => {
                             let rows = solve_leaf_values(db, eb, off)?;
@@ -742,15 +781,22 @@ impl TaskFlowDc {
                                 Some(vp) => {
                                     let vb = unsafe { vp.v.range_mut(b.cols(0..nm, nm)) };
                                     let src = join_children(left.col(), right.col());
-                                    let defl = deflate(&build_z(vb, n, n1, &src))?;
-                                    apply_givens(vb, n, nm, &src, &defl.givens);
-                                    let (from, col) = column_map(&src, &defl.perm, defl.k);
+                                    let mut support =
+                                        join_supports(&left.support(), &right.support());
+                                    let defl = deflate(&build_z(vb, n, n1, &src, &support))?;
+                                    apply_givens(vb, n, &src, &mut support, &defl.givens);
+                                    let (from, col, support) =
+                                        column_map(&src, &support, &defl.perm, defl.k);
                                     publish(&cell.from, from);
                                     publish(&cell.col, col);
+                                    *cell.support.lock().unwrap() = Some(support);
                                     // State ∝ k: this merge's X replaces
-                                    // the children's, which are dead now.
-                                    *left.x.lock().unwrap() = None;
-                                    *right.x.lock().unwrap() = None;
+                                    // the children's, which are dead now,
+                                    // as are their supports, joined above.
+                                    for child in [left, right] {
+                                        *child.x.lock().unwrap() = None;
+                                        *child.support.lock().unwrap() = None;
+                                    }
                                     let x = SharedData::new(vec![0.0f64; defl.k * defl.k]);
                                     #[cfg(feature = "access-check")]
                                     x.bind_keys(
@@ -1122,22 +1168,35 @@ impl TaskFlowDc {
 
     /// Vector payload, after the root's `SortEigenvalues`: the one pass
     /// that applies the root's column map and sorting permutation, V's
-    /// columns into ascending order in the workspace — the result.
+    /// columns into ascending order in the workspace — the result. A column
+    /// moves over its row support only; the workspace is zero elsewhere
+    /// once the rows a `PermuteV` dirtied are cleared.
     fn submit_vector_sort(&self, g: &Arc<Graph>, scope: &Scope<'_>) {
         let (n, root) = (g.n, g.tree.root);
         for (_, r0, r1) in panels(n, g.nb) {
             let g = g.clone();
             panel_task(scope, "SortCopy", key_node(root), self.opts.use_gatherv).spawn(move || {
                 let (cell, vp) = (&g.cells[root], g.vp());
-                let col = cell.col();
+                let (idxq, col, support) = (cell.idxq(), cell.col(), cell.support());
                 // SAFETY: v fully read-shared; ws target columns
                 // exclusive per panel.
                 let vs = unsafe { vp.v.slice() };
                 let wt = unsafe { vp.ws.range_mut(r0 * n..r1 * n) };
-                for (dst, &s) in wt.chunks_exact_mut(n).zip(&cell.idxq()[r0..r1]) {
-                    dst.copy_from_slice(&vs[col[s] * n..(col[s] + 1) * n]);
+                let mut moved = 0;
+                for (t, dst) in (r0..r1).zip(wt.chunks_exact_mut(n)) {
+                    // The result column is V's over its support and zero
+                    // elsewhere — which ws already is, except where a
+                    // PermuteV gathered.
+                    let s = idxq[t];
+                    let rows = support[s].rows();
+                    let dirty = g.ws_dirty_rows(t);
+                    let clamp = |r: usize| r.clamp(dirty.start, dirty.end);
+                    dst[dirty.start..clamp(rows.start)].fill(0.0);
+                    dst[clamp(rows.end)..dirty.end].fill(0.0);
+                    dst[rows.clone()].copy_from_slice(&vs[col[s] * n..][rows.clone()]);
+                    moved += rows.len();
                 }
-                dcst_matrix::metrics::add("copy.elems", wt.len() as u64);
+                dcst_matrix::metrics::add("copy.elems", moved as u64);
             });
         }
     }
@@ -1301,6 +1360,42 @@ mod tests {
             assert!((x - y).abs() < 1e-12);
         }
         check(&t, &b, 1e-12);
+    }
+
+    #[test]
+    fn v_is_zero_outside_the_row_supports() {
+        // A subset solve has no sort, so V survives the drain as the merges
+        // left it: every column is +0.0 outside the root's support of its
+        // slot — what the sort and the subset gather rely on.
+        let n = 300;
+        let mut o = opts(16, 8, 2);
+        o.mode = SolveMode::Subset { il: 75, iu: 150 };
+        let rt = Runtime::new(2);
+        for ty in MatrixType::ALL {
+            let pending = TaskFlowDc::new(o).submit(&ty.generate(n, 3), &rt).unwrap();
+            pending.scope.wait().unwrap();
+            let PendingKind::Graph(g) = &pending.kind else {
+                panic!("{ty:?}: a wide subset runs the merge graph")
+            };
+            let root = &g.cells[g.tree.root];
+            let (col, support) = (root.col(), root.support());
+            // SAFETY: the graph has drained; no task borrows V.
+            let v = unsafe { g.vp().v.slice() };
+            for (s, span) in support.iter().enumerate() {
+                let column = &v[col[s] * n..(col[s] + 1) * n];
+                for (i, x) in column.iter().enumerate() {
+                    let zero = x.to_bits() == 0;
+                    assert!(
+                        span.rows().contains(&i) || zero,
+                        "{ty:?}: slot {s}, row {i}"
+                    );
+                }
+            }
+            if ty == MatrixType::Type2 {
+                // Fully deflated: no column ever left its leaf's rows.
+                assert!(support.iter().all(|span| span.rows().len() <= 16));
+            }
+        }
     }
 
     #[test]

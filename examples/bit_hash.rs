@@ -1,0 +1,78 @@
+//! Bit hash of the D&C solvers' output: the probe behind "this change
+//! leaves the arithmetic alone".
+//!
+//! ```text
+//! cargo run --release --example bit_hash > h.txt
+//! ```
+//!
+//! One line per `MatrixType::ALL` × n ∈ {200, 777} × {full, subset, values}
+//! (seed 3, default options): eight FNV-1a hashes over `to_bits` of
+//! `Eigen::values` then `Eigen::vectors`, one per discipline × `threads` ∈
+//! {1, 2}. The eight hashes of a line must be equal — the disciplines are
+//! bit-identical — and the process exits 1 if any line's differ. Two
+//! commits with the same arithmetic print `cmp`-identical output; run it at
+//! the default SIMD level and under `DCST_FORCE_SCALAR=1` (the two levels
+//! differ from each other: FMA vs mul+add).
+
+use dcst::prelude::*;
+
+fn fnv1a(eig: &Eigen) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in eig.values.iter().chain(eig.vectors.as_slice()) {
+        for byte in x.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+type Solve = fn(DcOptions, &SymTridiag) -> Eigen;
+
+const DISCIPLINES: [Solve; 4] = [
+    |o, t| SequentialDc::new(o).solve(t).unwrap(),
+    |o, t| ForkJoinDc::new(o).solve(t).unwrap(),
+    |o, t| LevelParallelDc::new(o).solve(t).unwrap(),
+    |o, t| TaskFlowDc::new(o).solve(t).unwrap(),
+];
+
+fn main() {
+    let mut diverged = false;
+    for ty in MatrixType::ALL {
+        for n in [200usize, 777] {
+            let t = ty.generate(n, 3);
+            let modes = [
+                ("full", SolveMode::Full),
+                (
+                    "subset",
+                    SolveMode::Subset {
+                        il: n / 4,
+                        iu: n / 2,
+                    },
+                ),
+                ("values", SolveMode::ValuesOnly),
+            ];
+            for (label, mode) in modes {
+                let hashes: Vec<u64> = DISCIPLINES
+                    .iter()
+                    .flat_map(|solve| {
+                        [1, 2].map(|threads| {
+                            let opts = DcOptions {
+                                threads,
+                                mode,
+                                ..DcOptions::default()
+                            };
+                            fnv1a(&solve(opts, &t))
+                        })
+                    })
+                    .collect();
+                diverged |= hashes.iter().any(|&h| h != hashes[0]);
+                let hashes: Vec<String> = hashes.iter().map(|h| format!("{h:016x}")).collect();
+                println!("{ty:?} n={n} {label} {}", hashes.join(" "));
+            }
+        }
+    }
+    if diverged {
+        eprintln!("bit_hash: the disciplines disagree on at least one line");
+        std::process::exit(1);
+    }
+}
