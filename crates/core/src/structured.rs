@@ -271,6 +271,10 @@ impl StructuredUpdate {
     }
 }
 
+/// Serializes the crate's tests that pin the process-wide update policy.
+#[cfg(test)]
+pub(crate) static POLICY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,6 +321,7 @@ mod tests {
     // parallel test runner.
     #[test]
     fn planner_policy_decisions() {
+        let _policy = POLICY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Auto beats the dense oracle on an interlaced merge at the threshold.
         let k = MIN_K_AUTO;
         let (defl, x) = synthetic_merge(k);

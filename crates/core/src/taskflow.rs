@@ -196,8 +196,11 @@ struct NodeCell {
     /// Vector payload: rank-structured update plan for this merge; unset
     /// means the dense path (either the auto-switch chose it or `CompressW`
     /// hasn't run — the node-key epochs guarantee the latter never races
-    /// `UpdateVect`). Boxed because most nodes never hold one.
-    structured: OnceLock<Box<StructuredUpdate>>,
+    /// `UpdateVect`). Its gathered Q, U/Vᵀ tiles and Q·U bases are
+    /// O(nm·k), so like `x` it is released by the parent's
+    /// `ComputeDeflation`: only the root's outlives the merges. A reader
+    /// clones the `Arc` out, so the lock is not held while the plan works.
+    structured: Mutex<Option<Arc<StructuredUpdate>>>,
     /// Vector payload: subset pruning plan for the root merge of a
     /// `SolveMode::Subset` solve, published by `ReduceW` — the secular
     /// storage-slot span that lands in the requested sorted positions.
@@ -792,10 +795,12 @@ impl TaskFlowDc {
                                     *cell.support.lock().unwrap() = Some(support);
                                     // State ∝ k: this merge's X replaces
                                     // the children's, which are dead now,
-                                    // as are their supports, joined above.
+                                    // as are their supports, joined above,
+                                    // and their update plans.
                                     for child in [left, right] {
                                         *child.x.lock().unwrap() = None;
                                         *child.support.lock().unwrap() = None;
+                                        *child.structured.lock().unwrap() = None;
                                     }
                                     let x = SharedData::new(vec![0.0f64; defl.k * defl.k]);
                                     #[cfg(feature = "access-check")]
@@ -1062,7 +1067,7 @@ impl TaskFlowDc {
                     let x = cell.x();
                     let xb = unsafe { x.slice() };
                     if let Some(su) = plan_update(wb, xb, k, n, nm, n1, defl, n) {
-                        publish(&cell.structured, Box::new(su));
+                        *cell.structured.lock().unwrap() = Some(Arc::new(su));
                     }
                 });
         }
@@ -1076,7 +1081,8 @@ impl TaskFlowDc {
             panel_task(scope, "StructBasis", key_node(m), use_gatherv)
                 .fork()
                 .spawn(move || {
-                    if let Some(su) = g.cells[m].structured.get() {
+                    let plan = g.cells[m].structured.lock().unwrap().clone();
+                    if let Some(su) = plan {
                         su.compute_basis_chunk(p, npanels);
                     }
                 });
@@ -1105,8 +1111,9 @@ impl TaskFlowDc {
                     if j.is_empty() {
                         return Ok(());
                     }
+                    let plan = cell.structured.lock().unwrap().clone();
                     with_scratch(nm * j.len(), |out| {
-                        if let Some(su) = cell.structured.get() {
+                        if let Some(su) = plan {
                             // Relabel this record so traces show the
                             // structured and dense variants distinctly. The
                             // plan owns its operands.
@@ -1396,6 +1403,36 @@ mod tests {
                 assert!(support.iter().all(|span| span.rows().len() <= 16));
             }
         }
+    }
+
+    #[test]
+    fn only_the_root_keeps_its_update_plan() {
+        // Type 4 at n = 1111 (seed 7) is the smallest size at which the
+        // auto policy structures three merges — the root and both its
+        // children — so the root's ComputeDeflation released two plans.
+        let _policy = crate::structured::POLICY_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let policy = dcst_matrix::update_policy();
+        dcst_matrix::set_update_policy(dcst_matrix::UpdatePolicy::Auto);
+        let before = dcst_matrix::metrics::snapshot();
+        let rt = Runtime::new(2);
+        let t = MatrixType::Type4.generate(1111, 7);
+        let pending = TaskFlowDc::new(opts(32, 64, 2)).submit(&t, &rt).unwrap();
+        pending.scope.wait().unwrap();
+        let delta = dcst_matrix::metrics::snapshot().delta(&before);
+        dcst_matrix::set_update_policy(policy);
+        // At least: a test running beside this one under a forced
+        // structured policy adds its own plans to the process counter.
+        let planned = delta.get("update.structured_merges");
+        assert!(planned >= 3, "{planned} structured merges");
+        let PendingKind::Graph(g) = &pending.kind else {
+            panic!("a full solve runs the merge graph")
+        };
+        let holding: Vec<usize> = (0..g.cells.len())
+            .filter(|&m| g.cells[m].structured.lock().unwrap().is_some())
+            .collect();
+        assert_eq!(holding, [g.tree.root]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ static LEVEL: AtomicU8 = AtomicU8::new(0);
 /// Whether the running CPU can execute kernels compiled for `level`,
 /// whatever `DCST_FORCE_SCALAR` says: what lets a test drive every variant
 /// the machine has, not only the dispatched one.
-pub(crate) fn cpu_supports(level: SimdLevel) -> bool {
+pub fn cpu_supports(level: SimdLevel) -> bool {
     match level {
         SimdLevel::Scalar => true,
         #[cfg(target_arch = "x86_64")]

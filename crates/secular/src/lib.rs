@@ -21,10 +21,12 @@
 //! `dcst-core`, which calls these kernels from panel tasks.
 //!
 //! The O(k²) inner loops (secular sweeps, local-W column products, vector
-//! normalization) are vectorized in [`simd`] with runtime AVX2/FMA dispatch
-//! through the workspace-wide `dcst_matrix::simd_level` detector; the
-//! `*_scalar` entry points pin the original scalar bodies and serve as
-//! test oracles and as the `DCST_FORCE_SCALAR=1` comparison baseline.
+//! normalization, the values-only row pass) are vectorized in [`simd`]:
+//! one generic body per kernel, compiled for AVX2 and AVX-512 and picked
+//! through the workspace-wide `dcst_matrix::simd_level` detector
+//! ([`SecularKernels`], whose rows the conformance tests drive one by
+//! one); the `*_scalar` entry points pin the original scalar bodies and
+//! serve as test oracles and as the `DCST_FORCE_SCALAR=1` path.
 
 mod deflate;
 mod roots;
@@ -38,6 +40,8 @@ pub use roots::{
     SecularError, SecularProblem, SecularRoot,
 };
 pub use simd::{max_abs, max_abs_scalar};
+#[doc(hidden)]
+pub use simd::{RowSums, SecularKernels, SweepSums};
 pub use structured::{
     compress_secular_x, estimate_offdiag_rank, leaf_size, rank_tolerance, StructuredX,
 };

@@ -13,7 +13,7 @@
 //! `delta[i] = d_i − λ` are computed as `(d_i − d_K) − μ` without
 //! cancellation — the property eigenvector orthogonality rests on.
 
-use crate::simd;
+use crate::simd::SecularKernels;
 use dcst_matrix::metrics;
 use dcst_matrix::util::EPS;
 
@@ -133,7 +133,7 @@ impl<'a> SecularProblem<'a> {
     /// SIMD kernels in [`crate::simd`]; [`Self::solve_root_scalar`] pins
     /// the scalar bodies and serves as the oracle.
     pub fn solve_root(&self, j: usize, delta: &mut [f64]) -> Result<SecularRoot, SecularError> {
-        self.solve(j, delta, !simd::use_simd(), MAXIT)
+        self.solve(j, delta, SecularKernels::dispatched(), MAXIT)
     }
 
     /// [`Self::solve_root`] forced onto the scalar kernel bodies. Retained
@@ -144,14 +144,14 @@ impl<'a> SecularProblem<'a> {
         j: usize,
         delta: &mut [f64],
     ) -> Result<SecularRoot, SecularError> {
-        self.solve(j, delta, true, MAXIT)
+        self.solve(j, delta, SecularKernels::SCALAR, MAXIT)
     }
 
     fn solve(
         &self,
         j: usize,
         delta: &mut [f64],
-        scalar: bool,
+        kernels: SecularKernels,
         maxit: usize,
     ) -> Result<SecularRoot, SecularError> {
         let (d, z, rho) = (self.d, self.z, self.rho);
@@ -204,7 +204,7 @@ impl<'a> SecularProblem<'a> {
             // the secular sum, its absolute-value companion, and both
             // side-wise derivative sums in one dispatched pass over the k
             // terms.
-            let sums = simd::secular_sweep(scalar, d, d[origin], mu, z, split, delta);
+            let sums = kernels.sweep(d, d[origin], mu, z, split, delta);
             swept = (origin, mu);
             let f = 1.0 + rho * sums.val;
             let fabs = 1.0 + rho * sums.abs;
@@ -269,7 +269,7 @@ impl<'a> SecularProblem<'a> {
                     break;
                 }
                 iters += 1;
-                let sums = simd::secular_sweep(scalar, d, d[origin], mid, z, split, delta);
+                let sums = kernels.sweep(d, d[origin], mid, z, split, delta);
                 mu = mid;
                 swept = (origin, mu);
                 let f = 1.0 + rho * sums.val;
@@ -345,7 +345,8 @@ pub fn solve_secular_root_with_maxit(
     delta: &mut [f64],
     maxit: usize,
 ) -> Result<f64, SecularError> {
-    let root = SecularProblem::new(d, z, rho)?.solve(j, delta, !simd::use_simd(), maxit)?;
+    let root =
+        SecularProblem::new(d, z, rho)?.solve(j, delta, SecularKernels::dispatched(), maxit)?;
     Ok(root.lambda)
 }
 

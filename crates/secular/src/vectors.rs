@@ -13,7 +13,7 @@
 //! splits into independent per-panel partial products: exactly the paper's
 //! `ComputeLocalW` (panel) and `ReduceW` (join) tasks.
 
-use crate::simd;
+use crate::simd::SecularKernels;
 use dcst_matrix::util::sign;
 use std::ops::Range;
 
@@ -35,12 +35,20 @@ pub fn local_w_products(
     col0: usize,
     jrange: Range<usize>,
 ) -> Vec<f64> {
-    local_w_impl(dlamda, deltas, ld, col0, jrange, !simd::use_simd())
+    local_w_impl(
+        dlamda,
+        deltas,
+        ld,
+        col0,
+        jrange,
+        SecularKernels::dispatched(),
+    )
 }
 
 /// [`local_w_products`] forced onto the scalar kernel body (the test
-/// oracle). The SIMD path performs the identical element-wise operations,
-/// so both variants return bit-identical products.
+/// oracle). The AVX2 body performs the identical element-wise operations
+/// and returns bit-identical products; the AVX-512 body's quotients are
+/// within 2 ulp each.
 pub fn local_w_products_scalar(
     dlamda: &[f64],
     deltas: &[f64],
@@ -48,7 +56,7 @@ pub fn local_w_products_scalar(
     col0: usize,
     jrange: Range<usize>,
 ) -> Vec<f64> {
-    local_w_impl(dlamda, deltas, ld, col0, jrange, true)
+    local_w_impl(dlamda, deltas, ld, col0, jrange, SecularKernels::SCALAR)
 }
 
 /// Multiply root `j`'s Gu–Eisenstat factors into a running partial
@@ -57,9 +65,7 @@ pub fn local_w_products_scalar(
 /// caller that holds one delta column at a time; starting from ones, the
 /// result is bit-identical to `local_w_products` over the same roots.
 pub fn local_w_accumulate(dlamda: &[f64], delta: &[f64], j: usize, acc: &mut [f64]) {
-    let k = dlamda.len();
-    assert!(j < k && delta.len() == k && acc.len() == k);
-    simd::local_w_col(!simd::use_simd(), dlamda, delta, j, acc);
+    SecularKernels::dispatched().local_w_col(dlamda, delta, j, acc);
 }
 
 fn local_w_impl(
@@ -68,14 +74,14 @@ fn local_w_impl(
     ld: usize,
     col0: usize,
     jrange: Range<usize>,
-    scalar: bool,
+    kernels: SecularKernels,
 ) -> Vec<f64> {
     let k = dlamda.len();
     debug_assert!(ld >= k);
     let mut out = vec![1.0f64; k];
     for j in jrange {
         let col = &deltas[(j - col0) * ld..(j - col0) * ld + k];
-        simd::local_w_col(scalar, dlamda, col, j, &mut out);
+        kernels.local_w_col(dlamda, col, j, &mut out);
     }
     out
 }
@@ -118,12 +124,12 @@ pub fn assemble_vectors(
         col0,
         jrange,
         sec_to_slot,
-        !simd::use_simd(),
+        SecularKernels::dispatched(),
     )
 }
 
 /// [`assemble_vectors`] forced onto the scalar kernel body (the test
-/// oracle). The SIMD path vectorizes the division and the norm
+/// oracle). The SIMD path vectorizes the quotient and the norm
 /// accumulation, so normalized columns can differ by rounding-order noise
 /// within a few ulps.
 pub fn assemble_vectors_scalar(
@@ -134,7 +140,15 @@ pub fn assemble_vectors_scalar(
     jrange: Range<usize>,
     sec_to_slot: &[usize],
 ) {
-    assemble_impl(zhat, deltas, ld, col0, jrange, sec_to_slot, true)
+    assemble_impl(
+        zhat,
+        deltas,
+        ld,
+        col0,
+        jrange,
+        sec_to_slot,
+        SecularKernels::SCALAR,
+    )
 }
 
 fn assemble_impl(
@@ -144,7 +158,7 @@ fn assemble_impl(
     col0: usize,
     jrange: Range<usize>,
     sec_to_slot: &[usize],
-    scalar: bool,
+    kernels: SecularKernels,
 ) {
     let k = zhat.len();
     debug_assert!(ld >= k);
@@ -152,7 +166,7 @@ fn assemble_impl(
     let mut tmp = vec![0.0f64; k];
     for j in jrange {
         let col = &mut deltas[(j - col0) * ld..(j - col0) * ld + k];
-        let nrm2 = simd::assemble_col(scalar, zhat, col, &mut tmp);
+        let nrm2 = kernels.assemble_col(zhat, col, &mut tmp);
         let inv = 1.0 / nrm2.sqrt();
         // Scatter through the slot permutation stays scalar: the indices
         // are arbitrary, and k writes are cheap next to the k divisions.
@@ -177,7 +191,15 @@ pub fn secular_row_entries(
     wf: &[f64],
     wl: &[f64],
 ) -> (f64, f64) {
-    row_entries_impl(dlamda, origin, mu, zhat, wf, wl, !simd::use_simd())
+    row_entries_impl(
+        dlamda,
+        origin,
+        mu,
+        zhat,
+        wf,
+        wl,
+        SecularKernels::dispatched(),
+    )
 }
 
 /// [`secular_row_entries`] forced onto the scalar kernel body (the test
@@ -190,7 +212,7 @@ pub fn secular_row_entries_scalar(
     wf: &[f64],
     wl: &[f64],
 ) -> (f64, f64) {
-    row_entries_impl(dlamda, origin, mu, zhat, wf, wl, true)
+    row_entries_impl(dlamda, origin, mu, zhat, wf, wl, SecularKernels::SCALAR)
 }
 
 fn row_entries_impl(
@@ -200,12 +222,9 @@ fn row_entries_impl(
     zhat: &[f64],
     wf: &[f64],
     wl: &[f64],
-    scalar: bool,
+    kernels: SecularKernels,
 ) -> (f64, f64) {
-    let k = dlamda.len();
-    // The vector body reads all four slices through raw pointers.
-    assert!(zhat.len() == k && wf.len() == k && wl.len() == k);
-    let s = simd::row_sums(scalar, dlamda, dlamda[origin], mu, zhat, wf, wl);
+    let s = kernels.row_sums(dlamda, dlamda[origin], mu, zhat, wf, wl);
     let nrm = s.nrm2.sqrt();
     (s.first / nrm, s.last / nrm)
 }

@@ -1,25 +1,75 @@
-//! Property tests pitting the dispatched (SIMD on capable hosts) secular
-//! kernels against the retained scalar oracles.
+//! The secular kernels against the retained scalar oracles: the
+//! dispatched path through the public API (property tests), and every
+//! instance this CPU runs — AVX2 and AVX-512, not only the dispatched one —
+//! called directly through [`SecularKernels::runnable`].
 //!
-//! Sizes sweep the dispatch edge cases around the 4-lane AVX2 width
-//! (`k ∈ {1, 3, 4, 7, 8, 31, 257}`: sub-vector, exact multiples, tails)
-//! and the pole configurations include clustered, denormal-scale and
-//! huge-magnitude `dlamda` gaps — the regimes where a vectorized rewrite
-//! of the sweeps could diverge from the scalar bodies. On hosts without
-//! AVX2 (or under `DCST_FORCE_SCALAR=1`) both paths resolve to the same
-//! scalar body and the comparisons are trivially exact — the tests stay
-//! meaningful as oracle self-checks.
+//! Sizes sweep the edge cases around the 4- and 8-lane widths
+//! (`k ∈ {1, 3, 4, 7, 8, 9, 16, 17, 31, 257}`: sub-vector, exact multiples,
+//! tails) and the pole configurations include clustered, denormal-scale
+//! and huge-magnitude `dlamda` gaps — the regimes where a vectorized
+//! rewrite of the sweeps could diverge from the scalar bodies.
+//!
+//! Per instance: the AVX2 local-W products and assembly quotients are the
+//! scalar ones bit for bit (it divides, element-wise, as the scalar body
+//! does). AVX-512 forms each quotient as `a·r` with a refined reciprocal,
+//! within [`QUOT_ULPS`] of the division, so its assembly quotients stay
+//! within that and a local-W product of `m` factors within
+//! `QUOT_ULPS · m` ulp. Sweep and row sums of both reassociate, within
+//! 1e-12 relative. `every_k_and_regime_covered` prints
+//! `secular kernels <level>: ran|skipped` per instance: a green run on a
+//! host without AVX-512 is not coverage of that instance.
 
+use dcst_matrix::SimdLevel;
 use dcst_secular::*;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-/// Dispatch edge cases around the 4-lane vector width, plus one size big
-/// enough that every unrolled segment of the kernels is exercised.
-const K_SET: [usize; 7] = [1, 3, 4, 7, 8, 31, 257];
+/// Dispatch edge cases around the 4- and 8-lane vector widths, plus one
+/// size big enough that every unrolled segment of the kernels is exercised.
+const K_SET: [usize; 10] = [1, 3, 4, 7, 8, 9, 16, 17, 31, 257];
 
 const REGIMES: usize = 5;
+
+/// Bound, in ulp, on one AVX-512 quotient against the division.
+const QUOT_ULPS: u64 = 2;
+
+/// The vector instances by name, each with its row if this CPU runs it.
+fn instances() -> [(&'static str, Option<SecularKernels>); 2] {
+    [
+        ("avx2", SecularKernels::runnable(SimdLevel::Avx2)),
+        ("avx512", SecularKernels::runnable(SimdLevel::Avx512)),
+    ]
+}
+
+/// The instances this CPU runs, the scalar row first.
+fn runnable_rows() -> Vec<(&'static str, SecularKernels)> {
+    let mut rows = vec![("scalar", SecularKernels::SCALAR)];
+    rows.extend(
+        instances()
+            .into_iter()
+            .filter_map(|(n, r)| r.map(|r| (n, r))),
+    );
+    rows
+}
+
+/// Whether a row's quotients are the division's, bit for bit.
+fn divides(row: &SecularKernels) -> bool {
+    row.level() != SimdLevel::Avx512
+}
+
+/// Distance in units in the last place, across zero (±0 are one value).
+fn ulps(a: f64, b: f64) -> u64 {
+    let key = |x: f64| {
+        let b = x.to_bits() as i64;
+        if b < 0 {
+            i64::MIN - b
+        } else {
+            b
+        }
+    };
+    key(a).abs_diff(key(b))
+}
 
 /// A secular problem `D + ρzzᵀ` in one of five gap regimes:
 ///
@@ -178,10 +228,11 @@ proptest! {
         }
     }
 
-    /// The SIMD local-W kernel performs the identical element-wise
-    /// operations as the scalar body, so the Gu–Eisenstat partial
-    /// products are bit-identical — for the full range and for panels
-    /// handed in as offset column slices.
+    /// Every instance's Gu–Eisenstat partial products against the scalar
+    /// ones — bit-identical on AVX2, within `QUOT_ULPS` per factor on
+    /// AVX-512 — for the full range and for panels handed in as offset
+    /// column slices; and the dispatched `local_w_products` is its
+    /// instance's column loop, bit for bit.
     #[test]
     fn local_w_bit_identical(
         ki in 0usize..K_SET.len(),
@@ -193,19 +244,26 @@ proptest! {
         let mut deltas = vec![0.0f64; k * k];
         let mut db = vec![0.0f64; k * k];
         solve_both(&d, &z, rho, &mut deltas, &mut db)?;
-        let full_simd = local_w_products(&d, &deltas, k, 0, 0..k);
-        let full_scalar = local_w_products_scalar(&d, &deltas, k, 0, 0..k);
-        prop_assert_eq!(bits(&full_simd), bits(&full_scalar));
+        let dispatched = SecularKernels::dispatched();
+        prop_assert_eq!(
+            bits(&local_w_products(&d, &deltas, k, 0, 0..k)),
+            bits(&products(&dispatched, &d, &deltas, 0, 0..k))
+        );
         // Panel split with a column-offset buffer, as the task flow does.
         let h = k / 2;
-        if h > 0 {
-            let lo = local_w_products(&d, &deltas[..h * k], k, 0, 0..h);
-            let lo_ref = local_w_products_scalar(&d, &deltas[..h * k], k, 0, 0..h);
-            prop_assert_eq!(bits(&lo), bits(&lo_ref));
-            let hi = local_w_products(&d, &deltas[h * k..], k, h, h..k);
-            let hi_ref = local_w_products_scalar(&d, &deltas[h * k..], k, h, h..k);
-            prop_assert_eq!(bits(&hi), bits(&hi_ref));
+        let panels = [(&deltas[..], 0, 0..k), (&deltas[..h * k], 0, 0..h), (&deltas[h * k..], h, h..k)];
+        for (name, row) in runnable_rows() {
+            for (cols, col0, range) in panels.clone() {
+                let m = range.len();
+                let want = products(&SecularKernels::SCALAR, &d, cols, col0, range.clone());
+                let got = products(&row, &d, cols, col0, range);
+                if let Some(msg) = products_mismatch(&row, &got, &want, m) {
+                    prop_assert!(false, "{} k={} regime={}: {}", name, k, regime, msg);
+                }
+            }
         }
+        let hi = local_w_products(&d, &deltas[h * k..], k, h, h..k);
+        prop_assert_eq!(bits(&hi), bits(&products(&dispatched, &d, &deltas[h * k..], h, h..k)));
     }
 
     /// Assembled eigenvector columns match the scalar oracle to a few
@@ -286,9 +344,140 @@ proptest! {
     }
 }
 
-/// Deterministic spot-check: every k in the dispatch edge set gets at
-/// least one exercised case per regime regardless of how the proptest rng
-/// samples, so a lane/tail bug cannot hide behind sampling luck.
+/// Gu–Eisenstat partial products over the roots `range` on one row: the
+/// column loop of `local_w_products`, with column `j` at `cols[(j −
+/// col0)·k..]`.
+fn products(
+    row: &SecularKernels,
+    d: &[f64],
+    cols: &[f64],
+    col0: usize,
+    range: std::ops::Range<usize>,
+) -> Vec<f64> {
+    let k = d.len();
+    let mut out = vec![1.0f64; k];
+    for j in range {
+        let c = (j - col0) * k;
+        row.local_w_col(d, &cols[c..c + k], j, &mut out);
+    }
+    out
+}
+
+/// Why a row's products of `m` factors are not the scalar ones `want`:
+/// a dividing row must match bit for bit, AVX-512 to `QUOT_ULPS · m` ulp.
+fn products_mismatch(row: &SecularKernels, got: &[f64], want: &[f64], m: usize) -> Option<String> {
+    let bound = if divides(row) {
+        0
+    } else {
+        QUOT_ULPS * m as u64
+    };
+    got.iter()
+        .zip(want)
+        .enumerate()
+        .find(|(_, (g, w))| ulps(**g, **w) > bound)
+        .map(|(i, (g, w))| {
+            format!(
+                "product {i}: {g:e} vs {w:e} ({} ulp > {bound})",
+                ulps(*g, *w)
+            )
+        })
+}
+
+/// `|got − want| ≤ 1e-12 · scale`, plus a subnormal's worth for sums whose
+/// terms underflow; both non-finite passes.
+fn close(got: f64, want: f64, scale: f64) -> bool {
+    (!got.is_finite() && !want.is_finite())
+        || (got - want).abs() <= 1e-12 * scale.abs() + f64::MIN_POSITIVE
+}
+
+/// Each kernel of `row` on one problem, against the scalar row, fed with
+/// the scalar solver's roots and pole distances: the sweep at every root,
+/// the local-W products, the assembly quotients and norms, the row sums.
+fn check_row(name: &str, row: &SecularKernels, d: &[f64], z: &[f64], rho: f64, case: &str) {
+    let k = d.len();
+    let scalar = SecularKernels::SCALAR;
+    let Ok(problem) = SecularProblem::new(d, z, rho) else {
+        return; // the mixed regime rounded two poles together
+    };
+    let mut deltas = vec![0.0f64; k * k];
+    let mut roots = Vec::with_capacity(k);
+    for (j, col) in deltas.chunks_exact_mut(k).enumerate() {
+        let Ok(root) = problem.solve_root_scalar(j, col) else {
+            return; // no oracle to compare with
+        };
+        roots.push(root);
+    }
+    for (j, root) in roots.iter().enumerate() {
+        let split = if j + 1 == k { k - 1 } else { j + 1 };
+        let (mut da, mut db) = (vec![0.0; k], vec![0.0; k]);
+        let a = row.sweep(d, d[root.origin], root.mu, z, split, &mut da);
+        let b = scalar.sweep(d, d[root.origin], root.mu, z, split, &mut db);
+        assert_eq!(bits(&da), bits(&db), "{name} {case} root {j}: delta fill");
+        for (what, x, y, scale) in [
+            ("val", a.val, b.val, b.abs),
+            ("abs", a.abs, b.abs, b.abs),
+            ("psi_p", a.psi_p, b.psi_p, b.psi_p),
+            ("phi_p", a.phi_p, b.phi_p, b.phi_p),
+        ] {
+            assert!(
+                close(x, y, scale),
+                "{name} {case} root {j}: {what} {x:e} vs {y:e}"
+            );
+        }
+    }
+
+    let want = products(&scalar, d, &deltas, 0, 0..k);
+    let got = products(row, d, &deltas, 0, 0..k);
+    if let Some(msg) = products_mismatch(row, &got, &want, k) {
+        panic!("{name} {case}: {msg}");
+    }
+
+    let zhat = reduce_w(z, &[want]);
+    let (mut ta, mut tb) = (vec![0.0; k], vec![0.0; k]);
+    let bound = if divides(row) { 0 } else { QUOT_ULPS };
+    for (j, col) in deltas.chunks_exact(k).enumerate() {
+        let a = row.assemble_col(&zhat, col, &mut ta);
+        let b = scalar.assemble_col(&zhat, col, &mut tb);
+        for (i, (x, y)) in ta.iter().zip(&tb).enumerate() {
+            assert!(
+                ulps(*x, *y) <= bound,
+                "{name} {case} column {j} row {i}: {x:e} vs {y:e} ({} ulp)",
+                ulps(*x, *y)
+            );
+        }
+        assert!(
+            close(a, b, b),
+            "{name} {case} column {j}: norm² {a:e} vs {b:e}"
+        );
+    }
+
+    let mut rng = ChaCha8Rng::seed_from_u64(k as u64 ^ 0x726f77);
+    let wf: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let wl: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let norm = |w: &[f64]| w.iter().map(|x| x * x).sum::<f64>().sqrt();
+    for (j, root) in roots.iter().enumerate() {
+        let a = row.row_sums(d, d[root.origin], root.mu, &zhat, &wf, &wl);
+        let b = scalar.row_sums(d, d[root.origin], root.mu, &zhat, &wf, &wl);
+        let x = b.nrm2.sqrt();
+        for (what, g, w, scale) in [
+            ("nrm2", a.nrm2, b.nrm2, b.nrm2),
+            ("first", a.first, b.first, norm(&wf) * x),
+            ("last", a.last, b.last, norm(&wl) * x),
+        ] {
+            assert!(
+                close(g, w, scale),
+                "{name} {case} root {j}: {what} {g:e} vs {w:e}"
+            );
+        }
+    }
+}
+
+/// Deterministic spot-check: every k in the edge set gets one case per
+/// regime regardless of how the proptest rng samples, so a lane/tail bug
+/// cannot hide behind sampling luck. The dispatched solver converges
+/// where the scalar one does, and every instance this CPU runs passes
+/// `check_row` — the local-W products bit-identical on AVX2, within
+/// `QUOT_ULPS · k` on AVX-512. Prints which instances ran.
 #[test]
 fn every_k_and_regime_covered() {
     for (ki, &k) in K_SET.iter().enumerate() {
@@ -301,11 +490,149 @@ fn every_k_and_regime_covered() {
                 let rb = solve_secular_root_scalar(j, &d, &z, rho, &mut db[j * k..(j + 1) * k]);
                 assert_eq!(ra.is_ok(), rb.is_ok(), "k={k} regime={regime} root {j}");
             }
-            assert_eq!(
-                bits(&local_w_products(&d, &da, k, 0, 0..k)),
-                bits(&local_w_products_scalar(&d, &da, k, 0, 0..k)),
-                "k={k} regime={regime}"
-            );
+        }
+    }
+    for (name, row) in instances() {
+        let Some(row) = row else {
+            println!("secular kernels {name}: skipped (no CPU support)");
+            continue;
+        };
+        let mut cases = 0;
+        for (ki, &k) in K_SET.iter().enumerate() {
+            for regime in 0..REGIMES {
+                let (d, z, rho) = gen_problem(k, regime, (ki * REGIMES + regime) as u64);
+                check_row(name, &row, &d, &z, rho, &format!("k={k} regime={regime}"));
+                cases += 1;
+            }
+        }
+        println!("secular kernels {name}: ran ({cases} problems)");
+    }
+}
+
+/// `δ` for the guard test: two full 8-lane registers and a one-lane tail,
+/// `special` in the odd lanes of the registers and ordinary poles between.
+fn guard_deltas(special: [f64; 8]) -> Vec<f64> {
+    (0..17)
+        .map(|i| {
+            if i % 2 == 1 && i < 16 {
+                special[i / 2]
+            } else {
+                (0.5 + 0.37 * i as f64) * if i % 4 == 0 { 1.0 } else { -1.0 }
+            }
+        })
+        .collect()
+}
+
+/// The pole distances where `vrcp14pd` cannot serve: `1/δ` overflows
+/// (2⁻¹⁰³⁰, the subnormal 2⁻¹⁰⁷⁴), is near the top of the range (1e-300)
+/// or near the bottom (2¹⁰²⁰), or — the second set — is subnormal and
+/// flushed to zero (2¹⁰²², 2¹⁰²³, `f64::MAX`), with `MIN_POSITIVE` beside.
+/// Every instance must give each quotient lane the class and sign the
+/// division gives it (finite, +∞ or −∞) and, where finite, a value within
+/// `QUOT_ULPS`; its sweep and row sums must stay finite wherever the
+/// scalar oracle's are.
+#[test]
+fn reciprocal_guard_keeps_division_classes() {
+    let p = |e: i32| 2f64.powi(e);
+    let sets = [
+        [
+            p(-1030),
+            -p(-1030),
+            1e-300,
+            -1e-300,
+            p(-1074),
+            -p(-1074),
+            p(1020),
+            -p(1020),
+        ],
+        [
+            p(1022),
+            -p(1022),
+            p(1023),
+            -p(1023),
+            f64::MAX,
+            -f64::MAX,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+        ],
+    ];
+    let class = |x: f64| match x {
+        _ if x.is_nan() => 2,
+        _ if x.is_finite() => 0,
+        _ => x.signum() as i32,
+    };
+    let scalar = SecularKernels::SCALAR;
+    for (name, row) in runnable_rows() {
+        for special in sets {
+            let delta = guard_deltas(special);
+            let k = delta.len();
+            // Quotient lanes: numerators that overflow against the tiny
+            // poles (1) and ones that keep every quotient finite (2⁻⁶⁰).
+            for num in [1.0, p(-60)] {
+                let zhat: Vec<f64> = (0..k)
+                    .map(|i| if i % 3 == 0 { -num } else { num })
+                    .collect();
+                let (mut ta, mut tb) = (vec![0.0; k], vec![0.0; k]);
+                row.assemble_col(&zhat, &delta, &mut ta);
+                scalar.assemble_col(&zhat, &delta, &mut tb);
+                // local-W against pole 16 at 0: out[i] = zhat[i]/δ[i].
+                let mut dl = delta.clone();
+                dl[16] = 0.0;
+                let (mut wa, mut wb) = (vec![1.0; k], vec![1.0; k]);
+                row.local_w_col(&dl, &zhat, 16, &mut wa);
+                scalar.local_w_col(&dl, &zhat, 16, &mut wb);
+                for (what, a, b) in [("assemble", &ta, &tb), ("local_w", &wa, &wb)] {
+                    for i in 0..k {
+                        let (x, y) = (a[i], b[i]);
+                        assert_eq!(
+                            class(x),
+                            class(y),
+                            "{name} {what} lane {i} (δ={:e}): {x:e} vs {y:e}",
+                            delta[i]
+                        );
+                        assert!(
+                            !y.is_finite()
+                                || (x.is_sign_negative() == y.is_sign_negative()
+                                    && ulps(x, y) <= QUOT_ULPS),
+                            "{name} {what} lane {i} (δ={:e}): {x:e} vs {y:e}",
+                            delta[i]
+                        );
+                    }
+                }
+            }
+            // Sums: z keeps z²/δ representable in both the scalar form and
+            // the vector's (z/δ)·z; split 8 puts each register on one side.
+            let z: Vec<f64> = (0..k)
+                .map(|i| if i % 2 == 1 && i < 16 { p(-530) } else { 0.3 })
+                .collect();
+            let (mut da, mut db) = (vec![0.0; k], vec![0.0; k]);
+            let a = row.sweep(&delta, 0.0, 0.0, &z, 8, &mut da);
+            let b = scalar.sweep(&delta, 0.0, 0.0, &z, 8, &mut db);
+            assert_eq!(bits(&da), bits(&delta), "{name}: (δ − 0) − 0 = δ");
+            for (what, x, y, scale) in [
+                ("val", a.val, b.val, b.abs),
+                ("abs", a.abs, b.abs, b.abs),
+                ("psi_p", a.psi_p, b.psi_p, b.psi_p),
+                ("phi_p", a.phi_p, b.phi_p, b.phi_p),
+            ] {
+                assert!(
+                    !y.is_finite() || close(x, y, scale),
+                    "{name} sweep {what}: {x:e} vs {y:e}"
+                );
+            }
+            let w: Vec<f64> = (0..k).map(|i| 1.0 - 0.1 * i as f64).collect();
+            let a = row.row_sums(&delta, 0.0, 0.0, &z, &w, &w);
+            let b = scalar.row_sums(&delta, 0.0, 0.0, &z, &w, &w);
+            let scale = b.nrm2.sqrt() * w.iter().map(|x| x * x).sum::<f64>().sqrt();
+            for (what, x, y, scale) in [
+                ("nrm2", a.nrm2, b.nrm2, b.nrm2),
+                ("first", a.first, b.first, scale),
+            ] {
+                assert!(
+                    !y.is_finite() || close(x, y, scale),
+                    "{name} row {what}: {x:e} vs {y:e}"
+                );
+            }
         }
     }
 }
