@@ -2,9 +2,10 @@
 //!
 //! This crate is the paper's contribution: Cuppen's divide & conquer
 //! algorithm expressed as a *sequential task flow* over panel-granular
-//! tasks — `ComputeDeflation → {PermuteV | LAED4 | ComputeLocalW}ₚ →
-//! ReduceW → {ComputeVect | UpdateVect}ₚ` per merge — scheduled out of
-//! order by the [`dcst_runtime`] QUARK-analogue, so independent merges of
+//! tasks — `ComputeDeflation → {PermuteV | LAED4}ₚ → ReduceW →
+//! {UpdateVect}ₚ` per merge, no merge keeping its k×k secular eigenvector
+//! matrix — scheduled out of order by the [`dcst_runtime`] QUARK-analogue,
+//! so independent merges of
 //! the tree overlap and the quadratic kernels (secular equation,
 //! stabilization) parallelize alongside the cubic ones (eigenvector update
 //! GEMMs). A merge moves only its `k` non-deflated eigenvector columns: a

@@ -11,8 +11,13 @@
 //! (the index its `d` entry and its `idxq` use) lives in block-local column
 //! `col[s]` of V. [`column_map`] derives a merge's map from its children's,
 //! renaming the deflated columns in place, so the vector kernels of
-//! `ComputeDeflation → {PermuteV, LAED4, ComputeLocalW}ₚ → ReduceW →
-//! {ComputeVect, UpdateVect}ₚ` move only the `k` non-deflated columns.
+//! `ComputeDeflation → {PermuteV, LAED4}ₚ → ReduceW → {UpdateVect}ₚ` move
+//! only the `k` non-deflated columns.
+//!
+//! No merge stores its k×k secular eigenvector matrix X. [`laed4_panel`],
+//! the one `LAED4` body of both payloads, keeps each root's `(μ, origin)`
+//! ([`PanelRoots`]); every consumer rebuilds from those and ẑ the part of X
+//! it needs ([`dcst_secular::SecularGenerators`]).
 //!
 //! A renamed column keeps the rows it was last written over, so every slot
 //! also carries a [`RowSpan`], its *row support*: the block-local rows
@@ -25,7 +30,7 @@
 use crate::DcError;
 use dcst_matrix::{gemm, merge_perm};
 use dcst_secular::{
-    assemble_vectors, deflate, local_w_products, Deflation, DeflationInput, GivensRot,
+    deflate, local_w_accumulate, Deflation, DeflationInput, GivensRot, SecularGenerators,
     SecularProblem, SlotType,
 };
 use std::cell::RefCell;
@@ -252,53 +257,89 @@ pub(crate) fn permute_slots(
     dcst_matrix::metrics::add("copy.elems", moved as u64);
 }
 
-/// `LAED4`: solve secular roots `jrange`, writing delta columns into
-/// `x_cols` (starting at `(off, off + jrange.start)`, rows `0..k` of each
-/// column) and eigenvalues into `lam_out[j - jrange.start]`.
-pub(crate) fn solve_roots_panel(
+/// What a `LAED4` panel keeps of its secular roots: the accepted
+/// `(μ, origin)` of each, 12 bytes a root — the generators of the panel's
+/// columns of X.
+pub(crate) struct PanelRoots {
+    pub mu: Vec<f64>,
+    pub origin: Vec<u32>,
+}
+
+impl PanelRoots {
+    /// The roots of consecutive panels, in order, as one record.
+    pub(crate) fn concat<'a>(panels: impl Iterator<Item = &'a PanelRoots>) -> PanelRoots {
+        let mut all = PanelRoots {
+            mu: Vec::new(),
+            origin: Vec::new(),
+        };
+        for p in panels {
+            all.mu.extend_from_slice(&p.mu);
+            all.origin.extend_from_slice(&p.origin);
+        }
+        all
+    }
+
+    /// The generators of the columns `cols` (indices into this record) of
+    /// the merge's X.
+    pub(crate) fn generators<'a>(
+        &'a self,
+        defl: &'a Deflation,
+        zhat: &'a [f64],
+        cols: Range<usize>,
+    ) -> SecularGenerators<'a> {
+        SecularGenerators {
+            dlamda: &defl.dlamda,
+            zhat,
+            mu: &self.mu[cols.clone()],
+            origin: &self.origin[cols],
+        }
+    }
+}
+
+/// `LAED4`, both payloads: solve secular roots `jrange`, eigenvalues into
+/// `lam_out` (one entry per root). With `carry` — the merge's X or rows
+/// have a reader — also returns the panel's running Gu–Eisenstat local-W
+/// partial and its [`PanelRoots`]. One k-length delta column of per-thread
+/// scratch is reused across roots, so transient memory is O(k) whatever the
+/// panel width.
+pub(crate) fn laed4_panel(
     defl: &Deflation,
-    x_cols: &mut [f64],
-    ld: usize,
     jrange: Range<usize>,
     lam_out: &mut [f64],
-) -> Result<(), DcError> {
+    row_off: usize,
+    carry: bool,
+) -> Result<Option<(Vec<f64>, PanelRoots)>, DcError> {
     let k = defl.k;
-    let problem = SecularProblem::new(&defl.dlamda, &defl.w, defl.rho)?;
-    for j in jrange.clone() {
-        let col = &mut x_cols[(j - jrange.start) * ld..(j - jrange.start) * ld + k];
-        lam_out[j - jrange.start] = problem.solve_root(j, col)?.lambda;
-    }
-    Ok(())
-}
-
-/// `ComputeLocalW` for a root panel: partial Gu–Eisenstat products.
-/// `x_cols` starts at `(off, off + jrange.start)`.
-pub(crate) fn local_w_panel(
-    defl: &Deflation,
-    x_cols: &[f64],
-    ld: usize,
-    jrange: Range<usize>,
-) -> Vec<f64> {
-    local_w_products(&defl.dlamda, x_cols, ld, jrange.start, jrange)
-}
-
-/// `ComputeVect`: overwrite delta columns `jrange` with slot-permuted,
-/// normalized secular eigenvectors. `x_cols` starts at
-/// `(off, off + jrange.start)`.
-pub(crate) fn compute_vect_panel(
-    defl: &Deflation,
-    zhat: &[f64],
-    x_cols: &mut [f64],
-    ld: usize,
-    jrange: Range<usize>,
-) {
-    assemble_vectors(zhat, x_cols, ld, jrange.start, jrange, &defl.sec_to_slot);
+    let at_off = |e: dcst_secular::SecularError| DcError::Secular(e.with_offset(row_off));
+    let problem = SecularProblem::new(&defl.dlamda, &defl.w, defl.rho).map_err(at_off)?;
+    let mut kept = carry.then(|| {
+        let roots = PanelRoots {
+            mu: Vec::with_capacity(jrange.len()),
+            origin: Vec::with_capacity(jrange.len()),
+        };
+        (vec![1.0f64; k], roots)
+    });
+    with_scratch(k, |col| -> Result<(), DcError> {
+        for (lam, j) in lam_out.iter_mut().zip(jrange) {
+            let root = problem.solve_root(j, col).map_err(at_off)?;
+            *lam = root.lambda;
+            if let Some((partial, roots)) = &mut kept {
+                local_w_accumulate(&defl.dlamda, col, j, partial);
+                roots.mu.push(root.mu);
+                roots
+                    .origin
+                    .push(u32::try_from(root.origin).expect("merge order fits u32"));
+            }
+        }
+        Ok(())
+    })?;
+    Ok(kept)
 }
 
 thread_local! {
-    /// This thread's staging buffer (`UpdateVect`'s product, the row
-    /// payload's delta column); grow-only, like the GEMM packing workspace,
-    /// so the steady state allocates nothing.
+    /// This thread's staging buffer (`UpdateVect`'s block of X and its
+    /// product, `LAED4`'s delta column); grow-only, like the GEMM packing
+    /// workspace, so the steady state allocates nothing.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -318,7 +359,7 @@ pub(crate) fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R 
 /// eigenvectors for secular columns `jrange`.
 ///
 /// * `ws_block` starts at `(off, off)` (all `k` compressed columns, ld `ld`);
-/// * `x_cols` starts at column `jrange.start` of the merge's X (ld `xld`);
+/// * `x_cols` holds columns `jrange` of the merge's X (ld `xld`);
 /// * `out` receives the `nm × jrange.len()` product, ld `nm` — the caller
 ///   scatters its columns to where the merge's column map puts them;
 /// * `off` is the merge's row offset, for error attribution.

@@ -11,18 +11,19 @@
 //! or the measured structured cost is not strictly cheaper, or when
 //! `DCST_FORCE_DENSE=1` / [`UpdatePolicy::ForceDense`] pins it.
 //!
-//! Layout note: the workspace stores `X` with rows slot-permuted, so the
-//! compressed operands are built on the secular-ordered *view* and the
-//! matching columns of the compressed workspace `Q` are gathered (top rows
-//! of the Top∪Full slots, bottom rows of the Full∪Bottom slots) into
-//! dense panels once per merge — O(nm·k) traffic, the same order as the
-//! existing copy bucket.
+//! Layout note: no merge stores `X`; the compressed operands are built
+//! from its generators, entry by entry in secular order
+//! ([`dcst_secular::GeneratedX`]), and the matching columns of the
+//! compressed workspace `Q` are gathered (top rows of the Top∪Full slots,
+//! bottom rows of the Full∪Bottom slots) into dense panels once per merge —
+//! O(nm·k) traffic, the same order as the existing copy bucket.
 
 use crate::DcError;
 use dcst_matrix::lowrank::{gemm_structured, structured_basis, StructuredMatrix, TileKind};
 use dcst_matrix::{update_policy, UpdatePolicy};
 use dcst_secular::{
-    compress_secular_x, estimate_offdiag_rank, leaf_size, rank_tolerance, Deflation, StructuredX,
+    compress_secular_x, estimate_offdiag_rank, leaf_size, rank_tolerance, Deflation,
+    SecularGenerators, SecularKernels, StructuredX,
 };
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -77,7 +78,8 @@ pub(crate) fn dense_update_flops(defl: &Deflation, nm: usize, n1: usize) -> u64 
 ///
 /// * `ws_block` starts at `(off, off)` of the compressed workspace (all
 ///   `k` non-deflated columns live), leading dimension `ld`;
-/// * `x` is the `k × k` secular eigenvector panel (ld `xld`);
+/// * `x` generates the merge's `k × k` secular eigenvector matrix — all
+///   `k` roots;
 /// * `n_global` scales the accuracy-budget tolerance.
 ///
 /// Returns `None` for the dense path. The auto policy goes dense unless
@@ -85,11 +87,9 @@ pub(crate) fn dense_update_flops(defl: &Deflation, nm: usize, n1: usize) -> u64 
 /// compressed operands' measured flop count beats the dense oracle's;
 /// forced-structured skips the probe but still requires `k` large enough
 /// to partition.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_update(
     ws_block: &[f64],
-    x: &[f64],
-    xld: usize,
+    x: SecularGenerators<'_>,
     ld: usize,
     nm: usize,
     n1: usize,
@@ -103,17 +103,18 @@ pub(crate) fn plan_update(
     if policy == UpdatePolicy::ForceDense || k < min_k {
         return None;
     }
+    // X's k column norms: O(k²), so formed only once a plan is possible.
+    let x = x.entries(SecularKernels::dispatched());
     let tol = rank_tolerance(n_global, k);
     if !force {
-        // Sampled-ACA probe of the level-1 off-diagonal block: the ISSUE's
-        // switch rule — dense whenever the estimated rank doubled exceeds
-        // the block size k/2.
-        let est = estimate_offdiag_rank(x, xld, k, &defl.sec_to_slot, tol);
+        // Sampled-ACA probe of the level-1 off-diagonal block: dense
+        // whenever the estimated rank doubled exceeds the block size k/2.
+        let est = estimate_offdiag_rank(k, &|i, j| x.entry(i, j), tol);
         if 2 * est > k / 2 {
             return None;
         }
     }
-    let sx = compress_secular_x(x, xld, defl, tol, leaf_size(k, force));
+    let sx = compress_secular_x(&x, defl, tol, leaf_size(k, force));
     let n2 = nm - n1;
     let flops_dense = dense_update_flops(defl, nm, n1);
     let flops_structured = sx.multiply_flops(n1, n2);
@@ -279,26 +280,28 @@ pub(crate) static POLICY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 mod tests {
     use super::*;
     use dcst_matrix::set_update_policy;
-    use dcst_secular::{
-        assemble_vectors, local_w_products, reduce_w, solve_secular_root, SlotType,
-    };
+    use dcst_secular::{local_w_products, reduce_w, SecularProblem, SlotType};
 
-    /// An undeflated all-`Full` merge of size `k` with identity slot maps:
-    /// interlaced poles, so the secular matrix compresses well.
-    fn synthetic_merge(k: usize) -> (Deflation, Vec<f64>) {
+    /// An undeflated all-`Full` merge of size `k` with identity slot maps
+    /// and its roots' `(μ, origin)`: interlaced poles, so the secular matrix
+    /// compresses well.
+    fn synthetic_merge(k: usize) -> (Deflation, Vec<f64>, Vec<u32>) {
         let d: Vec<f64> = (0..k)
             .map(|i| i as f64 + 0.3 * ((i * 7 % 5) as f64) / 5.0)
             .collect();
         let mut z: Vec<f64> = (0..k).map(|i| 0.5 + ((i * 13 % 7) as f64) / 7.0).collect();
         let nrm: f64 = z.iter().map(|x| x * x).sum::<f64>().sqrt();
         z.iter_mut().for_each(|x| *x /= nrm);
-        let mut x = vec![0.0; k * k];
-        for j in 0..k {
-            solve_secular_root(j, &d, &z, 1.0, &mut x[j * k..(j + 1) * k]).unwrap();
+        let problem = SecularProblem::new(&d, &z, 1.0).unwrap();
+        let mut deltas = vec![0.0; k * k];
+        let (mut mu, mut origin) = (Vec::new(), Vec::new());
+        for (j, col) in deltas.chunks_exact_mut(k).enumerate() {
+            let root = problem.solve_root(j, col).unwrap();
+            mu.push(root.mu);
+            origin.push(root.origin as u32);
         }
-        let zhat = reduce_w(&z, &[local_w_products(&d, &x, k, 0, 0..k)]);
+        let zhat = reduce_w(&z, &[local_w_products(&d, &deltas, k, 0, 0..k)]);
         let ident: Vec<usize> = (0..k).collect();
-        assemble_vectors(&zhat, &mut x, k, 0, 0..k, &ident);
         let defl = Deflation {
             k,
             n: k,
@@ -313,7 +316,22 @@ mod tests {
             givens: vec![],
             ctot: [0, k, 0, 0],
         };
-        (defl, x)
+        (defl, mu, origin)
+    }
+
+    /// Plan the [`synthetic_merge`] of size `k` under the current policy.
+    fn plan(k: usize) -> (Option<StructuredUpdate>, Deflation) {
+        let (defl, mu, origin) = synthetic_merge(k);
+        let x = SecularGenerators {
+            dlamda: &defl.dlamda,
+            zhat: &defl.w,
+            mu: &mu,
+            origin: &origin,
+        };
+        (
+            plan_update(&vec![1.0; k * k], x, k, k, k / 2, &defl, k),
+            defl,
+        )
     }
 
     // One test body: the policy knob is process-global, so the three
@@ -324,11 +342,9 @@ mod tests {
         let _policy = POLICY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Auto beats the dense oracle on an interlaced merge at the threshold.
         let k = MIN_K_AUTO;
-        let (defl, x) = synthetic_merge(k);
-        let ws = vec![1.0; k * k];
         set_update_policy(UpdatePolicy::Auto);
-        let su = plan_update(&ws, &x, k, k, k, k / 2, &defl, k)
-            .expect("auto policy must take the structured path on interlaced poles");
+        let (su, defl) = plan(k);
+        let su = su.expect("auto policy must take the structured path on interlaced poles");
         assert!(su.num_tiles() > 0);
         assert!(
             su.flops_structured < su.flops_dense,
@@ -340,15 +356,12 @@ mod tests {
 
         // ForceDense pins the oracle.
         set_update_policy(UpdatePolicy::ForceDense);
-        assert!(plan_update(&ws, &x, k, k, k, k / 2, &defl, k).is_none());
+        assert!(plan(k).0.is_none());
         set_update_policy(UpdatePolicy::Auto);
 
         // One below the threshold the same merge stays dense under auto.
-        let k = MIN_K_AUTO - 1;
-        let (defl, x) = synthetic_merge(k);
-        let ws = vec![1.0; k * k];
         assert!(
-            plan_update(&ws, &x, k, k, k, k / 2, &defl, k).is_none(),
+            plan(MIN_K_AUTO - 1).0.is_none(),
             "k < MIN_K_AUTO must not tile"
         );
     }

@@ -4,8 +4,8 @@
 //! `STEDC` task per leaf and, per merge node, the pipeline
 //!
 //! ```text
-//! ComputeDeflation → {PermuteV, LAED4, ComputeLocalW}ₚ → ReduceW
-//!                  → {ComputeVect, UpdateVect}ₚ
+//! ComputeDeflation → {PermuteV, LAED4}ₚ → ReduceW → CompressW
+//!                  → {StructBasis}ₚ → StructJoin → {UpdateVect}ₚ
 //! ```
 //!
 //! with `p` ranging over `⌈n_m / nb⌉` panels. Panel tasks carry a GATHERV
@@ -23,23 +23,27 @@
 //! One builder, [`TaskFlowDc::submit_graph`], states that graph for every
 //! solve mode. The spine — `Scale`, `STEDC`, `ComputeDeflation`, `LAED4`,
 //! `ReduceW`, `SortEigenvalues`, `ScaleBack` — is submitted from one chain
-//! each; what a node carries between those tasks is the graph's *payload*:
+//! each. `LAED4` is one body for every mode: it solves its panel's roots,
+//! folds their local-W factors into the panel's partial product and keeps
+//! each root's `(μ, origin)` ([`PanelRoots`]) — the generators of the
+//! merge's secular eigenvectors X, which no merge stores. What a node
+//! carries between the spine's tasks is the graph's *payload*:
 //!
 //! * the **vector payload** ([`Vectors`]; full and subset solves): the
 //!   node's eigenvector block in the n×n `v`, addressed through the node's
 //!   slot→column map ([`NodeCell::col`]) so that a deflated column is
 //!   renamed, never moved, and keeps the rows it was last written over as
-//!   its row support ([`NodeCell::support`]); the n×n `ws` the `k`
-//!   non-deflated columns are gathered into; and a k×k `x` per merge. It
-//!   adds `PermuteV`/`ComputeLocalW` to the first panel group, the whole
-//!   second group (`ComputeVect`, `CompressW`, `StructBasis`,
-//!   `StructJoin`, `UpdateVect`) and the final column sort, the one pass
-//!   that applies the map, each column over its support `r`:
+//!   its row support ([`NodeCell::support`]); and the n×n `ws` the `k`
+//!   non-deflated columns are gathered into. It adds `PermuteV` to the
+//!   first panel group, the whole second group (`CompressW`, `StructBasis`,
+//!   `StructJoin`, `UpdateVect`: each `UpdateVect` panel assembles its own
+//!   columns of X from their generators) and the final column sort, the one
+//!   pass that applies the map, each column over its support `r`:
 //!   `ws[r, t] ← v[r, col[idxq[t]]]`;
 //! * the **row payload** (values-only solves, `crate::values`): the node's
-//!   two boundary rows, O(n) per node and nothing n×n. Its `LAED4` folds
-//!   the local-W product in and hands each root's `(μ, origin)` to its only
-//!   own task, `RowUpdate`, so no root is solved twice.
+//!   two boundary rows, O(n) per node and nothing n×n. Its only own task,
+//!   `RowUpdate`, takes each root's `(μ, origin)` from `LAED4`, so no root
+//!   is solved twice.
 //!
 //! Data is shared through [`SharedData`] buffers held by one [`Graph`]
 //! context that every task body reaches through a single `Arc`; each body
@@ -51,29 +55,26 @@
 //! [`Discipline`].
 
 use crate::merge::{
-    apply_givens, build_z, column_map, compute_vect_panel, deflate_block, finalize_d,
-    join_children, join_supports, local_w_panel, permute_slots, solve_roots_panel,
-    subset_secular_span, update_vect_panel, with_scratch, MergeStat, RowSpan,
+    apply_givens, build_z, column_map, deflate_block, finalize_d, join_children, join_supports,
+    laed4_panel, permute_slots, subset_secular_span, update_vect_panel, with_scratch, MergeStat,
+    PanelRoots, RowSpan,
 };
 use crate::structured::{plan_update, StructuredUpdate};
 use crate::tree::PartitionTree;
-use crate::values::{
-    carry_rows, row_update_panel, rows_z, secular_rows_panel, solve_leaf_values, BoundaryRows,
-    PanelRoots,
-};
+use crate::values::{carry_rows, row_update_panel, rows_z, solve_leaf_values, BoundaryRows};
 use crate::{DcError, DcOptions, DcStats, Eigen, SolveMode, TridiagEigensolver};
 use dcst_matrix::Matrix;
 use dcst_qriter::{steqr_mut, ZBlock};
 use dcst_runtime::{
     CancelHandle, DataKey, Runtime, RuntimeMetrics, Scope, SharedData, TaskBuilder, Trace,
 };
-use dcst_secular::Deflation;
+use dcst_secular::{Deflation, SecularKernels};
 use dcst_tridiag::SymTridiag;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 const OBJ_NODE: u64 = 1;
-const OBJ_X: u64 = 2;
+const OBJ_LAM: u64 = 2;
 const OBJ_SCALE: u64 = 3;
 
 /// Tree node `id`: its block of every buffer, and its [`NodeCell`].
@@ -81,10 +82,9 @@ fn key_node(id: usize) -> DataKey {
     DataKey::new(OBJ_NODE, id as u64)
 }
 
-/// The secular panel starting at global column `col`: its roots in `lam`
-/// and its columns of the merge's `x`.
-fn key_x(col: usize) -> DataKey {
-    DataKey::new(OBJ_X, col as u64)
+/// The secular panel starting at global column `col`: its roots in `lam`.
+fn key_lam(col: usize) -> DataKey {
+    DataKey::new(OBJ_LAM, col as u64)
 }
 
 /// All of `d`/`e`, from `Scale` to the leaves.
@@ -184,20 +184,19 @@ struct NodeCell {
     /// with `col`; released by the parent's `ComputeDeflation` once joined
     /// into its own, so only the root's outlives the merges.
     support: Mutex<Option<Arc<[RowSpan]>>>,
-    /// Vector payload: the merge's k×k secular eigenvectors (ld `k`),
-    /// allocated by `ComputeDeflation` once `k` is known and released by
-    /// the parent's.
-    x: Mutex<Option<SharedData<f64>>>,
     partials: Mutex<Vec<Option<Vec<f64>>>>,
-    /// Row payload: per panel, the roots its `LAED4` solved, taken by the
-    /// `RowUpdate` of the same index as `partials` is by `ReduceW`.
-    panel_roots: Mutex<Vec<Option<PanelRoots>>>,
+    /// Per panel, the roots its `LAED4` solved: the generators of the
+    /// panel's columns of X. The row payload's `RowUpdate` of the same
+    /// index takes them, as `ReduceW` takes `partials`; the vector
+    /// payload's `CompressW` and `UpdateVect` read them shared, and the
+    /// parent's `ComputeDeflation` releases them.
+    panel_roots: Mutex<Vec<Option<Arc<PanelRoots>>>>,
     stat: OnceLock<MergeStat>,
     /// Vector payload: rank-structured update plan for this merge; unset
     /// means the dense path (either the auto-switch chose it or `CompressW`
     /// hasn't run — the node-key epochs guarantee the latter never races
     /// `UpdateVect`). Its gathered Q, U/Vᵀ tiles and Q·U bases are
-    /// O(nm·k), so like `x` it is released by the parent's
+    /// O(nm·k), so like `support` it is released by the parent's
     /// `ComputeDeflation`: only the root's outlives the merges. A reader
     /// clones the `Arc` out, so the lock is not held while the plan works.
     structured: Mutex<Option<Arc<StructuredUpdate>>>,
@@ -238,9 +237,10 @@ impl NodeCell {
         support.clone().expect("row supports not yet computed")
     }
 
-    fn x(&self) -> SharedData<f64> {
-        let x = self.x.lock().unwrap();
-        x.clone().expect("secular eigenvectors not yet allocated")
+    /// Panel `p`'s roots, shared.
+    fn panel_roots(&self, p: usize) -> Arc<PanelRoots> {
+        let roots = self.panel_roots.lock().unwrap()[p].clone();
+        roots.expect("panel roots not yet solved")
     }
 
     fn take_rows(&self) -> BoundaryRows {
@@ -319,6 +319,13 @@ impl Graph {
     /// asymmetry, like the panel counts.
     fn rows_have_reader(&self, m: usize) -> bool {
         m != self.tree.root
+    }
+
+    /// Whether merge `m`'s roots have a reader past `LAED4` — X under the
+    /// vector payload, the boundary rows under the row payload: then its
+    /// `LAED4` keeps them, and `ReduceW` forms ẑ.
+    fn carries_roots(&self, m: usize) -> bool {
+        self.vectors.is_some() || self.rows_have_reader(m)
     }
 
     /// Vector payload, once every merge has run: the rows of workspace
@@ -675,7 +682,7 @@ impl TaskFlowDc {
             scale_and_nodes.extend_from_slice(&node_keys);
             g.d.bind_keys(&scale_and_nodes);
             g.e.bind_keys(&scale_and_nodes);
-            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(key_x).collect();
+            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(key_lam).collect();
             cols_and_nodes.extend_from_slice(&node_keys);
             g.lam.bind_keys(&cols_and_nodes);
             if let Some(vp) = &g.vectors {
@@ -793,24 +800,14 @@ impl TaskFlowDc {
                                     publish(&cell.from, from);
                                     publish(&cell.col, col);
                                     *cell.support.lock().unwrap() = Some(support);
-                                    // State ∝ k: this merge's X replaces
-                                    // the children's, which are dead now,
-                                    // as are their supports, joined above,
-                                    // and their update plans.
+                                    // State ∝ k: the children's supports,
+                                    // joined above, are dead now, as are
+                                    // their roots and update plans.
                                     for child in [left, right] {
-                                        *child.x.lock().unwrap() = None;
                                         *child.support.lock().unwrap() = None;
+                                        child.panel_roots.lock().unwrap().clear();
                                         *child.structured.lock().unwrap() = None;
                                     }
-                                    let x = SharedData::new(vec![0.0f64; defl.k * defl.k]);
-                                    #[cfg(feature = "access-check")]
-                                    x.bind_keys(
-                                        &panels(nm, g.nb)
-                                            .map(|(_, s0, _)| key_x(off + s0))
-                                            .chain([key_node(m)])
-                                            .collect::<Vec<_>>(),
-                                    );
-                                    *cell.x.lock().unwrap() = Some(x);
                                     defl
                                 }
                                 None => {
@@ -824,13 +821,13 @@ impl TaskFlowDc {
                                         let (rows, w) = carry_rows(&defl, &rows_l, &rows_r);
                                         *cell.rows.lock().unwrap() = Some(rows);
                                         publish(&cell.w, w);
-                                        *cell.panel_roots.lock().unwrap() =
-                                            (0..nm.div_ceil(g.nb)).map(|_| None).collect();
                                     }
                                     defl
                                 }
                             };
-                            *cell.partials.lock().unwrap() = vec![None; nm.div_ceil(g.nb)];
+                            let npanels = nm.div_ceil(g.nb);
+                            *cell.partials.lock().unwrap() = vec![None; npanels];
+                            *cell.panel_roots.lock().unwrap() = vec![None; npanels];
                             publish(&cell.defl, defl);
                             Ok(())
                         });
@@ -857,65 +854,26 @@ impl TaskFlowDc {
                             permute_slots(vb, wcols, n, defl, from, j);
                         });
                     }
-                    {
-                        let g = g.clone();
-                        panel_task(scope, "LAED4", key_node(m), use_gatherv)
-                            .write(key_x(off + s0))
-                            .spawn_try(move || -> Result<(), DcError> {
-                                let off = g.block(m).off;
-                                let cell = &g.cells[m];
-                                let defl = cell.defl();
-                                let k = defl.k;
-                                let j = clip(s0, s1, 0..k);
-                                if j.is_empty() {
-                                    return Ok(());
-                                }
-                                // SAFETY: exclusive range of lam (and column
-                                // range of X) per panel.
-                                let lo = unsafe { g.lam.range_mut(off + j.start..off + j.end) };
-                                match &g.vectors {
-                                    Some(_) => {
-                                        let x = cell.x();
-                                        let xc = unsafe { x.range_mut(j.start * k..j.end * k) };
-                                        solve_roots_panel(defl, xc, k, j, lo)
-                                            .map_err(|err| err.with_offset(off))
-                                    }
-                                    None => {
-                                        // One k-length delta column is reused
-                                        // across roots, so the local-W partial
-                                        // is accumulated right here — where the
-                                        // merge's rows have a reader at all.
-                                        let carry = g.rows_have_reader(m);
-                                        if let Some((part, roots)) =
-                                            secular_rows_panel(defl, j, lo, off, carry)?
-                                        {
-                                            cell.partials.lock().unwrap()[p] = Some(part);
-                                            cell.panel_roots.lock().unwrap()[p] = Some(roots);
-                                        }
-                                        Ok(())
-                                    }
-                                }
-                            });
-                    }
-                    if g.vectors.is_some() {
-                        let g = g.clone();
-                        panel_task(scope, "ComputeLocalW", key_node(m), use_gatherv)
-                            .read(key_x(off + s0))
-                            .spawn(move || {
-                                let cell = &g.cells[m];
-                                let defl = cell.defl();
-                                let k = defl.k;
-                                let j = clip(s0, s1, 0..k);
-                                if j.is_empty() {
-                                    return;
-                                }
-                                // SAFETY: shared read of this panel's X columns.
-                                let x = cell.x();
-                                let xc = unsafe { x.range(j.start * k..j.end * k) };
-                                let part = local_w_panel(defl, xc, k, j);
+                    let g = g.clone();
+                    panel_task(scope, "LAED4", key_node(m), use_gatherv)
+                        .write(key_lam(off + s0))
+                        .spawn_try(move || -> Result<(), DcError> {
+                            let cell = &g.cells[m];
+                            let defl = cell.defl();
+                            let j = clip(s0, s1, 0..defl.k);
+                            if j.is_empty() {
+                                return Ok(());
+                            }
+                            // SAFETY: exclusive range of lam per panel.
+                            let lo = unsafe { g.lam.range_mut(off + j.start..off + j.end) };
+                            if let Some((part, roots)) =
+                                laed4_panel(defl, j, lo, off, g.carries_roots(m))?
+                            {
                                 cell.partials.lock().unwrap()[p] = Some(part);
-                            });
-                    }
+                                cell.panel_roots.lock().unwrap()[p] = Some(Arc::new(roots));
+                            }
+                            Ok(())
+                        });
                 }
 
                 // ReduceW: join, build ẑ, finalize the block diagonal.
@@ -932,7 +890,7 @@ impl TaskFlowDc {
                             let k = defl.k;
                             // ẑ feeds the second panel group: the row
                             // payload's root has none.
-                            if k > 0 && (g.vectors.is_some() || g.rows_have_reader(m)) {
+                            if k > 0 && g.carries_roots(m) {
                                 let parts: Vec<Vec<f64>> = cell
                                     .partials
                                     .lock()
@@ -1005,41 +963,21 @@ impl TaskFlowDc {
         Ok(g)
     }
 
-    /// Vector payload, second panel group of merge `m`: secular
-    /// eigenvectors assembled in X, then the eigenvector update `WS·X`
-    /// (dense or rank-structured) scattered to the columns the gather
-    /// vacated. The deflated columns stay where they are.
+    /// Vector payload, second panel group of merge `m`: the eigenvector
+    /// update `WS·X` (dense or rank-structured, with X rebuilt from its
+    /// generators) scattered to the columns the gather vacated. The
+    /// deflated columns stay where they are.
     fn submit_vector_update(&self, g: &Arc<Graph>, scope: &Scope<'_>, m: usize) {
         let use_gatherv = self.opts.use_gatherv;
-        let Block { off, nm, .. } = g.block(m);
-        let npanels = nm.div_ceil(g.nb);
+        let npanels = g.block(m).nm.div_ceil(g.nb);
 
-        for (_, s0, s1) in panels(nm, g.nb) {
-            let g = g.clone();
-            panel_task(scope, "ComputeVect", key_node(m), use_gatherv)
-                .read_write(key_x(off + s0))
-                .spawn(move || {
-                    let cell = &g.cells[m];
-                    let defl = cell.defl();
-                    let k = defl.k;
-                    let j = clip(s0, s1, cell.span(k));
-                    if j.is_empty() {
-                        return;
-                    }
-                    // SAFETY: exclusive column range of X.
-                    let x = cell.x();
-                    let xc = unsafe { x.range_mut(j.start * k..j.end * k) };
-                    compute_vect_panel(defl, cell.zhat(), xc, k, j);
-                });
-        }
-
-        // CompressW: once every ComputeVect epoch retires, rank-probe the
-        // secular matrix and build the compressed operands + gathered Q when
-        // the structured path wins (crate::structured). The INOUT access on
-        // the node key orders it after the GATHERV writers above and before
-        // the UpdateVect group; its borrows (whole ws/X block, read) are
-        // covered by the node key the buffers are bound to, so the
-        // access-check tracker validates the footprint.
+        // CompressW: once ReduceW has formed ẑ, rank-probe the secular
+        // matrix and build the compressed operands + gathered Q when the
+        // structured path wins (crate::structured). The INOUT access on the
+        // node key orders it after ReduceW and before the UpdateVect group;
+        // its borrow (the ws block, read) is covered by the node key the
+        // buffer is bound to, so the access-check tracker validates the
+        // footprint.
         {
             let g = g.clone();
             scope
@@ -1062,11 +1000,18 @@ impl TaskFlowDc {
                         return;
                     }
                     // SAFETY: node-key epoch excludes every writer of the
-                    // block; ws and X are read-shared here.
+                    // block; ws is read-shared here.
                     let wb = unsafe { g.vp().ws.range(b.cols(0..k, nm)) };
-                    let x = cell.x();
-                    let xb = unsafe { x.slice() };
-                    if let Some(su) = plan_update(wb, xb, k, n, nm, n1, defl, n) {
+                    let roots = PanelRoots::concat(
+                        cell.panel_roots
+                            .lock()
+                            .unwrap()
+                            .iter()
+                            .flatten()
+                            .map(|r| &**r),
+                    );
+                    let x = roots.generators(defl, cell.zhat(), 0..k);
+                    if let Some(su) = plan_update(wb, x, n, nm, n1, defl, n) {
                         *cell.structured.lock().unwrap() = Some(Arc::new(su));
                     }
                 });
@@ -1095,12 +1040,12 @@ impl TaskFlowDc {
             .read_write(key_node(m))
             .spawn(|| {});
 
-        // UpdateVect (dense: both structured GEMMs for this panel;
-        // structured: the compressed multiply for its columns).
-        for (_, s0, s1) in panels(nm, g.nb) {
+        // UpdateVect (dense: this panel's columns of X assembled from their
+        // generators, then both structured GEMMs; structured: the
+        // compressed multiply for its columns).
+        for (p, s0, s1) in panels(g.block(m).nm, g.nb) {
             let g = g.clone();
             panel_task(scope, "UpdateVect", key_node(m), use_gatherv)
-                .read(key_x(off + s0))
                 .fork()
                 .spawn_try(move || -> Result<(), DcError> {
                     let b @ Block { n, off, nm, n1 } = g.block(m);
@@ -1112,7 +1057,10 @@ impl TaskFlowDc {
                         return Ok(());
                     }
                     let plan = cell.structured.lock().unwrap().clone();
-                    with_scratch(nm * j.len(), |out| {
+                    // One scratch buffer (a nested borrow would panic): the
+                    // panel's k × |j| block of X, then its nm × |j| product.
+                    with_scratch((k + nm) * j.len(), |buf| {
+                        let (xc, out) = buf.split_at_mut(k * j.len());
                         if let Some(su) = plan {
                             // Relabel this record so traces show the
                             // structured and dense variants distinctly. The
@@ -1120,11 +1068,13 @@ impl TaskFlowDc {
                             dcst_runtime::set_task_trace_name("UpdateVectStructured");
                             su.update_panel(out, off, nm, j.clone())?;
                         } else {
-                            // SAFETY: the ws block and this panel's X columns
-                            // are read-shared in this phase.
+                            // The panel's roots start at column s0.
+                            let roots = cell.panel_roots(p);
+                            let x = roots.generators(defl, cell.zhat(), j.start - s0..j.end - s0);
+                            x.assemble(&SecularKernels::dispatched(), &defl.sec_to_slot, xc, k);
+                            // SAFETY: the ws block is read-shared in this
+                            // phase.
                             let wb = unsafe { vp.ws.range(b.cols(0..k, nm)) };
-                            let x = cell.x();
-                            let xc = unsafe { x.range(j.start * k..j.end * k) };
                             update_vect_panel(wb, n, xc, k, out, off, nm, n1, defl, j.clone())?;
                         }
                         for (&c, vec) in cell.col()[j].iter().zip(out.chunks_exact(nm)) {
@@ -1298,9 +1248,8 @@ mod tests {
             "ComputeDeflation",
             "PermuteV",
             "LAED4",
-            "ComputeLocalW",
             "ReduceW",
-            "ComputeVect",
+            "CompressW",
             "ScaleBack",
         ] {
             assert!(names.contains(expect), "missing kernel {expect}");
@@ -1347,8 +1296,11 @@ mod tests {
     fn dag_shape_is_pinned() {
         // (nodes, edges) at n = 64, min_part = 16, nb = 8 — two 4-panel
         // merges under one 8-panel root. An edit that changes the graph's
-        // shape has to change these.
-        let pinned = [(123, 296), (37, 66), (114, 280)];
+        // shape has to change these. A vector merge is ComputeDeflation,
+        // PermuteV and LAED4 panels, ReduceW, CompressW, StructBasis panels,
+        // StructJoin and UpdateVect panels; a row merge has LAED4 panels and,
+        // below the root, RowUpdate panels.
+        let pinned = [(91, 163), (37, 66), (82, 147)];
         for (mode, want) in DAG_MODES.into_iter().zip(pinned) {
             assert_eq!(dag_shape(MatrixType::Type4, mode), want, "{mode:?}");
         }
@@ -1406,10 +1358,12 @@ mod tests {
     }
 
     #[test]
-    fn only_the_root_keeps_its_update_plan() {
+    fn only_the_root_keeps_its_plan_and_roots() {
         // Type 4 at n = 1111 (seed 7) is the smallest size at which the
         // auto policy structures three merges — the root and both its
         // children — so the root's ComputeDeflation released two plans.
+        // Every merge keeps its roots, X's generators, until its parent's
+        // ComputeDeflation: after the drain only the root's are left.
         let _policy = crate::structured::POLICY_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -1429,10 +1383,13 @@ mod tests {
         let PendingKind::Graph(g) = &pending.kind else {
             panic!("a full solve runs the merge graph")
         };
-        let holding: Vec<usize> = (0..g.cells.len())
-            .filter(|&m| g.cells[m].structured.lock().unwrap().is_some())
-            .collect();
-        assert_eq!(holding, [g.tree.root]);
+        let holding = |holds: &dyn Fn(&NodeCell) -> bool| -> Vec<usize> {
+            (0..g.cells.len()).filter(|&m| holds(&g.cells[m])).collect()
+        };
+        let plan = |c: &NodeCell| c.structured.lock().unwrap().is_some();
+        let roots = |c: &NodeCell| c.panel_roots.lock().unwrap().iter().any(Option::is_some);
+        assert_eq!(holding(&plan), [g.tree.root]);
+        assert_eq!(holding(&roots), [g.tree.root]);
     }
 
     #[test]

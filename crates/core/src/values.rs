@@ -14,7 +14,8 @@
 //! of `BENCHMARK.json`, bound 0.05).
 //!
 //! Each secular root is **solved once**, in two passes over the merge's
-//! roots. Pass 1 (`LAED4`) solves the secular equation for the eigenvalue,
+//! roots. Pass 1 (`LAED4`, [`crate::merge::laed4_panel`], the vector
+//! payload's too) solves the secular equation for the eigenvalue,
 //! multiplies the root's factors into the running Gu–Eisenstat `local_w`
 //! partial (one k-length delta column, reused) and keeps the accepted
 //! `(μ, origin)` — 12 bytes per root, O(k) per merge, inside the mode's
@@ -27,10 +28,10 @@
 //!
 //! [`SolveMode::ValuesOnly`]: crate::SolveMode::ValuesOnly
 
-use crate::merge::{slot_rows, with_scratch};
+use crate::merge::{slot_rows, PanelRoots};
 use crate::DcError;
 use dcst_qriter::{steqr_mut, ZBlock};
-use dcst_secular::{local_w_accumulate, secular_row_entries, Deflation, SecularProblem};
+use dcst_secular::{secular_row_entries, Deflation};
 
 /// The first and last row of a node's (never materialized) eigenvector
 /// matrix, indexed by the node's physical column order.
@@ -126,52 +127,6 @@ pub(crate) fn carry_rows(
         last: secular(&rows.last),
     };
     (rows, w)
-}
-
-/// What pass 1 keeps of a panel's secular roots for pass 2: the accepted
-/// `(μ, origin)` of each, 12 bytes a root.
-pub(crate) struct PanelRoots {
-    mu: Vec<f64>,
-    origin: Vec<u32>,
-}
-
-/// Pass 1 over secular roots `jrange`: eigenvalues into `lam_out` (one
-/// entry per root). With `carry` — the merge's rows have a reader — also
-/// returns the panel's running Gu–Eisenstat local-W partial and its roots
-/// for pass 2. One k-length delta column of per-thread scratch is reused
-/// across roots, so transient memory is O(k) regardless of panel width.
-pub(crate) fn secular_rows_panel(
-    defl: &Deflation,
-    jrange: std::ops::Range<usize>,
-    lam_out: &mut [f64],
-    row_off: usize,
-    carry: bool,
-) -> Result<Option<(Vec<f64>, PanelRoots)>, DcError> {
-    let k = defl.k;
-    let at_off = |e: dcst_secular::SecularError| DcError::Secular(e.with_offset(row_off));
-    let problem = SecularProblem::new(&defl.dlamda, &defl.w, defl.rho).map_err(at_off)?;
-    let mut kept = carry.then(|| {
-        let roots = PanelRoots {
-            mu: Vec::with_capacity(jrange.len()),
-            origin: Vec::with_capacity(jrange.len()),
-        };
-        (vec![1.0f64; k], roots)
-    });
-    with_scratch(k, |col| -> Result<(), DcError> {
-        for (lam, j) in lam_out.iter_mut().zip(jrange) {
-            let root = problem.solve_root(j, col).map_err(at_off)?;
-            *lam = root.lambda;
-            if let Some((partial, roots)) = &mut kept {
-                local_w_accumulate(&defl.dlamda, col, j, partial);
-                roots.mu.push(root.mu);
-                roots
-                    .origin
-                    .push(u32::try_from(root.origin).expect("merge order fits u32"));
-            }
-        }
-        Ok(())
-    })?;
-    Ok(kept)
 }
 
 /// Pass 2 over the secular roots of one panel, whose pass-1 record is

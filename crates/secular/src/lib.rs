@@ -13,7 +13,9 @@
 //!   recomputation, split the way the paper's `ComputeLocalW`/`ReduceW`
 //!   tasks split it (`dlaed3` analogue);
 //! * [`assemble_vectors`] — stable eigenvector assembly for a panel of
-//!   secular roots;
+//!   secular roots; [`SecularGenerators`] does the same from the stored
+//!   roots alone, a block of columns or ([`GeneratedX`]) one entry at a
+//!   time, so a merge never keeps its k × k eigenvector matrix;
 //! * [`secular_row_entries`] — what a values-only merge needs of such a
 //!   vector (two dots over its norm), from the stored root alone.
 //!
@@ -47,5 +49,6 @@ pub use structured::{
 };
 pub use vectors::{
     assemble_vectors, assemble_vectors_scalar, local_w_accumulate, local_w_products,
-    local_w_products_scalar, reduce_w, secular_row_entries, secular_row_entries_scalar,
+    local_w_products_scalar, reduce_w, secular_row_entries, secular_row_entries_scalar, GeneratedX,
+    SecularGenerators,
 };

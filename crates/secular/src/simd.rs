@@ -146,16 +146,22 @@ pub(crate) fn local_w_col_scalar(dlamda: &[f64], col: &[f64], j: usize, out: &mu
 }
 
 /// Scalar oracle for one assembly column: `tmp[i] = zhat[i] / col[i]`,
-/// returning `Σ tmpᵢ²`.
+/// returning `Σ tmpᵢ²` and `false` (a division has no pass to redo).
 // dcst-hot
-pub(crate) fn assemble_col_scalar(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> f64 {
+pub(crate) fn assemble_col_scalar(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> (f64, bool) {
     let mut nrm2 = 0.0;
     for i in 0..zhat.len() {
         let x = zhat[i] / col[i];
         tmp[i] = x;
         nrm2 += x * x;
     }
-    nrm2
+    (nrm2, false)
+}
+
+/// Scalar oracle for one quotient.
+// dcst-hot
+pub(crate) fn quot_scalar(a: f64, b: f64) -> f64 {
+    a / b
 }
 
 /// Scalar oracle for the deflation scans: `max |xᵢ|` (0 for empty input).
@@ -715,12 +721,13 @@ unsafe fn assemble_pass<V: Lanes, const EXACT: bool>(
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 // dcst-hot
-unsafe fn assemble_col<V: Lanes>(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> f64 {
+unsafe fn assemble_col<V: Lanes>(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> (f64, bool) {
     let k = zhat.len();
     let end = pass_end::<V>(0, k);
     let mut guard = V::splat(0.0);
     let mut vn = assemble_pass::<V, false>(zhat, col, tmp, end, &mut guard);
-    if !V::clear(guard) {
+    let redone = !V::clear(guard);
+    if redone {
         vn = assemble_pass::<V, true>(zhat, col, tmp, end, &mut guard);
     }
     let mut nrm2 = V::hsum(vn);
@@ -729,7 +736,23 @@ unsafe fn assemble_col<V: Lanes>(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> 
         tmp[i] = x;
         nrm2 += x * x;
     }
-    nrm2
+    (nrm2, redone)
+}
+
+/// `a/b` as a pass of `V` that was not redone computes it: one lane of
+/// [`Lanes::quot`], which is element-wise, so the lane equals the one the
+/// pass wrote.
+///
+/// # Safety
+/// `V`'s ISA.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// dcst-hot
+unsafe fn quot_lane<V: Lanes>(a: f64, b: f64) -> f64 {
+    let mut guard = V::splat(0.0);
+    let mut q = 0.0;
+    V::store_tail(&mut q, 1, V::quot(V::splat(a), V::splat(b), &mut guard));
+    q
 }
 
 // The entry points: each generic body compiled per ISA. Safety as for the
@@ -774,8 +797,14 @@ mod avx2 {
 
     #[target_feature(enable = "avx2,fma")]
     // dcst-hot
-    pub(super) unsafe fn assemble_col(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> f64 {
+    pub(super) unsafe fn assemble_col(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> (f64, bool) {
         super::assemble_col::<__m256d>(zhat, col, tmp)
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    // dcst-hot
+    pub(super) unsafe fn quot(a: f64, b: f64) -> f64 {
+        super::quot_lane::<__m256d>(a, b)
     }
 }
 
@@ -818,8 +847,14 @@ mod avx512 {
 
     #[target_feature(enable = "avx512f,fma")]
     // dcst-hot
-    pub(super) unsafe fn assemble_col(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> f64 {
+    pub(super) unsafe fn assemble_col(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> (f64, bool) {
         super::assemble_col::<__m512d>(zhat, col, tmp)
+    }
+
+    #[target_feature(enable = "avx512f,fma")]
+    // dcst-hot
+    pub(super) unsafe fn quot(a: f64, b: f64) -> f64 {
+        super::quot_lane::<__m512d>(a, b)
     }
 }
 
@@ -829,9 +864,11 @@ mod avx512 {
 type SweepFn = unsafe fn(&[f64], f64, f64, &[f64], usize, &mut [f64]) -> SweepSums;
 /// `(d, origin, μ, ẑ, wf, wl) → sums`: [`SecularKernels::row_sums`].
 type RowSumsFn = unsafe fn(&[f64], f64, f64, &[f64], &[f64], &[f64]) -> RowSums;
+/// `(ẑ, δ, tmp) → (Σ tmp², redone)`: [`SecularKernels::assemble_col`].
+type AssembleFn = unsafe fn(&[f64], &[f64], &mut [f64]) -> (f64, bool);
 
 /// One row of the instance table: the four k-term kernels compiled for
-/// one [`SimdLevel`]. A value exists only for a level the running CPU
+/// one [`SimdLevel`], and its one-lane quotient. A value exists only for a level the running CPU
 /// supports — [`Self::SCALAR`], [`Self::dispatched`] (what
 /// [`simd_level`] picked) or [`Self::runnable`] — which is what makes the
 /// methods safe. Every method checks the slice lengths its vector body
@@ -842,7 +879,8 @@ pub struct SecularKernels {
     sweep: SweepFn,
     row_sums: RowSumsFn,
     local_w_col: unsafe fn(&[f64], &[f64], usize, &mut [f64]),
-    assemble_col: unsafe fn(&[f64], &[f64], &mut [f64]) -> f64,
+    assemble_col: AssembleFn,
+    quot: unsafe fn(f64, f64) -> f64,
 }
 
 impl SecularKernels {
@@ -853,6 +891,7 @@ impl SecularKernels {
         row_sums: row_sums_scalar,
         local_w_col: local_w_col_scalar,
         assemble_col: assemble_col_scalar,
+        quot: quot_scalar,
     };
 
     /// The row compiled for `level` (the scalar one where this target has
@@ -866,6 +905,7 @@ impl SecularKernels {
                 row_sums: avx512::row_sums,
                 local_w_col: avx512::local_w_col,
                 assemble_col: avx512::assemble_col,
+                quot: avx512::quot,
             },
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => SecularKernels {
@@ -874,6 +914,7 @@ impl SecularKernels {
                 row_sums: avx2::row_sums,
                 local_w_col: avx2::local_w_col,
                 assemble_col: avx2::assemble_col,
+                quot: avx2::quot,
             },
             _ => Self::SCALAR,
         }
@@ -949,15 +990,26 @@ impl SecularKernels {
         unsafe { (self.local_w_col)(dlamda, col, j, out) }
     }
 
-    /// One assembly column: `tmp[i] = zhat[i]/col[i]`, returns `Σ tmp²`.
+    /// One assembly column: `tmp[i] = zhat[i]/col[i]`. Returns `Σ tmp²`,
+    /// and whether the pass was redone with the division — then every
+    /// `tmp[i]` is `zhat[i]/col[i]` exactly; otherwise each is
+    /// [`Self::quot`]`(zhat[i], col[i])`.
     #[inline]
     // dcst-hot
-    pub fn assemble_col(&self, zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> f64 {
+    pub fn assemble_col(&self, zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> (f64, bool) {
         let k = zhat.len();
         assert!(col.len() == k && tmp.len() == k);
         // SAFETY: the row's level runs on this CPU (type invariant), and
         // the lengths are the ones the body reads.
         unsafe { (self.assemble_col)(zhat, col, tmp) }
+    }
+
+    /// `a/b` as this row's fast quotient forms it, on one lane: the value a
+    /// kernel pass that was not redone computes for those operands.
+    #[inline]
+    pub fn quot(&self, a: f64, b: f64) -> f64 {
+        // SAFETY: the row's level runs on this CPU (type invariant).
+        unsafe { (self.quot)(a, b) }
     }
 }
 
@@ -1112,8 +1164,8 @@ mod tests {
             for k in [1usize, 4, 7, 8, 17, 33] {
                 let (zh, col, mut ta) = problem(k);
                 let mut tb = ta.clone();
-                let a = SecularKernels::SCALAR.assemble_col(&zh, &col, &mut ta);
-                let b = row.assemble_col(&zh, &col, &mut tb);
+                let (a, _) = SecularKernels::SCALAR.assemble_col(&zh, &col, &mut ta);
+                let (b, _) = row.assemble_col(&zh, &col, &mut tb);
                 if row.level() == SimdLevel::Avx2 {
                     assert_eq!(ta, tb, "{name} k={k}");
                 }

@@ -9,10 +9,11 @@
 //!
 //! and interlacing (`dᵢ < λᵢ < dᵢ₊₁`) confines the singular band to
 //! `i ≈ j`: off-diagonal blocks are smooth and admit low-rank compression
-//! (Li–Liao–Liu–Jiang, arXiv:1510.04591). The workspace stores `X` with
-//! rows *slot-permuted* (Top|Full|Bottom grouping), which scrambles that
-//! structure, so everything here reads `X` through the secular-ordered
-//! view `x̃[i][j] = x[j·ld + sec_to_slot[i]]`.
+//! (Li–Liao–Liu–Jiang, arXiv:1510.04591). Nothing here reads a stored X:
+//! the probe and the tiling take X in secular order entry by entry, and
+//! the merge feeds them from its generators ([`GeneratedX`]: ẑ, the poles
+//! and each root's `(μ, origin)`), so X is never formed — only the dense
+//! tiles and the ACA crosses are.
 //!
 //! This module owns the secular-specific policy pieces:
 //!
@@ -29,7 +30,11 @@
 //!   a block refuses to compress).
 
 use crate::deflate::{Deflation, SlotType};
+use crate::vectors::GeneratedX;
 use dcst_matrix::lowrank::{aca, materialize, StructuredMatrix, Tile, TileKind};
+
+/// A `k × k` matrix in secular order, entry `(i, j)` at a time.
+type Entry<'e> = &'e dyn Fn(usize, usize) -> f64;
 
 /// Compression tolerance for a merge of size `k` inside a global problem
 /// of size `n`.
@@ -45,17 +50,11 @@ pub fn rank_tolerance(n: usize, k: usize) -> f64 {
 }
 
 /// Sampled-ACA probe of the level-1 off-diagonal block (secular rows
-/// `0..k/2` × columns `k/2..k`) on a strided `sample × sample` subgrid.
-/// Returns the achieved rank of the sample, or `sample` when even the
-/// subgrid refuses to compress — the auto-switch treats that as "high
-/// rank, stay dense". Cost: O(sample²·r) entry reads.
-pub fn estimate_offdiag_rank(
-    x: &[f64],
-    ld: usize,
-    k: usize,
-    sec_to_slot: &[usize],
-    tol: f64,
-) -> usize {
+/// `0..k/2` × columns `k/2..k`) of the `k × k` matrix `x` on a strided
+/// `sample × sample` subgrid. Returns the achieved rank of the sample, or
+/// `sample` when even the subgrid refuses to compress — the auto-switch
+/// treats that as "high rank, stay dense". Cost: O(sample²·r) entry reads.
+pub fn estimate_offdiag_rank(k: usize, x: Entry<'_>, tol: f64) -> usize {
     let half = k / 2;
     let sample = half.min(40);
     if sample == 0 {
@@ -64,7 +63,7 @@ pub fn estimate_offdiag_rank(
     let mut entry = |a: usize, b: usize| {
         let i = a * half / sample; // row in 0..half
         let j = half + b * (k - half) / sample; // col in half..k
-        x[j * ld + sec_to_slot[i]]
+        x(i, j)
     };
     match aca(sample, sample, &mut entry, tol, sample) {
         Some(lr) => lr.rank,
@@ -104,34 +103,27 @@ impl StructuredX {
     }
 }
 
-/// Hierarchically tile and compress one row-subset operand of the secular
-/// matrix.
+/// Hierarchically tile and compress one row-subset operand of the `k × k`
+/// secular matrix `x`.
 ///
-/// `rows_sec[a]` is the (ascending) secular index of operand row `a` and
-/// `slots[a]` its storage slot; entries are read as
-/// `x[(col)·ld + slots[a]]`. Columns are split at their midpoint, rows at
-/// the matching secular value, recursively while both sides exceed
-/// `leaf`; the two off-diagonal blocks of every split are ACA-compressed
-/// (dense fallback when the rank cap `min(dims)/2` trips), diagonal
-/// leaves are materialized dense.
-pub fn compress_rows(
-    x: &[f64],
-    ld: usize,
+/// `rows_sec[a]` is the (ascending) secular index of operand row `a`.
+/// Columns are split at their midpoint, rows at the matching secular
+/// value, recursively while both sides exceed `leaf`; the two off-diagonal
+/// blocks of every split are ACA-compressed (dense fallback when the rank
+/// cap `min(dims)/2` trips), diagonal leaves are materialized dense.
+fn compress_rows(
+    x: Entry<'_>,
     k: usize,
-    slots: &[usize],
     rows_sec: &[usize],
     tol: f64,
     leaf: usize,
 ) -> StructuredMatrix {
-    debug_assert_eq!(slots.len(), rows_sec.len());
     let mut tiles = Vec::new();
     build_tiles(
         x,
-        ld,
-        slots,
         rows_sec,
         0,
-        slots.len(),
+        rows_sec.len(),
         0,
         k,
         tol,
@@ -139,7 +131,7 @@ pub fn compress_rows(
         &mut tiles,
     );
     StructuredMatrix {
-        rows: slots.len(),
+        rows: rows_sec.len(),
         cols: k,
         tiles,
     }
@@ -147,9 +139,7 @@ pub fn compress_rows(
 
 #[allow(clippy::too_many_arguments)]
 fn build_tiles(
-    x: &[f64],
-    ld: usize,
-    slots: &[usize],
+    x: Entry<'_>,
     rows_sec: &[usize],
     a0: usize,
     a1: usize,
@@ -163,7 +153,7 @@ fn build_tiles(
         return;
     }
     let (tr, tc) = (a1 - a0, c1 - c0);
-    let mut entry = |i: usize, j: usize| x[(c0 + j) * ld + slots[a0 + i]];
+    let mut entry = |i: usize, j: usize| x(rows_sec[a0 + i], c0 + j);
     // Recursion depth is governed by the column span (the row span of a
     // split operand is roughly half of it, since only every other secular
     // row survives into the top/bottom subset); a near-empty row strip is
@@ -187,7 +177,7 @@ fn build_tiles(
             continue;
         }
         let (br, bc) = (r1 - r0, cc1 - cc0);
-        let mut bentry = |i: usize, j: usize| x[(cc0 + j) * ld + slots[r0 + i]];
+        let mut bentry = |i: usize, j: usize| x(rows_sec[r0 + i], cc0 + j);
         let cap = (br.min(bc) / 2).max(1);
         let kind = match aca(br, bc, &mut bentry, tol, cap) {
             Some(lr) => TileKind::LowRank(lr),
@@ -202,21 +192,24 @@ fn build_tiles(
         });
     }
     // Recurse on the two diagonal blocks.
-    build_tiles(x, ld, slots, rows_sec, a0, amid, c0, cmid, tol, leaf, tiles);
-    build_tiles(x, ld, slots, rows_sec, amid, a1, cmid, c1, tol, leaf, tiles);
+    build_tiles(x, rows_sec, a0, amid, c0, cmid, tol, leaf, tiles);
+    build_tiles(x, rows_sec, amid, a1, cmid, c1, tol, leaf, tiles);
 }
 
 /// Compress the full secular eigenvector matrix of one merge into the
-/// top/bottom operand pair of the structured update. `x` is the k-column
-/// workspace block produced by vector assembly (rows slot-permuted), `ld`
-/// its leading dimension.
+/// top/bottom operand pair of the structured update, reading it entry by
+/// entry from its generators.
 pub fn compress_secular_x(
-    x: &[f64],
-    ld: usize,
+    x: &GeneratedX<'_>,
     defl: &Deflation,
     tol: f64,
     leaf: usize,
 ) -> StructuredX {
+    split_secular_x(&|i, j| x.entry(i, j), defl, tol, leaf)
+}
+
+/// [`compress_secular_x`] over any source of the entries of X.
+fn split_secular_x(x: Entry<'_>, defl: &Deflation, tol: f64, leaf: usize) -> StructuredX {
     let k = defl.k;
     let full_lo = defl.ctot[0];
     let full_hi = defl.ctot[0] + defl.ctot[1];
@@ -239,8 +232,8 @@ pub fn compress_secular_x(
             bot_sec.push(i);
         }
     }
-    let top = compress_rows(x, ld, k, &top_slots, &top_sec, tol, leaf);
-    let bot = compress_rows(x, ld, k, &bot_slots, &bot_sec, tol, leaf);
+    let top = compress_rows(x, k, &top_sec, tol, leaf);
+    let bot = compress_rows(x, k, &bot_sec, tol, leaf);
     StructuredX {
         top,
         bot,
@@ -265,40 +258,91 @@ pub fn leaf_size(k: usize, force: bool) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{local_w_products, reduce_w, solve_secular_root};
+    use crate::{
+        assemble_vectors, local_w_products, reduce_w, SecularGenerators, SecularKernels,
+        SecularProblem,
+    };
     use dcst_matrix::lowrank::reconstruct;
 
-    /// Solve a k×k secular problem with well-interlaced poles and return
-    /// (x in secular row order, k).
-    fn secular_x(k: usize) -> Vec<f64> {
-        let d: Vec<f64> = (0..k)
-            .map(|i| i as f64 + 0.3 * ((i * 7 % 5) as f64) / 5.0)
-            .collect();
-        let mut z: Vec<f64> = (0..k).map(|i| 0.5 + ((i * 13 % 7) as f64) / 7.0).collect();
-        let n: f64 = z.iter().map(|x| x * x).sum::<f64>().sqrt();
-        z.iter_mut().for_each(|x| *x /= n);
-        let rho = 1.0;
-        let mut deltas = vec![0.0; k * k];
-        for j in 0..k {
-            solve_secular_root(j, &d, &z, rho, &mut deltas[j * k..(j + 1) * k]).unwrap();
+    /// One solved k × k secular problem with well-interlaced poles: its
+    /// roots' generators, and — the oracle — X assembled from the solver's
+    /// delta columns with rows permuted to storage order by `sec_to_slot`.
+    struct Solved {
+        d: Vec<f64>,
+        zhat: Vec<f64>,
+        mu: Vec<f64>,
+        origin: Vec<u32>,
+        x: Vec<f64>,
+    }
+
+    impl Solved {
+        fn new(k: usize, sec_to_slot: &[usize]) -> Self {
+            let d: Vec<f64> = (0..k)
+                .map(|i| i as f64 + 0.3 * ((i * 7 % 5) as f64) / 5.0)
+                .collect();
+            let mut z: Vec<f64> = (0..k).map(|i| 0.5 + ((i * 13 % 7) as f64) / 7.0).collect();
+            let n: f64 = z.iter().map(|x| x * x).sum::<f64>().sqrt();
+            z.iter_mut().for_each(|x| *x /= n);
+            let problem = SecularProblem::new(&d, &z, 1.0).unwrap();
+            let mut x = vec![0.0; k * k];
+            let (mut mu, mut origin) = (Vec::new(), Vec::new());
+            for (j, col) in x.chunks_exact_mut(k).enumerate() {
+                let root = problem.solve_root(j, col).unwrap();
+                mu.push(root.mu);
+                origin.push(root.origin as u32);
+            }
+            let zhat = reduce_w(&z, &[local_w_products(&d, &x, k, 0, 0..k)]);
+            assemble_vectors(&zhat, &mut x, k, 0, 0..k, sec_to_slot);
+            Solved {
+                d,
+                zhat,
+                mu,
+                origin,
+                x,
+            }
         }
-        let zhat = reduce_w(&z, &[local_w_products(&d, &deltas, k, 0, 0..k)]);
-        let ident: Vec<usize> = (0..k).collect();
-        crate::assemble_vectors(&zhat, &mut deltas, k, 0, 0..k, &ident);
-        deltas
+
+        fn generators(&self) -> SecularGenerators<'_> {
+            SecularGenerators {
+                dlamda: &self.d,
+                zhat: &self.zhat,
+                mu: &self.mu,
+                origin: &self.origin,
+            }
+        }
+    }
+
+    fn identity(k: usize) -> Vec<usize> {
+        (0..k).collect()
+    }
+
+    /// Every tile's shape, and its dense entries or factors bit for bit.
+    fn tile_bits(sm: &StructuredMatrix) -> Vec<(usize, usize, usize, usize, usize, Vec<u64>)> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        sm.tiles
+            .iter()
+            .map(|t| {
+                let (rank, data) = match &t.kind {
+                    TileKind::Dense(a) => (usize::MAX, bits(a)),
+                    TileKind::LowRank(lr) => (lr.rank, [bits(&lr.u), bits(&lr.vt)].concat()),
+                };
+                (t.r0, t.r1, t.c0, t.c1, rank, data)
+            })
+            .collect()
     }
 
     #[test]
     #[ignore = "manual profiling helper"]
     fn profile_compress_k1000() {
         let k = 1000;
-        let x = secular_x(k);
-        let ident: Vec<usize> = (0..k).collect();
+        let s = Solved::new(k, &identity(k));
+        let x = s.generators().entries(SecularKernels::dispatched());
+        let entry = |i: usize, j: usize| x.entry(i, j);
         let tol = rank_tolerance(k, k);
         let leaf = leaf_size(k, false);
         for _ in 0..3 {
             let t0 = std::time::Instant::now();
-            let sm = compress_rows(&x, k, k, &ident, &ident, tol, leaf);
+            let sm = compress_rows(&entry, k, &identity(k), tol, leaf);
             let dt = t0.elapsed();
             let dense_entries: usize = sm
                 .tiles
@@ -315,7 +359,7 @@ mod tests {
                 dense_entries
             );
             let t1 = std::time::Instant::now();
-            let est = estimate_offdiag_rank(&x, k, k, &ident, tol);
+            let est = estimate_offdiag_rank(k, &entry, tol);
             eprintln!("probe: {:?} est={est}", t1.elapsed());
         }
     }
@@ -330,27 +374,27 @@ mod tests {
     #[test]
     fn offdiag_rank_is_low_for_interlaced_poles() {
         let k = 96;
-        let x = secular_x(k);
-        let ident: Vec<usize> = (0..k).collect();
+        let s = Solved::new(k, &identity(k));
         let tol = rank_tolerance(k, k);
-        let est = estimate_offdiag_rank(&x, k, k, &ident, tol);
+        let est = estimate_offdiag_rank(k, &|i, j| s.x[j * k + i], tol);
         assert!(est > 0 && est < 24, "estimated rank {est}");
+        let x = s.generators().entries(SecularKernels::dispatched());
+        assert_eq!(estimate_offdiag_rank(k, &|i, j| x.entry(i, j), tol), est);
     }
 
     #[test]
     fn compress_rows_reconstructs_x() {
         let k = 96;
-        let x = secular_x(k);
-        let ident: Vec<usize> = (0..k).collect();
+        let s = Solved::new(k, &identity(k));
         let tol = rank_tolerance(k, k);
-        let sm = compress_rows(&x, k, k, &ident, &ident, tol, 12);
+        let sm = compress_rows(&|i, j| s.x[j * k + i], k, &identity(k), tol, 12);
         assert!(sm.compressed_tiles() > 0, "expected compressed tiles");
         // Every entry covered exactly once and accurately.
         let a = reconstruct(&sm);
         let mut worst = 0.0f64;
         for j in 0..k {
             for i in 0..k {
-                worst = worst.max((a[j * k + i] - x[j * k + i]).abs());
+                worst = worst.max((a[j * k + i] - s.x[j * k + i]).abs());
             }
         }
         assert!(worst < 1e-11, "worst reconstruction error {worst}");
@@ -358,32 +402,51 @@ mod tests {
         assert!(sm.multiply_flops(k) < 2 * (k * k * k) as u64);
     }
 
+    /// The oracle is X as assembly stores it, rows scrambled into storage
+    /// order: compressing from the generators instead must give the same
+    /// tiles, ranks and factors, bit for bit, and the same gather maps.
     #[test]
-    fn scrambled_rows_are_recovered_through_slot_map() {
-        // Store x with permuted rows, read through slots: reconstruction
-        // must match the secular-ordered matrix.
-        let k = 64;
-        let x = secular_x(k);
-        let mut perm: Vec<usize> = (0..k).collect();
-        // Deterministic scramble.
-        for i in 0..k {
-            perm.swap(i, (i * 37 + 11) % k);
-        }
-        let mut scrambled = vec![0.0; k * k];
-        for j in 0..k {
+    fn generators_compress_like_the_materialized_x() {
+        for (k, leaf) in [(96, 6), (130, 4), (257, 8)] {
+            // A deterministic scramble, and a Top | Full | Bottom grouping
+            // of the storage slots.
+            let mut perm = identity(k);
             for i in 0..k {
-                scrambled[j * k + perm[i]] = x[j * k + i];
+                perm.swap(i, (i * 37 + 11) % k);
             }
-        }
-        let rows_sec: Vec<usize> = (0..k).collect();
-        let sm = compress_rows(&scrambled, k, k, &perm, &rows_sec, 1e-13, 8);
-        let a = reconstruct(&sm);
-        for j in 0..k {
-            for i in 0..k {
-                assert!(
-                    (a[j * k + i] - x[j * k + i]).abs() < 1e-11,
-                    "entry ({i},{j})"
-                );
+            let s = Solved::new(k, &perm);
+            let ctot = [k / 3, k / 3, k - 2 * (k / 3), 0];
+            let slot_type = (0..k)
+                .map(|slot| match slot {
+                    _ if slot < ctot[0] => SlotType::Top,
+                    _ if slot < ctot[0] + ctot[1] => SlotType::Full,
+                    _ => SlotType::Bottom,
+                })
+                .collect();
+            let defl = Deflation {
+                k,
+                n: k,
+                n1: k / 2,
+                rho: 1.0,
+                dlamda: s.d.clone(),
+                w: s.zhat.clone(),
+                d_deflated: vec![],
+                perm: identity(k),
+                slot_type,
+                sec_to_slot: perm.clone(),
+                givens: vec![],
+                ctot,
+            };
+            let tol = 1e-12;
+            let stored = split_secular_x(&|i, j| s.x[j * k + perm[i]], &defl, tol, leaf);
+            let x = s.generators().entries(SecularKernels::dispatched());
+            let generated = compress_secular_x(&x, &defl, tol, leaf);
+            assert!(stored.compressed_tiles() > 0, "k={k}: nothing compressed");
+            assert_eq!(generated.top_slots, stored.top_slots, "k={k}");
+            assert_eq!(generated.bot_slots, stored.bot_slots, "k={k}");
+            assert_eq!(generated.total_rank(), stored.total_rank(), "k={k}");
+            for (g, w) in [(&generated.top, &stored.top), (&generated.bot, &stored.bot)] {
+                assert!(tile_bits(g) == tile_bits(w), "k={k}: tiles differ");
             }
         }
     }

@@ -10,8 +10,16 @@
 //!
 //! and assemble eigenvectors from ẑ — they are then orthogonal to working
 //! precision regardless of root clustering. The product over roots `j`
-//! splits into independent per-panel partial products: exactly the paper's
-//! `ComputeLocalW` (panel) and `ReduceW` (join) tasks.
+//! splits into independent per-panel partial products: the paper's
+//! `ComputeLocalW` (per panel, folded into the `LAED4` pass that solves the
+//! panel's roots) and `ReduceW` (join) tasks.
+//!
+//! A merge never stores its secular eigenvector matrix X: each root keeps
+//! the `(μ, origin)` its solve accepted, and [`SecularGenerators`] rebuilds
+//! from those and ẑ whatever part of X a consumer needs — a block of
+//! columns ([`SecularGenerators::assemble`]) or single entries
+//! ([`GeneratedX::entry`]) — bit for bit what assembling the solver's delta
+//! columns would have written.
 
 use crate::simd::SecularKernels;
 use dcst_matrix::util::sign;
@@ -166,13 +174,111 @@ fn assemble_impl(
     let mut tmp = vec![0.0f64; k];
     for j in jrange {
         let col = &mut deltas[(j - col0) * ld..(j - col0) * ld + k];
-        let nrm2 = kernels.assemble_col(zhat, col, &mut tmp);
+        let (nrm2, _) = kernels.assemble_col(zhat, col, &mut tmp);
         let inv = 1.0 / nrm2.sqrt();
         // Scatter through the slot permutation stays scalar: the indices
         // are arbitrary, and k writes are cheap next to the k divisions.
         for i in 0..k {
             col[sec_to_slot[i]] = tmp[i] * inv;
         }
+    }
+}
+
+/// A merge's secular eigenvector matrix X held as its generators: the poles
+/// `dlamda`, Gu–Eisenstat's `zhat` (both in secular order) and, per column
+/// `c`, the root's accepted `(mu[c], origin[c])` (a
+/// [`SecularRoot`](crate::SecularRoot)) — 12 bytes a column instead of k
+/// entries. Column `c` of X is the normalized `(ẑᵢ/δᵢ)ᵢ` with
+/// `δᵢ = (dlamda[i] − dlamda[origin[c]]) − mu[c]`, the pole distances the
+/// solve wrote, rebuilt bit for bit.
+#[derive(Clone, Copy)]
+pub struct SecularGenerators<'a> {
+    pub dlamda: &'a [f64],
+    pub zhat: &'a [f64],
+    pub mu: &'a [f64],
+    pub origin: &'a [u32],
+}
+
+impl<'a> SecularGenerators<'a> {
+    /// Column `c`'s pole distances into `delta` (length k).
+    fn delta(&self, c: usize, delta: &mut [f64]) {
+        let (pole, mu) = (self.dlamda[self.origin[c] as usize], self.mu[c]);
+        for (de, &d) in delta.iter_mut().zip(self.dlamda) {
+            *de = (d - pole) - mu;
+        }
+    }
+
+    /// Assemble every column into `block` (column `c` at `c·ld`, rows
+    /// `0..k`) with `kernels`' assembly, rows permuted to storage order by
+    /// `sec_to_slot` — bit for bit what [`assemble_vectors`] on that
+    /// instance makes of the solver's delta columns.
+    pub fn assemble(
+        &self,
+        kernels: &SecularKernels,
+        sec_to_slot: &[usize],
+        block: &mut [f64],
+        ld: usize,
+    ) {
+        let k = self.dlamda.len();
+        debug_assert!(ld >= k && sec_to_slot.len() == k && self.zhat.len() == k);
+        let mut tmp = vec![0.0f64; k];
+        for c in 0..self.mu.len() {
+            let col = &mut block[c * ld..c * ld + k];
+            self.delta(c, col);
+            let (nrm2, _) = kernels.assemble_col(self.zhat, col, &mut tmp);
+            let inv = 1.0 / nrm2.sqrt();
+            for (&s, &x) in sec_to_slot.iter().zip(&tmp) {
+                col[s] = x * inv;
+            }
+        }
+    }
+
+    /// The entry-by-entry view of X, in secular order: each column's
+    /// `1/‖·‖` formed once here with `kernels`' assembly, O(k) per column.
+    pub fn entries(self, kernels: SecularKernels) -> GeneratedX<'a> {
+        let k = self.dlamda.len();
+        let (mut delta, mut tmp) = (vec![0.0f64; k], vec![0.0f64; k]);
+        let (inv, redone) = (0..self.mu.len())
+            .map(|c| {
+                self.delta(c, &mut delta);
+                let (nrm2, redone) = kernels.assemble_col(self.zhat, &delta, &mut tmp);
+                (1.0 / nrm2.sqrt(), redone)
+            })
+            .unzip();
+        GeneratedX {
+            gen: self,
+            kernels,
+            inv,
+            redone,
+        }
+    }
+}
+
+/// X in secular order, read one entry at a time from its generators — what
+/// the structured update compresses. Entry `(i, j)` is what
+/// [`SecularGenerators::assemble`] writes to row `sec_to_slot[i]` of column
+/// `j`, bit for bit: the instance's quotient on one lane (or the division,
+/// where the column's assembly pass was redone with it) times the column's
+/// `1/‖·‖`.
+pub struct GeneratedX<'a> {
+    gen: SecularGenerators<'a>,
+    kernels: SecularKernels,
+    inv: Vec<f64>,
+    redone: Vec<bool>,
+}
+
+impl GeneratedX<'_> {
+    /// Entry `(i, j)` in secular order.
+    #[inline]
+    pub fn entry(&self, i: usize, j: usize) -> f64 {
+        let g = &self.gen;
+        let de = (g.dlamda[i] - g.dlamda[g.origin[j] as usize]) - g.mu[j];
+        let q = if self.redone[j] {
+            g.zhat[i] / de
+        } else {
+            self.kernels.quot(g.zhat[i], de)
+        };
+        q * self.inv[j]
     }
 }
 

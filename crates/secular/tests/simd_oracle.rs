@@ -31,6 +31,13 @@ const K_SET: [usize; 10] = [1, 3, 4, 7, 8, 9, 16, 17, 31, 257];
 
 const REGIMES: usize = 5;
 
+/// The case past [`REGIMES`] that only the stored-roots test runs: regime
+/// 0 with its last root replaced by one 2⁻¹⁰³⁰ above its pole (the root a
+/// far smaller ρ would give), whose δ at that pole is subnormal — `1/δ`
+/// overflows, so the column's AVX-512 assembly pass trips the reciprocal
+/// guard and is redone with `vdivpd`.
+const GUARD_REGIME: usize = REGIMES;
+
 /// Bound, in ulp, on one AVX-512 quotient against the division.
 const QUOT_ULPS: u64 = 2;
 
@@ -436,8 +443,8 @@ fn check_row(name: &str, row: &SecularKernels, d: &[f64], z: &[f64], rho: f64, c
     let (mut ta, mut tb) = (vec![0.0; k], vec![0.0; k]);
     let bound = if divides(row) { 0 } else { QUOT_ULPS };
     for (j, col) in deltas.chunks_exact(k).enumerate() {
-        let a = row.assemble_col(&zhat, col, &mut ta);
-        let b = scalar.assemble_col(&zhat, col, &mut tb);
+        let (a, _) = row.assemble_col(&zhat, col, &mut ta);
+        let (b, _) = scalar.assemble_col(&zhat, col, &mut tb);
         for (i, (x, y)) in ta.iter().zip(&tb).enumerate() {
             assert!(
                 ulps(*x, *y) <= bound,
@@ -637,26 +644,56 @@ fn reciprocal_guard_keeps_division_classes() {
     }
 }
 
-/// What values mode keeps of a root is `(μ, origin)`: over the same grid,
-/// on the dispatched and the scalar path, that pair rebuilds the solver's
+/// X as the vector payload used to store it: `row`'s assembly of the
+/// solver's delta columns, rows permuted by `sec_to_slot` — the loop of
+/// `assemble_vectors`, on any instance.
+fn assemble_on(
+    row: &SecularKernels,
+    zhat: &[f64],
+    deltas: &[f64],
+    sec_to_slot: &[usize],
+) -> Vec<f64> {
+    let k = zhat.len();
+    let mut x = deltas.to_vec();
+    let mut tmp = vec![0.0; k];
+    for col in x.chunks_exact_mut(k) {
+        let (nrm2, _) = row.assemble_col(zhat, col, &mut tmp);
+        let inv = 1.0 / nrm2.sqrt();
+        for i in 0..k {
+            col[sec_to_slot[i]] = tmp[i] * inv;
+        }
+    }
+    x
+}
+
+/// What a merge keeps of a root is `(μ, origin)`: over the same grid, on
+/// the dispatched and the scalar path, that pair rebuilds the solver's
 /// delta column bit for bit, and the fused row kernel fed with it agrees
 /// with assembling the vector (`assemble_vectors_scalar`) and taking plain
 /// dots, to a few ulp·√k — SIMD against scalar likewise.
+///
+/// And on every instance, over the grid plus [`GUARD_REGIME`]: the block
+/// [`SecularGenerators::assemble`] makes of a panel of stored roots is bit
+/// for bit the solver's delta columns assembled (`assemble_vectors` itself
+/// on the dispatched instance), and every [`GeneratedX::entry`] `(i, j)` is
+/// that block's `(sec_to_slot[i], j)` — including in the columns whose
+/// AVX-512 pass was redone with the division.
 #[test]
 fn stored_roots_rebuild_deltas_and_row_entries() {
+    let mut redone = 0;
     for (ki, &k) in K_SET.iter().enumerate() {
-        for regime in 0..REGIMES {
+        for regime in 0..=GUARD_REGIME {
             // The mixed regime can round two poles together: take the
             // first seed of the cell whose problem is a valid one.
             let cell = (ki * REGIMES + regime) as u64;
             let (d, z, rho) = (0u64..)
-                .map(|s| gen_problem(k, regime, 1000 * s + cell))
+                .map(|s| gen_problem(k, regime % GUARD_REGIME, 1000 * s + cell))
                 .find(|(d, z, rho)| SecularProblem::new(d, z, *rho).is_ok())
                 .unwrap();
             let problem = SecularProblem::new(&d, &z, rho).unwrap();
             let mut deltas = vec![0.0f64; k * k];
             let mut col = vec![0.0f64; k];
-            let mut roots = Vec::with_capacity(k);
+            let mut roots: Vec<SecularRoot> = Vec::with_capacity(k);
             for j in 0..k {
                 let rebuilt = |r: &SecularRoot| -> Vec<f64> {
                     d.iter().map(|&di| (di - d[r.origin]) - r.mu).collect()
@@ -679,6 +716,71 @@ fn stored_roots_rebuild_deltas_and_row_entries() {
             }
 
             let zhat = reduce_w(&z, &[local_w_products(&d, &deltas, k, 0, 0..k)]);
+            if regime == GUARD_REGIME {
+                let last = &mut roots[k - 1];
+                (last.mu, last.origin) = (2f64.powi(-1030), k - 1);
+                for (de, &di) in deltas[(k - 1) * k..].iter_mut().zip(&d) {
+                    *de = (di - d[k - 1]) - last.mu;
+                }
+            }
+            let mu: Vec<f64> = roots.iter().map(|r| r.mu).collect();
+            let origin: Vec<u32> = roots.iter().map(|r| r.origin as u32).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(cell ^ 0x51075);
+            let mut sec_to_slot: Vec<usize> = (0..k).collect();
+            for i in (1..k).rev() {
+                sec_to_slot.swap(i, rng.gen_range(0..i + 1));
+            }
+            let dispatched = SecularKernels::dispatched().level();
+            for (name, row) in runnable_rows() {
+                let case = format!("{name} k={k} regime={regime}");
+                let want = assemble_on(&row, &zhat, &deltas, &sec_to_slot);
+                if row.level() == dispatched {
+                    let mut x = deltas.clone();
+                    assemble_vectors(&zhat, &mut x, k, 0, 0..k, &sec_to_slot);
+                    assert_eq!(bits(&x), bits(&want), "{case}: assemble_vectors");
+                }
+                // Two panels, as the update's panel tasks split the roots.
+                let h = k / 2;
+                for cols in [0..h, h..k] {
+                    let panel = SecularGenerators {
+                        dlamda: &d,
+                        zhat: &zhat,
+                        mu: &mu[cols.clone()],
+                        origin: &origin[cols.clone()],
+                    };
+                    let mut block = vec![f64::NAN; k * cols.len()];
+                    panel.assemble(&row, &sec_to_slot, &mut block, k);
+                    assert_eq!(
+                        bits(&block),
+                        bits(&want[cols.start * k..cols.end * k]),
+                        "{case}: panel {cols:?}"
+                    );
+                }
+                let generators = SecularGenerators {
+                    dlamda: &d,
+                    zhat: &zhat,
+                    mu: &mu,
+                    origin: &origin,
+                };
+                let x = generators.entries(row);
+                for j in 0..k {
+                    for i in 0..k {
+                        let (got, want) = (x.entry(i, j), want[j * k + sec_to_slot[i]]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{case}: entry ({i}, {j})");
+                    }
+                }
+                if row.level() == SimdLevel::Avx512 {
+                    let mut tmp = vec![0.0; k];
+                    redone += deltas
+                        .chunks_exact(k)
+                        .filter(|col| row.assemble_col(&zhat, col, &mut tmp).1)
+                        .count();
+                }
+            }
+
+            if regime == GUARD_REGIME {
+                continue; // the replaced root solves no secular equation
+            }
             let mut rng = ChaCha8Rng::seed_from_u64(k as u64 ^ 0x726f77);
             let wf: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let wl: Vec<f64> = (0..k).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -705,5 +807,9 @@ fn stored_roots_rebuild_deltas_and_row_entries() {
                 }
             }
         }
+    }
+    if SecularKernels::runnable(SimdLevel::Avx512).is_some() {
+        assert!(redone > 0, "no AVX-512 assembly pass tripped the guard");
+        println!("stored roots: {redone} AVX-512 assembly columns redone with vdivpd");
     }
 }
