@@ -12,7 +12,8 @@
 //! ```
 
 use dcst_bench::{fmt_s, time_taskflow, Args, Table};
-use dcst_mrrr::{MrrrOptions, MrrrSolver};
+use dcst_mrrr::MrrrSolver;
+use dcst_runtime::Runtime;
 use dcst_tridiag::gen::MatrixType;
 use std::time::Instant;
 
@@ -21,10 +22,8 @@ fn main() {
     let n = args.usize_or("--n", 1024);
     let threads = args.usize_or("--threads", dcst_bench::max_threads());
     let t = MatrixType::Type4.generate(n, 55);
-    let mrrr = MrrrSolver::new(MrrrOptions {
-        threads,
-        ..Default::default()
-    });
+    let rt = Runtime::new(threads);
+    let mrrr = MrrrSolver::new(&rt);
 
     let start = Instant::now();
     let _ = mrrr.solve(&t).expect("full mrrr");

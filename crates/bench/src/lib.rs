@@ -8,7 +8,8 @@
 pub mod sched;
 
 use dcst_core::{DcOptions, DcStats, Eigen, TaskFlowDc, TridiagEigensolver};
-use dcst_mrrr::{MrrrOptions, MrrrSolver};
+use dcst_mrrr::MrrrSolver;
+use dcst_runtime::Runtime;
 use dcst_tridiag::SymTridiag;
 use std::time::Instant;
 
@@ -85,10 +86,8 @@ pub fn time_taskflow(threads: usize, t: &SymTridiag) -> (f64, Eigen, DcStats) {
 
 /// Wall-clock the MRRR solver.
 pub fn time_mrrr(threads: usize, t: &SymTridiag) -> (f64, Vec<f64>, dcst_matrix::Matrix) {
-    let solver = MrrrSolver::new(MrrrOptions {
-        threads,
-        ..Default::default()
-    });
+    let rt = Runtime::new(threads);
+    let solver = MrrrSolver::new(&rt);
     let start = Instant::now();
     let (lam, v) = solver.solve(t).expect("mrrr solve failed");
     (start.elapsed().as_secs_f64(), lam, v)

@@ -32,9 +32,9 @@
 use dcst_core::{
     DcError, DcOptions, DcStats, ForkJoinDc, LevelParallelDc, SequentialDc, SolveMode, TaskFlowDc,
 };
-use dcst_mrrr::{bisect_range, MrrrError, MrrrOptions, MrrrSolver};
+use dcst_mrrr::{bisect_range, MrrrError, MrrrSolver};
 use dcst_qriter::QrError;
-use dcst_runtime::{RuntimeMetrics, Trace};
+use dcst_runtime::{Runtime, RuntimeMetrics, Trace};
 use dcst_serve::{Client, Server, ServerConfig};
 use dcst_tridiag::gen::MatrixType;
 use dcst_tridiag::io::{read_tridiag, write_tridiag};
@@ -284,16 +284,14 @@ fn main() -> ExitCode {
             let start = Instant::now();
             let (values, vectors) = match solver_name {
                 "mrrr" => {
-                    let solver = MrrrSolver::new(MrrrOptions {
-                        threads,
-                        ..Default::default()
-                    });
+                    let rt = Runtime::new(threads);
+                    let solver = MrrrSolver::new(&rt);
                     let result = match (values_only, subset) {
                         (true, range) => {
                             // Bisection gives the Θ(n·k) values-only
                             // path directly.
-                            let (il, iu) = range.unwrap_or((0, t.n().saturating_sub(1)));
-                            bisect_range(&t, il..iu + 1, threads)
+                            let range = range.map_or(0..t.n(), |(il, iu)| il..iu + 1);
+                            bisect_range(&t, range, &rt)
                                 .map(|vals| (vals, dcst_matrix::Matrix::zeros(t.n(), 0)))
                         }
                         (false, Some((il, iu))) => solver.solve_range_exact(&t, il, iu),

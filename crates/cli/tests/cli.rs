@@ -196,6 +196,28 @@ fn non_finite_input_is_an_input_error() {
     let _ = std::fs::remove_file(&path);
 }
 
+#[test]
+fn order_zero_input_solves_to_nothing() {
+    let path = tempfile("order-zero.txt");
+    std::fs::write(&path, "0\n").unwrap();
+    for solver in ["taskflow", "seq", "forkjoin", "levelpar", "mrrr", "qr"] {
+        for extra in [&[][..], &["--values-only"][..]] {
+            let out = dcst()
+                .args(["solve", "--in", path.to_str().unwrap(), "--solver", solver])
+                .args(extra)
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{solver} {extra:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(out.stdout.is_empty(), "{solver} {extra:?}: no eigenvalues");
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A numerical failure (solver gave up on well-formed input) must exit with
 /// code 3, distinct from input errors. Genuinely non-convergent inputs are
 /// nearly impossible to construct now that the kernels carry rescue paths,

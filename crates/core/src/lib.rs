@@ -52,9 +52,9 @@ pub use taskflow::{PendingSolve, TaskFlowDc};
 pub use tree::{PartitionTree, TreeNode};
 
 use dcst_matrix::Matrix;
-use dcst_mrrr::MrrrError;
+use dcst_mrrr::{MrrrError, MrrrSolver};
 use dcst_qriter::QrError;
-use dcst_runtime::RuntimeError;
+use dcst_runtime::{Runtime, RuntimeError};
 use dcst_secular::SecularError;
 use dcst_tridiag::SymTridiag;
 
@@ -239,16 +239,15 @@ pub(crate) fn subset_uses_fallback(il: usize, iu: usize, n: usize) -> bool {
 
 /// Solve the subset `il..=iu` via MRRR bisection + twisted factorizations
 /// (exact-count contract), packaging the result as an [`Eigen`].
-pub(crate) fn subset_fallback(
-    t: &SymTridiag,
-    il: usize,
-    iu: usize,
-    threads: usize,
-) -> Result<Eigen, DcError> {
-    let solver = dcst_mrrr::MrrrSolver::new(dcst_mrrr::MrrrOptions {
-        threads: threads.max(1),
-        ..Default::default()
-    });
+///
+/// MRRR runs under the sequential discipline: its tasks execute on the
+/// calling thread, so the one task that calls this uses exactly the worker
+/// it was scheduled on. Under `access-check` the inline runtime's task
+/// context replaces that worker's for the duration, which is harmless only
+/// because this body borrows no `SharedData`.
+pub(crate) fn subset_fallback(t: &SymTridiag, il: usize, iu: usize) -> Result<Eigen, DcError> {
+    let rt = Runtime::inline(0);
+    let solver = MrrrSolver::new(&rt);
     let (values, vectors) = solver.solve_range_exact(t, il, iu).map_err(|e| match e {
         MrrrError::NonFinite => DcError::NonFinite,
         MrrrError::InvalidRange { il, iu, n } => DcError::InvalidRange { il, iu, n },

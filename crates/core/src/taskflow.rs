@@ -601,19 +601,15 @@ impl TaskFlowDc {
             SolveMode::Subset { il, iu } => {
                 crate::validate_subset(il, iu, n)?;
                 if crate::subset_uses_fallback(il, iu, n) {
-                    // One worker-slot task keeps the MRRR fallback inside
-                    // the scope discipline (cancellable before it starts,
-                    // counted by admission control) — MRRR brings its own
-                    // internal parallelism.
+                    // One task keeps the MRRR fallback inside the scope
+                    // discipline (cancellable before it starts, counted by
+                    // admission control) and on one worker: MRRR runs
+                    // sequentially inside it.
                     let slot = Arc::new(Mutex::new(None));
                     let out = slot.clone();
                     let t = t.clone();
-                    let threads = match self.discipline {
-                        Discipline::Sequential => 1,
-                        _ => self.opts.threads,
-                    };
                     scope.task("SubsetFallback").spawn(move || {
-                        *out.lock().unwrap() = Some(crate::subset_fallback(&t, il, iu, threads));
+                        *out.lock().unwrap() = Some(crate::subset_fallback(&t, il, iu));
                     });
                     return Ok(PendingSolve {
                         scope,
@@ -1260,6 +1256,22 @@ mod tests {
             names.contains("UpdateVect") || names.contains("UpdateVectStructured"),
             "missing kernel UpdateVect(Structured)"
         );
+    }
+
+    #[test]
+    fn subset_fallback_is_one_task() {
+        let n = 128;
+        let mut o = opts(16, 8, 2);
+        o.mode = SolveMode::Subset {
+            il: 0,
+            iu: n / 32 - 1,
+        };
+        let (eig, _, trace) = TaskFlowDc::new(o)
+            .solve_traced(&MatrixType::Type4.generate(n, 5))
+            .unwrap();
+        assert_eq!(eig.values.len(), n / 32);
+        let names: Vec<&str> = trace.records.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["SubsetFallback"]);
     }
 
     /// The three graph-building modes at the pinned shape: full, values-only

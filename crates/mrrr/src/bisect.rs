@@ -2,13 +2,15 @@
 //! `LDLᵀ` representation (stationary qds counts, for relative accuracy).
 
 use crate::rrr::{sturm_count_ldl, Rrr};
-use crate::MrrrError;
+use crate::{concat, in_chunks, MrrrError};
+use dcst_runtime::Runtime;
 use dcst_tridiag::{sturm_counts_batch, SymTridiag};
+use std::sync::Arc;
 
 /// All eigenvalues of `t`, ascending, to absolute accuracy ~`ε‖T‖`, with
-/// index chunks distributed over `threads` scoped threads.
-pub fn bisect_all(t: &SymTridiag, threads: usize) -> Vec<f64> {
-    bisect_range_unchecked(t, 0..t.n(), threads)
+/// index chunks run as one task per worker of `rt`.
+pub fn bisect_all(t: &SymTridiag, rt: &Runtime) -> Vec<f64> {
+    bisect_range_unchecked(t, 0..t.n(), rt)
 }
 
 /// The eigenvalues with (0-based, ascending) indices in `range` —
@@ -17,7 +19,7 @@ pub fn bisect_all(t: &SymTridiag, threads: usize) -> Vec<f64> {
 pub fn bisect_range(
     t: &SymTridiag,
     range: std::ops::Range<usize>,
-    threads: usize,
+    rt: &Runtime,
 ) -> Result<Vec<f64>, MrrrError> {
     if range.end > t.n() {
         return Err(MrrrError::InvalidRange {
@@ -26,41 +28,46 @@ pub fn bisect_range(
             n: t.n(),
         });
     }
-    Ok(bisect_range_unchecked(t, range, threads))
+    Ok(bisect_range_unchecked(t, range, rt))
 }
 
 /// [`bisect_range`] for in-crate callers whose range is already known to
 /// be within bounds.
-fn bisect_range_unchecked(
-    t: &SymTridiag,
-    range: std::ops::Range<usize>,
-    threads: usize,
-) -> Vec<f64> {
+fn bisect_range_unchecked(t: &SymTridiag, range: std::ops::Range<usize>, rt: &Runtime) -> Vec<f64> {
     let k = range.len();
     if k == 0 {
         return vec![];
     }
+    let (gl, gu) = bracket(t);
+    let t = Arc::new(t.clone());
+    let k0 = range.start;
+    concat(in_chunks(rt, "MrrrBisect", k, move |c| {
+        let mut lam = vec![0.0f64; c.len()];
+        bisect_batch(&t, k0 + c.start, &mut lam, gl, gu);
+        lam
+    }))
+}
+
+/// Eigenvalues `k0` and `k0 + 1` of `t`, bisected on the calling thread:
+/// the neighbours a subset window cuts between, too few for a task each.
+pub(crate) fn bisect_pair(t: &SymTridiag, k0: usize) -> [f64; 2] {
+    let (gl, gu) = bracket(t);
+    let mut pair = [0.0f64; 2];
+    bisect_batch(t, k0, &mut pair, gl, gu);
+    pair
+}
+
+/// The Gershgorin interval of `t` with scale-relative padding. The bounds
+/// already enclose the spectrum; the pad only has to absorb the rounding
+/// error of computing them, so a few ulps of the bound magnitudes suffice.
+/// (An earlier absolute `1e-6` widening swamped tiny-norm spectra: for a
+/// matrix scaled to ~1e-60 the bracket started ~1e54 times wider than
+/// every eigenvalue and no fixed iteration budget could close it.)
+fn bracket(t: &SymTridiag) -> (f64, f64) {
     let (gl, gu) = t.gershgorin_bounds();
-    // Scale-relative bracket padding. The Gershgorin bounds already enclose
-    // the spectrum; the pad only has to absorb the rounding error of
-    // computing them, so a few ulps of the bound magnitudes suffice. (An
-    // earlier absolute `1e-6` widening swamped tiny-norm spectra: for a
-    // matrix scaled to ~1e-60 the bracket started ~1e54 times wider than
-    // every eigenvalue and no fixed iteration budget could close it.)
     let scale = gl.abs().max(gu.abs()).max(f64::MIN_POSITIVE);
     let pad = 4.0 * f64::EPSILON * scale + f64::MIN_POSITIVE;
-    let (gl, gu) = (gl - pad, gu + pad);
-    let mut lam = vec![0.0f64; k];
-    let nt = threads.max(1).min(k);
-    let chunk = k.div_ceil(nt);
-    let k0base = range.start;
-    std::thread::scope(|s| {
-        for (c, piece) in lam.chunks_mut(chunk).enumerate() {
-            let k0 = k0base + c * chunk;
-            s.spawn(move || bisect_batch(t, k0, piece, gl, gu));
-        }
-    });
-    lam
+    (gl - pad, gu + pad)
 }
 
 /// Eigenvalues `k0..k0 + out.len()` of `t` by lockstep bisection: every
@@ -154,11 +161,15 @@ mod tests {
     use super::*;
     use crate::rrr::ldl_factor;
 
+    fn rt() -> Runtime {
+        Runtime::new(2)
+    }
+
     #[test]
     fn bisect_matches_closed_form() {
         let n = 16;
         let t = SymTridiag::toeplitz121(n);
-        let lam = bisect_all(&t, 2);
+        let lam = bisect_all(&t, &rt());
         for (k, &l) in lam.iter().enumerate() {
             let want = 2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert!((l - want).abs() < 1e-12, "{l} vs {want}");
@@ -166,21 +177,21 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_results() {
+    fn runtime_does_not_change_results() {
         let t = dcst_tridiag::gen::MatrixType::Type6.generate(33, 4);
-        let a = bisect_all(&t, 1);
-        let b = bisect_all(&t, 4);
+        let a = bisect_all(&t, &Runtime::inline(0));
+        let b = bisect_all(&t, &Runtime::new(4));
         assert_eq!(a, b);
     }
 
     #[test]
     fn out_of_range_is_a_typed_error() {
         let t = SymTridiag::toeplitz121(8);
-        let err = bisect_range(&t, 4..9, 1).unwrap_err();
+        let err = bisect_range(&t, 4..9, &rt()).unwrap_err();
         assert_eq!(err, MrrrError::InvalidRange { il: 4, iu: 8, n: 8 });
         // The full range and an empty range are both fine.
-        assert_eq!(bisect_range(&t, 0..8, 1).unwrap().len(), 8);
-        assert!(bisect_range(&t, 3..3, 1).unwrap().is_empty());
+        assert_eq!(bisect_range(&t, 0..8, &rt()).unwrap().len(), 8);
+        assert!(bisect_range(&t, 3..3, &rt()).unwrap().is_empty());
     }
 
     /// Relative accuracy on a tiny-norm spectrum (the 1e-60 DMPV regime):
@@ -194,7 +205,7 @@ mod tests {
             base.d.iter().map(|x| x * 1e-60).collect(),
             base.e.iter().map(|x| x * 1e-60).collect(),
         );
-        let lam = bisect_all(&t, 2);
+        let lam = bisect_all(&t, &rt());
         for (k, &l) in lam.iter().enumerate() {
             let want = 1e-60
                 * (2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos());
@@ -215,7 +226,7 @@ mod tests {
             base.d.iter().map(|x| x * 1e150).collect(),
             base.e.iter().map(|x| x * 1e150).collect(),
         );
-        let lam = bisect_all(&t, 2);
+        let lam = bisect_all(&t, &rt());
         for (k, &l) in lam.iter().enumerate() {
             let want = 1e150
                 * (2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos());
@@ -229,7 +240,7 @@ mod tests {
     #[test]
     fn zero_matrix_converges() {
         let t = SymTridiag::new(vec![0.0; 6], vec![0.0; 5]);
-        let lam = bisect_all(&t, 1);
+        let lam = bisect_all(&t, &rt());
         for l in lam {
             assert!(l.abs() < 1e-300, "{l}");
         }

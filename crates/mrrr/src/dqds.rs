@@ -192,7 +192,7 @@ mod tests {
     use dcst_tridiag::gen::MatrixType;
 
     fn bisect_reference(t: &SymTridiag) -> Vec<f64> {
-        crate::bisect::bisect_all(t, 2)
+        crate::bisect::bisect_all(t, &dcst_runtime::Runtime::inline(0))
     }
 
     #[test]

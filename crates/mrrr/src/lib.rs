@@ -3,8 +3,8 @@
 //!
 //! Algorithm (after Dhillon; simplified but structurally faithful):
 //!
-//! 1. all eigenvalues by Sturm-count **bisection** (parallel over index
-//!    chunks);
+//! 1. all eigenvalues by Sturm-count **bisection** (one task per index
+//!    chunk);
 //! 2. a **root representation** `T − σI = L D Lᵀ` with σ outside the
 //!    spectrum, so the factorization is positive definite and
 //!    componentwise robust;
@@ -13,13 +13,19 @@
 //!    stationary qds transform) until each eigenvalue is relatively well
 //!    separated within its representation;
 //! 4. each eigenvector from a **twisted factorization** at the position of
-//!    the smallest γ (parallel over eigenvectors);
+//!    the smallest γ (one task per chunk of eigenvectors);
 //! 5. stubborn clusters (depth limit, or numerically identical
 //!    eigenvalues) fall back to Gram–Schmidt within the cluster — the
 //!    pragmatic safety net MR³ implementations also carry.
 //!
 //! Accuracy is O(n·ε) on orthogonality/residual — one to two digits worse
 //! than D&C's O(√n·ε), exactly the contrast the paper's Figure 9 shows.
+//!
+//! The crate owns no threads: the two parallel phases run as tasks on the
+//! [`Runtime`] the caller lends [`MrrrSolver`] (or [`bisect_all`]), one per
+//! worker, and every output is bit-identical whatever that runtime is —
+//! bisection runs in lockstep per eigenvalue and each eigenvector depends
+//! only on its own job.
 
 mod bisect;
 mod dqds;
@@ -35,9 +41,10 @@ pub use rrr::{
 pub use tstein::{lu_factor, solve_u, TridiagLu};
 
 use dcst_matrix::Matrix;
+use dcst_runtime::Runtime;
 use dcst_tridiag::SymTridiag;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Errors from the MRRR driver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,37 +85,15 @@ impl std::fmt::Display for MrrrError {
 
 impl std::error::Error for MrrrError {}
 
-/// Options for [`MrrrSolver`].
-#[derive(Clone, Copy, Debug)]
-pub struct MrrrOptions {
-    /// Worker threads for the bisection and eigenvector phases.
-    pub threads: usize,
-    /// Relative gap below which neighbouring eigenvalues form a cluster.
-    pub reltol: f64,
-    /// Maximum representation-tree depth before the Gram–Schmidt fallback.
-    pub max_depth: usize,
-    /// Compute initial eigenvalues with dqds (MR³-SMP's engine), falling
-    /// back to bisection when it fails to converge. `false` forces plain
-    /// bisection.
-    pub use_dqds: bool,
-}
+/// Relative gap below which neighbouring eigenvalues form a cluster.
+const RELTOL: f64 = 1e-3;
+/// Maximum representation-tree depth before the Gram–Schmidt fallback.
+const MAX_DEPTH: usize = 8;
 
-impl Default for MrrrOptions {
-    fn default() -> Self {
-        MrrrOptions {
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            reltol: 1e-3,
-            max_depth: 8,
-            use_dqds: true,
-        }
-    }
-}
-
-/// The MRRR solver.
-pub struct MrrrSolver {
-    opts: MrrrOptions,
+/// The MRRR solver, running its parallel phases on a borrowed runtime.
+/// Pass [`Runtime::inline`] to run them as tasks on the calling thread.
+pub struct MrrrSolver<'rt> {
+    rt: &'rt Runtime,
 }
 
 /// One leaf work item: compute eigenvector `idx` from `rep` at the
@@ -124,6 +109,43 @@ struct VecJob {
     /// Twist rank: members of a fallback group use distinct twists so the
     /// vectors span the cluster's eigenspace.
     twist_rank: usize,
+}
+
+/// Split `0..k` (k ≥ 1) into at most `max(1, rt.num_threads())`
+/// contiguous chunks, run `f` on each as one task named `name` in a fresh
+/// scope of `rt`, and return the results in chunk order. A panicking task
+/// re-panics here, as a scoped thread's panic would. `rt` must not be the
+/// runtime whose worker is calling: the wait would hold that worker.
+fn in_chunks<T, F>(rt: &Runtime, name: &'static str, k: usize, f: F) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(Range<usize>) -> T + Send + Sync + 'static,
+{
+    let chunk = k.div_ceil(rt.num_threads().clamp(1, k));
+    let f = Arc::new(f);
+    let (tx, rx) = mpsc::channel();
+    let scope = rt.scope();
+    for (c, start) in (0..k).step_by(chunk).enumerate() {
+        let (f, tx) = (f.clone(), tx.clone());
+        scope.task(name).spawn(move || {
+            let _ = tx.send((c, f(start..k.min(start + chunk))));
+        });
+    }
+    if let Err(e) = scope.wait() {
+        panic!("{e}");
+    }
+    let mut parts: Vec<(usize, T)> = rx.try_iter().collect();
+    parts.sort_unstable_by_key(|&(c, _)| c);
+    parts.into_iter().map(|(_, part)| part).collect()
+}
+
+/// The chunk results of [`in_chunks`] end to end; a lone chunk moves.
+fn concat(mut parts: Vec<Vec<f64>>) -> Vec<f64> {
+    if parts.len() == 1 {
+        parts.pop().expect("one chunk")
+    } else {
+        parts.concat()
+    }
 }
 
 /// The irreducible blocks of `t` as `(row offset, block)`: the matrix split
@@ -155,9 +177,9 @@ fn split_count(blocks: &[(usize, SymTridiag)], x: f64) -> usize {
     blocks.iter().map(count).sum()
 }
 
-impl MrrrSolver {
-    pub fn new(opts: MrrrOptions) -> Self {
-        MrrrSolver { opts }
+impl<'rt> MrrrSolver<'rt> {
+    pub fn new(rt: &'rt Runtime) -> Self {
+        MrrrSolver { rt }
     }
 
     pub fn name(&self) -> &'static str {
@@ -169,12 +191,10 @@ impl MrrrSolver {
         if t.has_non_finite() {
             return Err(MrrrError::NonFinite);
         }
-        if self.opts.use_dqds {
-            if let Some(vals) = dqds::dqds_eigenvalues(t) {
-                return Ok(vals);
-            }
+        if let Some(vals) = dqds::dqds_eigenvalues(t) {
+            return Ok(vals);
         }
-        Ok(bisect_all(t, self.opts.threads))
+        Ok(bisect_all(t, self.rt))
     }
 
     /// Full eigen-decomposition: values ascending, orthonormal vectors.
@@ -299,7 +319,7 @@ impl MrrrSolver {
             return Err(MrrrError::NonFinite);
         }
         let blocks = split_blocks(t);
-        let (lo, hi) = self.range_window(t, &blocks, il, iu)?;
+        let (lo, hi) = self.range_window(t, &blocks, il, iu);
         self.solve_blocks_window(&blocks, t.n(), lo, hi)
     }
 
@@ -322,7 +342,7 @@ impl MrrrSolver {
             return Err(MrrrError::NonFinite);
         }
         let blocks = split_blocks(t);
-        let (lo, hi) = self.range_window(t, &blocks, il, iu)?;
+        let (lo, hi) = self.range_window(t, &blocks, il, iu);
         let (vals, vecs) = self.solve_blocks_window(&blocks, t.n(), lo, hi)?;
         let kreq = iu - il + 1;
         if vals.len() < kreq {
@@ -356,14 +376,14 @@ impl MrrrSolver {
         blocks: &[(usize, SymTridiag)],
         il: usize,
         iu: usize,
-    ) -> Result<(f64, f64), MrrrError> {
+    ) -> (f64, f64) {
         let n = t.n();
         let (gl, gu) = t.gershgorin_bounds();
         let span = (gu - gl).max(1.0);
         let mut lo = if il == 0 {
             gl - 1e-3 * span
         } else {
-            let below = bisect_range(t, il - 1..il + 1, 1)?;
+            let below = bisect::bisect_pair(t, il - 1);
             0.5 * (below[0] + below[1])
         };
         // Boundary-multiplet safeguard: when λ_{il−1} and λ_il are
@@ -379,7 +399,7 @@ impl MrrrSolver {
         let mut hi = if iu + 1 == n {
             gu + 1e-3 * span
         } else {
-            let above = bisect_range(t, iu..iu + 2, 1)?;
+            let above = bisect::bisect_pair(t, iu);
             0.5 * (above[0] + above[1])
         };
         // The half-open window needs hi strictly above λ_iu — note that
@@ -391,7 +411,7 @@ impl MrrrSolver {
             hi += step;
             step *= 2.0;
         }
-        Ok((lo, hi))
+        (lo, hi)
     }
 
     /// Solve one irreducible block.
@@ -423,14 +443,14 @@ impl MrrrSolver {
         // its Θ(n·k) cost wins.
         let mut lam = vec![0.0f64; n];
         let mut have = false;
-        if k == n && self.opts.use_dqds {
+        if k == n {
             if let Some(vals) = dqds::dqds_eigenvalues(t) {
                 lam.copy_from_slice(&vals);
                 have = true;
             }
         }
         if !have {
-            let lam_sel = bisect_range(t, range.clone(), self.opts.threads)?;
+            let lam_sel = bisect_range(t, range.clone(), self.rt)?;
             lam[range.clone()].copy_from_slice(&lam_sel);
         }
 
@@ -457,54 +477,35 @@ impl MrrrSolver {
             &mut gs_groups,
         )?;
 
-        // 4. eigenvectors in parallel over jobs (disjoint V columns).
-        let mut v = vec![0.0f64; n * k];
-        let mut values = vec![0.0f64; k];
-        {
-            let mut by_col: Vec<Option<&VecJob>> = vec![None; k];
-            for job in &jobs {
-                by_col[job.idx - col0] = Some(job);
-            }
-            let nt = self.opts.threads.max(1);
-            let mut buckets: Vec<Vec<(usize, &mut [f64], &mut f64)>> =
-                (0..nt).map(|_| Vec::new()).collect();
-            {
-                let mut vrest: &mut [f64] = &mut v;
-                let mut lrest: &mut [f64] = &mut values;
-                for j in 0..k {
-                    let (col, vtail) = std::mem::take(&mut vrest).split_at_mut(n);
-                    let (lv, ltail) = std::mem::take(&mut lrest).split_at_mut(1);
-                    vrest = vtail;
-                    lrest = ltail;
-                    buckets[j % nt].push((j, col, &mut lv[0]));
+        // 4. eigenvectors, one task per chunk of columns. The descent
+        // covers `range` in ascending order, so job `c` is column `c`.
+        debug_assert!(jobs.iter().enumerate().all(|(c, job)| job.idx == col0 + c));
+        let jobs: Arc<[VecJob]> = jobs.into();
+        let parts = in_chunks(self.rt, "MrrrVectors", k, {
+            let jobs = jobs.clone();
+            move |cols: Range<usize>| {
+                let mut v = vec![0.0f64; n * cols.len()];
+                let mut values = Vec::with_capacity(cols.len());
+                for (job, col) in jobs[cols].iter().zip(v.chunks_mut(n)) {
+                    twisted_vector_ranked(&job.rep, job.lam_local, job.twist_rank, col);
+                    values.push(job.lam_local + job.total_shift);
                 }
+                (values, v)
             }
-            let by_col = &by_col;
-            std::thread::scope(|s| {
-                for bucket in buckets {
-                    s.spawn(move || {
-                        for (j, col, lv) in bucket {
-                            let job = by_col[j].expect("every selected eigenvalue has a job");
-                            twisted_vector_ranked(&job.rep, job.lam_local, job.twist_rank, col);
-                            *lv = job.lam_local + job.total_shift;
-                        }
-                    });
-                }
-            });
-        }
+        });
+        let (values, v): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+        let (mut values, mut v) = (concat(values), concat(v));
 
         // 5. Resolve fallback groups (numerically multiple eigenvalues):
         // keep the twisted vector for the first member, then build the
         // rest of the eigenspace basis by inverse iteration orthogonalized
         // against the earlier members (DSTEIN-style).
         if gs_groups > 0 {
-            // Groups hold v COLUMN indices (idx - col0).
+            // Groups hold v column indices.
             let mut groups: Vec<Vec<usize>> = vec![Vec::new(); gs_groups];
-            let mut job_of: Vec<usize> = vec![usize::MAX; k];
-            for (ji, job) in jobs.iter().enumerate() {
-                job_of[job.idx - col0] = ji;
+            for (c, job) in jobs.iter().enumerate() {
                 if job.gs_group != usize::MAX {
-                    groups[job.gs_group].push(job.idx - col0);
+                    groups[job.gs_group].push(c);
                 }
             }
             for group in groups {
@@ -512,7 +513,7 @@ impl MrrrSolver {
                     if c == 0 {
                         continue; // twisted vector already in place
                     }
-                    let job = &jobs[job_of[idx]];
+                    let job = &jobs[idx];
                     // Inverse iteration on T itself with a partially
                     // pivoted LU — robust through the multiplet's several
                     // near-singular pivots (dstein's approach).
@@ -623,7 +624,7 @@ impl MrrrSolver {
                     .abs()
                     .max(lam_local[j].abs())
                     .max(64.0 * f64::EPSILON * norm);
-                if gap > self.opts.reltol * scale {
+                if gap > RELTOL * scale {
                     break;
                 }
                 j += 1;
@@ -645,7 +646,7 @@ impl MrrrSolver {
                 let width = lam_local[j] - lam_local[i];
                 let tiny_cluster =
                     width <= 4.0 * f64::EPSILON * lam_local[j].abs().max(f64::EPSILON * norm);
-                if depth >= self.opts.max_depth || tiny_cluster {
+                if depth >= MAX_DEPTH || tiny_cluster {
                     // Fallback: twisted vectors at slightly spread
                     // eigenvalues + Gram–Schmidt.
                     let group = *gs_groups;
@@ -792,11 +793,9 @@ mod tests {
         assert!(res < tol, "residual {res}");
     }
 
-    fn solver() -> MrrrSolver {
-        MrrrSolver::new(MrrrOptions {
-            threads: 2,
-            ..Default::default()
-        })
+    fn solver() -> MrrrSolver<'static> {
+        static RT: std::sync::OnceLock<Runtime> = std::sync::OnceLock::new();
+        MrrrSolver::new(RT.get_or_init(|| Runtime::new(2)))
     }
 
     fn bisect_reference(t: &SymTridiag) -> Vec<f64> {

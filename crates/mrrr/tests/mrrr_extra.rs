@@ -2,31 +2,21 @@
 //! representation tools, hard spectra.
 
 use dcst_mrrr::*;
+use dcst_runtime::Runtime;
 use dcst_tridiag::gen::MatrixType;
 use dcst_tridiag::SymTridiag;
+use std::sync::OnceLock;
 
-fn solver() -> MrrrSolver {
-    MrrrSolver::new(MrrrOptions {
-        threads: 2,
-        ..Default::default()
-    })
+fn solver() -> MrrrSolver<'static> {
+    static RT: OnceLock<Runtime> = OnceLock::new();
+    MrrrSolver::new(RT.get_or_init(|| Runtime::new(2)))
 }
 
 #[test]
-fn dqds_and_bisection_agree_through_options() {
+fn dqds_and_bisection_agree() {
     let t = MatrixType::Type5.generate(120, 9);
-    let with = MrrrSolver::new(MrrrOptions {
-        threads: 2,
-        use_dqds: true,
-        ..Default::default()
-    });
-    let without = MrrrSolver::new(MrrrOptions {
-        threads: 2,
-        use_dqds: false,
-        ..Default::default()
-    });
-    let a = with.eigenvalues(&t).unwrap();
-    let b = without.eigenvalues(&t).unwrap();
+    let a = dqds_eigenvalues(&t).expect("dqds converges");
+    let b = bisect_all(&t, &Runtime::new(2));
     for (x, y) in a.iter().zip(&b) {
         assert!((x - y).abs() < 1e-10 * t.max_norm().max(1.0), "{x} vs {y}");
     }

@@ -5,8 +5,10 @@
 //! cargo run --release --example bit_hash > h.txt
 //! ```
 //!
-//! One line per `MatrixType::ALL` × n ∈ {200, 777} × {full, subset, values}
-//! (seed 3, default options): eight FNV-1a hashes over `to_bits` of
+//! One line per `MatrixType::ALL` × n ∈ {200, 777} × {full, subset, values,
+//! fallback} (seed 3, default options; `subset` is `il: n/4, iu: n/2`, which
+//! runs the merge graph, and `fallback` is `il: 0, iu: n/32 − 1`, which the
+//! solvers route to MRRR): eight FNV-1a hashes over `to_bits` of
 //! `Eigen::values` then `Eigen::vectors`, one per discipline × `threads` ∈
 //! {1, 2}. The eight hashes of a line must be equal — the disciplines are
 //! bit-identical — and the process exits 1 if any line's differ. Two
@@ -50,6 +52,13 @@ fn main() {
                     },
                 ),
                 ("values", SolveMode::ValuesOnly),
+                (
+                    "fallback",
+                    SolveMode::Subset {
+                        il: 0,
+                        iu: n / 32 - 1,
+                    },
+                ),
             ];
             for (label, mode) in modes {
                 let hashes: Vec<u64> = DISCIPLINES

@@ -8,7 +8,6 @@
 //! #                                                  ^type ^size
 //! ```
 
-use dcst::mrrr::{MrrrOptions, MrrrSolver};
 use dcst::prelude::*;
 use dcst::tridiag::MatrixType as MT;
 use std::time::Instant;
@@ -62,10 +61,8 @@ fn main() {
         );
     }
 
-    let mrrr = MrrrSolver::new(MrrrOptions {
-        threads,
-        ..Default::default()
-    });
+    let rt = Runtime::new(threads);
+    let mrrr = MrrrSolver::new(&rt);
     let start = Instant::now();
     let (lam, v) = mrrr.solve(&t).expect("mrrr failed");
     report("mrrr", start.elapsed().as_secs_f64(), &t, &lam, &v);

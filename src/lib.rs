@@ -19,7 +19,6 @@ pub use dcst_qriter as qriter;
 pub use dcst_runtime as runtime;
 pub use dcst_secular as secular;
 pub use dcst_serve as serve;
-pub use dcst_svd as svd;
 pub use dcst_tridiag as tridiag;
 
 /// The most common imports in one place.
@@ -32,6 +31,5 @@ pub mod prelude {
     pub use dcst_mrrr::MrrrSolver;
     pub use dcst_qriter::QrIteration;
     pub use dcst_runtime::Runtime;
-    pub use dcst_svd::{svd_bidiagonal, svd_dense, Bidiagonal};
     pub use dcst_tridiag::{MatrixType, SymTridiag};
 }

@@ -2,7 +2,6 @@
 //! and produce numerically orthogonal eigenvectors with small residuals,
 //! across the paper's full matrix-type suite.
 
-use dcst::mrrr::{MrrrOptions, MrrrSolver};
 use dcst::prelude::*;
 use dcst::tridiag::MatrixType as MT;
 
@@ -39,6 +38,7 @@ fn opts(threads: usize) -> DcOptions {
 #[test]
 fn all_solvers_agree_on_every_matrix_type() {
     let n = 120;
+    let rt = Runtime::new(2);
     for ty in MT::ALL {
         let t = ty.generate(n, 99);
         let scale = t.max_norm().max(1.0);
@@ -59,11 +59,7 @@ fn all_solvers_agree_on_every_matrix_type() {
             assert_same_values(&reference.0, &eig.values, scale, solver.name());
         }
 
-        let mrrr = MrrrSolver::new(MrrrOptions {
-            threads: 2,
-            ..Default::default()
-        });
-        let (lam, v) = mrrr
+        let (lam, v) = MrrrSolver::new(&rt)
             .solve(&t)
             .unwrap_or_else(|e| panic!("mrrr on type {}: {e}", ty.index()));
         check_decomposition(&t, &lam, &v, 1e-9, "mrrr");
@@ -77,15 +73,11 @@ fn dc_is_more_accurate_than_mrrr_on_average() {
     let n = 150;
     let mut dc_worse = 0usize;
     let mut cases = 0usize;
+    let rt = Runtime::new(2);
     for ty in MT::ALL {
         let t = ty.generate(n, 5);
         let eig = TaskFlowDc::new(opts(2)).solve(&t).unwrap();
-        let (lam, v) = MrrrSolver::new(MrrrOptions {
-            threads: 2,
-            ..Default::default()
-        })
-        .solve(&t)
-        .unwrap();
+        let (lam, v) = MrrrSolver::new(&rt).solve(&t).unwrap();
         let o_dc = orthogonality_error(&eig.vectors);
         let o_mr = orthogonality_error(&v);
         let _ = lam;
@@ -151,12 +143,7 @@ fn glued_wilkinson_all_solvers() {
     let t = dcst::tridiag::gen::glued_wilkinson(11, 4, 1e-10);
     let eig = TaskFlowDc::new(opts(2)).solve(&t).unwrap();
     check_decomposition(&t, &eig.values, &eig.vectors, 1e-12, "taskflow/glued");
-    let (lam, v) = MrrrSolver::new(MrrrOptions {
-        threads: 2,
-        ..Default::default()
-    })
-    .solve(&t)
-    .unwrap();
+    let (lam, v) = MrrrSolver::new(&Runtime::new(2)).solve(&t).unwrap();
     check_decomposition(&t, &lam, &v, 1e-8, "mrrr/glued");
     assert_same_values(&eig.values, &lam, t.max_norm(), "glued wilkinson");
 }

@@ -131,14 +131,32 @@ fn multi_failure_reports_lowest_offset_block() {
 }
 
 #[test]
-fn mrrr_deterministic_given_thread_count() {
-    let t = MatrixType::Type4.generate(70, 31);
-    let s = MrrrSolver::new(dcst::mrrr::MrrrOptions {
-        threads: 2,
-        ..Default::default()
-    });
-    let (v1, m1) = s.solve(&t).unwrap();
-    let (v2, m2) = s.solve(&t).unwrap();
-    assert_eq!(v1, v2);
-    assert_eq!(m1.as_slice(), m2.as_slice());
+fn mrrr_bits_do_not_depend_on_the_runtime() {
+    // Bisection runs in lockstep per eigenvalue and each vector depends
+    // only on its own job, so neither the worker count nor the inline
+    // discipline may move a bit. Glued Wilkinson takes the Gram–Schmidt
+    // fallback groups.
+    let bits = |(values, vectors): (Vec<f64>, dcst::matrix::Matrix)| -> Vec<u64> {
+        values
+            .iter()
+            .chain(vectors.as_slice())
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    for t in [
+        MatrixType::Type4.generate(70, 31),
+        dcst::tridiag::gen::glued_wilkinson(11, 4, 1e-10),
+    ] {
+        let n = t.n();
+        let runs: Vec<_> = [Runtime::inline(0), Runtime::new(1), Runtime::new(3)]
+            .iter()
+            .map(|rt| {
+                let s = MrrrSolver::new(rt);
+                let full = bits(s.solve(&t).unwrap());
+                let subset = bits(s.solve_range_exact(&t, n / 4, n / 2).unwrap());
+                (full, subset)
+            })
+            .collect();
+        assert!(runs.iter().all(|r| *r == runs[0]), "n = {n}");
+    }
 }
