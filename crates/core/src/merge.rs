@@ -297,11 +297,14 @@ impl PanelRoots {
 }
 
 /// `LAED4`, both payloads: solve secular roots `jrange`, eigenvalues into
-/// `lam_out` (one entry per root). With `carry` — the merge's X or rows
-/// have a reader — also returns the panel's running Gu–Eisenstat local-W
-/// partial and its [`PanelRoots`]. One k-length delta column of per-thread
-/// scratch is reused across roots, so transient memory is O(k) whatever the
-/// panel width.
+/// `lam_out` (one entry per root). The roots are solved in order, each
+/// warm-started from the one before ([`dcst_secular::SecularPanel`]); a
+/// panel's first root starts cold, so the roots depend on `nb` and on
+/// nothing the discipline or T chooses. With `carry` — the merge's X or
+/// rows have a reader — also returns the panel's running Gu–Eisenstat
+/// local-W partial and its [`PanelRoots`]. One k-length delta column of
+/// per-thread scratch is reused across roots, so transient memory is O(k)
+/// whatever the panel width.
 pub(crate) fn laed4_panel(
     defl: &Deflation,
     jrange: Range<usize>,
@@ -319,9 +322,10 @@ pub(crate) fn laed4_panel(
         };
         (vec![1.0f64; k], roots)
     });
+    let mut solver = problem.panel();
     with_scratch(k, |col| -> Result<(), DcError> {
         for (lam, j) in lam_out.iter_mut().zip(jrange) {
-            let root = problem.solve_root(j, col).map_err(at_off)?;
+            let root = solver.solve_root(j, col).map_err(at_off)?;
             *lam = root.lambda;
             if let Some((partial, roots)) = &mut kept {
                 local_w_accumulate(&defl.dlamda, col, j, partial);

@@ -8,7 +8,8 @@
 //!   permutation (`dlaed2` analogue);
 //! * [`SecularProblem::solve_root`] — one root of a once-validated secular
 //!   equation with accurately-computed pole distances (`dlaed4` analogue;
-//!   [`solve_secular_root`] is the one-call form);
+//!   [`solve_secular_root`] is the one-call form), and [`SecularPanel`],
+//!   a run of roots solved in order, each warm-started from the one before;
 //! * [`local_w_products`] / [`reduce_w`] — the Gu–Eisenstat ẑ
 //!   recomputation, split the way the paper's `ComputeLocalW`/`ReduceW`
 //!   tasks split it (`dlaed3` analogue);
@@ -39,7 +40,7 @@ mod vectors;
 pub use deflate::{deflate, Deflation, DeflationInput, GivensRot, SlotType};
 pub use roots::{
     secular_function, solve_secular_root, solve_secular_root_scalar, solve_secular_root_with_maxit,
-    SecularError, SecularProblem, SecularRoot,
+    SecularError, SecularPanel, SecularProblem, SecularRoot,
 };
 pub use simd::{max_abs, max_abs_scalar};
 #[doc(hidden)]

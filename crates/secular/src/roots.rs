@@ -12,10 +12,20 @@
 //! shifted to the closest pole, so the returned pole distances
 //! `delta[i] = d_i − λ` are computed as `(d_i − d_K) − μ` without
 //! cancellation — the property eigenvector orthogonality rests on.
+//!
+//! Each iteration is one k-term sweep and one rational step: the root of a
+//! model of f matched to the sweep's value and side-wise slopes. Below a
+//! crossover k the model is the two-pole "middle way" one, solved in closed
+//! form. Above it, the model keeps `WINDOW` poles either side of the root's
+//! interval exact and lumps each far side onto one pole, and it is solved
+//! by the same step, iterated on the model alone. There, too, a
+//! [`SecularPanel`] starts each root from the model of the previous root's
+//! last sweep instead of a midpoint sweep.
 
-use crate::simd::SecularKernels;
+use crate::simd::{SecularKernels, SweepSums};
 use dcst_matrix::metrics;
 use dcst_matrix::util::EPS;
+use std::ops::Range;
 
 /// Failure of the root finder.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,9 +141,13 @@ impl<'a> SecularProblem<'a> {
     ///
     /// The per-iteration k-term sweeps run through the runtime-dispatched
     /// SIMD kernels in [`crate::simd`]; [`Self::solve_root_scalar`] pins
-    /// the scalar bodies and serves as the oracle.
+    /// the scalar bodies and serves as the oracle. Every call starts cold,
+    /// from the midpoint of the root's interval; [`Self::panel`] solves a
+    /// run of roots, each warm-started from the one before.
     pub fn solve_root(&self, j: usize, delta: &mut [f64]) -> Result<SecularRoot, SecularError> {
-        self.solve(j, delta, SecularKernels::dispatched(), MAXIT)
+        Ok(self
+            .solve(j, delta, SecularKernels::dispatched(), MAXIT, None)?
+            .0)
     }
 
     /// [`Self::solve_root`] forced onto the scalar kernel bodies. Retained
@@ -144,16 +158,77 @@ impl<'a> SecularProblem<'a> {
         j: usize,
         delta: &mut [f64],
     ) -> Result<SecularRoot, SecularError> {
-        self.solve(j, delta, SecularKernels::SCALAR, MAXIT)
+        Ok(self.solve(j, delta, SecularKernels::SCALAR, MAXIT, None)?.0)
     }
 
+    /// A run of roots solved in ascending order on the dispatched kernels:
+    /// see [`SecularPanel`].
+    pub fn panel(&self) -> SecularPanel<'_, 'a> {
+        self.panel_on(SecularKernels::dispatched())
+    }
+
+    /// [`Self::panel`] forced onto the scalar kernel bodies (the oracle).
+    pub fn panel_scalar(&self) -> SecularPanel<'_, 'a> {
+        self.panel_on(SecularKernels::SCALAR)
+    }
+
+    fn panel_on(&self, kernels: SecularKernels) -> SecularPanel<'_, 'a> {
+        SecularPanel {
+            problem: self,
+            kernels,
+            prev: None,
+        }
+    }
+
+    /// The terms root `j`'s rational step keeps exact: `WINDOW` poles each
+    /// side of its interval, clipped to `0..k` (the last root's has only
+    /// the lower side); empty at `split` below [`MIN_K_WINDOW`].
+    fn window(&self, split: usize) -> Range<usize> {
+        let k = self.d.len();
+        if k < MIN_K_WINDOW {
+            split..split
+        } else {
+            split.saturating_sub(WINDOW)..(split + WINDOW).min(k)
+        }
+    }
+
+    /// Interior root `j`'s origin and first iterate from `model`, fitted at
+    /// the last sweep of root `j − 1` (whose window reaches both ends of
+    /// root `j`'s interval): the model's sign at the interval's midpoint
+    /// picks the origin, as a cold root's midpoint sweep does, and the
+    /// model's root is the iterate. `None` where that root is not inside
+    /// the interval.
+    fn warm_start(
+        &self,
+        model: &Model,
+        j: usize,
+        split: usize,
+        width: f64,
+    ) -> Option<(usize, f64)> {
+        debug_assert!(model.first < split && split < model.first + model.n);
+        let half = 0.5 * width;
+        let q = model.poles(self, j);
+        let at = model.at(&q, split, half);
+        let (origin, q, mu, lo, hi) = if at.g < 0.0 {
+            (j + 1, model.poles(self, j + 1), -half, -width, 0.0)
+        } else {
+            (j, q, half, 0.0, width)
+        };
+        let mu = model.root(&q, split, mu, at, (lo, hi));
+        (lo < mu && mu < hi).then_some((origin, mu))
+    }
+
+    /// One root; with `warm`, its first step from that model instead of a
+    /// midpoint sweep. Also returns the model fitted at the sweep it
+    /// converged at, for root `j + 1` (windowed problems only).
     fn solve(
         &self,
         j: usize,
         delta: &mut [f64],
         kernels: SecularKernels,
         maxit: usize,
-    ) -> Result<SecularRoot, SecularError> {
+        warm: Option<&Model>,
+    ) -> Result<(SecularRoot, Option<Model>), SecularError> {
         let (d, z, rho) = (self.d, self.z, self.rho);
         let k = d.len();
         assert!(j < k && delta.len() == k);
@@ -166,56 +241,85 @@ impl<'a> SecularProblem<'a> {
             let mu = rho * z[0] * z[0];
             delta[0] = -mu;
             metrics::add("secular.root_solves", 1);
-            return Ok(SecularRoot {
+            let root = SecularRoot {
                 lambda: d[0] + mu,
                 mu,
                 origin: 0,
-            });
+            };
+            return Ok((root, None));
         }
 
         let last = j == k - 1;
-        // Terms below `split` are the ψ side, the rest the φ side; the two
-        // model poles — the interval endpoints, for the last root the last
-        // two poles — are the ones either side of it.
+        // Terms below `split` are the ψ side, the rest the φ side; the
+        // interval's ends — for the last root the last two poles — are the
+        // poles either side of it.
         let split = if last { k - 1 } else { j + 1 };
+        let window = self.window(split);
 
-        // ---- origin pole K and bracket for μ = λ − d_K. Every root starts
+        // ---- origin pole K and bracket for μ = λ − d_K. A cold root starts
         // at origin d_j in the middle of its interval: (d_j, d_{j+1}) for an
         // interior root, (d_{k−1}, d_{k−1} + ρ‖z‖²] for the last. The first
         // sweep below evaluates f there; for an interior root its sign also
-        // picks the closer endpoint as the origin.
-        let mut origin = j;
-        let mut lo = 0.0;
-        let mut hi = if last {
+        // picks the closer endpoint as the origin. A warm root starts at its
+        // model's root, from the endpoint the model put closer, with the
+        // whole interval as its bracket.
+        let width = if last {
             rho * self.znorm2
         } else {
             d[j + 1] - d[j]
         };
+        let mut origin = j;
+        let mut lo = 0.0;
+        let mut hi = width;
         let mut mu = 0.5 * hi;
+        let start = warm
+            .filter(|_| !last)
+            .and_then(|model| self.warm_start(model, j, split, width));
+        let cold = start.is_none();
+        if let Some((o, m)) = start {
+            (origin, mu) = (o, m);
+            if o != j {
+                (lo, hi) = (-width, 0.0);
+            }
+        }
+        // A warm root's origin was the model's guess: it may still move
+        // once to the endpoint the root turns out to be closer to.
+        let mut may_flip = !cold;
 
         // The (origin, μ) `delta` was last filled at.
         let mut swept = (usize::MAX, 0.0);
         let mut converged = false;
+        let mut next_model = None;
         let mut iters = 0u64;
-        // The midpoint sweep, then up to `maxit` rational-model steps.
+        // The first sweep, then up to `maxit` rational-model steps.
         for it in 0..=maxit {
             iters += 1;
             // Fused sweep: fill delta[i] = (d_i − d_K) − μ and accumulate
-            // the secular sum, its absolute-value companion, and both
-            // side-wise derivative sums in one dispatched pass over the k
+            // the secular sum, its absolute-value companion, and the sums
+            // either side of the window in one dispatched pass over the k
             // terms.
-            let sums = kernels.sweep(d, d[origin], mu, z, split, delta);
+            let sums = kernels.sweep(d, d[origin], mu, z, window.clone(), delta);
             swept = (origin, mu);
             let f = 1.0 + rho * sums.val;
             let fabs = 1.0 + rho * sums.abs;
             let tol = 8.0 * EPS * (k as f64) * fabs;
             if f.abs() <= tol {
+                if may_flip && past_midpoint(origin == j, mu, width) {
+                    // Converged from the farther endpoint: re-express μ
+                    // from the nearer one and converge again there.
+                    flip(&mut origin, j, [&mut mu, &mut lo, &mut hi], width);
+                    may_flip = false;
+                    continue;
+                }
                 converged = true;
+                if !window.is_empty() {
+                    next_model = Some(Model::fit(self, &window, &sums, delta));
+                }
                 break;
             }
-            // Distances of the two model poles at this iterate.
+            // Distances of the interval's poles at this iterate.
             let (a, b) = (delta[split - 1], delta[split]);
-            if it == 0 && !last && f < 0.0 {
+            if cold && it == 0 && !last && f < 0.0 {
                 // Root in the upper half: origin d_{j+1}, where the
                 // midpoint is μ = −gap/2 and the bracket [−gap/2, 0).
                 origin = j + 1;
@@ -227,22 +331,45 @@ impl<'a> SecularProblem<'a> {
             } else {
                 lo = mu;
             }
-            // --- rational model step: f̃(μ̂) = C + A/(a − μ̂) + B/(b − μ̂)
-            // with the ψ/φ split across the two model poles, matching f
-            // and the side-wise derivatives ψ′/φ′.
-            let a_coef = rho * sums.psi_p * a * a;
-            let b_coef = rho * sums.phi_p * b * b;
-            let c_coef = f - rho * sums.psi_p * a - rho * sums.phi_p * b;
-            // Solve C + A/(a − η) + B/(b − η) = 0 for the step η (shift
-            // μ̂ = μ + η): quadratic
-            //   C(a−η)(b−η) + A(b−η) + B(a−η) = 0.
-            let qa = c_coef;
-            let qb = -(c_coef * (a + b) + a_coef + b_coef);
-            let qc = c_coef * a * b + a_coef * b + b_coef * a;
-            let eta = solve_quadratic_closest_to_zero(qa, qb, qc);
-            let mut next = match eta {
-                Some(eta) if (lo < mu + eta) && (mu + eta < hi) => mu + eta,
-                _ => 0.5 * (lo + hi),
+            if may_flip && past_midpoint(origin == j, if origin == j { lo } else { hi }, width) {
+                // The whole bracket lies past the midpoint.
+                flip(&mut origin, j, [&mut mu, &mut lo, &mut hi], width);
+                may_flip = false;
+            }
+            let mut next = if window.is_empty() {
+                // --- rational model step: f̃(μ̂) = C + A/(a − μ̂) + B/(b − μ̂)
+                // with the ψ/φ split across the two interval poles, matching
+                // f and the side-wise derivatives ψ′/φ′; its root in closed
+                // form.
+                let at = ModelPoint {
+                    g: f,
+                    psi_p: rho * sums.psi_p,
+                    phi_p: rho * sums.phi_p,
+                    a,
+                    b,
+                };
+                match middle_way(&at) {
+                    Some(eta) if (lo < mu + eta) && (mu + eta < hi) => mu + eta,
+                    _ => 0.5 * (lo + hi),
+                }
+            } else {
+                // --- the model with the window's poles exact and each far
+                // side fitted with one pole: its root between the
+                // interval's poles, by the same step iterated on it.
+                let model = Model::fit(self, &window, &sums, delta);
+                let q = model.poles(self, origin);
+                let at = model.at(&q, split, mu);
+                let interval = if origin == j {
+                    (0.0, width)
+                } else {
+                    (-width, 0.0)
+                };
+                let root = model.root(&q, split, mu, at, interval);
+                if lo < root && root < hi {
+                    root
+                } else {
+                    0.5 * (lo + hi)
+                }
             };
             if next == mu {
                 next = 0.5 * (lo + hi);
@@ -269,7 +396,7 @@ impl<'a> SecularProblem<'a> {
                     break;
                 }
                 iters += 1;
-                let sums = kernels.sweep(d, d[origin], mid, z, split, delta);
+                let sums = kernels.sweep(d, d[origin], mid, z, window.clone(), delta);
                 mu = mid;
                 swept = (origin, mu);
                 let f = 1.0 + rho * sums.val;
@@ -311,12 +438,209 @@ impl<'a> SecularProblem<'a> {
                 return Err(SecularError::NoConvergence { root: j });
             }
         }
-        Ok(SecularRoot {
+        let root = SecularRoot {
             lambda: d[origin] + mu,
             mu,
             origin,
-        })
+        };
+        Ok((root, next_model))
     }
+}
+
+/// Roots of one [`SecularProblem`] solved in ascending order, the way a
+/// merge's panel task solves its run of roots. Above a crossover k, root
+/// `j`'s first step comes from the model fitted at the last sweep of root
+/// `j − 1`, in place of a midpoint sweep. The first root of a run, any
+/// root not following the one solved before, and the problem's last root
+/// (which may lie far above the poles the previous model was fitted
+/// among) start cold, as [`SecularProblem::solve_root`] does. So the roots
+/// depend on where runs start and on nothing else: a merge's panels are
+/// fixed by `nb` alone.
+pub struct SecularPanel<'p, 'a> {
+    problem: &'p SecularProblem<'a>,
+    kernels: SecularKernels,
+    /// The root solved last, and the model fitted at its last sweep.
+    prev: Option<(usize, Model)>,
+}
+
+impl SecularPanel<'_, '_> {
+    /// Solve root `j`, as [`SecularProblem::solve_root`] does.
+    pub fn solve_root(&mut self, j: usize, delta: &mut [f64]) -> Result<SecularRoot, SecularError> {
+        let warm = match self.prev.take() {
+            Some((i, model)) if i + 1 == j => Some(model),
+            _ => None,
+        };
+        let (root, model) = self
+            .problem
+            .solve(j, delta, self.kernels, MAXIT, warm.as_ref())?;
+        self.prev = model.map(|m| (j, m));
+        Ok(root)
+    }
+}
+
+/// Whether μ, from origin `d_j` (`at_lower`) or `d_{j+1}`, lies past the
+/// midpoint of an interval `width` wide.
+fn past_midpoint(at_lower: bool, mu: f64, width: f64) -> bool {
+    if at_lower {
+        mu > 0.5 * width
+    } else {
+        mu < -0.5 * width
+    }
+}
+
+/// Move an interior root's origin to the other end of its interval,
+/// re-expressing μ and the bracket from there.
+fn flip(origin: &mut usize, j: usize, coords: [&mut f64; 3], width: f64) {
+    let shift = if *origin == j { -width } else { width };
+    *origin = if *origin == j { j + 1 } else { j };
+    for x in coords {
+        *x += shift;
+    }
+}
+
+/// The rational step's model of `f` near one root:
+/// `g(μ) = 1 + Σₜ wₜ/(qₜ − μ)` over poles `first..first + n`, `qₜ` their
+/// positions from the origin. The window's poles are exact: `qₜ = d_t −
+/// d_origin`, `wₜ = ρ zₜ²`. Each far side — the terms below and above the
+/// window — becomes the one pole that matches its value and slope at the
+/// sweep the model was fitted at: weight `ρψ²/ψ′`, distance `ψ/ψ′` from
+/// that sweep's iterate, which lies past the side's nearest pole. It sits
+/// in the slot of that pole (`first`, `first + n − 1`), shifted off it.
+#[derive(Clone, Copy, Debug)]
+struct Model {
+    first: usize,
+    n: usize,
+    w: [f64; MODEL_POLES],
+    /// How far each pole sits below its slot's `d` (non-zero for lumps).
+    shift: [f64; MODEL_POLES],
+}
+
+/// A model (or `f` itself) at one μ: its value, its slopes from the poles
+/// below and above `split`, and the distances `a`, `b` of poles
+/// `split − 1` and `split`.
+#[derive(Clone, Copy, Debug)]
+struct ModelPoint {
+    g: f64,
+    psi_p: f64,
+    phi_p: f64,
+    a: f64,
+    b: f64,
+}
+
+impl Model {
+    /// Fit at a sweep over `window` whose sums are `s` and pole distances
+    /// `delta`. The far sums come from the sweep's own segments, so no
+    /// large near term is ever subtracted out of them.
+    fn fit(p: &SecularProblem<'_>, window: &Range<usize>, s: &SweepSums, delta: &[f64]) -> Self {
+        let k = p.d.len();
+        let first = window.start.saturating_sub(1);
+        let end = window.end.min(k - 1);
+        let n = end - first + 1;
+        let mut w = [0.0; MODEL_POLES];
+        for (wt, &zt) in w.iter_mut().zip(&p.z[first..=end]) {
+            *wt = p.rho * zt * zt;
+        }
+        let mut shift = [0.0; MODEL_POLES];
+        let mut lump = |t: usize, val: f64, der: f64| {
+            // Distance from the sweep's iterate; a side too small for its
+            // slope to be represented is dropped.
+            let e = val / der;
+            let fits = e.is_finite() && e != 0.0;
+            w[t] = if fits { p.rho * val * e } else { 0.0 };
+            shift[t] = if fits { delta[first + t] - e } else { 0.0 };
+        };
+        if window.start > 0 {
+            lump(0, s.psi, s.psi_p);
+        }
+        if window.end < k {
+            lump(n - 1, s.phi, s.phi_p);
+        }
+        Model { first, n, w, shift }
+    }
+
+    /// The poles' positions from `d_origin`.
+    fn poles(&self, p: &SecularProblem<'_>, origin: usize) -> [f64; MODEL_POLES] {
+        let base = p.d[origin];
+        let mut q = [0.0; MODEL_POLES];
+        for (t, qt) in q[..self.n].iter_mut().enumerate() {
+            *qt = (p.d[self.first + t] - base) - self.shift[t];
+        }
+        q
+    }
+
+    /// The model at μ, its poles at `q`. Poles `split − 1` and `split`
+    /// must be among them.
+    fn at(&self, q: &[f64; MODEL_POLES], split: usize, mu: f64) -> ModelPoint {
+        let s = split - self.first;
+        let side = |ts: Range<usize>| {
+            let (mut g, mut der) = (0.0, 0.0);
+            for t in ts {
+                let inv = 1.0 / (q[t] - mu);
+                let r = self.w[t] * inv;
+                g += r;
+                der += r * inv;
+            }
+            (g, der)
+        };
+        let (psi, psi_p) = side(0..s);
+        let (phi, phi_p) = side(s..self.n);
+        ModelPoint {
+            g: 1.0 + psi + phi,
+            psi_p,
+            phi_p,
+            a: q[s - 1] - mu,
+            b: q[s] - mu,
+        }
+    }
+
+    /// The model's root in `interval` (between the root's poles, from the
+    /// origin), by middle-way steps on the model itself from μ, where it
+    /// evaluates to `at`.
+    fn root(
+        &self,
+        q: &[f64; MODEL_POLES],
+        split: usize,
+        mut mu: f64,
+        mut at: ModelPoint,
+        (mut lo, mut hi): (f64, f64),
+    ) -> f64 {
+        for it in 0..MODEL_ITERS {
+            if at.g > 0.0 {
+                hi = mu;
+            } else if at.g < 0.0 {
+                lo = mu;
+            } else {
+                return mu;
+            }
+            let next = match middle_way(&at) {
+                Some(eta) if lo < mu + eta && mu + eta < hi => mu + eta,
+                _ => 0.5 * (lo + hi),
+            };
+            if it + 1 == MODEL_ITERS || (next - mu).abs() <= MODEL_TOL * next.abs() {
+                return next;
+            }
+            mu = next;
+            at = self.at(q, split, mu);
+        }
+        mu
+    }
+}
+
+/// The middle-way step η from `at`: the root closest to μ of the two-pole
+/// model `C + A/(a − η) + B/(b − η)` with `A/a² = ψ′`, `B/b² = φ′` and
+/// value `g` at η = 0. `None` when the quadratic has no real root.
+fn middle_way(at: &ModelPoint) -> Option<f64> {
+    let (a, b) = (at.a, at.b);
+    let a_coef = at.psi_p * a * a;
+    let b_coef = at.phi_p * b * b;
+    let c_coef = at.g - at.psi_p * a - at.phi_p * b;
+    // Solve C + A/(a − η) + B/(b − η) = 0 for the step η (shift
+    // μ̂ = μ + η): quadratic
+    //   C(a−η)(b−η) + A(b−η) + B(a−η) = 0.
+    let qa = c_coef;
+    let qb = -(c_coef * (a + b) + a_coef + b_coef);
+    let qc = c_coef * a * b + a_coef * b + b_coef * a;
+    solve_quadratic_closest_to_zero(qa, qb, qc)
 }
 
 /// Solve for root `j` (0-based) of the secular equation: validate the
@@ -333,9 +657,12 @@ pub fn solve_secular_root(
     Ok(SecularProblem::new(d, z, rho)?.solve_root(j, delta)?.lambda)
 }
 
-/// Test hook: run the root finder with an explicit rational-iteration
-/// budget, so the safeguarded-bisection rescue can be exercised directly
-/// (a zero budget leaves only the midpoint sweep that picks the origin).
+/// Test hook: run the cold root finder with an explicit rational-step
+/// budget, so the safeguarded-bisection rescue can be exercised directly.
+/// The budget counts the sweeps after a root's first one — for this cold
+/// entry the midpoint sweep that picks the origin, for a warm root of a
+/// [`SecularPanel`] the sweep at its model's root — so a zero budget
+/// leaves only that first sweep.
 #[doc(hidden)]
 pub fn solve_secular_root_with_maxit(
     j: usize,
@@ -345,8 +672,13 @@ pub fn solve_secular_root_with_maxit(
     delta: &mut [f64],
     maxit: usize,
 ) -> Result<f64, SecularError> {
-    let root =
-        SecularProblem::new(d, z, rho)?.solve(j, delta, SecularKernels::dispatched(), maxit)?;
+    let (root, _) = SecularProblem::new(d, z, rho)?.solve(
+        j,
+        delta,
+        SecularKernels::dispatched(),
+        maxit,
+        None,
+    )?;
     Ok(root.lambda)
 }
 
@@ -366,6 +698,31 @@ pub fn solve_secular_root_scalar(
 /// Rational-model iterations before the safeguarded-bisection rescue
 /// takes over (LAPACK's dlaed4 uses 30; the bracket makes more harmless).
 const MAXIT: usize = 100;
+
+/// Poles the rational step keeps exact on each side of a root's interval
+/// once `k ≥ MIN_K_WINDOW` (fitted in time with the crossover: 8 takes
+/// fewer sweeps than 4 or 6 for a model that costs about the same).
+const WINDOW: usize = 8;
+
+/// Smallest k whose roots step on the windowed model and warm-start from
+/// the root before. Below it the model's scalar iterations cost more than
+/// the sweeps they save (about even at k = 480), and the step is the
+/// two-pole closed form, bit for bit.
+const MIN_K_WINDOW: usize = 512;
+
+/// Poles of a windowed model: the window and a lump either side.
+const MODEL_POLES: usize = 2 * WINDOW + 2;
+
+/// Middle-way iterations on a model, at most: the first is the step a
+/// two-pole model would take, the other two refine it.
+const MODEL_ITERS: usize = 3;
+
+/// Relative step at which a model's root counts as found.
+const MODEL_TOL: f64 = 1e-6;
+
+// A warm model is fitted around root j − 1's interval; it reaches both
+// ends of root j's only with two or more poles each side.
+const _: () = assert!(WINDOW >= 2);
 
 /// Smaller-magnitude real root of `qa η² + qb η + qc = 0`, computed with
 /// the stable formula; `None` when no real root exists.

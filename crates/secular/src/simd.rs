@@ -5,8 +5,10 @@
 //! Once the eigenvector-update GEMMs are fast, the merge phase is
 //! dominated by these O(k²) loops: the secular-function/derivative sweep
 //! inside every root-finder iteration (one kernel, [`sweep_segment`], for
-//! the midpoint evaluation, the rational steps and the bisection rescue
-//! alike), the Gu–Eisenstat per-column products of `local_w_products`
+//! a root's first sweep, the rational steps and the bisection rescue
+//! alike; a sweep is two segments either side of the root's interval, or
+//! three around the window of poles the step keeps exact), the
+//! Gu–Eisenstat per-column products of `local_w_products`
 //! ([`local_w_segment`]), the per-column normalization of
 //! `assemble_vectors` ([`assemble_col`]) and the values-only path's fused
 //! boundary-row pass ([`row_sums`]). Each issues one quotient per term and
@@ -49,18 +51,26 @@
 //! instance).
 
 use dcst_matrix::simd::{cpu_supports, simd_level, SimdLevel};
+use std::ops::Range;
 
 /// Sums produced by one fused sweep over the `k` secular terms at the
-/// current iterate μ.
+/// current iterate μ. The sweep's *window* `[lo, hi)` is the index range
+/// whose terms the rational step keeps exact; the ψ and φ sums are the far
+/// sides below and above it (with an empty window at `split`, the two
+/// sides of `split`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepSums {
     /// `Σ zᵢ²/δᵢ` (the secular sum; `f = 1 + ρ·val`).
     pub val: f64,
     /// `Σ |zᵢ²/δᵢ|` (for the convergence tolerance; `fabs = 1 + ρ·abs`).
     pub abs: f64,
-    /// `Σ_{i<split} zᵢ²/δᵢ²` (ψ′ side of the rational model).
+    /// `Σ_{i<lo} zᵢ²/δᵢ` (far ψ side).
+    pub psi: f64,
+    /// `Σ_{i<lo} zᵢ²/δᵢ²` (ψ′ side of the rational model).
     pub psi_p: f64,
-    /// `Σ_{i≥split} zᵢ²/δᵢ²` (φ′ side).
+    /// `Σ_{i≥hi} zᵢ²/δᵢ` (far φ side).
+    pub phi: f64,
+    /// `Σ_{i≥hi} zᵢ²/δᵢ²` (φ′ side).
     pub phi_p: f64,
 }
 
@@ -80,15 +90,15 @@ pub struct RowSums {
 
 /// Scalar oracle: fill `delta[i] = (d[i] − origin) − μ` — the pole
 /// distances in coordinates shifted to the origin pole, two subtractions
-/// and no cancellation — and accumulate all four sums with the seed's
-/// exact operation order (`t = z²/δ`, `t′ = t/δ`).
+/// and no cancellation — and accumulate the sums with the seed's exact
+/// operation order (`t = z²/δ`, `t′ = t/δ`).
 // dcst-hot
 pub(crate) fn secular_sweep_scalar(
     d: &[f64],
     origin: f64,
     mu: f64,
     z: &[f64],
-    split: usize,
+    window: Range<usize>,
     delta: &mut [f64],
 ) -> SweepSums {
     let mut s = SweepSums::default();
@@ -99,9 +109,11 @@ pub(crate) fn secular_sweep_scalar(
         s.val += t;
         s.abs += t.abs();
         let tp = t / de;
-        if i < split {
+        if i < window.start {
+            s.psi += t;
             s.psi_p += tp;
-        } else {
+        } else if i >= window.end {
+            s.phi += t;
             s.phi_p += tp;
         }
     }
@@ -504,8 +516,13 @@ unsafe fn sweep_segment<V: Lanes>(
     (val, abs, der)
 }
 
+/// Three segments — far ψ side, window, far φ side — with no pass for an
+/// empty window, so a sweep at one `split` runs the two segments it always
+/// has.
+///
 /// # Safety
-/// `V`'s ISA; `split ≤ k` and all slices have length `k`.
+/// `V`'s ISA; `window.start ≤ window.end ≤ k` and all slices have length
+/// `k`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 // dcst-hot
@@ -514,16 +531,25 @@ unsafe fn secular_sweep<V: Lanes>(
     origin: f64,
     mu: f64,
     z: &[f64],
-    split: usize,
+    window: Range<usize>,
     delta: &mut [f64],
 ) -> SweepSums {
     let k = d.len();
-    let (v1, a1, psi_p) = sweep_segment::<V>(d, origin, mu, z, delta, 0, split);
-    let (v2, a2, phi_p) = sweep_segment::<V>(d, origin, mu, z, delta, split, k);
+    let (lo, hi) = (window.start, window.end);
+    let (psi, a1, psi_p) = sweep_segment::<V>(d, origin, mu, z, delta, 0, lo);
+    let (vw, aw) = if lo < hi {
+        let (v, a, _) = sweep_segment::<V>(d, origin, mu, z, delta, lo, hi);
+        (v, a)
+    } else {
+        (0.0, 0.0)
+    };
+    let (phi, a2, phi_p) = sweep_segment::<V>(d, origin, mu, z, delta, hi, k);
     SweepSums {
-        val: v1 + v2,
-        abs: a1 + a2,
+        val: psi + vw + phi,
+        abs: a1 + aw + a2,
+        psi,
         psi_p,
+        phi,
         phi_p,
     }
 }
@@ -762,6 +788,7 @@ unsafe fn quot_lane<V: Lanes>(a: f64, b: f64) -> f64 {
 mod avx2 {
     use super::{RowSums, SweepSums};
     use core::arch::x86_64::__m256d;
+    use std::ops::Range;
 
     #[target_feature(enable = "avx2,fma")]
     // dcst-hot
@@ -770,10 +797,10 @@ mod avx2 {
         origin: f64,
         mu: f64,
         z: &[f64],
-        split: usize,
+        window: Range<usize>,
         delta: &mut [f64],
     ) -> SweepSums {
-        super::secular_sweep::<__m256d>(d, origin, mu, z, split, delta)
+        super::secular_sweep::<__m256d>(d, origin, mu, z, window, delta)
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -812,6 +839,7 @@ mod avx2 {
 mod avx512 {
     use super::{RowSums, SweepSums};
     use core::arch::x86_64::__m512d;
+    use std::ops::Range;
 
     #[target_feature(enable = "avx512f,fma")]
     // dcst-hot
@@ -820,10 +848,10 @@ mod avx512 {
         origin: f64,
         mu: f64,
         z: &[f64],
-        split: usize,
+        window: Range<usize>,
         delta: &mut [f64],
     ) -> SweepSums {
-        super::secular_sweep::<__m512d>(d, origin, mu, z, split, delta)
+        super::secular_sweep::<__m512d>(d, origin, mu, z, window, delta)
     }
 
     #[target_feature(enable = "avx512f,fma")]
@@ -860,8 +888,8 @@ mod avx512 {
 
 // ------------------------------------------------------------- dispatch
 
-/// `(d, origin, μ, z, split, delta) → sums`: [`SecularKernels::sweep`].
-type SweepFn = unsafe fn(&[f64], f64, f64, &[f64], usize, &mut [f64]) -> SweepSums;
+/// `(d, origin, μ, z, window, delta) → sums`: [`SecularKernels::sweep`].
+type SweepFn = unsafe fn(&[f64], f64, f64, &[f64], Range<usize>, &mut [f64]) -> SweepSums;
 /// `(d, origin, μ, ẑ, wf, wl) → sums`: [`SecularKernels::row_sums`].
 type RowSumsFn = unsafe fn(&[f64], f64, f64, &[f64], &[f64], &[f64]) -> RowSums;
 /// `(ẑ, δ, tmp) → (Σ tmp², redone)`: [`SecularKernels::assemble_col`].
@@ -940,7 +968,8 @@ impl SecularKernels {
     }
 
     /// Fused secular sweep at μ: fill `delta[i] = (d[i] − origin) − μ` and
-    /// return the four sums, the ψ′ side being the terms below `split`.
+    /// return the sums, the ψ side being the terms below `window` and the
+    /// φ side those above it.
     #[inline]
     // dcst-hot
     pub fn sweep(
@@ -949,14 +978,15 @@ impl SecularKernels {
         origin: f64,
         mu: f64,
         z: &[f64],
-        split: usize,
+        window: Range<usize>,
         delta: &mut [f64],
     ) -> SweepSums {
         let k = d.len();
-        assert!(split <= k && z.len() == k && delta.len() == k);
+        assert!(window.start <= window.end && window.end <= k);
+        assert!(z.len() == k && delta.len() == k);
         // SAFETY: the row's level runs on this CPU (type invariant), and
         // the lengths are the ones the body reads.
-        unsafe { (self.sweep)(d, origin, mu, z, split, delta) }
+        unsafe { (self.sweep)(d, origin, mu, z, window, delta) }
     }
 
     /// Fused boundary-row pass for the root stored as `(origin, μ)`: one
@@ -1094,20 +1124,24 @@ mod tests {
                 let (d, z, mut da) = problem(k);
                 let mut db = da.clone();
                 let split = k.div_ceil(2);
-                let a = row.sweep(&d, ORIGIN, MU, &z, split, &mut da);
-                let b = SecularKernels::SCALAR.sweep(&d, ORIGIN, MU, &z, split, &mut db);
-                assert_eq!(db[0], (d[0] - ORIGIN) - MU, "two subtractions, in order");
-                assert_eq!(da, db, "{name}: delta fill differs at k={k}");
-                for (x, y) in [
-                    (a.val, b.val),
-                    (a.abs, b.abs),
-                    (a.psi_p, b.psi_p),
-                    (a.phi_p, b.phi_p),
-                ] {
-                    assert!(
-                        (x - y).abs() <= 1e-12 * y.abs().max(1.0),
-                        "{name} k={k}: {x} vs {y}"
-                    );
+                for window in [split..split, k / 4..split, split..k] {
+                    let a = row.sweep(&d, ORIGIN, MU, &z, window.clone(), &mut da);
+                    let b = SecularKernels::SCALAR.sweep(&d, ORIGIN, MU, &z, window, &mut db);
+                    assert_eq!(db[0], (d[0] - ORIGIN) - MU, "two subtractions, in order");
+                    assert_eq!(da, db, "{name}: delta fill differs at k={k}");
+                    for (x, y) in [
+                        (a.val, b.val),
+                        (a.abs, b.abs),
+                        (a.psi, b.psi),
+                        (a.psi_p, b.psi_p),
+                        (a.phi, b.phi),
+                        (a.phi_p, b.phi_p),
+                    ] {
+                        assert!(
+                            (x - y).abs() <= 1e-12 * y.abs().max(1.0),
+                            "{name} k={k}: {x} vs {y}"
+                        );
+                    }
                 }
             }
         }

@@ -5,9 +5,11 @@
 //!
 //! Sizes sweep the edge cases around the 4- and 8-lane widths
 //! (`k ∈ {1, 3, 4, 7, 8, 9, 16, 17, 31, 257}`: sub-vector, exact multiples,
-//! tails) and the pole configurations include clustered, denormal-scale
-//! and huge-magnitude `dlamda` gaps — the regimes where a vectorized
-//! rewrite of the sweeps could diverge from the scalar bodies.
+//! tails) and one size, 1031, above the crossover where the root finder's
+//! step keeps the poles around a root exact and a panel's roots start from
+//! the root before. The pole configurations include clustered,
+//! denormal-scale and huge-magnitude `dlamda` gaps — the regimes where a
+//! vectorized rewrite of the sweeps could diverge from the scalar bodies.
 //!
 //! Per instance: the AVX2 local-W products and assembly quotients are the
 //! scalar ones bit for bit (it divides, element-wise, as the scalar body
@@ -25,9 +27,10 @@ use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
-/// Dispatch edge cases around the 4- and 8-lane vector widths, plus one
-/// size big enough that every unrolled segment of the kernels is exercised.
-const K_SET: [usize; 10] = [1, 3, 4, 7, 8, 9, 16, 17, 31, 257];
+/// Dispatch edge cases around the 4- and 8-lane vector widths, one size
+/// big enough that every unrolled segment of the kernels is exercised, and
+/// one above the root finder's windowed-step crossover.
+const K_SET: [usize; 11] = [1, 3, 4, 7, 8, 9, 16, 17, 31, 257, 1031];
 
 const REGIMES: usize = 5;
 
@@ -87,7 +90,9 @@ fn ulps(a: f64, b: f64) -> u64 {
 ///    products finite;
 /// 3. huge scale — scaled by `1e150`, driving the derivative terms
 ///    `z²/δ²` down to denormals;
-/// 4. mixed — gap magnitudes log-uniform across 15 decades.
+/// 4. mixed — gap magnitudes log-uniform across 15 decades below the
+///    running sum they are added to (at least 1), so that no gap is
+///    absorbed by the pole before it.
 fn gen_problem(k: usize, regime: usize, seed: u64) -> (Vec<f64>, Vec<f64>, f64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let (gaps, rho): (Vec<f64>, f64) = match regime {
@@ -109,10 +114,9 @@ fn gen_problem(k: usize, regime: usize, seed: u64) -> (Vec<f64>, Vec<f64>, f64) 
             (0..k).map(|_| rng.gen_range(0.2..2.0) * 1e150).collect(),
             rng.gen_range(0.5..2.0) * 1e150,
         ),
+        // Relative exponents here; the loop below scales them.
         _ => (
-            (0..k)
-                .map(|_| 10f64.powf(rng.gen_range(-13.0..2.0)))
-                .collect(),
+            (0..k).map(|_| rng.gen_range(-15.0..0.0)).collect(),
             10f64.powf(rng.gen_range(-3.0..3.0)),
         ),
     };
@@ -124,10 +128,14 @@ fn gen_problem(k: usize, regime: usize, seed: u64) -> (Vec<f64>, Vec<f64>, f64) 
         _ => 1.0,
     };
     let mut d = Vec::with_capacity(k);
-    let mut acc = rng.gen_range(-1.0..1.0) * scale;
+    let mut acc: f64 = rng.gen_range(-1.0..1.0) * scale;
     for g in gaps {
         d.push(acc);
-        acc += g;
+        acc += if regime == 4 {
+            10f64.powf(g) * acc.abs().max(1.0)
+        } else {
+            g
+        };
     }
     // Unit-norm z bounded away from 0 (deflation would have removed
     // small components before the solver ever sees them).
@@ -403,9 +411,7 @@ fn close(got: f64, want: f64, scale: f64) -> bool {
 fn check_row(name: &str, row: &SecularKernels, d: &[f64], z: &[f64], rho: f64, case: &str) {
     let k = d.len();
     let scalar = SecularKernels::SCALAR;
-    let Ok(problem) = SecularProblem::new(d, z, rho) else {
-        return; // the mixed regime rounded two poles together
-    };
+    let problem = SecularProblem::new(d, z, rho).unwrap();
     let mut deltas = vec![0.0f64; k * k];
     let mut roots = Vec::with_capacity(k);
     for (j, col) in deltas.chunks_exact_mut(k).enumerate() {
@@ -417,8 +423,8 @@ fn check_row(name: &str, row: &SecularKernels, d: &[f64], z: &[f64], rho: f64, c
     for (j, root) in roots.iter().enumerate() {
         let split = if j + 1 == k { k - 1 } else { j + 1 };
         let (mut da, mut db) = (vec![0.0; k], vec![0.0; k]);
-        let a = row.sweep(d, d[root.origin], root.mu, z, split, &mut da);
-        let b = scalar.sweep(d, d[root.origin], root.mu, z, split, &mut db);
+        let a = row.sweep(d, d[root.origin], root.mu, z, split..split, &mut da);
+        let b = scalar.sweep(d, d[root.origin], root.mu, z, split..split, &mut db);
         assert_eq!(bits(&da), bits(&db), "{name} {case} root {j}: delta fill");
         for (what, x, y, scale) in [
             ("val", a.val, b.val, b.abs),
@@ -481,8 +487,11 @@ fn check_row(name: &str, row: &SecularKernels, d: &[f64], z: &[f64], rho: f64, c
 
 /// Deterministic spot-check: every k in the edge set gets one case per
 /// regime regardless of how the proptest rng samples, so a lane/tail bug
-/// cannot hide behind sampling luck. The dispatched solver converges
-/// where the scalar one does, and every instance this CPU runs passes
+/// cannot hide behind sampling luck. Every generated problem is a valid
+/// one. The dispatched solver converges where the scalar one does, cold
+/// and in panel order; a panel's warm-started roots are the cold ones to
+/// the oracle's tolerance and rebuild their pole distances from
+/// `(μ, origin)` bit for bit. Every instance this CPU runs passes
 /// `check_row` — the local-W products bit-identical on AVX2, within
 /// `QUOT_ULPS · k` on AVX-512. Prints which instances ran.
 #[test]
@@ -490,12 +499,42 @@ fn every_k_and_regime_covered() {
     for (ki, &k) in K_SET.iter().enumerate() {
         for regime in 0..REGIMES {
             let (d, z, rho) = gen_problem(k, regime, (ki * REGIMES + regime) as u64);
+            let case = format!("k={k} regime={regime}");
+            let problem = SecularProblem::new(&d, &z, rho)
+                .unwrap_or_else(|e| panic!("{case}: generated an invalid problem: {e}"));
             let mut da = vec![0.0f64; k * k];
             let mut db = vec![0.0f64; k * k];
             for j in 0..k {
                 let ra = solve_secular_root(j, &d, &z, rho, &mut da[j * k..(j + 1) * k]);
                 let rb = solve_secular_root_scalar(j, &d, &z, rho, &mut db[j * k..(j + 1) * k]);
-                assert_eq!(ra.is_ok(), rb.is_ok(), "k={k} regime={regime} root {j}");
+                assert_eq!(ra.is_ok(), rb.is_ok(), "{case} root {j}");
+            }
+            // Panel order, runs of 64 as a merge's LAED4 tasks solve them.
+            let mut col = vec![0.0f64; k];
+            for (tag, cold) in [("simd", &da), ("scalar", &db)] {
+                for run in (0..k).step_by(64) {
+                    let mut roots = if tag == "simd" {
+                        problem.panel()
+                    } else {
+                        problem.panel_scalar()
+                    };
+                    for j in run..(run + 64).min(k) {
+                        let root = roots.solve_root(j, &mut col).unwrap();
+                        let rebuilt: Vec<f64> = d
+                            .iter()
+                            .map(|&di| (di - d[root.origin]) - root.mu)
+                            .collect();
+                        assert_eq!(bits(&rebuilt), bits(&col), "{tag} {case} root {j}");
+                        // λ_j from the cold column: d_j − δ_j.
+                        let want = d[j] - cold[j * k + j];
+                        let tol = 1e-8 * bracket_width(j, &d, rho) + 1e-13 * want.abs();
+                        assert!(
+                            (root.lambda - want).abs() <= tol,
+                            "{tag} {case} root {j}: panel {:e} vs cold {want:e}",
+                            root.lambda
+                        );
+                    }
+                }
             }
         }
     }
@@ -613,8 +652,8 @@ fn reciprocal_guard_keeps_division_classes() {
                 .map(|i| if i % 2 == 1 && i < 16 { p(-530) } else { 0.3 })
                 .collect();
             let (mut da, mut db) = (vec![0.0; k], vec![0.0; k]);
-            let a = row.sweep(&delta, 0.0, 0.0, &z, 8, &mut da);
-            let b = scalar.sweep(&delta, 0.0, 0.0, &z, 8, &mut db);
+            let a = row.sweep(&delta, 0.0, 0.0, &z, 8..8, &mut da);
+            let b = scalar.sweep(&delta, 0.0, 0.0, &z, 8..8, &mut db);
             assert_eq!(bits(&da), bits(&delta), "{name}: (δ − 0) − 0 = δ");
             for (what, x, y, scale) in [
                 ("val", a.val, b.val, b.abs),
@@ -683,13 +722,8 @@ fn stored_roots_rebuild_deltas_and_row_entries() {
     let mut redone = 0;
     for (ki, &k) in K_SET.iter().enumerate() {
         for regime in 0..=GUARD_REGIME {
-            // The mixed regime can round two poles together: take the
-            // first seed of the cell whose problem is a valid one.
             let cell = (ki * REGIMES + regime) as u64;
-            let (d, z, rho) = (0u64..)
-                .map(|s| gen_problem(k, regime % GUARD_REGIME, 1000 * s + cell))
-                .find(|(d, z, rho)| SecularProblem::new(d, z, *rho).is_ok())
-                .unwrap();
+            let (d, z, rho) = gen_problem(k, regime % GUARD_REGIME, cell);
             let problem = SecularProblem::new(&d, &z, rho).unwrap();
             let mut deltas = vec![0.0f64; k * k];
             let mut col = vec![0.0f64; k];
