@@ -2,10 +2,10 @@
 //!
 //! This is not a full Rust grammar — it recovers exactly the structure the
 //! rules need from the lossless token stream: every `fn` item (name, owner
-//! `impl`/`trait` type, visibility, signature and body token ranges,
-//! `#[cfg(test)]` classification, `// dcst-hot` marking), every named
-//! `mod` (with its `#[cfg(…)]` attributes, for the feature-gate symmetry
-//! rule), and balanced-bracket maps for expression-level scans. Items it
+//! `impl`/`trait` type, signature and body token ranges, `#[cfg(test)]`
+//! classification, `// dcst-hot` marking), every inline `mod` (for the
+//! `#[cfg(test)]` classification of the items inside it), and
+//! balanced-bracket maps for expression-level scans. Items it
 //! does not understand are skipped by bracket/semicolon balancing, so an
 //! unparseable construct degrades to "no items found there", never a
 //! panic.
@@ -34,7 +34,6 @@ pub struct FnItem {
     pub name: String,
     /// Base ident of the enclosing `impl` self-type or `trait`, if any.
     pub owner: Option<String>,
-    pub is_pub: bool,
     pub line: u32,
     /// `sig` range `[fn_kw, body_open)` — modifiers excluded, so it starts
     /// at the `fn` keyword.
@@ -53,11 +52,6 @@ pub struct FnItem {
 
 #[derive(Debug, Clone)]
 pub struct ModItem {
-    pub name: String,
-    pub line: u32,
-    /// Inner predicate of each `#[cfg(…)]` attribute, normalized with all
-    /// whitespace removed (e.g. `feature="metrics"`, `not(dcst_model_check)`).
-    pub cfgs: Vec<String>,
     pub parent: Option<usize>,
     pub in_test: bool,
 }
@@ -205,14 +199,12 @@ impl Parser<'_> {
             }
             let item_test = in_test || attrs.iter().any(|a| is_test_attr(a));
             // Modifiers before the item keyword.
-            let mut is_pub = false;
             loop {
                 if i >= end {
                     return;
                 }
                 match self.text(i) {
                     "pub" => {
-                        is_pub = true;
                         i += 1;
                         if i < end && self.text(i) == "(" {
                             i = self.close_of(i, end) + 1;
@@ -252,8 +244,8 @@ impl Parser<'_> {
                 return;
             }
             match self.text(i) {
-                "fn" => i = self.fn_item(i, end, owner, mod_id, item_test, is_pub, item_start),
-                "mod" => i = self.mod_item(i, end, &attrs, mod_id, item_test),
+                "fn" => i = self.fn_item(i, end, owner, mod_id, item_test, item_start),
+                "mod" => i = self.mod_item(i, end, mod_id, item_test),
                 "impl" => i = self.impl_like(i, end, mod_id, item_test, ImplKind::Impl),
                 "trait" => i = self.impl_like(i, end, mod_id, item_test, ImplKind::Trait),
                 "struct" | "enum" | "union" => i = self.skip_struct_like(i, end),
@@ -275,7 +267,6 @@ impl Parser<'_> {
 
     /// Parse one `fn` item with `i` at the `fn` keyword; returns the
     /// position just past the item.
-    #[allow(clippy::too_many_arguments)]
     fn fn_item(
         &mut self,
         i: usize,
@@ -283,7 +274,6 @@ impl Parser<'_> {
         owner: Option<&str>,
         mod_id: Option<usize>,
         in_test: bool,
-        is_pub: bool,
         item_start: usize,
     ) -> usize {
         if i + 1 >= end {
@@ -318,7 +308,6 @@ impl Parser<'_> {
         self.f.fns.push(FnItem {
             name,
             owner: owner.map(str::to_string),
-            is_pub,
             line: self.f.tokens[self.f.sig[i]].line,
             sig_range: (i, body.map_or(j, |(o, _)| o)),
             params: (params_open, params_close),
@@ -366,29 +355,15 @@ impl Parser<'_> {
             .any(|t| t.kind.is_comment() && is_hot_marker(t.text(&self.f.src)))
     }
 
-    fn mod_item(
-        &mut self,
-        i: usize,
-        end: usize,
-        attrs: &[String],
-        parent: Option<usize>,
-        in_test: bool,
-    ) -> usize {
+    fn mod_item(&mut self, i: usize, end: usize, parent: Option<usize>, in_test: bool) -> usize {
         if i + 1 >= end {
             return end;
         }
-        let name = self.text(i + 1).to_string();
         if i + 2 < end && self.text(i + 2) == "{" {
             let open = i + 2;
             let close = self.close_of(open, end);
             let id = self.f.mods.len();
-            self.f.mods.push(ModItem {
-                name,
-                line: self.f.tokens[self.f.sig[i]].line,
-                cfgs: attrs.iter().filter_map(|a| cfg_predicate(a)).collect(),
-                parent,
-                in_test,
-            });
+            self.f.mods.push(ModItem { parent, in_test });
             // A mod does not change the impl owner.
             self.items(open + 1, close, None, Some(id), in_test);
             close + 1
@@ -574,13 +549,6 @@ fn is_test_attr(attr: &str) -> bool {
     attr.starts_with("#[cfg(") && attr.contains("test")
 }
 
-/// `#[cfg(PRED)]` → `Some("PRED")` with whitespace already removed by the
-/// token-join; other attributes → `None`.
-fn cfg_predicate(attr: &str) -> Option<String> {
-    let inner = attr.strip_prefix("#[cfg(")?.strip_suffix(")]")?;
-    Some(inner.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,7 +575,6 @@ impl std::fmt::Debug for W {
             names,
             vec![(None, "free"), (Some("W"), "method"), (Some("W"), "fmt"),]
         );
-        assert!(pf.fns[1].is_pub && !pf.fns[0].is_pub);
     }
 
     #[test]
@@ -651,28 +618,6 @@ pub fn prose() {}
         assert!(!hot("cold"));
         assert!(hot("below_attr"));
         assert!(!hot("prose"));
-    }
-
-    #[test]
-    fn mod_cfgs_are_recovered() {
-        let src = "\
-#[cfg(feature = \"metrics\")]
-mod imp {
-    pub fn add(n: u64) {}
-}
-#[cfg(not(feature = \"metrics\"))]
-mod imp {
-    pub fn add(_n: u64) {}
-}
-";
-        let pf = ParsedFile::new(src);
-        assert_eq!(pf.mods.len(), 2);
-        assert_eq!(pf.mods[0].cfgs, vec!["feature=\"metrics\"".to_string()]);
-        assert_eq!(
-            pf.mods[1].cfgs,
-            vec!["not(feature=\"metrics\")".to_string()]
-        );
-        assert!(pf.fns.iter().all(|f| f.mod_id.is_some()));
     }
 
     #[test]

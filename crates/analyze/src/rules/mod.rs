@@ -6,7 +6,6 @@
 //! or N-1. The hot-path rule additionally demands a justification after
 //! the marker (see [`hotpath`]).
 
-pub mod featuresym;
 pub mod footprint;
 pub mod hotpath;
 pub mod legacy;
@@ -64,7 +63,7 @@ pub fn allow_justification<'a>(raw_lines: &'a [String], rule: &str, line: u32) -
 }
 
 /// Everything: the per-file lint rules ([`legacy`]: unsafe-safety,
-/// static-mut, sleep-poll, pool-sync) plus the four analysis passes. `manifest`
+/// static-mut, sleep-poll, pool-sync) plus the three analysis passes. `manifest`
 /// carries the contents of `specs/orderings.toml`, or an explanation of
 /// why it could not be read (which becomes a violation — an unreadable
 /// manifest must fail the run, not weaken it).
@@ -88,7 +87,6 @@ pub fn run_full(ws: &Workspace, manifest: Result<&str, String>) -> Vec<Violation
         }),
     }
     out.extend(hotpath::check(ws));
-    out.extend(featuresym::check(ws));
     out.extend(footprint::check(ws));
     sort(&mut out);
     out

@@ -28,6 +28,10 @@
 //! stdin) and prints the server's response verbatim, exiting 0 on
 //! success, 4 when the server shed the request as `busy`, and 3 on any
 //! other typed error.
+//!
+//! `DCST_FAIL=site:N[+],…` arms the kernels' fault-injection sites (see
+//! `dcst_matrix::failpoints`) for every command, `solve` and `serve`
+//! alike; a malformed spec is a usage error.
 
 use dcst_core::{
     DcError, DcOptions, DcStats, ForkJoinDc, LevelParallelDc, SequentialDc, SolveMode, TaskFlowDc,
@@ -117,7 +121,8 @@ fn usage() -> ExitCode {
          dcst trace [--type K] [--n N] [--svg FILE] [--json FILE] [--chrome FILE]\n  \
          dcst serve [--addr A] [--threads K] [--max-inflight M] [--max-n N] [--trace-requests]\n  \
          dcst request --addr HOST:PORT [--json LINE]\n\
-         env: DCST_TRACE=FILE with a D&C 'solve' writes a Chrome trace-event file"
+         env: DCST_TRACE=FILE with a D&C 'solve' writes a Chrome trace-event file\n     \
+         DCST_FAIL=site:N[+],... arms the kernels' fault-injection sites"
     );
     ExitCode::from(EXIT_USAGE)
 }
@@ -182,6 +187,11 @@ fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
         return usage();
+    }
+    if let Ok(spec) = std::env::var("DCST_FAIL") {
+        if let Err(e) = dcst_matrix::failpoints::arm_spec(&spec) {
+            return fail(format!("DCST_FAIL='{spec}': {e}"), EXIT_USAGE);
+        }
     }
     let cmd = argv.remove(0);
     let args = Args { raw: argv };

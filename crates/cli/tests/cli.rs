@@ -221,9 +221,9 @@ fn order_zero_input_solves_to_nothing() {
 /// A numerical failure (solver gave up on well-formed input) must exit with
 /// code 3, distinct from input errors. Genuinely non-convergent inputs are
 /// nearly impossible to construct now that the kernels carry rescue paths,
-/// so the failpoint build stands in: `DCST_FAIL=steqr:1` makes the first
-/// leaf solve report `NoConvergence` exactly as a stuck QR iteration would.
-#[cfg(feature = "failpoints")]
+/// so a failpoint stands in: `DCST_FAIL=steqr:1` makes the first leaf
+/// solve report `NoConvergence` exactly as a stuck QR iteration would, and
+/// `laed4:1` does the same to the first secular root of a values-only solve.
 #[test]
 fn numerical_failure_is_exit_code_3() {
     let path = tempfile("nonconv.txt");
@@ -249,12 +249,46 @@ fn numerical_failure_is_exit_code_3() {
         assert_eq!(out.status.code(), Some(3), "{solver}: {err}");
         assert!(err.contains("converge"), "{solver}: {err}");
     }
+    for solver in ["taskflow", "seq"] {
+        let out = dcst()
+            .env("DCST_FAIL", "laed4:1")
+            .args(["solve", "--in", path.to_str().unwrap(), "--values-only"])
+            .args(["--solver", solver])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{solver} --values-only: {err}");
+    }
     // Without the env var the same build and input solve cleanly.
     let out = dcst()
         .args(["solve", "--in", path.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(out.status.success());
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A malformed `DCST_FAIL` is a usage error reported before any solve
+/// starts: exit 2 with the spec named, never a panic on a pool worker.
+#[test]
+fn bad_failpoint_spec_is_a_usage_error() {
+    let path = tempfile("badspec.txt");
+    dcst()
+        .args(["generate", "--type", "4", "--n", "64"])
+        .args(["--out", path.to_str().unwrap()])
+        .status()
+        .unwrap();
+    for spec in ["bogus", "nosuch:1", "steqr:0", "laed4:x"] {
+        let out = dcst()
+            .env("DCST_FAIL", spec)
+            .args(["solve", "--in", path.to_str().unwrap(), "--threads", "2"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {err}");
+        assert!(err.contains(spec), "{spec}: {err}");
+        assert!(!err.contains("panicked"), "{spec}: {err}");
+    }
     let _ = std::fs::remove_file(&path);
 }
 

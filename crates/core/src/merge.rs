@@ -28,6 +28,7 @@
 //! subset gather — touches only that span.
 
 use crate::DcError;
+use dcst_matrix::failpoints::{self, Site};
 use dcst_matrix::{gemm, merge_perm};
 use dcst_secular::{
     deflate, local_w_accumulate, Deflation, DeflationInput, GivensRot, SecularGenerators,
@@ -384,7 +385,7 @@ pub(crate) fn update_vect_panel(
     if ncols == 0 {
         return Ok(());
     }
-    if dcst_matrix::failpoints::fire("gemm") {
+    if failpoints::fire(Site::Gemm) {
         return Err(DcError::Breakdown { stage: "gemm", off });
     }
     let n2 = nm - n1;
@@ -448,7 +449,7 @@ pub(crate) fn update_vect_panel(
         dcst_matrix::metrics::add("gemm.flops", gemm_flops);
     }
     // NaN-corruption site: models a GEMM that silently produced garbage.
-    dcst_matrix::failpoints::poke_nan("nan-gemm", out);
+    failpoints::poke_nan(Site::NanGemm, out);
     // Always-on finite scan of the freshly written columns: O(nm·ncols)
     // against the GEMMs' O(nm·ncols·k), so ~1/k of the kernel's cost. This
     // is where mid-tree corruption (from any upstream kernel feeding the

@@ -19,6 +19,7 @@
 //! O(nm·k) traffic, the same order as the existing copy bucket.
 
 use crate::DcError;
+use dcst_matrix::failpoints::{self, Site};
 use dcst_matrix::lowrank::{gemm_structured, structured_basis, StructuredMatrix, TileKind};
 use dcst_matrix::{update_policy, UpdatePolicy};
 use dcst_secular::{
@@ -225,7 +226,7 @@ impl StructuredUpdate {
         if jrange.is_empty() {
             return Ok(());
         }
-        if dcst_matrix::failpoints::fire("gemm") {
+        if failpoints::fire(Site::Gemm) {
             return Err(DcError::Breakdown { stage: "gemm", off });
         }
         let (n1, n2) = (self.n1, self.n2);
@@ -261,7 +262,7 @@ impl StructuredUpdate {
         }
         dcst_matrix::metrics::add("gemm.calls", 2);
         dcst_matrix::metrics::add("gemm.flops", self.panel_flops(&jrange));
-        dcst_matrix::failpoints::poke_nan("nan-gemm", out);
+        failpoints::poke_nan(Site::NanGemm, out);
         if !out.iter().all(|x| x.is_finite()) {
             return Err(DcError::Breakdown {
                 stage: "update-vect",

@@ -1,5 +1,6 @@
 //! The implicit-shift QR sweep and its driver.
 
+use dcst_matrix::failpoints::{self, Site};
 use dcst_matrix::util::{lapy2, EPS, SAFE_MIN};
 use dcst_matrix::Matrix;
 use dcst_tridiag::SymTridiag;
@@ -183,7 +184,7 @@ pub fn steqr_mut_with_budget(
     if n <= 1 {
         return Ok(());
     }
-    if dcst_matrix::failpoints::fire("steqr") {
+    if failpoints::fire(Site::Steqr) {
         return Err(QrError::NoConvergence {
             block_start: 0,
             block_end: n - 1,
@@ -277,7 +278,7 @@ pub fn steqr_mut_with_budget(
     }
     // NaN-corruption site: models a silent kernel breakdown that produces
     // garbage instead of an error, for testing downstream detection.
-    dcst_matrix::failpoints::poke_nan("nan-steqr", d);
+    failpoints::poke_nan(Site::NanSteqr, d);
     Ok(())
 }
 

@@ -23,6 +23,7 @@
 //! last sweep instead of a midpoint sweep.
 
 use crate::simd::{SecularKernels, SweepSums};
+use dcst_matrix::failpoints::{self, Site};
 use dcst_matrix::metrics;
 use dcst_matrix::util::EPS;
 use std::ops::Range;
@@ -232,7 +233,7 @@ impl<'a> SecularProblem<'a> {
         let (d, z, rho) = (self.d, self.z, self.rho);
         let k = d.len();
         assert!(j < k && delta.len() == k);
-        if dcst_matrix::failpoints::fire("laed4") {
+        if failpoints::fire(Site::Laed4) {
             return Err(SecularError::NoConvergence { root: j });
         }
 

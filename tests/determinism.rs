@@ -88,10 +88,10 @@ fn generators_and_solver_roundtrip_is_reproducible() {
 /// first failure latches. `LevelParallelDc` runs the leaves on the pool,
 /// so — like `TaskFlowDc` — it reports the typed error of whichever
 /// failing leaf got there first.
-#[cfg(feature = "failpoints")]
 #[test]
 fn multi_failure_reports_lowest_offset_block() {
     use dcst::core::DcError;
+    use dcst::matrix::failpoints::{self as fp, Site, Trigger};
     use dcst::qriter::QrError;
     let t = MatrixType::Type4.generate(96, 5);
     let leaf_offsets: Vec<usize> = {
@@ -112,7 +112,7 @@ fn multi_failure_reports_lowest_offset_block() {
     for (name, solver) in &solvers {
         // Repeat: a scheduling-order-dependent report would flake here.
         for run in 0..8 {
-            let _armed = dcst::matrix::failpoints::exclusive("steqr", "1+");
+            let _armed = fp::exclusive(Site::Steqr, Trigger::FromHit(1));
             match solver.solve(&t) {
                 Err(DcError::Leaf(QrError::NoConvergence { block_start, .. })) => {
                     if *name == "levelpar" {

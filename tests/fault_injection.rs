@@ -1,15 +1,12 @@
 //! Fault-injection tests: every failpoint site, through every solver.
 //!
-//! Built only with `--features failpoints`. Each test arms a site through
-//! [`failpoints::exclusive`], which serializes arming tests against each
-//! other (and against any [`failpoints::quiet`] holder) via a process-wide
-//! RwLock — the registry is global state shared by all solver runs in this
-//! binary.
-
-#![cfg(feature = "failpoints")]
+//! Each test arms a site through [`failpoints::exclusive`], which
+//! serializes arming tests against each other (and against any
+//! [`failpoints::quiet`] holder) via a process-wide RwLock — the registry
+//! is global state shared by all solver runs in this binary.
 
 use dcst::core::DcError;
-use dcst::matrix::failpoints as fp;
+use dcst::matrix::failpoints::{self as fp, Site, Trigger};
 use dcst::prelude::*;
 use dcst::qriter::QrError;
 use dcst::secular::SecularError;
@@ -50,12 +47,12 @@ fn test_matrix() -> SymTridiag {
 fn steqr_failure_is_typed_from_every_solver() {
     let t = test_matrix();
     for (name, solver) in solvers() {
-        let _armed = fp::exclusive("steqr", "1");
+        let _armed = fp::exclusive(Site::Steqr, Trigger::AtHit(1));
         match solver.solve(&t) {
             Err(DcError::Leaf(QrError::NoConvergence { .. })) => {}
             other => panic!("{name}: expected Leaf(NoConvergence), got {other:?}"),
         }
-        assert_eq!(fp::fired("steqr"), 1, "{name}");
+        assert_eq!(fp::fired(Site::Steqr), 1, "{name}");
     }
 }
 
@@ -63,12 +60,12 @@ fn steqr_failure_is_typed_from_every_solver() {
 fn laed4_failure_is_typed_from_every_solver() {
     let t = test_matrix();
     for (name, solver) in solvers() {
-        let _armed = fp::exclusive("laed4", "1");
+        let _armed = fp::exclusive(Site::Laed4, Trigger::AtHit(1));
         match solver.solve(&t) {
             Err(DcError::Secular(SecularError::NoConvergence { .. })) => {}
             other => panic!("{name}: expected Secular(NoConvergence), got {other:?}"),
         }
-        assert_eq!(fp::fired("laed4"), 1, "{name}");
+        assert_eq!(fp::fired(Site::Laed4), 1, "{name}");
     }
 }
 
@@ -76,12 +73,12 @@ fn laed4_failure_is_typed_from_every_solver() {
 fn gemm_failure_is_typed_from_every_solver() {
     let t = test_matrix();
     for (name, solver) in solvers() {
-        let _armed = fp::exclusive("gemm", "1");
+        let _armed = fp::exclusive(Site::Gemm, Trigger::AtHit(1));
         match solver.solve(&t) {
             Err(DcError::Breakdown { stage: "gemm", .. }) => {}
             other => panic!("{name}: expected Breakdown(gemm), got {other:?}"),
         }
-        assert_eq!(fp::fired("gemm"), 1, "{name}");
+        assert_eq!(fp::fired(Site::Gemm), 1, "{name}");
     }
 }
 
@@ -92,14 +89,14 @@ fn nan_from_a_leaf_is_caught_at_the_parent_merge() {
     // scan, never panic, never leak into an Ok result.
     let t = test_matrix();
     for (name, solver) in solvers() {
-        let _armed = fp::exclusive("nan-steqr", "1");
+        let _armed = fp::exclusive(Site::NanSteqr, Trigger::AtHit(1));
         match solver.solve(&t) {
             Err(DcError::Breakdown {
                 stage: "deflate", ..
             }) => {}
             other => panic!("{name}: expected Breakdown(deflate), got {other:?}"),
         }
-        assert_eq!(fp::fired("nan-steqr"), 1, "{name}");
+        assert_eq!(fp::fired(Site::NanSteqr), 1, "{name}");
     }
 }
 
@@ -107,7 +104,7 @@ fn nan_from_a_leaf_is_caught_at_the_parent_merge() {
 fn nan_from_a_gemm_is_caught_by_the_output_scan() {
     let t = test_matrix();
     for (name, solver) in solvers() {
-        let _armed = fp::exclusive("nan-gemm", "1");
+        let _armed = fp::exclusive(Site::NanGemm, Trigger::AtHit(1));
         match solver.solve(&t) {
             Err(DcError::Breakdown {
                 stage: "update-vect",
@@ -115,26 +112,26 @@ fn nan_from_a_gemm_is_caught_by_the_output_scan() {
             }) => {}
             other => panic!("{name}: expected Breakdown(update-vect), got {other:?}"),
         }
-        assert_eq!(fp::fired("nan-gemm"), 1, "{name}");
+        assert_eq!(fp::fired(Site::NanGemm), 1, "{name}");
     }
 }
 
 #[test]
 fn trigger_count_is_respected() {
     // A trigger beyond the number of site hits never fires: the solve must
-    // succeed bit-for-bit as if the feature were off.
+    // succeed as if nothing were armed.
     let t = test_matrix();
-    let _armed = fp::exclusive("steqr", "999");
+    let _armed = fp::exclusive(Site::Steqr, Trigger::AtHit(999));
     let eig = TaskFlowDc::new(opts()).solve(&t).unwrap();
-    assert_eq!(fp::fired("steqr"), 0);
-    assert!(fp::hits("steqr") >= 2, "several leaves hit the site");
+    assert_eq!(fp::fired(Site::Steqr), 0);
+    assert!(fp::hits(Site::Steqr) >= 2, "several leaves hit the site");
     assert!(eig.values.iter().all(|v| v.is_finite()));
 }
 
 #[test]
 fn second_hit_trigger_spares_the_first_site() {
     let t = test_matrix();
-    let _armed = fp::exclusive("steqr", "2");
+    let _armed = fp::exclusive(Site::Steqr, Trigger::AtHit(2));
     match SequentialDc::new(opts()).solve(&t) {
         // Leaves solve in ascending offset order sequentially, so the
         // second leaf is the one that fails.
@@ -143,7 +140,7 @@ fn second_hit_trigger_spares_the_first_site() {
         }
         other => panic!("expected Leaf(NoConvergence), got {other:?}"),
     }
-    assert_eq!(fp::hits("steqr"), 2);
+    assert_eq!(fp::hits(Site::Steqr), 2);
 }
 
 #[test]
@@ -151,7 +148,7 @@ fn solver_is_reusable_after_an_injected_failure() {
     let t = test_matrix();
     let solver = TaskFlowDc::new(opts());
     {
-        let _armed = fp::exclusive("laed4", "1");
+        let _armed = fp::exclusive(Site::Laed4, Trigger::AtHit(1));
         assert!(solver.solve(&t).is_err());
     }
     let _q = fp::quiet();
@@ -179,15 +176,15 @@ proptest! {
         site_idx in 0usize..2,
         trigger in 1usize..6,
     ) {
-        let site = ["nan-steqr", "nan-gemm"][site_idx];
+        let site = [Site::NanSteqr, Site::NanGemm][site_idx];
         let t = MatrixType::from_index(ty).unwrap().generate(n, seed);
         for (name, solver) in solvers() {
-            let _armed = fp::exclusive(site, &trigger.to_string());
+            let _armed = fp::exclusive(site, Trigger::AtHit(trigger));
             let result = solver.solve(&t);
             let fired = fp::fired(site);
             match result {
                 Ok(eig) => {
-                    prop_assert_eq!(fired, 0, "{}: Ok but {} fired", name, site);
+                    prop_assert_eq!(fired, 0, "{}: Ok but {:?} fired", name, site);
                     prop_assert!(
                         eig.values.iter().all(|v| v.is_finite()),
                         "{}: non-finite eigenvalue in Ok result", name

@@ -1,16 +1,13 @@
-//! Fault injection under service load: DCST_FAIL sites firing inside the
-//! daemon's shared runtime while several requests are in flight.
+//! Fault injection under service load: kernel failpoint sites firing
+//! inside the daemon's shared runtime while several requests are in flight.
 //!
-//! Built only with `--features failpoints`. The property being proven is
-//! the service-layer half of the failure model: a kernel fault is
-//! attributed to exactly the request whose task faulted (typed
-//! `numerical` error), every other in-flight request completes with
-//! gate-passing results, the pool stays usable afterwards, and the
-//! admission gauge returns to zero.
+//! The property being proven is the service-layer half of the failure
+//! model: a kernel fault is attributed to exactly the request whose task
+//! faulted (typed `numerical` error), every other in-flight request
+//! completes with gate-passing results, the pool stays usable afterwards,
+//! and the admission gauge returns to zero.
 
-#![cfg(feature = "failpoints")]
-
-use dcst::matrix::failpoints as fp;
+use dcst::matrix::failpoints::{self as fp, Site, Trigger};
 use dcst::runtime::jsonv::Json;
 use dcst::serve::{Client, Server, ServerConfig};
 
@@ -48,8 +45,8 @@ fn drain(cl: &mut Client, count: usize) -> Vec<(u64, Json)> {
 /// and the daemon keeps serving.
 #[test]
 fn one_armed_site_fails_exactly_one_of_many() {
-    for site in ["steqr", "laed4"] {
-        let armed = fp::exclusive(site, "1");
+    for site in [Site::Steqr, Site::Laed4] {
+        let armed = fp::exclusive(site, Trigger::AtHit(1));
         let server = Server::start(ServerConfig {
             threads: 2,
             max_inflight: 8,
@@ -66,17 +63,17 @@ fn one_armed_site_fails_exactly_one_of_many() {
         assert_eq!(
             failed.len(),
             1,
-            "site {site}: exactly one request must fail, got {responses:?}"
+            "site {site:?}: exactly one request must fail, got {responses:?}"
         );
         assert_eq!(
             error_code(&failed[0].1).as_deref(),
             Some("numerical"),
-            "site {site}: fault must surface as a typed numerical error"
+            "site {site:?}: fault must surface as a typed numerical error"
         );
         assert_eq!(
             fp::fired(site),
             1,
-            "site {site} must have fired exactly once"
+            "site {site:?} must have fired exactly once"
         );
         for (id, doc) in &responses {
             if is_ok(doc) {
@@ -103,7 +100,7 @@ fn one_armed_site_fails_exactly_one_of_many() {
 /// batch envelope itself stays `ok`.
 #[test]
 fn batch_isolates_an_injected_item_fault() {
-    let armed = fp::exclusive("steqr", "1");
+    let armed = fp::exclusive(Site::Steqr, Trigger::AtHit(1));
     let server = Server::start(ServerConfig {
         threads: 2,
         ..ServerConfig::default()

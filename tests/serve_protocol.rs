@@ -5,9 +5,9 @@
 //! asserts the service-layer contracts: every error is typed, a shed or
 //! cancelled request never poisons its neighbours, admission capacity is
 //! returned when a request is cancelled, and the in-flight gauge drains
-//! to zero. Also built (and green) under `--features "failpoints
-//! access-check"` — the shadow tracker validates every task's declared
-//! accesses while the harness hammers the shared runtime.
+//! to zero. Also built (and green) under `--features access-check` — the
+//! shadow tracker validates every task's declared accesses while the
+//! harness hammers the shared runtime.
 
 use dcst::runtime::jsonv::Json;
 use dcst::serve::{Client, Server, ServerConfig};

@@ -2,11 +2,10 @@
 //! static-analysis crate (which owns the lexer, parser, and all rules).
 //!
 //! * `cargo run -p xtask -- analyze` — the unsafe-audit lint rules
-//!   (unsafe-safety, static-mut, sleep-poll, pool-sync) plus the four
+//!   (unsafe-safety, static-mut, sleep-poll, pool-sync) plus the three
 //!   analysis passes (atomic-ordering manifest conformance against
-//!   `specs/orderings.toml`, hot-path purity for `// dcst-hot` fns,
-//!   feature-gate symmetry of the two-`mod imp` idiom, and the static
-//!   task-footprint lint). Options:
+//!   `specs/orderings.toml`, hot-path purity for `// dcst-hot` fns, and
+//!   the static task-footprint lint). Options:
 //!   * `--report FILE` — also write the violation list to FILE (always
 //!     written, even when empty, so CI can upload it as an artifact).
 //!   * `--emit-orderings` — print a manifest skeleton for every atomic
