@@ -375,11 +375,18 @@ fn main() -> ExitCode {
                 }
             };
             let secs = start.elapsed().as_secs_f64();
+            // `seq` runs the graph inline on the calling thread, and QR has
+            // no runtime: neither uses `--threads`.
+            let ran_on = match solver_name {
+                "seq" | "qr" => 1,
+                _ => threads,
+            };
             eprintln!(
-                "{solver_name}: {} eigenvalue(s), {} vector column(s) in {:.3}s ({threads} threads)",
+                "{solver_name}: {} eigenvalue(s), {} vector column(s) in {:.3}s ({ran_on} thread{})",
                 values.len(),
                 vectors.cols(),
-                secs
+                secs,
+                if ran_on == 1 { "" } else { "s" }
             );
             if let Some((trace, rm)) = &observed {
                 if let Some(path) = trace_path.as_deref() {
@@ -421,7 +428,12 @@ fn main() -> ExitCode {
                 let roots = delta.get("secular.root_solves");
                 if roots > 0 {
                     let per_root = delta.get("secular.iters") as f64 / roots as f64;
-                    eprintln!("secular iters per root = {per_root:.2}");
+                    let certified = delta.get("secular.certified") as f64 / roots as f64;
+                    eprintln!(
+                        "secular iters per root = {per_root:.2}, certified without a closing \
+                         sweep = {:.1}%",
+                        100.0 * certified
+                    );
                 }
                 if let Some((_, rm)) = &observed {
                     eprintln!("{}", rm.report());

@@ -437,6 +437,11 @@ fn metrics_flag_reports_solver_and_runtime_counters() {
     assert!(err.contains("overall deflation"), "{err}");
     assert!(err.contains("gemm.flops = "), "{err}");
     assert!(err.contains("secular iters per root = "), "{err}");
+    assert!(
+        err.contains("certified without a closing sweep = "),
+        "{err}"
+    );
+    assert!(err.contains("secular.certified = "), "{err}");
     // Runtime counter table follows the kernel counters for taskflow runs.
     assert!(err.contains("max ready-queue depth"), "{err}");
     // Real work must be visible in the report.
@@ -479,6 +484,41 @@ fn metrics_flag_reports_solver_and_runtime_counters() {
     assert!(!err.contains("steqr.sweeps = 0"), "{err}");
     assert!(!err.contains("overall deflation"), "{err}");
     assert!(!err.contains("max ready-queue depth"), "{err}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The summary line names the threads the solver ran on: `seq` runs the
+/// graph inline and QR has no runtime, so both say one thread whatever
+/// `--threads` asks for; `taskflow` uses what it asks for.
+#[test]
+fn summary_reports_the_threads_the_solver_ran_on() {
+    let path = tempfile("threads.txt");
+    dcst()
+        .args([
+            "generate",
+            "--type",
+            "6",
+            "--n",
+            "300",
+            "--out",
+            path.to_str().unwrap(),
+        ])
+        .status()
+        .unwrap();
+    for (solver, want) in [
+        ("seq", "(1 thread)"),
+        ("qr", "(1 thread)"),
+        ("taskflow", "(2 threads)"),
+    ] {
+        let out = dcst()
+            .args(["solve", "--in", path.to_str().unwrap(), "--solver", solver])
+            .args(["--threads", "2", "--values-only", "--metrics"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{solver}: {err}");
+        assert!(err.contains(want), "{solver}: {err}");
+    }
     let _ = std::fs::remove_file(&path);
 }
 

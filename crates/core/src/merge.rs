@@ -303,9 +303,10 @@ impl PanelRoots {
 /// panel's first root starts cold, so the roots depend on `nb` and on
 /// nothing the discipline or T chooses. With `carry` — the merge's X or
 /// rows have a reader — also returns the panel's running Gu–Eisenstat
-/// local-W partial and its [`PanelRoots`]. One k-length delta column of
-/// per-thread scratch is reused across roots, so transient memory is O(k)
-/// whatever the panel width.
+/// local-W partial and its [`PanelRoots`]. One k-length column of
+/// per-thread scratch serves the root finder's sweeps, so transient memory
+/// is O(k) whatever the panel width; nothing reads it after a root, since
+/// local-W rebuilds each root's pole distances from `(origin, μ)`.
 pub(crate) fn laed4_panel(
     defl: &Deflation,
     jrange: Range<usize>,
@@ -326,10 +327,10 @@ pub(crate) fn laed4_panel(
     let mut solver = problem.panel();
     with_scratch(k, |col| -> Result<(), DcError> {
         for (lam, j) in lam_out.iter_mut().zip(jrange) {
-            let root = solver.solve_root(j, col).map_err(at_off)?;
+            let root = solver.solve_root_scratch(j, col).map_err(at_off)?;
             *lam = root.lambda;
             if let Some((partial, roots)) = &mut kept {
-                local_w_accumulate(&defl.dlamda, col, j, partial);
+                local_w_accumulate(&defl.dlamda, &root, j, partial);
                 roots.mu.push(root.mu);
                 roots
                     .origin

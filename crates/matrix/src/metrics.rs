@@ -16,10 +16,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The registered counter names, in snapshot order.
-pub const NAMES: [&str; 12] = [
+pub const NAMES: [&str; 13] = [
     "secular.root_solves",
     "secular.iters",
     "secular.bisection_rescues",
+    "secular.certified",
     "steqr.sweeps",
     "steqr.exceptional_rescues",
     "gemm.calls",
@@ -39,7 +40,7 @@ fn index_of(name: &str) -> usize {
         // The analyzer reaches this through a name collision on `get`; the
         // real caller on kernel paths is `add`, in every build — but kernels
         // batch their adds (per root solve or panel, never per inner-loop
-        // step) and pass literal names: ≤ 12 short compares, panic arm dead.
+        // step) and pass literal names: ≤ 13 short compares, panic arm dead.
         // xtask-lint: allow(hot-path) — batched lookup; panic arm is a typo'd literal
         .unwrap_or_else(|| panic!("unknown metrics counter '{name}'"))
 }

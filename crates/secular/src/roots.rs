@@ -17,12 +17,18 @@
 //! model of f matched to the sweep's value and side-wise slopes. Below a
 //! crossover k the model is the two-pole "middle way" one, solved in closed
 //! form. Above it, the model keeps `WINDOW` poles either side of the root's
-//! interval exact and lumps each far side onto one pole, and it is solved
-//! by the same step, iterated on the model alone. There, too, a
-//! [`SecularPanel`] starts each root from the model of the previous root's
-//! last sweep instead of a midpoint sweep.
+//! interval exact, and it is solved by the same step, iterated on the
+//! model alone; the window's 16 terms are one [`SecularKernels`] pass.
+//! Each far side is there the Taylor cubic the sweep's moments give
+//! (`Σₙ Mₙhⁿ`, `h` the distance from the swept iterate), and a root whose
+//! model value, plus a rigorous bound on the dropped tails, passes the
+//! stopping test is accepted without another sweep (*certified*): a warm
+//! root costs about one sweep. A cold root's first step lumps each far
+//! side onto one pole instead, and a [`SecularPanel`] starts each root
+//! from such a lumped model of the previous root instead of a midpoint
+//! sweep.
 
-use crate::simd::{SecularKernels, SweepSums};
+use crate::simd::{SecularKernels, SweepSums, WINDOW_LANES};
 use dcst_matrix::failpoints::{self, Site};
 use dcst_matrix::metrics;
 use dcst_matrix::util::EPS;
@@ -147,7 +153,7 @@ impl<'a> SecularProblem<'a> {
     /// run of roots, each warm-started from the one before.
     pub fn solve_root(&self, j: usize, delta: &mut [f64]) -> Result<SecularRoot, SecularError> {
         Ok(self
-            .solve(j, delta, SecularKernels::dispatched(), MAXIT, None)?
+            .solve(j, delta, SecularKernels::dispatched(), MAXIT, None, true)?
             .0)
     }
 
@@ -159,7 +165,9 @@ impl<'a> SecularProblem<'a> {
         j: usize,
         delta: &mut [f64],
     ) -> Result<SecularRoot, SecularError> {
-        Ok(self.solve(j, delta, SecularKernels::SCALAR, MAXIT, None)?.0)
+        Ok(self
+            .solve(j, delta, SecularKernels::SCALAR, MAXIT, None, true)?
+            .0)
     }
 
     /// A run of roots solved in ascending order on the dispatched kernels:
@@ -201,27 +209,30 @@ impl<'a> SecularProblem<'a> {
     /// the interval.
     fn warm_start(
         &self,
+        kernels: SecularKernels,
         model: &Model,
         j: usize,
         split: usize,
         width: f64,
     ) -> Option<(usize, f64)> {
-        debug_assert!(model.first < split && split < model.first + model.n);
+        debug_assert!(model.window.start < split && split < model.window.end);
         let half = 0.5 * width;
-        let q = model.poles(self, j);
-        let at = model.at(&q, split, half);
+        let q = model.poles(self, split, j);
+        let at = q.at(kernels, half);
         let (origin, q, mu, lo, hi) = if at.g < 0.0 {
-            (j + 1, model.poles(self, j + 1), -half, -width, 0.0)
+            (j + 1, model.poles(self, split, j + 1), -half, -width, 0.0)
         } else {
             (j, q, half, 0.0, width)
         };
-        let mu = model.root(&q, split, mu, at, (lo, hi));
+        let mu = q.root(kernels, mu, at, (lo, hi));
         (lo < mu && mu < hi).then_some((origin, mu))
     }
 
     /// One root; with `warm`, its first step from that model instead of a
-    /// midpoint sweep. Also returns the model fitted at the sweep it
-    /// converged at, for root `j + 1` (windowed problems only).
+    /// midpoint sweep. Also returns the model fitted where it converged,
+    /// for root `j + 1` (windowed problems only). With `refresh` false,
+    /// `delta` is scratch: on return it holds the distances at the last
+    /// sweep, which a certified root does not end with.
     fn solve(
         &self,
         j: usize,
@@ -229,6 +240,7 @@ impl<'a> SecularProblem<'a> {
         kernels: SecularKernels,
         maxit: usize,
         warm: Option<&Model>,
+        refresh: bool,
     ) -> Result<(SecularRoot, Option<Model>), SecularError> {
         let (d, z, rho) = (self.d, self.z, self.rho);
         let k = d.len();
@@ -275,7 +287,7 @@ impl<'a> SecularProblem<'a> {
         let mut mu = 0.5 * hi;
         let start = warm
             .filter(|_| !last)
-            .and_then(|model| self.warm_start(model, j, split, width));
+            .and_then(|model| self.warm_start(kernels, model, j, split, width));
         let cold = start.is_none();
         if let Some((o, m)) = start {
             (origin, mu) = (o, m);
@@ -290,8 +302,11 @@ impl<'a> SecularProblem<'a> {
         // The (origin, μ) `delta` was last filled at.
         let mut swept = (usize::MAX, 0.0);
         let mut converged = false;
+        let mut certified = false;
         let mut next_model = None;
         let mut iters = 0u64;
+        // The convergence test is |f| ≤ tolk·fabs.
+        let tolk = 8.0 * EPS * (k as f64);
         // The first sweep, then up to `maxit` rational-model steps.
         for it in 0..=maxit {
             iters += 1;
@@ -303,8 +318,7 @@ impl<'a> SecularProblem<'a> {
             swept = (origin, mu);
             let f = 1.0 + rho * sums.val;
             let fabs = 1.0 + rho * sums.abs;
-            let tol = 8.0 * EPS * (k as f64) * fabs;
-            if f.abs() <= tol {
+            if f.abs() <= tolk * fabs {
                 if may_flip && past_midpoint(origin == j, mu, width) {
                     // Converged from the farther endpoint: re-express μ
                     // from the nearer one and converge again there.
@@ -314,7 +328,11 @@ impl<'a> SecularProblem<'a> {
                 }
                 converged = true;
                 if !window.is_empty() {
-                    next_model = Some(Model::fit(self, &window, &sums, delta));
+                    next_model = Some(Model::fit(
+                        self,
+                        &window,
+                        sweep_sides(&window, &sums, delta),
+                    ));
                 }
                 break;
             }
@@ -353,19 +371,44 @@ impl<'a> SecularProblem<'a> {
                     Some(eta) if (lo < mu + eta) && (mu + eta < hi) => mu + eta,
                     _ => 0.5 * (lo + hi),
                 }
+            } else if let Some(taylor) = (!(cold && it == 0))
+                .then(|| Taylor::fit(self, &window, split, origin, mu, &sums, delta))
+                .flatten()
+            {
+                // --- the window's poles exact and each far side as its
+                // Taylor cubic about this sweep: the model's root, and
+                // with it, when the dropped tails are provably small
+                // enough, the root itself without another sweep.
+                let (x, at_x) = taylor.root(kernels, rho, (lo, hi), tolk);
+                if let Some(p) = at_x {
+                    mu = x;
+                    if may_flip && past_midpoint(origin == j, mu, width) {
+                        // As for a root converged at a sweep.
+                        flip(&mut origin, j, [&mut mu, &mut lo, &mut hi], width);
+                        may_flip = false;
+                        continue;
+                    }
+                    converged = true;
+                    certified = true;
+                    next_model = Some(Model::fit(self, &window, taylor.sides(&p, x)));
+                    break;
+                }
+                x
             } else {
                 // --- the model with the window's poles exact and each far
                 // side fitted with one pole: its root between the
-                // interval's poles, by the same step iterated on it.
-                let model = Model::fit(self, &window, &sums, delta);
-                let q = model.poles(self, origin);
-                let at = model.at(&q, split, mu);
+                // interval's poles, by the same step iterated on it. A
+                // cold root's first step, and any step whose moments
+                // under- or overflowed.
+                let model = Model::fit(self, &window, sweep_sides(&window, &sums, delta));
+                let q = model.poles(self, split, origin);
+                let at = q.at(kernels, mu);
                 let interval = if origin == j {
                     (0.0, width)
                 } else {
                     (-width, 0.0)
                 };
-                let root = model.root(&q, split, mu, at, interval);
+                let root = q.root(kernels, mu, at, interval);
                 if lo < root && root < hi {
                     root
                 } else {
@@ -423,9 +466,12 @@ impl<'a> SecularProblem<'a> {
         if rescued {
             metrics::add("secular.bisection_rescues", 1);
         }
+        if certified {
+            metrics::add("secular.certified", 1);
+        }
         // Delta refresh at the accepted μ, unless the last sweep ran there
-        // (it wrote these very values).
-        if swept != (origin, mu) {
+        // (it wrote these very values) or nothing reads it.
+        if (refresh || !converged) && swept != (origin, mu) {
             for (de, &di) in delta.iter_mut().zip(d) {
                 *de = (di - d[origin]) - mu;
             }
@@ -467,13 +513,34 @@ pub struct SecularPanel<'p, 'a> {
 impl SecularPanel<'_, '_> {
     /// Solve root `j`, as [`SecularProblem::solve_root`] does.
     pub fn solve_root(&mut self, j: usize, delta: &mut [f64]) -> Result<SecularRoot, SecularError> {
+        self.solve(j, delta, true)
+    }
+
+    /// [`Self::solve_root`] for a caller that keeps only the root:
+    /// `scratch` (length k) is work space, and on return it need not hold
+    /// the root's pole distances — a root certified without a closing sweep
+    /// skips their k-term refresh. The root is the one `solve_root` gives.
+    pub fn solve_root_scratch(
+        &mut self,
+        j: usize,
+        scratch: &mut [f64],
+    ) -> Result<SecularRoot, SecularError> {
+        self.solve(j, scratch, false)
+    }
+
+    fn solve(
+        &mut self,
+        j: usize,
+        delta: &mut [f64],
+        refresh: bool,
+    ) -> Result<SecularRoot, SecularError> {
         let warm = match self.prev.take() {
             Some((i, model)) if i + 1 == j => Some(model),
             _ => None,
         };
-        let (root, model) = self
-            .problem
-            .solve(j, delta, self.kernels, MAXIT, warm.as_ref())?;
+        let (root, model) =
+            self.problem
+                .solve(j, delta, self.kernels, MAXIT, warm.as_ref(), refresh)?;
         self.prev = model.map(|m| (j, m));
         Ok(root)
     }
@@ -499,21 +566,283 @@ fn flip(origin: &mut usize, j: usize, coords: [&mut f64; 3], width: f64) {
     }
 }
 
-/// The rational step's model of `f` near one root:
-/// `g(μ) = 1 + Σₜ wₜ/(qₜ − μ)` over poles `first..first + n`, `qₜ` their
-/// positions from the origin. The window's poles are exact: `qₜ = d_t −
-/// d_origin`, `wₜ = ρ zₜ²`. Each far side — the terms below and above the
-/// window — becomes the one pole that matches its value and slope at the
-/// sweep the model was fitted at: weight `ρψ²/ψ′`, distance `ψ/ψ′` from
-/// that sweep's iterate, which lies past the side's nearest pole. It sits
-/// in the slot of that pole (`first`, `first + n − 1`), shifted off it.
+/// Poles `window` of a root's step model, from an origin: positions `q`
+/// and weights `ρz²`. The interval's poles `split − 1` and `split` are
+/// kept apart, as `(q, w)` pairs; the rest go to one
+/// [`SecularKernels::window_sums`] pass, padded with `q = ∞`, `w = 0`.
+/// Each of those lies below μ if and only if it lies below the interval,
+/// so that pass splits the sides by sign — where the last root's upper
+/// pole `k − 1`, below μ too, would land on the wrong one.
 #[derive(Clone, Copy, Debug)]
+struct Window {
+    q: [f64; WINDOW_LANES],
+    w: [f64; WINDOW_LANES],
+    ends: [(f64, f64); 2],
+}
+
+/// The [`Window`] at one μ.
+#[derive(Clone, Copy, Debug)]
+struct WindowPoint {
+    /// `[ψ, ψ′, φ, φ′]` of the poles below and above the interval.
+    side: [f64; 4],
+    /// `Σ |ρz²/(q − μ)|`.
+    abs: f64,
+    /// The distances of the interval's poles.
+    a: f64,
+    b: f64,
+}
+
+impl Window {
+    /// The poles `window` from `d_origin`, around the interval below
+    /// `split`.
+    fn new(p: &SecularProblem<'_>, window: &Range<usize>, split: usize, origin: usize) -> Self {
+        let (mut q, mut w) = ([f64::INFINITY; WINDOW_LANES], [0.0; WINDOW_LANES]);
+        let base = p.d[origin];
+        let pole = |i: usize| (p.d[i] - base, p.rho * p.z[i] * p.z[i]);
+        let rest = window.clone().filter(|&i| i + 1 != split && i != split);
+        for (t, i) in rest.enumerate() {
+            (q[t], w[t]) = pole(i);
+        }
+        Window {
+            q,
+            w,
+            ends: [pole(split - 1), pole(split)],
+        }
+    }
+
+    /// The window at μ.
+    fn at(&self, kernels: SecularKernels, mu: f64) -> WindowPoint {
+        let mut side = kernels.window_sums(&self.q, &self.w, mu);
+        let mut abs = side[2] - side[0];
+        let mut dist = [0.0; 2];
+        for (i, &(q, w)) in self.ends.iter().enumerate() {
+            dist[i] = q - mu;
+            let inv = 1.0 / dist[i];
+            let r = w * inv;
+            side[2 * i] += r;
+            side[2 * i + 1] += r * inv;
+            abs += r.abs();
+        }
+        WindowPoint {
+            side,
+            abs,
+            a: dist[0],
+            b: dist[1],
+        }
+    }
+}
+
+/// The rational step's model of `f` near one root:
+/// `g(μ) = 1 + Σₜ wₜ/(qₜ − μ)`. The `window`'s poles are exact:
+/// `qₜ = d_t − d_origin`, `wₜ = ρ zₜ²`. Each far side — the terms below
+/// and above the window — becomes the one pole that matches its value and
+/// slope at the iterate the model was fitted at: weight `ρψ²/ψ′`, distance
+/// `ψ/ψ′` from that iterate, which lies past the side's nearest pole
+/// (`window.start − 1`, `window.end`), and is kept as its shift off it.
+#[derive(Clone, Debug)]
 struct Model {
-    first: usize,
-    n: usize,
-    w: [f64; MODEL_POLES],
-    /// How far each pole sits below its slot's `d` (non-zero for lumps).
-    shift: [f64; MODEL_POLES],
+    window: Range<usize>,
+    /// Each lump's weight and shift below its pole's `d`, ψ side first
+    /// (weight 0 for an absent side).
+    lumps: [(f64, f64); 2],
+}
+
+/// A [`Model`]'s poles from one origin.
+#[derive(Clone, Copy, Debug)]
+struct ModelPoles {
+    window: Window,
+    /// Each lump's position and weight, ψ side first (`∞`, 0 if absent).
+    lumps: [(f64, f64); 2],
+}
+
+/// A far side at one iterate, as [`Model::fit`] lumps it: its sums
+/// `ψ = Σ z²/δ` and `ψ′ = Σ z²/δ²`, and the distance δ of its nearest
+/// pole. An absent side (the window reaches that end) is not read.
+#[derive(Clone, Copy, Debug)]
+struct FarSide {
+    val: f64,
+    der: f64,
+    near: f64,
+}
+
+/// The far sides of a sweep over `window` whose sums are `s` and pole
+/// distances `delta`, ψ side first.
+fn sweep_sides(window: &Range<usize>, s: &SweepSums, delta: &[f64]) -> [FarSide; 2] {
+    let near = |i: Option<usize>| i.and_then(|i| delta.get(i)).copied().unwrap_or(0.0);
+    [
+        FarSide {
+            val: s.psi,
+            der: s.psi_p,
+            near: near(window.start.checked_sub(1)),
+        },
+        FarSide {
+            val: s.phi,
+            der: s.phi_p,
+            near: near(Some(window.end)),
+        },
+    ]
+}
+
+/// The step's model after a windowed sweep at `μ₀`, from that sweep's
+/// origin: the window's poles exact, as in [`Model`], and each far side as
+/// its Taylor polynomial in `h = μ − μ₀` through the cubic, `Σₙ₌₀³ Mₙhⁿ`,
+/// from the sweep's moments `Mₙ = Σ z²/δⁿ⁺¹`. What it drops of a side is
+/// `Σᵢ (z²/δᵢ)·(h/δᵢ)⁴/(1 − h/δᵢ)`; the side's δᵢ share one sign (the
+/// poles are ascending and μ stays in the root's interval), so with
+/// `r = |h|/|δ⁰|`, δ⁰ its nearest pole, that is at most `|M₀|·r⁴/(1 − r)`.
+#[derive(Clone, Copy, Debug)]
+struct Taylor {
+    mu0: f64,
+    window: Window,
+    /// Each far side's moments, ψ side first (0 for an absent side).
+    m: [[f64; 4]; 2],
+    /// Each side's δ⁰ at μ₀, signed (∞ for an absent side).
+    near: [f64; 2],
+}
+
+/// The Taylor model at one μ.
+#[derive(Clone, Copy, Debug)]
+struct TaylorPoint {
+    at: ModelPoint,
+    /// `1 + ρ·(|ψ̂| + Σ_window |t| + |φ̂|)`, the sweep's `fabs` for the model.
+    gabs: f64,
+    /// `ρ·Σ_sides |M₀|·r⁴/(1 − r)`, ∞ if a side's `r ≥ ½`.
+    tail: f64,
+    /// Each side's polynomial and its derivative, `(ψ̂, ψ̂′)`.
+    far: [(f64, f64); 2],
+}
+
+impl TaylorPoint {
+    /// Whether a sweep here passes `|f| ≤ tolk·fabs`: `f` is within `tail`
+    /// of `g`, and `fabs` of `gabs`.
+    fn certifies(&self, tolk: f64) -> bool {
+        self.at.g.abs() + self.tail <= tolk * (self.gabs - self.tail)
+    }
+}
+
+impl Taylor {
+    /// The model at a windowed sweep at `(origin, μ₀)` with sums `s` and
+    /// pole distances `delta`; `None` if a far side's moments are not all
+    /// finite and clear of underflow (then its cubic could miss terms that
+    /// matter, as in the 1e150-scaled regime).
+    #[allow(clippy::too_many_arguments)]
+    fn fit(
+        p: &SecularProblem<'_>,
+        window: &Range<usize>,
+        split: usize,
+        origin: usize,
+        mu0: f64,
+        s: &SweepSums,
+        delta: &[f64],
+    ) -> Option<Self> {
+        let m = s.moments();
+        let present = [window.start > 0, window.end < p.d.len()];
+        for (side, &here) in m.iter().zip(&present) {
+            if here && !side.iter().all(|x| x.is_finite() && x.abs() >= TINY) {
+                return None;
+            }
+        }
+        let sides = sweep_sides(window, s, delta);
+        let near = [0, 1].map(|i| {
+            if present[i] {
+                sides[i].near
+            } else {
+                f64::INFINITY
+            }
+        });
+        Some(Taylor {
+            mu0,
+            window: Window::new(p, window, split, origin),
+            m,
+            near,
+        })
+    }
+
+    /// The model at μ.
+    fn at(&self, kernels: SecularKernels, rho: f64, mu: f64) -> TaylorPoint {
+        let WindowPoint {
+            mut side,
+            mut abs,
+            a,
+            b,
+        } = self.window.at(kernels, mu);
+        let h = mu - self.mu0;
+        let mut tail = 0.0;
+        let mut far = [(0.0, 0.0); 2];
+        for (i, (m, near)) in self.m.iter().zip(self.near).enumerate() {
+            let val = ((m[3] * h + m[2]) * h + m[1]) * h + m[0];
+            let der = (3.0 * m[3] * h + 2.0 * m[2]) * h + m[1];
+            let r = h.abs() / near.abs();
+            tail += if r < 0.5 {
+                m[0].abs() * (r * r) * (r * r) / (1.0 - r)
+            } else {
+                f64::INFINITY
+            };
+            far[i] = (val, der);
+            side[2 * i] += rho * val;
+            side[2 * i + 1] += rho * der;
+            abs += rho * val.abs();
+        }
+        TaylorPoint {
+            at: ModelPoint {
+                g: 1.0 + side[0] + side[2],
+                psi_p: side[1],
+                phi_p: side[3],
+                a,
+                b,
+            },
+            gabs: 1.0 + abs,
+            tail: rho * tail,
+            far,
+        }
+    }
+
+    /// Middle-way steps on the model from μ₀, inside the sign-tested
+    /// bracket `(lo, hi)`, until a point certifies (returned with it) or
+    /// the steps stop moving: the last point, uncertified.
+    fn root(
+        &self,
+        kernels: SecularKernels,
+        rho: f64,
+        (mut lo, mut hi): (f64, f64),
+        tolk: f64,
+    ) -> (f64, Option<TaylorPoint>) {
+        let mut mu = self.mu0;
+        let mut p = self.at(kernels, rho, mu);
+        for _ in 0..TAYLOR_ITERS {
+            if p.at.g > 0.0 {
+                hi = mu;
+            } else if p.at.g < 0.0 {
+                lo = mu;
+            } else {
+                break;
+            }
+            let next = match middle_way(&p.at) {
+                Some(eta) if lo < mu + eta && mu + eta < hi => mu + eta,
+                _ => 0.5 * (lo + hi),
+            };
+            if next == mu {
+                break;
+            }
+            mu = next;
+            p = self.at(kernels, rho, mu);
+            if p.certifies(tolk) {
+                return (mu, Some(p));
+            }
+        }
+        (mu, None)
+    }
+
+    /// The far sides at `x`, where the model is `p`, for the next root's
+    /// warm model.
+    fn sides(&self, p: &TaylorPoint, x: f64) -> [FarSide; 2] {
+        let h = x - self.mu0;
+        [0, 1].map(|i| FarSide {
+            val: p.far[i].0,
+            der: p.far[i].1,
+            near: self.near[i] - h,
+        })
+    }
 }
 
 /// A model (or `f` itself) at one μ: its value, its slopes from the poles
@@ -529,68 +858,60 @@ struct ModelPoint {
 }
 
 impl Model {
-    /// Fit at a sweep over `window` whose sums are `s` and pole distances
-    /// `delta`. The far sums come from the sweep's own segments, so no
-    /// large near term is ever subtracted out of them.
-    fn fit(p: &SecularProblem<'_>, window: &Range<usize>, s: &SweepSums, delta: &[f64]) -> Self {
-        let k = p.d.len();
-        let first = window.start.saturating_sub(1);
-        let end = window.end.min(k - 1);
-        let n = end - first + 1;
-        let mut w = [0.0; MODEL_POLES];
-        for (wt, &zt) in w.iter_mut().zip(&p.z[first..=end]) {
-            *wt = p.rho * zt * zt;
-        }
-        let mut shift = [0.0; MODEL_POLES];
-        let mut lump = |t: usize, val: f64, der: f64| {
-            // Distance from the sweep's iterate; a side too small for its
-            // slope to be represented is dropped.
-            let e = val / der;
-            let fits = e.is_finite() && e != 0.0;
-            w[t] = if fits { p.rho * val * e } else { 0.0 };
-            shift[t] = if fits { delta[first + t] - e } else { 0.0 };
-        };
-        if window.start > 0 {
-            lump(0, s.psi, s.psi_p);
-        }
-        if window.end < k {
-            lump(n - 1, s.phi, s.phi_p);
-        }
-        Model { first, n, w, shift }
-    }
-
-    /// The poles' positions from `d_origin`.
-    fn poles(&self, p: &SecularProblem<'_>, origin: usize) -> [f64; MODEL_POLES] {
-        let base = p.d[origin];
-        let mut q = [0.0; MODEL_POLES];
-        for (t, qt) in q[..self.n].iter_mut().enumerate() {
-            *qt = (p.d[self.first + t] - base) - self.shift[t];
-        }
-        q
-    }
-
-    /// The model at μ, its poles at `q`. Poles `split − 1` and `split`
-    /// must be among them.
-    fn at(&self, q: &[f64; MODEL_POLES], split: usize, mu: f64) -> ModelPoint {
-        let s = split - self.first;
-        let side = |ts: Range<usize>| {
-            let (mut g, mut der) = (0.0, 0.0);
-            for t in ts {
-                let inv = 1.0 / (q[t] - mu);
-                let r = self.w[t] * inv;
-                g += r;
-                der += r * inv;
+    /// Fit around `window` to its far `sides` at one iterate: a sweep's
+    /// ([`sweep_sides`]) or a certified root's ([`Taylor::sides`]). The
+    /// far sums come from the sweep's own segments, so no large near term
+    /// is ever subtracted out of them.
+    fn fit(p: &SecularProblem<'_>, window: &Range<usize>, sides: [FarSide; 2]) -> Self {
+        let present = [window.start > 0, window.end < p.d.len()];
+        let lumps = [0, 1].map(|i| {
+            // Distance from the iterate; a side too small for its slope to
+            // be represented is dropped.
+            let e = sides[i].val / sides[i].der;
+            if present[i] && e.is_finite() && e != 0.0 {
+                (p.rho * sides[i].val * e, sides[i].near - e)
+            } else {
+                (0.0, 0.0)
             }
-            (g, der)
-        };
-        let (psi, psi_p) = side(0..s);
-        let (phi, phi_p) = side(s..self.n);
+        });
+        Model {
+            window: window.clone(),
+            lumps,
+        }
+    }
+
+    /// The poles' positions from `d_origin`, around the interval below
+    /// `split`.
+    fn poles(&self, p: &SecularProblem<'_>, split: usize, origin: usize) -> ModelPoles {
+        let base = p.d[origin];
+        let slots = [self.window.start.saturating_sub(1), self.window.end];
+        let lumps = [0, 1].map(|i| match self.lumps[i] {
+            (w, shift) if w != 0.0 => ((p.d[slots[i]] - base) - shift, w),
+            _ => (f64::INFINITY, 0.0),
+        });
+        ModelPoles {
+            window: Window::new(p, &self.window, split, origin),
+            lumps,
+        }
+    }
+}
+
+impl ModelPoles {
+    /// The model at μ.
+    fn at(&self, kernels: SecularKernels, mu: f64) -> ModelPoint {
+        let WindowPoint { mut side, a, b, .. } = self.window.at(kernels, mu);
+        for (i, &(q, w)) in self.lumps.iter().enumerate() {
+            let inv = 1.0 / (q - mu);
+            let r = w * inv;
+            side[2 * i] += r;
+            side[2 * i + 1] += r * inv;
+        }
         ModelPoint {
-            g: 1.0 + psi + phi,
-            psi_p,
-            phi_p,
-            a: q[s - 1] - mu,
-            b: q[s] - mu,
+            g: 1.0 + side[0] + side[2],
+            psi_p: side[1],
+            phi_p: side[3],
+            a,
+            b,
         }
     }
 
@@ -599,8 +920,7 @@ impl Model {
     /// evaluates to `at`.
     fn root(
         &self,
-        q: &[f64; MODEL_POLES],
-        split: usize,
+        kernels: SecularKernels,
         mut mu: f64,
         mut at: ModelPoint,
         (mut lo, mut hi): (f64, f64),
@@ -621,7 +941,7 @@ impl Model {
                 return next;
             }
             mu = next;
-            at = self.at(q, split, mu);
+            at = self.at(kernels, mu);
         }
         mu
     }
@@ -679,6 +999,7 @@ pub fn solve_secular_root_with_maxit(
         SecularKernels::dispatched(),
         maxit,
         None,
+        true,
     )?;
     Ok(root.lambda)
 }
@@ -706,13 +1027,13 @@ const MAXIT: usize = 100;
 const WINDOW: usize = 8;
 
 /// Smallest k whose roots step on the windowed model and warm-start from
-/// the root before. Below it the model's scalar iterations cost more than
-/// the sweeps they save (about even at k = 480), and the step is the
-/// two-pole closed form, bit for bit.
+/// the root before; below it the step is the two-pole closed form, bit
+/// for bit. Since roots are certified without a closing sweep, a windowed
+/// root is the cheaper one from k ≈ 300 (1.25 against 1.42 µs a root in
+/// panel order, 1.30 against 1.90 at k = 480), but a values solve of Type
+/// 6 at n = 4000 ran no faster with the crossover at 256 or 384 (its merges
+/// jump from k ≈ 490 to ≈ 240), so it stays here with the bits below it.
 const MIN_K_WINDOW: usize = 512;
-
-/// Poles of a windowed model: the window and a lump either side.
-const MODEL_POLES: usize = 2 * WINDOW + 2;
 
 /// Middle-way iterations on a model, at most: the first is the step a
 /// two-pole model would take, the other two refine it.
@@ -721,9 +1042,18 @@ const MODEL_ITERS: usize = 3;
 /// Relative step at which a model's root counts as found.
 const MODEL_TOL: f64 = 1e-6;
 
+/// Middle-way steps on a [`Taylor`] model, at most, before the root
+/// finder sweeps at the last one instead (a warm root takes about two).
+const TAYLOR_ITERS: usize = 8;
+
+/// Smallest moment magnitude a [`Taylor`] model is fitted with: above it,
+/// a moment's underflowed terms are far below its rounding.
+const TINY: f64 = f64::MIN_POSITIVE / EPS;
+
 // A warm model is fitted around root j − 1's interval; it reaches both
-// ends of root j's only with two or more poles each side.
-const _: () = assert!(WINDOW >= 2);
+// ends of root j's only with two or more poles each side. A window is one
+// pass of the window kernel.
+const _: () = assert!(WINDOW >= 2 && 2 * WINDOW == WINDOW_LANES);
 
 /// Smaller-magnitude real root of `qa η² + qb η + qc = 0`, computed with
 /// the stable formula; `None` when no real root exists.

@@ -9,16 +9,18 @@
 //! alike; a sweep is two segments either side of the root's interval, or
 //! three around the window of poles the step keeps exact), the
 //! Gu–Eisenstat per-column products of `local_w_products`
-//! ([`local_w_segment`]), the per-column normalization of
-//! `assemble_vectors` ([`assemble_col`]) and the values-only path's fused
-//! boundary-row pass ([`row_sums`]). Each issues one quotient per term and
-//! little else. A [`SecularKernels`] row holds the four for one level:
+//! ([`local_w_segment`], from a stored pole-distance column or from the
+//! root `(origin, μ)` it was written from), the per-column normalization
+//! of `assemble_vectors` ([`assemble_col`]) and the values-only path's
+//! fused boundary-row pass ([`row_sums`]). Each issues one quotient per
+//! term and little else. A [`SecularKernels`] row holds the four for one
+//! level, and the root step's one 16-term pass ([`window_sums`]):
 //!
 //! | level   | register  | quotient `a/b`                                       | a segment's last `n < N` terms |
 //! |---------|-----------|------------------------------------------------------|--------------------------------|
 //! | AVX-512 | `__m512d` | `a·r`, `r = vrcp14pd(b)` refined by two Newton steps | one masked register            |
 //! | AVX2    | `__m256d` | `vdivpd`                                             | scalar, `/`                    |
-//! | scalar  | `f64`     | `/`: the seed loops, bit for bit — the test oracle and the `DCST_FORCE_SCALAR=1` path | — |
+//! | scalar  | `f64`     | `/`: the seed loops (a windowed sweep's far moments in the vector form) — the test oracle and the `DCST_FORCE_SCALAR=1` path | — |
 //!
 //! The two vector rows are the same generic bodies instantiated over a
 //! register type ([`Lanes`]), the way `dcst_matrix`'s GEMM tile is, and
@@ -44,7 +46,15 @@
 //! The vector sweep uses the reciprocal-form rewrite `r = z/δ`, `t = z·r`,
 //! `t′ = r²` — one quotient per term instead of two — and `N`-lane
 //! accumulators, so its sums differ from the scalar ones by normal
-//! rounding-order noise; the iteration tolerances absorb that. The AVX2
+//! rounding-order noise; the iteration tolerances absorb that. A segment
+//! is one of three kinds. A far side of a sweep with an empty window sums
+//! `t` and `t′`; the window sums `t` and `|t|`; and a far side of a
+//! windowed sweep sums its four moments `Σ z²/δⁿ⁺¹` from `r = 1/δ`,
+//! `zr = z·r`, `t = z·zr`, `t′ = zr²` and one more `·r` each. No far side
+//! sums `|t|`: its terms share one sign, so `Σ|t|` is `|Σ t|` — LAPACK
+//! `dlaed4`'s `ERRETM` form, which [`SweepSums::abs`] is on every row
+//! (the scalar oracle included): bit for bit `Σ|t|`, summed segment by
+//! segment, wherever the solver sweeps. The AVX2
 //! local-W and assembly quotients are the scalar ones, bit for bit; the
 //! AVX-512 ones are within 2 ulp each, and a local-W product of `m`
 //! factors within `2m` ulp (`tests/simd_oracle.rs` checks both bounds per
@@ -57,21 +67,46 @@ use std::ops::Range;
 /// current iterate μ. The sweep's *window* `[lo, hi)` is the index range
 /// whose terms the rational step keeps exact; the ψ and φ sums are the far
 /// sides below and above it (with an empty window at `split`, the two
-/// sides of `split`).
+/// sides of `split`). Each far side's sums are its moments
+/// `Mₙ = Σ zᵢ²/δᵢⁿ⁺¹`: `M₀`, `M₁` always, `M₂`, `M₃` for a non-empty
+/// window only (0 otherwise), so that side at `μ + h` is
+/// `Σₙ Mₙ·hⁿ` — the Taylor series the root finder certifies a root with.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepSums {
     /// `Σ zᵢ²/δᵢ` (the secular sum; `f = 1 + ρ·val`).
     pub val: f64,
-    /// `Σ |zᵢ²/δᵢ|` (for the convergence tolerance; `fabs = 1 + ρ·abs`).
+    /// `|ψ| + Σ_{lo≤i<hi} |zᵢ²/δᵢ| + |φ|`, LAPACK `dlaed4`'s `ERRETM` form
+    /// (for the convergence tolerance; `fabs = 1 + ρ·abs`). Where each far
+    /// side is one-signed — every sweep the root finder makes: d is
+    /// ascending and μ lies inside the root's interval — it is `Σ |zᵢ²/δᵢ|`
+    /// summed segment by segment in the order of `val`, bit for bit.
     pub abs: f64,
-    /// `Σ_{i<lo} zᵢ²/δᵢ` (far ψ side).
+    /// `Σ_{i<lo} zᵢ²/δᵢ` (far ψ side, `M₀`).
     pub psi: f64,
-    /// `Σ_{i<lo} zᵢ²/δᵢ²` (ψ′ side of the rational model).
+    /// `Σ_{i<lo} zᵢ²/δᵢ²` (ψ′ side of the rational model, `M₁`).
     pub psi_p: f64,
-    /// `Σ_{i≥hi} zᵢ²/δᵢ` (far φ side).
+    /// `Σ_{i<lo} zᵢ²/δᵢ³` (`M₂` of the ψ side).
+    pub psi_2: f64,
+    /// `Σ_{i<lo} zᵢ²/δᵢ⁴` (`M₃` of the ψ side).
+    pub psi_3: f64,
+    /// `Σ_{i≥hi} zᵢ²/δᵢ` (far φ side, `M₀`).
     pub phi: f64,
-    /// `Σ_{i≥hi} zᵢ²/δᵢ²` (φ′ side).
+    /// `Σ_{i≥hi} zᵢ²/δᵢ²` (φ′ side, `M₁`).
     pub phi_p: f64,
+    /// `Σ_{i≥hi} zᵢ²/δᵢ³` (`M₂` of the φ side).
+    pub phi_2: f64,
+    /// `Σ_{i≥hi} zᵢ²/δᵢ⁴` (`M₃` of the φ side).
+    pub phi_3: f64,
+}
+
+impl SweepSums {
+    /// The far sides' moments `[M₀, M₁, M₂, M₃]`, ψ side first.
+    pub fn moments(&self) -> [[f64; 4]; 2] {
+        [
+            [self.psi, self.psi_p, self.psi_2, self.psi_3],
+            [self.phi, self.phi_p, self.phi_2, self.phi_3],
+        ]
+    }
 }
 
 /// Sums of one fused pass over a secular eigenvector `xᵢ = ẑᵢ/δᵢ` that
@@ -90,8 +125,10 @@ pub struct RowSums {
 
 /// Scalar oracle: fill `delta[i] = (d[i] − origin) − μ` — the pole
 /// distances in coordinates shifted to the origin pole, two subtractions
-/// and no cancellation — and accumulate the sums with the seed's exact
-/// operation order (`t = z²/δ`, `t′ = t/δ`).
+/// and no cancellation — and accumulate the sums. With an empty window
+/// every term has the seed's exact operation order (`t = z²/δ`,
+/// `t′ = t/δ`); a windowed sweep's far terms are the vector bodies'
+/// moment form (`r = 1/δ`, `t = z·(z·r)`, each next moment one more `·r`).
 // dcst-hot
 pub(crate) fn secular_sweep_scalar(
     d: &[f64],
@@ -101,23 +138,52 @@ pub(crate) fn secular_sweep_scalar(
     window: Range<usize>,
     delta: &mut [f64],
 ) -> SweepSums {
-    let mut s = SweepSums::default();
+    let moments = !window.is_empty();
+    let (mut val, mut aw) = (0.0, 0.0);
+    let mut side = [[0.0f64; 4]; 2];
     for i in 0..d.len() {
         let de = (d[i] - origin) - mu;
         delta[i] = de;
-        let t = z[i] * z[i] / de;
-        s.val += t;
-        s.abs += t.abs();
-        let tp = t / de;
-        if i < window.start {
-            s.psi += t;
-            s.psi_p += tp;
+        let far = if i < window.start {
+            &mut side[0]
         } else if i >= window.end {
-            s.phi += t;
-            s.phi_p += tp;
+            &mut side[1]
+        } else {
+            let t = z[i] * z[i] / de;
+            val += t;
+            aw += t.abs();
+            continue;
+        };
+        if moments {
+            let r = 1.0 / de;
+            let zr = z[i] * r;
+            let t = z[i] * zr;
+            let t1 = zr * zr;
+            let t2 = t1 * r;
+            val += t;
+            for (m, x) in far.iter_mut().zip([t, t1, t2, t2 * r]) {
+                *m += x;
+            }
+        } else {
+            let t = z[i] * z[i] / de;
+            val += t;
+            far[0] += t;
+            far[1] += t / de;
         }
     }
-    s
+    let [[psi, psi_p, psi_2, psi_3], [phi, phi_p, phi_2, phi_3]] = side;
+    SweepSums {
+        val,
+        abs: psi.abs() + aw + phi.abs(),
+        psi,
+        psi_p,
+        psi_2,
+        psi_3,
+        phi,
+        phi_p,
+        phi_2,
+        phi_3,
+    }
 }
 
 /// Scalar oracle for the fused boundary-row pass: with
@@ -142,17 +208,38 @@ pub(crate) fn row_sums_scalar(
     s
 }
 
+/// The numerators of one Gu–Eisenstat column: root j's pole distances,
+/// stored, or rebuilt from the root `(d_origin, μ)` as the solver wrote
+/// them — `(dlamda[i] − d_origin) − μ`, the same bits.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum WCol<'a> {
+    Stored(&'a [f64]),
+    Root { origin: f64, mu: f64 },
+}
+
+impl WCol<'_> {
+    /// Numerator `i`.
+    #[inline(always)]
+    fn at(&self, dlamda: &[f64], i: usize) -> f64 {
+        match *self {
+            WCol::Stored(col) => col[i],
+            WCol::Root { origin, mu } => (dlamda[i] - origin) - mu,
+        }
+    }
+}
+
 /// Scalar oracle for one Gu–Eisenstat column:
 /// `out[i] *= col[i] / (dlamda[i] − dlamda[j])` for `i ≠ j`,
 /// `out[j] *= col[j]`.
 // dcst-hot
-pub(crate) fn local_w_col_scalar(dlamda: &[f64], col: &[f64], j: usize, out: &mut [f64]) {
+pub(crate) fn local_w_col_scalar(dlamda: &[f64], col: WCol<'_>, j: usize, out: &mut [f64]) {
     let dj = dlamda[j];
     for i in 0..out.len() {
+        let c = col.at(dlamda, i);
         if i == j {
-            out[i] *= col[i];
+            out[i] *= c;
         } else {
-            out[i] *= col[i] / (dlamda[i] - dj);
+            out[i] *= c / (dlamda[i] - dj);
         }
     }
 }
@@ -174,6 +261,35 @@ pub(crate) fn assemble_col_scalar(zhat: &[f64], col: &[f64], tmp: &mut [f64]) ->
 // dcst-hot
 pub(crate) fn quot_scalar(a: f64, b: f64) -> f64 {
     a / b
+}
+
+/// Lanes of a root-step model's window: `2·WINDOW` poles of `roots.rs`,
+/// a multiple of every register width.
+pub(crate) const WINDOW_LANES: usize = 16;
+
+/// Scalar oracle for a step model's window at μ: with `u = min(1/(q−μ), 0)`
+/// and `v = max(1/(q−μ), 0)` per pole, `[Σ w·u, Σ w·u², Σ w·v, Σ w·v²]`.
+/// Poles below μ have `u = 1/(q − μ)`, `v = 0`, and those above the
+/// reverse, so these are the value and slope sums of the window's two
+/// sides, split by μ with no index. A padding lane (`q = ∞`, `w = 0`)
+/// adds zeros.
+// dcst-hot
+pub(crate) fn window_sums_scalar(
+    q: &[f64; WINDOW_LANES],
+    w: &[f64; WINDOW_LANES],
+    mu: f64,
+) -> [f64; 4] {
+    let mut s = [0.0; 4];
+    for t in 0..WINDOW_LANES {
+        let inv = 1.0 / (q[t] - mu);
+        let (u, v) = (inv.min(0.0), inv.max(0.0));
+        let (wu, wv) = (w[t] * u, w[t] * v);
+        s[0] += wu;
+        s[1] += wu * u;
+        s[2] += wv;
+        s[3] += wv * v;
+    }
+    s
 }
 
 /// Scalar oracle for the deflation scans: `max |xᵢ|` (0 for empty input).
@@ -219,6 +335,9 @@ trait Lanes: Copy {
     /// `a * b + c`, fused.
     unsafe fn madd(a: Self, b: Self, c: Self) -> Self;
     unsafe fn abs(a: Self) -> Self;
+    /// Lane-wise `min(a, b)` and `max(a, b)` (`b` where a lane is NaN).
+    unsafe fn min(a: Self, b: Self) -> Self;
+    unsafe fn max(a: Self, b: Self) -> Self;
     /// `a / b`, correctly rounded (`vdivpd`).
     unsafe fn div(a: Self, b: Self) -> Self;
     /// `a / b` as the level's fast path computes it (the module table),
@@ -283,6 +402,14 @@ mod lanes {
         #[inline(always)]
         unsafe fn abs(a: Self) -> Self {
             _mm256_andnot_pd(_mm256_set1_pd(-0.0), a)
+        }
+        #[inline(always)]
+        unsafe fn min(a: Self, b: Self) -> Self {
+            _mm256_min_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn max(a: Self, b: Self) -> Self {
+            _mm256_max_pd(a, b)
         }
         #[inline(always)]
         unsafe fn div(a: Self, b: Self) -> Self {
@@ -367,6 +494,14 @@ mod lanes {
             _mm512_abs_pd(a)
         }
         #[inline(always)]
+        unsafe fn min(a: Self, b: Self) -> Self {
+            _mm512_min_pd(a, b)
+        }
+        #[inline(always)]
+        unsafe fn max(a: Self, b: Self) -> Self {
+            _mm512_max_pd(a, b)
+        }
+        #[inline(always)]
         unsafe fn div(a: Self, b: Self) -> Self {
             _mm512_div_pd(a, b)
         }
@@ -426,24 +561,57 @@ fn pass_end<V: Lanes>(lo: usize, hi: usize) -> usize {
     }
 }
 
-/// One register of the sweep: the lane sums of `z²/δ`, `|z²/δ|`, `z²/δ²`.
+/// What a sweep segment sums: a far side of a sweep with an empty window
+/// (`Σ z²/δ`, `Σ z²/δ²`), a far side of a windowed one (its four moments
+/// `Σ z²/δⁿ⁺¹`), or the window (`Σ z²/δ`, `Σ |z²/δ|`).
+#[cfg(target_arch = "x86_64")]
+const FAR: u8 = 0;
+#[cfg(target_arch = "x86_64")]
+const MOMENTS: u8 = 1;
+#[cfg(target_arch = "x86_64")]
+const WINDOW_SUMS: u8 = 2;
+
+/// One register of a sweep segment of kind `KIND`, into the lane sums
+/// `acc` (only the first two for `FAR` and `WINDOW_SUMS`). `FAR` and
+/// `WINDOW_SUMS` take `r = z/δ`, `t = z·r`, `t′ = r²`; `MOMENTS` takes
+/// `r = 1/δ`, `zr = z·r`, `t = z·zr`, `t′ = zr²` and one more `·r` per
+/// moment — one quotient per term either way.
 ///
 /// # Safety
 /// `V`'s ISA.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 // dcst-hot
-unsafe fn sweep_step<V: Lanes, const EXACT: bool>(vz: V, vde: V, acc: &mut [V; 3], guard: &mut V) {
-    let vr = quot::<V, EXACT>(vz, vde, guard); // z/δ
-    let vt = V::mul(vz, vr); // z²/δ
-    acc[0] = V::add(acc[0], vt);
-    acc[1] = V::add(acc[1], V::abs(vt));
-    acc[2] = V::madd(vr, vr, acc[2]); // (z/δ)²
+unsafe fn sweep_step<V: Lanes, const EXACT: bool, const KIND: u8>(
+    vz: V,
+    vde: V,
+    acc: &mut [V; 4],
+    guard: &mut V,
+) {
+    if KIND == MOMENTS {
+        let vr = quot::<V, EXACT>(V::splat(1.0), vde, guard); // 1/δ
+        let vzr = V::mul(vz, vr); // z/δ
+        acc[0] = V::madd(vz, vzr, acc[0]); // z²/δ
+        let t1 = V::mul(vzr, vzr); // z²/δ²
+        acc[1] = V::add(acc[1], t1);
+        let t2 = V::mul(t1, vr); // z²/δ³
+        acc[2] = V::add(acc[2], t2);
+        acc[3] = V::madd(t2, vr, acc[3]); // z²/δ⁴
+    } else {
+        let vr = quot::<V, EXACT>(vz, vde, guard); // z/δ
+        let vt = V::mul(vz, vr); // z²/δ
+        acc[0] = V::add(acc[0], vt);
+        acc[1] = if KIND == FAR {
+            V::madd(vr, vr, acc[1]) // (z/δ)²
+        } else {
+            V::add(acc[1], V::abs(vt))
+        };
+    }
 }
 
 /// The pass of one sweep segment, `[lo, end)`: fill `delta`, return the
-/// lane sums of `z²/δ`, `|z²/δ|` and `z²/δ²`. A partial last register
-/// divides its dead lanes' `0` by `1`.
+/// lane sums of `KIND`. A partial last register divides its dead lanes'
+/// `0` by `1`.
 ///
 /// # Safety
 /// `V`'s ISA; `lo ≤ end ≤` the length of all three slices, and
@@ -452,7 +620,7 @@ unsafe fn sweep_step<V: Lanes, const EXACT: bool>(vz: V, vde: V, acc: &mut [V; 3
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 // dcst-hot
-unsafe fn sweep_pass<V: Lanes, const EXACT: bool>(
+unsafe fn sweep_pass<V: Lanes, const EXACT: bool, const KIND: u8>(
     d: &[f64],
     origin: f64,
     mu: f64,
@@ -461,34 +629,34 @@ unsafe fn sweep_pass<V: Lanes, const EXACT: bool>(
     lo: usize,
     end: usize,
     guard: &mut V,
-) -> [V; 3] {
+) -> [V; 4] {
     let (vorigin, vmu) = (V::splat(origin), V::splat(mu));
-    let mut acc = [V::splat(0.0); 3];
+    let mut acc = [V::splat(0.0); 4];
     let whole = end - (end - lo) % V::N;
     for i in (lo..whole).step_by(V::N) {
         let vde = V::sub(V::sub(V::load(d.as_ptr().add(i)), vorigin), vmu);
         V::store(delta.as_mut_ptr().add(i), vde);
-        sweep_step::<V, EXACT>(V::load(z.as_ptr().add(i)), vde, &mut acc, guard);
+        sweep_step::<V, EXACT, KIND>(V::load(z.as_ptr().add(i)), vde, &mut acc, guard);
     }
     if V::MASKED_TAIL && whole < end {
         let (i, n) = (whole, end - whole);
         let vde = V::sub(V::sub(V::load_tail(d.as_ptr().add(i), n), vorigin), vmu);
         V::store_tail(delta.as_mut_ptr().add(i), n, vde);
         let vz = V::load_tail(z.as_ptr().add(i), n);
-        sweep_step::<V, EXACT>(vz, V::fill_tail(vde, n, 1.0), &mut acc, guard);
+        sweep_step::<V, EXACT, KIND>(vz, V::fill_tail(vde, n, 1.0), &mut acc, guard);
     }
     acc
 }
 
-/// Sweep one index segment `[lo, hi)`: fill `delta`, return
-/// `(Σ z²/δ, Σ |z²/δ|, Σ z²/δ²)` for the segment.
+/// Sweep one index segment `[lo, hi)`: fill `delta`, return the segment's
+/// sums of `KIND` (see [`sweep_step`]; unused entries 0).
 ///
 /// # Safety
 /// `V`'s ISA; `lo ≤ hi ≤` the length of all three slices.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 // dcst-hot
-unsafe fn sweep_segment<V: Lanes>(
+unsafe fn sweep_segment<V: Lanes, const KIND: u8>(
     d: &[f64],
     origin: f64,
     mu: f64,
@@ -496,29 +664,40 @@ unsafe fn sweep_segment<V: Lanes>(
     delta: &mut [f64],
     lo: usize,
     hi: usize,
-) -> (f64, f64, f64) {
+) -> [f64; 4] {
     let end = pass_end::<V>(lo, hi);
     let mut guard = V::splat(0.0);
-    let mut v = sweep_pass::<V, false>(d, origin, mu, z, delta, lo, end, &mut guard);
+    let mut v = sweep_pass::<V, false, KIND>(d, origin, mu, z, delta, lo, end, &mut guard);
     if !V::clear(guard) {
-        v = sweep_pass::<V, true>(d, origin, mu, z, delta, lo, end, &mut guard);
+        v = sweep_pass::<V, true, KIND>(d, origin, mu, z, delta, lo, end, &mut guard);
     }
-    let (mut val, mut abs, mut der) = (V::hsum(v[0]), V::hsum(v[1]), V::hsum(v[2]));
+    // No closure here: it would not inherit the caller's target features.
+    let mut s = [V::hsum(v[0]), V::hsum(v[1]), V::hsum(v[2]), V::hsum(v[3])];
     for i in end..hi {
         let de = (d[i] - origin) - mu;
         delta[i] = de;
-        let r = z[i] / de;
-        let t = z[i] * r;
-        val += t;
-        abs += t.abs();
-        der += r * r;
+        if KIND == MOMENTS {
+            let r = 1.0 / de;
+            let zr = z[i] * r;
+            let t1 = zr * zr;
+            let t2 = t1 * r;
+            for (m, x) in s.iter_mut().zip([z[i] * zr, t1, t2, t2 * r]) {
+                *m += x;
+            }
+        } else {
+            let r = z[i] / de;
+            let t = z[i] * r;
+            s[0] += t;
+            s[1] += if KIND == FAR { r * r } else { t.abs() };
+        }
     }
-    (val, abs, der)
+    s
 }
 
 /// Three segments — far ψ side, window, far φ side — with no pass for an
 /// empty window, so a sweep at one `split` runs the two segments it always
-/// has.
+/// has. Only a windowed sweep's far sides pay for the moments `M₂`, `M₃`;
+/// no far side sums `|t|` (see [`SweepSums::abs`]).
 ///
 /// # Safety
 /// `V`'s ISA; `window.start ≤ window.end ≤ k` and all slices have length
@@ -536,21 +715,28 @@ unsafe fn secular_sweep<V: Lanes>(
 ) -> SweepSums {
     let k = d.len();
     let (lo, hi) = (window.start, window.end);
-    let (psi, a1, psi_p) = sweep_segment::<V>(d, origin, mu, z, delta, 0, lo);
-    let (vw, aw) = if lo < hi {
-        let (v, a, _) = sweep_segment::<V>(d, origin, mu, z, delta, lo, hi);
-        (v, a)
+    let (psi, phi, vw, aw) = if lo < hi {
+        let psi = sweep_segment::<V, MOMENTS>(d, origin, mu, z, delta, 0, lo);
+        let [vw, aw, ..] = sweep_segment::<V, WINDOW_SUMS>(d, origin, mu, z, delta, lo, hi);
+        let phi = sweep_segment::<V, MOMENTS>(d, origin, mu, z, delta, hi, k);
+        (psi, phi, vw, aw)
     } else {
-        (0.0, 0.0)
+        let psi = sweep_segment::<V, FAR>(d, origin, mu, z, delta, 0, lo);
+        let phi = sweep_segment::<V, FAR>(d, origin, mu, z, delta, hi, k);
+        (psi, phi, 0.0, 0.0)
     };
-    let (phi, a2, phi_p) = sweep_segment::<V>(d, origin, mu, z, delta, hi, k);
+    let ([psi, psi_p, psi_2, psi_3], [phi, phi_p, phi_2, phi_3]) = (psi, phi);
     SweepSums {
         val: psi + vw + phi,
-        abs: a1 + aw + a2,
+        abs: psi.abs() + aw + phi.abs(),
         psi,
         psi_p,
+        psi_2,
+        psi_3,
         phi,
         phi_p,
+        phi_2,
+        phi_3,
     }
 }
 
@@ -661,51 +847,82 @@ unsafe fn local_w_step<V: Lanes>(vo: V, vc: V, den: V) -> V {
     V::mul(vo, vq)
 }
 
-/// Multiply `out[i] *= col[i] / (dlamda[i] − dj)` over `[lo, hi)`.
+/// Multiply `out[i] *= col[i] / (dlamda[i] − dj)` over `[lo, hi)`, the
+/// numerators loaded from `col` (`STORED`) or rebuilt from the root
+/// `(origin, μ)` out of the `dlamda` register already loaded.
 ///
 /// # Safety
-/// `V`'s ISA; `lo ≤ hi ≤ len` of all slices.
+/// `V`'s ISA; `lo ≤ hi ≤ len` of `dlamda` and `out`, and of `col` if
+/// `STORED`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 // dcst-hot
-unsafe fn local_w_segment<V: Lanes>(
+unsafe fn local_w_segment<V: Lanes, const STORED: bool>(
     dlamda: &[f64],
     col: &[f64],
+    (origin, mu): (f64, f64),
     dj: f64,
     out: &mut [f64],
     lo: usize,
     hi: usize,
 ) {
-    let vdj = V::splat(dj);
+    let (vdj, vorigin, vmu) = (V::splat(dj), V::splat(origin), V::splat(mu));
     let end = pass_end::<V>(lo, hi);
     let whole = end - (end - lo) % V::N;
     for i in (lo..whole).step_by(V::N) {
-        let [vd, vc, vo] = [dlamda, col, &*out].map(|s| V::load(s.as_ptr().add(i)));
+        let [vd, vo] = [dlamda, &*out].map(|s| V::load(s.as_ptr().add(i)));
+        let vc = if STORED {
+            V::load(col.as_ptr().add(i))
+        } else {
+            V::sub(V::sub(vd, vorigin), vmu)
+        };
         let vo = local_w_step(vo, vc, V::sub(vd, vdj));
         V::store(out.as_mut_ptr().add(i), vo);
     }
     if V::MASKED_TAIL && whole < end {
         let (i, n) = (whole, end - whole);
-        let [vd, vc, vo] = [dlamda, col, &*out].map(|s| V::load_tail(s.as_ptr().add(i), n));
+        let [vd, vo] = [dlamda, &*out].map(|s| V::load_tail(s.as_ptr().add(i), n));
+        let vc = if STORED {
+            V::load_tail(col.as_ptr().add(i), n)
+        } else {
+            V::sub(V::sub(vd, vorigin), vmu)
+        };
         let vo = local_w_step(vo, vc, V::fill_tail(V::sub(vd, vdj), n, 1.0));
         V::store_tail(out.as_mut_ptr().add(i), n, vo);
     }
     for i in end..hi {
-        out[i] *= col[i] / (dlamda[i] - dj);
+        let c = if STORED {
+            col[i]
+        } else {
+            (dlamda[i] - origin) - mu
+        };
+        out[i] *= c / (dlamda[i] - dj);
     }
 }
 
 /// # Safety
-/// `V`'s ISA; all slices have equal length `k` and `j < k`.
+/// `V`'s ISA; `dlamda` and `out` have equal length `k`, as has a stored
+/// `col`, and `j < k`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 // dcst-hot
-unsafe fn local_w_col<V: Lanes>(dlamda: &[f64], col: &[f64], j: usize, out: &mut [f64]) {
+unsafe fn local_w_col<V: Lanes>(dlamda: &[f64], col: WCol<'_>, j: usize, out: &mut [f64]) {
     let k = out.len();
     let dj = dlamda[j];
-    local_w_segment::<V>(dlamda, col, dj, out, 0, j);
-    out[j] *= col[j];
-    local_w_segment::<V>(dlamda, col, dj, out, j + 1, k);
+    let cj = col.at(dlamda, j);
+    match col {
+        WCol::Stored(c) => {
+            local_w_segment::<V, true>(dlamda, c, (0.0, 0.0), dj, out, 0, j);
+            out[j] *= cj;
+            local_w_segment::<V, true>(dlamda, c, (0.0, 0.0), dj, out, j + 1, k);
+        }
+        WCol::Root { origin, mu } => {
+            local_w_segment::<V, false>(dlamda, &[], (origin, mu), dj, out, 0, j);
+            out[j] *= cj;
+            local_w_segment::<V, false>(dlamda, &[], (origin, mu), dj, out, j + 1, k);
+        }
+    }
 }
 
 /// The pass `[0, end)` of one assembly column: `tmp = ẑ/col`, returning
@@ -765,6 +982,40 @@ unsafe fn assemble_col<V: Lanes>(zhat: &[f64], col: &[f64], tmp: &mut [f64]) -> 
     (nrm2, redone)
 }
 
+/// [`window_sums_scalar`] in one pass of whole registers, dividing with
+/// `vdivpd` (a padding lane's `1/∞` is exact, where a reciprocal's guard
+/// would trip).
+///
+/// # Safety
+/// `V`'s ISA; `WINDOW_LANES` a multiple of `N`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// dcst-hot
+unsafe fn window_sums<V: Lanes>(
+    q: &[f64; WINDOW_LANES],
+    w: &[f64; WINDOW_LANES],
+    mu: f64,
+) -> [f64; 4] {
+    let (one, zero, vmu) = (V::splat(1.0), V::splat(0.0), V::splat(mu));
+    let mut acc = [zero; 4];
+    for t in (0..WINDOW_LANES).step_by(V::N) {
+        let inv = V::div(one, V::sub(V::load(q.as_ptr().add(t)), vmu));
+        let (u, v) = (V::min(inv, zero), V::max(inv, zero));
+        let vw = V::load(w.as_ptr().add(t));
+        let (wu, wv) = (V::mul(vw, u), V::mul(vw, v));
+        acc[0] = V::add(acc[0], wu);
+        acc[1] = V::madd(wu, u, acc[1]);
+        acc[2] = V::add(acc[2], wv);
+        acc[3] = V::madd(wv, v, acc[3]);
+    }
+    [
+        V::hsum(acc[0]),
+        V::hsum(acc[1]),
+        V::hsum(acc[2]),
+        V::hsum(acc[3]),
+    ]
+}
+
 /// `a/b` as a pass of `V` that was not redone computes it: one lane of
 /// [`Lanes::quot`], which is element-wise, so the lane equals the one the
 /// pass wrote.
@@ -786,7 +1037,7 @@ unsafe fn quot_lane<V: Lanes>(a: f64, b: f64) -> f64 {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{RowSums, SweepSums};
+    use super::{RowSums, SweepSums, WCol, WINDOW_LANES};
     use core::arch::x86_64::__m256d;
     use std::ops::Range;
 
@@ -818,7 +1069,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2,fma")]
     // dcst-hot
-    pub(super) unsafe fn local_w_col(dlamda: &[f64], col: &[f64], j: usize, out: &mut [f64]) {
+    pub(super) unsafe fn local_w_col(dlamda: &[f64], col: WCol<'_>, j: usize, out: &mut [f64]) {
         super::local_w_col::<__m256d>(dlamda, col, j, out)
     }
 
@@ -833,11 +1084,21 @@ mod avx2 {
     pub(super) unsafe fn quot(a: f64, b: f64) -> f64 {
         super::quot_lane::<__m256d>(a, b)
     }
+
+    #[target_feature(enable = "avx2,fma")]
+    // dcst-hot
+    pub(super) unsafe fn window_sums(
+        q: &[f64; WINDOW_LANES],
+        w: &[f64; WINDOW_LANES],
+        mu: f64,
+    ) -> [f64; 4] {
+        super::window_sums::<__m256d>(q, w, mu)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{RowSums, SweepSums};
+    use super::{RowSums, SweepSums, WCol, WINDOW_LANES};
     use core::arch::x86_64::__m512d;
     use std::ops::Range;
 
@@ -869,7 +1130,7 @@ mod avx512 {
 
     #[target_feature(enable = "avx512f,fma")]
     // dcst-hot
-    pub(super) unsafe fn local_w_col(dlamda: &[f64], col: &[f64], j: usize, out: &mut [f64]) {
+    pub(super) unsafe fn local_w_col(dlamda: &[f64], col: WCol<'_>, j: usize, out: &mut [f64]) {
         super::local_w_col::<__m512d>(dlamda, col, j, out)
     }
 
@@ -884,6 +1145,16 @@ mod avx512 {
     pub(super) unsafe fn quot(a: f64, b: f64) -> f64 {
         super::quot_lane::<__m512d>(a, b)
     }
+
+    #[target_feature(enable = "avx512f,fma")]
+    // dcst-hot
+    pub(super) unsafe fn window_sums(
+        q: &[f64; WINDOW_LANES],
+        w: &[f64; WINDOW_LANES],
+        mu: f64,
+    ) -> [f64; 4] {
+        super::window_sums::<__m512d>(q, w, mu)
+    }
 }
 
 // ------------------------------------------------------------- dispatch
@@ -894,6 +1165,8 @@ type SweepFn = unsafe fn(&[f64], f64, f64, &[f64], Range<usize>, &mut [f64]) -> 
 type RowSumsFn = unsafe fn(&[f64], f64, f64, &[f64], &[f64], &[f64]) -> RowSums;
 /// `(ẑ, δ, tmp) → (Σ tmp², redone)`: [`SecularKernels::assemble_col`].
 type AssembleFn = unsafe fn(&[f64], &[f64], &mut [f64]) -> (f64, bool);
+/// `(q, w, μ) → sums`: [`SecularKernels::window_sums`].
+type WindowFn = unsafe fn(&[f64; WINDOW_LANES], &[f64; WINDOW_LANES], f64) -> [f64; 4];
 
 /// One row of the instance table: the four k-term kernels compiled for
 /// one [`SimdLevel`], and its one-lane quotient. A value exists only for a level the running CPU
@@ -906,9 +1179,10 @@ pub struct SecularKernels {
     level: SimdLevel,
     sweep: SweepFn,
     row_sums: RowSumsFn,
-    local_w_col: unsafe fn(&[f64], &[f64], usize, &mut [f64]),
+    local_w_col: unsafe fn(&[f64], WCol<'_>, usize, &mut [f64]),
     assemble_col: AssembleFn,
     quot: unsafe fn(f64, f64) -> f64,
+    window_sums: WindowFn,
 }
 
 impl SecularKernels {
@@ -920,6 +1194,7 @@ impl SecularKernels {
         local_w_col: local_w_col_scalar,
         assemble_col: assemble_col_scalar,
         quot: quot_scalar,
+        window_sums: window_sums_scalar,
     };
 
     /// The row compiled for `level` (the scalar one where this target has
@@ -934,6 +1209,7 @@ impl SecularKernels {
                 local_w_col: avx512::local_w_col,
                 assemble_col: avx512::assemble_col,
                 quot: avx512::quot,
+                window_sums: avx512::window_sums,
             },
             #[cfg(target_arch = "x86_64")]
             SimdLevel::Avx2 => SecularKernels {
@@ -943,6 +1219,7 @@ impl SecularKernels {
                 local_w_col: avx2::local_w_col,
                 assemble_col: avx2::assemble_col,
                 quot: avx2::quot,
+                window_sums: avx2::window_sums,
             },
             _ => Self::SCALAR,
         }
@@ -1009,14 +1286,32 @@ impl SecularKernels {
         unsafe { (self.row_sums)(d, origin, mu, zhat, wf, wl) }
     }
 
-    /// One Gu–Eisenstat column product, in place on `out`.
+    /// One Gu–Eisenstat column product, in place on `out`, from root
+    /// `j`'s stored pole-distance column.
     #[inline]
     // dcst-hot
     pub fn local_w_col(&self, dlamda: &[f64], col: &[f64], j: usize, out: &mut [f64]) {
+        assert!(col.len() == out.len());
+        self.local_w(dlamda, WCol::Stored(col), j, out)
+    }
+
+    /// [`Self::local_w_col`] with the column rebuilt from the root
+    /// `(d_origin, μ)` inside the pass: the same products, bit for bit, as
+    /// from the column the solver wrote, and no column stored.
+    #[inline]
+    // dcst-hot
+    pub fn local_w_root(&self, dlamda: &[f64], origin: f64, mu: f64, j: usize, out: &mut [f64]) {
+        self.local_w(dlamda, WCol::Root { origin, mu }, j, out)
+    }
+
+    #[inline]
+    // dcst-hot
+    fn local_w(&self, dlamda: &[f64], col: WCol<'_>, j: usize, out: &mut [f64]) {
         let k = out.len();
-        assert!(j < k && dlamda.len() == k && col.len() == k);
+        assert!(j < k && dlamda.len() == k);
         // SAFETY: the row's level runs on this CPU (type invariant), and
-        // the lengths are the ones the body reads.
+        // the lengths are the ones the body reads (a stored column's
+        // checked by the caller).
         unsafe { (self.local_w_col)(dlamda, col, j, out) }
     }
 
@@ -1040,6 +1335,21 @@ impl SecularKernels {
     pub fn quot(&self, a: f64, b: f64) -> f64 {
         // SAFETY: the row's level runs on this CPU (type invariant).
         unsafe { (self.quot)(a, b) }
+    }
+
+    /// A root-step model's window at μ: the value and slope sums of the
+    /// poles below μ, then of those above it (see [`window_sums_scalar`]).
+    #[inline]
+    // dcst-hot
+    pub(crate) fn window_sums(
+        &self,
+        q: &[f64; WINDOW_LANES],
+        w: &[f64; WINDOW_LANES],
+        mu: f64,
+    ) -> [f64; 4] {
+        // SAFETY: the row's level runs on this CPU (type invariant); the
+        // arrays are the lanes the body reads.
+        unsafe { (self.window_sums)(q, w, mu) }
     }
 }
 
@@ -1134,14 +1444,58 @@ mod tests {
                         (a.abs, b.abs),
                         (a.psi, b.psi),
                         (a.psi_p, b.psi_p),
+                        (a.psi_2, b.psi_2),
+                        (a.psi_3, b.psi_3),
                         (a.phi, b.phi),
                         (a.phi_p, b.phi_p),
+                        (a.phi_2, b.phi_2),
+                        (a.phi_3, b.phi_3),
                     ] {
                         assert!(
                             (x - y).abs() <= 1e-12 * y.abs().max(1.0),
                             "{name} k={k}: {x} vs {y}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Where each far side is one-signed — μ inside `(d[s − 1], d[s])`,
+    /// the window around `s` — the `ERRETM` form `|ψ| + Σ_w|t| + |φ|` of
+    /// the scalar oracle is a literal `Σ|t|`, summed side by side in the
+    /// oracle's order, bit for bit; every vector row's is within rounding.
+    #[test]
+    fn abs_is_the_literal_sum_of_magnitudes_for_one_signed_sides() {
+        let k = 257;
+        let (d, z, mut delta) = problem(k);
+        for s in [1usize, 2, 9, 100, 200, 256] {
+            // Origin d[s − 1], μ a third of the way to d[s].
+            let (origin, mu) = (d[s - 1], (d[s] - d[s - 1]) / 3.0);
+            for window in [s..s, s.saturating_sub(8)..(s + 8).min(k)] {
+                let moments = !window.is_empty();
+                let term = |i: usize| {
+                    let de = (d[i] - origin) - mu;
+                    if moments && !window.contains(&i) {
+                        z[i] * (z[i] * (1.0 / de))
+                    } else {
+                        z[i] * z[i] / de
+                    }
+                };
+                assert!((0..window.start).all(|i| term(i) < 0.0));
+                assert!((window.end..k).all(|i| term(i) > 0.0));
+                let literal = |r: Range<usize>| r.fold(0.0f64, |acc, i| acc + term(i).abs());
+                let want =
+                    literal(0..window.start) + literal(window.clone()) + literal(window.end..k);
+                let b =
+                    SecularKernels::SCALAR.sweep(&d, origin, mu, &z, window.clone(), &mut delta);
+                assert_eq!(b.abs.to_bits(), want.to_bits(), "scalar s={s} {window:?}");
+                for (name, row) in vector_rows() {
+                    let a = row.sweep(&d, origin, mu, &z, window.clone(), &mut delta);
+                    assert!(
+                        (a.abs - b.abs).abs() <= 1e-14 * b.abs,
+                        "{name} s={s} {window:?}"
+                    );
                 }
             }
         }
@@ -1186,6 +1540,30 @@ mod tests {
                     for (x, y) in a.iter().zip(&b) {
                         assert!(ulps(*x, *y) <= 2, "{name} k={k} j={j}: {x:e} vs {y:e}");
                     }
+                }
+            }
+        }
+    }
+
+    /// A column rebuilt from the root `(d_origin, μ)` inside the pass gives
+    /// the products the stored column gives, bit for bit, on every row.
+    #[test]
+    fn local_w_root_is_the_stored_column() {
+        let rows = [("scalar", SecularKernels::SCALAR)]
+            .into_iter()
+            .chain(vector_rows());
+        for (name, row) in rows {
+            for k in [1usize, 3, 4, 8, 17, 31, 257] {
+                let (dl, _, _) = problem(k);
+                for (j, origin) in [(0, 0), (k / 2, (k / 2 + 1).min(k - 1)), (k - 1, k - 1)] {
+                    let mu = if origin == j { 0.4 } else { -0.4 };
+                    let col: Vec<f64> = dl.iter().map(|&d| (d - dl[origin]) - mu).collect();
+                    let mut a = vec![1.5f64; k];
+                    let mut b = a.clone();
+                    row.local_w_col(&dl, &col, j, &mut a);
+                    row.local_w_root(&dl, dl[origin], mu, j, &mut b);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&a), bits(&b), "{name} k={k} j={j}");
                 }
             }
         }

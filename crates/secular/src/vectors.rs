@@ -21,6 +21,7 @@
 //! ([`GeneratedX::entry`]) — bit for bit what assembling the solver's delta
 //! columns would have written.
 
+use crate::roots::SecularRoot;
 use crate::simd::SecularKernels;
 use dcst_matrix::util::sign;
 use std::ops::Range;
@@ -69,11 +70,12 @@ pub fn local_w_products_scalar(
 
 /// Multiply root `j`'s Gu–Eisenstat factors into a running partial
 /// product, in place: `acc[i] *= tᵢⱼ` with `tᵢⱼ` as in
-/// [`local_w_products`] and `delta` root `j`'s pole-distance column. For a
-/// caller that holds one delta column at a time; starting from ones, the
-/// result is bit-identical to `local_w_products` over the same roots.
-pub fn local_w_accumulate(dlamda: &[f64], delta: &[f64], j: usize, acc: &mut [f64]) {
-    SecularKernels::dispatched().local_w_col(dlamda, delta, j, acc);
+/// [`local_w_products`], root `j`'s pole distances rebuilt from the stored
+/// `root` inside the pass. For a caller that keeps roots, not columns;
+/// starting from ones, the result is bit-identical to `local_w_products`
+/// over the same roots' columns.
+pub fn local_w_accumulate(dlamda: &[f64], root: &SecularRoot, j: usize, acc: &mut [f64]) {
+    SecularKernels::dispatched().local_w_root(dlamda, dlamda[root.origin], root.mu, j, acc);
 }
 
 fn local_w_impl(

@@ -655,9 +655,12 @@ fn reciprocal_guard_keeps_division_classes() {
             let a = row.sweep(&delta, 0.0, 0.0, &z, 8..8, &mut da);
             let b = scalar.sweep(&delta, 0.0, 0.0, &z, 8..8, &mut db);
             assert_eq!(bits(&da), bits(&delta), "{name}: (δ − 0) − 0 = δ");
+            // The sides here are not one-signed, so `abs` (|ψ| + |φ|) is not
+            // Σ|t|: the reassociation scale is Σ|t| itself.
+            let sum_abs: f64 = (0..k).map(|i| (z[i] * z[i] / delta[i]).abs()).sum();
             for (what, x, y, scale) in [
-                ("val", a.val, b.val, b.abs),
-                ("abs", a.abs, b.abs, b.abs),
+                ("val", a.val, b.val, sum_abs),
+                ("abs", a.abs, b.abs, sum_abs),
                 ("psi_p", a.psi_p, b.psi_p, b.psi_p),
                 ("phi_p", a.phi_p, b.phi_p, b.phi_p),
             ] {
@@ -665,6 +668,26 @@ fn reciprocal_guard_keeps_division_classes() {
                     !y.is_finite() || close(x, y, scale),
                     "{name} sweep {what}: {x:e} vs {y:e}"
                 );
+            }
+            // A windowed sweep of the same terms: the far sides' moments
+            // M₀…M₃, each against Σ|z²/δⁿ⁺¹| over its side.
+            let (a, b) = (
+                row.sweep(&delta, 0.0, 0.0, &z, 8..9, &mut da),
+                scalar.sweep(&delta, 0.0, 0.0, &z, 8..9, &mut db),
+            );
+            let moment_abs = |n: i32, side: std::ops::Range<usize>| -> f64 {
+                side.map(|i| (z[i] * z[i] / delta[i].powi(n + 1)).abs())
+                    .sum()
+            };
+            for (s, (ma, mb)) in a.moments().iter().zip(b.moments()).enumerate() {
+                let side = if s == 0 { 0..8 } else { 9..k };
+                for n in 0..4 {
+                    let (x, y) = (ma[n], mb[n]);
+                    assert!(
+                        !y.is_finite() || close(x, y, moment_abs(n as i32, side.clone())),
+                        "{name} sweep side {s} M{n}: {x:e} vs {y:e}"
+                    );
+                }
             }
             let w: Vec<f64> = (0..k).map(|i| 1.0 - 0.1 * i as f64).collect();
             let a = row.row_sums(&delta, 0.0, 0.0, &z, &w, &w);

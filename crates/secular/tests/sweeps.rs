@@ -3,23 +3,32 @@
 //! run's first root cold and the rest warm-started from the root before.
 //!
 //! The counts come from the process-global `secular.*` counters, which is
-//! why this file holds one test: its own binary, so no other test's roots
-//! reach them. Run with `--nocapture` to see sweeps per root per instance.
+//! why this file is its own binary and its tests take [`COUNTERS`] in
+//! turn: no other test's roots reach them. Run with `--nocapture` to see
+//! sweeps per root per instance, and how many roots were certified
+//! without a closing sweep.
 
 use dcst_matrix::metrics;
-use dcst_secular::SecularProblem;
+use dcst_secular::{SecularKernels, SecularProblem};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Mutex;
+
+/// Held by each test for its whole run, so the counters it reads are its own.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 /// Roots per run, as `DcOptions::default().nb` panels them.
 const NB: usize = 64;
+
+/// A secular problem `(d, z, ρ)`.
+type Problem = (Vec<f64>, Vec<f64>, f64);
 
 /// A secular problem shaped like a merge of a random-spectrum matrix: k
 /// poles uniform in [0, 1), ρ in [0.1, 0.5), and a unit z of mixed signs
 /// whose weight sits in the middle of the spectrum and decays towards its
 /// ends, fastest over the last five poles each side — so the last root is
 /// glued to the top pole, as in those merges.
-fn problem(k: usize, seed: u64) -> (Vec<f64>, Vec<f64>, f64) {
+fn problem(k: usize, seed: u64) -> Problem {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut d: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..1.0)).collect();
     d.sort_by(f64::total_cmp);
@@ -36,24 +45,28 @@ fn problem(k: usize, seed: u64) -> (Vec<f64>, Vec<f64>, f64) {
     (d, z, rng.gen_range(0.1..0.5))
 }
 
-/// `(secular.iters, secular.bisection_rescues)` spent by `f`.
-fn counted(f: impl FnOnce()) -> (u64, u64) {
+/// `(secular.iters, secular.bisection_rescues, secular.certified)` spent
+/// by `f`.
+fn counted(f: impl FnOnce()) -> (u64, u64, u64) {
     let before = metrics::snapshot();
     f();
     let spent = metrics::snapshot().delta(&before);
     (
         spent.get("secular.iters"),
         spent.get("secular.bisection_rescues"),
+        spent.get("secular.certified"),
     )
 }
 
 /// Mean sweeps per root, interior roots and the last root apart, over
 /// four seeds per k, on the dispatched and on the scalar kernels: the
-/// interior ones at most 3.2 and the last at most 5, with no bisection
+/// interior ones at most 1.25 and the last at most 5, with no bisection
 /// rescue. A cold midpoint start and the two-pole step take 4.4 and 6.8–7.8
-/// on these problems.
+/// on these problems; stepping on the window and lumped far sides, with
+/// a closing sweep, ≈ 2.3 and ≈ 4.
 #[test]
 fn panel_roots_take_few_sweeps() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     for (name, scalar) in [("dispatched", false), ("scalar", true)] {
         for k in [1031usize, 2048] {
             let (mut interior, mut last, mut rescues, mut seeds) = (0, 0, 0, 0);
@@ -64,7 +77,7 @@ fn panel_roots_take_few_sweeps() {
                 for run in (0..k).step_by(NB) {
                     let mut roots = if scalar { p.panel_scalar() } else { p.panel() };
                     for j in run..(run + NB).min(k) {
-                        let (iters, rescued) = counted(|| {
+                        let (iters, rescued, _) = counted(|| {
                             roots.solve_root(j, &mut delta).unwrap();
                         });
                         if j + 1 == k {
@@ -83,9 +96,105 @@ fn panel_roots_take_few_sweeps() {
                 "sweeps per root {name} k={k}: interior {interior:.3}, last {last:.2}, \
                  bisection rescues {rescues}"
             );
-            assert!(interior <= 3.2, "{name} k={k}: interior {interior:.3}");
+            assert!(interior <= 1.25, "{name} k={k}: interior {interior:.3}");
             assert!(last <= 5.0, "{name} k={k}: last {last:.2}");
             assert_eq!(rescues, 0, "{name} k={k}");
+        }
+    }
+}
+
+/// Secular problems in two of `simd_oracle.rs`'s gap regimes, the poles
+/// at O(1): `graded` — each gap log-uniform over 15 decades below the
+/// running sum it is added to (at least 1), ρ log-uniform in
+/// `[1e-3, 1e3]` — or clustered pairs (gaps alternate 1 and 1e-13, ρ in
+/// `[0.5, 2)`); z unit-norm, bounded away from 0, of mixed signs.
+fn regime_problem(k: usize, graded: bool, seed: u64) -> Problem {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut d = Vec::with_capacity(k);
+    let mut acc: f64 = rng.gen_range(-1.0..1.0);
+    for i in 0..k {
+        d.push(acc);
+        acc += if graded {
+            10f64.powf(rng.gen_range(-15.0..0.0)) * acc.abs().max(1.0)
+        } else if i % 2 == 0 {
+            1.0
+        } else {
+            1e-13
+        };
+    }
+    let rho = if graded {
+        10f64.powf(rng.gen_range(-3.0..3.0))
+    } else {
+        rng.gen_range(0.5..2.0)
+    };
+    let mut z: Vec<f64> = (0..k)
+        .map(|_| rng.gen_range(0.1..1.0) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+        .collect();
+    let nrm = z.iter().map(|x| x * x).sum::<f64>().sqrt();
+    z.iter_mut().for_each(|x| *x /= nrm);
+    (d, z, rho)
+}
+
+/// The certification oracle. Every root a panel accepts without a closing
+/// sweep (`secular.certified`) must pass the test a sweep would have put
+/// it to: a scalar-oracle sweep at its `(origin, μ)` gives
+/// `|f| ≤ 8·ε·k·fabs`. Over this file's problems at k ∈ {1031, 2048} on
+/// the dispatched and the scalar panels, and one graded and one clustered
+/// problem at k = 1031. Prints, per row, the certified and swept roots
+/// and the worst `|f|/tol` among the certified.
+#[test]
+fn certified_roots_pass_a_direct_sweep() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let mut cases: Vec<(String, Problem)> = Vec::new();
+    for k in [1031usize, 2048] {
+        for seed in 0..4u64 {
+            let name = format!("k={k} seed={seed}");
+            cases.push((name, problem(k, 0x5eed ^ (k as u64) << 8 ^ seed)));
+        }
+    }
+    cases.push(("graded k=1031".into(), regime_problem(1031, true, 0x6ead)));
+    cases.push((
+        "clustered k=1031".into(),
+        regime_problem(1031, false, 0xc105),
+    ));
+    for (name, scalar) in [("dispatched", false), ("scalar", true)] {
+        for (case, (d, z, rho)) in &cases {
+            let (k, rho) = (d.len(), *rho);
+            let p = SecularProblem::new(d, z, rho).unwrap();
+            let (mut certified, mut swept, mut worst) = (0, 0, 0.0f64);
+            let (mut delta, mut check) = (vec![0.0; k], vec![0.0; k]);
+            for run in (0..k).step_by(NB) {
+                let mut roots = if scalar { p.panel_scalar() } else { p.panel() };
+                for j in run..(run + NB).min(k) {
+                    let mut root = None;
+                    let (_, _, was_certified) = counted(|| {
+                        root = Some(roots.solve_root(j, &mut delta).unwrap());
+                    });
+                    let root = root.unwrap();
+                    if was_certified == 0 {
+                        swept += 1;
+                        continue;
+                    }
+                    certified += 1;
+                    let split = if j + 1 == k { k - 1 } else { j + 1 };
+                    let s = SecularKernels::SCALAR.sweep(
+                        d,
+                        d[root.origin],
+                        root.mu,
+                        z,
+                        split..split,
+                        &mut check,
+                    );
+                    let (f, fabs) = (1.0 + rho * s.val, 1.0 + rho * s.abs);
+                    let ratio = f.abs() / (8.0 * f64::EPSILON * k as f64 * fabs);
+                    assert!(ratio <= 1.0, "{name} {case} root {j}: |f|/tol = {ratio:.3}");
+                    worst = worst.max(ratio);
+                }
+            }
+            println!(
+                "certification {name} {case}: certified {certified} / swept {swept}, \
+                 worst |f|/tol {worst:.3}"
+            );
         }
     }
 }
