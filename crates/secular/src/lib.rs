@@ -39,8 +39,7 @@ mod vectors;
 
 pub use deflate::{deflate, Deflation, DeflationInput, GivensRot, SlotType};
 pub use roots::{
-    secular_function, solve_secular_root, solve_secular_root_scalar, solve_secular_root_with_maxit,
-    SecularError, SecularPanel, SecularProblem, SecularRoot,
+    secular_function, solve_secular_root, SecularError, SecularPanel, SecularProblem, SecularRoot,
 };
 pub use simd::{max_abs, max_abs_scalar};
 #[doc(hidden)]

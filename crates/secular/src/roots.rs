@@ -17,15 +17,14 @@
 //! model of f matched to the sweep's value and side-wise slopes. Below a
 //! crossover k the model is the two-pole "middle way" one, solved in closed
 //! form. Above it, the model keeps `WINDOW` poles either side of the root's
-//! interval exact, and it is solved by the same step, iterated on the
-//! model alone; the window's 16 terms are one [`SecularKernels`] pass.
-//! Each far side is there the Taylor cubic the sweep's moments give
-//! (`Σₙ Mₙhⁿ`, `h` the distance from the swept iterate), and a root whose
-//! model value, plus a rigorous bound on the dropped tails, passes the
-//! stopping test is accepted without another sweep (*certified*): a warm
-//! root costs about one sweep. A cold root's first step lumps each far
-//! side onto one pole instead, and a [`SecularPanel`] starts each root
-//! from such a lumped model of the previous root instead of a midpoint
+//! interval exact — one [`SecularKernels`] pass of 16 terms — and each far
+//! side is the Taylor cubic the sweep's moments give (`Σₙ Mₙhⁿ`, `h` the
+//! distance from the swept iterate); it is solved by the same step,
+//! iterated on the model alone. A root whose model value, plus a rigorous
+//! bound on the dropped tails, passes the stopping test is accepted
+//! without another sweep (*certified*), so a warm root costs about one
+//! sweep. A [`SecularPanel`] starts each root from the previous root's
+//! model, re-expressed around the next interval, instead of a midpoint
 //! sweep.
 
 use crate::simd::{SecularKernels, SweepSums, WINDOW_LANES};
@@ -201,47 +200,48 @@ impl<'a> SecularProblem<'a> {
         }
     }
 
-    /// Interior root `j`'s origin and first iterate from `model`, fitted at
-    /// the last sweep of root `j − 1` (whose window reaches both ends of
-    /// root `j`'s interval): the model's sign at the interval's midpoint
-    /// picks the origin, as a cold root's midpoint sweep does, and the
-    /// model's root is the iterate. `None` where that root is not inside
-    /// the interval.
+    /// Interior root `j`'s origin and first iterate from `model`, root
+    /// `j − 1`'s (whose window reaches both ends of root `j`'s interval),
+    /// re-expressed around root `j`'s interval: the model's sign at the
+    /// interval's midpoint picks the origin, as a cold root's midpoint sweep
+    /// does, and the model's root is the iterate. `None` where that root is
+    /// not inside the interval.
     fn warm_start(
         &self,
         kernels: SecularKernels,
-        model: &Model,
+        model: &Taylor,
         j: usize,
         split: usize,
         width: f64,
     ) -> Option<(usize, f64)> {
-        debug_assert!(model.window.start < split && split < model.window.end);
+        debug_assert!(model.range.start < split && split < model.range.end);
         let half = 0.5 * width;
-        let q = model.poles(self, split, j);
-        let at = q.at(kernels, half);
+        let q = model.moved(self, split, j);
+        let at = q.at(kernels, self.rho, half).at;
         let (origin, q, mu, lo, hi) = if at.g < 0.0 {
-            (j + 1, model.poles(self, split, j + 1), -half, -width, 0.0)
+            (j + 1, model.moved(self, split, j + 1), -half, -width, 0.0)
         } else {
             (j, q, half, 0.0, width)
         };
-        let mu = q.root(kernels, mu, at, (lo, hi));
+        let mu = q.warm_root(kernels, self.rho, mu, at, (lo, hi));
         (lo < mu && mu < hi).then_some((origin, mu))
     }
 
     /// One root; with `warm`, its first step from that model instead of a
-    /// midpoint sweep. Also returns the model fitted where it converged,
-    /// for root `j + 1` (windowed problems only). With `refresh` false,
-    /// `delta` is scratch: on return it holds the distances at the last
-    /// sweep, which a certified root does not end with.
+    /// midpoint sweep. Also returns the model it converged on — fitted at
+    /// its last sweep, or the one that certified it — for root `j + 1`
+    /// (windowed problems only). With `refresh` false, `delta` is scratch:
+    /// on return it holds the distances at the last sweep, which a
+    /// certified root does not end with.
     fn solve(
         &self,
         j: usize,
         delta: &mut [f64],
         kernels: SecularKernels,
         maxit: usize,
-        warm: Option<&Model>,
+        warm: Option<&Taylor>,
         refresh: bool,
-    ) -> Result<(SecularRoot, Option<Model>), SecularError> {
+    ) -> Result<(SecularRoot, Option<Taylor>), SecularError> {
         let (d, z, rho) = (self.d, self.z, self.rho);
         let k = d.len();
         assert!(j < k && delta.len() == k);
@@ -328,16 +328,10 @@ impl<'a> SecularProblem<'a> {
                 }
                 converged = true;
                 if !window.is_empty() {
-                    next_model = Some(Model::fit(
-                        self,
-                        &window,
-                        sweep_sides(&window, &sums, delta),
-                    ));
+                    next_model = Some(Taylor::fit(self, &window, split, origin, mu, &sums, delta));
                 }
                 break;
             }
-            // Distances of the interval's poles at this iterate.
-            let (a, b) = (delta[split - 1], delta[split]);
             if cold && it == 0 && !last && f < 0.0 {
                 // Root in the upper half: origin d_{j+1}, where the
                 // midpoint is μ = −gap/2 and the bracket [−gap/2, 0).
@@ -359,28 +353,23 @@ impl<'a> SecularProblem<'a> {
                 // --- rational model step: f̃(μ̂) = C + A/(a − μ̂) + B/(b − μ̂)
                 // with the ψ/φ split across the two interval poles, matching
                 // f and the side-wise derivatives ψ′/φ′; its root in closed
-                // form.
+                // form, from the distances of the interval's poles here.
                 let at = ModelPoint {
                     g: f,
                     psi_p: rho * sums.psi_p,
                     phi_p: rho * sums.phi_p,
-                    a,
-                    b,
+                    a: delta[split - 1],
+                    b: delta[split],
                 };
-                match middle_way(&at) {
-                    Some(eta) if (lo < mu + eta) && (mu + eta < hi) => mu + eta,
-                    _ => 0.5 * (lo + hi),
-                }
-            } else if let Some(taylor) = (!(cold && it == 0))
-                .then(|| Taylor::fit(self, &window, split, origin, mu, &sums, delta))
-                .flatten()
-            {
+                middle_way(&at, mu, (lo, hi))
+            } else {
                 // --- the window's poles exact and each far side as its
                 // Taylor cubic about this sweep: the model's root, and
                 // with it, when the dropped tails are provably small
                 // enough, the root itself without another sweep.
-                let (x, at_x) = taylor.root(kernels, rho, (lo, hi), tolk);
-                if let Some(p) = at_x {
+                let taylor = Taylor::fit(self, &window, split, origin, mu, &sums, delta);
+                let (x, certifies) = taylor.root(kernels, rho, (lo, hi), tolk);
+                if certifies {
                     mu = x;
                     if may_flip && past_midpoint(origin == j, mu, width) {
                         // As for a root converged at a sweep.
@@ -390,30 +379,10 @@ impl<'a> SecularProblem<'a> {
                     }
                     converged = true;
                     certified = true;
-                    next_model = Some(Model::fit(self, &window, taylor.sides(&p, x)));
+                    next_model = Some(taylor);
                     break;
                 }
                 x
-            } else {
-                // --- the model with the window's poles exact and each far
-                // side fitted with one pole: its root between the
-                // interval's poles, by the same step iterated on it. A
-                // cold root's first step, and any step whose moments
-                // under- or overflowed.
-                let model = Model::fit(self, &window, sweep_sides(&window, &sums, delta));
-                let q = model.poles(self, split, origin);
-                let at = q.at(kernels, mu);
-                let interval = if origin == j {
-                    (0.0, width)
-                } else {
-                    (-width, 0.0)
-                };
-                let root = q.root(kernels, mu, at, interval);
-                if lo < root && root < hi {
-                    root
-                } else {
-                    0.5 * (lo + hi)
-                }
             };
             if next == mu {
                 next = 0.5 * (lo + hi);
@@ -496,18 +465,19 @@ impl<'a> SecularProblem<'a> {
 
 /// Roots of one [`SecularProblem`] solved in ascending order, the way a
 /// merge's panel task solves its run of roots. Above a crossover k, root
-/// `j`'s first step comes from the model fitted at the last sweep of root
-/// `j − 1`, in place of a midpoint sweep. The first root of a run, any
-/// root not following the one solved before, and the problem's last root
-/// (which may lie far above the poles the previous model was fitted
-/// among) start cold, as [`SecularProblem::solve_root`] does. So the roots
-/// depend on where runs start and on nothing else: a merge's panels are
-/// fixed by `nb` alone.
+/// `j`'s first step comes from the model root `j − 1` converged on — the
+/// one fitted at its last sweep, or the one that certified it —
+/// re-expressed around root `j`'s interval, in place of a midpoint sweep.
+/// The first root of a run, any root not following the one solved before,
+/// and the problem's last root (which may lie far above the poles the
+/// previous model keeps exact) start cold, as [`SecularProblem::solve_root`]
+/// does. So the roots depend on where runs start and on nothing else: a
+/// merge's panels are fixed by `nb` alone.
 pub struct SecularPanel<'p, 'a> {
     problem: &'p SecularProblem<'a>,
     kernels: SecularKernels,
-    /// The root solved last, and the model fitted at its last sweep.
-    prev: Option<(usize, Model)>,
+    /// The root solved last, and the model it converged on.
+    prev: Option<(usize, Taylor)>,
 }
 
 impl SecularPanel<'_, '_> {
@@ -632,71 +602,27 @@ impl Window {
     }
 }
 
-/// The rational step's model of `f` near one root:
-/// `g(μ) = 1 + Σₜ wₜ/(qₜ − μ)`. The `window`'s poles are exact:
-/// `qₜ = d_t − d_origin`, `wₜ = ρ zₜ²`. Each far side — the terms below
-/// and above the window — becomes the one pole that matches its value and
-/// slope at the iterate the model was fitted at: weight `ρψ²/ψ′`, distance
-/// `ψ/ψ′` from that iterate, which lies past the side's nearest pole
-/// (`window.start − 1`, `window.end`), and is kept as its shift off it.
-#[derive(Clone, Debug)]
-struct Model {
-    window: Range<usize>,
-    /// Each lump's weight and shift below its pole's `d`, ψ side first
-    /// (weight 0 for an absent side).
-    lumps: [(f64, f64); 2],
-}
-
-/// A [`Model`]'s poles from one origin.
-#[derive(Clone, Copy, Debug)]
-struct ModelPoles {
-    window: Window,
-    /// Each lump's position and weight, ψ side first (`∞`, 0 if absent).
-    lumps: [(f64, f64); 2],
-}
-
-/// A far side at one iterate, as [`Model::fit`] lumps it: its sums
-/// `ψ = Σ z²/δ` and `ψ′ = Σ z²/δ²`, and the distance δ of its nearest
-/// pole. An absent side (the window reaches that end) is not read.
-#[derive(Clone, Copy, Debug)]
-struct FarSide {
-    val: f64,
-    der: f64,
-    near: f64,
-}
-
-/// The far sides of a sweep over `window` whose sums are `s` and pole
-/// distances `delta`, ψ side first.
-fn sweep_sides(window: &Range<usize>, s: &SweepSums, delta: &[f64]) -> [FarSide; 2] {
-    let near = |i: Option<usize>| i.and_then(|i| delta.get(i)).copied().unwrap_or(0.0);
-    [
-        FarSide {
-            val: s.psi,
-            der: s.psi_p,
-            near: near(window.start.checked_sub(1)),
-        },
-        FarSide {
-            val: s.phi,
-            der: s.phi_p,
-            near: near(Some(window.end)),
-        },
-    ]
-}
-
-/// The step's model after a windowed sweep at `μ₀`, from that sweep's
-/// origin: the window's poles exact, as in [`Model`], and each far side as
-/// its Taylor polynomial in `h = μ − μ₀` through the cubic, `Σₙ₌₀³ Mₙhⁿ`,
-/// from the sweep's moments `Mₙ = Σ z²/δⁿ⁺¹`. What it drops of a side is
+/// The step's model of `f` near one root, from a windowed sweep at `μ₀`:
+/// `g(μ) = 1 + Σₜ wₜ/(qₜ − μ)` over the `range`'s poles, exact
+/// (`qₜ = d_t − d_origin`, `wₜ = ρ zₜ²`), plus each far side — the terms
+/// below and above `range` — as its Taylor polynomial in `h = μ − μ₀`
+/// through the cubic, `Σₙ₌₀³ Mₙhⁿ`, from the sweep's moments
+/// `Mₙ = Σ z²/δⁿ⁺¹`. What it drops of a side is
 /// `Σᵢ (z²/δᵢ)·(h/δᵢ)⁴/(1 − h/δᵢ)`; the side's δᵢ share one sign (the
 /// poles are ascending and μ stays in the root's interval), so with
 /// `r = |h|/|δ⁰|`, δ⁰ its nearest pole, that is at most `|M₀|·r⁴/(1 − r)`.
-#[derive(Clone, Copy, Debug)]
+/// Root `j`'s model is root `j + 1`'s first one too, [`Self::moved`]: its
+/// `range` reaches both ends of the next interval.
+#[derive(Clone, Debug)]
 struct Taylor {
+    range: Range<usize>,
+    origin: usize,
     mu0: f64,
     window: Window,
     /// Each far side's moments, ψ side first (0 for an absent side).
     m: [[f64; 4]; 2],
-    /// Each side's δ⁰ at μ₀, signed (∞ for an absent side).
+    /// Each side's δ⁰ at μ₀, signed: ∞ for an absent side, 0 for one whose
+    /// cubic is not exact enough to certify with.
     near: [f64; 2],
 }
 
@@ -706,56 +632,56 @@ struct TaylorPoint {
     at: ModelPoint,
     /// `1 + ρ·(|ψ̂| + Σ_window |t| + |φ̂|)`, the sweep's `fabs` for the model.
     gabs: f64,
-    /// `ρ·Σ_sides |M₀|·r⁴/(1 − r)`, ∞ if a side's `r ≥ ½`.
-    tail: f64,
-    /// Each side's polynomial and its derivative, `(ψ̂, ψ̂′)`.
-    far: [(f64, f64); 2],
-}
-
-impl TaylorPoint {
-    /// Whether a sweep here passes `|f| ≤ tolk·fabs`: `f` is within `tail`
-    /// of `g`, and `fabs` of `gabs`.
-    fn certifies(&self, tolk: f64) -> bool {
-        self.at.g.abs() + self.tail <= tolk * (self.gabs - self.tail)
-    }
 }
 
 impl Taylor {
-    /// The model at a windowed sweep at `(origin, μ₀)` with sums `s` and
-    /// pole distances `delta`; `None` if a far side's moments are not all
-    /// finite and clear of underflow (then its cubic could miss terms that
-    /// matter, as in the 1e150-scaled regime).
+    /// The model at a windowed sweep at `(origin, μ₀)` over `range` with
+    /// sums `s` and pole distances `delta`. A moment that overflowed is
+    /// dropped with those above it. A side with a moment not finite or
+    /// below [`TINY`] (then its cubic could miss terms that matter, as in
+    /// the 1e150-scaled regime) still steers the step but certifies
+    /// nothing.
     #[allow(clippy::too_many_arguments)]
     fn fit(
         p: &SecularProblem<'_>,
-        window: &Range<usize>,
+        range: &Range<usize>,
         split: usize,
         origin: usize,
         mu0: f64,
         s: &SweepSums,
         delta: &[f64],
-    ) -> Option<Self> {
-        let m = s.moments();
-        let present = [window.start > 0, window.end < p.d.len()];
-        for (side, &here) in m.iter().zip(&present) {
-            if here && !side.iter().all(|x| x.is_finite() && x.abs() >= TINY) {
-                return None;
+    ) -> Self {
+        let mut m = s.moments();
+        let nearest = [range.start.checked_sub(1), Some(range.end)];
+        let near = [0, 1].map(|i| match nearest[i].filter(|&n| n < p.d.len()) {
+            None => f64::INFINITY,
+            Some(_) if !m[i].iter().all(|x| x.is_finite() && x.abs() >= TINY) => 0.0,
+            Some(n) => delta[n],
+        });
+        for side in &mut m {
+            if let Some(n) = side.iter().position(|x| !x.is_finite()) {
+                side[n..].fill(0.0);
             }
         }
-        let sides = sweep_sides(window, s, delta);
-        let near = [0, 1].map(|i| {
-            if present[i] {
-                sides[i].near
-            } else {
-                f64::INFINITY
-            }
-        });
-        Some(Taylor {
+        Taylor {
+            range: range.clone(),
+            origin,
             mu0,
-            window: Window::new(p, window, split, origin),
+            window: Window::new(p, range, split, origin),
             m,
             near,
-        })
+        }
+    }
+
+    /// The same model from `d_origin`, around the interval below `split`.
+    fn moved(&self, p: &SecularProblem<'_>, split: usize, origin: usize) -> Self {
+        Taylor {
+            range: self.range.clone(),
+            origin,
+            mu0: (p.d[self.origin] - p.d[origin]) + self.mu0,
+            window: Window::new(p, &self.range, split, origin),
+            ..*self
+        }
     }
 
     /// The model at μ.
@@ -767,18 +693,9 @@ impl Taylor {
             b,
         } = self.window.at(kernels, mu);
         let h = mu - self.mu0;
-        let mut tail = 0.0;
-        let mut far = [(0.0, 0.0); 2];
-        for (i, (m, near)) in self.m.iter().zip(self.near).enumerate() {
+        for (i, m) in self.m.iter().enumerate() {
             let val = ((m[3] * h + m[2]) * h + m[1]) * h + m[0];
             let der = (3.0 * m[3] * h + 2.0 * m[2]) * h + m[1];
-            let r = h.abs() / near.abs();
-            tail += if r < 0.5 {
-                m[0].abs() * (r * r) * (r * r) / (1.0 - r)
-            } else {
-                f64::INFINITY
-            };
-            far[i] = (val, der);
             side[2 * i] += rho * val;
             side[2 * i + 1] += rho * der;
             abs += rho * val.abs();
@@ -792,56 +709,89 @@ impl Taylor {
                 b,
             },
             gabs: 1.0 + abs,
-            tail: rho * tail,
-            far,
         }
     }
 
+    /// Whether a sweep at μ, where the model is `p`, passes
+    /// `|f| ≤ tolk·fabs`: `f` is within the dropped tails'
+    /// `T = ρ·Σ_sides |M₀|·r⁴/(1 − r)` (∞ once a side's `r ≥ ½`) of `g`,
+    /// and `fabs` of `gabs`.
+    fn certifies(&self, p: &TaylorPoint, mu: f64, rho: f64, tolk: f64) -> bool {
+        let h = (mu - self.mu0).abs();
+        let mut tail = 0.0;
+        for (m, near) in self.m.iter().zip(self.near) {
+            let r = h / near.abs();
+            tail += if r < 0.5 {
+                m[0].abs() * (r * r) * (r * r) / (1.0 - r)
+            } else {
+                f64::INFINITY
+            };
+        }
+        let tail = rho * tail;
+        p.at.g.abs() + tail <= tolk * (p.gabs - tail)
+    }
+
     /// Middle-way steps on the model from μ₀, inside the sign-tested
-    /// bracket `(lo, hi)`, until a point certifies (returned with it) or
-    /// the steps stop moving: the last point, uncertified.
+    /// bracket `(lo, hi)`, until a point certifies, then one more, kept if
+    /// it certifies too (returned with `true`); or, if none certifies,
+    /// until the steps stop moving: the last point, uncertified. The step
+    /// that first certifies can land anywhere inside the tolerance — from
+    /// a warm start, typically near its edge — and the step after it, far
+    /// inside: without it a merge's eigenvector residuals double.
     fn root(
         &self,
         kernels: SecularKernels,
         rho: f64,
         (mut lo, mut hi): (f64, f64),
         tolk: f64,
-    ) -> (f64, Option<TaylorPoint>) {
+    ) -> (f64, bool) {
         let mut mu = self.mu0;
         let mut p = self.at(kernels, rho, mu);
+        let mut certified = false;
         for _ in 0..TAYLOR_ITERS {
-            if p.at.g > 0.0 {
-                hi = mu;
-            } else if p.at.g < 0.0 {
-                lo = mu;
-            } else {
+            if !narrow(&p.at, mu, (&mut lo, &mut hi)) {
                 break;
             }
-            let next = match middle_way(&p.at) {
-                Some(eta) if lo < mu + eta && mu + eta < hi => mu + eta,
-                _ => 0.5 * (lo + hi),
-            };
+            let next = middle_way(&p.at, mu, (lo, hi));
             if next == mu {
                 break;
             }
-            mu = next;
-            p = self.at(kernels, rho, mu);
-            if p.certifies(tolk) {
-                return (mu, Some(p));
+            let q = self.at(kernels, rho, next);
+            let certifies = self.certifies(&q, next, rho, tolk);
+            if certifies || !certified {
+                (mu, p) = (next, q);
             }
+            if certified {
+                break;
+            }
+            certified = certifies;
         }
-        (mu, None)
+        (mu, certified)
     }
 
-    /// The far sides at `x`, where the model is `p`, for the next root's
-    /// warm model.
-    fn sides(&self, p: &TaylorPoint, x: f64) -> [FarSide; 2] {
-        let h = x - self.mu0;
-        [0, 1].map(|i| FarSide {
-            val: p.far[i].0,
-            der: p.far[i].1,
-            near: self.near[i] - h,
-        })
+    /// A warm start's iterate: the model's root in the interval `(lo, hi)`,
+    /// by middle-way steps from μ, where the model is `at`, until one moves
+    /// μ by less than [`MODEL_TOL`] or [`MODEL_ITERS`] have run.
+    fn warm_root(
+        &self,
+        kernels: SecularKernels,
+        rho: f64,
+        mut mu: f64,
+        mut at: ModelPoint,
+        (mut lo, mut hi): (f64, f64),
+    ) -> f64 {
+        for it in 0..MODEL_ITERS {
+            if !narrow(&at, mu, (&mut lo, &mut hi)) {
+                return mu;
+            }
+            let next = middle_way(&at, mu, (lo, hi));
+            if it + 1 == MODEL_ITERS || (next - mu).abs() <= MODEL_TOL * next.abs() {
+                return next;
+            }
+            mu = next;
+            at = self.at(kernels, rho, mu).at;
+        }
+        mu
     }
 }
 
@@ -857,100 +807,23 @@ struct ModelPoint {
     b: f64,
 }
 
-impl Model {
-    /// Fit around `window` to its far `sides` at one iterate: a sweep's
-    /// ([`sweep_sides`]) or a certified root's ([`Taylor::sides`]). The
-    /// far sums come from the sweep's own segments, so no large near term
-    /// is ever subtracted out of them.
-    fn fit(p: &SecularProblem<'_>, window: &Range<usize>, sides: [FarSide; 2]) -> Self {
-        let present = [window.start > 0, window.end < p.d.len()];
-        let lumps = [0, 1].map(|i| {
-            // Distance from the iterate; a side too small for its slope to
-            // be represented is dropped.
-            let e = sides[i].val / sides[i].der;
-            if present[i] && e.is_finite() && e != 0.0 {
-                (p.rho * sides[i].val * e, sides[i].near - e)
-            } else {
-                (0.0, 0.0)
-            }
-        });
-        Model {
-            window: window.clone(),
-            lumps,
-        }
+/// Narrow the bracket `(lo, hi)` by the model's sign at μ, where it is
+/// `at`; false if μ is the model's root.
+fn narrow(at: &ModelPoint, mu: f64, (lo, hi): (&mut f64, &mut f64)) -> bool {
+    if at.g > 0.0 {
+        *hi = mu;
+    } else if at.g < 0.0 {
+        *lo = mu;
     }
-
-    /// The poles' positions from `d_origin`, around the interval below
-    /// `split`.
-    fn poles(&self, p: &SecularProblem<'_>, split: usize, origin: usize) -> ModelPoles {
-        let base = p.d[origin];
-        let slots = [self.window.start.saturating_sub(1), self.window.end];
-        let lumps = [0, 1].map(|i| match self.lumps[i] {
-            (w, shift) if w != 0.0 => ((p.d[slots[i]] - base) - shift, w),
-            _ => (f64::INFINITY, 0.0),
-        });
-        ModelPoles {
-            window: Window::new(p, &self.window, split, origin),
-            lumps,
-        }
-    }
+    at.g != 0.0
 }
 
-impl ModelPoles {
-    /// The model at μ.
-    fn at(&self, kernels: SecularKernels, mu: f64) -> ModelPoint {
-        let WindowPoint { mut side, a, b, .. } = self.window.at(kernels, mu);
-        for (i, &(q, w)) in self.lumps.iter().enumerate() {
-            let inv = 1.0 / (q - mu);
-            let r = w * inv;
-            side[2 * i] += r;
-            side[2 * i + 1] += r * inv;
-        }
-        ModelPoint {
-            g: 1.0 + side[0] + side[2],
-            psi_p: side[1],
-            phi_p: side[3],
-            a,
-            b,
-        }
-    }
-
-    /// The model's root in `interval` (between the root's poles, from the
-    /// origin), by middle-way steps on the model itself from μ, where it
-    /// evaluates to `at`.
-    fn root(
-        &self,
-        kernels: SecularKernels,
-        mut mu: f64,
-        mut at: ModelPoint,
-        (mut lo, mut hi): (f64, f64),
-    ) -> f64 {
-        for it in 0..MODEL_ITERS {
-            if at.g > 0.0 {
-                hi = mu;
-            } else if at.g < 0.0 {
-                lo = mu;
-            } else {
-                return mu;
-            }
-            let next = match middle_way(&at) {
-                Some(eta) if lo < mu + eta && mu + eta < hi => mu + eta,
-                _ => 0.5 * (lo + hi),
-            };
-            if it + 1 == MODEL_ITERS || (next - mu).abs() <= MODEL_TOL * next.abs() {
-                return next;
-            }
-            mu = next;
-            at = self.at(kernels, mu);
-        }
-        mu
-    }
-}
-
-/// The middle-way step η from `at`: the root closest to μ of the two-pole
-/// model `C + A/(a − η) + B/(b − η)` with `A/a² = ψ′`, `B/b² = φ′` and
-/// value `g` at η = 0. `None` when the quadratic has no real root.
-fn middle_way(at: &ModelPoint) -> Option<f64> {
+/// The middle-way step from μ, where the model is `at`: `μ + η` with η
+/// the root closest to 0 of the two-pole model `C + A/(a − η) + B/(b − η)`
+/// with `A/a² = ψ′`, `B/b² = φ′` and value `g` at η = 0 — or, if that
+/// quadratic has no real root or `μ + η` is not inside `(lo, hi)`, the
+/// bracket's midpoint.
+fn middle_way(at: &ModelPoint, mu: f64, (lo, hi): (f64, f64)) -> f64 {
     let (a, b) = (at.a, at.b);
     let a_coef = at.psi_p * a * a;
     let b_coef = at.phi_p * b * b;
@@ -961,7 +834,10 @@ fn middle_way(at: &ModelPoint) -> Option<f64> {
     let qa = c_coef;
     let qb = -(c_coef * (a + b) + a_coef + b_coef);
     let qc = c_coef * a * b + a_coef * b + b_coef * a;
-    solve_quadratic_closest_to_zero(qa, qb, qc)
+    match solve_quadratic_closest_to_zero(qa, qb, qc) {
+        Some(eta) if lo < mu + eta && mu + eta < hi => mu + eta,
+        _ => 0.5 * (lo + hi),
+    }
 }
 
 /// Solve for root `j` (0-based) of the secular equation: validate the
@@ -978,45 +854,6 @@ pub fn solve_secular_root(
     Ok(SecularProblem::new(d, z, rho)?.solve_root(j, delta)?.lambda)
 }
 
-/// Test hook: run the cold root finder with an explicit rational-step
-/// budget, so the safeguarded-bisection rescue can be exercised directly.
-/// The budget counts the sweeps after a root's first one — for this cold
-/// entry the midpoint sweep that picks the origin, for a warm root of a
-/// [`SecularPanel`] the sweep at its model's root — so a zero budget
-/// leaves only that first sweep.
-#[doc(hidden)]
-pub fn solve_secular_root_with_maxit(
-    j: usize,
-    d: &[f64],
-    z: &[f64],
-    rho: f64,
-    delta: &mut [f64],
-    maxit: usize,
-) -> Result<f64, SecularError> {
-    let (root, _) = SecularProblem::new(d, z, rho)?.solve(
-        j,
-        delta,
-        SecularKernels::dispatched(),
-        maxit,
-        None,
-        true,
-    )?;
-    Ok(root.lambda)
-}
-
-/// [`solve_secular_root`] forced onto the scalar kernel bodies (the test
-/// oracle).
-pub fn solve_secular_root_scalar(
-    j: usize,
-    d: &[f64],
-    z: &[f64],
-    rho: f64,
-    delta: &mut [f64],
-) -> Result<f64, SecularError> {
-    let root = SecularProblem::new(d, z, rho)?.solve_root_scalar(j, delta)?;
-    Ok(root.lambda)
-}
-
 /// Rational-model iterations before the safeguarded-bisection rescue
 /// takes over (LAPACK's dlaed4 uses 30; the bracket makes more harmless).
 const MAXIT: usize = 100;
@@ -1028,30 +865,31 @@ const WINDOW: usize = 8;
 
 /// Smallest k whose roots step on the windowed model and warm-start from
 /// the root before; below it the step is the two-pole closed form, bit
-/// for bit. Since roots are certified without a closing sweep, a windowed
-/// root is the cheaper one from k ≈ 300 (1.25 against 1.42 µs a root in
-/// panel order, 1.30 against 1.90 at k = 480), but a values solve of Type
-/// 6 at n = 4000 ran no faster with the crossover at 256 or 384 (its merges
-/// jump from k ≈ 490 to ≈ 240), so it stays here with the bits below it.
+/// for bit. A windowed root is the cheaper one from k ≈ 300 (0.87 against
+/// 0.96 µs a root in panel order at k = 384, 0.96 against 1.26 at 512; 0.85
+/// against 0.81 at 256, 0.80 against 0.54 at 128), but a values solve of
+/// Type 6 at n = 4000 ran no faster with the crossover at 256 or 384 (its
+/// merges jump from k ≈ 490 to ≈ 240), so it stays here with the bits
+/// below it.
 const MIN_K_WINDOW: usize = 512;
 
-/// Middle-way iterations on a model, at most: the first is the step a
-/// two-pole model would take, the other two refine it.
+/// Middle-way iterations on a warm start's model, at most: the first is
+/// the step a two-pole model would take, the other two refine it.
 const MODEL_ITERS: usize = 3;
 
-/// Relative step at which a model's root counts as found.
+/// Relative step at which a warm start's root counts as found.
 const MODEL_TOL: f64 = 1e-6;
 
 /// Middle-way steps on a [`Taylor`] model, at most, before the root
 /// finder sweeps at the last one instead (a warm root takes about two).
 const TAYLOR_ITERS: usize = 8;
 
-/// Smallest moment magnitude a [`Taylor`] model is fitted with: above it,
+/// Smallest moment magnitude a [`Taylor`] model certifies with: above it,
 /// a moment's underflowed terms are far below its rounding.
 const TINY: f64 = f64::MIN_POSITIVE / EPS;
 
-// A warm model is fitted around root j − 1's interval; it reaches both
-// ends of root j's only with two or more poles each side. A window is one
+// A warm model keeps root j − 1's window exact; it reaches both ends of
+// root j's interval only with two or more poles each side. A window is one
 // pass of the window kernel.
 const _: () = assert!(WINDOW >= 2 && 2 * WINDOW == WINDOW_LANES);
 
@@ -1221,6 +1059,13 @@ mod tests {
         assert!((sum - want).abs() < 1e-10, "{sum} vs {want}");
     }
 
+    /// Root `j` of a cold solve with no rational-model step after its
+    /// midpoint sweep, so the safeguarded-bisection rescue finds it.
+    fn rescued(p: &SecularProblem<'_>, j: usize, delta: &mut [f64]) -> f64 {
+        let kernels = SecularKernels::dispatched();
+        p.solve(j, delta, kernels, 0, None, true).unwrap().0.lambda
+    }
+
     #[test]
     fn zero_newton_budget_is_rescued_by_bisection() {
         // With no rational-model iterations at all, the safeguarded
@@ -1229,8 +1074,9 @@ mod tests {
         let z = [0.6, 0.2, 0.4, 0.3];
         let rho = 2.0;
         let mut delta = vec![0.0; 4];
+        let p = SecularProblem::new(&d, &z, rho).unwrap();
         for j in 0..4 {
-            let lam = solve_secular_root_with_maxit(j, &d, &z, rho, &mut delta, 0).unwrap();
+            let lam = rescued(&p, j, &mut delta);
             let rref = reference_root(j, &d, &z, rho);
             assert!((lam - rref).abs() < 1e-10, "root {j}: {lam} vs {rref}");
             assert!(lam > d[j]);
@@ -1245,8 +1091,9 @@ mod tests {
         let d = [1.0, 1.0 + 1e-12, 1.0 + 2e-12, 2.0];
         let z = [0.5, 0.5, 0.5, 0.5];
         let mut delta = vec![0.0; 4];
+        let p = SecularProblem::new(&d, &z, 1.0).unwrap();
         for j in 0..4 {
-            let lam = solve_secular_root_with_maxit(j, &d, &z, 1.0, &mut delta, 0).unwrap();
+            let lam = rescued(&p, j, &mut delta);
             assert!(lam > d[j]);
             if j + 1 < 4 {
                 assert!(lam < d[j + 1]);

@@ -180,7 +180,9 @@ fn solve_both(
     let mut lb = vec![None; k];
     for j in 0..k {
         let ra = solve_secular_root(j, d, z, rho, &mut da[j * k..(j + 1) * k]);
-        let rb = solve_secular_root_scalar(j, d, z, rho, &mut db[j * k..(j + 1) * k]);
+        let rb = SecularProblem::new(d, z, rho)
+            .and_then(|p| p.solve_root_scalar(j, &mut db[j * k..(j + 1) * k]))
+            .map(|root| root.lambda);
         prop_assert_eq!(
             ra.is_ok(),
             rb.is_ok(),
@@ -506,7 +508,7 @@ fn every_k_and_regime_covered() {
             let mut db = vec![0.0f64; k * k];
             for j in 0..k {
                 let ra = solve_secular_root(j, &d, &z, rho, &mut da[j * k..(j + 1) * k]);
-                let rb = solve_secular_root_scalar(j, &d, &z, rho, &mut db[j * k..(j + 1) * k]);
+                let rb = problem.solve_root_scalar(j, &mut db[j * k..(j + 1) * k]);
                 assert_eq!(ra.is_ok(), rb.is_ok(), "{case} root {j}");
             }
             // Panel order, runs of 64 as a merge's LAED4 tasks solve them.

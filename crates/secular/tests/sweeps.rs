@@ -9,7 +9,7 @@
 //! without a closing sweep.
 
 use dcst_matrix::metrics;
-use dcst_secular::{SecularKernels, SecularProblem};
+use dcst_secular::{SecularKernels, SecularProblem, SecularRoot};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
@@ -46,24 +46,42 @@ fn problem(k: usize, seed: u64) -> Problem {
 }
 
 /// `(secular.iters, secular.bisection_rescues, secular.certified)` spent
-/// by `f`.
-fn counted(f: impl FnOnce()) -> (u64, u64, u64) {
-    let before = metrics::snapshot();
-    f();
-    let spent = metrics::snapshot().delta(&before);
-    (
-        spent.get("secular.iters"),
-        spent.get("secular.bisection_rescues"),
-        spent.get("secular.certified"),
-    )
+/// by one root.
+type Counts = (u64, u64, u64);
+
+/// Solve every root of `p`, a problem of `k` poles, in panel order — runs
+/// of [`NB`], on the dispatched or the `scalar` kernels — and hand each to
+/// `each` with the counters its solve moved.
+fn panel_order(
+    p: &SecularProblem<'_>,
+    k: usize,
+    scalar: bool,
+    mut each: impl FnMut(usize, SecularRoot, Counts),
+) {
+    let mut delta = vec![0.0; k];
+    for run in (0..k).step_by(NB) {
+        let mut roots = if scalar { p.panel_scalar() } else { p.panel() };
+        for j in run..(run + NB).min(k) {
+            let before = metrics::snapshot();
+            let root = roots.solve_root(j, &mut delta).unwrap();
+            let spent = metrics::snapshot().delta(&before);
+            let counts = (
+                spent.get("secular.iters"),
+                spent.get("secular.bisection_rescues"),
+                spent.get("secular.certified"),
+            );
+            each(j, root, counts);
+        }
+    }
 }
 
 /// Mean sweeps per root, interior roots and the last root apart, over
 /// four seeds per k, on the dispatched and on the scalar kernels: the
 /// interior ones at most 1.25 and the last at most 5, with no bisection
 /// rescue. A cold midpoint start and the two-pole step take 4.4 and 6.8–7.8
-/// on these problems; stepping on the window and lumped far sides, with
-/// a closing sweep, ≈ 2.3 and ≈ 4.
+/// on these problems; stepping on the window and each far side's Taylor
+/// cubic, every root starting from the previous root's model, ≈ 1.02 and
+/// ≈ 2.3.
 #[test]
 fn panel_roots_take_few_sweeps() {
     let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -73,21 +91,14 @@ fn panel_roots_take_few_sweeps() {
             for seed in 0..4u64 {
                 let (d, z, rho) = problem(k, 0x5eed ^ (k as u64) << 8 ^ seed);
                 let p = SecularProblem::new(&d, &z, rho).unwrap();
-                let mut delta = vec![0.0; k];
-                for run in (0..k).step_by(NB) {
-                    let mut roots = if scalar { p.panel_scalar() } else { p.panel() };
-                    for j in run..(run + NB).min(k) {
-                        let (iters, rescued, _) = counted(|| {
-                            roots.solve_root(j, &mut delta).unwrap();
-                        });
-                        if j + 1 == k {
-                            last += iters;
-                        } else {
-                            interior += iters;
-                        }
-                        rescues += rescued;
+                panel_order(&p, k, scalar, |j, _, (iters, rescued, _)| {
+                    if j + 1 == k {
+                        last += iters;
+                    } else {
+                        interior += iters;
                     }
-                }
+                    rescues += rescued;
+                });
                 seeds += 1;
             }
             let roots = (seeds * (k - 1)) as f64;
@@ -99,6 +110,42 @@ fn panel_roots_take_few_sweeps() {
             assert!(interior <= 1.25, "{name} k={k}: interior {interior:.3}");
             assert!(last <= 5.0, "{name} k={k}: last {last:.2}");
             assert_eq!(rescues, 0, "{name} k={k}");
+        }
+    }
+}
+
+/// This file's k = 1031 problem with its poles and ρ scaled together —
+/// the same roots, scaled — to where a far side's moments `Σ z²/δⁿ⁺¹`
+/// leave the normal range: at 1e-80 `M₃` overflows, at 1e150 `M₂` and
+/// `M₃` underflow, at 1e200 `M₁` does too. A side with such a moment
+/// still steers the step but certifies nothing. No solve reaches these
+/// scales — the drivers scale T to unit max-norm before they split it —
+/// so this guards the root finder alone: no bisection rescue, and mean
+/// sweeps per root at most 3, or 16 at 1e200 (where the far sides' slopes
+/// are lost, and the model steps on the window's alone).
+#[test]
+fn panel_roots_at_extreme_scales() {
+    let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let k = 1031;
+    let (d, z, rho) = problem(k, 0x5eed ^ (k as u64) << 8);
+    for (name, scalar) in [("dispatched", false), ("scalar", true)] {
+        for scale in [1e-80, 1e-60, 1e150, 1e200] {
+            let d: Vec<f64> = d.iter().map(|x| x * scale).collect();
+            let p = SecularProblem::new(&d, &z, rho * scale).unwrap();
+            let (mut iters, mut rescues, mut certified) = (0, 0, 0);
+            panel_order(&p, k, scalar, |_, _, (i, r, c)| {
+                iters += i;
+                rescues += r;
+                certified += c;
+            });
+            let per_root = iters as f64 / k as f64;
+            println!(
+                "sweeps per root {name} k={k} scale={scale:e}: {per_root:.3}, \
+                 certified {certified}, bisection rescues {rescues}"
+            );
+            let bound = if scale > 1e180 { 16.0 } else { 3.0 };
+            assert!(per_root <= bound, "{name} scale={scale:e}: {per_root:.3}");
+            assert_eq!(rescues, 0, "{name} scale={scale:e}");
         }
     }
 }
@@ -140,8 +187,10 @@ fn regime_problem(k: usize, graded: bool, seed: u64) -> Problem {
 /// it to: a scalar-oracle sweep at its `(origin, μ)` gives
 /// `|f| ≤ 8·ε·k·fabs`. Over this file's problems at k ∈ {1031, 2048} on
 /// the dispatched and the scalar panels, and one graded and one clustered
-/// problem at k = 1031. Prints, per row, the certified and swept roots
-/// and the worst `|f|/tol` among the certified.
+/// problem at k = 1031. Prints, per row, the certified and swept roots,
+/// the mean sweeps per root, and the worst `|f|/tol` among the certified.
+/// A swept root is not a slow one: most clustered roots converge at the
+/// first sweep their warm start makes.
 #[test]
 fn certified_roots_pass_a_direct_sweep() {
     let _counters = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
@@ -161,39 +210,33 @@ fn certified_roots_pass_a_direct_sweep() {
         for (case, (d, z, rho)) in &cases {
             let (k, rho) = (d.len(), *rho);
             let p = SecularProblem::new(d, z, rho).unwrap();
-            let (mut certified, mut swept, mut worst) = (0, 0, 0.0f64);
-            let (mut delta, mut check) = (vec![0.0; k], vec![0.0; k]);
-            for run in (0..k).step_by(NB) {
-                let mut roots = if scalar { p.panel_scalar() } else { p.panel() };
-                for j in run..(run + NB).min(k) {
-                    let mut root = None;
-                    let (_, _, was_certified) = counted(|| {
-                        root = Some(roots.solve_root(j, &mut delta).unwrap());
-                    });
-                    let root = root.unwrap();
-                    if was_certified == 0 {
-                        swept += 1;
-                        continue;
-                    }
-                    certified += 1;
-                    let split = if j + 1 == k { k - 1 } else { j + 1 };
-                    let s = SecularKernels::SCALAR.sweep(
-                        d,
-                        d[root.origin],
-                        root.mu,
-                        z,
-                        split..split,
-                        &mut check,
-                    );
-                    let (f, fabs) = (1.0 + rho * s.val, 1.0 + rho * s.abs);
-                    let ratio = f.abs() / (8.0 * f64::EPSILON * k as f64 * fabs);
-                    assert!(ratio <= 1.0, "{name} {case} root {j}: |f|/tol = {ratio:.3}");
-                    worst = worst.max(ratio);
+            let (mut certified, mut swept, mut sweeps, mut worst) = (0, 0, 0, 0.0f64);
+            let mut check = vec![0.0; k];
+            panel_order(&p, k, scalar, |j, root, (iters, _, was_certified)| {
+                sweeps += iters;
+                if was_certified == 0 {
+                    swept += 1;
+                    return;
                 }
-            }
+                certified += 1;
+                let split = if j + 1 == k { k - 1 } else { j + 1 };
+                let s = SecularKernels::SCALAR.sweep(
+                    d,
+                    d[root.origin],
+                    root.mu,
+                    z,
+                    split..split,
+                    &mut check,
+                );
+                let (f, fabs) = (1.0 + rho * s.val, 1.0 + rho * s.abs);
+                let ratio = f.abs() / (8.0 * f64::EPSILON * k as f64 * fabs);
+                assert!(ratio <= 1.0, "{name} {case} root {j}: |f|/tol = {ratio:.3}");
+                worst = worst.max(ratio);
+            });
             println!(
                 "certification {name} {case}: certified {certified} / swept {swept}, \
-                 worst |f|/tol {worst:.3}"
+                 sweeps per root {:.3}, worst |f|/tol {worst:.3}",
+                sweeps as f64 / k as f64
             );
         }
     }
