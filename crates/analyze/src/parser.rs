@@ -113,18 +113,6 @@ impl ParsedFile {
         }
         false
     }
-
-    /// Join the token texts of `sig` range `[a, b)` with single spaces.
-    pub fn span_text(&self, a: usize, b: usize) -> String {
-        let mut out = String::new();
-        for i in a..b.min(self.sig.len()) {
-            if !out.is_empty() {
-                out.push(' ');
-            }
-            out.push_str(self.text(i));
-        }
-        out
-    }
 }
 
 fn match_brackets(tokens: &[Token], sig: &[usize], src: &str) -> HashMap<usize, usize> {

@@ -31,11 +31,18 @@
 //!
 //! `DCST_FAIL=site:N[+],…` arms the kernels' fault-injection sites (see
 //! `dcst_matrix::failpoints`) for every command, `solve` and `serve`
-//! alike; a malformed spec is a usage error.
+//! alike; a malformed spec is a usage error. So do the three process-wide
+//! kernel knobs, each `0` or `1`: `DCST_FORCE_SCALAR=1` pins every
+//! dispatched kernel to the scalar bodies, `DCST_FORCE_DENSE=1` pins the
+//! dense eigenvector update and `DCST_FORCE_STRUCTURED=1` the
+//! rank-structured one. Any other value, or both update knobs set, is a
+//! usage error. The library reads no environment; these map onto
+//! `dcst_matrix::set_simd_level` / `set_update_policy`.
 
 use dcst_core::{
     DcError, DcOptions, DcStats, ForkJoinDc, LevelParallelDc, SequentialDc, SolveMode, TaskFlowDc,
 };
+use dcst_matrix::{SimdLevel, UpdatePolicy};
 use dcst_mrrr::{bisect_range, MrrrError, MrrrSolver};
 use dcst_qriter::QrError;
 use dcst_runtime::{Runtime, RuntimeMetrics, Trace};
@@ -122,7 +129,9 @@ fn usage() -> ExitCode {
          dcst serve [--addr A] [--threads K] [--max-inflight M] [--max-n N] [--trace-requests]\n  \
          dcst request --addr HOST:PORT [--json LINE]\n\
          env: DCST_TRACE=FILE with a D&C 'solve' writes a Chrome trace-event file\n     \
-         DCST_FAIL=site:N[+],... arms the kernels' fault-injection sites"
+         DCST_FAIL=site:N[+],... arms the kernels' fault-injection sites\n     \
+         DCST_FORCE_SCALAR=1 pins the scalar kernels; DCST_FORCE_DENSE=1 or\n     \
+         DCST_FORCE_STRUCTURED=1 pins the eigenvector-update path (each 0 or 1)"
     );
     ExitCode::from(EXIT_USAGE)
 }
@@ -183,6 +192,38 @@ fn write_artifact(path: &str, contents: String, what: &str) -> Result<(), ExitCo
     Ok(())
 }
 
+/// Apply `DCST_FORCE_SCALAR`, `DCST_FORCE_DENSE` and
+/// `DCST_FORCE_STRUCTURED` (see the module docs). Each is unset, `0` or
+/// `1`; the error names the offending variable.
+fn apply_knobs() -> Result<(), String> {
+    let knob = |name: &str| match std::env::var_os(name) {
+        None => Ok(false),
+        Some(v) if v == "0" => Ok(false),
+        Some(v) if v == "1" => Ok(true),
+        Some(v) => Err(format!("{name}='{}': want 0 or 1", v.to_string_lossy())),
+    };
+    let scalar = knob("DCST_FORCE_SCALAR")?;
+    let dense = knob("DCST_FORCE_DENSE")?;
+    let structured = knob("DCST_FORCE_STRUCTURED")?;
+    if dense && structured {
+        return Err(
+            "DCST_FORCE_DENSE=1 and DCST_FORCE_STRUCTURED=1 pin opposite update paths".to_string(),
+        );
+    }
+    if scalar {
+        assert!(
+            dcst_matrix::set_simd_level(SimdLevel::Scalar),
+            "every CPU runs the scalar kernels"
+        );
+    }
+    if dense {
+        dcst_matrix::set_update_policy(UpdatePolicy::ForceDense);
+    } else if structured {
+        dcst_matrix::set_update_policy(UpdatePolicy::ForceStructured);
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() {
@@ -192,6 +233,9 @@ fn main() -> ExitCode {
         if let Err(e) = dcst_matrix::failpoints::arm_spec(&spec) {
             return fail(format!("DCST_FAIL='{spec}': {e}"), EXIT_USAGE);
         }
+    }
+    if let Err(e) = apply_knobs() {
+        return fail(e, EXIT_USAGE);
     }
     let cmd = argv.remove(0);
     let args = Args { raw: argv };
@@ -410,6 +454,11 @@ fn main() -> ExitCode {
                 eprintln!("tasks executed = {}", rm.tasks_executed());
             }
             if let Some(before) = counters_before {
+                eprintln!(
+                    "simd level = {:?}, update policy = {:?}",
+                    dcst_matrix::simd_level(),
+                    dcst_matrix::update_policy()
+                );
                 // Deflation statistics and the scheduler table exist for the
                 // D&C disciplines only; the kernel counters move under every
                 // solver (QR shows its sweeps in `steqr.*`).

@@ -292,6 +292,98 @@ fn bad_failpoint_spec_is_a_usage_error() {
     let _ = std::fs::remove_file(&path);
 }
 
+const KNOBS: [&str; 3] = [
+    "DCST_FORCE_SCALAR",
+    "DCST_FORCE_DENSE",
+    "DCST_FORCE_STRUCTURED",
+];
+
+/// `dcst solve --metrics` on `path` with exactly the given kernel knobs set.
+fn solve_with_knobs(path: &std::path::Path, knobs: &[(&str, &str)]) -> std::process::Output {
+    let mut cmd = dcst();
+    for name in KNOBS {
+        cmd.env_remove(name);
+    }
+    cmd.envs(knobs.iter().copied())
+        .args(["solve", "--in", path.to_str().unwrap(), "--threads", "2"])
+        .arg("--metrics")
+        .output()
+        .unwrap()
+}
+
+/// The CLI maps each kernel knob onto the library's setters, and
+/// `--metrics` shows the level and policy the solve ran under.
+#[test]
+fn kernel_knobs_show_on_the_metrics_line() {
+    let path = tempfile("knobs.txt");
+    dcst()
+        .args(["generate", "--type", "4", "--n", "256"])
+        .args(["--out", path.to_str().unwrap()])
+        .status()
+        .unwrap();
+    let cases: [(&[(&str, &str)], &str); 5] = [
+        (&[], "update policy = Auto"),
+        (&[("DCST_FORCE_SCALAR", "1")], "simd level = Scalar, "),
+        (&[("DCST_FORCE_SCALAR", "0")], "update policy = Auto"),
+        (&[("DCST_FORCE_DENSE", "1")], "update policy = ForceDense"),
+        (
+            &[("DCST_FORCE_STRUCTURED", "1")],
+            "update policy = ForceStructured",
+        ),
+    ];
+    for (knobs, want) in cases {
+        let out = solve_with_knobs(&path, knobs);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{knobs:?}: {err}");
+        let line = err
+            .lines()
+            .find(|l| l.starts_with("simd level = "))
+            .unwrap_or_else(|| panic!("{knobs:?}: no knob line in {err}"));
+        assert!(line.contains(want), "{knobs:?}: {line}");
+        let structured: u64 = err
+            .lines()
+            .find_map(|l| l.strip_prefix("update.structured_merges = "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{knobs:?}: no structured_merges in {err}"));
+        // At n = 256 every merge is below the auto threshold, so only the
+        // forced policy structures one.
+        let forced = knobs.contains(&("DCST_FORCE_STRUCTURED", "1"));
+        assert_eq!(structured > 0, forced, "{knobs:?}: {structured} structured");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Each knob is `0` or `1`: any other value — `false` included, which
+/// once pinned the dense path — and both update knobs at once are usage
+/// errors that name the variable.
+#[test]
+fn malformed_kernel_knobs_exit_2_naming_the_variable() {
+    let path = tempfile("badknobs.txt");
+    dcst()
+        .args(["generate", "--type", "4", "--n", "64"])
+        .args(["--out", path.to_str().unwrap()])
+        .status()
+        .unwrap();
+    let cases: [(&[(&str, &str)], &str); 5] = [
+        (&[("DCST_FORCE_DENSE", "false")], "DCST_FORCE_DENSE"),
+        (&[("DCST_FORCE_SCALAR", "yes")], "DCST_FORCE_SCALAR"),
+        (&[("DCST_FORCE_STRUCTURED", "2")], "DCST_FORCE_STRUCTURED"),
+        (&[("DCST_FORCE_SCALAR", "")], "DCST_FORCE_SCALAR"),
+        (
+            &[("DCST_FORCE_DENSE", "1"), ("DCST_FORCE_STRUCTURED", "1")],
+            "DCST_FORCE_STRUCTURED",
+        ),
+    ];
+    for (knobs, name) in cases {
+        let out = solve_with_knobs(&path, knobs);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{knobs:?}: {err}");
+        assert!(err.contains(name), "{knobs:?}: {err}");
+        assert!(!err.contains("panicked"), "{knobs:?}: {err}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The acceptance run for the observability layer: a taskflow solve at
 /// n = 1024 with `DCST_TRACE` set must emit a Chrome trace-event file whose
 /// "X" (complete) events match the `tasks executed = N` counter reported on

@@ -9,7 +9,7 @@
 //! GEMMs through their `U·Vᵀ` factors. The dense path remains the pinned
 //! oracle; [`plan_update`] returns `None` (→ dense) whenever the estimated
 //! or the measured structured cost is not strictly cheaper, or when
-//! `DCST_FORCE_DENSE=1` / [`UpdatePolicy::ForceDense`] pins it.
+//! [`UpdatePolicy::ForceDense`] pins it (the CLI's `DCST_FORCE_DENSE=1`).
 //!
 //! Layout note: no merge stores `X`; the compressed operands are built
 //! from its generators, entry by entry in secular order

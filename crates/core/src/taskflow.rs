@@ -24,7 +24,8 @@
 //! solve mode. The spine — `Scale`, `STEDC`, `ComputeDeflation`, `LAED4`,
 //! `ReduceW`, `SortEigenvalues`, `ScaleBack` — is submitted from one chain
 //! each. `LAED4` is one body for every mode: it solves its panel's roots,
-//! folds their local-W factors into the panel's partial product and keeps
+//! folds their local-W factors into the panel's partial product, which
+//! joins the merge's product in panel order ([`LocalW`]), and keeps
 //! each root's `(μ, origin)` ([`PanelRoots`]) — the generators of the
 //! merge's secular eigenvectors X, which no merge stores. What a node
 //! carries between the spine's tasks is the graph's *payload*:
@@ -184,10 +185,12 @@ struct NodeCell {
     /// with `col`; released by the parent's `ComputeDeflation` once joined
     /// into its own, so only the root's outlives the merges.
     support: Mutex<Option<Arc<[RowSpan]>>>,
-    partials: Mutex<Vec<Option<Vec<f64>>>>,
+    /// The merge's local-W product, which every `LAED4` panel folds its
+    /// partial into and `ReduceW` takes.
+    local_w: Mutex<LocalW>,
     /// Per panel, the roots its `LAED4` solved: the generators of the
     /// panel's columns of X. The row payload's `RowUpdate` of the same
-    /// index takes them, as `ReduceW` takes `partials`; the vector
+    /// index takes them, as `ReduceW` takes `local_w`; the vector
     /// payload's `CompressW` and `UpdateVect` read them shared, and the
     /// parent's `ComputeDeflation` releases them.
     panel_roots: Mutex<Vec<Option<Arc<PanelRoots>>>>,
@@ -253,6 +256,56 @@ impl NodeCell {
     /// `ReduceW` planned.
     fn span(&self, k: usize) -> Range<usize> {
         self.subset_plan.get().cloned().unwrap_or(0..k)
+    }
+}
+
+/// A merge's Gu–Eisenstat local-W product, folded from the `LAED4`
+/// panels' partials in panel order as they finish: `((p₀·p₁)·p₂)·…`, the
+/// order and so the bits of one `reduce_w` over all of them. A partial
+/// that finishes ahead of a lower panel waits; the rest are folded and
+/// dropped at once, so the merge holds about one k-length product instead
+/// of one per panel, and how many it holds at a time no longer depends on
+/// how the workers interleave the panels of two merges.
+#[derive(Default)]
+struct LocalW {
+    /// The product of panels `..next`; `None` until one has a partial.
+    product: Option<Vec<f64>>,
+    next: usize,
+    /// Per panel from `next` on: `Some` once finished, holding its partial
+    /// (`None` for a panel without roots).
+    done: Vec<Option<Option<Vec<f64>>>>,
+}
+
+impl LocalW {
+    fn new(npanels: usize) -> Self {
+        LocalW {
+            product: None,
+            next: 0,
+            done: vec![None; npanels],
+        }
+    }
+
+    /// Panel `p` finished with `partial`: fold every finished panel from
+    /// `next` on.
+    fn fold(&mut self, p: usize, partial: Option<Vec<f64>>) {
+        self.done[p] = Some(partial);
+        while let Some(partial) = self.done.get_mut(self.next).and_then(Option::take) {
+            match (&mut self.product, partial) {
+                // 1·p₀ = p₀ exactly: the first partial is the product.
+                (None, partial) => self.product = partial,
+                (Some(acc), Some(partial)) => {
+                    acc.iter_mut().zip(&partial).for_each(|(a, x)| *a *= x);
+                }
+                (Some(_), None) => {}
+            }
+            self.next += 1;
+        }
+    }
+
+    /// The product of all panels; `ReduceW` runs after every `LAED4`.
+    fn take(&mut self) -> Option<Vec<f64>> {
+        debug_assert_eq!(self.next, self.done.len(), "a LAED4 panel never folded");
+        self.product.take()
     }
 }
 
@@ -822,7 +875,7 @@ impl TaskFlowDc {
                                 }
                             };
                             let npanels = nm.div_ceil(g.nb);
-                            *cell.partials.lock().unwrap() = vec![None; npanels];
+                            *cell.local_w.lock().unwrap() = LocalW::new(npanels);
                             *cell.panel_roots.lock().unwrap() = vec![None; npanels];
                             publish(&cell.defl, defl);
                             Ok(())
@@ -858,16 +911,17 @@ impl TaskFlowDc {
                             let defl = cell.defl();
                             let j = clip(s0, s1, 0..defl.k);
                             if j.is_empty() {
+                                cell.local_w.lock().unwrap().fold(p, None);
                                 return Ok(());
                             }
                             // SAFETY: exclusive range of lam per panel.
                             let lo = unsafe { g.lam.range_mut(off + j.start..off + j.end) };
-                            if let Some((part, roots)) =
-                                laed4_panel(defl, j, lo, off, g.carries_roots(m))?
-                            {
-                                cell.partials.lock().unwrap()[p] = Some(part);
+                            let kept = laed4_panel(defl, j, lo, off, g.carries_roots(m))?;
+                            let partial = kept.map(|(partial, roots)| {
                                 cell.panel_roots.lock().unwrap()[p] = Some(Arc::new(roots));
-                            }
+                                partial
+                            });
+                            cell.local_w.lock().unwrap().fold(p, partial);
                             Ok(())
                         });
                 }
@@ -887,13 +941,8 @@ impl TaskFlowDc {
                             // ẑ feeds the second panel group: the row
                             // payload's root has none.
                             if k > 0 && g.carries_roots(m) {
-                                let parts: Vec<Vec<f64>> = cell
-                                    .partials
-                                    .lock()
-                                    .unwrap()
-                                    .iter_mut()
-                                    .filter_map(|p| p.take())
-                                    .collect();
+                                let product = cell.local_w.lock().unwrap().take();
+                                let parts = Vec::from_iter(product);
                                 publish(&cell.zhat, dcst_secular::reduce_w(&defl.w, &parts));
                             }
                             // SAFETY: epoch-exclusive d block; lam is read-only now.
@@ -1366,6 +1415,45 @@ mod tests {
                 // Fully deflated: no column ever left its leaf's rows.
                 assert!(support.iter().all(|span| span.rows().len() <= 16));
             }
+        }
+    }
+
+    #[test]
+    fn local_w_is_one_reduce_w_whatever_order_the_panels_finish() {
+        // Six panels, the third without roots; the first partial is
+        // negative so the product under the square root is positive.
+        let k = 9;
+        let partials: Vec<Option<Vec<f64>>> = (0..6)
+            .map(|p| {
+                let sign = if p == 0 { -1.0 } else { 1.0 };
+                let f = |i: usize| sign * (1.0 + 0.3 * ((p * k + i) as f64).sin());
+                (p != 2).then(|| (0..k).map(f).collect())
+            })
+            .collect();
+        let w: Vec<f64> = (0..k)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
+        let all: Vec<Vec<f64>> = partials.iter().flatten().cloned().collect();
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let expect = bits(&dcst_secular::reduce_w(&w, &all));
+        // The inputs tell the orders apart: folded last panel first, the
+        // same partials round to other bits.
+        let reversed: Vec<Vec<f64>> = all.iter().rev().cloned().collect();
+        assert_ne!(bits(&dcst_secular::reduce_w(&w, &reversed)), expect);
+        for order in [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [3, 0, 5, 1, 4, 2]] {
+            let mut local_w = LocalW::new(6);
+            for p in order {
+                local_w.fold(p, partials[p].clone());
+            }
+            let parts = Vec::from_iter(local_w.take());
+            assert_eq!(parts.len(), 1, "order {order:?}");
+            assert_eq!(bits(&dcst_secular::reduce_w(&w, &parts)), expect);
+        }
+        // In order, nothing waits: each partial is folded on arrival.
+        let mut local_w = LocalW::new(6);
+        for (p, partial) in partials.iter().enumerate() {
+            local_w.fold(p, partial.clone());
+            assert!(local_w.done.iter().all(Option::is_none));
         }
     }
 

@@ -17,8 +17,9 @@
 //! roots. Pass 1 (`LAED4`, [`crate::merge::laed4_panel`], the vector
 //! payload's too) solves the secular equation for the eigenvalue,
 //! multiplies the root's factors into the running Gu–Eisenstat `local_w`
-//! partial (one k-length delta column, reused) and keeps the accepted
-//! `(μ, origin)` — 12 bytes per root, O(k) per merge, inside the mode's
+//! partial (one k-length delta column, reused; the partial joins the
+//! merge's product in panel order when the panel ends) and keeps the
+//! accepted `(μ, origin)` — 12 bytes per root, O(k) per merge, inside the mode's
 //! O(n) budget. Pass 2 (`RowUpdate`, once ẑ is known) rebuilds each root's
 //! pole distances from that pair, `δᵢ = (dᵢ − d_origin) − μ`, bit for bit
 //! what the solver wrote, and in the same division pass forms

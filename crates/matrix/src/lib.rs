@@ -28,5 +28,5 @@ pub use check::{orthogonality_error, residual_error, symmetric_residual_error};
 pub use lowrank::{set_update_policy, update_policy, UpdatePolicy};
 pub use matrix::Matrix;
 pub use merge::merge_perm;
-pub use simd::{simd_level, SimdLevel};
+pub use simd::{set_simd_level, simd_level, SimdLevel};
 pub use workspace::workspace_growth_events;

@@ -16,9 +16,11 @@
 //! * [`gemm_structured`] — `C(:, jrange) = Q · S(:, jrange)`, routing dense
 //!   tiles through the packed GEMM and low-rank tiles through a skinny
 //!   GEMM against the precomputed `Q·U` basis product;
-//! * [`update_policy`] — the process-wide dense/structured switch with the
-//!   `DCST_FORCE_DENSE` / `DCST_FORCE_STRUCTURED` escape hatches
-//!   (mirroring `DCST_FORCE_SCALAR`).
+//! * [`update_policy`] — the process-wide dense/structured switch, `Auto`
+//!   until [`set_update_policy`] pins a path. The library reads no
+//!   environment: the `dcst` CLI maps `DCST_FORCE_DENSE` /
+//!   `DCST_FORCE_STRUCTURED` onto the setter, as it maps
+//!   `DCST_FORCE_SCALAR` onto [`crate::simd::set_simd_level`].
 //!
 //! Rank estimation, block partitioning and the accuracy-budget tolerance
 //! live in `dcst-secular`, which owns the Cauchy-like entry generator.
@@ -33,49 +35,30 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum UpdatePolicy {
     /// Rank-estimate each merge and pick the cheaper path (the default).
     Auto,
-    /// Always run the dense two-GEMM oracle (`DCST_FORCE_DENSE=1`).
+    /// Always run the dense two-GEMM oracle (the CLI's `DCST_FORCE_DENSE=1`).
     ForceDense,
     /// Always attempt the structured path when the merge is large enough
-    /// to partition (`DCST_FORCE_STRUCTURED=1`); individual blocks that
-    /// refuse to compress still fall back to dense tiles.
+    /// to partition (the CLI's `DCST_FORCE_STRUCTURED=1`); individual
+    /// blocks that refuse to compress still fall back to dense tiles.
     ForceStructured,
 }
 
-/// 0 = not yet read from the environment.
-static POLICY: AtomicU8 = AtomicU8::new(0);
+static POLICY: AtomicU8 = AtomicU8::new(UpdatePolicy::Auto as u8);
 
-#[cold]
-fn detect_policy() -> u8 {
-    let set = |name: &str| std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty());
-    // Dense wins if both are set: it is the pinned oracle.
-    if set("DCST_FORCE_DENSE") {
-        UpdatePolicy::ForceDense as u8 + 1
-    } else if set("DCST_FORCE_STRUCTURED") {
-        UpdatePolicy::ForceStructured as u8 + 1
-    } else {
-        UpdatePolicy::Auto as u8 + 1
-    }
-}
-
-/// The eigenvector-update policy for this process. Read from the
-/// environment on first call, then cached; [`set_update_policy`] overrides
-/// it at any time (benches toggle paths inside one process).
+/// The eigenvector-update policy for this process: `Auto` until
+/// [`set_update_policy`] pins another (benches toggle paths inside one
+/// process). One relaxed load, read once per merge.
 pub fn update_policy() -> UpdatePolicy {
-    let mut p = POLICY.load(Ordering::Relaxed);
-    if p == 0 {
-        p = detect_policy();
-        POLICY.store(p, Ordering::Relaxed);
-    }
-    match p - 1 {
+    match POLICY.load(Ordering::Relaxed) {
         x if x == UpdatePolicy::ForceDense as u8 => UpdatePolicy::ForceDense,
         x if x == UpdatePolicy::ForceStructured as u8 => UpdatePolicy::ForceStructured,
         _ => UpdatePolicy::Auto,
     }
 }
 
-/// Pin the update policy for this process, overriding the environment.
+/// Pin the update policy for this process.
 pub fn set_update_policy(p: UpdatePolicy) {
-    POLICY.store(p as u8 + 1, Ordering::Relaxed);
+    POLICY.store(p as u8, Ordering::Relaxed);
 }
 
 /// A rank-`r` factorization `A ≈ U Vᵀ` of an `m × n` block.

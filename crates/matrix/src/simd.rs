@@ -2,14 +2,17 @@
 //!
 //! Every crate that compiles a kernel body at several vector widths
 //! (`dcst-matrix`'s GEMM micro-kernels, `dcst-secular`'s secular-equation
-//! sweeps) selects the variant through this single detector, so the whole
-//! workspace agrees on one answer and one override knob:
+//! sweeps) selects the variant through this single level, so the whole
+//! workspace agrees on one answer:
 //!
-//! * detection runs once (`is_x86_feature_detected!`) and is cached in an
-//!   atomic — dispatch on a hot path costs one relaxed load;
-//! * setting the environment variable `DCST_FORCE_SCALAR=1` (read at first
-//!   query) pins the level to [`SimdLevel::Scalar`], which CI uses to keep
-//!   the portable fallback paths built and tested on every push.
+//! * detection asks only the CPU (`is_x86_feature_detected!`), once, and
+//!   caches the widest level it runs in an atomic — dispatch on a hot path
+//!   costs one relaxed load;
+//! * [`set_simd_level`] pins a narrower level (or back to the widest) for
+//!   the whole process, and refuses one the CPU cannot run. The library
+//!   reads no environment: the `dcst` CLI maps `DCST_FORCE_SCALAR=1` onto
+//!   it, and the accuracy lattice (`tests/accuracy_gates.rs`) walks every
+//!   level the host has in one process.
 //!
 //! Non-x86 targets always report `Scalar`; the scalar kernel bodies are the
 //! portable implementations (and the test oracles), not a degraded mode.
@@ -31,8 +34,8 @@ pub enum SimdLevel {
 static LEVEL: AtomicU8 = AtomicU8::new(0);
 
 /// Whether the running CPU can execute kernels compiled for `level`,
-/// whatever `DCST_FORCE_SCALAR` says: what lets a test drive every variant
-/// the machine has, not only the dispatched one.
+/// whatever level is pinned: what lets a test drive every variant the
+/// machine has, not only the dispatched one.
 pub fn cpu_supports(level: SimdLevel) -> bool {
     match level {
         SimdLevel::Scalar => true,
@@ -53,28 +56,45 @@ pub fn cpu_supports(level: SimdLevel) -> bool {
 
 #[cold]
 fn detect() -> u8 {
-    if std::env::var_os("DCST_FORCE_SCALAR").is_some_and(|v| v != "0" && !v.is_empty()) {
-        return SimdLevel::Scalar as u8;
-    }
     let widest = [SimdLevel::Avx512, SimdLevel::Avx2]
         .into_iter()
         .find(|&l| cpu_supports(l));
     widest.unwrap_or(SimdLevel::Scalar) as u8
 }
 
-/// The SIMD level all dispatched kernels in this process use. Detected on
-/// first call (honouring `DCST_FORCE_SCALAR`), then cached.
+/// The SIMD level all dispatched kernels in this process use: the widest
+/// the CPU runs, detected on first call, unless [`set_simd_level`] pinned
+/// another.
 pub fn simd_level() -> SimdLevel {
     let mut level = LEVEL.load(Ordering::Relaxed);
     if level == 0 {
-        level = detect();
-        LEVEL.store(level, Ordering::Relaxed);
+        let detected = detect();
+        // A concurrent `set_simd_level` wins over the detected default.
+        level = match LEVEL.compare_exchange(0, detected, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => detected,
+            Err(pinned) => pinned,
+        };
     }
     match level {
         3 => SimdLevel::Avx512,
         2 => SimdLevel::Avx2,
         _ => SimdLevel::Scalar,
     }
+}
+
+/// Pin the level every dispatched kernel of this process uses — GEMM's
+/// micro-kernel and `dcst-secular`'s `SecularKernels::dispatched()` — from
+/// the next kernel call on. Returns `false` and leaves the level as it was
+/// when the CPU cannot run `level`, so no caller can select an instruction
+/// the machine lacks. A solve running while the level changes may mix
+/// levels; callers pin it between solves.
+#[must_use]
+pub fn set_simd_level(level: SimdLevel) -> bool {
+    if !cpu_supports(level) {
+        return false;
+    }
+    LEVEL.store(level as u8, Ordering::Relaxed);
+    true
 }
 
 #[cfg(test)]
@@ -90,11 +110,8 @@ mod tests {
 
     #[test]
     fn level_matches_cpu_features() {
+        // No test in this binary pins the level, so it is the detected one.
         let level = simd_level();
-        if std::env::var_os("DCST_FORCE_SCALAR").is_some_and(|v| v != "0" && !v.is_empty()) {
-            assert_eq!(level, SimdLevel::Scalar);
-            return;
-        }
         #[cfg(target_arch = "x86_64")]
         {
             let fma = std::arch::is_x86_feature_detected!("fma");

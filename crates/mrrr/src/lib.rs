@@ -35,8 +35,7 @@ mod tstein;
 pub use bisect::{bisect_all, bisect_range, bisect_refine_ldl};
 pub use dqds::dqds_eigenvalues;
 pub use rrr::{
-    ldl_factor, solve_shifted, solve_twisted, stqds_shift, sturm_count_ldl, twisted_vector,
-    twisted_vector_ranked, Rrr,
+    ldl_factor, stqds_shift, sturm_count_ldl, twisted_vector, twisted_vector_ranked, Rrr,
 };
 pub use tstein::{lu_factor, solve_u, TridiagLu};
 

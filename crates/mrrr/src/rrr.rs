@@ -197,260 +197,6 @@ pub fn twisted_vector_ranked(rep: &Rrr, lam: f64, rank: usize, out: &mut [f64]) 
     }
 }
 
-/// The twisted factorization quantities at `lam`: forward `L⁺`, `D⁺`,
-/// backward `U⁻`, `D⁻`, and the twist diagnostics `γ_r = s_r + p_r + λ`.
-struct Twisted {
-    lplus: Vec<f64>,
-    uminus: Vec<f64>,
-    dplus: Vec<f64>,
-    dminus: Vec<f64>,
-    gamma: Vec<f64>,
-}
-
-fn factor_twisted(rep: &Rrr, lam: f64) -> Twisted {
-    let n = rep.n();
-    let mut lplus = vec![0.0f64; n.saturating_sub(1)];
-    let mut dplus = vec![0.0f64; n];
-    let mut svec = vec![0.0f64; n];
-    let mut s = -lam;
-    for i in 0..n {
-        svec[i] = s;
-        dplus[i] = guard(s + rep.d[i]);
-        if i + 1 < n {
-            lplus[i] = rep.d[i] * rep.l[i] / dplus[i];
-            s = lplus[i] * rep.l[i] * s - lam;
-            if !s.is_finite() {
-                s = -lam;
-            }
-        }
-    }
-    let mut uminus = vec![0.0f64; n.saturating_sub(1)];
-    let mut dminus = vec![0.0f64; n];
-    let mut p = rep.d[n - 1] - lam;
-    dminus[n - 1] = guard(p);
-    let mut pvec = vec![0.0f64; n];
-    pvec[n - 1] = p;
-    for i in (0..n.saturating_sub(1)).rev() {
-        let dm = guard(p + rep.d[i] * rep.l[i] * rep.l[i]);
-        dminus[i + 1] = dm;
-        uminus[i] = rep.d[i] * rep.l[i] / dm;
-        p = p * rep.d[i] / dm - lam;
-        if !p.is_finite() {
-            p = -lam;
-        }
-        pvec[i] = p;
-    }
-    dminus[0] = guard(pvec[0]);
-    let gamma = (0..n).map(|i| svec[i] + pvec[i] + lam).collect();
-    Twisted {
-        lplus,
-        uminus,
-        dplus,
-        dminus,
-        gamma,
-    }
-}
-
-/// Solve `(LDLᵀ − λI) x = N_r Δ_r N_rᵀ x = b` through the **twisted**
-/// factorization at the `rank`-th smallest |γ| (twist index `r`).
-///
-/// Unlike a pure forward `L⁺D⁺L⁺ᵀ` solve, the twisted factorization stays
-/// componentwise accurate even when the factorization passes through
-/// several near-singular pivots — the situation of a numerical multiplet,
-/// which is exactly where the inverse-iteration fallback runs. Different
-/// `rank`s favor different members of the multiplet's eigenspace. Only the
-/// solution *direction* is meaningful (the result is normalized), and the
-/// partial solution is rescaled on overflow.
-pub fn solve_twisted(rep: &Rrr, lam: f64, rank: usize, b: &[f64], x: &mut [f64]) {
-    let n = rep.n();
-    debug_assert!(b.len() == n && x.len() == n);
-    if n == 0 {
-        return;
-    }
-    if n == 1 {
-        x[0] = 1.0;
-        return;
-    }
-    let tw = factor_twisted(rep, lam);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &bb| {
-        tw.gamma[a]
-            .abs()
-            .partial_cmp(&tw.gamma[bb].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let r = order[rank.min(n - 1)];
-
-    const BIG: f64 = 1e140;
-    const SMALL: f64 = 1e-140;
-
-    // ---- N_r y = b: forward up to r, backward down to r, meet at r.
-    let mut f = 1.0f64;
-    x[0] = b[0];
-    for i in 1..r {
-        x[i] = f * b[i] - tw.lplus[i - 1] * x[i - 1];
-        if x[i].abs() > BIG {
-            for xv in x[..=i].iter_mut() {
-                *xv *= SMALL;
-            }
-            f *= SMALL;
-        }
-    }
-    let mut g = 1.0f64;
-    x[n - 1] = b[n - 1];
-    for i in (r + 1..n - 1).rev() {
-        x[i] = g * b[i] - tw.uminus[i] * x[i + 1];
-        if x[i].abs() > BIG {
-            for xv in x[i..].iter_mut() {
-                *xv *= SMALL;
-            }
-            g *= SMALL;
-        }
-    }
-    // Bring both segments to a common scale before the twist row.
-    let common = f.min(g);
-    if f > common {
-        let adj = common / f;
-        for xv in x[..r].iter_mut() {
-            *xv *= adj;
-        }
-    }
-    if g > common {
-        let adj = common / g;
-        for xv in x[r + 1..].iter_mut() {
-            *xv *= adj;
-        }
-    }
-    x[r] = common * b[r]
-        - if r > 0 {
-            tw.lplus[r - 1] * x[r - 1]
-        } else {
-            0.0
-        }
-        - if r + 1 < n {
-            tw.uminus[r] * x[r + 1]
-        } else {
-            0.0
-        };
-
-    // ---- Δ_r z = y (elementwise; whole-vector rescale is linear).
-    for i in 0..n {
-        let pivot = if i < r {
-            tw.dplus[i]
-        } else if i > r {
-            tw.dminus[i]
-        } else {
-            guard(tw.gamma[r])
-        };
-        x[i] /= pivot;
-        if x[i].abs() > BIG {
-            for xv in x.iter_mut() {
-                *xv *= SMALL;
-            }
-        }
-    }
-
-    // ---- N_rᵀ x = z: outward from the twist row.
-    for i in (0..r).rev() {
-        x[i] -= tw.lplus[i] * x[i + 1];
-        if x[i].abs() > BIG {
-            for xv in x.iter_mut() {
-                *xv *= SMALL;
-            }
-        }
-    }
-    for i in r + 1..n {
-        x[i] -= tw.uminus[i - 1] * x[i - 1];
-        if x[i].abs() > BIG {
-            for xv in x.iter_mut() {
-                *xv *= SMALL;
-            }
-        }
-    }
-
-    let nrm = dcst_matrix::nrm2(x);
-    if nrm > 0.0 && nrm.is_finite() {
-        let inv = 1.0 / nrm;
-        x.iter_mut().for_each(|v| *v *= inv);
-    } else {
-        x.fill(0.0);
-        x[r] = 1.0;
-    }
-}
-
-/// Solve `(LDLᵀ − λI) x = b` through the forward stationary-qds
-/// factorization `L⁺D⁺L⁺ᵀ` (guarded pivots). Accurate for *isolated*
-/// eigenvalues; for numerical multiplets prefer [`solve_twisted`], since a
-/// chain of several tiny forward pivots destroys the factorization's
-/// accuracy.
-pub fn solve_shifted(rep: &Rrr, lam: f64, b: &[f64], x: &mut [f64]) {
-    let n = rep.n();
-    debug_assert!(b.len() == n && x.len() == n);
-    if n == 0 {
-        return;
-    }
-    // Forward factor: D+[i], L+[i].
-    let mut dplus = vec![0.0f64; n];
-    let mut lplus = vec![0.0f64; n.saturating_sub(1)];
-    let mut s = -lam;
-    for i in 0..n {
-        dplus[i] = guard(s + rep.d[i]);
-        if i + 1 < n {
-            lplus[i] = rep.d[i] * rep.l[i] / dplus[i];
-            s = lplus[i] * rep.l[i] * s - lam;
-            if !s.is_finite() {
-                s = -lam;
-            }
-        }
-    }
-    // Only the solution *direction* matters (inverse iteration), so the
-    // partial solution is rescaled whenever it approaches overflow —
-    // several near-singular pivots in one factorization (a numerical
-    // multiplet) would otherwise push intermediates past 1e308 and the
-    // direction would be silently destroyed.
-    const BIG: f64 = 1e140;
-    const SMALL: f64 = 1e-140;
-    // L+ y = b: the running factor `f` tracks how much the computed
-    // prefix has been scaled down; unprocessed b entries are multiplied
-    // by `f` on entry so the recurrence stays linear.
-    let mut f = 1.0f64;
-    x[0] = b[0];
-    for i in 1..n {
-        x[i] = f * b[i] - lplus[i - 1] * x[i - 1];
-        if x[i].abs() > BIG {
-            for xv in x[..=i].iter_mut() {
-                *xv *= SMALL;
-            }
-            f *= SMALL;
-        }
-    }
-    // D+ z = y (elementwise): scaling the whole vector is always linear.
-    for i in 0..n {
-        x[i] /= dplus[i];
-        if x[i].abs() > BIG {
-            for xv in x.iter_mut() {
-                *xv *= SMALL;
-            }
-        }
-    }
-    // L+ᵀ x = z: the not-yet-processed prefix holds z entries, which the
-    // whole-vector rescale keeps consistent with the processed suffix.
-    for i in (0..n - 1).rev() {
-        x[i] -= lplus[i] * x[i + 1];
-        if x[i].abs() > BIG {
-            for xv in x.iter_mut() {
-                *xv *= SMALL;
-            }
-        }
-    }
-    // Return a unit-norm direction.
-    let nrm = dcst_matrix::nrm2(x);
-    if nrm > 0.0 && nrm.is_finite() {
-        let inv = 1.0 / nrm;
-        x.iter_mut().for_each(|v| *v *= inv);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,8 @@
 //! through the workspace-wide `dcst_matrix::simd_level` detector
 //! ([`SecularKernels`], whose rows the conformance tests drive one by
 //! one); the `*_scalar` entry points pin the original scalar bodies and
-//! serve as test oracles and as the `DCST_FORCE_SCALAR=1` path.
+//! serve as test oracles and as the path `set_simd_level(Scalar)` selects
+//! (the CLI's `DCST_FORCE_SCALAR=1`).
 
 mod deflate;
 mod roots;
@@ -48,7 +49,6 @@ pub use structured::{
     compress_secular_x, estimate_offdiag_rank, leaf_size, rank_tolerance, StructuredX,
 };
 pub use vectors::{
-    assemble_vectors, assemble_vectors_scalar, local_w_accumulate, local_w_products,
-    local_w_products_scalar, reduce_w, secular_row_entries, secular_row_entries_scalar, GeneratedX,
-    SecularGenerators,
+    assemble_vectors, assemble_vectors_scalar, local_w_accumulate, local_w_products, reduce_w,
+    secular_row_entries, secular_row_entries_scalar, GeneratedX, SecularGenerators,
 };

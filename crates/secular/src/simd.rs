@@ -20,7 +20,7 @@
 //! |---------|-----------|------------------------------------------------------|--------------------------------|
 //! | AVX-512 | `__m512d` | `a·r`, `r = vrcp14pd(b)` refined by two Newton steps | one masked register            |
 //! | AVX2    | `__m256d` | `vdivpd`                                             | scalar, `/`                    |
-//! | scalar  | `f64`     | `/`: the seed loops (a windowed sweep's far moments in the vector form) — the test oracle and the `DCST_FORCE_SCALAR=1` path | — |
+//! | scalar  | `f64`     | `/`: the seed loops (a windowed sweep's far moments in the vector form) — the test oracle and the `set_simd_level(Scalar)` path | — |
 //!
 //! The two vector rows are the same generic bodies instantiated over a
 //! register type ([`Lanes`]), the way `dcst_matrix`'s GEMM tile is, and
@@ -1232,8 +1232,8 @@ impl SecularKernels {
     }
 
     /// The row compiled for `level`, if this build has one and the CPU
-    /// runs it — whatever `DCST_FORCE_SCALAR` says, so a test can drive
-    /// every instance the machine has, not only the dispatched one.
+    /// runs it — whatever level is pinned, so a test can drive every
+    /// instance the machine has, not only the dispatched one.
     pub fn runnable(level: SimdLevel) -> Option<Self> {
         let row = Self::variant(level);
         (row.level == level && cpu_supports(level)).then_some(row)

@@ -44,28 +44,15 @@ pub fn local_w_products(
     col0: usize,
     jrange: Range<usize>,
 ) -> Vec<f64> {
-    local_w_impl(
-        dlamda,
-        deltas,
-        ld,
-        col0,
-        jrange,
-        SecularKernels::dispatched(),
-    )
-}
-
-/// [`local_w_products`] forced onto the scalar kernel body (the test
-/// oracle). The AVX2 body performs the identical element-wise operations
-/// and returns bit-identical products; the AVX-512 body's quotients are
-/// within 2 ulp each.
-pub fn local_w_products_scalar(
-    dlamda: &[f64],
-    deltas: &[f64],
-    ld: usize,
-    col0: usize,
-    jrange: Range<usize>,
-) -> Vec<f64> {
-    local_w_impl(dlamda, deltas, ld, col0, jrange, SecularKernels::SCALAR)
+    let k = dlamda.len();
+    debug_assert!(ld >= k);
+    let kernels = SecularKernels::dispatched();
+    let mut out = vec![1.0f64; k];
+    for j in jrange {
+        let col = &deltas[(j - col0) * ld..(j - col0) * ld + k];
+        kernels.local_w_col(dlamda, col, j, &mut out);
+    }
+    out
 }
 
 /// Multiply root `j`'s Gu–Eisenstat factors into a running partial
@@ -76,24 +63,6 @@ pub fn local_w_products_scalar(
 /// over the same roots' columns.
 pub fn local_w_accumulate(dlamda: &[f64], root: &SecularRoot, j: usize, acc: &mut [f64]) {
     SecularKernels::dispatched().local_w_root(dlamda, dlamda[root.origin], root.mu, j, acc);
-}
-
-fn local_w_impl(
-    dlamda: &[f64],
-    deltas: &[f64],
-    ld: usize,
-    col0: usize,
-    jrange: Range<usize>,
-    kernels: SecularKernels,
-) -> Vec<f64> {
-    let k = dlamda.len();
-    debug_assert!(ld >= k);
-    let mut out = vec![1.0f64; k];
-    for j in jrange {
-        let col = &deltas[(j - col0) * ld..(j - col0) * ld + k];
-        kernels.local_w_col(dlamda, col, j, &mut out);
-    }
-    out
 }
 
 /// Combine panel partial products into ẑ, restoring the sign of the

@@ -14,7 +14,9 @@
 //! bit-identical — and the process exits 1 if any line's differ. Two
 //! commits with the same arithmetic print `cmp`-identical output; run it at
 //! the default SIMD level and under `DCST_FORCE_SCALAR=1` (the two levels
-//! differ from each other: FMA vs mul+add).
+//! differ from each other: FMA vs mul+add). The example reads that variable
+//! itself (`0` or `1`) and pins the level through `set_simd_level`, as the
+//! `dcst` CLI does.
 
 use dcst::prelude::*;
 
@@ -38,6 +40,16 @@ const DISCIPLINES: [Solve; 4] = [
 ];
 
 fn main() {
+    match std::env::var("DCST_FORCE_SCALAR").as_deref() {
+        Err(_) | Ok("0") => {}
+        Ok("1") => assert!(dcst::matrix::set_simd_level(
+            dcst::matrix::SimdLevel::Scalar
+        )),
+        Ok(v) => {
+            eprintln!("bit_hash: DCST_FORCE_SCALAR='{v}': want 0 or 1");
+            std::process::exit(2);
+        }
+    }
     let mut diverged = false;
     for ty in MatrixType::ALL {
         for n in [200usize, 777] {

@@ -7,6 +7,8 @@
 //! The update policy knob is process-global, so every test here serializes
 //! on one mutex; tests never leave a forced policy behind.
 
+use dcst::core::DcError;
+use dcst::matrix::failpoints::{self as fp, Site, Trigger};
 use dcst::matrix::{set_update_policy, UpdatePolicy};
 use dcst::prelude::*;
 use dcst::secular;
@@ -218,6 +220,40 @@ fn large_low_deflation_root_structures_under_auto() {
             (a - b).abs() < 1e-11 * scale,
             "eigenvalue {i} diverges: dense {a} vs auto {b}"
         );
+    }
+}
+
+/// The `gemm` and `nan-gemm` sites of the structured multiply
+/// (`StructuredUpdate::update_panel`) are reached only by a structured
+/// merge: under `ForceStructured` each fault still comes back as a typed
+/// error from every solver.
+#[test]
+fn structured_update_faults_are_typed_from_every_solver() {
+    let _p = PolicyLock::take(UpdatePolicy::ForceStructured);
+    // Type 4 deflates little: every merge of n = 64 over 16-row leaves
+    // has k ≥ 16 and is structured, so the first GEMM hit is in the
+    // structured multiply.
+    let t = MT::Type4.generate(64, 3);
+    let merges = dcst::core::PartitionTree::build(t.n(), opts(2).min_part)
+        .merges_postorder()
+        .len() as u64;
+    let before = dcst::matrix::metrics::snapshot();
+    gated_solve(&t, &TaskFlowDc::new(opts(2)), "unarmed [structured]");
+    let delta = dcst::matrix::metrics::snapshot().delta(&before);
+    assert_eq!(delta.get("update.structured_merges"), merges);
+    for (site, want) in [(Site::Gemm, "gemm"), (Site::NanGemm, "update-vect")] {
+        for solver in solvers() {
+            let who = format!("{} / {}", site.name(), solver.name());
+            let before = dcst::matrix::metrics::snapshot();
+            let _armed = fp::exclusive(site, Trigger::AtHit(1));
+            match solver.solve(&t) {
+                Err(DcError::Breakdown { stage, .. }) if stage == want => {}
+                other => panic!("{who}: expected Breakdown({want}), got {other:?}"),
+            }
+            assert_eq!(fp::fired(site), 1, "{who}");
+            let delta = dcst::matrix::metrics::snapshot().delta(&before);
+            assert!(delta.get("update.structured_merges") > 0, "{who}");
+        }
     }
 }
 
