@@ -5,7 +5,7 @@
 //! somewhere in the same builder chain:
 //!
 //! ```text
-//! rt.task("STEDC").read(a).write(key_node(l)).spawn_try(move || {
+//! scope.task("STEDC").read(a).write(key_node(l)).spawn_try(move || {
 //!     let db = unsafe { d.range_mut(off..off + nm) };   // covered
 //!     …
 //! })
@@ -17,7 +17,7 @@
 //!
 //! The chain is recovered syntactically: from `.spawn(` / `.spawn_try(`
 //! the receiver is walked backwards through `.method(…)` links to a head,
-//! which is either a direct `rt.task(…)` chain, a builder-helper call
+//! which is either a direct `scope.task(…)` chain, a builder-helper call
 //! (a crate-local fn whose own body contains `.task(` — e.g.
 //! `panel_task`, which declares `gatherv`/`read_write` internally), or a
 //! local `TaskBuilder` variable (resolved by scanning earlier statements
@@ -258,8 +258,8 @@ mod tests {
     fn mutation_mut_view_without_write_class_is_reported() {
         // Seeded violation: read-only chain, mutable view in the body.
         let src = "\
-fn build(rt: &Rt, d: Share<f64>) {
-    rt.task(\"Scale\")
+fn build(scope: &Scope, d: Share<f64>) {
+    scope.task(\"Scale\")
         .read(key_input)
         .spawn(move || {
             let ds = unsafe { d.slice_mut() };
@@ -279,8 +279,8 @@ fn build(rt: &Rt, d: Share<f64>) {
     #[test]
     fn declared_write_passes() {
         let src = "\
-fn build(rt: &Rt, d: Share<f64>) {
-    rt.task(\"STEDC\")
+fn build(scope: &Scope, d: Share<f64>) {
+    scope.task(\"STEDC\")
         .read(a)
         .write(key_node(l))
         .spawn_try(move || {
@@ -297,11 +297,11 @@ fn build(rt: &Rt, d: Share<f64>) {
     fn helper_with_internal_write_class_passes() {
         // panel_task declares gatherv/read_write in its own body.
         let src = "\
-fn panel_task(rt: &Rt, name: &str) -> TaskBuilder {
-    if wide { rt.task(name).gatherv(node) } else { rt.task(name).read_write(node) }
+fn panel_task(scope: &Scope, name: &str) -> TaskBuilder {
+    if wide { scope.task(name).gatherv(node) } else { scope.task(name).read_write(node) }
 }
-fn build(rt: &Rt, v: Share<f64>) {
-    panel_task(rt, \"PermuteV\").spawn(move || {
+fn build(scope: &Scope, v: Share<f64>) {
+    panel_task(scope, \"PermuteV\").spawn(move || {
         let ws = unsafe { v.range_mut(a..b) };
     });
 }
@@ -313,9 +313,9 @@ fn build(rt: &Rt, v: Share<f64>) {
     #[test]
     fn variable_head_resolves_reassignments() {
         let good = "\
-fn panel_task(rt: &Rt, name: &str) -> TaskBuilder { rt.task(name).read(node) }
-fn build(rt: &Rt, v: Share<f64>) {
-    let mut task = panel_task(rt, \"LAED4\");
+fn panel_task(scope: &Scope, name: &str) -> TaskBuilder { scope.task(name).read(node) }
+fn build(scope: &Scope, v: Share<f64>) {
+    let mut task = panel_task(scope, \"LAED4\");
     task = task.write(key_x(s0));
     task.spawn(move || {
         let xs = unsafe { v.range_mut(a..b) };
@@ -326,8 +326,8 @@ fn build(rt: &Rt, v: Share<f64>) {
         assert!(check(&ws).is_empty(), "{:?}", check(&ws));
 
         let bad = "\
-fn build(rt: &Rt, v: Share<f64>) {
-    let t = rt.task(\"X\").read(node);
+fn build(scope: &Scope, v: Share<f64>) {
+    let t = scope.task(\"X\").read(node);
     t.spawn(move || {
         let xs = unsafe { v.range_mut(a..b) };
     });
@@ -379,8 +379,8 @@ fn start(d: Share<f64>) {
     #[test]
     fn allow_marker_waives() {
         let src = "\
-fn build(rt: &Rt, d: Share<f64>) {
-    rt.task(\"Gather\").read(a).spawn(move || {
+fn build(scope: &Scope, d: Share<f64>) {
+    scope.task(\"Gather\").read(a).spawn(move || {
         // xtask-lint: allow(footprint) — disjoint per-task slices, proven by partition
         let ds = unsafe { d.slice_mut() };
     });

@@ -28,7 +28,7 @@ fn main() {
         use_gatherv: true,
         mode: SolveMode::Full,
     });
-    let (_, _, dag) = solver.solve_traced(&t).expect("solve failed");
+    let (_, _, dag, _) = solver.solve_observed(&t).expect("solve failed");
 
     eprintln!(
         "DAG for n = {n}, min_part = {min_part}, nb = {nb}: {} tasks, {} edges, critical path {} tasks",

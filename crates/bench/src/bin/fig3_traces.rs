@@ -13,10 +13,10 @@
 //! * (c) "full task flow": panels and tree overlap both enabled.
 //!
 //! Each stage prints makespan, idle fraction, a per-kernel breakdown, and
-//! an ASCII timeline (one row per worker). `--json <prefix>` additionally
-//! dumps the raw trace records, `--svg <prefix>` renders the colored
-//! timeline figures (the paper's actual Fig. 3/4 visualization), and
-//! `--chrome <prefix>` writes Chrome trace-event files (open in
+//! an ASCII timeline (one row per worker). `--svg <prefix>` additionally
+//! renders the colored timeline figures (the paper's actual Fig. 3/4
+//! visualization), and `--chrome <prefix>` writes Chrome trace-event
+//! files, the machine-readable trace (open in
 //! `chrome://tracing` or Perfetto for the interactive version with
 //! dependency-edge flow arrows).
 //!
@@ -76,8 +76,8 @@ fn main() {
     );
     for (label, opts) in stages {
         let solver = TaskFlowDc::new(opts);
-        let (_, stats, trace) = solver
-            .solve_traced(&t)
+        let (_, stats, trace, _) = solver
+            .solve_observed(&t)
             .unwrap_or_else(|e| panic!("stage '{label}' failed: {e}"));
         println!("--- {label}");
         println!(
@@ -102,11 +102,6 @@ fn main() {
             .collect();
         println!("    top kernels: {}", breakdown.join(", "));
         println!("{}\n", trace.ascii_timeline(100));
-        if let Some(path) = args.value("--json") {
-            let file = format!("{path}.{}.json", label.chars().nth(1).unwrap());
-            std::fs::write(&file, trace.to_json()).expect("write trace json");
-            println!("    raw trace written to {file}\n");
-        }
         if let Some(path) = args.value("--svg") {
             let file = format!("{path}.{}.svg", label.chars().nth(1).unwrap());
             std::fs::write(&file, trace.to_svg(1200, 24)).expect("write trace svg");

@@ -59,7 +59,7 @@ fn main() {
         use_gatherv: true,
         mode: SolveMode::Full,
     });
-    let (_, stats, trace) = solver.solve_traced(&t).expect("solve failed");
+    let (_, stats, trace, _) = solver.solve_observed(&t).expect("solve failed");
 
     println!("Table I — merge-step cost model (type 4 matrix, n = {n}):");
     let mut table = Table::new(&[

@@ -6,8 +6,7 @@
 //! dcst solve    --in t.txt [--solver taskflow|seq|forkjoin|levelpar|mrrr|qr]
 //!               [--values-only] [--subset il:iu] [--threads k] [--check]
 //!               [--metrics]
-//! dcst trace    --type 4 --n 1000 --svg trace.svg [--json trace.json]
-//!               [--chrome trace.json]
+//! dcst trace    --type 4 --n 1000 --svg trace.svg [--chrome trace.json]
 //! dcst serve    [--addr 127.0.0.1:0] [--threads K] [--max-inflight M]
 //!               [--max-n N] [--trace-requests]
 //! dcst request  --addr HOST:PORT [--json '{"op":"ping"}']
@@ -125,7 +124,7 @@ fn usage() -> ExitCode {
          dcst info --in FILE\n  \
          dcst solve --in FILE [--solver taskflow|seq|forkjoin|levelpar|mrrr|qr] \
          [--values-only] [--subset il:iu] [--threads K] [--check] [--metrics]\n  \
-         dcst trace [--type K] [--n N] [--svg FILE] [--json FILE] [--chrome FILE]\n  \
+         dcst trace [--type K] [--n N] [--svg FILE] [--chrome FILE]\n  \
          dcst serve [--addr A] [--threads K] [--max-inflight M] [--max-n N] [--trace-requests]\n  \
          dcst request --addr HOST:PORT [--json LINE]\n\
          env: DCST_TRACE=FILE with a D&C 'solve' writes a Chrome trace-event file\n     \
@@ -183,7 +182,7 @@ fn load(args: &Args) -> Result<SymTridiag, String> {
     read_tridiag(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-/// Write a generated artifact (trace SVG/JSON, Chrome events); an
+/// Write a generated artifact (trace SVG, Chrome events); an
 /// unwritable path is an input-class error, never a panic.
 fn write_artifact(path: &str, contents: String, what: &str) -> Result<(), ExitCode> {
     std::fs::write(path, contents)
@@ -513,6 +512,12 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "trace" => {
+            if args.flag("--json") {
+                return fail(
+                    "trace has no --json export; --chrome FILE writes the machine-readable trace",
+                    EXIT_USAGE,
+                );
+            }
             let (ty, n) = match args.generated_spec() {
                 Ok(v) => v,
                 Err(e) => return fail(e, EXIT_USAGE),
@@ -522,7 +527,7 @@ fn main() -> ExitCode {
                 threads,
                 ..DcOptions::default()
             });
-            let (_, stats, trace) = match solver.solve_traced(&t) {
+            let (_, stats, trace, _) = match solver.solve_observed(&t) {
                 Ok(r) => r,
                 Err(e) => return fail(&e, dc_code(&e)),
             };
@@ -538,20 +543,12 @@ fn main() -> ExitCode {
                     return code;
                 }
             }
-            if let Some(path) = args.value("--json") {
-                if let Err(code) = write_artifact(path, trace.to_json(), "json trace") {
-                    return code;
-                }
-            }
             if let Some(path) = args.value("--chrome") {
                 if let Err(code) = write_artifact(path, trace.to_chrome_json(), "chrome trace") {
                     return code;
                 }
             }
-            if args.value("--svg").is_none()
-                && args.value("--json").is_none()
-                && args.value("--chrome").is_none()
-            {
+            if args.value("--svg").is_none() && args.value("--chrome").is_none() {
                 println!("{}", trace.ascii_timeline(100));
             }
             ExitCode::SUCCESS

@@ -804,6 +804,8 @@ fn unparsable_numeric_flags_exit_2_naming_the_flag() {
         (vec!["trace", "--n", "1e3"], "--n"),
         (vec!["trace", "--n", "0"], "--n"),
         (vec!["trace", "--type", "nan"], "--type"),
+        // The plain JSON dump is gone; the error points to its successor.
+        (vec!["trace", "--n", "96", "--json", "t.json"], "--chrome"),
     ];
     for (argv, flag) in cases {
         let out = dcst().args(&argv).output().unwrap();
@@ -855,7 +857,7 @@ fn unwritable_trace_destination_exits_1() {
     assert!(!err.contains("panicked"), "{err}");
 
     // Same for the trace subcommand's artifact flags.
-    for flag in ["--svg", "--json", "--chrome"] {
+    for flag in ["--svg", "--chrome"] {
         let out = dcst()
             .args(["trace", "--n", "96", flag, "/nonexistent-dir/out"])
             .output()

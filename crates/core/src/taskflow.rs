@@ -540,21 +540,13 @@ impl TaskFlowDc {
     /// Solve and return per-merge statistics.
     pub fn solve_with_stats(&self, t: &SymTridiag) -> Result<(Eigen, DcStats), DcError> {
         let rt = self.discipline.runtime(self.opts.threads);
-        let pending = self.submit(t, &rt)?;
+        let pending = self.submit(t, rt.scope())?;
         pending.wait()
     }
 
-    /// Solve while recording an execution trace: one record per task plus
-    /// the dependency edges (Figures 2, 3 and 4).
-    pub fn solve_traced(&self, t: &SymTridiag) -> Result<(Eigen, DcStats, Trace), DcError> {
-        let rt = self.discipline.runtime(self.opts.threads);
-        rt.enable_tracing();
-        let (eig, stats) = self.submit(t, &rt)?.wait()?;
-        Ok((eig, stats, rt.take_trace()))
-    }
-
-    /// Solve with full observability: execution trace plus the pool's
-    /// scheduler counters, taken from the same run so the metrics
+    /// Solve with full observability: the execution trace — one record per
+    /// task plus the dependency edges (Figures 2, 3 and 4) — and the
+    /// pool's scheduler counters, taken from the same run so the metrics
     /// reconcile with the trace (executed-task count == record count).
     #[allow(clippy::type_complexity)]
     pub fn solve_observed(
@@ -563,51 +555,24 @@ impl TaskFlowDc {
     ) -> Result<(Eigen, DcStats, Trace, RuntimeMetrics), DcError> {
         let rt = self.discipline.runtime(self.opts.threads);
         rt.enable_tracing();
-        let (eig, stats) = self.submit(t, &rt)?.wait()?;
+        let (eig, stats) = self.submit(t, rt.scope())?.wait()?;
         let trace = rt.take_trace();
         let metrics = rt.runtime_metrics();
         Ok((eig, stats, trace, metrics))
     }
 
-    /// Submit this solve's task graph onto `rt` without waiting: the
-    /// daemon path. The graph runs in its own [`Scope`], so any number of
-    /// submissions can coexist on one runtime; each is independently
-    /// cancellable and collects its own failure.
-    pub fn submit<'rt>(
-        &self,
-        t: &SymTridiag,
-        rt: &'rt Runtime,
-    ) -> Result<PendingSolve<'rt>, DcError> {
-        self.submit_scoped(t, rt.scope())
-    }
-
-    /// [`TaskFlowDc::submit`], but every task of the graph rides the
-    /// pool's high-priority injector lane — the service's priority class.
-    pub fn submit_priority<'rt>(
-        &self,
-        t: &SymTridiag,
-        rt: &'rt Runtime,
-    ) -> Result<PendingSolve<'rt>, DcError> {
-        self.submit_scoped(t, rt.priority_scope())
-    }
-
-    /// Fused batch solve: submit every problem's graph before waiting on
-    /// any of them, so panel tasks from different problems interleave in
-    /// the shared pool's ready queue and the per-problem GEMM/LAED4
-    /// panels fill worker idle gaps left by their neighbours' spines.
-    pub fn solve_batch(&self, ts: &[SymTridiag]) -> Vec<Result<(Eigen, DcStats), DcError>> {
-        let rt = Runtime::new(self.opts.threads);
-        self.solve_batch_on(ts, &rt)
-    }
-
-    /// [`TaskFlowDc::solve_batch`] on a caller-provided (shared) runtime.
+    /// Fused batch solve on a caller-provided (shared) runtime: submit
+    /// every problem's graph, each in its own scope, before waiting on any
+    /// of them, so panel tasks from different problems interleave in the
+    /// pool's ready queue and the per-problem GEMM/LAED4 panels fill
+    /// worker idle gaps left by their neighbours' spines.
     pub fn solve_batch_on(
         &self,
         ts: &[SymTridiag],
         rt: &Runtime,
     ) -> Vec<Result<(Eigen, DcStats), DcError>> {
         let pending: Vec<Result<PendingSolve<'_>, DcError>> =
-            ts.iter().map(|t| self.submit(t, rt)).collect();
+            ts.iter().map(|t| self.submit(t, rt.scope())).collect();
         pending.into_iter().map(|p| p?.wait()).collect()
     }
 
@@ -631,7 +596,13 @@ impl TaskFlowDc {
         Ok(())
     }
 
-    fn submit_scoped<'rt>(
+    /// Submit this solve's task graph into `scope` without waiting: the
+    /// daemon path. The caller opens the scope — [`Runtime::scope`], or
+    /// [`Runtime::priority_scope`] for the service's priority class — and
+    /// the solve owns it from here, so any number of submissions coexist
+    /// on one runtime, each independently cancellable and collecting its
+    /// own failure.
+    pub fn submit<'rt>(
         &self,
         t: &SymTridiag,
         scope: Scope<'rt>,
@@ -1284,7 +1255,7 @@ mod tests {
     #[test]
     fn trace_contains_expected_kernels() {
         let t = MatrixType::Type4.generate(96, 5);
-        let (eig, _stats, trace) = TaskFlowDc::new(opts(16, 8, 2)).solve_traced(&t).unwrap();
+        let (eig, _, trace, _) = TaskFlowDc::new(opts(16, 8, 2)).solve_observed(&t).unwrap();
         check(&t, &eig, 1e-12);
         let names: std::collections::HashSet<&str> = trace.records.iter().map(|r| r.name).collect();
         for expect in [
@@ -1315,8 +1286,8 @@ mod tests {
             il: 0,
             iu: n / 32 - 1,
         };
-        let (eig, _, trace) = TaskFlowDc::new(o)
-            .solve_traced(&MatrixType::Type4.generate(n, 5))
+        let (eig, _, trace, _) = TaskFlowDc::new(o)
+            .solve_observed(&MatrixType::Type4.generate(n, 5))
             .unwrap();
         assert_eq!(eig.values.len(), n / 32);
         let names: Vec<&str> = trace.records.iter().map(|r| r.name).collect();
@@ -1334,8 +1305,8 @@ mod tests {
     fn dag_shape(ty: MatrixType, mode: SolveMode) -> (usize, usize) {
         let mut o = opts(16, 8, 2);
         o.mode = mode;
-        let (_, _, trace) = TaskFlowDc::new(o)
-            .solve_traced(&ty.generate(64, 3))
+        let (_, _, trace, _) = TaskFlowDc::new(o)
+            .solve_observed(&ty.generate(64, 3))
             .unwrap();
         (trace.records.len(), trace.edges.len())
     }
@@ -1392,7 +1363,9 @@ mod tests {
         o.mode = SolveMode::Subset { il: 75, iu: 150 };
         let rt = Runtime::new(2);
         for ty in MatrixType::ALL {
-            let pending = TaskFlowDc::new(o).submit(&ty.generate(n, 3), &rt).unwrap();
+            let pending = TaskFlowDc::new(o)
+                .submit(&ty.generate(n, 3), rt.scope())
+                .unwrap();
             pending.scope.wait().unwrap();
             let PendingKind::Graph(g) = &pending.kind else {
                 panic!("{ty:?}: a wide subset runs the merge graph")
@@ -1472,7 +1445,9 @@ mod tests {
         let before = dcst_matrix::metrics::snapshot();
         let rt = Runtime::new(2);
         let t = MatrixType::Type4.generate(1111, 7);
-        let pending = TaskFlowDc::new(opts(32, 64, 2)).submit(&t, &rt).unwrap();
+        let pending = TaskFlowDc::new(opts(32, 64, 2))
+            .submit(&t, rt.scope())
+            .unwrap();
         pending.scope.wait().unwrap();
         let delta = dcst_matrix::metrics::snapshot().delta(&before);
         dcst_matrix::set_update_policy(policy);
@@ -1511,8 +1486,8 @@ mod tests {
         let solver = TaskFlowDc::new(opts(16, 8, 2));
         let t1 = MatrixType::Type4.generate(80, 3);
         let t2 = MatrixType::Type2.generate(96, 5);
-        let p1 = solver.submit(&t1, &rt).unwrap();
-        let p2 = solver.submit_priority(&t2, &rt).unwrap();
+        let p1 = solver.submit(&t1, rt.scope()).unwrap();
+        let p2 = solver.submit(&t2, rt.priority_scope()).unwrap();
         let (e2, _) = p2.wait().unwrap();
         let (e1, _) = p1.wait().unwrap();
         check(&t1, &e1, 1e-12);
@@ -1521,16 +1496,17 @@ mod tests {
 
     #[test]
     fn cancelled_pending_reports_cancelled() {
-        // One worker, blocked by a decoy task in the default scope: the
+        // One worker, blocked by a decoy task in a scope of its own: the
         // solve's tasks cannot start, so cancel() must skip all of them.
         let rt = Runtime::new(1);
+        let decoy = rt.scope();
         let (tx, rx) = std::sync::mpsc::channel::<()>();
-        rt.task("decoy").spawn(move || {
+        decoy.task("decoy").spawn(move || {
             rx.recv().unwrap();
         });
         let solver = TaskFlowDc::new(opts(16, 8, 1));
         let t = MatrixType::Type4.generate(64, 9);
-        let pending = solver.submit(&t, &rt).unwrap();
+        let pending = solver.submit(&t, rt.scope()).unwrap();
         let handle = pending.cancel_handle();
         handle.cancel();
         tx.send(()).unwrap();
@@ -1538,7 +1514,7 @@ mod tests {
             Err(DcError::Cancelled) => {}
             other => panic!("expected DcError::Cancelled, got {:?}", other.map(|_| ())),
         }
-        rt.wait().unwrap();
+        decoy.wait().unwrap();
     }
 
     #[test]
@@ -1547,7 +1523,7 @@ mod tests {
         let ts: Vec<SymTridiag> = (0..4)
             .map(|i| MatrixType::Type4.generate(48 + 8 * i, 3 + i as u64))
             .collect();
-        let batch = solver.solve_batch(&ts);
+        let batch = solver.solve_batch_on(&ts, &Runtime::new(2));
         for (t, res) in ts.iter().zip(batch) {
             let (eig, _) = res.unwrap();
             let solo = solver.solve(t).unwrap();
@@ -1565,10 +1541,10 @@ mod tests {
         let good = MatrixType::Type4.generate(80, 11);
         let mut bad = MatrixType::Type4.generate(80, 12);
         bad.d[40] = f64::NAN;
-        let pg = solver.submit(&good, &rt).unwrap();
+        let pg = solver.submit(&good, rt.scope()).unwrap();
         // NaN input is rejected at validation (before submission)...
         assert!(matches!(
-            solver.submit(&bad, &rt).map(|_| ()),
+            solver.submit(&bad, rt.scope()).map(|_| ()),
             Err(DcError::NonFinite)
         ));
         // ...and the concurrent good submission is unaffected.

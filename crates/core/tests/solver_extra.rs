@@ -104,7 +104,7 @@ fn deflation_ordering_across_types() {
 #[test]
 fn trace_busy_time_bounded_by_makespan_times_workers() {
     let t = MatrixType::Type3.generate(100, 3);
-    let (_, _, trace) = TaskFlowDc::new(opts(16, 8, 2)).solve_traced(&t).unwrap();
+    let (_, _, trace, _) = TaskFlowDc::new(opts(16, 8, 2)).solve_observed(&t).unwrap();
     assert!(trace.busy_us() <= trace.makespan_us() * 2 + 1000);
     assert!(trace.idle_fraction() >= 0.0 && trace.idle_fraction() <= 1.0);
 }
@@ -114,8 +114,8 @@ fn dag_size_scales_with_panels() {
     let t = MatrixType::Type4.generate(64, 1);
     let solver_coarse = TaskFlowDc::new(opts(16, 64, 2));
     let solver_fine = TaskFlowDc::new(opts(16, 8, 2));
-    let (_, _, coarse) = solver_coarse.solve_traced(&t).unwrap();
-    let (_, _, fine) = solver_fine.solve_traced(&t).unwrap();
+    let (_, _, coarse, _) = solver_coarse.solve_observed(&t).unwrap();
+    let (_, _, fine, _) = solver_fine.solve_observed(&t).unwrap();
     assert!(
         fine.records.len() > coarse.records.len(),
         "finer panels ⇒ more tasks: {} vs {}",

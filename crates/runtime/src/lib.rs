@@ -15,27 +15,33 @@
 //! group, so a panel fan-out followed by a join needs only a constant number
 //! of declared dependencies per task.
 //!
+//! A submitter states its flow through a [`Scope`] opened on the runtime:
+//! the scope is the flow's dependency domain — keys are names within it —
+//! and its failure/cancellation domain, and [`Scope::wait`] reports its
+//! first failure. Any number of scopes share one worker pool.
+//!
 //! ```
 //! use dcst_runtime::{DataKey, Runtime};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Arc;
 //!
 //! let rt = Runtime::new(2);
+//! let scope = rt.scope();
 //! let k = DataKey::new(0, 0);
 //! let hits = Arc::new(AtomicUsize::new(0));
 //! for _ in 0..4 {
 //!     let hits = hits.clone();
 //!     // Four commuting partial writers...
-//!     rt.task("partial").gatherv(k).spawn(move || {
+//!     scope.task("partial").gatherv(k).spawn(move || {
 //!         hits.fetch_add(1, Ordering::SeqCst);
 //!     });
 //! }
 //! let hits2 = hits.clone();
 //! // ...joined by one reader that sees all of them.
-//! rt.task("join").read(k).spawn(move || {
+//! scope.task("join").read(k).spawn(move || {
 //!     assert_eq!(hits2.load(Ordering::SeqCst), 4);
 //! });
-//! rt.wait().unwrap();
+//! scope.wait().unwrap();
 //! ```
 
 #[cfg(feature = "access-check")]

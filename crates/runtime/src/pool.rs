@@ -1,10 +1,11 @@
 //! Out-of-order task execution on a work-stealing worker pool.
 //!
-//! A submitter states its flow through a scope ([`Runtime::task`] for the
-//! runtime's default one, [`Scope::task`] for its own); dependencies are
-//! inferred by that scope's [`DepTracker`](crate::deps) — keys are names
-//! within a scope — and encoded as edges between nodes. A node becomes
-//! *ready* when its last unfinished predecessor completes, at which point
+//! A submitter opens a [`Scope`] ([`Runtime::scope`] or
+//! [`Runtime::priority_scope`]) and states its flow through it with
+//! [`Scope::task`]; dependencies are inferred by that scope's
+//! [`DepTracker`](crate::deps) — keys are names within a scope — and
+//! encoded as edges between nodes. A node becomes *ready* when its last
+//! unfinished predecessor completes, at which point
 //! it is pushed to a crossbeam injector that the worker threads drain
 //! (local LIFO deque first, then the priority injector, then the regular
 //! injector, then stealing).
@@ -70,9 +71,9 @@ pub enum FailureKind {
     Cancelled,
 }
 
-/// Error returned by [`Runtime::wait`] / [`Scope::wait`]: the first task
-/// failure (typed error, panic, or cancellation) of the waited phase, with
-/// the losing task's name.
+/// Error returned by [`Scope::wait`]: the first task failure (typed
+/// error, panic, or cancellation) of the waited phase, with the losing
+/// task's name.
 #[derive(Debug)]
 pub struct RuntimeError {
     /// Name of the first task that failed (`"<scope>"` for an explicit
@@ -169,11 +170,9 @@ struct Node {
 }
 
 /// Per-scope failure/cancellation domain. Every task belongs to exactly
-/// one scope ([`Runtime::task`] uses the runtime's default scope,
-/// [`Scope::task`] an explicit one); a failure or cancel latches *only* its
-/// own scope, so concurrent submissions — e.g. independent solve requests
-/// multiplexed over one pool — can never abort or mis-attribute each
-/// other's tasks.
+/// one [`Scope`]; a failure or cancel latches *only* its own scope, so
+/// concurrent submissions — e.g. independent solve requests multiplexed
+/// over one pool — can never abort or mis-attribute each other's tasks.
 struct ScopeState {
     id: usize,
     /// Tasks of this scope submitted but not yet finished.
@@ -244,9 +243,9 @@ struct Shared {
     tracing: AtomicBool,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
-    /// One lock/condvar pair serves every waiter: `Runtime::wait`,
-    /// `Scope::wait`, and the drop-time global drain all sleep on `done_cv`
-    /// and re-check their own counter. Scope completions are rare (one per
+    /// One lock/condvar pair serves every waiter: `Scope::wait` and the
+    /// drop-time global drain both sleep on `done_cv` and re-check their
+    /// own counter. Scope completions are rare (one per
     /// request), so the shared notify_all costs nothing measurable and
     /// avoids a dynamically growing set of condvars.
     done_lock: Mutex<()>,
@@ -478,8 +477,7 @@ struct DepDomain {
     nodes: Vec<Arc<Node>>,
 }
 
-/// What a submission handle — a [`Scope`], or the [`Runtime`] for its
-/// default scope — owns of a scope. The domain sits *beside* the shared
+/// What a [`Scope`] owns of its scope. The domain sits *beside* the shared
 /// state, never inside it: every `Node` holds its `Arc<ScopeState>`, so a
 /// node table reachable from there would be a cycle keeping an abandoned
 /// scope alive for good.
@@ -507,9 +505,6 @@ pub struct Runtime {
     /// them: trace records and edges of every scope share one id space.
     next_task_id: AtomicUsize,
     next_scope_id: AtomicUsize,
-    /// The scope of tasks submitted via [`Runtime::task`] (the
-    /// single-caller API predating [`Runtime::scope`]).
-    default_scope: ScopeCore,
     num_threads: usize,
     /// The inline discipline ([`Runtime::inline`]): task bodies run on the
     /// submitting thread, which owns trace lane `num_threads`.
@@ -578,8 +573,7 @@ impl Runtime {
             shared,
             threads,
             next_task_id: AtomicUsize::new(0),
-            next_scope_id: AtomicUsize::new(1),
-            default_scope: ScopeCore::new(0, false),
+            next_scope_id: AtomicUsize::new(0),
             num_threads,
             inline,
             #[cfg(dcst_model_check)]
@@ -609,26 +603,13 @@ impl Runtime {
         self.num_threads + usize::from(self.inline)
     }
 
-    /// Begin building a task named `name` (names label traces and DAG
-    /// dumps) in the runtime's default scope.
-    pub fn task(&self, name: &'static str) -> TaskBuilder<'_> {
-        TaskBuilder {
-            rt: self,
-            scope: &self.default_scope,
-            name,
-            accesses: Vec::new(),
-            high: false,
-            fork: false,
-        }
-    }
-
-    /// Open a fresh submission scope: an isolated dependency and
-    /// failure/cancellation domain over the shared pool. Tasks submitted
-    /// through the scope ([`Scope::task`]) run on the same workers as
-    /// everything else, but they order only against each other, a failure
-    /// (or [`Scope::cancel`]) latches only this scope — concurrent scopes
-    /// keep running — and [`Scope::wait`] observes only this scope's
-    /// completion and first failure.
+    /// Open a fresh submission scope — the only way to submit work: an
+    /// isolated dependency and failure/cancellation domain over the shared
+    /// pool. Tasks submitted through the scope ([`Scope::task`]) run on
+    /// the same workers as everything else, but they order only against
+    /// each other, a failure (or [`Scope::cancel`]) latches only this
+    /// scope — concurrent scopes keep running — and [`Scope::wait`]
+    /// observes only this scope's completion and first failure.
     pub fn scope(&self) -> Scope<'_> {
         self.new_scope(false)
     }
@@ -880,16 +861,6 @@ impl Runtime {
         }
     }
 
-    /// Block until every task of the *default scope* (those submitted via
-    /// [`Runtime::task`]) has finished or been skipped. Returns the first
-    /// task failure of the phase — a typed error from a
-    /// [`TaskBuilder::spawn_try`] body or a caught panic — then clears the
-    /// failure slot and the cancellation latch so the runtime is reusable.
-    /// Explicit [`Scope`]s are waited independently via [`Scope::wait`].
-    pub fn wait(&self) -> Result<(), RuntimeError> {
-        self.wait_scope(&self.default_scope)
-    }
-
     /// Sleep until every submitted task of `scope` has finished.
     fn drain(&self, scope: &ScopeState) {
         let mut guard = self.shared.done_lock.lock();
@@ -933,11 +904,7 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        // A forgotten `wait()` must never make a failure vanish silently.
-        if let Err(err) = self.wait() {
-            eprintln!("dcst-runtime: runtime dropped with unobserved task failure: {err}");
-        }
-        // Scoped tasks can still be in flight (a `Scope` dropped without
+        // Tasks can still be in flight (a `Scope` dropped without
         // waiting); drain the GLOBAL count before stopping the workers so
         // no task body is abandoned in a queue.
         {
@@ -1180,10 +1147,13 @@ mod tests {
     #[test]
     fn runs_a_single_task() {
         let rt = Runtime::new(2);
+        let scope = rt.scope();
         let hit = Arc::new(AtomicBool::new(false));
         let h = hit.clone();
-        rt.task("t").spawn(move || h.store(true, Ordering::SeqCst));
-        rt.wait().unwrap();
+        scope
+            .task("t")
+            .spawn(move || h.store(true, Ordering::SeqCst));
+        scope.wait().unwrap();
         assert!(hit.load(Ordering::SeqCst));
     }
 
@@ -1191,15 +1161,17 @@ mod tests {
     fn respects_write_read_ordering() {
         // A long chain through one key must execute in submission order.
         let rt = Runtime::new(4);
+        let scope = rt.scope();
         let k = DataKey::new(0, 0);
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..64usize {
             let log = log.clone();
-            rt.task("chain")
+            scope
+                .task("chain")
                 .read_write(k)
                 .spawn(move || log.lock().push(i));
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         let got = log.lock().clone();
         assert_eq!(got, (0..64).collect::<Vec<_>>());
     }
@@ -1209,64 +1181,69 @@ mod tests {
         // Two tasks on different keys, each waiting for the other to start:
         // deadlocks unless they run concurrently.
         let rt = Runtime::new(2);
+        let scope = rt.scope();
         let a = Arc::new(AtomicBool::new(false));
         let b = Arc::new(AtomicBool::new(false));
         let (a1, b1) = (a.clone(), b.clone());
-        rt.task("x").write(DataKey::new(0, 1)).spawn(move || {
+        scope.task("x").write(DataKey::new(0, 1)).spawn(move || {
             a1.store(true, Ordering::SeqCst);
             while !b1.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
             }
         });
         let (a2, b2) = (a, b);
-        rt.task("y").write(DataKey::new(0, 2)).spawn(move || {
+        scope.task("y").write(DataKey::new(0, 2)).spawn(move || {
             b2.store(true, Ordering::SeqCst);
             while !a2.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
             }
         });
-        rt.wait().unwrap();
+        scope.wait().unwrap();
     }
 
     #[test]
     fn gatherv_fanout_joins_correctly() {
         let rt = Runtime::new(3);
+        let scope = rt.scope();
         let k = DataKey::new(1, 0);
         let sum = Arc::new(AtomicU64::new(0));
         for i in 1..=10u64 {
             let sum = sum.clone();
-            rt.task("part").gatherv(k).spawn(move || {
+            scope.task("part").gatherv(k).spawn(move || {
                 sum.fetch_add(i, Ordering::SeqCst);
             });
         }
         let observed = Arc::new(AtomicU64::new(0));
         let (s, o) = (sum.clone(), observed.clone());
-        rt.task("join").read_write(k).spawn(move || {
+        scope.task("join").read_write(k).spawn(move || {
             o.store(s.load(Ordering::SeqCst), Ordering::SeqCst);
         });
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         assert_eq!(observed.load(Ordering::SeqCst), 55);
     }
 
     #[test]
     fn panic_is_reported_not_propagated() {
         let rt = Runtime::new(2);
-        rt.task("boom").spawn(|| panic!("injected failure"));
-        let err = rt.wait().unwrap_err();
+        let scope = rt.scope();
+        scope.task("boom").spawn(|| panic!("injected failure"));
+        let err = scope.wait().unwrap_err();
         assert_eq!(err.task, "boom");
         assert!(err.is_panic());
         assert!(err.message().contains("injected failure"));
-        // The runtime is reusable afterwards.
-        rt.task("ok").spawn(|| {});
-        rt.wait().unwrap();
+        // The scope is reusable afterwards.
+        scope.task("ok").spawn(|| {});
+        scope.wait().unwrap();
     }
 
     #[test]
     fn spawn_try_error_is_typed_and_downcastable() {
         let rt = Runtime::new(2);
-        rt.task("flaky")
+        let scope = rt.scope();
+        scope
+            .task("flaky")
             .spawn_try(|| Err::<(), _>(std::io::Error::other("disk on fire")));
-        let err = rt.wait().unwrap_err();
+        let err = scope.wait().unwrap_err();
         assert_eq!(err.task, "flaky");
         assert!(!err.is_panic());
         assert!(err.to_string().contains("failed: disk on fire"));
@@ -1274,8 +1251,8 @@ mod tests {
         assert_eq!(task, "flaky");
         assert_eq!(io.to_string(), "disk on fire");
         // Reusable after a typed failure too.
-        rt.task("ok").spawn(|| {});
-        rt.wait().unwrap();
+        scope.task("ok").spawn(|| {});
+        scope.wait().unwrap();
     }
 
     #[test]
@@ -1283,18 +1260,20 @@ mod tests {
         // Single worker: the chain behind the failing task is fully ordered,
         // so every successor body must be skipped once the failure latches.
         let rt = Runtime::new(1);
+        let scope = rt.scope();
         let k = DataKey::new(0, 7);
-        rt.task("fail")
+        scope
+            .task("fail")
             .read_write(k)
             .spawn_try(|| Err::<(), _>(std::io::Error::other("first")));
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             let ran = ran.clone();
-            rt.task("after").read_write(k).spawn(move || {
+            scope.task("after").read_write(k).spawn(move || {
                 ran.fetch_add(1, Ordering::SeqCst);
             });
         }
-        let err = rt.wait().unwrap_err();
+        let err = scope.wait().unwrap_err();
         assert_eq!(err.task, "fail");
         assert_eq!(
             ran.load(Ordering::SeqCst),
@@ -1304,9 +1283,10 @@ mod tests {
         // The latch is cleared by wait(): the next phase runs normally.
         let hit = Arc::new(AtomicBool::new(false));
         let h = hit.clone();
-        rt.task("next-phase")
+        scope
+            .task("next-phase")
             .spawn(move || h.store(true, Ordering::SeqCst));
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         assert!(hit.load(Ordering::SeqCst));
     }
 
@@ -1315,14 +1295,17 @@ mod tests {
         // One worker serializes the chain; the first submitted failure is
         // the one reported, later failing bodies are skipped entirely.
         let rt = Runtime::new(1);
+        let scope = rt.scope();
         let k = DataKey::new(0, 8);
-        rt.task("first")
+        scope
+            .task("first")
             .read_write(k)
             .spawn_try(|| Err::<(), _>(std::io::Error::other("one")));
-        rt.task("second")
+        scope
+            .task("second")
             .read_write(k)
             .spawn_try(|| Err::<(), _>(std::io::Error::other("two")));
-        let err = rt.wait().unwrap_err();
+        let err = scope.wait().unwrap_err();
         assert_eq!(err.task, "first");
         assert_eq!(err.message(), "one");
     }
@@ -1330,15 +1313,16 @@ mod tests {
     #[test]
     fn wait_is_reusable_across_phases() {
         let rt = Runtime::new(2);
+        let scope = rt.scope();
         let count = Arc::new(AtomicUsize::new(0));
         for phase in 0..3 {
             for _ in 0..10 {
                 let c = count.clone();
-                rt.task("p").spawn(move || {
+                scope.task("p").spawn(move || {
                     c.fetch_add(1, Ordering::SeqCst);
                 });
             }
-            rt.wait().unwrap();
+            scope.wait().unwrap();
             assert_eq!(count.load(Ordering::SeqCst), (phase + 1) * 10);
         }
     }
@@ -1346,11 +1330,12 @@ mod tests {
     #[test]
     fn trace_records_every_task() {
         let rt = Runtime::new(2);
+        let scope = rt.scope();
         rt.enable_tracing();
         for _ in 0..5 {
-            rt.task("traced").spawn(|| {});
+            scope.task("traced").spawn(|| {});
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         let trace = rt.take_trace();
         assert_eq!(trace.records.len(), 5);
         assert!(trace
@@ -1365,12 +1350,13 @@ mod tests {
         // in the injector; a high-priority join submitted last must still
         // run before every queued panel task.
         let rt = Runtime::new(1);
+        let scope = rt.scope();
         let started = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
         let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
         {
             let (s, r, log) = (started.clone(), release.clone(), log.clone());
-            rt.task("gate").spawn(move || {
+            scope.task("gate").spawn(move || {
                 s.store(true, Ordering::SeqCst);
                 while !r.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
@@ -1385,14 +1371,15 @@ mod tests {
         }
         for _ in 0..8 {
             let log = log.clone();
-            rt.task("panel").spawn(move || log.lock().push("panel"));
+            scope.task("panel").spawn(move || log.lock().push("panel"));
         }
         let l = log.clone();
-        rt.task("join")
+        scope
+            .task("join")
             .high_priority()
             .spawn(move || l.lock().push("join"));
         release.store(true, Ordering::SeqCst);
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         let got = log.lock().clone();
         assert_eq!(got.len(), 10);
         assert_eq!(got[0], "gate");
@@ -1410,9 +1397,10 @@ mod tests {
         let rt = Runtime::new(1);
         let started = Arc::new(AtomicBool::new(false));
         let release = Arc::new(AtomicBool::new(false));
+        let gate = rt.scope();
         {
             let (s, r) = (started.clone(), release.clone());
-            rt.task("gate").spawn(move || {
+            gate.task("gate").spawn(move || {
                 s.store(true, Ordering::SeqCst);
                 while !r.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
@@ -1442,7 +1430,7 @@ mod tests {
         assert_eq!(ran.load(Ordering::SeqCst), 0, "the gate holds the worker");
         assert!(nodes.iter().all(|n| n.upgrade().is_some()));
         release.store(true, Ordering::SeqCst);
-        // Not `rt.wait()`: nothing may need a wait to be reclaimed. The
+        // No `wait`: nothing may need a wait to be reclaimed. The
         // worker drops its own handle on a node just after counting it
         // finished, hence a poll rather than one look.
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
@@ -1462,6 +1450,7 @@ mod tests {
         use rand::prelude::*;
         use rand_chacha::ChaCha8Rng;
         let rt = Runtime::new(4);
+        let scope = rt.scope();
         let mut rng = ChaCha8Rng::seed_from_u64(2024);
         let nkeys = 6usize;
         let cells: Vec<Arc<AtomicU64>> = (0..nkeys).map(|_| Arc::new(AtomicU64::new(0))).collect();
@@ -1476,7 +1465,7 @@ mod tests {
                 let newv = t + 1;
                 let oldv = expected[ki];
                 let viol = violations.clone();
-                rt.task("w").read_write(key).spawn(move || {
+                scope.task("w").read_write(key).spawn(move || {
                     if cell.load(Ordering::SeqCst) != oldv {
                         viol.fetch_add(1, Ordering::SeqCst);
                     }
@@ -1486,14 +1475,14 @@ mod tests {
             } else {
                 let want = expected[ki];
                 let viol = violations.clone();
-                rt.task("r").read(key).spawn(move || {
+                scope.task("r").read(key).spawn(move || {
                     if cell.load(Ordering::SeqCst) != want {
                         viol.fetch_add(1, Ordering::SeqCst);
                     }
                 });
             }
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         assert_eq!(violations.load(Ordering::SeqCst), 0);
     }
 }

@@ -165,7 +165,7 @@ impl<T: Send> SharedData<T> {
     }
 
     /// Recover the buffer once no other handle exists. Call after
-    /// [`Runtime::wait`](crate::Runtime::wait) has retired every task that
+    /// [`Scope::wait`](crate::Scope::wait) has retired every task that
     /// captured a clone.
     pub fn try_unwrap(self) -> Result<Vec<T>, SharedData<T>> {
         match Arc::try_unwrap(self.inner) {
@@ -221,11 +221,12 @@ mod tests {
     fn disjoint_writes_from_tasks() {
         use crate::{DataKey, Runtime};
         let rt = Runtime::new(2);
+        let scope = rt.scope();
         let buf = SharedData::new(vec![0usize; 100]);
         let k = DataKey::new(0, 0);
         for chunk in 0..10 {
             let buf = buf.clone();
-            rt.task("fill").gatherv(k).spawn(move || {
+            scope.task("fill").gatherv(k).spawn(move || {
                 // SAFETY: each task borrows a distinct 10-element range and
                 // the GatherV group is joined before anyone reads.
                 let s = unsafe { buf.range_mut(chunk * 10..(chunk + 1) * 10) };
@@ -234,7 +235,7 @@ mod tests {
                 }
             });
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         let v = buf.try_unwrap().unwrap_or_else(|_| panic!("unique"));
         assert_eq!(v, (0..100).collect::<Vec<_>>());
     }

@@ -2,9 +2,9 @@
 //!
 //! A [`Trace`] is the flat record list plus the dependency edges observed
 //! at submission time, with exporters for the paper-style SVG timeline,
-//! an ASCII stand-in, a plain JSON dump, the Chrome trace-event
-//! format ([`Trace::to_chrome_json`]) that `chrome://tracing` and
-//! Perfetto load directly — tasks as complete events on one lane per
+//! an ASCII stand-in, the Chrome trace-event format
+//! ([`Trace::to_chrome_json`], the machine-readable one) that
+//! `chrome://tracing` and Perfetto load directly — tasks as complete events on one lane per
 //! worker, dependency edges as flow arrows — and the task graph itself in
 //! Graphviz DOT ([`Trace::to_dot`], Figure 2).
 
@@ -157,37 +157,6 @@ impl Trace {
                 }
             })
             .collect()
-    }
-
-    /// Serialize the full trace to JSON (one object; `records` and `edges`
-    /// arrays inside), pretty-printed with two-space indentation. Task
-    /// names are static identifiers, so no string escaping is required.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\n  \"records\": [");
-        for (i, r) in self.records.iter().enumerate() {
-            let sep = if i + 1 < self.records.len() { "," } else { "" };
-            write!(
-                out,
-                "\n    {{\n      \"id\": {},\n      \"name\": \"{}\",\n      \"worker\": {},\n      \
-                 \"start_us\": {},\n      \"end_us\": {}\n    }}{sep}",
-                r.id, r.name, r.worker, r.start_us, r.end_us
-            )
-            .unwrap();
-        }
-        if self.records.is_empty() {
-            out.push_str("],\n");
-        } else {
-            out.push_str("\n  ],\n");
-        }
-        out.push_str("  \"edges\": [");
-        for (i, (from, to)) in self.edges.iter().enumerate() {
-            let sep = if i + 1 < self.edges.len() { "," } else { "" };
-            write!(out, "[{from}, {to}]{sep}").unwrap();
-        }
-        out.push_str("],\n");
-        write!(out, "  \"num_workers\": {}\n}}", self.num_workers).unwrap();
-        out
     }
 
     /// Export in the Chrome trace-event format (the `{"traceEvents": [...]}`
@@ -540,17 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrips_names() {
-        let t = sample();
-        let json = t.to_json();
-        assert!(json.contains("UpdateVect"));
-        assert!(json.contains("\"num_workers\": 2"));
-        let doc = jsonv::parse(&json).expect("to_json output must parse");
-        assert_eq!(doc.get("records").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(doc.get("edges").unwrap().as_arr().unwrap().len(), 2);
-    }
-
-    #[test]
     fn chrome_export_structure() {
         let t = sample();
         let doc = jsonv::parse(&t.to_chrome_json()).expect("chrome export must be valid JSON");
@@ -758,7 +716,6 @@ mod tests {
         assert_eq!(t.makespan_us(), 0);
         assert_eq!(t.idle_fraction(), 0.0);
         assert!(t.ascii_timeline(10).is_empty());
-        assert!(jsonv::parse(&t.to_json()).is_ok());
         assert!(jsonv::parse(&t.to_chrome_json()).is_ok());
         assert_eq!(t.worker_timelines().len(), 4);
         assert_eq!(t.critical_path_len(), 0);

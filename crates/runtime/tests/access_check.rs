@@ -21,11 +21,12 @@ fn key(i: usize) -> DataKey {
 #[test]
 fn well_declared_fanout_join_passes() {
     let rt = Runtime::new(3);
+    let scope = rt.scope();
     let buf = SharedData::new(vec![0usize; 64]);
     buf.bind_keys(&[key(0)]);
     {
         let buf = buf.clone();
-        rt.task("init").write(key(0)).spawn(move || {
+        scope.task("init").write(key(0)).spawn(move || {
             // SAFETY: first writer epoch, exclusive by construction.
             let s = unsafe { buf.slice_mut() };
             s.iter_mut().for_each(|x| *x = 1);
@@ -33,7 +34,7 @@ fn well_declared_fanout_join_passes() {
     }
     for chunk in 0..8 {
         let buf = buf.clone();
-        rt.task("partial").gatherv(key(0)).spawn(move || {
+        scope.task("partial").gatherv(key(0)).spawn(move || {
             // SAFETY: disjoint 8-element ranges per GatherV writer.
             let s = unsafe { buf.range_mut(chunk * 8..(chunk + 1) * 8) };
             s.iter_mut().for_each(|x| *x += chunk);
@@ -41,30 +42,31 @@ fn well_declared_fanout_join_passes() {
     }
     {
         let buf = buf.clone();
-        rt.task("join").read(key(0)).spawn(move || {
+        scope.task("join").read(key(0)).spawn(move || {
             // SAFETY: shared read after the GatherV group closed.
             let s = unsafe { buf.slice() };
             let total: usize = s.iter().sum();
             assert_eq!(total, 64 + 8 * (0..8).sum::<usize>());
         });
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
 }
 
 #[test]
 fn mutable_borrow_under_read_declaration_is_caught() {
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     let buf = SharedData::new(vec![0.0f64; 16]);
     buf.bind_keys(&[key(0)]);
     {
         let buf = buf.clone();
-        rt.task("liar").read(key(0)).spawn(move || {
+        scope.task("liar").read(key(0)).spawn(move || {
             // Declared INPUT, takes an exclusive borrow: footprint error.
             // SAFETY: the tracker panics before the alias is created.
             let _s = unsafe { buf.range_mut(0..4) };
         });
     }
-    let err = rt.wait().unwrap_err();
+    let err = scope.wait().unwrap_err();
     assert_eq!(err.task, "liar");
     assert!(
         err.message().contains("access-check") && err.message().contains("mutable"),
@@ -76,19 +78,20 @@ fn mutable_borrow_under_read_declaration_is_caught() {
 #[test]
 fn borrow_of_undeclared_buffer_is_caught() {
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     let a = SharedData::new(vec![0.0f64; 16]);
     let b = SharedData::new(vec![0.0f64; 16]);
     a.bind_keys(&[key(0)]);
     b.bind_keys(&[key(1)]);
     {
         let b = b.clone();
-        rt.task("stray").write(key(0)).spawn(move || {
+        scope.task("stray").write(key(0)).spawn(move || {
             // Declares only key 0, touches the buffer bound to key 1.
             // SAFETY: the tracker panics before the alias is created.
             let _s = unsafe { b.range(0..1) };
         });
     }
-    let err = rt.wait().unwrap_err();
+    let err = scope.wait().unwrap_err();
     assert_eq!(err.task, "stray");
     assert!(
         err.message().contains("declared no matching access"),
@@ -100,16 +103,17 @@ fn borrow_of_undeclared_buffer_is_caught() {
 #[test]
 fn unbound_buffers_are_not_tracked() {
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     let buf = SharedData::new(vec![0.0f64; 8]);
     // No bind_keys: borrows are outside the tracker's jurisdiction.
     {
         let buf = buf.clone();
-        rt.task("free").read(key(0)).spawn(move || {
+        scope.task("free").read(key(0)).spawn(move || {
             // SAFETY: only live borrow of the buffer.
             let _s = unsafe { buf.range_mut(0..8) };
         });
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     // Borrows from the master thread (no task context) are also skipped.
     buf.bind_keys(&[key(0)]);
     // SAFETY: no task is running.
@@ -128,6 +132,7 @@ impl Drop for SetOnDrop {
 #[test]
 fn overlapping_gatherv_writers_are_caught() {
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     let buf = SharedData::new(vec![0.0f64; 100]);
     buf.bind_keys(&[key(0)]);
     let a_borrowed = Arc::new(AtomicBool::new(false));
@@ -135,7 +140,7 @@ fn overlapping_gatherv_writers_are_caught() {
     {
         let buf = buf.clone();
         let (a_borrowed, b_attempted) = (a_borrowed.clone(), b_attempted.clone());
-        rt.task("gatherA").gatherv(key(0)).spawn(move || {
+        scope.task("gatherA").gatherv(key(0)).spawn(move || {
             // SAFETY: the overlapping second borrow panics in the tracker
             // before an alias to this range is created.
             let _s = unsafe { buf.range_mut(0..60) };
@@ -152,7 +157,7 @@ fn overlapping_gatherv_writers_are_caught() {
     {
         let buf = buf.clone();
         let (a_borrowed, b_attempted) = (a_borrowed.clone(), b_attempted.clone());
-        rt.task("gatherB").gatherv(key(0)).spawn(move || {
+        scope.task("gatherB").gatherv(key(0)).spawn(move || {
             while !a_borrowed.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
             }
@@ -165,7 +170,7 @@ fn overlapping_gatherv_writers_are_caught() {
             let _s = unsafe { buf.range_mut(40..100) };
         });
     }
-    let err = rt.wait().unwrap_err();
+    let err = scope.wait().unwrap_err();
     assert_eq!(err.task, "gatherB");
     assert!(
         err.message().contains("overlapping concurrent borrows")
@@ -197,6 +202,7 @@ proptest! {
         // The pool and the inline discipline install the same task context,
         // so both must accept the honest DAG and catch the saboteur.
         for rt in [Runtime::new(3), Runtime::inline(0)] {
+            let scope = rt.scope();
             let bufs: Vec<SharedData<f64>> = (0..num_bufs)
                 .map(|i| {
                     let b = SharedData::new(vec![0.0f64; 64]);
@@ -216,7 +222,7 @@ proptest! {
                 if sabotage && t == victim {
                     // Misdeclared: INPUT on the right key, exclusive borrow in
                     // the body. Schedule-independent; must always be caught.
-                    rt.task("saboteur").read(key(bi)).spawn(move || {
+                    scope.task("saboteur").read(key(bi)).spawn(move || {
                         // SAFETY: the tracker panics before the alias exists.
                         let _s = unsafe { buf.range_mut(0..8) };
                     });
@@ -224,28 +230,28 @@ proptest! {
                 }
                 match mode {
                     MODE_READ => {
-                        rt.task("reader").read(key(bi)).spawn(move || {
+                        scope.task("reader").read(key(bi)).spawn(move || {
                             // SAFETY: ordered after every writer epoch.
                             let s = unsafe { buf.slice() };
                             let _ = s.iter().sum::<f64>();
                         });
                     }
                     MODE_WRITE => {
-                        rt.task("writer").write(key(bi)).spawn(move || {
+                        scope.task("writer").write(key(bi)).spawn(move || {
                             // SAFETY: exclusive writer epoch.
                             let s = unsafe { buf.slice_mut() };
                             s.iter_mut().for_each(|x| *x += 1.0);
                         });
                     }
                     MODE_READ_WRITE => {
-                        rt.task("updater").read_write(key(bi)).spawn(move || {
+                        scope.task("updater").read_write(key(bi)).spawn(move || {
                             // SAFETY: exclusive writer epoch.
                             let s = unsafe { buf.slice_mut() };
                             s.iter_mut().for_each(|x| *x *= 2.0);
                         });
                     }
                     MODE_GATHERV => {
-                        rt.task("gather").gatherv(key(bi)).spawn(move || {
+                        scope.task("gather").gatherv(key(bi)).spawn(move || {
                             let c = counters[bi].fetch_add(1, Ordering::SeqCst);
                             // SAFETY: per-writer disjoint chunk of the group.
                             let s = unsafe { buf.range_mut(c * 4..(c + 1) * 4) };
@@ -256,7 +262,7 @@ proptest! {
                 }
             }
 
-            let result = rt.wait();
+            let result = scope.wait();
             if sabotage {
                 let err = result.expect_err("misdeclaration went undetected");
                 prop_assert_eq!(err.task.as_str(), "saboteur");

@@ -18,7 +18,10 @@
 //!   code, never across an instrumented operation.
 //! * **No spin-waiting.** An uninstrumented spin loop monopolizes the
 //!   single active model thread forever; rendezvous must come from task
-//!   dependencies instead.
+//!   dependencies or from loom-lite's own mutex and condvar, which the
+//!   scheduler sees.
+//! * Every scenario submits through [`Scope`](dcst_runtime::Scope), the
+//!   one submission handle the solver and the daemon run.
 //! * Scenarios stay tiny (1–2 workers, ≤4 tasks): the schedule tree grows
 //!   exponentially and the DFS budget is what makes small spaces
 //!   *exhaustive* (`report.exhausted`) rather than sampled.
@@ -29,6 +32,7 @@
 #![cfg(dcst_model_check)]
 
 use dcst_runtime::{DataKey, Runtime};
+use loom_lite::sync::{Condvar as LoomCondvar, Mutex as LoomMutex};
 use loom_lite::Builder;
 // Test bookkeeping only, never a pool primitive. xtask-lint: allow(pool-sync)
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -62,12 +66,13 @@ fn single_task_completes_in_every_interleaving() {
     }
     .check(|| {
         let rt = Runtime::new(1);
+        let scope = rt.scope();
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
-        rt.task("t").spawn(move || {
+        scope.task("t").spawn(move || {
             h.fetch_add(1, Ordering::SeqCst);
         });
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
     });
     assert_explored(&report, 2200);
@@ -89,32 +94,35 @@ fn priority_lane_overtakes_queued_normal_work() {
     }
     .check(|| {
         let rt = Runtime::new(1);
+        let scope = rt.scope();
         let k = DataKey::new(0, 0);
         let log: Arc<StdMutex<Vec<&'static str>>> = Arc::new(StdMutex::new(Vec::new()));
         let a_done = Arc::new(AtomicBool::new(false));
         {
             let (log, a_done) = (log.clone(), a_done.clone());
-            rt.task("A").write(k).spawn(move || {
+            scope.task("A").write(k).spawn(move || {
                 log.lock().unwrap().push("A");
                 a_done.store(true, Ordering::SeqCst);
             });
         }
         {
             let log = log.clone();
-            rt.task("B")
+            scope
+                .task("B")
                 .read(k)
                 .spawn(move || log.lock().unwrap().push("B"));
         }
         let b_wired = !a_done.load(Ordering::SeqCst);
         {
             let log = log.clone();
-            rt.task("C")
+            scope
+                .task("C")
                 .read(k)
                 .high_priority()
                 .spawn(move || log.lock().unwrap().push("C"));
         }
         let c_wired = !a_done.load(Ordering::SeqCst);
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         let got = log.lock().unwrap().clone();
         assert_eq!(got.len(), 3, "lost or duplicated task: {got:?}");
         assert_eq!(got[0], "A", "dependency order violated: {got:?}");
@@ -139,14 +147,15 @@ fn steal_and_pop_deliver_every_task_exactly_once() {
     }
     .check(|| {
         let rt = Runtime::new(2);
+        let scope = rt.scope();
         let hits = Arc::new(AtomicUsize::new(0));
         for _ in 0..4 {
             let h = hits.clone();
-            rt.task("t").spawn(move || {
+            scope.task("t").spawn(move || {
                 h.fetch_add(1, Ordering::SeqCst);
             });
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 4);
     });
     assert_explored(&report, 4500);
@@ -167,13 +176,14 @@ fn parked_workers_never_miss_a_wakeup() {
     }
     .check(|| {
         let rt = Runtime::new(1);
+        let scope = rt.scope();
         let count = Arc::new(AtomicUsize::new(0));
         for phase in 1..=3 {
             let c = count.clone();
-            rt.task("p").spawn(move || {
+            scope.task("p").spawn(move || {
                 c.fetch_add(1, Ordering::SeqCst);
             });
-            rt.wait().unwrap();
+            scope.wait().unwrap();
             assert_eq!(count.load(Ordering::SeqCst), phase);
         }
     });
@@ -195,18 +205,19 @@ fn pending_sentinel_survives_submission_racing_completion() {
     }
     .check(|| {
         let rt = Runtime::new(2);
+        let scope = rt.scope();
         let k = DataKey::new(0, 0);
         let stage = Arc::new(AtomicUsize::new(0));
         let violations = Arc::new(AtomicUsize::new(0));
         {
             let stage = stage.clone();
-            rt.task("A").write(k).spawn(move || {
+            scope.task("A").write(k).spawn(move || {
                 stage.store(1, Ordering::SeqCst);
             });
         }
         for name in ["B", "C"] {
             let (stage, violations) = (stage.clone(), violations.clone());
-            rt.task(name).gatherv(k).spawn(move || {
+            scope.task(name).gatherv(k).spawn(move || {
                 if stage.load(Ordering::SeqCst) != 1 {
                     violations.fetch_add(1, Ordering::SeqCst);
                 }
@@ -214,13 +225,13 @@ fn pending_sentinel_survives_submission_racing_completion() {
         }
         {
             let (stage, violations) = (stage.clone(), violations.clone());
-            rt.task("D").read_write(k).spawn(move || {
+            scope.task("D").read_write(k).spawn(move || {
                 if stage.swap(2, Ordering::SeqCst) != 1 {
                     violations.fetch_add(1, Ordering::SeqCst);
                 }
             });
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
         assert_eq!(stage.load(Ordering::SeqCst), 2);
         assert_eq!(violations.load(Ordering::SeqCst), 0);
     });
@@ -294,6 +305,145 @@ fn two_scopes_on_one_key_share_no_edge_and_lose_no_task() {
 }
 
 #[test]
+fn scope_wait_never_misses_its_last_task() {
+    // The waiter's side of `done_cv`, on the handle the solver runs. The
+    // scope's one task tells the master it has started (a rendezvous on
+    // loom-lite's own mutex and condvar, so the scheduler sees it), and
+    // only then does the master call `wait`: its check of the scope's
+    // count races the worker's decrement and notify, and the DFS walks
+    // that short tail of both threads. A lost wakeup leaves the master
+    // asleep with nothing left to notify it: a model deadlock. A second
+    // phase repeats the race on the reset scope.
+    let report = Builder {
+        max_dfs_executions: 3000,
+        random_iterations: 1500,
+        ..Builder::default()
+    }
+    .check(|| {
+        let rt = Runtime::new(1);
+        let scope = rt.scope();
+        let hits = Arc::new(AtomicUsize::new(0));
+        for phase in 1..=2 {
+            let started = Arc::new((LoomMutex::new(false), LoomCondvar::new()));
+            {
+                let (started, hits) = (started.clone(), hits.clone());
+                scope.task("last").spawn(move || {
+                    hits.fetch_add(1, Ordering::SeqCst);
+                    let (flag, cv) = &*started;
+                    *flag.lock() = true;
+                    cv.notify_one();
+                });
+            }
+            let (flag, cv) = &*started;
+            let mut up = flag.lock();
+            while !*up {
+                cv.wait(&mut up);
+            }
+            drop(up);
+            scope.wait().unwrap();
+            assert_eq!(hits.load(Ordering::SeqCst), phase, "wait returned early");
+        }
+    });
+    assert_explored(&report, 4500);
+}
+
+#[test]
+fn cancel_racing_a_failure_latches_once() {
+    // A `CancelHandle::cancel` on another thread races a failing
+    // `spawn_try` of the same scope on a one-worker pool: the canceller
+    // waits until the failing body has started (the same loom-lite
+    // rendezvous), then both race for the scope's first-failure slot.
+    // `wait` reports the entry that came first: a canceller that finds the
+    // latch already raised came second, and so did a failing body that
+    // finds it raised by its end. The latch holds until `wait`: the task
+    // the failure releases never runs, and once the worker has skipped a
+    // body (seen the latch) it starts no other — in the one worker's
+    // execution order, which the trace keeps, the bodies that ran come
+    // first.
+    let report = Builder {
+        max_dfs_executions: 3000,
+        random_iterations: 1500,
+        ..Builder::default()
+    }
+    .check(|| {
+        let rt = Runtime::new(1);
+        rt.enable_tracing();
+        let scope = rt.scope();
+        let handle = scope.cancel_handle();
+        let (k, free) = (DataKey::new(0, 0), DataKey::new(0, 1));
+        let ran: Arc<StdMutex<Vec<&'static str>>> = Arc::new(StdMutex::new(Vec::new()));
+        let started = Arc::new((LoomMutex::new(false), LoomCondvar::new()));
+        let cancel_came_second = Arc::new(AtomicBool::new(false));
+        let fail_came_second = Arc::new(AtomicBool::new(false));
+        let canceller = {
+            let (handle, started) = (handle.clone(), started.clone());
+            let second = cancel_came_second.clone();
+            loom_lite::thread::spawn(move || {
+                let (flag, cv) = &*started;
+                let mut up = flag.lock();
+                while !*up {
+                    cv.wait(&mut up);
+                }
+                drop(up);
+                second.store(handle.is_cancelled(), Ordering::SeqCst);
+                handle.cancel();
+            })
+        };
+        {
+            let (handle, ran) = (handle.clone(), ran.clone());
+            let second = fail_came_second.clone();
+            scope.task("fail").write(k).spawn_try(move || {
+                ran.lock().unwrap().push("fail");
+                let (flag, cv) = &*started;
+                *flag.lock() = true;
+                cv.notify_one();
+                second.store(handle.is_cancelled(), Ordering::SeqCst);
+                Err::<(), _>(std::io::Error::other("diverged"))
+            });
+        }
+        for (name, key) in [("after", k), ("free", free)] {
+            let ran = ran.clone();
+            scope
+                .task(name)
+                .read_write(key)
+                .spawn(move || ran.lock().unwrap().push(name));
+        }
+        canceller.join().unwrap();
+        assert!(handle.is_cancelled());
+        let err = scope.wait().unwrap_err();
+        let cancel_first = fail_came_second.load(Ordering::SeqCst);
+        let fail_first = cancel_came_second.load(Ordering::SeqCst);
+        assert!(!(cancel_first && fail_first), "both entries came first");
+        if cancel_first {
+            assert!(err.is_cancelled(), "cancel latched first, wait says {err}");
+        }
+        if fail_first {
+            assert!(
+                err.task == "fail",
+                "the failure latched first, wait says {err}"
+            );
+        }
+        assert!(err.is_cancelled() || (err.task == "fail" && !err.is_panic()));
+        let ran = ran.lock().unwrap().clone();
+        assert!(!ran.contains(&"after"), "released by a failure: {ran:?}");
+        let order: Vec<&str> = rt
+            .take_scope_trace(&scope)
+            .records
+            .iter()
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(order.len(), 3, "every task executed or skipped once");
+        let started = order.iter().take_while(|n| ran.contains(n)).count();
+        assert_eq!(started, ran.len(), "a body ran after a skip: {order:?}");
+        // `wait` cleared the latch: the scope's next phase runs.
+        assert!(!handle.is_cancelled());
+        scope.task("again").spawn(|| {});
+        scope.wait().unwrap();
+    });
+    assert_explored(&report, 4500);
+}
+
+#[test]
 fn reintroduced_wiring_race_is_caught_as_deadlock() {
     // The mutation proof: `new_with_buggy_wiring` re-creates the
     // pre-sentinel protocol (finished-check and successor-push under two
@@ -307,10 +457,11 @@ fn reintroduced_wiring_race_is_caught_as_deadlock() {
     }
     .check(|| {
         let rt = Runtime::new_with_buggy_wiring(1);
+        let scope = rt.scope();
         let k = DataKey::new(0, 0);
-        rt.task("A").write(k).spawn(|| {});
-        rt.task("B").read(k).spawn(|| {});
-        rt.wait().unwrap();
+        scope.task("A").write(k).spawn(|| {});
+        scope.task("B").read(k).spawn(|| {});
+        scope.wait().unwrap();
     });
     let failure = report.failure.unwrap_or_else(|| {
         panic!(

@@ -186,29 +186,6 @@ fn failure_beats_cancel_for_attribution() {
 }
 
 #[test]
-fn default_scope_and_explicit_scopes_are_isolated() {
-    // Runtime::task (default scope) fails; an explicit scope running
-    // concurrently must stay green, and vice versa.
-    let rt = Runtime::new(2);
-    let scope = rt.scope();
-    let ran = Arc::new(AtomicUsize::new(0));
-    rt.task("default-fail")
-        .spawn_try(|| Err::<(), _>(Poison("default")));
-    for _ in 0..20 {
-        let ran = ran.clone();
-        scope.task("scoped").read_write(key(330, 0)).spawn(move || {
-            ran.fetch_add(1, Ordering::SeqCst);
-        });
-    }
-    scope
-        .wait()
-        .expect("scoped work unaffected by default-scope failure");
-    assert_eq!(ran.load(Ordering::SeqCst), 20);
-    let err = rt.wait().expect_err("default scope failed");
-    assert_eq!(err.task, "default-fail");
-}
-
-#[test]
 fn priority_scope_tasks_overtake_normal_queue() {
     // One worker held busy; a normal scope floods the injector, then a
     // priority scope submits one task LAST — it must still run first.
@@ -216,9 +193,10 @@ fn priority_scope_tasks_overtake_normal_queue() {
     let started = Arc::new(AtomicBool::new(false));
     let release = Arc::new(AtomicBool::new(false));
     let log: Arc<std::sync::Mutex<Vec<&'static str>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let gate = rt.scope();
     {
         let (s, r) = (started.clone(), release.clone());
-        rt.task("gate").spawn(move || {
+        gate.task("gate").spawn(move || {
             s.store(true, Ordering::SeqCst);
             while !r.load(Ordering::SeqCst) {
                 std::hint::spin_loop();
@@ -245,7 +223,7 @@ fn priority_scope_tasks_overtake_normal_queue() {
     release.store(true, Ordering::SeqCst);
     boosted.wait().unwrap();
     normal.wait().unwrap();
-    rt.wait().unwrap();
+    gate.wait().unwrap();
     let got = log.lock().unwrap().clone();
     assert_eq!(got.len(), 9);
     assert_eq!(

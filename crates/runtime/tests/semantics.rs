@@ -8,36 +8,39 @@ use std::sync::{Arc, Mutex};
 #[test]
 fn deep_chain_runs_in_order_under_many_workers() {
     let rt = Runtime::new(4);
+    let scope = rt.scope();
     let k = DataKey::new(1, 0);
     let log = Arc::new(Mutex::new(Vec::new()));
     for i in 0..500usize {
         let log = log.clone();
-        rt.task("chain")
+        scope
+            .task("chain")
             .read_write(k)
             .spawn(move || log.lock().unwrap().push(i));
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     assert_eq!(*log.lock().unwrap(), (0..500).collect::<Vec<_>>());
 }
 
 #[test]
 fn wide_fanout_then_join_counts_everything() {
     let rt = Runtime::new(3);
+    let scope = rt.scope();
     let root = DataKey::new(2, 0);
     let sum = Arc::new(AtomicUsize::new(0));
-    rt.task("init").write(root).spawn(|| {});
+    scope.task("init").write(root).spawn(|| {});
     for i in 1..=200usize {
         let sum = sum.clone();
-        rt.task("leaf").gatherv(root).spawn(move || {
+        scope.task("leaf").gatherv(root).spawn(move || {
             sum.fetch_add(i, Ordering::Relaxed);
         });
     }
     let observed = Arc::new(AtomicUsize::new(0));
     let (s, o) = (sum.clone(), observed.clone());
-    rt.task("join").read_write(root).spawn(move || {
+    scope.task("join").read_write(root).spawn(move || {
         o.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
     });
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     assert_eq!(observed.load(Ordering::Relaxed), 100 * 201);
 }
 
@@ -45,29 +48,32 @@ fn wide_fanout_then_join_counts_everything() {
 fn alternating_gatherv_epochs_are_separated() {
     // G G | R | G G | W : each phase must see the previous complete.
     let rt = Runtime::new(4);
+    let scope = rt.scope();
     let k = DataKey::new(3, 0);
     let counter = Arc::new(AtomicUsize::new(0));
     for _ in 0..2 {
         let c = counter.clone();
-        rt.task("g1").gatherv(k).spawn(move || {
+        scope.task("g1").gatherv(k).spawn(move || {
             c.fetch_add(1, Ordering::SeqCst);
         });
     }
     let c = counter.clone();
-    rt.task("r")
+    scope
+        .task("r")
         .read(k)
         .spawn(move || assert_eq!(c.load(Ordering::SeqCst), 2));
     for _ in 0..2 {
         let c = counter.clone();
-        rt.task("g2").gatherv(k).spawn(move || {
+        scope.task("g2").gatherv(k).spawn(move || {
             c.fetch_add(1, Ordering::SeqCst);
         });
     }
     let c = counter.clone();
-    rt.task("w")
+    scope
+        .task("w")
         .write(k)
         .spawn(move || assert_eq!(c.load(Ordering::SeqCst), 4));
-    rt.wait().unwrap();
+    scope.wait().unwrap();
 }
 
 #[test]
@@ -75,14 +81,15 @@ fn panicking_task_does_not_deadlock_successors() {
     // A panic latches cancellation: successor bodies are skipped, but the
     // bookkeeping still runs so wait() terminates and reports the panic.
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     let k = DataKey::new(4, 0);
     let ran = Arc::new(AtomicUsize::new(0));
-    rt.task("boom").write(k).spawn(|| panic!("first"));
+    scope.task("boom").write(k).spawn(|| panic!("first"));
     let r = ran.clone();
-    rt.task("after").read(k).spawn(move || {
+    scope.task("after").read(k).spawn(move || {
         r.fetch_add(1, Ordering::SeqCst);
     });
-    let err = rt.wait().unwrap_err();
+    let err = scope.wait().unwrap_err();
     assert_eq!(err.task, "boom");
     assert_eq!(
         ran.load(Ordering::SeqCst),
@@ -94,15 +101,16 @@ fn panicking_task_does_not_deadlock_successors() {
 #[test]
 fn only_first_panic_is_reported() {
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     let k = DataKey::new(5, 0);
-    rt.task("a").read_write(k).spawn(|| panic!("one"));
-    rt.task("b").read_write(k).spawn(|| panic!("two"));
-    let err = rt.wait().unwrap_err();
+    scope.task("a").read_write(k).spawn(|| panic!("one"));
+    scope.task("b").read_write(k).spawn(|| panic!("two"));
+    let err = scope.wait().unwrap_err();
     let msg = err.message();
     assert!(msg == "one" || msg == "two");
     // Slot cleared afterwards.
-    rt.task("ok").spawn(|| {});
-    rt.wait().unwrap();
+    scope.task("ok").spawn(|| {});
+    scope.wait().unwrap();
 }
 
 #[test]
@@ -117,52 +125,57 @@ fn typed_failure_cancels_dag_and_runtime_stays_usable() {
     impl std::error::Error for Unstable {}
 
     let rt = Runtime::new(3);
+    let scope = rt.scope();
     let k = DataKey::new(4, 1);
     let ran = Arc::new(AtomicUsize::new(0));
-    rt.task("diverge")
+    scope
+        .task("diverge")
         .write(k)
         .spawn_try(|| Err::<(), _>(Unstable(17)));
     for _ in 0..100 {
         let r = ran.clone();
-        rt.task("dependent").read_write(k).spawn(move || {
+        scope.task("dependent").read_write(k).spawn(move || {
             r.fetch_add(1, Ordering::SeqCst);
         });
     }
-    let err = rt.wait().unwrap_err();
+    let err = scope.wait().unwrap_err();
     assert_eq!(err.task, "diverge");
     let (_, e) = err.downcast::<Unstable>().expect("typed error survives");
     assert_eq!(e.0, 17);
     assert_eq!(ran.load(Ordering::SeqCst), 0, "all dependents skipped");
     // Next phase is clean.
     let c = ran.clone();
-    rt.task("fresh").spawn(move || {
+    scope.task("fresh").spawn(move || {
         c.fetch_add(1, Ordering::SeqCst);
     });
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     assert_eq!(ran.load(Ordering::SeqCst), 1);
 }
 
 #[test]
 fn independent_tasks_submitted_before_failure_may_still_be_skipped_safely() {
-    // Cancellation is a runtime-wide latch, not a reachability analysis:
+    // Cancellation is a scope-wide latch, not a reachability analysis:
     // once any task fails, every not-yet-started body is skipped, even on
     // unrelated keys. wait() must still terminate and count everything.
     let rt = Runtime::new(1);
+    let scope = rt.scope();
     let gate = DataKey::new(4, 2);
-    rt.task("fail-first")
+    scope
+        .task("fail-first")
         .write(gate)
         .spawn_try(|| Err::<(), _>(std::io::Error::other("latch")));
     for i in 0..64u64 {
-        rt.task("unrelated")
+        scope
+            .task("unrelated")
             .write(DataKey::new(4, 10 + i))
             .spawn(|| {});
     }
-    let err = rt.wait().unwrap_err();
+    let err = scope.wait().unwrap_err();
     assert_eq!(err.task, "fail-first");
-    // All 65 tasks were accounted for (wait returned), and the runtime
+    // All 65 tasks were accounted for (wait returned), and the scope
     // accepts new work.
-    rt.task("ok").spawn(|| {});
-    rt.wait().unwrap();
+    scope.task("ok").spawn(|| {});
+    scope.wait().unwrap();
 }
 
 #[test]
@@ -171,34 +184,36 @@ fn independent_key_spaces_fully_overlap() {
     // potential), and with 4 workers the logical clocks stay consistent.
     for threads in [1, 4] {
         let rt = Runtime::new(threads);
+        let scope = rt.scope();
         let cells: Vec<Arc<AtomicUsize>> = (0..4).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         #[allow(clippy::needless_range_loop)]
         for chain in 0..4usize {
             let k = DataKey::new(6, chain as u64);
             for step in 0..50usize {
                 let cell = cells[chain].clone();
-                rt.task("step").read_write(k).spawn(move || {
+                scope.task("step").read_write(k).spawn(move || {
                     let prev = cell.swap(step + 1, Ordering::SeqCst);
                     assert_eq!(prev, step, "chain {chain}");
                 });
             }
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
     }
 }
 
 #[test]
 fn trace_covers_all_phases() {
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     rt.enable_tracing();
     for _ in 0..3 {
-        rt.task("p1").spawn(|| {});
+        scope.task("p1").spawn(|| {});
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     for _ in 0..2 {
-        rt.task("p2").spawn(|| {});
+        scope.task("p2").spawn(|| {});
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     let trace = rt.take_trace();
     assert_eq!(trace.records.len(), 5);
     let stats = trace.kernel_stats();
@@ -208,14 +223,15 @@ fn trace_covers_all_phases() {
 #[test]
 fn traced_graph_chain_and_diamond() {
     let rt = Runtime::new(2);
+    let scope = rt.scope();
     rt.enable_tracing();
     let a = DataKey::new(7, 1);
     let b = DataKey::new(7, 2);
-    rt.task("src").write(a).write(b).spawn(|| {});
-    rt.task("left").read_write(a).spawn(|| {});
-    rt.task("right").read_write(b).spawn(|| {});
-    rt.task("sink").read(a).read(b).spawn(|| {});
-    rt.wait().unwrap();
+    scope.task("src").write(a).write(b).spawn(|| {});
+    scope.task("left").read_write(a).spawn(|| {});
+    scope.task("right").read_write(b).spawn(|| {});
+    scope.task("sink").read(a).read(b).spawn(|| {});
+    scope.wait().unwrap();
     let dag = rt.take_trace();
     assert_eq!(dag.records.len(), 4);
     assert_eq!(dag.edges.len(), 4); // src→left, src→right, left→sink, right→sink
@@ -227,11 +243,12 @@ fn traced_graph_chain_and_diamond() {
 #[test]
 fn shared_data_ranges_partition_under_runtime() {
     let rt = Runtime::new(4);
+    let scope = rt.scope();
     let buf = SharedData::new(vec![0u64; 64 * 16]);
     let k = DataKey::new(8, 0);
     for c in 0..64usize {
         let buf = buf.clone();
-        rt.task("w").gatherv(k).spawn(move || {
+        scope.task("w").gatherv(k).spawn(move || {
             // SAFETY: disjoint 16-element ranges per task inside one
             // GatherV group.
             let s = unsafe { buf.range_mut(c * 16..(c + 1) * 16) };
@@ -240,7 +257,7 @@ fn shared_data_ranges_partition_under_runtime() {
             }
         });
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     let v = buf
         .try_unwrap()
         .unwrap_or_else(|_| panic!("unique after wait"));
@@ -250,15 +267,16 @@ fn shared_data_ranges_partition_under_runtime() {
 #[test]
 fn thousands_of_tiny_tasks_complete() {
     let rt = Runtime::new(4);
+    let scope = rt.scope();
     let done = Arc::new(AtomicUsize::new(0));
     for i in 0..5000usize {
         let d = done.clone();
         let key = DataKey::new(9, (i % 37) as u64);
-        rt.task("tiny").read_write(key).spawn(move || {
+        scope.task("tiny").read_write(key).spawn(move || {
             d.fetch_add(1, Ordering::Relaxed);
         });
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     assert_eq!(done.load(Ordering::Relaxed), 5000);
 }
 
@@ -267,17 +285,18 @@ fn inline_bodies_run_in_submission_order_on_the_calling_thread() {
     // No declared accesses at all: the only thing ordering these bodies is
     // that each one has already run when `spawn` returns.
     let rt = Runtime::inline(0);
+    let scope = rt.scope();
     let me = std::thread::current().id();
     let log = Arc::new(Mutex::new(Vec::new()));
     for i in 0..100usize {
         let l = log.clone();
-        rt.task("step").spawn(move || {
+        scope.task("step").spawn(move || {
             assert_eq!(std::thread::current().id(), me);
             l.lock().unwrap().push(i);
         });
         assert_eq!(log.lock().unwrap().len(), i + 1, "ran at submission");
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     assert_eq!(*log.lock().unwrap(), (0..100).collect::<Vec<_>>());
 }
 
@@ -322,12 +341,13 @@ fn inline_failure_is_typed_by_wait_and_skips_later_bodies() {
 #[test]
 fn inline_wait_is_reusable_and_trace_has_one_record_per_body() {
     let rt = Runtime::inline(0);
+    let scope = rt.scope();
     rt.enable_tracing();
     for _phase in 0..3 {
         for _ in 0..4 {
-            rt.task("body").spawn(|| {});
+            scope.task("body").spawn(|| {});
         }
-        rt.wait().unwrap();
+        scope.wait().unwrap();
     }
     let trace = rt.take_trace();
     assert_eq!(trace.records.len(), 12);
@@ -345,27 +365,28 @@ fn inline_wait_is_reusable_and_trace_has_one_record_per_body() {
 #[test]
 fn forked_group_joins_before_the_next_inline_task() {
     let rt = Runtime::inline(2);
+    let scope = rt.scope();
     rt.enable_tracing();
     let me = std::thread::current().id();
     let buf = SharedData::new(vec![0usize; 64]);
     for round in 0..20usize {
         for chunk in 0..8usize {
             let buf = buf.clone();
-            rt.task("panel").fork().spawn(move || {
+            scope.task("panel").fork().spawn(move || {
                 // SAFETY: disjoint chunk per forked task of the group.
                 let s = unsafe { buf.range_mut(chunk * 8..(chunk + 1) * 8) };
                 s.iter_mut().for_each(|x| *x += 1);
             });
         }
         let buf = buf.clone();
-        rt.task("join").spawn(move || {
+        scope.task("join").spawn(move || {
             assert_eq!(std::thread::current().id(), me);
             // SAFETY: the forked group was joined before this body runs.
             let s = unsafe { buf.slice() };
             assert!(s.iter().all(|&x| x == round + 1), "round {round}");
         });
     }
-    rt.wait().unwrap();
+    scope.wait().unwrap();
     let trace = rt.take_trace();
     assert_eq!(trace.records.len(), 20 * 9);
     assert_eq!(trace.num_workers, 3, "two fork workers + the caller's lane");
@@ -380,7 +401,7 @@ fn forked_group_joins_before_the_next_inline_task() {
     let started: Arc<[AtomicUsize; 2]> = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0)]);
     for i in 0..2 {
         let started = started.clone();
-        rt.task("rendezvous").fork().spawn(move || {
+        scope.task("rendezvous").fork().spawn(move || {
             started[i].store(1, Ordering::SeqCst);
             while started[1 - i].load(Ordering::SeqCst) == 0 {
                 std::hint::spin_loop();
@@ -388,20 +409,22 @@ fn forked_group_joins_before_the_next_inline_task() {
         });
     }
     // A failing forked body latches the scope like any other.
-    rt.task("bad-panel")
+    scope
+        .task("bad-panel")
         .fork()
         .spawn_try(|| Err::<(), _>(std::io::Error::other("gemm")));
     let ran = Arc::new(AtomicUsize::new(0));
     let r = ran.clone();
-    rt.task("after").spawn(move || {
+    scope.task("after").spawn(move || {
         r.fetch_add(1, Ordering::SeqCst);
     });
-    assert_eq!(rt.wait().unwrap_err().task, "bad-panel");
+    assert_eq!(scope.wait().unwrap_err().task, "bad-panel");
     assert_eq!(ran.load(Ordering::SeqCst), 0);
     // Without fork workers, fork() degrades to inline execution.
     let rt = Runtime::inline(0);
-    rt.task("panel").fork().spawn(move || {
+    let scope = rt.scope();
+    scope.task("panel").fork().spawn(move || {
         assert_eq!(std::thread::current().id(), me);
     });
-    rt.wait().unwrap();
+    scope.wait().unwrap();
 }

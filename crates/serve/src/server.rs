@@ -20,7 +20,7 @@
 
 use crate::protocol::{self, dc_error_code, error_response, Problem, Request, WireError};
 use dcst_core::{DcError, DcOptions, DcStats, Eigen, PendingSolve, TaskFlowDc};
-use dcst_runtime::{CancelHandle, Runtime};
+use dcst_runtime::{CancelHandle, Runtime, Scope};
 use dcst_tridiag::SymTridiag;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -55,7 +55,8 @@ pub struct ServerConfig {
     /// overridden per request / by the pool).
     pub opts: DcOptions,
     /// Record every request's tasks and attach a Chrome trace to
-    /// responses that ask for one (`"trace": true`).
+    /// responses that ask for one (`"trace": true`). Without it such a
+    /// request is answered `bad-request` and never admitted.
     pub trace_requests: bool,
 }
 
@@ -399,6 +400,15 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
                 check,
                 trace,
             }) => {
+                // Refused before admission: only a server that records
+                // every request's tasks has a trace to attach.
+                if trace && !inner.cfg.trace_requests {
+                    let e = WireError::bad(
+                        "\"trace\": true needs a server started with --trace-requests",
+                    );
+                    write_line(&writer, &error_response(Some(id), &e));
+                    continue;
+                }
                 if let Err(e) = admit(&inner, conn, id) {
                     write_line(&writer, &error_response(Some(id), &e));
                     continue;
@@ -573,12 +583,7 @@ fn solve_response(
         threads: inner.cfg.threads,
         ..inner.cfg.opts
     });
-    let submitted = if priority {
-        solver.submit_priority(&t, &inner.rt)
-    } else {
-        solver.submit(&t, &inner.rt)
-    };
-    let pending = match submitted {
+    let pending = match solver.submit(&t, request_scope(&inner.rt, priority)) {
         Ok(p) => p,
         Err(e) => return dc_error_response(id, &e),
     };
@@ -599,6 +604,16 @@ fn solve_response(
             }
             dc_error_response(id, &e)
         }
+    }
+}
+
+/// A request's scope on the shared pool: a `"priority":"high"` request
+/// rides the priority injector lane with every one of its tasks.
+fn request_scope(rt: &Runtime, priority: bool) -> Scope<'_> {
+    if priority {
+        rt.priority_scope()
+    } else {
+        rt.scope()
     }
 }
 
@@ -663,11 +678,7 @@ fn batch_response(
             threads: inner.cfg.threads,
             ..inner.cfg.opts
         });
-        pendings.push(if priority {
-            solver.submit_priority(t, &inner.rt)
-        } else {
-            solver.submit(t, &inner.rt)
-        });
+        pendings.push(solver.submit(t, request_scope(&inner.rt, priority)));
     }
     let handles: Vec<CancelHandle> = pendings
         .iter()

@@ -9,8 +9,10 @@
 //! shadow tracker validates every task's declared accesses while the
 //! harness hammers the shared runtime.
 
-use dcst::runtime::jsonv::Json;
+use dcst::core::{DcOptions, TaskFlowDc};
+use dcst::runtime::jsonv::{self, Json};
 use dcst::serve::{Client, Server, ServerConfig};
+use dcst::tridiag::MatrixType;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -305,4 +307,97 @@ fn zero_order_specs_are_typed_and_hold_no_slot() {
     finished
         .recv_timeout(Duration::from_secs(60))
         .expect("the daemon stopped answering, or an assertion above failed");
+}
+
+/// The submission ids of the `X` (task) events in a response's trace.
+fn traced_task_ids(doc: &Json) -> Vec<u64> {
+    let text = doc
+        .get("trace")
+        .and_then(Json::as_str)
+        .expect("trace field");
+    let trace = jsonv::parse(text).expect("the trace parses");
+    trace
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .map(|e| e.get("args").unwrap().get("id").unwrap().as_num().unwrap() as u64)
+        .collect()
+}
+
+/// Per-request traces on one shared pool: two traced solves of different
+/// orders, in flight at once, each get exactly their own solve's tasks; a
+/// later traced solve finds nothing left behind in the shared buffer; and
+/// a server that records no traces refuses `"trace": true` before
+/// admission instead of answering `ok` without one.
+#[test]
+fn traced_requests_carry_only_their_own_tasks() {
+    let cfg = ServerConfig {
+        threads: 2,
+        max_inflight: 8,
+        trace_requests: true,
+        ..ServerConfig::default()
+    };
+    // The graph's task count depends on n and the options, not the matrix.
+    let opts = DcOptions {
+        threads: cfg.threads,
+        ..cfg.opts
+    };
+    let tasks = |n: usize| {
+        let t = MatrixType::Type4.generate(n, 1);
+        let (_, _, trace, _) = TaskFlowDc::new(opts).solve_observed(&t).unwrap();
+        trace.records.len()
+    };
+    let traced = Server::start(cfg).expect("bind loopback");
+    let mut cl = Client::connect(traced.addr()).unwrap();
+    // Pipelined on one connection, so both jobs share the pool at once.
+    cl.send(&solve_line(1, 4, 300, 1, r#","trace":true"#))
+        .unwrap();
+    cl.send(&solve_line(2, 4, 160, 1, r#","trace":true"#))
+        .unwrap();
+    let mut docs = [cl.recv().unwrap().unwrap(), cl.recv().unwrap().unwrap()];
+    docs.sort_by_key(req_id);
+    for (doc, id) in docs.iter().zip([1, 2]) {
+        assert_eq!(req_id(doc), Some(id));
+        assert_eq!(obj_bool(doc, "ok"), Some(true), "{doc:?}");
+    }
+    let (a, b) = (traced_task_ids(&docs[0]), traced_task_ids(&docs[1]));
+    assert_eq!(a.len(), tasks(300));
+    assert_eq!(b.len(), tasks(160));
+    assert!(
+        a.iter().all(|id| !b.contains(id)),
+        "a task of one request in the other's trace"
+    );
+    // Task ids rise across the runtime: anything left over from the first
+    // two requests would show as a lower id or an extra event here.
+    let doc = cl
+        .call(&solve_line(3, 4, 100, 1, r#","trace":true"#))
+        .unwrap();
+    let c = traced_task_ids(&doc);
+    assert_eq!(c.len(), tasks(100));
+    let last = a.iter().chain(&b).max().unwrap();
+    assert!(
+        c.iter().all(|id| id > last),
+        "records leaked into request 3"
+    );
+
+    let plain = server(2, 1);
+    let mut cl = Client::connect(plain.addr()).unwrap();
+    for id in 4..6 {
+        let doc = cl
+            .call(&solve_line(id, 4, 32, 1, r#","trace":true"#))
+            .unwrap();
+        assert_eq!(req_id(&doc), Some(id));
+        assert_eq!(error_code(&doc).as_deref(), Some("bad-request"), "{doc:?}");
+        let msg = doc.get("error").unwrap().get("message").unwrap();
+        assert!(
+            msg.as_str().unwrap().contains("--trace-requests"),
+            "{doc:?}"
+        );
+    }
+    // Refused, not admitted: the one slot is free for an untraced solve.
+    let doc = cl.call(&solve_line(6, 4, 32, 1, "")).unwrap();
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    assert!(doc.get("trace").is_none());
 }
