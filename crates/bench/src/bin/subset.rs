@@ -44,9 +44,9 @@ fn main() {
     for frac in [1usize, 5, 10, 25, 50] {
         let k = (n * frac / 100).max(1);
         let start = Instant::now();
-        let (vals, vecs) = mrrr.solve_range(&t, 0, k - 1).expect("subset mrrr");
+        let (vals, vecs) = mrrr.solve_range_exact(&t, 0, k - 1).expect("subset mrrr");
         let tk = start.elapsed().as_secs_f64();
-        assert!(vals.len() >= k && vecs.cols() == vals.len());
+        assert!(vals.len() == k && vecs.cols() == k);
         table.row(vec![
             format!("{k} ({frac}%)"),
             fmt_s(tk),

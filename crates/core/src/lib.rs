@@ -242,9 +242,7 @@ pub(crate) fn subset_uses_fallback(il: usize, iu: usize, n: usize) -> bool {
 ///
 /// MRRR runs under the sequential discipline: its tasks execute on the
 /// calling thread, so the one task that calls this uses exactly the worker
-/// it was scheduled on. Under `access-check` the inline runtime's task
-/// context replaces that worker's for the duration, which is harmless only
-/// because this body borrows no `SharedData`.
+/// it was scheduled on.
 pub(crate) fn subset_fallback(t: &SymTridiag, il: usize, iu: usize) -> Result<Eigen, DcError> {
     let rt = Runtime::inline(0);
     let solver = MrrrSolver::new(&rt);

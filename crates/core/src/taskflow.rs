@@ -693,9 +693,10 @@ impl TaskFlowDc {
         let root = g.tree.root;
 
         // Bind each buffer to the keys tasks declare when touching it, so
-        // the `access-check` shadow tracker can validate every borrow in
-        // the graph below against the declared footprint.
-        #[cfg(feature = "access-check")]
+        // a debug build's shadow tracker validates every borrow in the
+        // graph below against the declared footprint. A release build
+        // skips building the key lists.
+        #[cfg(debug_assertions)]
         {
             let node_keys: Vec<DataKey> = (0..g.cells.len()).map(key_node).collect();
             let mut scale_and_nodes = vec![key_scale()];

@@ -7,15 +7,11 @@ use dcst_runtime::Runtime;
 use dcst_tridiag::{sturm_counts_batch, SymTridiag};
 use std::sync::Arc;
 
-/// All eigenvalues of `t`, ascending, to absolute accuracy ~`ε‖T‖`, with
-/// index chunks run as one task per worker of `rt`.
-pub fn bisect_all(t: &SymTridiag, rt: &Runtime) -> Vec<f64> {
-    bisect_range_unchecked(t, 0..t.n(), rt)
-}
-
-/// The eigenvalues with (0-based, ascending) indices in `range` —
-/// Θ(n·|range|) work, the subset property the paper credits MRRR with.
-/// Returns [`MrrrError::InvalidRange`] when the range reaches past `n`.
+/// The eigenvalues with (0-based, ascending) indices in `range`, to
+/// absolute accuracy ~`ε‖T‖` — Θ(n·|range|) work, the subset property the
+/// paper credits MRRR with — with index chunks run as one task per worker
+/// of `rt`. Returns [`MrrrError::InvalidRange`] when the range reaches
+/// past `n`.
 pub fn bisect_range(
     t: &SymTridiag,
     range: std::ops::Range<usize>,
@@ -28,24 +24,18 @@ pub fn bisect_range(
             n: t.n(),
         });
     }
-    Ok(bisect_range_unchecked(t, range, rt))
-}
-
-/// [`bisect_range`] for in-crate callers whose range is already known to
-/// be within bounds.
-fn bisect_range_unchecked(t: &SymTridiag, range: std::ops::Range<usize>, rt: &Runtime) -> Vec<f64> {
     let k = range.len();
     if k == 0 {
-        return vec![];
+        return Ok(vec![]);
     }
     let (gl, gu) = bracket(t);
     let t = Arc::new(t.clone());
     let k0 = range.start;
-    concat(in_chunks(rt, "MrrrBisect", k, move |c| {
+    Ok(concat(in_chunks(rt, "MrrrBisect", k, move |c| {
         let mut lam = vec![0.0f64; c.len()];
         bisect_batch(&t, k0 + c.start, &mut lam, gl, gu);
         lam
-    }))
+    })))
 }
 
 /// Eigenvalues `k0` and `k0 + 1` of `t`, bisected on the calling thread:
@@ -165,11 +155,16 @@ mod tests {
         Runtime::new(2)
     }
 
+    /// Every eigenvalue of `t`, ascending.
+    fn all(t: &SymTridiag, rt: &Runtime) -> Vec<f64> {
+        bisect_range(t, 0..t.n(), rt).unwrap()
+    }
+
     #[test]
     fn bisect_matches_closed_form() {
         let n = 16;
         let t = SymTridiag::toeplitz121(n);
-        let lam = bisect_all(&t, &rt());
+        let lam = all(&t, &rt());
         for (k, &l) in lam.iter().enumerate() {
             let want = 2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert!((l - want).abs() < 1e-12, "{l} vs {want}");
@@ -179,8 +174,8 @@ mod tests {
     #[test]
     fn runtime_does_not_change_results() {
         let t = dcst_tridiag::gen::MatrixType::Type6.generate(33, 4);
-        let a = bisect_all(&t, &Runtime::inline(0));
-        let b = bisect_all(&t, &Runtime::new(4));
+        let a = all(&t, &Runtime::inline(0));
+        let b = all(&t, &Runtime::new(4));
         assert_eq!(a, b);
     }
 
@@ -205,7 +200,7 @@ mod tests {
             base.d.iter().map(|x| x * 1e-60).collect(),
             base.e.iter().map(|x| x * 1e-60).collect(),
         );
-        let lam = bisect_all(&t, &rt());
+        let lam = all(&t, &rt());
         for (k, &l) in lam.iter().enumerate() {
             let want = 1e-60
                 * (2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos());
@@ -226,7 +221,7 @@ mod tests {
             base.d.iter().map(|x| x * 1e150).collect(),
             base.e.iter().map(|x| x * 1e150).collect(),
         );
-        let lam = bisect_all(&t, &rt());
+        let lam = all(&t, &rt());
         for (k, &l) in lam.iter().enumerate() {
             let want = 1e150
                 * (2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos());
@@ -240,7 +235,7 @@ mod tests {
     #[test]
     fn zero_matrix_converges() {
         let t = SymTridiag::new(vec![0.0; 6], vec![0.0; 5]);
-        let lam = bisect_all(&t, &rt());
+        let lam = all(&t, &rt());
         for l in lam {
             assert!(l.abs() < 1e-300, "{l}");
         }

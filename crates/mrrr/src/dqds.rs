@@ -192,7 +192,7 @@ mod tests {
     use dcst_tridiag::gen::MatrixType;
 
     fn bisect_reference(t: &SymTridiag) -> Vec<f64> {
-        crate::bisect::bisect_all(t, &dcst_runtime::Runtime::inline(0))
+        crate::bisect::bisect_range(t, 0..t.n(), &dcst_runtime::Runtime::inline(0)).unwrap()
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! than D&C's O(√n·ε), exactly the contrast the paper's Figure 9 shows.
 //!
 //! The crate owns no threads: the two parallel phases run as tasks on the
-//! [`Runtime`] the caller lends [`MrrrSolver`] (or [`bisect_all`]), one per
-//! worker, and every output is bit-identical whatever that runtime is —
+//! [`Runtime`] the caller lends [`MrrrSolver`] (or [`bisect_range`]), one
+//! per worker, and every output is bit-identical whatever that runtime is —
 //! bisection runs in lockstep per eigenvalue and each eigenvector depends
 //! only on its own job.
 
@@ -32,7 +32,7 @@ mod dqds;
 mod rrr;
 mod tstein;
 
-pub use bisect::{bisect_all, bisect_range, bisect_refine_ldl};
+pub use bisect::{bisect_range, bisect_refine_ldl};
 pub use dqds::dqds_eigenvalues;
 pub use rrr::{
     ldl_factor, stqds_shift, sturm_count_ldl, twisted_vector, twisted_vector_ranked, Rrr,
@@ -176,6 +176,12 @@ fn split_count(blocks: &[(usize, SymTridiag)], x: f64) -> usize {
     blocks.iter().map(count).sum()
 }
 
+/// The block-local index range of the eigenvalues in `[lo, hi)`, by Sturm
+/// counts: what [`MrrrSolver::solve_window`] selects from each block.
+fn window(lo: f64, hi: f64) -> impl Fn(&SymTridiag) -> Range<usize> {
+    move |sub| dcst_tridiag::sturm_count(sub, lo)..dcst_tridiag::sturm_count(sub, hi)
+}
+
 impl<'rt> MrrrSolver<'rt> {
     pub fn new(rt: &'rt Runtime) -> Self {
         MrrrSolver { rt }
@@ -185,17 +191,6 @@ impl<'rt> MrrrSolver<'rt> {
         "mrrr"
     }
 
-    /// Eigenvalues only, ascending (dqds with bisection fallback).
-    pub fn eigenvalues(&self, t: &SymTridiag) -> Result<Vec<f64>, MrrrError> {
-        if t.has_non_finite() {
-            return Err(MrrrError::NonFinite);
-        }
-        if let Some(vals) = dqds::dqds_eigenvalues(t) {
-            return Ok(vals);
-        }
-        Ok(bisect_all(t, self.rt))
-    }
-
     /// Full eigen-decomposition: values ascending, orthonormal vectors.
     ///
     /// The matrix is first split into irreducible blocks at negligible
@@ -203,43 +198,10 @@ impl<'rt> MrrrSolver<'rt> {
     /// eigenvalues then live in different blocks, whose eigenvectors are
     /// orthogonal by disjoint support.
     pub fn solve(&self, t: &SymTridiag) -> Result<(Vec<f64>, Matrix), MrrrError> {
-        let n = t.n();
         if t.has_non_finite() {
             return Err(MrrrError::NonFinite);
         }
-        if n == 0 {
-            return Ok((vec![], Matrix::zeros(0, 0)));
-        }
-
-        let blocks = split_blocks(t);
-        if blocks.len() == 1 {
-            return self.solve_block(t);
-        }
-
-        // Solve each block; merge eigenvalues ascending; scatter columns.
-        let mut per_block: Vec<(usize, Vec<f64>, Matrix)> = Vec::new();
-        for (b0, sub) in &blocks {
-            let (lam, vloc) = self.solve_block(sub)?;
-            per_block.push((*b0, lam, vloc));
-        }
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(n); // (block, local col)
-        for (bi, (_, lam, _)) in per_block.iter().enumerate() {
-            order.extend((0..lam.len()).map(|c| (bi, c)));
-        }
-        order.sort_by(|&(ba, ca), &(bb, cb)| {
-            per_block[ba].1[ca]
-                .partial_cmp(&per_block[bb].1[cb])
-                .unwrap()
-        });
-        let mut values = Vec::with_capacity(n);
-        let mut v = vec![0.0f64; n * n];
-        for (slot, &(bi, c)) in order.iter().enumerate() {
-            let (b0, lam, vloc) = &per_block[bi];
-            values.push(lam[c]);
-            let nb = lam.len();
-            v[slot * n + b0..slot * n + b0 + nb].copy_from_slice(vloc.col(c));
-        }
-        Ok((values, Matrix::from_vec(n, n, v)))
+        self.solve_blocks(&split_blocks(t), t.n(), |sub| 0..sub.n())
     }
 
     /// Eigenpairs whose eigenvalues lie in the half-open window
@@ -259,26 +221,31 @@ impl<'rt> MrrrSolver<'rt> {
         if n == 0 || hi <= lo {
             return Ok((vec![], Matrix::zeros(n, 0)));
         }
-        self.solve_blocks_window(&split_blocks(t), n, lo, hi)
+        self.solve_blocks(&split_blocks(t), n, window(lo, hi))
     }
 
-    /// [`solve_window`](Self::solve_window) on an already split matrix:
-    /// per irreducible block, the window selects a contiguous local index
-    /// range found by Sturm counts.
-    fn solve_blocks_window(
+    /// Solve each irreducible block of a split matrix for the block-local
+    /// index range `select` picks, and merge the pairs ascending across
+    /// blocks into eigenvectors of `n` rows. A lone part that spans every
+    /// row moves without a copy.
+    fn solve_blocks(
         &self,
         blocks: &[(usize, SymTridiag)],
         n: usize,
-        lo: f64,
-        hi: f64,
+        select: impl Fn(&SymTridiag) -> Range<usize>,
     ) -> Result<(Vec<f64>, Matrix), MrrrError> {
         let mut parts: Vec<(usize, Vec<f64>, Matrix)> = Vec::new();
         for (b0, sub) in blocks {
-            let klo = dcst_tridiag::sturm_count(sub, lo);
-            let khi = dcst_tridiag::sturm_count(sub, hi);
-            if khi > klo {
-                let (vals, vecs) = self.solve_block_range(sub, klo..khi)?;
+            let range = select(sub);
+            if !range.is_empty() {
+                let (vals, vecs) = self.solve_block_range(sub, range)?;
                 parts.push((*b0, vals, vecs));
+            }
+        }
+        if let [(0, _, vecs)] = parts.as_slice() {
+            if vecs.rows() == n {
+                let (_, vals, vecs) = parts.pop().expect("one part");
+                return Ok((vals, vecs));
             }
         }
         // Merge ascending across blocks.
@@ -300,34 +267,14 @@ impl<'rt> MrrrSolver<'rt> {
         Ok((values, Matrix::from_vec(n, total, v)))
     }
 
-    /// Eigenpairs with (0-based, ascending) indices `il..=iu`. Built on
-    /// [`solve_window`](Self::solve_window) with cuts at the midpoints to
-    /// the neighbouring eigenvalues; when the boundary eigenvalue is part
-    /// of a numerically degenerate multiplet, the whole multiplet is
-    /// included (the count may then exceed `iu − il + 1`).
-    pub fn solve_range(
-        &self,
-        t: &SymTridiag,
-        il: usize,
-        iu: usize,
-    ) -> Result<(Vec<f64>, Matrix), MrrrError> {
-        if il > iu || iu >= t.n() {
-            return Err(MrrrError::InvalidRange { il, iu, n: t.n() });
-        }
-        if t.has_non_finite() {
-            return Err(MrrrError::NonFinite);
-        }
-        let blocks = split_blocks(t);
-        let (lo, hi) = self.range_window(t, &blocks, il, iu);
-        self.solve_blocks_window(&blocks, t.n(), lo, hi)
-    }
-
-    /// Eigenpairs with indices `il..=iu`, trimmed to *exactly*
-    /// `iu − il + 1` pairs. [`solve_range`](Self::solve_range) may include
-    /// whole multiplets around the boundary indices; this variant counts
-    /// how many extra eigenvalues the window admitted below `il` (one
-    /// Sturm count) and slices them off both ends. The D&C subset
-    /// fallback needs the exact-count contract.
+    /// Eigenpairs with (0-based, ascending) indices `il..=iu`, exactly
+    /// `iu − il + 1` of them. Built on [`solve_window`](Self::solve_window)
+    /// with cuts at the midpoints to the neighbouring eigenvalues; when a
+    /// boundary eigenvalue belongs to a numerically degenerate multiplet
+    /// the window admits the whole multiplet, so this counts how many
+    /// extra eigenvalues it admitted below `il` (one Sturm count) and
+    /// slices them off both ends. The D&C subset fallback needs the
+    /// exact-count contract.
     pub fn solve_range_exact(
         &self,
         t: &SymTridiag,
@@ -342,7 +289,7 @@ impl<'rt> MrrrSolver<'rt> {
         }
         let blocks = split_blocks(t);
         let (lo, hi) = self.range_window(t, &blocks, il, iu);
-        let (vals, vecs) = self.solve_blocks_window(&blocks, t.n(), lo, hi)?;
+        let (vals, vecs) = self.solve_blocks(&blocks, t.n(), window(lo, hi))?;
         let kreq = iu - il + 1;
         if vals.len() < kreq {
             return Err(MrrrError::ClusterFailure {
@@ -389,7 +336,7 @@ impl<'rt> MrrrSolver<'rt> {
         // numerically coincident the midpoint can land at-or-above λ_il
         // and the window would miss it. Walk lo down until at most il
         // eigenvalues lie strictly below it; the extra low eigenvalues a
-        // wider window admits are trimmed by the callers.
+        // wider window admits are trimmed by the caller.
         let mut step = 1e-3 * span;
         while il > 0 && split_count(blocks, lo) > il {
             lo -= step;
@@ -411,11 +358,6 @@ impl<'rt> MrrrSolver<'rt> {
             step *= 2.0;
         }
         (lo, hi)
-    }
-
-    /// Solve one irreducible block.
-    fn solve_block(&self, t: &SymTridiag) -> Result<(Vec<f64>, Matrix), MrrrError> {
-        self.solve_block_range(t, 0..t.n())
     }
 
     /// Eigenpairs of one irreducible block for the (block-local) index
@@ -613,6 +555,27 @@ impl<'rt> MrrrSolver<'rt> {
         jobs: &mut Vec<VecJob>,
         gs_groups: &mut usize,
     ) -> Result<(), MrrrError> {
+        // A cluster with no relatively robust child becomes one fallback
+        // group: twisted vectors at slightly spread eigenvalues, then
+        // Gram–Schmidt (step 5 of `solve_block_range`).
+        let fallback = |i: usize, j: usize, jobs: &mut Vec<VecJob>, gs_groups: &mut usize| {
+            let group = *gs_groups;
+            *gs_groups += 1;
+            for (c, idx) in (i..=j).enumerate() {
+                // Refine against THIS representation with the count-based
+                // bracket: each index lands on its own side even when
+                // T-bisection returned identical values for the pair.
+                let refined = bisect_refine_ldl(&rep, idx, lam_local[idx], norm);
+                jobs.push(VecJob {
+                    rep: rep.clone(),
+                    idx,
+                    lam_local: refined,
+                    total_shift,
+                    gs_group: group,
+                    twist_rank: c,
+                });
+            }
+        };
         // Partition `range` into singletons and clusters by relative gap.
         let mut i = range.start;
         while i < range.end {
@@ -646,25 +609,7 @@ impl<'rt> MrrrSolver<'rt> {
                 let tiny_cluster =
                     width <= 4.0 * f64::EPSILON * lam_local[j].abs().max(f64::EPSILON * norm);
                 if depth >= MAX_DEPTH || tiny_cluster {
-                    // Fallback: twisted vectors at slightly spread
-                    // eigenvalues + Gram–Schmidt.
-                    let group = *gs_groups;
-                    *gs_groups += 1;
-                    for (c, idx) in (i..=j).enumerate() {
-                        // Refine against THIS representation with the
-                        // count-based bracket: each index lands on its own
-                        // side even when T-bisection returned identical
-                        // values for the pair.
-                        let refined = bisect_refine_ldl(&rep, idx, lam_local[idx], norm);
-                        jobs.push(VecJob {
-                            rep: rep.clone(),
-                            idx,
-                            lam_local: refined,
-                            total_shift,
-                            gs_group: group,
-                            twist_rank: c,
-                        });
-                    }
+                    fallback(i, j, jobs, gs_groups);
                 } else {
                     // Shift to just below (or, failing that, just above)
                     // the cluster, keeping the candidate with the least
@@ -690,20 +635,8 @@ impl<'rt> MrrrSolver<'rt> {
                     let (child, tau, growth) = best.expect("candidate list is non-empty");
                     if !growth.is_finite() || growth > 1e8 {
                         // No relatively robust child exists: treat the
-                        // cluster as a numerical multiplet (fallback path).
-                        let group = *gs_groups;
-                        *gs_groups += 1;
-                        for (c, idx) in (i..=j).enumerate() {
-                            let refined = bisect_refine_ldl(&rep, idx, lam_local[idx], norm);
-                            jobs.push(VecJob {
-                                rep: rep.clone(),
-                                idx,
-                                lam_local: refined,
-                                total_shift,
-                                gs_group: group,
-                                twist_rank: c,
-                            });
-                        }
+                        // cluster as a numerical multiplet.
+                        fallback(i, j, jobs, gs_groups);
                         i = j + 1;
                         continue;
                     }
@@ -782,7 +715,6 @@ mod tests {
     use super::*;
     use dcst_matrix::{orthogonality_error, residual_error};
     use dcst_tridiag::gen::MatrixType;
-    use dcst_tridiag::sturm_count;
 
     fn check(t: &SymTridiag, lam: &[f64], v: &Matrix, tol: f64) {
         assert!(lam.windows(2).all(|w| w[0] <= w[1]), "sorted");
@@ -797,25 +729,6 @@ mod tests {
         MrrrSolver::new(RT.get_or_init(|| Runtime::new(2)))
     }
 
-    fn bisect_reference(t: &SymTridiag) -> Vec<f64> {
-        let n = t.n();
-        let (gl, gu) = t.gershgorin_bounds();
-        (0..n)
-            .map(|k| {
-                let (mut lo, mut hi) = (gl - 1.0, gu + 1.0);
-                for _ in 0..200 {
-                    let m = 0.5 * (lo + hi);
-                    if sturm_count(t, m) > k {
-                        hi = m;
-                    } else {
-                        lo = m;
-                    }
-                }
-                0.5 * (lo + hi)
-            })
-            .collect()
-    }
-
     #[test]
     fn solves_toeplitz() {
         let n = 60;
@@ -825,16 +738,6 @@ mod tests {
         for (k, &l) in lam.iter().enumerate() {
             let want = 2.0 - 2.0 * ((k + 1) as f64 * std::f64::consts::PI / (n as f64 + 1.0)).cos();
             assert!((l - want).abs() < 1e-11, "eig {k}: {l} vs {want}");
-        }
-    }
-
-    #[test]
-    fn eigenvalues_match_independent_bisection() {
-        let t = MatrixType::Type6.generate(80, 13);
-        let lam = solver().eigenvalues(&t).unwrap();
-        let lam_ref = bisect_reference(&t);
-        for (a, b) in lam.iter().zip(&lam_ref) {
-            assert!((a - b).abs() < 1e-10 * t.max_norm(), "{a} vs {b}");
         }
     }
 
@@ -904,7 +807,7 @@ mod tests {
     fn subset_range_by_index() {
         let n = 80;
         let t = SymTridiag::toeplitz121(n);
-        let (vals, vecs) = solver().solve_range(&t, 10, 19).unwrap();
+        let (vals, vecs) = solver().solve_range_exact(&t, 10, 19).unwrap();
         assert_eq!(vals.len(), 10);
         let h = std::f64::consts::PI / (n as f64 + 1.0);
         for (i, &l) in vals.iter().enumerate() {

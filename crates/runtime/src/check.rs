@@ -1,12 +1,14 @@
-//! The `access-check` shadow tracker: dynamic validation of the safety
-//! contract `SharedData` otherwise takes on faith.
+//! The access-check shadow tracker: dynamic validation of the safety
+//! contract `SharedData` otherwise takes on faith. It is a debug
+//! assertion: every debug build (so every plain `cargo test`) runs it,
+//! and a release build compiles none of it.
 //!
 //! The STF discipline says a task may only touch buffer regions covered by
 //! its declared accesses, and GatherV writers to one key must touch
 //! disjoint ranges. Nothing enforces that — a misdeclared access compiles,
-//! runs, and corrupts results silently on a rare schedule. With this
-//! feature enabled, the pool installs a thread-local task context (id,
-//! name, declared accesses) around every task body, every
+//! runs, and corrupts results silently on a rare schedule. In a debug
+//! build the pool installs a thread-local task context (id, name,
+//! declared accesses) around every task body, and every
 //! [`SharedData`](crate::SharedData) borrow of a key-bound buffer is
 //! checked against:
 //!
@@ -22,8 +24,11 @@
 //!
 //! Borrows are considered live until their task finishes (the pool clears
 //! the context, and with it the task's interval entries, before releasing
-//! successors). Borrows from threads with no task context (e.g. the
-//! submitting thread between phases) and buffers never bound via
+//! successors). Contexts nest: a task body that runs tasks of its own (on
+//! a [`Runtime::inline`](crate::Runtime::inline)) gets its context back,
+//! live borrows included, when each inner task finishes. Borrows from
+//! threads with no task context (e.g. the submitting thread between
+//! phases) and buffers never bound via
 //! [`SharedData::bind_keys`](crate::SharedData::bind_keys) are not
 //! tracked. Same-task overlapping borrows are also not flagged: tasks
 //! routinely re-slice a region sequentially, and those aliases never run
@@ -48,7 +53,7 @@ struct LiveBorrow {
     task_name: &'static str,
 }
 
-struct TaskCtx {
+pub(crate) struct TaskCtx {
     id: usize,
     name: &'static str,
     accesses: Vec<Access>,
@@ -68,22 +73,29 @@ pub(crate) fn new_tracker(keys: &[DataKey]) -> Arc<BufferTracker> {
 }
 
 /// Called by the pool on the executing worker, before the task closure.
-pub(crate) fn install_task_ctx(id: usize, name: &'static str, accesses: Vec<Access>) {
+/// Returns the context this one displaces — the enclosing task's, when a
+/// task body runs a task itself — for [`clear_task_ctx`] to restore.
+pub(crate) fn install_task_ctx(
+    id: usize,
+    name: &'static str,
+    accesses: Vec<Access>,
+) -> Option<TaskCtx> {
     CURRENT.with(|c| {
-        *c.borrow_mut() = Some(TaskCtx {
+        c.borrow_mut().replace(TaskCtx {
             id,
             name,
             accesses,
             touched: Vec::new(),
         })
-    });
+    })
 }
 
 /// Called by the pool after the closure returns or panics, before
-/// successors are released: retires every live borrow the task held.
-pub(crate) fn clear_task_ctx() {
+/// successors are released: retires every live borrow the task held and
+/// reinstates `outer`, the context [`install_task_ctx`] displaced.
+pub(crate) fn clear_task_ctx(outer: Option<TaskCtx>) {
     CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow_mut().take() {
+        if let Some(ctx) = std::mem::replace(&mut *c.borrow_mut(), outer) {
             for tracker in &ctx.touched {
                 tracker
                     .live

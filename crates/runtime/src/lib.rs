@@ -44,7 +44,7 @@
 //! scope.wait().unwrap();
 //! ```
 
-#[cfg(feature = "access-check")]
+#[cfg(debug_assertions)]
 mod check;
 mod dcst_sync;
 mod deps;

@@ -164,8 +164,8 @@ struct Node {
     /// domain and completion counter.
     scope: Arc<ScopeState>,
     /// Declared accesses, kept past submission so the executing worker can
-    /// install the shadow tracker's task context.
-    #[cfg(feature = "access-check")]
+    /// install the shadow tracker's task context (debug builds only).
+    #[cfg(debug_assertions)]
     accesses: Vec<Access>,
 }
 
@@ -298,12 +298,15 @@ impl Shared {
                 // The task context must be installed before the closure's
                 // first SharedData borrow and cleared (even on panic) before
                 // successors are released, so a successor's borrows are never
-                // checked against this task's already-retired ones.
-                #[cfg(feature = "access-check")]
-                crate::check::install_task_ctx(node.id, node.name, node.accesses.clone());
+                // checked against this task's already-retired ones. Clearing
+                // reinstates the context it displaced: that of the task whose
+                // body runs this one on an inline runtime.
+                #[cfg(debug_assertions)]
+                let outer =
+                    crate::check::install_task_ctx(node.id, node.name, node.accesses.clone());
                 let result = catch_unwind(AssertUnwindSafe(f));
-                #[cfg(feature = "access-check")]
-                crate::check::clear_task_ctx();
+                #[cfg(debug_assertions)]
+                crate::check::clear_task_ctx(outer);
                 match result {
                     Ok(Ok(())) => {}
                     Ok(Err(err)) => node
@@ -525,7 +528,7 @@ impl Runtime {
     /// submitting thread, at submission — a sequential task flow executed
     /// in submission order *is* the sequential algorithm. There is no
     /// dependency tracking and no cross-thread handoff; declared accesses
-    /// only feed the `access-check` task context. Trace records, the
+    /// only feed a debug build's shadow tracker. Trace records, the
     /// per-scope first-failure latch and skip-after-failure behave exactly
     /// as on the pool, and `wait` is still what reports the failure.
     ///
@@ -719,7 +722,7 @@ impl Runtime {
     /// A node counted as outstanding in its scope and in the pool. Its
     /// `pending` count starts at the +1 sentinel that keeps the task from
     /// firing while `submit_task` wires its edges.
-    #[cfg_attr(not(feature = "access-check"), allow(unused_variables))]
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn new_node(
         &self,
         id: usize,
@@ -742,7 +745,7 @@ impl Runtime {
                 finished: false,
             }),
             scope: scope.clone(),
-            #[cfg(feature = "access-check")]
+            #[cfg(debug_assertions)]
             accesses,
         })
     }

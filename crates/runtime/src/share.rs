@@ -22,6 +22,14 @@
 //! accesses concurrently. Declaring accesses that do not match what the
 //! closure touches is a bug in the *submitting* code, exactly as in
 //! QUARK, StarPU, or OpenMP `depend` clauses.
+//!
+//! A debug build checks both at run time, as a debug assertion: every
+//! borrow of a buffer bound with [`SharedData::bind_keys`] is validated
+//! against the executing task's declared accesses and against the live
+//! borrows of every other running task, which is what catches GatherV
+//! writers whose ranges overlap. A violation fails the task, so
+//! [`Scope::wait`](crate::Scope::wait) returns it as an error. A release
+//! build has no tracker field and makes no tracker call.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -29,9 +37,9 @@ use std::sync::Arc;
 struct Inner<T> {
     ptr: *mut T,
     len: usize,
-    /// Shadow state for the `access-check` feature; set once by
+    /// The shadow tracker's state (debug builds only); set once by
     /// [`SharedData::bind_keys`], shared by all clones of the handle.
-    #[cfg(feature = "access-check")]
+    #[cfg(debug_assertions)]
     tracker: std::sync::OnceLock<std::sync::Arc<crate::check::BufferTracker>>,
 }
 
@@ -75,27 +83,23 @@ impl<T: Send> SharedData<T> {
             inner: Arc::new(Inner {
                 ptr,
                 len,
-                #[cfg(feature = "access-check")]
+                #[cfg(debug_assertions)]
                 tracker: std::sync::OnceLock::new(),
             }),
         }
     }
 
     /// Bind this buffer to the [`DataKey`](crate::DataKey)s tasks use when
-    /// declaring accesses to it. With the `access-check` feature enabled,
-    /// every subsequent task borrow of this buffer is validated against the
-    /// executing task's declared accesses and all concurrently live
-    /// borrows; without the feature this is a no-op. Binding twice keeps
-    /// the first key set.
-    #[cfg(feature = "access-check")]
+    /// declaring accesses to it. In a debug build every subsequent task
+    /// borrow of this buffer is validated against the executing task's
+    /// declared accesses and all concurrently live borrows; a release
+    /// build ignores the keys. Binding twice keeps the first key set.
+    #[inline]
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub fn bind_keys(&self, keys: &[crate::DataKey]) {
+        #[cfg(debug_assertions)]
         let _ = self.inner.tracker.set(crate::check::new_tracker(keys));
     }
-
-    /// No-op without the `access-check` feature (see the gated variant).
-    #[cfg(not(feature = "access-check"))]
-    #[inline(always)]
-    pub fn bind_keys(&self, _keys: &[crate::DataKey]) {}
 
     /// Number of elements (fixed at construction).
     pub fn len(&self) -> usize {
@@ -118,7 +122,7 @@ impl<T: Send> SharedData<T> {
             range.end,
             self.inner.len
         );
-        #[cfg(feature = "access-check")]
+        #[cfg(debug_assertions)]
         if let Some(tracker) = self.inner.tracker.get() {
             crate::check::on_borrow(tracker, range.start, range.end, false);
         }
@@ -140,7 +144,7 @@ impl<T: Send> SharedData<T> {
             range.end,
             self.inner.len
         );
-        #[cfg(feature = "access-check")]
+        #[cfg(debug_assertions)]
         if let Some(tracker) = self.inner.tracker.get() {
             crate::check::on_borrow(tracker, range.start, range.end, true);
         }

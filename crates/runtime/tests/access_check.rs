@@ -1,11 +1,13 @@
-//! Integration tests for the `access-check` shadow tracker.
+//! Integration tests for the access-check shadow tracker, which every
+//! debug build runs (a release build compiles it out, so this file is
+//! empty there).
 //!
 //! Well-declared graphs must pass untouched; every seeded misdeclaration
 //! (a borrow outside the task's declared footprint, or overlapping
 //! concurrent GatherV writers) must surface as a `RuntimeError` whose
 //! message names the offending task.
 
-#![cfg(feature = "access-check")]
+#![cfg(debug_assertions)]
 
 use dcst_runtime::{DataKey, Runtime, SharedData};
 use proptest::prelude::*;
@@ -118,6 +120,69 @@ fn unbound_buffers_are_not_tracked() {
     buf.bind_keys(&[key(0)]);
     // SAFETY: no task is running.
     let _s = unsafe { buf.range(0..8) };
+}
+
+/// Runs one empty task on a fresh inline runtime from inside the calling
+/// task's body, as the D&C subset fallback runs MRRR.
+fn run_nested_task() {
+    let inner = Runtime::inline(0);
+    let scope = inner.scope();
+    scope.task("Inner").spawn(|| {});
+    scope.wait().unwrap();
+}
+
+#[test]
+fn nested_task_leaves_the_outer_footprint_checked() {
+    let rt = Runtime::new(2);
+    let scope = rt.scope();
+    let a = SharedData::new(vec![0.0f64; 8]);
+    let b = SharedData::new(vec![0.0f64; 8]);
+    a.bind_keys(&[key(0)]);
+    b.bind_keys(&[key(1)]);
+    scope.task("Outer").write(key(0)).spawn(move || {
+        // SAFETY: Outer's declared buffer, and the scope's only task.
+        unsafe { a.range_mut(0..8) }.fill(1.0);
+        run_nested_task();
+        // Key 1 is outside Outer's footprint: the nested task must have
+        // handed Outer's context back for this to be caught.
+        // SAFETY: the tracker panics before the alias is created.
+        let _s = unsafe { b.range_mut(0..8) };
+    });
+    let err = scope.wait().unwrap_err();
+    assert_eq!(err.task, "Outer");
+    assert!(
+        err.message().contains("declared no matching access"),
+        "unexpected message: {}",
+        err.message()
+    );
+}
+
+#[test]
+fn nested_task_leaves_no_stale_outer_borrow() {
+    let rt = Runtime::new(2);
+    let scope = rt.scope();
+    let buf = SharedData::new(vec![0.0f64; 8]);
+    buf.bind_keys(&[key(0)]);
+    {
+        let buf = buf.clone();
+        scope.task("First").write(key(0)).spawn(move || {
+            // SAFETY: exclusive writer epoch.
+            unsafe { buf.range_mut(0..8) }.fill(1.0);
+            run_nested_task();
+        });
+    }
+    {
+        let buf = buf.clone();
+        // Ordered after First by the write on key 0, so First's borrow
+        // must have retired with First, nested task or not.
+        scope.task("Second").write(key(0)).spawn(move || {
+            // SAFETY: exclusive writer epoch.
+            unsafe { buf.range_mut(0..8) }.fill(2.0);
+        });
+    }
+    scope.wait().unwrap();
+    let v = buf.try_unwrap().unwrap_or_else(|_| panic!("unique"));
+    assert_eq!(v, vec![2.0; 8]);
 }
 
 /// Raises its flag when dropped, normally or by a panic's unwind.

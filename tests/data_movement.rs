@@ -4,11 +4,13 @@
 //! `secular.root_solves` counters.
 //!
 //! The counter registry is process-global, so exact deltas need a process
-//! with no other solve in it: this file holds a single `#[test]`.
+//! with no other solve in it: this file holds a single solving `#[test]`.
+//! Its other test checks that a debug build watches every task borrow.
 
 use dcst::core::DcStats;
 use dcst::matrix::metrics;
 use dcst::prelude::*;
+use dcst::runtime::{DataKey, SharedData};
 
 type Solve = fn(DcOptions, &SymTridiag) -> (Eigen, DcStats);
 
@@ -167,4 +169,23 @@ fn copies_are_proportional_to_k() {
             "{name}: values-only solves what full does"
         );
     }
+}
+
+/// A debug build checks every task's declared footprint, so every plain
+/// `cargo test` of the solver runs with the shadow tracker live: a task
+/// that borrows a key-bound buffer it declared no access to fails its
+/// scope. A release build compiles the check out. Solves nothing, so the
+/// counters above stay exact.
+#[test]
+fn debug_builds_check_task_footprints() {
+    let rt = Runtime::new(2);
+    let scope = rt.scope();
+    let buf = SharedData::new(vec![0.0f64; 8]);
+    buf.bind_keys(&[DataKey::new(1, 0)]);
+    let b = buf.clone();
+    scope.task("Undeclared").spawn(move || {
+        // SAFETY: the scope's only task, so no other borrow is live.
+        unsafe { b.range_mut(0..8) }.fill(1.0);
+    });
+    assert_eq!(scope.wait().is_err(), cfg!(debug_assertions));
 }

@@ -5,9 +5,8 @@
 //! asserts the service-layer contracts: every error is typed, a shed or
 //! cancelled request never poisons its neighbours, admission capacity is
 //! returned when a request is cancelled, and the in-flight gauge drains
-//! to zero. Also built (and green) under `--features access-check` — the
-//! shadow tracker validates every task's declared accesses while the
-//! harness hammers the shared runtime.
+//! to zero. In a debug build the shadow tracker validates every task's
+//! declared accesses while the harness hammers the shared runtime.
 
 use dcst::core::{DcOptions, TaskFlowDc};
 use dcst::runtime::jsonv::{self, Json};
