@@ -36,11 +36,16 @@
 //!   renamed, never moved, and keeps the rows it was last written over as
 //!   its row support ([`NodeCell::support`]); and the n×n `ws` the `k`
 //!   non-deflated columns are gathered into. It adds `PermuteV` to the
-//!   first panel group, the whole second group (`CompressW`, `StructBasis`,
-//!   `StructJoin`, `UpdateVect`: each `UpdateVect` panel assembles its own
-//!   columns of X from their generators) and the final column sort, the one
-//!   pass that applies the map, each column over its support `r`:
-//!   `ws[r, t] ← v[r, col[idxq[t]]]`;
+//!   first panel group, the whole second group and the final column sort,
+//!   the one pass that applies the map, each column over its support `r`:
+//!   `ws[r, t] ← v[r, col[idxq[t]]]`. The second group is the update
+//!   `V = WS·X`: `CompressW` decides serially whether the merge may take
+//!   the rank-structured path and lays out its tiles, the `StructBasis`
+//!   panels compress those tiles and form their `Q·U` products on every
+//!   worker, `StructJoin` keeps the plan if it pays, and each `UpdateVect`
+//!   panel multiplies its columns — through the plan, or densely after
+//!   assembling its own columns of X from their generators — reading WS
+//!   in place;
 //! * the **row payload** (values-only solves, `crate::values`): the node's
 //!   two boundary rows, O(n) per node and nothing n×n. Its only own task,
 //!   `RowUpdate`, takes each root's `(μ, origin)` from `LAED4`, so no root
@@ -60,7 +65,7 @@ use crate::merge::{
     laed4_panel, permute_slots, subset_secular_span, update_vect_panel, with_scratch, MergeStat,
     PanelRoots, RowSpan,
 };
-use crate::structured::{plan_update, StructuredUpdate};
+use crate::structured::{plan_update, PlannedUpdate, StructuredUpdate};
 use crate::tree::PartitionTree;
 use crate::values::{carry_rows, row_update_panel, rows_z, solve_leaf_values, BoundaryRows};
 use crate::{DcError, DcOptions, DcStats, Eigen, SolveMode, TridiagEigensolver};
@@ -195,13 +200,18 @@ struct NodeCell {
     /// parent's `ComputeDeflation` releases them.
     panel_roots: Mutex<Vec<Option<Arc<PanelRoots>>>>,
     stat: OnceLock<MergeStat>,
+    /// Vector payload: the structured update while it is built — set by
+    /// `CompressW` when the probe lets the merge try the structured path,
+    /// its tiles filled by the `StructBasis` panels, taken by `StructJoin`.
+    /// A reader clones the `Arc` out, so the lock is not held while the
+    /// plan works.
+    planned: Mutex<Option<Arc<PlannedUpdate>>>,
     /// Vector payload: rank-structured update plan for this merge; unset
-    /// means the dense path (either the auto-switch chose it or `CompressW`
+    /// means the dense path (either the auto-switch chose it or `StructJoin`
     /// hasn't run — the node-key epochs guarantee the latter never races
-    /// `UpdateVect`). Its gathered Q, U/Vᵀ tiles and Q·U bases are
+    /// `UpdateVect`). Its U/Vᵀ tiles, Q·U bases and any gathered Q are
     /// O(nm·k), so like `support` it is released by the parent's
-    /// `ComputeDeflation`: only the root's outlives the merges. A reader
-    /// clones the `Arc` out, so the lock is not held while the plan works.
+    /// `ComputeDeflation`: only the root's outlives the merges.
     structured: Mutex<Option<Arc<StructuredUpdate>>>,
     /// Vector payload: subset pruning plan for the root merge of a
     /// `SolveMode::Subset` solve, published by `ReduceW` — the secular
@@ -988,13 +998,13 @@ impl TaskFlowDc {
         let use_gatherv = self.opts.use_gatherv;
         let npanels = g.block(m).nm.div_ceil(g.nb);
 
-        // CompressW: once ReduceW has formed ẑ, rank-probe the secular
-        // matrix and build the compressed operands + gathered Q when the
-        // structured path wins (crate::structured). The INOUT access on the
-        // node key orders it after ReduceW and before the UpdateVect group;
-        // its borrow (the ws block, read) is covered by the node key the
-        // buffer is bound to, so the access-check tracker validates the
-        // footprint.
+        // CompressW: once ReduceW has formed ẑ, the serial part of the
+        // structured plan (crate::structured): X's column norms, the rank
+        // probe, the tile layout, and Q placed — read in place, or gathered
+        // when the slots are not consecutive. The INOUT access on the node
+        // key orders it after ReduceW and before the StructBasis group; its
+        // borrow (the ws block, read) is covered by the node key the buffer
+        // is bound to, so the shadow tracker validates the footprint.
         {
             let g = g.clone();
             scope
@@ -1027,35 +1037,50 @@ impl TaskFlowDc {
                             .flatten()
                             .map(|r| &**r),
                     );
-                    let x = roots.generators(defl, cell.zhat(), 0..k);
-                    if let Some(su) = plan_update(wb, x, n, nm, n1, defl, n) {
-                        *cell.structured.lock().unwrap() = Some(Arc::new(su));
+                    if let Some(plan) = plan_update(wb, roots, cell.zhat(), n, nm, n1, defl) {
+                        *cell.planned.lock().unwrap() = Some(Arc::new(plan));
                     }
                 });
         }
-        // StructBasis: the per-tile Q·U products, fanned out round-robin
-        // over a fixed panel-count of commuting tasks (the DAG stays
-        // matrix-independent; each is a no-op on dense merges). They touch
-        // only plan-owned buffers, so the node key is their whole footprint.
-        // A GEMM group: forked under the fork/join discipline.
+        // StructBasis: the tiles, compressed and multiplied into their Q·U
+        // basis products at once, fanned out round-robin over a fixed
+        // panel-count of commuting tasks (the DAG stays matrix-independent;
+        // each is a no-op on dense merges). Each reads the ws block shared
+        // under the node key. A GEMM group: forked under the fork/join
+        // discipline.
         for p in 0..npanels {
             let g = g.clone();
             panel_task(scope, "StructBasis", key_node(m), use_gatherv)
                 .fork()
                 .spawn(move || {
-                    let plan = g.cells[m].structured.lock().unwrap().clone();
-                    if let Some(su) = plan {
-                        su.compute_basis_chunk(p, npanels);
+                    let cell = &g.cells[m];
+                    let plan = cell.planned.lock().unwrap().clone();
+                    if let Some(plan) = plan {
+                        let b @ Block { nm, .. } = g.block(m);
+                        let defl = cell.defl();
+                        // SAFETY: the ws block is read-shared in this phase.
+                        let wb = unsafe { g.vp().ws.range(b.cols(0..defl.k, nm)) };
+                        plan.compress_chunk(wb, defl, cell.zhat(), p, npanels);
                     }
                 });
         }
-        // StructJoin: epoch barrier so every basis product is in place
-        // before the first UpdateVect reads them.
-        scope
-            .task("StructJoin")
-            .high_priority()
-            .read_write(key_node(m))
-            .spawn(|| {});
+        // StructJoin: every tile is in place; keep the plan if it pays
+        // (always under ForceStructured), else the merge goes dense.
+        {
+            let g = g.clone();
+            scope
+                .task("StructJoin")
+                .high_priority()
+                .read_write(key_node(m))
+                .spawn(move || {
+                    let cell = &g.cells[m];
+                    let Some(plan) = cell.planned.lock().unwrap().take() else {
+                        return;
+                    };
+                    let plan = Arc::into_inner(plan).expect("a StructBasis task kept its plan");
+                    *cell.structured.lock().unwrap() = plan.finish().map(Arc::new);
+                });
+        }
 
         // UpdateVect (dense: this panel's columns of X assembled from their
         // generators, then both structured GEMMs; structured: the
@@ -1074,24 +1099,22 @@ impl TaskFlowDc {
                         return Ok(());
                     }
                     let plan = cell.structured.lock().unwrap().clone();
+                    // SAFETY: the ws block is read-shared in this phase.
+                    let wb = unsafe { vp.ws.range(b.cols(0..k, nm)) };
                     // One scratch buffer (a nested borrow would panic): the
                     // panel's k × |j| block of X, then its nm × |j| product.
                     with_scratch((k + nm) * j.len(), |buf| {
                         let (xc, out) = buf.split_at_mut(k * j.len());
                         if let Some(su) = plan {
                             // Relabel this record so traces show the
-                            // structured and dense variants distinctly. The
-                            // plan owns its operands.
+                            // structured and dense variants distinctly.
                             dcst_runtime::set_task_trace_name("UpdateVectStructured");
-                            su.update_panel(out, off, nm, j.clone())?;
+                            su.update_panel(wb, out, off, nm, j.clone())?;
                         } else {
                             // The panel's roots start at column s0.
                             let roots = cell.panel_roots(p);
                             let x = roots.generators(defl, cell.zhat(), j.start - s0..j.end - s0);
                             x.assemble(&SecularKernels::dispatched(), &defl.sec_to_slot, xc, k);
-                            // SAFETY: the ws block is read-shared in this
-                            // phase.
-                            let wb = unsafe { vp.ws.range(b.cols(0..k, nm)) };
                             update_vect_panel(wb, n, xc, k, out, off, nm, n1, defl, j.clone())?;
                         }
                         for (&c, vec) in cell.col()[j].iter().zip(out.chunks_exact(nm)) {
@@ -1463,8 +1486,13 @@ mod tests {
             (0..g.cells.len()).filter(|&m| holds(&g.cells[m])).collect()
         };
         let plan = |c: &NodeCell| c.structured.lock().unwrap().is_some();
+        let planned = |c: &NodeCell| c.planned.lock().unwrap().is_some();
         let roots = |c: &NodeCell| c.panel_roots.lock().unwrap().iter().any(Option::is_some);
         assert_eq!(holding(&plan), [g.tree.root]);
+        assert!(
+            holding(&planned).is_empty(),
+            "StructJoin takes every plan it finishes"
+        );
         assert_eq!(holding(&roots), [g.tree.root]);
     }
 

@@ -46,9 +46,9 @@ pub use simd::{max_abs, max_abs_scalar};
 #[doc(hidden)]
 pub use simd::{RowSums, SecularKernels, SweepSums};
 pub use structured::{
-    compress_secular_x, estimate_offdiag_rank, leaf_size, rank_tolerance, StructuredX,
+    compress_secular_x, estimate_offdiag_rank, leaf_size, rank_tolerance, StructuredX, TileLayout,
 };
 pub use vectors::{
     assemble_vectors, assemble_vectors_scalar, local_w_accumulate, local_w_products, reduce_w,
-    secular_row_entries, secular_row_entries_scalar, GeneratedX, SecularGenerators,
+    secular_row_entries, secular_row_entries_scalar, ColumnNorms, GeneratedX, SecularGenerators,
 };

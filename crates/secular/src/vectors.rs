@@ -204,9 +204,10 @@ impl<'a> SecularGenerators<'a> {
         }
     }
 
-    /// The entry-by-entry view of X, in secular order: each column's
-    /// `1/‖·‖` formed once here with `kernels`' assembly, O(k) per column.
-    pub fn entries(self, kernels: SecularKernels) -> GeneratedX<'a> {
+    /// Each column's `1/‖·‖`, formed with `kernels`' assembly: O(k) per
+    /// column, once per merge however many readers [`entries`](Self::entries)
+    /// makes.
+    pub fn norms(&self, kernels: SecularKernels) -> ColumnNorms {
         let k = self.dlamda.len();
         let (mut delta, mut tmp) = (vec![0.0f64; k], vec![0.0f64; k]);
         let (inv, redone) = (0..self.mu.len())
@@ -216,13 +217,29 @@ impl<'a> SecularGenerators<'a> {
                 (1.0 / nrm2.sqrt(), redone)
             })
             .unzip();
-        GeneratedX {
-            gen: self,
+        ColumnNorms {
             kernels,
             inv,
             redone,
         }
     }
+
+    /// The entry-by-entry view of X, in secular order, over these
+    /// generators' [`norms`](Self::norms).
+    pub fn entries(self, norms: &'a ColumnNorms) -> GeneratedX<'a> {
+        debug_assert_eq!(norms.inv.len(), self.mu.len());
+        GeneratedX { gen: self, norms }
+    }
+}
+
+/// Each column of X's `1/‖·‖` and whether its assembly pass was redone
+/// with the division, with the kernels that formed them: what
+/// [`GeneratedX`] needs beyond the generators. Owned, so the tasks that
+/// read one merge's X share one copy.
+pub struct ColumnNorms {
+    kernels: SecularKernels,
+    inv: Vec<f64>,
+    redone: Vec<bool>,
 }
 
 /// X in secular order, read one entry at a time from its generators — what
@@ -233,23 +250,21 @@ impl<'a> SecularGenerators<'a> {
 /// `1/‖·‖`.
 pub struct GeneratedX<'a> {
     gen: SecularGenerators<'a>,
-    kernels: SecularKernels,
-    inv: Vec<f64>,
-    redone: Vec<bool>,
+    norms: &'a ColumnNorms,
 }
 
 impl GeneratedX<'_> {
     /// Entry `(i, j)` in secular order.
     #[inline]
     pub fn entry(&self, i: usize, j: usize) -> f64 {
-        let g = &self.gen;
+        let (g, nm) = (&self.gen, self.norms);
         let de = (g.dlamda[i] - g.dlamda[g.origin[j] as usize]) - g.mu[j];
-        let q = if self.redone[j] {
+        let q = if nm.redone[j] {
             g.zhat[i] / de
         } else {
-            self.kernels.quot(g.zhat[i], de)
+            nm.kernels.quot(g.zhat[i], de)
         };
-        q * self.inv[j]
+        q * nm.inv[j]
     }
 }
 

@@ -821,7 +821,8 @@ fn stored_roots_rebuild_deltas_and_row_entries() {
                     mu: &mu,
                     origin: &origin,
                 };
-                let x = generators.entries(row);
+                let norms = generators.norms(row);
+                let x = generators.entries(&norms);
                 for j in 0..k {
                     for i in 0..k {
                         let (got, want) = (x.entry(i, j), want[j * k + sec_to_slot[i]]);

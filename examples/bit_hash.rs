@@ -8,7 +8,10 @@
 //! One line per `MatrixType::ALL` × n ∈ {200, 777} × {full, subset, values,
 //! fallback} (seed 3, default options; `subset` is `il: n/4, iu: n/2`, which
 //! runs the merge graph, and `fallback` is `il: 0, iu: n/32 − 1`, which the
-//! solvers route to MRRR): eight FNV-1a hashes over `to_bits` of
+//! solvers route to MRRR), then one `structured` line per type at n = 777 (a
+//! full solve under `UpdatePolicy::ForceStructured`, so every merge from
+//! k = 16 up compresses its tiles across the panel tasks and reads Q in
+//! place or gathered): eight FNV-1a hashes over `to_bits` of
 //! `Eigen::values` then `Eigen::vectors`, one per discipline × `threads` ∈
 //! {1, 2}. The eight hashes of a line must be equal — the disciplines are
 //! bit-identical — and the process exits 1 if any line's differ. Two
@@ -31,6 +34,26 @@ fn fnv1a(eig: &Eigen) -> u64 {
 }
 
 type Solve = fn(DcOptions, &SymTridiag) -> Eigen;
+
+/// The line's eight hashes, printed; whether they disagree.
+fn hash_line(label: &str, t: &SymTridiag, mode: SolveMode) -> bool {
+    let hashes: Vec<u64> = DISCIPLINES
+        .iter()
+        .flat_map(|solve| {
+            [1, 2].map(|threads| {
+                let opts = DcOptions {
+                    threads,
+                    mode,
+                    ..DcOptions::default()
+                };
+                fnv1a(&solve(opts, t))
+            })
+        })
+        .collect();
+    let hex: Vec<String> = hashes.iter().map(|h| format!("{h:016x}")).collect();
+    println!("{label} {}", hex.join(" "));
+    hashes.iter().any(|&h| h != hashes[0])
+}
 
 const DISCIPLINES: [Solve; 4] = [
     |o, t| SequentialDc::new(o).solve(t).unwrap(),
@@ -73,24 +96,15 @@ fn main() {
                 ),
             ];
             for (label, mode) in modes {
-                let hashes: Vec<u64> = DISCIPLINES
-                    .iter()
-                    .flat_map(|solve| {
-                        [1, 2].map(|threads| {
-                            let opts = DcOptions {
-                                threads,
-                                mode,
-                                ..DcOptions::default()
-                            };
-                            fnv1a(&solve(opts, &t))
-                        })
-                    })
-                    .collect();
-                diverged |= hashes.iter().any(|&h| h != hashes[0]);
-                let hashes: Vec<String> = hashes.iter().map(|h| format!("{h:016x}")).collect();
-                println!("{ty:?} n={n} {label} {}", hashes.join(" "));
+                diverged |= hash_line(&format!("{ty:?} n={n} {label}"), &t, mode);
             }
         }
+    }
+    dcst::matrix::set_update_policy(dcst::matrix::UpdatePolicy::ForceStructured);
+    for ty in MatrixType::ALL {
+        let n = 777;
+        let t = ty.generate(n, 3);
+        diverged |= hash_line(&format!("{ty:?} n={n} structured"), &t, SolveMode::Full);
     }
     if diverged {
         eprintln!("bit_hash: the disciplines disagree on at least one line");

@@ -223,6 +223,44 @@ fn large_low_deflation_root_structures_under_auto() {
     }
 }
 
+/// `copy.elems` and `update.structured_merges` of one gated solve of `t`
+/// under policy `p`, the lock held from snapshot to delta so no other
+/// solve of this binary adds to the process counters meanwhile.
+fn copies_under(p: UpdatePolicy, t: &SymTridiag, solver: &dyn TridiagEigensolver) -> (u64, u64) {
+    let _p = PolicyLock::take(p);
+    let before = dcst::matrix::metrics::snapshot();
+    gated_solve(t, solver, &format!("copies [{p:?}]"));
+    let delta = dcst::matrix::metrics::snapshot().delta(&before);
+    (
+        delta.get("copy.elems"),
+        delta.get("update.structured_merges"),
+    )
+}
+
+/// A structured merge reads Q where it lies when each operand's slots are
+/// one consecutive run, and gathers it — counted in `copy.elems` — only
+/// when they are not. Type 4 at n = 640 structures its root under `Auto`
+/// without Full slots: it moves exactly what its `ForceDense` solve moves.
+/// Type 7's merges have Full slots in secular order between Top ones, so a
+/// `ForceStructured` solve gathers and moves more than its dense one.
+#[test]
+fn q_is_gathered_only_where_the_slots_are_not_consecutive() {
+    let solver = TaskFlowDc::new(opts(2));
+    let t = MT::Type4.generate(640, 42);
+    let (dense, _) = copies_under(UpdatePolicy::ForceDense, &t, &solver);
+    let (auto, structured) = copies_under(UpdatePolicy::Auto, &t, &solver);
+    assert!(structured > 0, "type 4 at n = 640 structures no merge");
+    assert_eq!(auto, dense, "a merge without Full slots gathered Q");
+    let t = MT::Type7.generate(200, 42);
+    let (dense, _) = copies_under(UpdatePolicy::ForceDense, &t, &solver);
+    let (forced, structured) = copies_under(UpdatePolicy::ForceStructured, &t, &solver);
+    assert!(structured > 0, "type 7 at n = 200 structures no merge");
+    assert!(
+        forced > dense,
+        "forced {forced} vs dense {dense}: merges with Full slots gathered nothing"
+    );
+}
+
 /// The `gemm` and `nan-gemm` sites of the structured multiply
 /// (`StructuredUpdate::update_panel`) are reached only by a structured
 /// merge: under `ForceStructured` each fault still comes back as a typed
