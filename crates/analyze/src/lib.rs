@@ -2,11 +2,15 @@
 //!
 //! A dependency-free lexer + item-level parser for Rust source, and a
 //! rule engine with one entry point, [`rules::run_full`]: the per-file
-//! lint rules (unsafe-safety, static-mut, sleep-poll, pool-sync —
-//! [`rules::legacy`]) plus the three analysis passes: atomic-ordering
-//! manifest conformance ([`rules::orderings`]), hot-path purity
-//! ([`rules::hotpath`]), and the static task-footprint lint
-//! ([`rules::footprint`]).
+//! lint rules (static-mut, sleep-poll, pool-sync — [`rules::legacy`])
+//! plus the two analysis passes: atomic-ordering manifest conformance
+//! ([`rules::orderings`]) and hot-path purity ([`rules::hotpath`]).
+//!
+//! What clippy and the runtime already check is not repeated here: a
+//! `// SAFETY:` comment on every `unsafe` block and impl is clippy's
+//! `undocumented_unsafe_blocks` (denied workspace-wide), and every buffer
+//! borrow a task takes is checked against its declared accesses at run
+//! time by the runtime's shadow tracker, which every debug build runs.
 //!
 //! The tree is walked and parsed exactly once ([`workspace::Workspace`]);
 //! every rule reads the same shared [`parser::ParsedFile`]s. `xtask`

@@ -35,11 +35,6 @@ pub struct FnItem {
     /// Base ident of the enclosing `impl` self-type or `trait`, if any.
     pub owner: Option<String>,
     pub line: u32,
-    /// `sig` range `[fn_kw, body_open)` — modifiers excluded, so it starts
-    /// at the `fn` keyword.
-    pub sig_range: (usize, usize),
-    /// `sig` positions of the parameter-list parens `(` and `)`.
-    pub params: (usize, usize),
     /// `sig` positions of the body braces, if the fn has a body.
     pub body: Option<(usize, usize)>,
     /// Under `#[cfg(test)]` (own attrs or any enclosing mod/impl).
@@ -275,9 +270,7 @@ impl Parser<'_> {
         if j >= end || self.text(j) != "(" {
             return i + 1; // not a fn shape we understand; resync
         }
-        let params_open = j;
-        let params_close = self.close_of(j, end);
-        j = params_close + 1;
+        j = self.close_of(j, end) + 1;
         // Find the body `{` or the terminating `;`, skipping balanced
         // groups (so braces inside `[u8; { N }]` return types stay inert).
         let mut body = None;
@@ -297,8 +290,6 @@ impl Parser<'_> {
             name,
             owner: owner.map(str::to_string),
             line: self.f.tokens[self.f.sig[i]].line,
-            sig_range: (i, body.map_or(j, |(o, _)| o)),
-            params: (params_open, params_close),
             body,
             in_test,
             hot,

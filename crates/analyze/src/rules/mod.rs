@@ -6,7 +6,6 @@
 //! or N-1. The hot-path rule additionally demands a justification after
 //! the marker (see [`hotpath`]).
 
-pub mod footprint;
 pub mod hotpath;
 pub mod legacy;
 pub mod orderings;
@@ -62,8 +61,8 @@ pub fn allow_justification<'a>(raw_lines: &'a [String], rule: &str, line: u32) -
     None
 }
 
-/// Everything: the per-file lint rules ([`legacy`]: unsafe-safety,
-/// static-mut, sleep-poll, pool-sync) plus the three analysis passes. `manifest`
+/// Everything: the per-file lint rules ([`legacy`]: static-mut,
+/// sleep-poll, pool-sync) plus the two analysis passes. `manifest`
 /// carries the contents of `specs/orderings.toml`, or an explanation of
 /// why it could not be read (which becomes a violation — an unreadable
 /// manifest must fail the run, not weaken it).
@@ -87,7 +86,6 @@ pub fn run_full(ws: &Workspace, manifest: Result<&str, String>) -> Vec<Violation
         }),
     }
     out.extend(hotpath::check(ws));
-    out.extend(footprint::check(ws));
     sort(&mut out);
     out
 }

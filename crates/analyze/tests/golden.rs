@@ -5,7 +5,7 @@
 //! violation AND on any unexpected one, pinning both rule behaviour and
 //! report locations.
 
-use dcst_analyze::rules::{footprint, hotpath, orderings};
+use dcst_analyze::rules::{hotpath, orderings};
 use dcst_analyze::{Violation, Workspace};
 
 struct Expect {
@@ -67,13 +67,6 @@ fn golden_hotpath() {
     let src = include_str!("fixtures/hotpath.rs");
     let ws = Workspace::from_sources(&[("crates/matrix/src/golden.rs", src)]);
     assert_matches("hotpath.rs", src, &hotpath::check(&ws));
-}
-
-#[test]
-fn golden_footprint() {
-    let src = include_str!("fixtures/footprint.rs");
-    let ws = Workspace::from_sources(&[("crates/dcst/src/golden.rs", src)]);
-    assert_matches("footprint.rs", src, &footprint::check(&ws));
 }
 
 #[test]

@@ -22,17 +22,19 @@
 //!    both task names. This is what catches overlapping GatherV ranges,
 //!    which are declaration-correct but disjointness-wrong.
 //!
+//! Every borrow a task takes is checked: a task borrowing a buffer never
+//! bound via [`SharedData::bind_keys`](crate::SharedData::bind_keys) has
+//! no declaration that could cover it, so that borrow panics too.
+//!
 //! Borrows are considered live until their task finishes (the pool clears
 //! the context, and with it the task's interval entries, before releasing
 //! successors). Contexts nest: a task body that runs tasks of its own (on
 //! a [`Runtime::inline`](crate::Runtime::inline)) gets its context back,
 //! live borrows included, when each inner task finishes. Borrows from
 //! threads with no task context (e.g. the submitting thread between
-//! phases) and buffers never bound via
-//! [`SharedData::bind_keys`](crate::SharedData::bind_keys) are not
-//! tracked. Same-task overlapping borrows are also not flagged: tasks
-//! routinely re-slice a region sequentially, and those aliases never run
-//! concurrently with themselves.
+//! phases) are not tracked. Same-task overlapping borrows are also not
+//! flagged: tasks routinely re-slice a region sequentially, and those
+//! aliases never run concurrently with themselves.
 
 use crate::deps::{Access, AccessMode, DataKey};
 use std::cell::RefCell;
@@ -120,7 +122,13 @@ fn mode_allows(mode: AccessMode, mutable: bool) -> bool {
 
 /// Validate one `SharedData::range`/`range_mut` call against the current
 /// task's declaration and the buffer's live borrows, then record it.
-pub(crate) fn on_borrow(tracker: &Arc<BufferTracker>, start: usize, end: usize, mutable: bool) {
+/// `tracker` is `None` for a buffer never bound to a key.
+pub(crate) fn on_borrow(
+    tracker: Option<&Arc<BufferTracker>>,
+    start: usize,
+    end: usize,
+    mutable: bool,
+) {
     CURRENT.with(|c| {
         let mut cell = c.borrow_mut();
         let Some(ctx) = cell.as_mut() else {
@@ -128,6 +136,16 @@ pub(crate) fn on_borrow(tracker: &Arc<BufferTracker>, start: usize, end: usize, 
             // after `wait`): the runtime makes no scheduling promise here,
             // so there is nothing to check against.
             return;
+        };
+        let Some(tracker) = tracker else {
+            panic!(
+                "access-check: task '{}' took a {} borrow of {}..{} on a buffer never bound \
+                 to a key (SharedData::bind_keys), so no declared access can cover it",
+                ctx.name,
+                if mutable { "mutable" } else { "shared" },
+                start,
+                end,
+            );
         };
         let declared = ctx
             .accesses

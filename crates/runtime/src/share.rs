@@ -24,12 +24,12 @@
 //! QUARK, StarPU, or OpenMP `depend` clauses.
 //!
 //! A debug build checks both at run time, as a debug assertion: every
-//! borrow of a buffer bound with [`SharedData::bind_keys`] is validated
-//! against the executing task's declared accesses and against the live
-//! borrows of every other running task, which is what catches GatherV
-//! writers whose ranges overlap. A violation fails the task, so
-//! [`Scope::wait`](crate::Scope::wait) returns it as an error. A release
-//! build has no tracker field and makes no tracker call.
+//! borrow a task takes is validated against the executing task's declared
+//! accesses (a buffer never bound with [`SharedData::bind_keys`] matches
+//! none) and against the live borrows of every other running task, which
+//! is what catches GatherV writers whose ranges overlap. A violation fails
+//! the task, so [`Scope::wait`](crate::Scope::wait) returns it as an
+//! error. A release build has no tracker field and makes no tracker call.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -46,6 +46,8 @@ struct Inner<T> {
 // SAFETY: access is only possible through `unsafe fn`s whose contract
 // (module docs) forbids concurrent conflicting use.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: as for `Send`: a shared handle reaches the buffer only through
+// those `unsafe fn`s.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Drop for Inner<T> {
@@ -90,10 +92,11 @@ impl<T: Send> SharedData<T> {
     }
 
     /// Bind this buffer to the [`DataKey`](crate::DataKey)s tasks use when
-    /// declaring accesses to it. In a debug build every subsequent task
-    /// borrow of this buffer is validated against the executing task's
-    /// declared accesses and all concurrently live borrows; a release
-    /// build ignores the keys. Binding twice keeps the first key set.
+    /// declaring accesses to it. In a debug build every task borrow of
+    /// this buffer is validated against the executing task's declared
+    /// accesses and all concurrently live borrows, and a task borrow of a
+    /// buffer never bound fails; a release build ignores the keys. Binding
+    /// twice keeps the first key set.
     #[inline]
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub fn bind_keys(&self, keys: &[crate::DataKey]) {
@@ -123,9 +126,7 @@ impl<T: Send> SharedData<T> {
             self.inner.len
         );
         #[cfg(debug_assertions)]
-        if let Some(tracker) = self.inner.tracker.get() {
-            crate::check::on_borrow(tracker, range.start, range.end, false);
-        }
+        crate::check::on_borrow(self.inner.tracker.get(), range.start, range.end, false);
         std::slice::from_raw_parts(self.inner.ptr.add(range.start), range.len())
     }
 
@@ -145,9 +146,7 @@ impl<T: Send> SharedData<T> {
             self.inner.len
         );
         #[cfg(debug_assertions)]
-        if let Some(tracker) = self.inner.tracker.get() {
-            crate::check::on_borrow(tracker, range.start, range.end, true);
-        }
+        crate::check::on_borrow(self.inner.tracker.get(), range.start, range.end, true);
         std::slice::from_raw_parts_mut(self.inner.ptr.add(range.start), range.len())
     }
 
@@ -174,9 +173,9 @@ impl<T: Send> SharedData<T> {
     pub fn try_unwrap(self) -> Result<Vec<T>, SharedData<T>> {
         match Arc::try_unwrap(self.inner) {
             Ok(inner) => {
+                let inner = std::mem::ManuallyDrop::new(inner);
                 // SAFETY: unique ownership; reconstitute the box exactly
                 // once and suppress Inner's Drop.
-                let inner = std::mem::ManuallyDrop::new(inner);
                 let boxed = unsafe {
                     Box::from_raw(std::ptr::slice_from_raw_parts_mut(inner.ptr, inner.len))
                 };
@@ -228,6 +227,7 @@ mod tests {
         let scope = rt.scope();
         let buf = SharedData::new(vec![0usize; 100]);
         let k = DataKey::new(0, 0);
+        buf.bind_keys(&[k]);
         for chunk in 0..10 {
             let buf = buf.clone();
             scope.task("fill").gatherv(k).spawn(move || {

@@ -103,23 +103,66 @@ fn borrow_of_undeclared_buffer_is_caught() {
 }
 
 #[test]
-fn unbound_buffers_are_not_tracked() {
+fn unbound_buffer_borrowed_in_a_task_is_caught() {
     let rt = Runtime::new(2);
     let scope = rt.scope();
     let buf = SharedData::new(vec![0.0f64; 8]);
-    // No bind_keys: borrows are outside the tracker's jurisdiction.
+    // No bind_keys: no declared access can cover a borrow of this buffer.
     {
         let buf = buf.clone();
-        scope.task("free").read(key(0)).spawn(move || {
-            // SAFETY: only live borrow of the buffer.
+        scope.task("unbound").write(key(0)).spawn(move || {
+            // SAFETY: the tracker panics before the alias is created.
             let _s = unsafe { buf.range_mut(0..8) };
         });
     }
-    scope.wait().unwrap();
-    // Borrows from the master thread (no task context) are also skipped.
+    let err = scope.wait().unwrap_err();
+    assert_eq!(err.task, "unbound");
+    assert!(
+        err.message().contains("never bound"),
+        "unexpected message: {}",
+        err.message()
+    );
+    // Borrows from the master thread (no task context) are skipped, bound
+    // or not.
+    // SAFETY: no task is running.
+    unsafe { buf.range_mut(0..8) }.fill(2.0);
     buf.bind_keys(&[key(0)]);
     // SAFETY: no task is running.
     let _s = unsafe { buf.range(0..8) };
+}
+
+#[test]
+fn an_earlier_sibling_does_not_lend_its_write() {
+    let rt = Runtime::new(2);
+    let scope = rt.scope();
+    let buf = SharedData::new(vec![0.0f64; 8]);
+    buf.bind_keys(&[key(0)]);
+    {
+        let buf = buf.clone();
+        scope.task("writer").write(key(0)).spawn(move || {
+            // SAFETY: exclusive writer epoch.
+            unsafe { buf.range_mut(0..8) }.fill(1.0);
+        });
+    }
+    {
+        let buf = buf.clone();
+        // The same scope declared a write on key 0 one task earlier; this
+        // task declares only a read, so its exclusive borrow is its own
+        // misdeclaration.
+        scope.task("reader").read(key(0)).spawn(move || {
+            // SAFETY: the tracker panics before the alias is created.
+            let _s = unsafe { buf.range_mut(0..8) };
+        });
+    }
+    let err = scope.wait().unwrap_err();
+    assert_eq!(err.task, "reader");
+    assert!(
+        err.message().contains("declared no matching access"),
+        "unexpected message: {}",
+        err.message()
+    );
+    let v = buf.try_unwrap().unwrap_or_else(|_| panic!("unique"));
+    assert_eq!(v, vec![1.0; 8], "the writer ran and was not blamed");
 }
 
 /// Runs one empty task on a fresh inline runtime from inside the calling

@@ -246,6 +246,7 @@ fn shared_data_ranges_partition_under_runtime() {
     let scope = rt.scope();
     let buf = SharedData::new(vec![0u64; 64 * 16]);
     let k = DataKey::new(8, 0);
+    buf.bind_keys(&[k]);
     for c in 0..64usize {
         let buf = buf.clone();
         scope.task("w").gatherv(k).spawn(move || {
@@ -369,17 +370,19 @@ fn forked_group_joins_before_the_next_inline_task() {
     rt.enable_tracing();
     let me = std::thread::current().id();
     let buf = SharedData::new(vec![0usize; 64]);
+    let k = DataKey::new(10, 0);
+    buf.bind_keys(&[k]);
     for round in 0..20usize {
         for chunk in 0..8usize {
             let buf = buf.clone();
-            scope.task("panel").fork().spawn(move || {
+            scope.task("panel").gatherv(k).fork().spawn(move || {
                 // SAFETY: disjoint chunk per forked task of the group.
                 let s = unsafe { buf.range_mut(chunk * 8..(chunk + 1) * 8) };
                 s.iter_mut().for_each(|x| *x += 1);
             });
         }
         let buf = buf.clone();
-        scope.task("join").spawn(move || {
+        scope.task("join").read(k).spawn(move || {
             assert_eq!(std::thread::current().id(), me);
             // SAFETY: the forked group was joined before this body runs.
             let s = unsafe { buf.slice() };
@@ -390,6 +393,10 @@ fn forked_group_joins_before_the_next_inline_task() {
     let trace = rt.take_trace();
     assert_eq!(trace.records.len(), 20 * 9);
     assert_eq!(trace.num_workers, 3, "two fork workers + the caller's lane");
+    // The declared accesses only feed the footprint check: an inline
+    // runtime infers no edge from them, so the fork join alone orders each
+    // join after its group.
+    assert!(trace.edges.is_empty());
     // Inline bodies stay on the caller's lane; forked ones run wherever an
     // executor is free — the fork workers or the caller while it joins.
     assert!(trace
