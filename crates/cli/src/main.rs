@@ -191,6 +191,16 @@ fn write_artifact(path: &str, contents: String, what: &str) -> Result<(), ExitCo
     Ok(())
 }
 
+/// This process's minor page faults so far, all threads, from
+/// `/proc/self/stat` (Linux); `None` where that file is not there.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // After the parenthesised command name, the state is the first field
+    // and minflt the eighth (fields 3 and 10 in proc(5)).
+    let fields = stat.rsplit_once(')')?.1;
+    fields.split_whitespace().nth(7)?.parse().ok()
+}
+
 /// Apply `DCST_FORCE_SCALAR`, `DCST_FORCE_DENSE` and
 /// `DCST_FORCE_STRUCTURED` (see the module docs). Each is unset, `0` or
 /// `1`; the error names the offending variable.
@@ -332,6 +342,7 @@ fn main() -> ExitCode {
             let trace_path = std::env::var("DCST_TRACE").ok();
             // --metrics brackets the solve with kernel-counter snapshots.
             let counters_before = args.flag("--metrics").then(dcst_matrix::metrics::snapshot);
+            let faults_before = counters_before.as_ref().and_then(|_| minor_faults());
             let mut dc_stats: Option<DcStats> = None;
             let mut observed: Option<(Trace, RuntimeMetrics)> = None;
             let start = Instant::now();
@@ -418,6 +429,7 @@ fn main() -> ExitCode {
                 }
             };
             let secs = start.elapsed().as_secs_f64();
+            let faults = faults_before.and_then(|before| Some(minor_faults()? - before));
             // `seq` runs the graph inline on the calling thread, and QR has
             // no runtime: neither uses `--threads`.
             let ran_on = match solver_name {
@@ -458,6 +470,11 @@ fn main() -> ExitCode {
                     dcst_matrix::simd_level(),
                     dcst_matrix::update_policy()
                 );
+                // First touches of fresh pages: the cost a solver's reused
+                // working matrix saves, invisible in the kernel counters.
+                if let Some(faults) = faults {
+                    eprintln!("minor page faults = {faults}");
+                }
                 // Deflation statistics and the scheduler table exist for the
                 // D&C disciplines only; the kernel counters move under every
                 // solver (QR shows its sweeps in `steqr.*`).

@@ -534,6 +534,17 @@ fn metrics_flag_reports_solver_and_runtime_counters() {
         "{err}"
     );
     assert!(err.contains("secular.certified = "), "{err}");
+    // The solve's minor page faults, where the kernel reports them: at
+    // least the pages of its n×n buffers it touched.
+    let faults = err
+        .lines()
+        .find_map(|l| l.strip_prefix("minor page faults = "))
+        .map(|v| v.parse::<u64>().expect("a fault count"));
+    if cfg!(target_os = "linux") {
+        assert!(faults.is_some_and(|f| f > 0), "{err}");
+    } else {
+        assert_eq!(faults, None, "{err}");
+    }
     // Runtime counter table follows the kernel counters for taskflow runs.
     assert!(err.contains("max ready-queue depth"), "{err}");
     // Real work must be visible in the report.

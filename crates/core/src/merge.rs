@@ -20,12 +20,15 @@
 //! it needs ([`dcst_secular::SecularGenerators`]).
 //!
 //! A renamed column keeps the rows it was last written over, so every slot
-//! also carries a [`RowSpan`], its *row support*: the block-local rows
-//! outside which its column of V is bitwise `+0.0` (V is allocated zero and
-//! nothing writes outside a support). [`join_supports`], [`apply_givens`]
-//! and [`column_map`] derive a merge's supports from its children's, and
-//! every pass over a column — the z row, a rotation, the root sort, the
-//! subset gather — touches only that span.
+//! also carries a [`RowSpan`], its *row support*: the block-local rows that
+//! hold its vector, which is `+0.0` on the block's other rows. Outside the
+//! support, V holds whatever it held before — a solver reuses V across
+//! solves, so that is not zero — and no pass reads there: the z row, the
+//! root sort and the subset gather touch only the support, and a writer
+//! that extends a support writes the `+0.0` itself (the leaf clears its
+//! block, [`apply_givens`] the rows a rotation adds, [`permute_slots`] the
+//! slot rows a gathered column lacks). [`join_supports`], [`apply_givens`]
+//! and [`column_map`] derive a merge's supports from its children's.
 
 use crate::DcError;
 use dcst_matrix::failpoints::{self, Site};
@@ -63,9 +66,11 @@ impl MergeStat {
 /// `1/√2`, the z-vector normalization of the paper's Eq. (6).
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// A slot's row support: the half-open block-local row span outside which
-/// the slot's column of V is bitwise `+0.0`. Two `u32`s — a column of an n×n
-/// `f64` matrix that fits in memory has far fewer than 2³² rows.
+/// A slot's row support: the half-open block-local row span of the slot's
+/// column of V that holds its vector, which is bitwise `+0.0` on the
+/// block's other rows — where V itself holds whatever it held before. Two
+/// `u32`s — a column of an n×n `f64` matrix that fits in memory has far
+/// fewer than 2³² rows.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct RowSpan {
     lo: u32,
@@ -197,8 +202,9 @@ pub(crate) fn deflate_block(
 /// Apply the deflation Givens rotations to eigenvector columns; a rotation
 /// names child slots, which live in columns `src[·]` with row supports
 /// `support[·]`. A rotation runs over the whole block's rows, so the block
-/// becomes the support of both its slots. BLAS `drot` convention, matching
-/// [`GivensRot`]'s contract.
+/// becomes the support of both its slots: each column first gets `+0.0`
+/// over the rows outside its old support, the value its vector has there.
+/// BLAS `drot` convention, matching [`GivensRot`]'s contract.
 pub(crate) fn apply_givens(
     v_block: &mut [f64],
     ld: usize,
@@ -211,8 +217,13 @@ pub(crate) fn apply_givens(
     for r in rots {
         let (a, b) = (src[r.col_a], src[r.col_b]);
         debug_assert!(a != b && a < nm && b < nm);
-        support[r.col_a] = block;
-        support[r.col_b] = block;
+        for (slot, c) in [(r.col_a, a), (r.col_b, b)] {
+            let rows = support[slot].rows();
+            let column = &mut v_block[c * ld..c * ld + nm];
+            column[..rows.start].fill(0.0);
+            column[rows.end..].fill(0.0);
+            support[slot] = block;
+        }
         let (lo, hi) = (a.min(b), a.max(b));
         let (first, second) = v_block.split_at_mut(hi * ld);
         let ca = &mut first[lo * ld..lo * ld + nm];
@@ -236,24 +247,32 @@ pub(crate) fn slot_rows(t: SlotType, nm: usize, n1: usize) -> (usize, usize) {
     }
 }
 
-/// `PermuteV`: gather the source columns `from[s]` of the non-deflated
-/// storage slots `slots ⊂ 0..k` into the compressed workspace, each over
-/// its slot type's row support. `v_block` starts at `(off, off)`; `ws_cols`
-/// starts at `(off, off + slots.start)`.
+/// `PermuteV`: gather the source columns of the non-deflated storage slots
+/// `slots ⊂ 0..k` into the compressed workspace, each over its slot type's
+/// rows — the rows the update reads. Slot `s` is read from column
+/// `gather[s].0`, whose row support `gather[s].1` is copied; the rest of
+/// the slot's rows are written `+0.0`, so nothing outside a support is
+/// read. `v_block` starts at `(off, off)`; `ws_cols` starts at
+/// `(off, off + slots.start)`.
 pub(crate) fn permute_slots(
     v_block: &[f64],
     ws_cols: &mut [f64],
     ld: usize,
     defl: &Deflation,
-    from: &[usize],
+    gather: &[(usize, RowSpan)],
     slots: Range<usize>,
 ) {
     let mut moved = 0;
     for (t, s) in slots.enumerate() {
         let (r0, r1) = slot_rows(defl.slot_type[s], defl.n, defl.n1);
-        ws_cols[t * ld + r0..t * ld + r1]
-            .copy_from_slice(&v_block[from[s] * ld + r0..from[s] * ld + r1]);
-        moved += r1 - r0;
+        let (c, support) = gather[s];
+        let rows = support.rows();
+        let (lo, hi) = (rows.start.clamp(r0, r1), rows.end.clamp(r0, r1));
+        let dst = &mut ws_cols[t * ld..t * ld + r1];
+        dst[r0..lo].fill(0.0);
+        dst[lo..hi].copy_from_slice(&v_block[c * ld + lo..c * ld + hi]);
+        dst[hi..].fill(0.0);
+        moved += hi - lo;
     }
     dcst_matrix::metrics::add("copy.elems", moved as u64);
 }
@@ -539,77 +558,88 @@ mod tests {
         }
     }
 
+    /// `v` with `outside` on every row of column `c` that `rows(c)` leaves
+    /// out.
+    fn fill_outside(v: &Matrix, rows: impl Fn(usize) -> Range<usize>, outside: f64) -> Matrix {
+        Matrix::from_fn(v.rows(), v.cols(), |i, c| {
+            if rows(c).contains(&i) {
+                v[(i, c)]
+            } else {
+                outside
+            }
+        })
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn givens_rotation_preserves_norms() {
-        let mut v = Matrix::from_fn(3, 3, |i, j| (i + j) as f64 + 1.0);
-        let before: f64 = v.as_slice().iter().map(|x| x * x).sum();
-        let untouched = v.col(0).to_vec();
-        // Slots 0 and 2 live in columns 1 and 2: column 0 must not move, nor
-        // slot 1's support. The rotated slots end with the whole block.
-        let mut support = spans(&[0..1, 1..2, 1..3]);
-        apply_givens(
-            v.as_mut_slice(),
-            3,
-            &[1, 0, 2],
-            &mut support,
-            &[rot(0, 2, 0.3)],
+        // Slots 0 and 2 live in columns 1 and 2 over supports 0..1 and 1..3;
+        // V holds NaN outside the supports, as a reused V may. The rotation
+        // writes +0.0 over the rows it adds to each support and turns the
+        // same bits as on a V that is +0.0 there; column 0, slot 1's, does
+        // not move, NaN included.
+        let src = [1, 0, 2];
+        let old = spans(&[0..1, 1..2, 1..3]);
+        let rows = |c: usize| old[src.iter().position(|&x| x == c).unwrap()].rows();
+        let values = Matrix::from_fn(3, 3, |i, j| (i + j) as f64 + 1.0);
+        let clean = fill_outside(&values, rows, 0.0);
+        let rotated = |mut v: Matrix, th: f64| {
+            let mut support = old.clone();
+            apply_givens(v.as_mut_slice(), 3, &src, &mut support, &[rot(0, 2, th)]);
+            assert_eq!(support, spans(&[0..3, 1..2, 0..3]));
+            v
+        };
+        let v = rotated(fill_outside(&values, rows, f64::NAN), 0.3);
+        assert_eq!(
+            bits(v.col(0)),
+            bits(fill_outside(&values, rows, f64::NAN).col(0))
         );
-        let after: f64 = v.as_slice().iter().map(|x| x * x).sum();
-        assert!((before - after).abs() < 1e-12);
-        assert_eq!(v.col(0), &untouched[..]);
-        assert_eq!(support, spans(&[0..3, 1..2, 0..3]));
+        let want = rotated(clean.clone(), 0.3);
+        assert_eq!(bits(&v.as_slice()[3..]), bits(&want.as_slice()[3..]));
+        let norm2 = |x: &[f64]| x.iter().map(|x| x * x).sum::<f64>();
+        assert!((norm2(&clean.as_slice()[3..]) - norm2(&v.as_slice()[3..])).abs() < 1e-12);
+        // Rotating by zero writes the +0.0 and moves nothing else.
+        let v = rotated(fill_outside(&values, rows, f64::NAN), 0.0);
+        assert_eq!(bits(&v.as_slice()[3..]), bits(&clean.as_slice()[3..]));
     }
 
     #[test]
     fn rows_outside_the_supports_are_never_read() {
         // Two 4-slot children; child slot j lives in column src[j] over
-        // support[j]. One block is zero outside the supports — the invariant
-        // — the other NaN there: the z row and the rotations must come out
-        // bit for bit the same, and leave the poison where it was.
+        // support[j], and V holds NaN outside the supports. The z row and
+        // the rotations must come out bit for bit as on a V that is +0.0
+        // there, and leave the NaN outside the rotated supports where it
+        // was.
         let src = join_children(&[2, 0, 3, 1], &[1, 3, 0, 2]);
         let support = join_supports(
             &spans(&[0..2, 2..4, 0..4, 3..4]),
             &spans(&[0..1, 0..4, 2..4, 0..2]),
         );
-        let inside = |i: usize, c: usize, support: &[RowSpan]| {
-            let j = src.iter().position(|&x| x == c).unwrap();
-            support[j].rows().contains(&i)
+        let rows_of = |support: &[RowSpan], c: usize| {
+            support[src.iter().position(|&x| x == c).unwrap()].rows()
         };
-        // Values inside `support`, `outside` beyond `reach`, zero between.
-        let block = |reach: &[RowSpan], outside: f64| {
-            Matrix::from_fn(8, 8, |i, c| {
-                if inside(i, c, &support) {
-                    (1 + i + 8 * c) as f64 / 7.0
-                } else if inside(i, c, reach) {
-                    0.0
-                } else {
-                    outside
-                }
-            })
-        };
-        let z_bits = |v: Matrix| -> Vec<u64> {
-            let z = build_z(v.as_slice(), 8, 4, &src, &support);
-            z.into_iter().map(f64::to_bits).collect()
-        };
-        assert_eq!(
-            z_bits(block(&support, 0.0)),
-            z_bits(block(&support, f64::NAN))
-        );
+        let values = Matrix::from_fn(8, 8, |i, c| (1 + i + 8 * c) as f64 / 7.0);
+        let block = |outside: f64| fill_outside(&values, |c| rows_of(&support, c), outside);
+        let z_bits = |v: Matrix| bits(&build_z(v.as_slice(), 8, 4, &src, &support));
+        assert_eq!(z_bits(block(0.0)), z_bits(block(f64::NAN)));
         // A chain within the left child, one within the right, one across:
         // the rotated slots end with the whole block, slots 2 and 5 keep
-        // their supports and the poison outside them.
+        // their supports and the NaN outside them.
         let rots = [
             rot(0, 1, 0.4),
             rot(1, 3, 1.1),
             rot(4, 7, 0.2),
             rot(3, 6, 0.9),
         ];
-        let mut clean = block(&support, 0.0);
+        let mut clean = block(0.0);
         let mut after = support.clone();
         apply_givens(clean.as_mut_slice(), 8, &src, &mut after, &rots);
         assert_eq!(after[..4], spans(&[0..8, 0..8, 0..4, 0..8])[..]);
         assert_eq!(after[4..], spans(&[0..8, 4..8, 0..8, 0..8])[..]);
-        let mut poisoned = block(&after, f64::NAN);
+        let mut poisoned = block(f64::NAN);
         apply_givens(
             poisoned.as_mut_slice(),
             8,
@@ -620,11 +650,64 @@ mod tests {
         for c in 0..8 {
             for i in 0..8 {
                 let (x, y) = (clean[(i, c)], poisoned[(i, c)]);
-                if inside(i, c, &after) {
+                if rows_of(&after, c).contains(&i) {
                     assert_eq!(x.to_bits(), y.to_bits(), "({i}, {c})");
                 } else {
                     assert!(x.to_bits() == 0 && y.is_nan(), "({i}, {c})");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn permute_slots_writes_zero_over_the_rows_a_support_lacks() {
+        // A merge of 4 + 4 rows with k = 4 gathered slots — Top, Full,
+        // Bottom, Bottom — read from columns whose supports cover some of
+        // their slot rows; V holds NaN outside the supports. The gathered
+        // rows match V's over the supports bit for bit and are +0.0 over
+        // the rest of the slot's rows; rows outside the slot's stay as the
+        // workspace held them.
+        use dcst_secular::SlotType::{Bottom, Deflated, Full, Top};
+        let (nm, n1, k) = (8, 4, 4);
+        let slot_type = vec![
+            Top, Full, Bottom, Bottom, Deflated, Deflated, Deflated, Deflated,
+        ];
+        let defl = Deflation {
+            k,
+            n: nm,
+            n1,
+            rho: 1.0,
+            dlamda: vec![0.0; k],
+            w: vec![0.0; k],
+            d_deflated: vec![0.0; nm - k],
+            perm: (0..nm).collect(),
+            slot_type,
+            sec_to_slot: (0..k).collect(),
+            givens: Vec::new(),
+            ctot: [1, 1, 2, 4],
+        };
+        let gather =
+            [(5, 1..3), (0, 0..8), (6, 4..6), (2, 6..8)].map(|(c, rows)| (c, RowSpan::new(rows)));
+        let values = Matrix::from_fn(nm, nm, |i, c| (1 + i + nm * c) as f64 / 3.0);
+        let rows = |c: usize| {
+            let gathered = gather.iter().find(|&&(from, _)| from == c);
+            gathered.map_or(0..0, |(_, support)| support.rows())
+        };
+        let v = fill_outside(&values, rows, f64::NAN);
+        let mut ws = vec![-1.0f64; nm * k];
+        permute_slots(v.as_slice(), &mut ws[nm..], nm, &defl, &gather, 1..k);
+        for (s, column) in ws.chunks_exact(nm).enumerate() {
+            let (r0, r1) = slot_rows(defl.slot_type[s], nm, n1);
+            let (c, support) = gather[s];
+            for (i, x) in column.iter().enumerate() {
+                let want = if s == 0 || !(r0..r1).contains(&i) {
+                    -1.0
+                } else if support.rows().contains(&i) {
+                    values[(i, c)]
+                } else {
+                    0.0
+                };
+                assert_eq!(x.to_bits(), want.to_bits(), "slot {s}, row {i}");
             }
         }
     }

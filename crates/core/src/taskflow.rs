@@ -181,14 +181,17 @@ struct NodeCell {
     /// `col[s]` of V. Identity at a leaf; at a merge, `column_map` of the
     /// children's maps, published by `ComputeDeflation`.
     col: OnceLock<Vec<usize>>,
-    /// Vector payload: the column each slot of this merge is read *from*;
-    /// `PermuteV` gathers `from[..k]`.
-    from: OnceLock<Vec<usize>>,
-    /// Vector payload: per slot, the block-local rows outside which column
-    /// `col[s]` of V is bitwise `+0.0` — all of them at a leaf and for an
-    /// updated slot, the renamed column's own for a deflated one. Published
-    /// with `col`; released by the parent's `ComputeDeflation` once joined
-    /// into its own, so only the root's outlives the merges.
+    /// Vector payload: what `PermuteV` gathers, per non-deflated slot
+    /// `s < k` — the column the slot is read *from*, and that column's row
+    /// support before this merge: the rows it copies, writing `+0.0` over
+    /// the rest of the slot's rows.
+    gather: OnceLock<Vec<(usize, RowSpan)>>,
+    /// Vector payload: per slot, the block-local rows of column `col[s]`
+    /// of V that hold the slot's vector — all of them at a leaf and for an
+    /// updated slot, the renamed column's own for a deflated one. Outside
+    /// them the column holds whatever V held before: no pass reads there.
+    /// Published with `col`; released by the parent's `ComputeDeflation`
+    /// once joined into its own, so only the root's outlives the merges.
     support: Mutex<Option<Arc<[RowSpan]>>>,
     /// The merge's local-W product, which every `LAED4` panel folds its
     /// partial into and `ReduceW` takes.
@@ -326,11 +329,19 @@ fn publish<T>(slot: &OnceLock<T>, value: T) {
 
 /// The vector payload's n×n buffers: the eigenvector matrix under
 /// construction, and the compressed workspace `PermuteV` gathers into —
-/// which the final sort fills with the result.
+/// which the final sort fills with the result — with the solver's spare
+/// slot, which V goes back to once the graph is collected.
 struct Vectors {
     v: SharedData<f64>,
     ws: SharedData<f64>,
+    spare: Spare,
 }
+
+/// A solver's n×n V between its vector solves: `submit_graph` takes it,
+/// [`Graph::collect`] puts it back, and dropping the solver frees it — the
+/// caller-held workspace LAPACK's `dstedc` asks for, so a repeated solve
+/// neither maps nor faults its working matrix afresh.
+type Spare = Arc<Mutex<Option<Vec<f64>>>>;
 
 /// Everything one submission's task bodies share, built once and reached
 /// through a single `Arc` per task.
@@ -431,21 +442,23 @@ impl Graph {
         let (values, vectors) = match (g.vectors, g.subset) {
             (None, _) => (values, Matrix::zeros(n, 0)),
             // The sort left the result in ws; a single-leaf tree has no
-            // sort, and its leaf wrote the result into V.
-            (Some(Vectors { v, ws }), None) => {
+            // sort, and its leaf wrote the result into V, which then
+            // leaves with it.
+            (Some(Vectors { v, ws, spare }), None) => {
                 let out = if g.tree.nodes[g.tree.root].is_leaf() {
                     v
                 } else {
+                    *spare.lock().unwrap() = Some(unwrap(v));
                     ws
                 };
                 (values, Matrix::from_vec(n, n, unwrap(out)))
             }
-            (Some(Vectors { v, ws }), Some((il, iu))) => {
+            (Some(Vectors { v, ws, spare }), Some((il, iu))) => {
                 drop(ws);
                 let v = unwrap(v);
                 // d and V are still in slot order (the sort tasks were
-                // skipped); gather the requested values/columns directly.
-                // A column is zero outside its support: copy that span only.
+                // skipped); gather the requested values/columns directly,
+                // each column over its support only.
                 let slots = &root.idxq()[il..=iu];
                 let (col, support) = (root.col(), root.support());
                 let mut vsub = vec![0.0f64; n * slots.len()];
@@ -456,6 +469,7 @@ impl Graph {
                     moved += rows.len();
                 }
                 dcst_matrix::metrics::add("copy.elems", moved as u64);
+                *spare.lock().unwrap() = Some(v);
                 let vals = slots.iter().map(|&s| values[s]).collect();
                 (vals, Matrix::from_vec(n, slots.len(), vsub))
             }
@@ -533,9 +547,14 @@ impl<'rt> PendingSolve<'rt> {
 }
 
 /// The task-flow Divide & Conquer eigensolver (the paper's contribution).
+///
+/// A solver keeps the n×n eigenvector matrix V of its last vector solve
+/// for its next one of the same order, so a repeated solve does not map and
+/// fault its working matrix afresh; dropping the solver frees it.
 pub struct TaskFlowDc {
     opts: DcOptions,
     discipline: Discipline,
+    spare: Spare,
 }
 
 impl TaskFlowDc {
@@ -544,7 +563,29 @@ impl TaskFlowDc {
     }
 
     pub(crate) fn with_discipline(opts: DcOptions, discipline: Discipline) -> Self {
-        TaskFlowDc { opts, discipline }
+        TaskFlowDc {
+            opts,
+            discipline,
+            spare: Spare::default(),
+        }
+    }
+
+    /// V for an n×n solve: the spare one when it has that order, else a
+    /// fresh one. A reused V is not zero — every writer clears what it
+    /// extends a column's support over — and a debug build fills it with
+    /// NaN, so that a read of a row this solve did not write fails the
+    /// gates. A spare of another order is freed before V is allocated.
+    fn take_v(&self, n: usize) -> Vec<f64> {
+        let spare = self.spare.lock().unwrap().take();
+        match spare.filter(|v| v.len() == n * n) {
+            Some(mut v) => {
+                if cfg!(debug_assertions) {
+                    v.fill(f64::NAN);
+                }
+                v
+            }
+            None => vec![0.0f64; n * n],
+        }
     }
 
     /// Solve and return per-merge statistics.
@@ -681,10 +722,10 @@ impl TaskFlowDc {
         // The row payload has no n×n state at all: per node it carries two
         // O(n) rows plus the deflation record — the memory reduction that
         // `peak_alloc_mb` on the `values_t6_n4000` workload measures.
-        let square = || SharedData::new(vec![0.0f64; n * n]);
         let vectors = (self.opts.mode != SolveMode::ValuesOnly).then(|| Vectors {
-            v: square(),
-            ws: square(),
+            v: SharedData::new(self.take_v(n)),
+            ws: SharedData::new(vec![0.0f64; n * n]),
+            spare: self.spare.clone(),
         });
         let g = Arc::new(Graph {
             n,
@@ -768,8 +809,12 @@ impl TaskFlowDc {
                         Some(vp) => {
                             // SAFETY: this leaf's diagonal block of V, as for d.
                             let vb = unsafe { vp.v.range_mut(b.cols(0..nm, nm)) };
+                            // V may be reused: clear the block, then set
+                            // its identity.
                             for j in 0..nm {
-                                vb[j * n + j] = 1.0;
+                                let column = &mut vb[j * n..j * n + nm];
+                                column.fill(0.0);
+                                column[j] = 1.0;
                             }
                             let z = ZBlock {
                                 buf: vb,
@@ -830,11 +875,13 @@ impl TaskFlowDc {
                                         join_supports(&left.support(), &right.support());
                                     let defl = deflate(&build_z(vb, n, n1, &src, &support))?;
                                     apply_givens(vb, n, &src, &mut support, &defl.givens);
-                                    let (from, col, support) =
+                                    let (from, col, merged) =
                                         column_map(&src, &support, &defl.perm, defl.k);
-                                    publish(&cell.from, from);
+                                    let gather = from.iter().zip(&defl.perm).take(defl.k);
+                                    let gather = gather.map(|(&c, &p)| (c, support[p])).collect();
+                                    publish(&cell.gather, gather);
                                     publish(&cell.col, col);
-                                    *cell.support.lock().unwrap() = Some(support);
+                                    *cell.support.lock().unwrap() = Some(merged);
                                     // State ∝ k: the children's supports,
                                     // joined above, are dead now, as are
                                     // their roots and update plans.
@@ -886,8 +933,8 @@ impl TaskFlowDc {
                             let vb = unsafe { vp.v.range(b.cols(0..nm, nm)) };
                             // SAFETY: columns j of ws belong to this panel alone.
                             let wcols = unsafe { vp.ws.range_mut(b.cols(j.clone(), nm)) };
-                            let from = cell.from.get().expect("column map not yet computed");
-                            permute_slots(vb, wcols, n, defl, from, j);
+                            let gather = cell.gather.get().expect("column map not yet computed");
+                            permute_slots(vb, wcols, n, defl, gather, j);
                         });
                     }
                     let g = g.clone();
@@ -1358,41 +1405,88 @@ mod tests {
     }
 
     #[test]
-    fn v_is_zero_outside_the_row_supports() {
+    fn a_reused_v_is_read_only_inside_the_row_supports() {
         // A subset solve has no sort, so V survives the drain as the merges
-        // left it: every column is +0.0 outside the root's support of its
-        // slot — what the sort and the subset gather rely on.
-        let n = 300;
+        // left it. One solver starts from a fresh V, the other from a spare
+        // one full of NaN: over the root's support of every requested slot,
+        // both V's hold the same bits and no NaN — what the subset gather
+        // reads — and outside it the fresh one is +0.0.
+        let (n, il, iu) = (300, 75, 150);
         let mut o = opts(16, 8, 2);
-        o.mode = SolveMode::Subset { il: 75, iu: 150 };
+        o.mode = SolveMode::Subset { il, iu };
         let rt = Runtime::new(2);
         for ty in MatrixType::ALL {
-            let pending = TaskFlowDc::new(o)
-                .submit(&ty.generate(n, 3), rt.scope())
-                .unwrap();
-            pending.scope.wait().unwrap();
-            let PendingKind::Graph(g) = &pending.kind else {
-                panic!("{ty:?}: a wide subset runs the merge graph")
-            };
-            let root = &g.cells[g.tree.root];
+            let t = ty.generate(n, 3);
+            let fresh = TaskFlowDc::new(o);
+            let reused = TaskFlowDc::new(o);
+            *reused.spare.lock().unwrap() = Some(vec![f64::NAN; n * n]);
+            let [a, b] = [&fresh, &reused].map(|solver| {
+                let pending = solver.submit(&t, rt.scope()).unwrap();
+                pending.scope.wait().unwrap();
+                let PendingKind::Graph(g) = pending.kind else {
+                    panic!("{ty:?}: a wide subset runs the merge graph")
+                };
+                g
+            });
+            let root = &a.cells[a.tree.root];
             let (col, support) = (root.col(), root.support());
-            // SAFETY: the graph has drained; no task borrows V.
-            let v = unsafe { g.vp().v.slice() };
-            for (s, span) in support.iter().enumerate() {
-                let column = &v[col[s] * n..(col[s] + 1) * n];
-                for (i, x) in column.iter().enumerate() {
-                    let zero = x.to_bits() == 0;
-                    assert!(
-                        span.rows().contains(&i) || zero,
-                        "{ty:?}: slot {s}, row {i}"
-                    );
+            assert_eq!(col, b.cells[b.tree.root].col(), "{ty:?}");
+            assert_eq!(support, b.cells[b.tree.root].support(), "{ty:?}");
+            // SAFETY: both graphs have drained; no task borrows V.
+            let (va, vb) = unsafe { (a.vp().v.slice(), b.vp().v.slice()) };
+            let slots = &root.idxq()[il..=iu];
+            let mut poisoned = 0;
+            for &s in slots {
+                let (rows, column) = (support[s].rows(), col[s] * n..(col[s] + 1) * n);
+                for (i, (x, y)) in va[column.clone()].iter().zip(&vb[column]).enumerate() {
+                    let at = || format!("{ty:?}: slot {s}, row {i}");
+                    if rows.contains(&i) {
+                        assert!(x.to_bits() == y.to_bits() && !y.is_nan(), "{}", at());
+                    } else {
+                        assert_eq!(x.to_bits(), 0, "{}", at());
+                        poisoned += usize::from(y.is_nan());
+                    }
                 }
             }
             if ty == MatrixType::Type2 {
-                // Fully deflated: no column ever left its leaf's rows.
+                // Fully deflated: no column ever left its leaf's rows, and
+                // no pass wrote outside them.
                 assert!(support.iter().all(|span| span.rows().len() <= 16));
+                let inside: usize = slots.iter().map(|&s| support[s].rows().len()).sum();
+                assert_eq!(poisoned, n * slots.len() - inside);
             }
         }
+    }
+
+    #[test]
+    fn collect_hands_v_back_to_the_solver() {
+        let spare = |solver: &TaskFlowDc| solver.spare.lock().unwrap().as_ref().map(Vec::len);
+        let t = MatrixType::Type4.generate(100, 3);
+        let mut o = opts(16, 8, 2);
+        // Full and subset solves hand V back; values-only has none.
+        for (mode, kept) in [
+            (SolveMode::Full, Some(100 * 100)),
+            (SolveMode::Subset { il: 10, iu: 60 }, Some(100 * 100)),
+            (SolveMode::ValuesOnly, None),
+        ] {
+            o.mode = mode;
+            let solver = TaskFlowDc::new(o);
+            solver.solve(&t).unwrap();
+            assert_eq!(spare(&solver), kept, "{mode:?}");
+        }
+        // A V of another order is freed, and the new one kept.
+        o.mode = SolveMode::Full;
+        let solver = TaskFlowDc::new(o);
+        *solver.spare.lock().unwrap() = Some(vec![0.0; 7]);
+        solver.solve(&t).unwrap();
+        assert_eq!(spare(&solver), Some(100 * 100));
+        // A single-leaf tree's V is the result, so it leaves with it.
+        let small = SymTridiag::toeplitz121(20);
+        let solver = TaskFlowDc::new(opts(32, 8, 2));
+        *solver.spare.lock().unwrap() = Some(vec![0.0; 20 * 20]);
+        let eig = solver.solve(&small).unwrap();
+        check(&small, &eig, 1e-13);
+        assert_eq!(spare(&solver), None);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! `dcst-core`, which calls these kernels from panel tasks.
 //!
 //! The O(k²) inner loops (secular sweeps, local-W column products, vector
-//! normalization, the values-only row pass) are vectorized in [`simd`]:
-//! one generic body per kernel, compiled for AVX2 and AVX-512 and picked
-//! through the workspace-wide `dcst_matrix::simd_level` detector
-//! ([`SecularKernels`], whose rows the conformance tests drive one by
+//! normalization, the values-only row pass) are vectorized behind
+//! [`SecularKernels`]: one generic body per kernel, compiled for AVX2 and
+//! AVX-512 and picked through the workspace-wide `dcst_matrix::simd_level`
+//! detector (the table's rows are what the conformance tests drive one by
 //! one); the `*_scalar` entry points pin the original scalar bodies and
 //! serve as test oracles and as the path `set_simd_level(Scalar)` selects
 //! (the CLI's `DCST_FORCE_SCALAR=1`).

@@ -146,7 +146,7 @@ impl<'a> SecularProblem<'a> {
     /// accurately-computed distances `d_i − λ_j`.
     ///
     /// The per-iteration k-term sweeps run through the runtime-dispatched
-    /// SIMD kernels in [`crate::simd`]; [`Self::solve_root_scalar`] pins
+    /// SIMD kernels of [`SecularKernels`]; [`Self::solve_root_scalar`] pins
     /// the scalar bodies and serves as the oracle. Every call starts cold,
     /// from the midpoint of the root's interval; [`Self::panel`] solves a
     /// run of roots, each warm-started from the one before.

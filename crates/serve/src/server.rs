@@ -578,12 +578,15 @@ fn solve_response(
         Ok(t) => t,
         Err(e) => return error_response(Some(id), &e),
     };
-    let solver = TaskFlowDc::new(DcOptions {
+    let opts = DcOptions {
         mode: problem.mode,
         threads: inner.cfg.threads,
         ..inner.cfg.opts
-    });
-    let pending = match solver.submit(&t, request_scope(&inner.rt, priority)) {
+    };
+    // The solver is a temporary, dropped at submit: the graph then holds
+    // the only handle on its spare-V slot, so V is freed when the result is
+    // collected rather than kept through the response.
+    let pending = match TaskFlowDc::new(opts).submit(&t, request_scope(&inner.rt, priority)) {
         Ok(p) => p,
         Err(e) => return dc_error_response(id, &e),
     };
