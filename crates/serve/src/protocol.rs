@@ -29,6 +29,7 @@ use dcst_core::{DcError, SolveMode};
 use dcst_runtime::jsonv::{self, Json};
 use dcst_tridiag::gen::MatrixType;
 use dcst_tridiag::SymTridiag;
+use std::fmt::Write;
 
 /// Typed protocol error: a machine-readable code plus a human message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -332,25 +333,36 @@ pub fn escape(s: &str) -> String {
 /// A finite float as JSON (shortest round-trip form); non-finite → null,
 /// which the error paths never produce but defense-in-depth demands.
 pub fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
+    let mut out = String::new();
+    push_num(&mut out, x);
+    out
 }
 
-/// `[x, y, ...]` for a float slice.
+/// `[x, y, ...]` for a float slice, each value as [`num`] writes it.
 pub fn num_arr(xs: &[f64]) -> String {
-    let mut out = String::with_capacity(xs.len() * 8 + 2);
+    // 25 bytes a value: its comma and up to 24 for a sign, 17 significant
+    // digits, the point and a few leading zeros. Magnitudes far from 1
+    // print longer (`Display` never switches to an exponent) and grow the
+    // buffer.
+    let mut out = String::with_capacity(xs.len() * 25 + 2);
     out.push('[');
-    for (i, x) in xs.iter().enumerate() {
+    for (i, &x) in xs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&num(*x));
+        push_num(&mut out, x);
     }
     out.push(']');
     out
+}
+
+/// Append [`num`]'s text for `x` to `out`, with no intermediate `String`.
+fn push_num(out: &mut String, x: f64) {
+    if x.is_finite() {
+        write!(out, "{x}").expect("formatting into a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
 }
 
 /// The standard failure envelope.
@@ -449,6 +461,38 @@ mod tests {
         for (a, b) in xs.iter().zip(doc.as_arr().unwrap()) {
             assert_eq!(a.to_bits(), b.as_num().unwrap().to_bits());
         }
+    }
+
+    #[test]
+    fn num_arr_writes_the_bytes_of_the_per_value_join() {
+        let xs = [
+            -0.0,
+            5e-324,
+            f64::MAX,
+            0.1,
+            1.0 / 3.0,
+            1e21,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        // One `format!` per value, joined: the bytes `num_arr` has always
+        // written.
+        let joined: Vec<String> = xs
+            .iter()
+            .map(|&x| {
+                if x.is_finite() {
+                    format!("{x}")
+                } else {
+                    "null".to_string()
+                }
+            })
+            .collect();
+        assert_eq!(num_arr(&xs), format!("[{}]", joined.join(",")));
+        for (&x, want) in xs.iter().zip(&joined) {
+            assert_eq!(&num(x), want);
+        }
+        assert_eq!(num_arr(&[]), "[]");
     }
 
     #[test]

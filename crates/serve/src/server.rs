@@ -18,7 +18,9 @@
 //! over either limit the request is shed with a typed `busy` error and
 //! *nothing* is submitted to the runtime.
 
-use crate::protocol::{self, dc_error_code, error_response, Problem, Request, WireError};
+use crate::protocol::{
+    self, dc_error_code, error_response, MatrixSpec, Problem, Request, WireError,
+};
 use dcst_core::{DcError, DcOptions, DcStats, Eigen, PendingSolve, TaskFlowDc};
 use dcst_runtime::{CancelHandle, Runtime, Scope};
 use dcst_tridiag::SymTridiag;
@@ -29,6 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
 /// Daemon tuning. `Default` suits the test harness: loopback, ephemeral
 /// port, and an in-flight bound matched to a small pool.
@@ -94,6 +97,8 @@ struct Inner {
     completed: AtomicU64,
     shed: AtomicU64,
     cancelled: AtomicU64,
+    /// Nanoseconds the job threads spent in [`MatrixSpec::build`].
+    build_ns: AtomicU64,
     jobs: Mutex<HashMap<(u64, u64), JobState>>,
     shutdown: AtomicBool,
 }
@@ -179,6 +184,16 @@ impl Inner {
         self.completed.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Materialize a request's matrix on the job thread, adding the time
+    /// to the `build_us` rung.
+    fn build_matrix(&self, spec: &MatrixSpec) -> Result<SymTridiag, WireError> {
+        let t0 = Instant::now();
+        let built = spec.build();
+        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.build_ns.fetch_add(ns, Ordering::Relaxed);
+        built
+    }
+
     fn metrics_response(&self) -> String {
         let rm = self.rt.runtime_metrics();
         let kernel: Vec<String> = dcst_matrix::metrics::snapshot()
@@ -191,7 +206,7 @@ impl Inner {
              \"priority_hits\":{},\"parks\":{},\"max_queue_depth\":{},\
              \"ready_depth\":{},\"inflight\":{},\"accepted\":{},\
              \"completed\":{},\"shed\":{},\"cancelled\":{},\
-             \"kernel\":{{{}}}}}}}",
+             \"build_us\":{},\"kernel\":{{{}}}}}}}",
             rm.workers.len(),
             rm.tasks_executed(),
             rm.steals_succeeded(),
@@ -204,6 +219,7 @@ impl Inner {
             self.completed.load(Ordering::Relaxed),
             self.shed.load(Ordering::Relaxed),
             self.cancelled.load(Ordering::Relaxed),
+            self.build_ns.load(Ordering::Relaxed) / 1000,
             kernel.join(",")
         )
     }
@@ -237,6 +253,7 @@ impl Server {
             completed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
+            build_ns: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
         });
@@ -574,7 +591,7 @@ fn solve_response(
             ),
         );
     }
-    let t = match problem.matrix.build() {
+    let t = match inner.build_matrix(&problem.matrix) {
         Ok(t) => t,
         Err(e) => return error_response(Some(id), &e),
     };
@@ -668,7 +685,7 @@ fn batch_response(
     }
     let mut mats = Vec::with_capacity(problems.len());
     for p in problems {
-        match p.matrix.build() {
+        match inner.build_matrix(&p.matrix) {
             Ok(t) => mats.push(t),
             Err(e) => return error_response(Some(id), &e),
         }

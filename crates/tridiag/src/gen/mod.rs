@@ -169,21 +169,28 @@ impl MatrixType {
         Some(lam)
     }
 
+    /// The nodes and eigenvector weights [`MatrixType::generate`] hands to
+    /// [`jacobi_from_spectrum`] (types 1–9; `None` for types 10–15).
+    pub(crate) fn spectral_data(self, n: usize, seed: u64) -> Option<(Vec<f64>, Vec<f64>)> {
+        let lam = self.prescribed_spectrum(n, seed)?;
+        let mut rng = ChaCha8Rng::seed_from_u64(
+            seed.wrapping_mul(0x9e37_79b9)
+                .wrapping_add(self.index() as u64),
+        );
+        // Random positive weights bounded away from zero so the
+        // reconstruction stays well conditioned.
+        let weights: Vec<f64> = (0..n)
+            .map(|_| rng.gen_range(0.05..1.0f64))
+            .map(|u| u * u)
+            .collect();
+        Some((lam, weights))
+    }
+
     /// Generate an `n × n` instance. `seed` controls both random spectra
     /// and the random eigenvector weights of the prescribed-spectrum types.
     pub fn generate(self, n: usize, seed: u64) -> SymTridiag {
         assert!(n >= 1, "matrix dimension must be positive");
-        if let Some(lam) = self.prescribed_spectrum(n, seed) {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                seed.wrapping_mul(0x9e37_79b9)
-                    .wrapping_add(self.index() as u64),
-            );
-            // Random positive weights bounded away from zero so the
-            // reconstruction stays well conditioned.
-            let weights: Vec<f64> = (0..n)
-                .map(|_| rng.gen_range(0.05..1.0f64))
-                .map(|u| u * u)
-                .collect();
+        if let Some((lam, weights)) = self.spectral_data(n, seed) {
             return jacobi_from_spectrum(&lam, &weights);
         }
         match self {

@@ -400,3 +400,37 @@ fn traced_requests_carry_only_their_own_tasks() {
     assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
     assert!(doc.get("trace").is_none());
 }
+
+/// The `metrics` verb's `build_us` is the job threads' time in matrix
+/// generation: a spec'd solve and a spec'd batch raise it, a `ping` does
+/// not.
+#[test]
+fn build_us_counts_matrix_generation() {
+    let server = server(2, 2);
+    let mut cl = Client::connect(server.addr()).unwrap();
+    let build_us = |cl: &mut Client| {
+        let doc = cl.call(r#"{"op":"metrics"}"#).unwrap();
+        let m = doc.get("metrics").unwrap();
+        m.get("build_us").and_then(Json::as_num).expect("build_us")
+    };
+    assert_eq!(build_us(&mut cl), 0.0);
+    let doc = cl.call(r#"{"op":"ping","id":1}"#).unwrap();
+    assert_eq!(obj_bool(&doc, "pong"), Some(true));
+    assert_eq!(build_us(&mut cl), 0.0, "a ping generates no matrix");
+
+    let doc = cl
+        .call(&solve_line(2, 6, 400, 1, r#","mode":"values""#))
+        .unwrap();
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    let after_solve = build_us(&mut cl);
+    assert!(after_solve > 0.0, "a spec'd solve raises build_us");
+
+    let doc = cl
+        .call(r#"{"op":"batch","id":3,"problems":[{"matrix":{"type":4,"n":400},"mode":"values"}]}"#)
+        .unwrap();
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    assert!(
+        build_us(&mut cl) > after_solve,
+        "a spec'd batch raises build_us"
+    );
+}
