@@ -12,12 +12,16 @@
 //! DAG-cancellation latch.
 //!
 //! The service layer adds what a solver library cannot: **admission
-//! control** (a bounded in-flight count plus the pool's ready-queue
-//! high-water gauge shed load with a typed `busy` error instead of
-//! queueing unboundedly), **priority classes** (a `"priority": "high"`
+//! control** (a request that cannot run — a bad spec, an order over
+//! `max_n`, an unrecordable trace — is refused on the connection's reader
+//! before it is admitted; then a bounded in-flight count plus the pool's
+//! ready-queue high-water gauge shed load with a typed `busy` error
+//! instead of queueing unboundedly), **priority classes** (a `"priority": "high"`
 //! request rides the pool's high-priority injector lane end to end),
 //! a **fused batch verb** (many small problems submitted before any is
-//! waited on, so their panel tasks share the worker stream), a
+//! waited on, so their panel tasks share the worker stream; a `solve` is
+//! a one-problem batch with a one-envelope reply, run by the same job
+//! body), a
 //! **metrics verb** exposing the scheduler-counter and kernel-counter
 //! registries, and optional **per-request Chrome traces**.
 //!

@@ -20,10 +20,18 @@
 //! MODE = "full" (default) | "values" | {"subset":[il,iu]}
 //! ```
 //!
+//! The parser refuses, as `bad-request`, a matrix spec that cannot be
+//! built: a type outside 1..=15, a generated `n` of 0, an empty inline
+//! `d`, or `len(e) != len(d) - 1`. `solve` and `batch` parse to one
+//! [`Request::Solve`]: a problem list plus the reply's shape.
+//!
 //! Responses: `{"id":ID,"ok":true, ...}` on success, or
 //! `{"id":ID,"ok":false,"error":{"code":C,"message":S}}` with `C` one of
 //! `parse`, `bad-request`, `unknown-op`, `oversized`, `busy`,
 //! `cancelled`, `nonfinite`, `invalid-range`, `numerical`, `internal`.
+//! A `batch` reply is `{"id":ID,"ok":true,"results":[...]}` over the same
+//! per-problem envelopes without `id`. The serializers append to the one
+//! `String` a reply is written from.
 
 use dcst_core::{DcError, SolveMode};
 use dcst_runtime::jsonv::{self, Json};
@@ -68,10 +76,11 @@ pub struct Problem {
     pub mode: SolveMode,
 }
 
-/// The matrix payload: a generator reference or inline data.
+/// The matrix payload: a generator reference or inline data. The parser
+/// admits only specs that build, so [`MatrixSpec::build`] cannot fail.
 #[derive(Clone, Debug)]
 pub enum MatrixSpec {
-    Generated { ty: usize, n: usize, seed: u64 },
+    Generated { ty: MatrixType, n: usize, seed: u64 },
     Inline { d: Vec<f64>, e: Vec<f64> },
 }
 
@@ -86,32 +95,13 @@ impl MatrixSpec {
     }
 
     /// Materialize the tridiagonal matrix.
-    pub fn build(&self) -> Result<SymTridiag, WireError> {
+    pub fn build(&self) -> SymTridiag {
         match self {
-            MatrixSpec::Generated { ty, n, seed } => {
-                let ty = MatrixType::from_index(*ty)
-                    .ok_or_else(|| WireError::bad("matrix type must be 1..=15"))?;
-                if *n == 0 {
-                    return Err(WireError::bad("generated matrix needs \"n\" >= 1"));
-                }
-                Ok(ty.generate(*n, *seed))
-            }
-            MatrixSpec::Inline { d, e } => {
-                if d.is_empty() {
-                    return Err(WireError::bad("inline matrix needs a non-empty \"d\""));
-                }
-                if e.len() + 1 != d.len() {
-                    return Err(WireError::bad(format!(
-                        "inline matrix needs len(e) == len(d) - 1, got {} and {}",
-                        e.len(),
-                        d.len()
-                    )));
-                }
-                Ok(SymTridiag {
-                    d: d.clone(),
-                    e: e.clone(),
-                })
-            }
+            MatrixSpec::Generated { ty, n, seed } => ty.generate(*n, *seed),
+            MatrixSpec::Inline { d, e } => SymTridiag {
+                d: d.clone(),
+                e: e.clone(),
+            },
         }
     }
 }
@@ -119,26 +109,29 @@ impl MatrixSpec {
 /// A parsed request line.
 #[derive(Clone, Debug)]
 pub enum Request {
-    Solve {
-        id: u64,
-        problem: Problem,
-        priority: bool,
-        vectors: bool,
-        check: bool,
-        trace: bool,
-    },
-    Batch {
-        id: u64,
-        problems: Vec<Problem>,
-        priority: bool,
-        check: bool,
-    },
+    /// `solve` and `batch`: they run alike and differ only in the reply.
+    Solve(SolveRequest),
     Cancel {
         id: u64,
     },
     Metrics,
     Ping,
     Shutdown,
+}
+
+/// A `solve` (one problem) or a `batch` (one or more).
+#[derive(Clone, Debug)]
+pub struct SolveRequest {
+    pub id: u64,
+    pub problems: Vec<Problem>,
+    pub priority: bool,
+    pub check: bool,
+    /// Reply with a `"results"` list of untagged envelopes, one a problem,
+    /// rather than with the one problem's envelope. A batch's grammar has
+    /// no `vectors` or `trace`: both are false.
+    pub batch: bool,
+    pub vectors: bool,
+    pub trace: bool,
 }
 
 fn as_bool(v: Option<&Json>, what: &str) -> Result<bool, WireError> {
@@ -176,10 +169,18 @@ fn parse_matrix(v: &Json) -> Result<MatrixSpec, WireError> {
         let e = v
             .get("e")
             .ok_or_else(|| WireError::bad("inline matrix needs both \"d\" and \"e\""))?;
-        return Ok(MatrixSpec::Inline {
-            d: f64_array(d, "d")?,
-            e: f64_array(e, "e")?,
-        });
+        let (d, e) = (f64_array(d, "d")?, f64_array(e, "e")?);
+        if d.is_empty() {
+            return Err(WireError::bad("inline matrix needs a non-empty \"d\""));
+        }
+        if e.len() + 1 != d.len() {
+            return Err(WireError::bad(format!(
+                "inline matrix needs len(e) == len(d) - 1, got {} and {}",
+                e.len(),
+                d.len()
+            )));
+        }
+        return Ok(MatrixSpec::Inline { d, e });
     }
     let ty = v
         .get("type")
@@ -191,11 +192,13 @@ fn parse_matrix(v: &Json) -> Result<MatrixSpec, WireError> {
         Some(s) => as_u64(s, "seed")?,
         None => 1,
     };
-    Ok(MatrixSpec::Generated {
-        ty: as_u64(ty, "type")? as usize,
-        n: as_u64(n, "n")? as usize,
-        seed,
-    })
+    let ty = MatrixType::from_index(as_u64(ty, "type")? as usize)
+        .ok_or_else(|| WireError::bad("matrix type must be 1..=15"))?;
+    let n = as_u64(n, "n")? as usize;
+    if n == 0 {
+        return Err(WireError::bad("generated matrix needs \"n\" >= 1"));
+    }
+    Ok(MatrixSpec::Generated { ty, n, seed })
 }
 
 fn parse_mode(v: Option<&Json>) -> Result<SolveMode, WireError> {
@@ -273,32 +276,30 @@ fn parse_request_doc(doc: &Json) -> Result<Request, WireError> {
         )
     };
     match op {
-        "solve" => Ok(Request::Solve {
-            id: need_id()?,
-            problem: parse_problem(doc)?,
-            priority: parse_priority(doc.get("priority"))?,
-            vectors: as_bool(doc.get("vectors"), "vectors")?,
-            check: as_bool(doc.get("check"), "check")?,
-            trace: as_bool(doc.get("trace"), "trace")?,
-        }),
-        "batch" => {
+        "solve" | "batch" => {
             let id = need_id()?;
-            let problems = doc
-                .get("problems")
-                .and_then(|v| v.as_arr())
-                .ok_or_else(|| WireError::bad("\"batch\" needs a \"problems\" array"))?;
-            if problems.is_empty() {
-                return Err(WireError::bad("\"problems\" must not be empty"));
-            }
-            Ok(Request::Batch {
+            let batch = op == "batch";
+            let problems = if batch {
+                let items = doc
+                    .get("problems")
+                    .and_then(|v| v.as_arr())
+                    .ok_or_else(|| WireError::bad("\"batch\" needs a \"problems\" array"))?;
+                if items.is_empty() {
+                    return Err(WireError::bad("\"problems\" must not be empty"));
+                }
+                items.iter().map(parse_problem).collect::<Result<_, _>>()?
+            } else {
+                vec![parse_problem(doc)?]
+            };
+            Ok(Request::Solve(SolveRequest {
                 id,
-                problems: problems
-                    .iter()
-                    .map(parse_problem)
-                    .collect::<Result<_, _>>()?,
+                problems,
                 priority: parse_priority(doc.get("priority"))?,
+                vectors: !batch && as_bool(doc.get("vectors"), "vectors")?,
                 check: as_bool(doc.get("check"), "check")?,
-            })
+                trace: !batch && as_bool(doc.get("trace"), "trace")?,
+                batch,
+            }))
         }
         "cancel" => Ok(Request::Cancel { id: need_id()? }),
         "metrics" => Ok(Request::Metrics),
@@ -330,34 +331,36 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A finite float as JSON (shortest round-trip form); non-finite → null,
-/// which the error paths never produce but defense-in-depth demands.
-pub fn num(x: f64) -> String {
+/// `[x, y, ...]` for a float slice, each value in Rust's shortest
+/// round-trip form (a non-finite one as `null`): the text a reply carries.
+pub fn num_arr(xs: &[f64]) -> String {
     let mut out = String::new();
-    push_num(&mut out, x);
+    push_arr(&mut out, xs);
     out
 }
 
-/// `[x, y, ...]` for a float slice, each value as [`num`] writes it.
-pub fn num_arr(xs: &[f64]) -> String {
+/// Append `[x, y, ...]` for a float slice to `out`, each value as
+/// [`push_num`] writes it.
+pub(crate) fn push_arr(out: &mut String, xs: &[f64]) {
     // 25 bytes a value: its comma and up to 24 for a sign, 17 significant
     // digits, the point and a few leading zeros. Magnitudes far from 1
     // print longer (`Display` never switches to an exponent) and grow the
     // buffer.
-    let mut out = String::with_capacity(xs.len() * 25 + 2);
+    out.reserve(xs.len() * 25 + 2);
     out.push('[');
     for (i, &x) in xs.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_num(&mut out, x);
+        push_num(out, x);
     }
     out.push(']');
-    out
 }
 
-/// Append [`num`]'s text for `x` to `out`, with no intermediate `String`.
-fn push_num(out: &mut String, x: f64) {
+/// Append a finite float as JSON (shortest round-trip form) to `out`;
+/// non-finite → null, which the error paths never produce but
+/// defense-in-depth demands.
+pub(crate) fn push_num(out: &mut String, x: f64) {
     if x.is_finite() {
         write!(out, "{x}").expect("formatting into a String cannot fail");
     } else {
@@ -365,56 +368,71 @@ fn push_num(out: &mut String, x: f64) {
     }
 }
 
-/// The standard failure envelope.
-pub fn error_response(id: Option<u64>, err: &WireError) -> String {
-    let id_part = match id {
-        Some(id) => format!("\"id\":{id},"),
-        None => String::new(),
-    };
-    format!(
-        "{{{id_part}\"ok\":false,\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
+/// Append a success envelope to `out`: `{"id":ID,"ok":true,`, what `body`
+/// appends, then `}`. `id` is `None` for a batch's items.
+pub(crate) fn ok_line(out: &mut String, id: Option<u64>, body: impl FnOnce(&mut String)) {
+    out.push('{');
+    if let Some(id) = id {
+        write!(out, "\"id\":{id},").expect("formatting into a String cannot fail");
+    }
+    out.push_str("\"ok\":true,");
+    body(out);
+    out.push('}');
+}
+
+/// Append the standard failure envelope to `out`.
+pub fn error_response(out: &mut String, id: Option<u64>, err: &WireError) {
+    out.push('{');
+    if let Some(id) = id {
+        write!(out, "\"id\":{id},").expect("formatting into a String cannot fail");
+    }
+    write!(
+        out,
+        "\"ok\":false,\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
         err.code,
         escape(&err.message)
     )
+    .expect("formatting into a String cannot fail");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn solve_request(line: &str) -> SolveRequest {
+        match parse_request(line).1 {
+            Ok(Request::Solve(req)) => req,
+            other => panic!("wrong request for {line}: {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_solve_request_variants() {
-        let (id, req) = parse_request(
-            r#"{"op":"solve","id":7,"matrix":{"type":4,"n":64,"seed":3},"mode":"values","priority":"high","check":true}"#,
-        );
-        assert_eq!(id, Some(7));
-        match req.unwrap() {
-            Request::Solve {
-                id,
-                problem,
-                priority,
-                vectors,
-                check,
-                trace,
-            } => {
-                assert_eq!(id, 7);
-                assert_eq!(problem.mode, SolveMode::ValuesOnly);
-                assert_eq!(problem.matrix.n(), 64);
-                assert!(priority && check && !vectors && !trace);
-            }
-            other => panic!("wrong request: {other:?}"),
-        }
-        let (_, req) = parse_request(
+        let line = r#"{"op":"solve","id":7,"matrix":{"type":4,"n":64,"seed":3},"mode":"values","priority":"high","check":true}"#;
+        assert_eq!(parse_request(line).0, Some(7));
+        let req = solve_request(line);
+        assert_eq!(req.id, 7);
+        assert_eq!(req.problems.len(), 1);
+        assert_eq!(req.problems[0].mode, SolveMode::ValuesOnly);
+        assert_eq!(req.problems[0].matrix.n(), 64);
+        assert!(req.priority && req.check && !req.vectors && !req.trace && !req.batch);
+        let req = solve_request(
             r#"{"op":"solve","id":1,"matrix":{"d":[2,2,2],"e":[1,1]},"mode":{"subset":[0,1]}}"#,
         );
-        match req.unwrap() {
-            Request::Solve { problem, .. } => {
-                assert_eq!(problem.mode, SolveMode::Subset { il: 0, iu: 1 });
-                let t = problem.matrix.build().unwrap();
-                assert_eq!(t.n(), 3);
-            }
-            other => panic!("wrong request: {other:?}"),
-        }
+        assert_eq!(req.problems[0].mode, SolveMode::Subset { il: 0, iu: 1 });
+        assert_eq!(req.problems[0].matrix.build().n(), 3);
+    }
+
+    #[test]
+    fn a_batch_is_a_solve_of_many_without_vectors_or_trace() {
+        let req = solve_request(
+            r#"{"op":"batch","id":4,"problems":[{"matrix":{"type":2,"n":8}},{"matrix":{"type":6,"n":9},"mode":"values"}],"vectors":true,"trace":true,"check":true}"#,
+        );
+        assert_eq!(req.id, 4);
+        assert!(req.batch && req.check && !req.vectors && !req.trace);
+        let orders: Vec<usize> = req.problems.iter().map(|p| p.matrix.n()).collect();
+        assert_eq!(orders, [8, 9]);
+        assert_eq!(req.problems[1].mode, SolveMode::ValuesOnly);
     }
 
     #[test]
@@ -435,16 +453,40 @@ mod tests {
             let err = req.expect_err(line);
             assert_eq!(err.code, code, "{line}");
         }
-        // Inline length mismatch is a build-time error, not parse-time.
-        let (_, req) = parse_request(r#"{"op":"solve","id":1,"matrix":{"d":[1,2],"e":[1,1,1]}}"#);
-        match req.unwrap() {
-            Request::Solve { problem, .. } => {
-                assert_eq!(
-                    problem.matrix.build().expect_err("mismatch").code,
-                    "bad-request"
-                );
+    }
+
+    /// A spec that cannot be built is refused by the parser, with the
+    /// request's id kept for the error envelope — in a `solve` and in any
+    /// member of a `batch`.
+    #[test]
+    fn unbuildable_specs_are_bad_requests_with_their_id() {
+        for (matrix, message) in [
+            (r#"{"type":16,"n":8}"#, "matrix type must be 1..=15"),
+            (r#"{"type":0,"n":8}"#, "matrix type must be 1..=15"),
+            (r#"{"type":4,"n":0}"#, "generated matrix needs \"n\" >= 1"),
+            (
+                r#"{"d":[],"e":[]}"#,
+                "inline matrix needs a non-empty \"d\"",
+            ),
+            (
+                r#"{"d":[1,2],"e":[1,1,1]}"#,
+                "inline matrix needs len(e) == len(d) - 1, got 3 and 2",
+            ),
+            (
+                r#"{"d":[1,2],"e":[]}"#,
+                "inline matrix needs len(e) == len(d) - 1, got 0 and 2",
+            ),
+        ] {
+            for line in [
+                format!(r#"{{"op":"solve","id":9,"matrix":{matrix}}}"#),
+                format!(
+                    r#"{{"op":"batch","id":9,"problems":[{{"matrix":{{"type":4,"n":8}}}},{{"matrix":{matrix}}}]}}"#
+                ),
+            ] {
+                let (id, req) = parse_request(&line);
+                assert_eq!(id, Some(9), "{line}");
+                assert_eq!(req.expect_err(&line), WireError::bad(message), "{line}");
             }
-            other => panic!("wrong request: {other:?}"),
         }
     }
 
@@ -490,14 +532,21 @@ mod tests {
             .collect();
         assert_eq!(num_arr(&xs), format!("[{}]", joined.join(",")));
         for (&x, want) in xs.iter().zip(&joined) {
-            assert_eq!(&num(x), want);
+            let mut one = String::new();
+            push_num(&mut one, x);
+            assert_eq!(&one, want);
         }
         assert_eq!(num_arr(&[]), "[]");
     }
 
     #[test]
     fn error_envelope_is_parseable() {
-        let line = error_response(Some(3), &WireError::new("busy", "7 in flight \"now\""));
+        let mut line = String::new();
+        error_response(
+            &mut line,
+            Some(3),
+            &WireError::new("busy", "7 in flight \"now\""),
+        );
         let doc = jsonv::parse(&line).unwrap();
         assert_eq!(doc.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(

@@ -4,13 +4,15 @@
 //! Threading model (hand-rolled, no async runtime):
 //!
 //! * one accept thread;
-//! * one reader thread per connection, which parses request lines and
+//! * one reader thread per connection, which parses request lines,
 //!   answers the cheap verbs (`ping`, `metrics`, `cancel`, `shutdown`)
-//!   inline;
-//! * one short-lived job thread per admitted `solve`/`batch`, which
-//!   submits the task graph into its own scope of the shared
-//!   [`Runtime`], waits, and writes the tagged response — so the reader
-//!   keeps servicing `cancel` verbs while solves are in flight.
+//!   inline, and refuses a request that cannot run (bad spec, order over
+//!   `max_n`, trace without `--trace-requests`) before admitting it;
+//! * one short-lived job thread per admitted `solve`/`batch` — one job
+//!   body for both — which submits each problem's task graph into its own
+//!   scope of the shared [`Runtime`], waits, and writes the tagged
+//!   response — so the reader keeps servicing `cancel` verbs while solves
+//!   are in flight.
 //!
 //! Responses are therefore interleaved in completion order, each tagged
 //! with the request's `id`. Admission is a compare-and-swap on the
@@ -19,12 +21,13 @@
 //! *nothing* is submitted to the runtime.
 
 use crate::protocol::{
-    self, dc_error_code, error_response, MatrixSpec, Problem, Request, WireError,
+    self, dc_error_code, error_response, ok_line, MatrixSpec, Request, SolveRequest, WireError,
 };
 use dcst_core::{DcError, DcOptions, DcStats, Eigen, PendingSolve, TaskFlowDc};
-use dcst_runtime::{CancelHandle, Runtime, Scope};
+use dcst_runtime::{CancelHandle, Runtime};
 use dcst_tridiag::SymTridiag;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,9 +57,6 @@ pub struct ServerConfig {
     /// Largest accepted request line in bytes; longer lines are drained
     /// and answered with `oversized`.
     pub max_line: usize,
-    /// Solver tuning shared by every request (`mode` and `threads` are
-    /// overridden per request / by the pool).
-    pub opts: DcOptions,
     /// Record every request's tasks and attach a Chrome trace to
     /// responses that ask for one (`"trace": true`). Without it such a
     /// request is answered `bad-request` and never admitted.
@@ -74,7 +74,6 @@ impl Default for ServerConfig {
             max_ready_depth: 1 << 14,
             max_n: 8192,
             max_line: 4 << 20,
-            opts: DcOptions::default(),
             trace_requests: false,
         }
     }
@@ -92,6 +91,10 @@ enum JobState {
 struct Inner {
     cfg: ServerConfig,
     rt: Runtime,
+    /// What every request solves with but its `mode`: the library's
+    /// defaults on the pool's threads. Made once: `DcOptions::default()`
+    /// asks the OS for the CPU count on every call.
+    opts: DcOptions,
     inflight: AtomicUsize,
     accepted: AtomicU64,
     completed: AtomicU64,
@@ -186,7 +189,7 @@ impl Inner {
 
     /// Materialize a request's matrix on the job thread, adding the time
     /// to the `build_us` rung.
-    fn build_matrix(&self, spec: &MatrixSpec) -> Result<SymTridiag, WireError> {
+    fn build_matrix(&self, spec: &MatrixSpec) -> SymTridiag {
         let t0 = Instant::now();
         let built = spec.build();
         let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -194,13 +197,14 @@ impl Inner {
         built
     }
 
-    fn metrics_response(&self) -> String {
+    fn metrics_response(&self, out: &mut String) {
         let rm = self.rt.runtime_metrics();
         let kernel: Vec<String> = dcst_matrix::metrics::snapshot()
             .iter()
             .map(|(k, v)| format!("\"{}\":{v}", protocol::escape(k)))
             .collect();
-        format!(
+        let _ = write!(
+            out,
             "{{\"ok\":true,\"metrics\":{{\
              \"workers\":{},\"tasks_executed\":{},\"steals_succeeded\":{},\
              \"priority_hits\":{},\"parks\":{},\"max_queue_depth\":{},\
@@ -221,7 +225,7 @@ impl Inner {
             self.cancelled.load(Ordering::Relaxed),
             self.build_ns.load(Ordering::Relaxed) / 1000,
             kernel.join(",")
-        )
+        );
     }
 }
 
@@ -246,6 +250,10 @@ impl Server {
             rt.enable_tracing();
         }
         let inner = Arc::new(Inner {
+            opts: DcOptions {
+                threads: cfg.threads,
+                ..DcOptions::default()
+            },
             cfg,
             rt,
             inflight: AtomicUsize::new(0),
@@ -318,13 +326,15 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
 /// connection.
 type SharedWriter = Arc<Mutex<TcpStream>>;
 
-fn write_line(writer: &SharedWriter, line: &str) {
+/// Write one reply line: `reply` appends the envelope to the buffer, which
+/// goes to the socket as it is, newline included.
+fn write_line(writer: &SharedWriter, reply: impl FnOnce(&mut String)) {
+    let mut buf = String::new();
+    reply(&mut buf);
     // One write_all per response: a separate trailing-newline write makes
     // a tiny second TCP segment that Nagle holds back until the previous
     // segment is ACKed — on an otherwise idle connection that is a
     // ~40 ms delayed-ACK stall per response.
-    let mut buf = String::with_capacity(line.len() + 1);
-    buf.push_str(line);
     buf.push('\n');
     // A vanished client is not a server error: drop the response.
     let mut w = writer.lock().unwrap();
@@ -370,16 +380,11 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
         match read_request_line(&mut reader, inner.cfg.max_line, &mut line) {
             Err(_) | Ok(None) => break,
             Ok(Some(false)) => {
-                write_line(
-                    &writer,
-                    &error_response(
-                        None,
-                        &WireError::new(
-                            "oversized",
-                            format!("request line over {} bytes", inner.cfg.max_line),
-                        ),
-                    ),
+                let e = WireError::new(
+                    "oversized",
+                    format!("request line over {} bytes", inner.cfg.max_line),
                 );
+                write_line(&writer, |out| error_response(out, None, &e));
                 continue;
             }
             Ok(Some(true)) => {}
@@ -390,11 +395,15 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
         }
         let (id, req) = protocol::parse_request(trimmed);
         match req {
-            Err(e) => write_line(&writer, &error_response(id, &e)),
-            Ok(Request::Ping) => write_line(&writer, &ok_line(id, "\"pong\":true")),
-            Ok(Request::Metrics) => write_line(&writer, &inner.metrics_response()),
+            Err(e) => write_line(&writer, |out| error_response(out, id, &e)),
+            Ok(Request::Ping) => write_line(&writer, |out| {
+                ok_line(out, id, |out| out.push_str("\"pong\":true"))
+            }),
+            Ok(Request::Metrics) => write_line(&writer, |out| inner.metrics_response(out)),
             Ok(Request::Shutdown) => {
-                write_line(&writer, &ok_line(id, "\"shutdown\":true"));
+                write_line(&writer, |out| {
+                    ok_line(out, id, |out| out.push_str("\"shutdown\":true"))
+                });
                 inner.shutdown.store(true, Ordering::SeqCst);
                 // Poke accept() awake so it observes the flag; an
                 // accepted socket's local address IS the listener's.
@@ -404,49 +413,20 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
             }
             Ok(Request::Cancel { id }) => {
                 let hit = inner.cancel_job((conn, id));
-                write_line(
-                    &writer,
-                    &format!("{{\"id\":{id},\"ok\":true,\"cancelled\":{hit}}}"),
-                );
-            }
-            Ok(Request::Solve {
-                id,
-                problem,
-                priority,
-                vectors,
-                check,
-                trace,
-            }) => {
-                // Refused before admission: only a server that records
-                // every request's tasks has a trace to attach.
-                if trace && !inner.cfg.trace_requests {
-                    let e = WireError::bad(
-                        "\"trace\": true needs a server started with --trace-requests",
-                    );
-                    write_line(&writer, &error_response(Some(id), &e));
-                    continue;
-                }
-                if let Err(e) = admit(&inner, conn, id) {
-                    write_line(&writer, &error_response(Some(id), &e));
-                    continue;
-                }
-                spawn_job(&inner, &writer, (conn, id), move |inner| {
-                    solve_response(inner, conn, id, &problem, priority, vectors, check, trace)
+                write_line(&writer, |out| {
+                    ok_line(out, Some(id), |out| {
+                        let _ = write!(out, "\"cancelled\":{hit}");
+                    })
                 });
             }
-            Ok(Request::Batch {
-                id,
-                problems,
-                priority,
-                check,
-            }) => {
-                if let Err(e) = admit(&inner, conn, id) {
-                    write_line(&writer, &error_response(Some(id), &e));
-                    continue;
+            Ok(Request::Solve(req)) => {
+                let id = req.id;
+                match runnable(&inner.cfg, &req).and_then(|()| admit(&inner, conn, id)) {
+                    Err(e) => write_line(&writer, |out| error_response(out, Some(id), &e)),
+                    Ok(()) => spawn_job(&inner, &writer, (conn, id), move |inner, out| {
+                        solve_job(inner, conn, &req, out)
+                    }),
                 }
-                spawn_job(&inner, &writer, (conn, id), move |inner| {
-                    batch_response(inner, conn, id, &problems, priority, check)
-                });
             }
         }
     }
@@ -465,20 +445,42 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
     }
 }
 
+/// The checks a request passes before admission, beyond the parser's: a
+/// trace only from a server that records every request's tasks, and no
+/// matrix over `max_n` (refused before any O(n²) allocation). A request
+/// refused here is never counted `accepted`.
+fn runnable(cfg: &ServerConfig, req: &SolveRequest) -> Result<(), WireError> {
+    if req.trace && !cfg.trace_requests {
+        return Err(WireError::bad(
+            "\"trace\": true needs a server started with --trace-requests",
+        ));
+    }
+    match req
+        .problems
+        .iter()
+        .map(|p| p.matrix.n())
+        .find(|&n| n > cfg.max_n)
+    {
+        Some(n) => Err(WireError::new(
+            "oversized",
+            format!("matrix order {n} over the server limit {}", cfg.max_n),
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Reserve an admission slot and seed the job table. A duplicate live id
 /// on the same connection is a bad request (responses would be
 /// indistinguishable).
 fn admit(inner: &Arc<Inner>, conn: u64, id: u64) -> Result<(), WireError> {
-    {
-        let jobs = inner.jobs.lock().unwrap();
-        if jobs.contains_key(&(conn, id)) {
-            return Err(WireError::bad(format!(
-                "request id {id} is still in flight on this connection"
-            )));
-        }
+    let mut jobs = inner.jobs.lock().unwrap();
+    if jobs.contains_key(&(conn, id)) {
+        return Err(WireError::bad(format!(
+            "request id {id} is still in flight on this connection"
+        )));
     }
     inner.try_admit()?;
-    inner.jobs.lock().unwrap().insert(
+    jobs.insert(
         (conn, id),
         JobState::Queued {
             cancel_requested: false,
@@ -493,19 +495,20 @@ fn admit(inner: &Arc<Inner>, conn: u64, id: u64) -> Result<(), WireError> {
 fn run_job(
     inner: &Arc<Inner>,
     key: (u64, u64),
-    body: impl FnOnce(&Arc<Inner>) -> String,
-) -> String {
-    let resp = catch_unwind(AssertUnwindSafe(|| body(inner))).unwrap_or_else(|panic| {
+    body: impl FnOnce(&Arc<Inner>, &mut String),
+    out: &mut String,
+) {
+    if let Err(panic) = catch_unwind(AssertUnwindSafe(|| body(inner, out))) {
         let what = panic
             .downcast_ref::<String>()
             .map(String::as_str)
             .or_else(|| panic.downcast_ref::<&str>().copied())
             .unwrap_or("no message");
         let e = WireError::new("internal", format!("the job panicked: {what}"));
-        error_response(Some(key.1), &e)
-    });
+        out.clear();
+        error_response(out, Some(key.1), &e);
+    }
     inner.finish_job(key);
-    resp
 }
 
 /// The job thread of one admitted `solve`/`batch` request.
@@ -513,32 +516,30 @@ fn spawn_job(
     inner: &Arc<Inner>,
     writer: &SharedWriter,
     key: (u64, u64),
-    body: impl FnOnce(&Arc<Inner>) -> String + Send + 'static,
+    body: impl FnOnce(&Arc<Inner>, &mut String) + Send + 'static,
 ) {
     let (inner, writer) = (inner.clone(), writer.clone());
-    thread::spawn(move || write_line(&writer, &run_job(&inner, key, body)));
+    thread::spawn(move || write_line(&writer, |out| run_job(&inner, key, body, out)));
 }
 
-fn ok_line(id: Option<u64>, body: &str) -> String {
-    match id {
-        Some(id) => format!("{{\"id\":{id},\"ok\":true,{body}}}"),
-        None => format!("{{\"ok\":true,{body}}}"),
-    }
-}
-
-fn dc_error_response(id: u64, e: &DcError) -> String {
-    error_response(Some(id), &WireError::new(dc_error_code(e), e.to_string()))
-}
-
-/// One problem's success payload (shared by `solve` and `batch` items).
-fn result_body(t: &SymTridiag, eig: &Eigen, stats: &DcStats, vectors: bool, check: bool) -> String {
-    let mut body = format!(
-        "\"n\":{},\"k\":{},\"deflation\":{},\"values\":{}",
+/// Append one problem's success payload.
+fn result_body(
+    out: &mut String,
+    t: &SymTridiag,
+    eig: &Eigen,
+    stats: &DcStats,
+    vectors: bool,
+    check: bool,
+) {
+    let _ = write!(
+        out,
+        "\"n\":{},\"k\":{},\"deflation\":",
         t.n(),
-        eig.values.len(),
-        protocol::num(stats.overall_deflation()),
-        protocol::num_arr(&eig.values)
+        eig.values.len()
     );
+    protocol::push_num(out, stats.overall_deflation());
+    out.push_str(",\"values\":");
+    protocol::push_arr(out, &eig.values);
     if check && eig.vectors.cols() > 0 && eig.vectors.cols() == eig.values.len() {
         let orth = dcst_matrix::orthogonality_error(&eig.vectors);
         let res = dcst_matrix::residual_error(
@@ -548,92 +549,90 @@ fn result_body(t: &SymTridiag, eig: &Eigen, stats: &DcStats, vectors: bool, chec
             &eig.vectors,
             t.max_norm(),
         );
-        body.push_str(&format!(
-            ",\"orth\":{},\"residual\":{}",
-            protocol::num(orth),
-            protocol::num(res)
-        ));
+        out.push_str(",\"orth\":");
+        protocol::push_num(out, orth);
+        out.push_str(",\"residual\":");
+        protocol::push_num(out, res);
     }
     if vectors {
         // Column-major, matching Matrix's storage.
-        body.push_str(&format!(
-            ",\"vectors\":{}",
-            protocol::num_arr(eig.vectors.as_slice())
-        ));
+        out.push_str(",\"vectors\":");
+        protocol::push_arr(out, eig.vectors.as_slice());
     }
-    body
 }
 
-/// Build, submit, wait, and serialize one solve. The job's cancel
-/// handles go live between submission and wait, so a `cancel` verb
-/// observed by the reader thread lands on this scope's latch.
-#[allow(clippy::too_many_arguments)]
-fn solve_response(
-    inner: &Arc<Inner>,
-    conn: u64,
-    id: u64,
-    problem: &Problem,
-    priority: bool,
-    vectors: bool,
-    check: bool,
-    trace: bool,
-) -> String {
-    if problem.matrix.n() > inner.cfg.max_n {
-        return error_response(
-            Some(id),
-            &WireError::new(
-                "oversized",
-                format!(
-                    "matrix order {} over the server limit {}",
-                    problem.matrix.n(),
-                    inner.cfg.max_n
-                ),
-            ),
-        );
-    }
-    let t = match inner.build_matrix(&problem.matrix) {
-        Ok(t) => t,
-        Err(e) => return error_response(Some(id), &e),
-    };
-    let opts = DcOptions {
-        mode: problem.mode,
-        threads: inner.cfg.threads,
-        ..inner.cfg.opts
-    };
-    // The solver is a temporary, dropped at submit: the graph then holds
+/// The one job body of `solve` and `batch`: build every problem, submit
+/// each into its own scope before waiting on any (so a batch's panels
+/// share the pool's ready queue), register every scope's cancel handle,
+/// then wait on each problem in order and append its envelope. A `solve`
+/// reply is its problem's envelope; a `batch` reply lists the untagged
+/// envelopes under `"results"`, so one item's error leaves its siblings'
+/// results intact. A cancelled request counts once, however many of its
+/// problems it stopped.
+fn solve_job(inner: &Arc<Inner>, conn: u64, req: &SolveRequest, out: &mut String) {
+    let mats: Vec<SymTridiag> = req
+        .problems
+        .iter()
+        .map(|p| inner.build_matrix(&p.matrix))
+        .collect();
+    // Each solver is a temporary, dropped at submit: the graph then holds
     // the only handle on its spare-V slot, so V is freed when the result is
     // collected rather than kept through the response.
-    let pending = match TaskFlowDc::new(opts).submit(&t, request_scope(&inner.rt, priority)) {
-        Ok(p) => p,
-        Err(e) => return dc_error_response(id, &e),
+    let pendings: Vec<Result<PendingSolve<'_>, DcError>> = req
+        .problems
+        .iter()
+        .zip(&mats)
+        .map(|(p, t)| {
+            let opts = DcOptions {
+                mode: p.mode,
+                ..inner.opts
+            };
+            // A `"priority":"high"` request rides the priority injector
+            // lane with every one of its tasks.
+            let scope = if req.priority {
+                inner.rt.priority_scope()
+            } else {
+                inner.rt.scope()
+            };
+            TaskFlowDc::new(opts).submit(t, scope)
+        })
+        .collect();
+    let handles = pendings.iter().flatten().map(PendingSolve::cancel_handle);
+    if inner.activate_job((conn, req.id), handles.collect()) {
+        pendings.iter().flatten().for_each(PendingSolve::cancel);
+    }
+    let mut cancelled = false;
+    let envelopes = |out: &mut String, id: Option<u64>| {
+        for (i, (pending, t)) in pendings.into_iter().zip(&mats).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match pending.and_then(|p| finish_pending(inner, p, req.trace)) {
+                Ok((eig, stats, trace)) => ok_line(out, id, |out| {
+                    result_body(out, t, &eig, &stats, req.vectors, req.check);
+                    if let Some(tj) = trace {
+                        let _ = write!(out, ",\"trace\":\"{}\"", protocol::escape(&tj));
+                    }
+                }),
+                Err(e) => {
+                    cancelled |= matches!(e, DcError::Cancelled);
+                    let e = WireError::new(dc_error_code(&e), e.to_string());
+                    error_response(out, id, &e);
+                }
+            }
+        }
     };
-    if inner.activate_job((conn, id), vec![pending.cancel_handle()]) {
-        pending.cancel();
-    }
-    match finish_pending(inner, pending, trace) {
-        Ok((eig, stats, trace_json)) => {
-            let mut body = result_body(&t, &eig, &stats, vectors, check);
-            if let Some(tj) = trace_json {
-                body.push_str(&format!(",\"trace\":\"{}\"", protocol::escape(&tj)));
-            }
-            ok_line(Some(id), &body)
-        }
-        Err(e) => {
-            if matches!(e, DcError::Cancelled) {
-                inner.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
-            dc_error_response(id, &e)
-        }
-    }
-}
-
-/// A request's scope on the shared pool: a `"priority":"high"` request
-/// rides the priority injector lane with every one of its tasks.
-fn request_scope(rt: &Runtime, priority: bool) -> Scope<'_> {
-    if priority {
-        rt.priority_scope()
+    if req.batch {
+        ok_line(out, Some(req.id), |out| {
+            out.push_str("\"results\":[");
+            envelopes(out, None);
+            out.push(']');
+        });
     } else {
-        rt.scope()
+        envelopes(out, Some(req.id));
+    }
+    if cancelled {
+        inner.cancelled.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -657,84 +656,6 @@ fn finish_pending(
     Ok((eig, stats, trace_json))
 }
 
-/// The fused batch path: submit every problem's graph before waiting on
-/// any, so their panels share the pool's ready queue; all scopes are
-/// registered for cancellation as one job.
-fn batch_response(
-    inner: &Arc<Inner>,
-    conn: u64,
-    id: u64,
-    problems: &[Problem],
-    priority: bool,
-    check: bool,
-) -> String {
-    for p in problems {
-        if p.matrix.n() > inner.cfg.max_n {
-            return error_response(
-                Some(id),
-                &WireError::new(
-                    "oversized",
-                    format!(
-                        "matrix order {} over the server limit {}",
-                        p.matrix.n(),
-                        inner.cfg.max_n
-                    ),
-                ),
-            );
-        }
-    }
-    let mut mats = Vec::with_capacity(problems.len());
-    for p in problems {
-        match inner.build_matrix(&p.matrix) {
-            Ok(t) => mats.push(t),
-            Err(e) => return error_response(Some(id), &e),
-        }
-    }
-    // Submit everything, then register the whole fan of cancel handles.
-    let mut pendings: Vec<Result<PendingSolve<'_>, DcError>> = Vec::with_capacity(mats.len());
-    for (p, t) in problems.iter().zip(&mats) {
-        let solver = TaskFlowDc::new(DcOptions {
-            mode: p.mode,
-            threads: inner.cfg.threads,
-            ..inner.cfg.opts
-        });
-        pendings.push(solver.submit(t, request_scope(&inner.rt, priority)));
-    }
-    let handles: Vec<CancelHandle> = pendings
-        .iter()
-        .filter_map(|p| p.as_ref().ok().map(|p| p.cancel_handle()))
-        .collect();
-    if inner.activate_job((conn, id), handles) {
-        for p in pendings.iter().flatten() {
-            p.cancel();
-        }
-    }
-    let mut results = Vec::with_capacity(pendings.len());
-    let mut any_cancelled = false;
-    for (p, t) in pendings.into_iter().zip(&mats) {
-        let outcome =
-            p.and_then(|p| finish_pending(inner, p, false).map(|(eig, stats, _)| (eig, stats)));
-        results.push(match outcome {
-            Ok((eig, stats)) => format!(
-                "{{\"ok\":true,{}}}",
-                result_body(t, &eig, &stats, false, check)
-            ),
-            Err(e) => {
-                any_cancelled |= matches!(e, DcError::Cancelled);
-                format!(
-                    "{{\"ok\":false,\"error\":{{\"code\":\"{}\",\"message\":\"{}\"}}}}",
-                    dc_error_code(&e),
-                    protocol::escape(&e.to_string())
-                )
-            }
-        });
-    }
-    if any_cancelled {
-        inner.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-    ok_line(Some(id), &format!("\"results\":[{}]", results.join(",")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,7 +668,8 @@ mod tests {
         let before = inner.inflight.load(Ordering::SeqCst);
         admit(inner, 1, 7).unwrap();
         assert_eq!(inner.inflight.load(Ordering::SeqCst), before + 1);
-        let resp = run_job(inner, (1, 7), |_| panic!("boom"));
+        let mut resp = String::from("{\"id\":7,\"ok\":true,");
+        run_job(inner, (1, 7), |_, _| panic!("boom"), &mut resp);
         let doc = jsonv::parse(&resp).unwrap();
         assert_eq!(doc.get("id").and_then(|v| v.as_num()), Some(7.0));
         let err = doc.get("error").unwrap();

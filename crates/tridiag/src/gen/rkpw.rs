@@ -26,7 +26,13 @@ const SWEEPS: usize = 12;
 ///
 /// Panics if lengths differ, if fewer than one node is given, or if any
 /// weight is non-positive.
+///
+/// The sweeps meet subnormals (1.6 % of type 2's cells), so they run with
+/// gradual underflow whatever the caller's floating-point mode: the same
+/// input gives the same bits on a thread that flushes subnormals.
 pub fn jacobi_from_spectrum(nodes: &[f64], weights: &[f64]) -> SymTridiag {
+    #[cfg(target_arch = "x86_64")]
+    let _mode = mxcsr::GradualUnderflow::enter();
     jacobi_wavefront::<SWEEPS>(nodes, weights)
 }
 
@@ -152,6 +158,56 @@ impl Sweep {
     }
 }
 
+/// The SSE control register, which sets how this thread's scalar and
+/// vector `f64` arithmetic rounds and whether it flushes subnormals.
+#[cfg(target_arch = "x86_64")]
+mod mxcsr {
+    use std::arch::asm;
+
+    /// Flush to zero: a subnormal result is written as zero.
+    pub(super) const FTZ: u32 = 1 << 15;
+    /// Denormals are zero: a subnormal operand is read as zero.
+    pub(super) const DAZ: u32 = 1 << 6;
+
+    pub(super) fn get() -> u32 {
+        let mut csr = 0u32;
+        // SAFETY: `stmxcsr` writes the 4-byte MXCSR to the address of a
+        // live local `u32`, and touches nothing else.
+        unsafe { asm!("stmxcsr [{}]", in(reg) &mut csr, options(nostack, preserves_flags)) };
+        csr
+    }
+
+    pub(super) fn set(csr: u32) {
+        // Bits 16 and up are reserved: loading one set would fault.
+        let csr = csr & 0xffff;
+        // SAFETY: `ldmxcsr` reads 4 bytes from the address of a live local
+        // `u32`, whose reserved bits the mask above cleared.
+        unsafe { asm!("ldmxcsr [{}]", in(reg) &csr, options(nostack, readonly, preserves_flags)) };
+    }
+
+    /// Clears FTZ and DAZ while alive; dropping it (also as a panic
+    /// unwinds) gives the thread back the MXCSR it had.
+    pub(super) struct GradualUnderflow(u32);
+
+    impl GradualUnderflow {
+        pub(super) fn enter() -> Self {
+            let saved = get();
+            if saved & (FTZ | DAZ) != 0 {
+                set(saved & !(FTZ | DAZ));
+            }
+            GradualUnderflow(saved)
+        }
+    }
+
+    impl Drop for GradualUnderflow {
+        fn drop(&mut self) {
+            if self.0 & (FTZ | DAZ) != 0 {
+                set(self.0);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,6 +253,29 @@ mod tests {
 
     fn same_bits(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A thread that flushes subnormals gets the matrix a default-mode
+    /// thread gets: type 2 meets subnormals at n = 512 (seed 7), and the
+    /// flushed sweep would round them away. The caller's mode comes back
+    /// after the call, and after a call that panics.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn generation_ignores_the_callers_subnormal_flushing() {
+        let want = MatrixType::Type2.generate(512, 7);
+        let default_mode = mxcsr::get();
+        let flushing = default_mode | mxcsr::FTZ | mxcsr::DAZ;
+        mxcsr::set(flushing);
+        let got = MatrixType::Type2.generate(512, 7);
+        let after = mxcsr::get();
+        let panicked =
+            std::panic::catch_unwind(|| jacobi_from_spectrum(&[1.0, 2.0], &[1.0, -1.0])).is_err();
+        let after_panic = mxcsr::get();
+        mxcsr::set(default_mode);
+        assert!(same_bits(&got.d, &want.d) && same_bits(&got.e, &want.e));
+        assert_eq!(after, flushing);
+        assert!(panicked);
+        assert_eq!(after_panic, flushing);
     }
 
     /// Every Table III spectrum through the wavefront and through the

@@ -149,30 +149,57 @@ proptest! {
     }
 }
 
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
 /// Pin the protocol results to the in-process library solver: the values
-/// crossing the wire are the very f64s `TaskFlowDc` produced.
+/// and vectors crossing the wire are the very f64s `TaskFlowDc` produced
+/// with default options on as many threads as the daemon's pool.
 #[test]
 fn server_values_are_bitwise_the_library_values() {
-    let opts = DcOptions {
-        min_part: 16,
-        nb: 32,
-        threads: 2,
-        use_gatherv: true,
-        mode: SolveMode::Full,
-    };
     let server = Server::start(ServerConfig {
         threads: 2,
-        opts,
         ..ServerConfig::default()
     })
     .unwrap();
     let t = MatrixType::from_index(4).unwrap().generate(80, 42);
-    let eig = TaskFlowDc::new(opts).solve(&t).unwrap();
+    let library = |mode| {
+        let opts = DcOptions {
+            threads: 2,
+            mode,
+            ..DcOptions::default()
+        };
+        TaskFlowDc::new(opts).solve(&t).unwrap()
+    };
     let mut cl = Client::connect(server.addr()).unwrap();
     let doc = cl
         .call(r#"{"op":"solve","id":1,"matrix":{"type":4,"n":80,"seed":42}}"#)
         .unwrap();
-    let wire = value_bits(&doc);
-    let lib: Vec<u64> = eig.values.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(wire, lib);
+    assert_eq!(value_bits(&doc), bits(&library(SolveMode::Full).values));
+    for (id, wire_mode, mode) in [
+        (2, r#""full""#, SolveMode::Full),
+        (
+            3,
+            r#"{"subset":[10,29]}"#,
+            SolveMode::Subset { il: 10, iu: 29 },
+        ),
+    ] {
+        let doc = cl
+            .call(&format!(
+                r#"{{"op":"solve","id":{id},"matrix":{{"type":4,"n":80,"seed":42}},"mode":{wire_mode},"vectors":true}}"#
+            ))
+            .unwrap();
+        let eig = library(mode);
+        assert_eq!(value_bits(&doc), bits(&eig.values), "{wire_mode}");
+        let wire: Vec<u64> = doc
+            .get("vectors")
+            .and_then(Json::as_arr)
+            .expect("vectors array")
+            .iter()
+            .map(|v| v.as_num().expect("number").to_bits())
+            .collect();
+        assert_eq!(wire.len(), 80 * eig.values.len(), "{wire_mode}");
+        assert_eq!(wire, bits(eig.vectors.as_slice()), "{wire_mode}");
+    }
 }

@@ -308,6 +308,56 @@ fn zero_order_specs_are_typed_and_hold_no_slot() {
         .expect("the daemon stopped answering, or an assertion above failed");
 }
 
+/// Every request that cannot run is answered with its typed error on the
+/// reader, before admission: an order over `max_n` (in a `solve` or in
+/// any `batch` member), a zero order, a type outside 1..=15, an inline
+/// `d`/`e` length mismatch, and `"trace": true` to a server that records
+/// no traces. None of them is counted `accepted` or holds a slot.
+#[test]
+fn a_request_that_cannot_run_is_never_admitted() {
+    let server = Server::start(ServerConfig {
+        threads: 2,
+        max_inflight: 2,
+        max_n: 64,
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback");
+    let mut cl = Client::connect(server.addr()).unwrap();
+    let gauges = |cl: &mut Client| {
+        let doc = cl.call(r#"{"op":"metrics"}"#).unwrap();
+        let m = doc.get("metrics").unwrap().clone();
+        let get = |key| m.get(key).and_then(Json::as_num).expect(key);
+        (get("accepted"), get("inflight"))
+    };
+    let before = gauges(&mut cl);
+    for (id, line, code) in [
+        (1, solve_line(1, 4, 65, 1, ""), "oversized"),
+        (2, solve_line(2, 4, 0, 1, ""), "bad-request"),
+        (3, solve_line(3, 16, 8, 1, ""), "bad-request"),
+        (
+            4,
+            r#"{"op":"solve","id":4,"matrix":{"d":[1,2],"e":[1,1,1]}}"#.to_string(),
+            "bad-request",
+        ),
+        (
+            5,
+            r#"{"op":"batch","id":5,"problems":[{"matrix":{"type":4,"n":16}},{"matrix":{"type":4,"n":100}}]}"#
+                .to_string(),
+            "oversized",
+        ),
+        (6, solve_line(6, 4, 16, 1, r#","trace":true"#), "bad-request"),
+    ] {
+        let doc = cl.call(&line).unwrap();
+        assert_eq!(req_id(&doc), Some(id), "{line}");
+        assert_eq!(error_code(&doc).as_deref(), Some(code), "{line}: {doc:?}");
+        assert_eq!(gauges(&mut cl), before, "{line} moved accepted or inflight");
+    }
+    // The daemon still runs what it can.
+    let doc = cl.call(&solve_line(7, 4, 64, 1, "")).unwrap();
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    assert_eq!(gauges(&mut cl), (before.0 + 1.0, 0.0));
+}
+
 /// The submission ids of the `X` (task) events in a response's trace.
 fn traced_task_ids(doc: &Json) -> Vec<u64> {
     let text = doc
@@ -341,7 +391,7 @@ fn traced_requests_carry_only_their_own_tasks() {
     // The graph's task count depends on n and the options, not the matrix.
     let opts = DcOptions {
         threads: cfg.threads,
-        ..cfg.opts
+        ..DcOptions::default()
     };
     let tasks = |n: usize| {
         let t = MatrixType::Type4.generate(n, 1);
