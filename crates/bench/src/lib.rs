@@ -37,26 +37,61 @@ impl Args {
             .map(|s| s.as_str())
     }
 
+    /// `name`'s value, or `default` without the flag; exits 2, naming the
+    /// flag, when it is present with a missing or unparsable value.
     pub fn usize_or(&self, name: &str, default: usize) -> usize {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_usize(name, default).unwrap_or_else(|e| usage(&e))
     }
 
-    /// Comma-separated size list, e.g. `--sizes 512,1024,2048`.
+    /// Comma-separated size list, e.g. `--sizes 512,1024,2048`, or
+    /// `default` without the flag; exits 2 on a malformed list.
     pub fn sizes_or(&self, default: &[usize]) -> Vec<usize> {
-        match self.value("--sizes") {
-            Some(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-            None => default.to_vec(),
+        self.try_sizes(default).unwrap_or_else(|e| usage(&e))
+    }
+
+    /// `name`'s value when the flag is given. A flag given without a
+    /// value, or with one that does not parse, is an error naming it:
+    /// running on the default instead would regenerate a figure for the
+    /// wrong input without saying so.
+    fn given(&self, name: &str) -> Result<Option<&str>, String> {
+        match self.value(name) {
+            None if self.flag(name) => Err(format!("{name} needs a value")),
+            value => Ok(value),
         }
     }
+
+    fn try_usize(&self, name: &str, default: usize) -> Result<usize, String> {
+        let Some(v) = self.given(name)? else {
+            return Ok(default);
+        };
+        v.parse()
+            .map_err(|_| format!("{name} wants a non-negative integer, got '{v}'"))
+    }
+
+    /// The `--sizes` list, or `default` without the flag; every entry must
+    /// parse.
+    fn try_sizes(&self, default: &[usize]) -> Result<Vec<usize>, String> {
+        let Some(v) = self.given("--sizes")? else {
+            return Ok(default.to_vec());
+        };
+        let size = |s: &str| {
+            let s = s.trim();
+            s.parse()
+                .map_err(|_| format!("--sizes wants non-negative integers, got '{s}'"))
+        };
+        v.split(',').map(size).collect()
+    }
+}
+
+/// A usage error: the message on stderr and exit status 2, as `dcst`'s.
+fn usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// Number of hardware threads available.
 pub fn max_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    dcst_runtime::cpu_count()
 }
 
 /// Default options at a given thread count.
@@ -164,6 +199,45 @@ mod tests {
         let mut t = Table::new(&["a", "bbbb"]);
         t.row(vec!["1".into(), "2".into()]);
         t.print(); // smoke test: no panic
+    }
+
+    fn args(raw: &[&str]) -> Args {
+        Args {
+            raw: raw.iter().map(|s| s.to_string()).collect(),
+        }
+    }
+
+    #[test]
+    fn usize_flags_parse_or_name_the_flag() {
+        assert_eq!(args(&[]).try_usize("--threads", 3), Ok(3));
+        assert_eq!(args(&["--threads", "2"]).try_usize("--threads", 3), Ok(2));
+        assert_eq!(
+            args(&["--threads", "abc"]).try_usize("--threads", 3),
+            Err("--threads wants a non-negative integer, got 'abc'".to_string())
+        );
+        assert_eq!(
+            args(&["--n", "1000", "--threads"]).try_usize("--threads", 3),
+            Err("--threads needs a value".to_string())
+        );
+    }
+
+    #[test]
+    fn size_lists_parse_every_entry() {
+        assert_eq!(args(&[]).try_sizes(&[512]), Ok(vec![512]));
+        let sizes = args(&["--sizes", "512, 1024,2048"]).try_sizes(&[1]);
+        assert_eq!(sizes, Ok(vec![512, 1024, 2048]));
+        assert_eq!(
+            args(&["--sizes", "512,1O24"]).try_sizes(&[1]),
+            Err("--sizes wants non-negative integers, got '1O24'".to_string())
+        );
+        assert_eq!(
+            args(&["--sizes", "512,"]).try_sizes(&[1]),
+            Err("--sizes wants non-negative integers, got ''".to_string())
+        );
+        assert_eq!(
+            args(&["--sizes"]).try_sizes(&[1]),
+            Err("--sizes needs a value".to_string())
+        );
     }
 
     #[test]

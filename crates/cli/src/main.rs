@@ -248,12 +248,7 @@ fn main() -> ExitCode {
     }
     let cmd = argv.remove(0);
     let args = Args { raw: argv };
-    let threads = match args.usize_flag(
-        "--threads",
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1),
-    ) {
+    let threads = match args.usize_flag("--threads", dcst_runtime::cpu_count()) {
         Ok(v) => v,
         Err(e) => return fail(e, EXIT_USAGE),
     };

@@ -122,9 +122,7 @@ impl Default for DcOptions {
         DcOptions {
             min_part: 32,
             nb: 64,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            threads: dcst_runtime::cpu_count(),
             use_gatherv: true,
             mode: SolveMode::Full,
         }

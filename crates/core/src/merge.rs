@@ -39,7 +39,6 @@ use dcst_secular::{
 };
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Statistics of one merge node.
 #[derive(Clone, Copy, Debug)]
@@ -133,7 +132,7 @@ pub(crate) fn column_map(
     src_support: &[RowSpan],
     perm: &[usize],
     k: usize,
-) -> (Vec<usize>, Vec<usize>, Arc<[RowSpan]>) {
+) -> (Vec<usize>, Vec<usize>, Vec<RowSpan>) {
     let from: Vec<usize> = perm.iter().map(|&p| src[p]).collect();
     let mut col = from.clone();
     col[..k].sort_unstable();
@@ -718,7 +717,7 @@ mod tests {
         src_support: &[RowSpan],
         perm: &[usize],
         k: usize,
-    ) -> (Vec<usize>, Arc<[RowSpan]>) {
+    ) -> (Vec<usize>, Vec<RowSpan>) {
         let nm = src.len();
         let (from, col, support) = column_map(src, src_support, perm, k);
         for s in 0..nm {
@@ -776,9 +775,9 @@ mod tests {
         ) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut level: Vec<(Vec<usize>, Arc<[RowSpan]>)> = leaves
+            let mut level: Vec<(Vec<usize>, Vec<RowSpan>)> = leaves
                 .iter()
-                .map(|&n| ((0..n).collect(), vec![RowSpan::new(0..n); n].into()))
+                .map(|&n| ((0..n).collect(), vec![RowSpan::new(0..n); n]))
                 .collect();
             while level.len() > 1 {
                 level = level

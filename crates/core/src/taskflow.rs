@@ -54,7 +54,10 @@
 //! Data is shared through [`SharedData`] buffers held by one [`Graph`]
 //! context that every task body reaches through a single `Arc`; each body
 //! borrows only the disjoint range its declared access covers (see
-//! `dcst_runtime::share` for the aliasing contract).
+//! `dcst_runtime::share` for the aliasing contract). A node's own state,
+//! its [`NodeCell`], lives as long as the tasks that read it: each holds an
+//! `Arc` of it, and the graph only the root's, so a merge's state is freed
+//! when its parent's `ComputeDeflation` retires.
 //!
 //! The graph is the only statement of the algorithm: the comparator
 //! drivers in `crate::seq` submit this same flow under a different
@@ -168,9 +171,11 @@ impl Block {
     }
 }
 
-/// Per-node state shared between the node's tasks: each slot is published
-/// by one spine task and read by tasks the runtime orders after it
-/// (node-key epochs), so the interior mutability never races.
+/// Per-node state, held by the tasks that read it: each slot is published
+/// once by one spine task and read by tasks the runtime orders after it
+/// (node-key epochs), so the interior mutability never races. The parent's
+/// `ComputeDeflation` runs after every task of the node has retired (and
+/// dropped its handle), so it holds the last one and frees the cell.
 #[derive(Default)]
 struct NodeCell {
     defl: OnceLock<Deflation>,
@@ -190,19 +195,15 @@ struct NodeCell {
     /// of V that hold the slot's vector — all of them at a leaf and for an
     /// updated slot, the renamed column's own for a deflated one. Outside
     /// them the column holds whatever V held before: no pass reads there.
-    /// Published with `col`; released by the parent's `ComputeDeflation`
-    /// once joined into its own, so only the root's outlives the merges.
-    support: Mutex<Option<Arc<[RowSpan]>>>,
+    /// Published with `col`.
+    support: OnceLock<Vec<RowSpan>>,
     /// The merge's local-W product, which every `LAED4` panel folds its
     /// partial into and `ReduceW` takes.
     local_w: Mutex<LocalW>,
     /// Per panel, the roots its `LAED4` solved: the generators of the
-    /// panel's columns of X. The row payload's `RowUpdate` of the same
-    /// index takes them, as `ReduceW` takes `local_w`; the vector
-    /// payload's `CompressW` and `UpdateVect` read them shared, and the
-    /// parent's `ComputeDeflation` releases them.
-    panel_roots: Mutex<Vec<Option<Arc<PanelRoots>>>>,
-    stat: OnceLock<MergeStat>,
+    /// panel's columns of X, which the vector payload's `CompressW` and
+    /// `UpdateVect` and the row payload's `RowUpdate` read.
+    panel_roots: Box<[OnceLock<PanelRoots>]>,
     /// Vector payload: the structured update while it is built — set by
     /// `CompressW` when the probe lets the merge try the structured path,
     /// its tiles filled by the `StructBasis` panels, taken by `StructJoin`.
@@ -212,10 +213,8 @@ struct NodeCell {
     /// Vector payload: rank-structured update plan for this merge; unset
     /// means the dense path (either the auto-switch chose it or `StructJoin`
     /// hasn't run — the node-key epochs guarantee the latter never races
-    /// `UpdateVect`). Its U/Vᵀ tiles, Q·U bases and any gathered Q are
-    /// O(nm·k), so like `support` it is released by the parent's
-    /// `ComputeDeflation`: only the root's outlives the merges.
-    structured: Mutex<Option<Arc<StructuredUpdate>>>,
+    /// `UpdateVect`).
+    structured: OnceLock<StructuredUpdate>,
     /// Vector payload: subset pruning plan for the root merge of a
     /// `SolveMode::Subset` solve, published by `ReduceW` — the secular
     /// storage-slot span that lands in the requested sorted positions.
@@ -223,15 +222,24 @@ struct NodeCell {
     subset_plan: OnceLock<Range<usize>>,
     /// Row payload: the node's boundary rows in slot order, taking the
     /// place of the vector payload's eigenvector block. Seeded by the leaf
-    /// or by `ComputeDeflation`, overwritten per secular panel by
-    /// `RowUpdate`, consumed by the parent's `ComputeDeflation`.
-    rows: Mutex<Option<BoundaryRows>>,
+    /// or by `ComputeDeflation` (empty until then), overwritten per secular
+    /// panel by `RowUpdate`, read by the parent's `ComputeDeflation`.
+    rows: Mutex<BoundaryRows>,
     /// Row payload: the `k` pre-update row entries `RowUpdate` multiplies,
     /// in secular order (the row analogue of the compressed workspace).
     w: OnceLock<BoundaryRows>,
 }
 
 impl NodeCell {
+    /// The empty cell of a node with `npanels` secular panels.
+    fn new(npanels: usize) -> Arc<Self> {
+        Arc::new(NodeCell {
+            local_w: Mutex::new(LocalW::new(npanels)),
+            panel_roots: (0..npanels).map(|_| OnceLock::new()).collect(),
+            ..NodeCell::default()
+        })
+    }
+
     fn defl(&self) -> &Deflation {
         self.defl.get().expect("deflation state not yet computed")
     }
@@ -248,20 +256,12 @@ impl NodeCell {
         self.col.get().expect("column map not yet computed")
     }
 
-    fn support(&self) -> Arc<[RowSpan]> {
-        let support = self.support.lock().unwrap();
-        support.clone().expect("row supports not yet computed")
+    fn support(&self) -> &[RowSpan] {
+        self.support.get().expect("row supports not yet computed")
     }
 
-    /// Panel `p`'s roots, shared.
-    fn panel_roots(&self, p: usize) -> Arc<PanelRoots> {
-        let roots = self.panel_roots.lock().unwrap()[p].clone();
-        roots.expect("panel roots not yet solved")
-    }
-
-    fn take_rows(&self) -> BoundaryRows {
-        let rows = self.rows.lock().unwrap().take();
-        rows.expect("boundary rows not yet computed")
+    fn panel_roots(&self, p: usize) -> &PanelRoots {
+        self.panel_roots[p].get().expect("roots not yet solved")
     }
 
     /// The secular slot span (`⊂ 0..k`) whose columns the second panel
@@ -362,7 +362,11 @@ struct Graph {
     vectors: Option<Vectors>,
     /// Requested sorted positions of a subset solve.
     subset: Option<(usize, usize)>,
-    cells: Vec<NodeCell>,
+    /// The root's cell, which `collect` and the final sort read: the one
+    /// node whose state outlives the merges.
+    root: Arc<NodeCell>,
+    /// Per node, its merge's statistics, published by its `ReduceW`.
+    stats: Vec<OnceLock<MergeStat>>,
 }
 
 impl Graph {
@@ -414,7 +418,8 @@ impl Graph {
             let Some((lc, rc)) = node.children else {
                 return 0..0;
             };
-            if t - node.off < self.cells[m].defl().k {
+            let k = self.stats[m].get().expect("merge not yet reduced").k;
+            if t - node.off < k {
                 return node.off..node.off + node.n;
             }
             m = if t < node.off + node.n1 { lc } else { rc };
@@ -423,11 +428,12 @@ impl Graph {
 
     /// Unwrap a drained graph into its result. The workers' handles died
     /// with their tasks (garbage collected by `wait`), so the master's is
-    /// the last one.
+    /// the last one, and the graph's handle is the root cell's last.
     fn collect(self: Arc<Self>) -> (Eigen, DcStats) {
         let Ok(g) = Arc::try_unwrap(self) else {
             panic!("graph still shared after wait")
         };
+        debug_assert_eq!(Arc::strong_count(&g.root), 1, "root cell shared after wait");
         let unwrap = |buf: SharedData<f64>| buf.try_unwrap().ok().expect("sole handle");
         let values = unwrap(g.d);
         let n = g.n;
@@ -435,10 +441,9 @@ impl Graph {
         let stats = DcStats {
             merges: merges
                 .iter()
-                .filter_map(|&m| g.cells[m].stat.get().copied())
+                .filter_map(|&m| g.stats[m].get().copied())
                 .collect(),
         };
-        let root = &g.cells[g.tree.root];
         let (values, vectors) = match (g.vectors, g.subset) {
             (None, _) => (values, Matrix::zeros(n, 0)),
             // The sort left the result in ws; a single-leaf tree has no
@@ -459,8 +464,8 @@ impl Graph {
                 // d and V are still in slot order (the sort tasks were
                 // skipped); gather the requested values/columns directly,
                 // each column over its support only.
-                let slots = &root.idxq()[il..=iu];
-                let (col, support) = (root.col(), root.support());
+                let slots = &g.root.idxq()[il..=iu];
+                let (col, support) = (g.root.col(), g.root.support());
                 let mut vsub = vec![0.0f64; n * slots.len()];
                 let mut moved = 0;
                 for (dst, &s) in vsub.chunks_exact_mut(n).zip(slots) {
@@ -720,16 +725,25 @@ impl TaskFlowDc {
             betas[m] = t.e[node.off + node.n1 - 1] * scale;
         }
         // The row payload has no n×n state at all: per node it carries two
-        // O(n) rows plus the deflation record — the memory reduction that
-        // `peak_alloc_mb` on the `values_t6_n4000` workload measures.
+        // O(n) rows plus the deflation record, until its parent's
+        // ComputeDeflation — the memory reduction that `peak_alloc_mb` on
+        // the `values_t6_n4000` workload measures.
         let vectors = (self.opts.mode != SolveMode::ValuesOnly).then(|| Vectors {
             v: SharedData::new(self.take_v(n)),
             ws: SharedData::new(vec![0.0f64; n * n]),
             spare: self.spare.clone(),
         });
+        let nb = self.opts.nb.max(1);
+        // The builder's handles: a node's moves into its parent's
+        // ComputeDeflation when that task is submitted — an inline
+        // discipline runs it there and then, and frees the node with it.
+        const PARENT_TAKES: &str = "a node's cell is taken by its parent, submitted after it";
+        let mut cells: Vec<Option<Arc<NodeCell>>> = (tree.nodes.iter())
+            .map(|node| Some(NodeCell::new(node.n.div_ceil(nb))))
+            .collect();
         let g = Arc::new(Graph {
             n,
-            nb: self.opts.nb.max(1),
+            nb,
             scale,
             orgnrm,
             betas,
@@ -738,7 +752,8 @@ impl TaskFlowDc {
             lam: SharedData::new(vec![0.0f64; n]),
             vectors,
             subset,
-            cells: tree.nodes.iter().map(|_| NodeCell::default()).collect(),
+            root: cells[tree.root].clone().expect("the root has no parent"),
+            stats: tree.nodes.iter().map(|_| OnceLock::new()).collect(),
             tree,
         });
         let root = g.tree.root;
@@ -749,7 +764,7 @@ impl TaskFlowDc {
         // skips building the key lists.
         #[cfg(debug_assertions)]
         {
-            let node_keys: Vec<DataKey> = (0..g.cells.len()).map(key_node).collect();
+            let node_keys: Vec<DataKey> = (0..g.tree.nodes.len()).map(key_node).collect();
             let mut scale_and_nodes = vec![key_scale()];
             scale_and_nodes.extend_from_slice(&node_keys);
             g.d.bind_keys(&scale_and_nodes);
@@ -792,7 +807,7 @@ impl TaskFlowDc {
         // ---- leaves: STEDC (QR iteration), accumulating the rotations
         // into the diagonal block of V or into the 2×nm boundary rows.
         for l in g.tree.leaves() {
-            let g = g.clone();
+            let (g, cell) = (g.clone(), cells[l].clone().expect(PARENT_TAKES));
             scope
                 .task("STEDC")
                 .high_priority()
@@ -823,17 +838,15 @@ impl TaskFlowDc {
                             };
                             steqr_mut(db, eb, Some(z))
                                 .map_err(|err| DcError::Leaf(err.with_offset(off)))?;
-                            publish(&g.cells[l].col, (0..nm).collect());
-                            let rows = RowSpan::new(0..nm);
-                            *g.cells[l].support.lock().unwrap() =
-                                Some(std::iter::repeat_n(rows, nm).collect());
+                            publish(&cell.col, (0..nm).collect());
+                            publish(&cell.support, vec![RowSpan::new(0..nm); nm]);
                         }
                         None => {
                             let rows = solve_leaf_values(db, eb, off)?;
-                            *g.cells[l].rows.lock().unwrap() = Some(rows);
+                            *cell.rows.lock().unwrap() = rows;
                         }
                     }
-                    publish(&g.cells[l].idxq, (0..nm).collect());
+                    publish(&cell.idxq, (0..nm).collect());
                     Ok(())
                 });
         }
@@ -845,13 +858,17 @@ impl TaskFlowDc {
             for &m in &level {
                 let Block { off, nm, .. } = g.block(m);
                 let (lc, rc) = g.tree.nodes[m].children.unwrap();
+                let cell = cells[m].clone().expect(PARENT_TAKES);
 
                 // ComputeDeflation: the only task reading the children's
-                // state. The merge spine (deflation → … → ReduceW) gates
-                // every panel task of this node and of all ancestors:
-                // schedule it through the runtime's priority lane.
+                // state, and the last to hold it. The merge spine
+                // (deflation → … → ReduceW) gates every panel task of this
+                // node and of all ancestors: schedule it through the
+                // runtime's priority lane.
                 {
-                    let g = g.clone();
+                    let (g, cell) = (g.clone(), cell.clone());
+                    let mut take = |id: usize| cells[id].take().expect(PARENT_TAKES);
+                    let (left, right) = (take(lc), take(rc));
                     scope
                         .task("ComputeDeflation")
                         .high_priority()
@@ -860,7 +877,9 @@ impl TaskFlowDc {
                         .read_write(key_node(m))
                         .spawn_try(move || -> Result<(), DcError> {
                             let b @ Block { n, off, nm, n1 } = g.block(m);
-                            let (cell, left, right) = (&g.cells[m], &g.cells[lc], &g.cells[rc]);
+                            // Every task of the children has retired and
+                            // dropped its handle: theirs go with this one.
+                            debug_assert_eq!([&left, &right].map(Arc::strong_count), [1, 1]);
                             // SAFETY: epoch-exclusive access to the block.
                             let db = unsafe { g.d.range_mut(off..off + nm) };
                             let deflate = |z: &[f64]| {
@@ -872,7 +891,7 @@ impl TaskFlowDc {
                                     let vb = unsafe { vp.v.range_mut(b.cols(0..nm, nm)) };
                                     let src = join_children(left.col(), right.col());
                                     let mut support =
-                                        join_supports(&left.support(), &right.support());
+                                        join_supports(left.support(), right.support());
                                     let defl = deflate(&build_z(vb, n, n1, &src, &support))?;
                                     apply_givens(vb, n, &src, &mut support, &defl.givens);
                                     let (from, col, merged) =
@@ -881,35 +900,24 @@ impl TaskFlowDc {
                                     let gather = gather.map(|(&c, &p)| (c, support[p])).collect();
                                     publish(&cell.gather, gather);
                                     publish(&cell.col, col);
-                                    *cell.support.lock().unwrap() = Some(merged);
-                                    // State ∝ k: the children's supports,
-                                    // joined above, are dead now, as are
-                                    // their roots and update plans.
-                                    for child in [left, right] {
-                                        *child.support.lock().unwrap() = None;
-                                        child.panel_roots.lock().unwrap().clear();
-                                        *child.structured.lock().unwrap() = None;
-                                    }
+                                    publish(&cell.support, merged);
                                     defl
                                 }
                                 None => {
-                                    // Consumes the children's boundary rows.
-                                    let (rows_l, rows_r) = (left.take_rows(), right.take_rows());
+                                    let rows_l = left.rows.lock().unwrap();
+                                    let rows_r = right.rows.lock().unwrap();
                                     let defl = deflate(&rows_z(&rows_l, &rows_r))?;
                                     if g.rows_have_reader(m) {
                                         // Deflated slots pass their row
                                         // entries through unchanged; RowUpdate
                                         // overwrites the secular ones.
                                         let (rows, w) = carry_rows(&defl, &rows_l, &rows_r);
-                                        *cell.rows.lock().unwrap() = Some(rows);
+                                        *cell.rows.lock().unwrap() = rows;
                                         publish(&cell.w, w);
                                     }
                                     defl
                                 }
                             };
-                            let npanels = nm.div_ceil(g.nb);
-                            *cell.local_w.lock().unwrap() = LocalW::new(npanels);
-                            *cell.panel_roots.lock().unwrap() = vec![None; npanels];
                             publish(&cell.defl, defl);
                             Ok(())
                         });
@@ -919,10 +927,10 @@ impl TaskFlowDc {
                 // (plus, under the vector payload, the column permutation).
                 for (p, s0, s1) in panels(nm, g.nb) {
                     if g.vectors.is_some() {
-                        let g = g.clone();
+                        let (g, cell) = (g.clone(), cell.clone());
                         panel_task(scope, "PermuteV", key_node(m), use_gatherv).spawn(move || {
                             let b @ Block { n, nm, .. } = g.block(m);
-                            let (cell, vp) = (&g.cells[m], g.vp());
+                            let vp = g.vp();
                             let defl = cell.defl();
                             let j = clip(s0, s1, 0..defl.k);
                             if j.is_empty() {
@@ -937,11 +945,10 @@ impl TaskFlowDc {
                             permute_slots(vb, wcols, n, defl, gather, j);
                         });
                     }
-                    let g = g.clone();
+                    let (g, cell) = (g.clone(), cell.clone());
                     panel_task(scope, "LAED4", key_node(m), use_gatherv)
                         .write(key_lam(off + s0))
                         .spawn_try(move || -> Result<(), DcError> {
-                            let cell = &g.cells[m];
                             let defl = cell.defl();
                             let j = clip(s0, s1, 0..defl.k);
                             if j.is_empty() {
@@ -952,7 +959,7 @@ impl TaskFlowDc {
                             let lo = unsafe { g.lam.range_mut(off + j.start..off + j.end) };
                             let kept = laed4_panel(defl, j, lo, off, g.carries_roots(m))?;
                             let partial = kept.map(|(partial, roots)| {
-                                cell.panel_roots.lock().unwrap()[p] = Some(Arc::new(roots));
+                                publish(&cell.panel_roots[p], roots);
                                 partial
                             });
                             cell.local_w.lock().unwrap().fold(p, partial);
@@ -962,14 +969,13 @@ impl TaskFlowDc {
 
                 // ReduceW: join, build ẑ, finalize the block diagonal.
                 {
-                    let g = g.clone();
+                    let (g, cell) = (g.clone(), cell.clone());
                     scope
                         .task("ReduceW")
                         .high_priority()
                         .read_write(key_node(m))
                         .spawn(move || {
                             let Block { off, nm, n1, .. } = g.block(m);
-                            let cell = &g.cells[m];
                             let defl = cell.defl();
                             let k = defl.k;
                             // ẑ feeds the second panel group: the row
@@ -988,7 +994,7 @@ impl TaskFlowDc {
                                 publish(&cell.subset_plan, subset_secular_span(&idxq[il..=iu], k));
                             }
                             publish(&cell.idxq, idxq);
-                            publish(&cell.stat, MergeStat { n: nm, n1, k });
+                            publish(&g.stats[m], MergeStat { n: nm, n1, k });
                         });
                 }
 
@@ -996,9 +1002,9 @@ impl TaskFlowDc {
                 // eigenvectors. The root's boundary rows have no reader, so
                 // its whole RowUpdate group is elided.
                 if g.vectors.is_some() {
-                    self.submit_vector_update(&g, scope, m);
+                    self.submit_vector_update(&g, &cell, scope, m);
                 } else if g.rows_have_reader(m) {
-                    self.submit_row_update(&g, scope, m);
+                    self.submit_row_update(&g, &cell, scope, m);
                 }
             }
             self.level_barrier(scope)?;
@@ -1015,7 +1021,7 @@ impl TaskFlowDc {
                     .high_priority()
                     .read_write(key_node(root))
                     .spawn(move || {
-                        let idxq = g.cells[root].idxq();
+                        let idxq = g.root.idxq();
                         // SAFETY: epoch-exclusive d.
                         let ds = unsafe { g.d.slice_mut() };
                         let tmp: Vec<f64> = idxq.iter().map(|&s| ds[s]).collect();
@@ -1047,7 +1053,13 @@ impl TaskFlowDc {
     /// update `WS·X` (dense or rank-structured, with X rebuilt from its
     /// generators) scattered to the columns the gather vacated. The
     /// deflated columns stay where they are.
-    fn submit_vector_update(&self, g: &Arc<Graph>, scope: &Scope<'_>, m: usize) {
+    fn submit_vector_update(
+        &self,
+        g: &Arc<Graph>,
+        cell: &Arc<NodeCell>,
+        scope: &Scope<'_>,
+        m: usize,
+    ) {
         let use_gatherv = self.opts.use_gatherv;
         let npanels = g.block(m).nm.div_ceil(g.nb);
 
@@ -1059,7 +1071,7 @@ impl TaskFlowDc {
         // borrow (the ws block, read) is covered by the node key the buffer
         // is bound to, so the shadow tracker validates the footprint.
         {
-            let g = g.clone();
+            let (g, cell) = (g.clone(), cell.clone());
             scope
                 .task("CompressW")
                 .high_priority()
@@ -1073,7 +1085,6 @@ impl TaskFlowDc {
                         return;
                     }
                     let b @ Block { n, nm, n1, .. } = g.block(m);
-                    let cell = &g.cells[m];
                     let defl = cell.defl();
                     let k = defl.k;
                     if k == 0 {
@@ -1082,14 +1093,8 @@ impl TaskFlowDc {
                     // SAFETY: node-key epoch excludes every writer of the
                     // block; ws is read-shared here.
                     let wb = unsafe { g.vp().ws.range(b.cols(0..k, nm)) };
-                    let roots = PanelRoots::concat(
-                        cell.panel_roots
-                            .lock()
-                            .unwrap()
-                            .iter()
-                            .flatten()
-                            .map(|r| &**r),
-                    );
+                    let roots =
+                        PanelRoots::concat(cell.panel_roots.iter().filter_map(OnceLock::get));
                     if let Some(plan) = plan_update(wb, roots, cell.zhat(), n, nm, n1, defl) {
                         *cell.planned.lock().unwrap() = Some(Arc::new(plan));
                     }
@@ -1102,11 +1107,10 @@ impl TaskFlowDc {
         // under the node key. A GEMM group: forked under the fork/join
         // discipline.
         for p in 0..npanels {
-            let g = g.clone();
+            let (g, cell) = (g.clone(), cell.clone());
             panel_task(scope, "StructBasis", key_node(m), use_gatherv)
                 .fork()
                 .spawn(move || {
-                    let cell = &g.cells[m];
                     let plan = cell.planned.lock().unwrap().clone();
                     if let Some(plan) = plan {
                         let b @ Block { nm, .. } = g.block(m);
@@ -1120,18 +1124,19 @@ impl TaskFlowDc {
         // StructJoin: every tile is in place; keep the plan if it pays
         // (always under ForceStructured), else the merge goes dense.
         {
-            let g = g.clone();
+            let cell = cell.clone();
             scope
                 .task("StructJoin")
                 .high_priority()
                 .read_write(key_node(m))
                 .spawn(move || {
-                    let cell = &g.cells[m];
                     let Some(plan) = cell.planned.lock().unwrap().take() else {
                         return;
                     };
                     let plan = Arc::into_inner(plan).expect("a StructBasis task kept its plan");
-                    *cell.structured.lock().unwrap() = plan.finish().map(Arc::new);
+                    if let Some(su) = plan.finish() {
+                        publish(&cell.structured, su);
+                    }
                 });
         }
 
@@ -1139,26 +1144,25 @@ impl TaskFlowDc {
         // generators, then both structured GEMMs; structured: the
         // compressed multiply for its columns).
         for (p, s0, s1) in panels(g.block(m).nm, g.nb) {
-            let g = g.clone();
+            let (g, cell) = (g.clone(), cell.clone());
             panel_task(scope, "UpdateVect", key_node(m), use_gatherv)
                 .fork()
                 .spawn_try(move || -> Result<(), DcError> {
                     let b @ Block { n, off, nm, n1 } = g.block(m);
-                    let (cell, vp) = (&g.cells[m], g.vp());
+                    let vp = g.vp();
                     let defl = cell.defl();
                     let k = defl.k;
                     let j = clip(s0, s1, cell.span(k));
                     if j.is_empty() {
                         return Ok(());
                     }
-                    let plan = cell.structured.lock().unwrap().clone();
                     // SAFETY: the ws block is read-shared in this phase.
                     let wb = unsafe { vp.ws.range(b.cols(0..k, nm)) };
                     // One scratch buffer (a nested borrow would panic): the
                     // panel's k × |j| block of X, then its nm × |j| product.
                     with_scratch((k + nm) * j.len(), |buf| {
                         let (xc, out) = buf.split_at_mut(k * j.len());
-                        if let Some(su) = plan {
+                        if let Some(su) = cell.structured.get() {
                             // Relabel this record so traces show the
                             // structured and dense variants distinctly.
                             dcst_runtime::set_task_trace_name("UpdateVectStructured");
@@ -1185,13 +1189,12 @@ impl TaskFlowDc {
     /// Row payload, second panel group of merge `m`: update the merged
     /// boundary rows from the roots `LAED4` solved (pass 2 of the scheme in
     /// `crate::values`).
-    fn submit_row_update(&self, g: &Arc<Graph>, scope: &Scope<'_>, m: usize) {
+    fn submit_row_update(&self, g: &Arc<Graph>, cell: &Arc<NodeCell>, scope: &Scope<'_>, m: usize) {
         let Block { off, nm, .. } = g.block(m);
         for (p, s0, s1) in panels(nm, g.nb) {
-            let g = g.clone();
+            let cell = cell.clone();
             panel_task(scope, "RowUpdate", key_node(m), self.opts.use_gatherv).spawn_try(
                 move || -> Result<(), DcError> {
-                    let cell = &g.cells[m];
                     let defl = cell.defl();
                     let j = clip(s0, s1, 0..defl.k);
                     if j.is_empty() {
@@ -1199,15 +1202,11 @@ impl TaskFlowDc {
                     }
                     // No shared-buffer borrows: the kernel rebuilds each
                     // root's pole distances from the node's own deflation
-                    // state and the (μ, origin) its LAED4 panel left here —
-                    // taken, so the record is gone when the group ends.
+                    // state and the (μ, origin) its LAED4 panel left here.
                     let w = cell.w.get().expect("secular-order rows not yet computed");
-                    let roots = cell.panel_roots.lock().unwrap()[p]
-                        .take()
-                        .expect("panel roots not yet solved");
-                    let (f, l) = row_update_panel(defl, w, cell.zhat(), &roots, off)?;
+                    let roots = cell.panel_roots(p);
+                    let (f, l) = row_update_panel(defl, w, cell.zhat(), roots, off)?;
                     let mut rows = cell.rows.lock().unwrap();
-                    let rows = rows.as_mut().expect("rows initialized by deflation");
                     rows.first[j.clone()].copy_from_slice(&f);
                     rows.last[j].copy_from_slice(&l);
                     Ok(())
@@ -1226,7 +1225,7 @@ impl TaskFlowDc {
         for (_, r0, r1) in panels(n, g.nb) {
             let g = g.clone();
             panel_task(scope, "SortCopy", key_node(root), self.opts.use_gatherv).spawn(move || {
-                let (cell, vp) = (&g.cells[root], g.vp());
+                let (cell, vp) = (&g.root, g.vp());
                 let (idxq, col, support) = (cell.idxq(), cell.col(), cell.support());
                 // SAFETY: v fully read-shared.
                 let vs = unsafe { vp.v.slice() };
@@ -1428,13 +1427,12 @@ mod tests {
                 };
                 g
             });
-            let root = &a.cells[a.tree.root];
-            let (col, support) = (root.col(), root.support());
-            assert_eq!(col, b.cells[b.tree.root].col(), "{ty:?}");
-            assert_eq!(support, b.cells[b.tree.root].support(), "{ty:?}");
+            let (col, support) = (a.root.col(), a.root.support());
+            assert_eq!(col, b.root.col(), "{ty:?}");
+            assert_eq!(support, b.root.support(), "{ty:?}");
             // SAFETY: both graphs have drained; no task borrows V.
             let (va, vb) = unsafe { (a.vp().v.slice(), b.vp().v.slice()) };
-            let slots = &root.idxq()[il..=iu];
+            let slots = &a.root.idxq()[il..=iu];
             let mut poisoned = 0;
             for &s in slots {
                 let (rows, column) = (support[s].rows(), col[s] * n..(col[s] + 1) * n);
@@ -1532,9 +1530,11 @@ mod tests {
     fn only_the_root_keeps_its_plan_and_roots() {
         // Type 4 at n = 1111 (seed 7) is the smallest size at which the
         // auto policy structures three merges — the root and both its
-        // children — so the root's ComputeDeflation released two plans.
-        // Every merge keeps its roots, X's generators, until its parent's
-        // ComputeDeflation: after the drain only the root's are left.
+        // children. Every merge keeps its roots, X's generators, and its
+        // plan until its parent's ComputeDeflation, which holds the last
+        // handle to the merge's cell (it asserts so). After the drain no
+        // task is left, and the graph holds the only handle to the root's
+        // cell: the one node state still alive, with its plan and roots.
         let _policy = crate::structured::POLICY_LOCK
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -1556,18 +1556,17 @@ mod tests {
         let PendingKind::Graph(g) = &pending.kind else {
             panic!("a full solve runs the merge graph")
         };
-        let holding = |holds: &dyn Fn(&NodeCell) -> bool| -> Vec<usize> {
-            (0..g.cells.len()).filter(|&m| holds(&g.cells[m])).collect()
-        };
-        let plan = |c: &NodeCell| c.structured.lock().unwrap().is_some();
-        let planned = |c: &NodeCell| c.planned.lock().unwrap().is_some();
-        let roots = |c: &NodeCell| c.panel_roots.lock().unwrap().iter().any(Option::is_some);
-        assert_eq!(holding(&plan), [g.tree.root]);
+        assert_eq!(Arc::strong_count(g), 1, "a task outlived the drain");
+        assert_eq!(Arc::strong_count(&g.root), 1);
+        let root = &g.root;
+        assert!(root.structured.get().is_some(), "the root keeps its plan");
         assert!(
-            holding(&planned).is_empty(),
+            root.planned.lock().unwrap().is_none(),
             "StructJoin takes every plan it finishes"
         );
-        assert_eq!(holding(&roots), [g.tree.root]);
+        let k = root.defl().k;
+        let solved = root.panel_roots.iter().filter(|r| r.get().is_some());
+        assert_eq!(solved.count(), k.div_ceil(64), "the root keeps its roots");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use dcst_secular::{secular_row_entries, Deflation};
 
 /// The first and last row of a node's (never materialized) eigenvector
 /// matrix, indexed by the node's physical column order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct BoundaryRows {
     pub first: Vec<f64>,
     pub last: Vec<f64>,

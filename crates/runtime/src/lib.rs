@@ -62,3 +62,12 @@ pub use pool::{
 };
 pub use share::SharedData;
 pub use trace::{KernelStat, TaskRecord, Trace, WorkerTimeline};
+
+/// The number of hardware threads this process may use, asked of the OS
+/// once: `std::thread::available_parallelism` reads the affinity mask and
+/// the cgroup quota on every call, tens of microseconds. Every default
+/// thread count in the workspace comes from here.
+pub fn cpu_count() -> usize {
+    static COUNT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *COUNT.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}

@@ -22,8 +22,10 @@
 //!
 //! The parser refuses, as `bad-request`, a matrix spec that cannot be
 //! built: a type outside 1..=15, a generated `n` of 0, an empty inline
-//! `d`, or `len(e) != len(d) - 1`. `solve` and `batch` parse to one
-//! [`Request::Solve`]: a problem list plus the reply's shape.
+//! `d`, or `len(e) != len(d) - 1`; and, as `nonfinite`, an inline matrix
+//! with an infinite entry (a literal such as `1e999`), which no solver
+//! accepts. `solve` and `batch` parse to one [`Request::Solve`]: a problem
+//! list plus the reply's shape.
 //!
 //! Responses: `{"id":ID,"ok":true, ...}` on success, or
 //! `{"id":ID,"ok":false,"error":{"code":C,"message":S}}` with `C` one of
@@ -179,6 +181,9 @@ fn parse_matrix(v: &Json) -> Result<MatrixSpec, WireError> {
                 e.len(),
                 d.len()
             )));
+        }
+        if !d.iter().chain(&e).all(|x| x.is_finite()) {
+            return Err(WireError::new("nonfinite", DcError::NonFinite.to_string()));
         }
         return Ok(MatrixSpec::Inline { d, e });
     }
@@ -457,10 +462,11 @@ mod tests {
 
     /// A spec that cannot be built is refused by the parser, with the
     /// request's id kept for the error envelope — in a `solve` and in any
-    /// member of a `batch`.
+    /// member of a `batch`. So is an inline matrix no solver accepts.
     #[test]
     fn unbuildable_specs_are_bad_requests_with_their_id() {
-        for (matrix, message) in [
+        let nonfinite = WireError::new("nonfinite", "matrix contains NaN or infinite entries");
+        for (matrix, want) in [
             (r#"{"type":16,"n":8}"#, "matrix type must be 1..=15"),
             (r#"{"type":0,"n":8}"#, "matrix type must be 1..=15"),
             (r#"{"type":4,"n":0}"#, "generated matrix needs \"n\" >= 1"),
@@ -476,7 +482,13 @@ mod tests {
                 r#"{"d":[1,2],"e":[]}"#,
                 "inline matrix needs len(e) == len(d) - 1, got 0 and 2",
             ),
-        ] {
+        ]
+        .map(|(matrix, message)| (matrix, WireError::bad(message)))
+        .into_iter()
+        .chain([
+            (r#"{"d":[1e999,1],"e":[0.5]}"#, nonfinite.clone()),
+            (r#"{"d":[1,2],"e":[-1e999]}"#, nonfinite),
+        ]) {
             for line in [
                 format!(r#"{{"op":"solve","id":9,"matrix":{matrix}}}"#),
                 format!(
@@ -485,7 +497,7 @@ mod tests {
             ] {
                 let (id, req) = parse_request(&line);
                 assert_eq!(id, Some(9), "{line}");
-                assert_eq!(req.expect_err(&line), WireError::bad(message), "{line}");
+                assert_eq!(req.expect_err(&line), want, "{line}");
             }
         }
     }

@@ -67,9 +67,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            threads: dcst_runtime::cpu_count(),
             max_inflight: 8,
             max_ready_depth: 1 << 14,
             max_n: 8192,
@@ -92,8 +90,7 @@ struct Inner {
     cfg: ServerConfig,
     rt: Runtime,
     /// What every request solves with but its `mode`: the library's
-    /// defaults on the pool's threads. Made once: `DcOptions::default()`
-    /// asks the OS for the CPU count on every call.
+    /// defaults on the pool's threads.
     opts: DcOptions,
     inflight: AtomicUsize,
     accepted: AtomicU64,

@@ -26,9 +26,7 @@ fn main() {
     let ty =
         MT::from_index(args.next().and_then(|s| s.parse().ok()).unwrap_or(4)).expect("type 1..15");
     let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(800);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
+    let threads = dcst::runtime::cpu_count();
     let t = ty.generate(n, 5);
     println!(
         "matrix: type {} ({}), n = {n}, {threads} threads\n",

@@ -346,6 +346,17 @@ fn a_request_that_cannot_run_is_never_admitted() {
             "oversized",
         ),
         (6, solve_line(6, 4, 16, 1, r#","trace":true"#), "bad-request"),
+        (
+            8,
+            r#"{"op":"solve","id":8,"matrix":{"d":[1e999,1],"e":[0.5]}}"#.to_string(),
+            "nonfinite",
+        ),
+        (
+            9,
+            r#"{"op":"batch","id":9,"problems":[{"matrix":{"type":4,"n":16}},{"matrix":{"d":[1,2],"e":[1e999]}}]}"#
+                .to_string(),
+            "nonfinite",
+        ),
     ] {
         let doc = cl.call(&line).unwrap();
         assert_eq!(req_id(&doc), Some(id), "{line}");
