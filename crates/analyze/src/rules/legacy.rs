@@ -4,11 +4,16 @@
 //!
 //! * **static-mut** — `static mut` items are banned outright. rustc's
 //!   `static_mut_refs` lint flags only references to a `static mut`, not
-//!   its declaration or a use by value, so this rule stays.
-//! * **sleep-poll** — `sleep`-based polling is banned in `crates/runtime`
-//!   (the scheduler must park on condvars, never poll).
+//!   its declaration or a use by value, and no lint bans the declaration,
+//!   so this rule stays.
 //! * **pool-sync** — `crates/runtime/src/pool.rs` must obtain every sync
 //!   primitive through `crate::dcst_sync` so loom-lite can swap them out.
+//!   Clippy's `disallowed-types` cannot say this: `dcst_sync` `pub use`s
+//!   `parking_lot::Mutex` and the other primitives, so the type a routed
+//!   import names is the banned type itself.
+//!
+//! Sleep-based polling in the runtime is clippy's `disallowed-methods`
+//! (`crates/runtime/clippy.toml`), which resolves paths.
 
 use super::{allowed, Violation};
 use crate::workspace::SourceFile;
@@ -30,23 +35,6 @@ pub fn check_file(file: &SourceFile) -> Vec<Violation> {
                 rule: "static-mut",
                 message: "`static mut` is banned (use atomics or a lock)".into(),
             });
-        }
-    }
-
-    // --- sleep-poll (crates/runtime only) ---
-    if rel.starts_with("crates/runtime/") {
-        for (i, code) in stripped.iter().enumerate() {
-            let line = i as u32 + 1;
-            if has_word_call(code, "sleep") && !allowed(raw, "sleep-poll", line) {
-                out.push(Violation {
-                    file: rel.to_string(),
-                    line,
-                    rule: "sleep-poll",
-                    message: "sleep-based polling is banned in the runtime; park on a \
-                              condvar instead"
-                        .into(),
-                });
-            }
         }
     }
 
@@ -102,22 +90,6 @@ fn has_static_mut(code: &str) -> bool {
     false
 }
 
-fn has_word_call(code: &str, word: &str) -> bool {
-    let mut pos = 0;
-    while let Some(off) = code[pos..].find(word) {
-        let start = pos + off;
-        let end = start + word.len();
-        let bytes = code.as_bytes();
-        let left_ok = start == 0 || !is_ident_byte(bytes[start - 1]);
-        let right_is_call = code[end..].trim_start().starts_with('(');
-        if left_ok && right_is_call {
-            return true;
-        }
-        pos = end;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,16 +133,6 @@ mod tests {
         );
         assert!(lint("a.rs", "fn f(x: &'static mut u32) {}\n").is_empty());
         assert!(lint("a.rs", "static X: u32 = 0;\n").is_empty());
-    }
-
-    #[test]
-    fn sleep_is_scoped_to_runtime() {
-        let src = "fn f() { std::thread::sleep(d); }\n";
-        assert_eq!(
-            lint("crates/runtime/src/pool.rs", src),
-            vec!["sleep-poll:1"]
-        );
-        assert!(lint("crates/matrix/src/pool.rs", src).is_empty());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub fn allow_justification<'a>(raw_lines: &'a [String], rule: &str, line: u32) -
 }
 
 /// Everything: the per-file lint rules ([`legacy`]: static-mut,
-/// sleep-poll, pool-sync) plus the two analysis passes. `manifest`
+/// pool-sync) plus the two analysis passes. `manifest`
 /// carries the contents of `specs/orderings.toml`, or an explanation of
 /// why it could not be read (which becomes a violation — an unreadable
 /// manifest must fail the run, not weaken it).

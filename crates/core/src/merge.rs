@@ -316,7 +316,8 @@ impl PanelRoots {
 }
 
 /// `LAED4`, both payloads: solve secular roots `jrange`, eigenvalues into
-/// `lam_out` (one entry per root). The roots are solved in order, each
+/// `lam_out` (one entry per root: the panel's slots of the merge's `d`
+/// block, which [`finalize_d`] completes). The roots are solved in order, each
 /// warm-started from the one before ([`dcst_secular::SecularPanel`]); a
 /// panel's first root starts cold, so the roots depend on `nb` and on
 /// nothing the discipline or T chooses. With `carry` — the merge's X or
@@ -505,12 +506,11 @@ pub(crate) fn subset_secular_span(slots: &[usize], k: usize) -> Range<usize> {
     span
 }
 
-/// Finalize a merge: write the block's new diagonal (secular eigenvalues
-/// then deflated ones) and return the permutation sorting it ascending.
-pub(crate) fn finalize_d(defl: &Deflation, lam_sec: &[f64], d_block: &mut [f64]) -> Vec<usize> {
+/// Finalize a merge: complete the block's new diagonal — the `LAED4`
+/// panels wrote the secular eigenvalues into `d_block[..k]`, the deflated
+/// ones follow — and return the permutation sorting it ascending.
+pub(crate) fn finalize_d(defl: &Deflation, d_block: &mut [f64]) -> Vec<usize> {
     let k = defl.k;
-    debug_assert_eq!(lam_sec.len(), k);
-    d_block[..k].copy_from_slice(lam_sec);
     d_block[k..defl.n].copy_from_slice(&defl.d_deflated);
     merge_perm(&d_block[..defl.n], k)
 }
@@ -820,9 +820,9 @@ mod tests {
             idxq: &idxq,
         });
         assert_eq!(defl.k, 2);
-        let mut d_block = [0.0; 4];
-        let lam = [0.4, 1.4];
-        let perm = finalize_d(&defl, &lam, &mut d_block);
+        // The LAED4 panels left the secular values in d_block[..k].
+        let mut d_block = [0.4, 1.4, 0.0, 0.0];
+        let perm = finalize_d(&defl, &mut d_block);
         // New d = [0.4, 1.4, 0.5, 2.0]; ascending = indices [0, 2, 1, 3].
         assert_eq!(perm, vec![0, 2, 1, 3]);
     }

@@ -15,20 +15,29 @@
 //! the property the paper added GATHERV to QUARK for. Since the deflation
 //! count `k` is only known at run time, every panel task is submitted
 //! regardless and computes its actual (possibly empty) work range from the
-//! shared deflation state — the paper's "matrix-independent DAG". Keys are
-//! names within the submission's [`Scope`], which owns its dependency
-//! domain: every solve declares the same `(object, index)` keys on its own
-//! buffers, and solves sharing a runtime never order against each other.
+//! shared deflation state — the paper's "matrix-independent DAG".
+//!
+//! The partition tree is the graph's one key family: every task declares
+//! only node keys, and every shared buffer is bound to them alone. What is
+//! not a node's work stays out of the graph — the matrix is scaled to unit
+//! max-norm and torn at every cut when the graph is built, and
+//! [`Graph::collect`] scales the eigenvalues back, as LAPACK's `dstedc`
+//! does in its driver. Keys are names within the submission's [`Scope`],
+//! which owns its dependency domain: every solve declares the same keys on
+//! its own buffers, and solves sharing a runtime never order against each
+//! other.
 //!
 //! One builder, [`TaskFlowDc::submit_graph`], states that graph for every
-//! solve mode. The spine — `Scale`, `STEDC`, `ComputeDeflation`, `LAED4`,
-//! `ReduceW`, `SortEigenvalues`, `ScaleBack` — is submitted from one chain
-//! each. `LAED4` is one body for every mode: it solves its panel's roots,
-//! folds their local-W factors into the panel's partial product, which
-//! joins the merge's product in panel order ([`LocalW`]), and keeps
-//! each root's `(μ, origin)` ([`PanelRoots`]) — the generators of the
-//! merge's secular eigenvectors X, which no merge stores. What a node
-//! carries between the spine's tasks is the graph's *payload*:
+//! solve mode. The spine — `STEDC`, `ComputeDeflation`, `LAED4`, `ReduceW`,
+//! `SortEigenvalues` — is submitted from one chain each. `LAED4` is one
+//! body for every mode: it solves its panel's roots and writes them into
+//! its slots of the merge's block of `d` (which nothing reads between
+//! `ComputeDeflation` and `ReduceW`), folds their local-W factors into the
+//! panel's partial product, which joins the merge's product in panel order
+//! ([`LocalW`]), and keeps each root's `(μ, origin)` ([`PanelRoots`]) — the
+//! generators of the merge's secular eigenvectors X, which no merge
+//! stores. What a node carries between the spine's tasks is the graph's
+//! *payload*:
 //!
 //! * the **vector payload** ([`Vectors`]; full and subset solves): the
 //!   node's eigenvector block in the n×n `v`, addressed through the node's
@@ -83,22 +92,11 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, OnceLock};
 
 const OBJ_NODE: u64 = 1;
-const OBJ_LAM: u64 = 2;
-const OBJ_SCALE: u64 = 3;
 
-/// Tree node `id`: its block of every buffer, and its [`NodeCell`].
+/// Tree node `id`: its block of every buffer, and its [`NodeCell`] — the
+/// graph's only key family.
 fn key_node(id: usize) -> DataKey {
     DataKey::new(OBJ_NODE, id as u64)
-}
-
-/// The secular panel starting at global column `col`: its roots in `lam`.
-fn key_lam(col: usize) -> DataKey {
-    DataKey::new(OBJ_LAM, col as u64)
-}
-
-/// All of `d`/`e`, from `Scale` to the leaves.
-fn key_scale() -> DataKey {
-    DataKey::new(OBJ_SCALE, 0)
 }
 
 /// How a driver executes the one merge graph — the paper's framing of its
@@ -278,7 +276,9 @@ impl NodeCell {
 /// that finishes ahead of a lower panel waits; the rest are folded and
 /// dropped at once, so the merge holds about one k-length product instead
 /// of one per panel, and how many it holds at a time no longer depends on
-/// how the workers interleave the panels of two merges.
+/// how the workers interleave the panels of two merges. The bound leans
+/// on the pool starting a merge's panels in panel order: run backwards,
+/// every panel but the lowest would wait with its partial.
 #[derive(Default)]
 struct LocalW {
     /// The product of panels `..next`; `None` until one has a partial.
@@ -349,15 +349,17 @@ struct Graph {
     n: usize,
     /// Panel width: panel tasks cover `nb` columns (or secular roots) each.
     nb: usize,
-    /// `1 / orgnrm`: the graph works on the matrix scaled to unit max-norm.
-    scale: f64,
-    orgnrm: f64,
+    /// The factor `collect` scales the eigenvalues back by: `orgnrm`, when
+    /// the graph works on T scaled by `1 / orgnrm` to unit max-norm.
+    scale_back: Option<f64>,
     tree: PartitionTree,
-    /// Signed β per internal node, from the unscaled input.
+    /// Signed β per internal node, of the scaled matrix.
     betas: Vec<f64>,
+    /// The scaled diagonal, torn at every cut: the leaves' input, then
+    /// each merge's eigenvalues in slot order, then the sorted result.
     d: SharedData<f64>,
+    /// The scaled off-diagonal, which the leaves read.
     e: SharedData<f64>,
-    lam: SharedData<f64>,
     /// `Some` = vector payload, `None` = row payload.
     vectors: Option<Vectors>,
     /// Requested sorted positions of a subset solve.
@@ -444,7 +446,7 @@ impl Graph {
                 .filter_map(|&m| g.stats[m].get().copied())
                 .collect(),
         };
-        let (values, vectors) = match (g.vectors, g.subset) {
+        let (mut values, vectors) = match (g.vectors, g.subset) {
             (None, _) => (values, Matrix::zeros(n, 0)),
             // The sort left the result in ws; a single-leaf tree has no
             // sort, and its leaf wrote the result into V, which then
@@ -479,6 +481,10 @@ impl Graph {
                 (vals, Matrix::from_vec(n, slots.len(), vsub))
             }
         };
+        // Scale back, as `dstedc` does in its driver.
+        if let Some(orgnrm) = g.scale_back {
+            values.iter_mut().for_each(|x| *x *= orgnrm);
+        }
         (Eigen { values, vectors }, stats)
     }
 }
@@ -719,10 +725,18 @@ impl TaskFlowDc {
         let orgnrm = t.max_norm();
         let scale = if orgnrm > 0.0 { 1.0 / orgnrm } else { 1.0 };
         let tree = PartitionTree::build(n, self.opts.min_part);
+        // The matrix the graph works on: T at unit max-norm, torn at every
+        // cut in postorder — the order of the two subtractions a one-row
+        // leaf between two cuts takes.
+        let mut d: Vec<f64> = t.d.iter().map(|x| x * scale).collect();
+        let e: Vec<f64> = t.e.iter().map(|x| x * scale).collect();
         let mut betas = vec![0.0f64; tree.nodes.len()];
         for &m in &tree.merges_postorder() {
-            let node = &tree.nodes[m];
-            betas[m] = t.e[node.off + node.n1 - 1] * scale;
+            let c = tree.nodes[m].off + tree.nodes[m].n1;
+            betas[m] = e[c - 1];
+            let b = betas[m].abs();
+            d[c - 1] -= b;
+            d[c] -= b;
         }
         // The row payload has no n×n state at all: per node it carries two
         // O(n) rows plus the deflation record, until its parent's
@@ -744,12 +758,10 @@ impl TaskFlowDc {
         let g = Arc::new(Graph {
             n,
             nb,
-            scale,
-            orgnrm,
+            scale_back: (scale != 1.0).then_some(orgnrm),
             betas,
-            d: SharedData::new(t.d.clone()),
-            e: SharedData::new(t.e.clone()),
-            lam: SharedData::new(vec![0.0f64; n]),
+            d: SharedData::new(d),
+            e: SharedData::new(e),
             vectors,
             subset,
             root: cells[tree.root].clone().expect("the root has no parent"),
@@ -765,43 +777,12 @@ impl TaskFlowDc {
         #[cfg(debug_assertions)]
         {
             let node_keys: Vec<DataKey> = (0..g.tree.nodes.len()).map(key_node).collect();
-            let mut scale_and_nodes = vec![key_scale()];
-            scale_and_nodes.extend_from_slice(&node_keys);
-            g.d.bind_keys(&scale_and_nodes);
-            g.e.bind_keys(&scale_and_nodes);
-            let mut cols_and_nodes: Vec<DataKey> = (0..n).map(key_lam).collect();
-            cols_and_nodes.extend_from_slice(&node_keys);
-            g.lam.bind_keys(&cols_and_nodes);
+            g.d.bind_keys(&node_keys);
+            g.e.bind_keys(&node_keys);
             if let Some(vp) = &g.vectors {
                 vp.v.bind_keys(&node_keys);
                 vp.ws.bind_keys(&node_keys);
             }
-        }
-
-        // ---- Scale T: bring the matrix to unit max-norm and apply the
-        // rank-one tears at every cut.
-        {
-            let cuts = g.tree.cuts();
-            let g = g.clone();
-            scope
-                .task("Scale")
-                .high_priority()
-                .write(key_scale())
-                .spawn(move || {
-                    // SAFETY: first task to touch d/e; leaves wait on the key.
-                    let ds = unsafe { g.d.slice_mut() };
-                    // SAFETY: as for d.
-                    let es = unsafe { g.e.slice_mut() };
-                    if g.scale != 1.0 {
-                        ds.iter_mut().for_each(|v| *v *= g.scale);
-                        es.iter_mut().for_each(|v| *v *= g.scale);
-                    }
-                    for &c in &cuts {
-                        let b = es[c - 1].abs();
-                        ds[c - 1] -= b;
-                        ds[c] -= b;
-                    }
-                });
         }
 
         // ---- leaves: STEDC (QR iteration), accumulating the rotations
@@ -811,12 +792,11 @@ impl TaskFlowDc {
             scope
                 .task("STEDC")
                 .high_priority()
-                .read(key_scale())
                 .write(key_node(l))
                 .spawn_try(move || -> Result<(), DcError> {
                     let b @ Block { n, off, nm, .. } = g.block(l);
-                    // SAFETY: exclusive block ranges per leaf; ordered after
-                    // Scale by the key and before the parent merge by N(l).
+                    // SAFETY: exclusive block ranges per leaf, ordered before
+                    // the parent merge by N(l).
                     let db = unsafe { g.d.range_mut(off..off + nm) };
                     // SAFETY: as for d.
                     let eb = unsafe { g.e.range_mut(off..off + nm - 1) };
@@ -946,17 +926,18 @@ impl TaskFlowDc {
                         });
                     }
                     let (g, cell) = (g.clone(), cell.clone());
-                    panel_task(scope, "LAED4", key_node(m), use_gatherv)
-                        .write(key_lam(off + s0))
-                        .spawn_try(move || -> Result<(), DcError> {
+                    panel_task(scope, "LAED4", key_node(m), use_gatherv).spawn_try(
+                        move || -> Result<(), DcError> {
                             let defl = cell.defl();
                             let j = clip(s0, s1, 0..defl.k);
                             if j.is_empty() {
                                 cell.local_w.lock().unwrap().fold(p, None);
                                 return Ok(());
                             }
-                            // SAFETY: exclusive range of lam per panel.
-                            let lo = unsafe { g.lam.range_mut(off + j.start..off + j.end) };
+                            // SAFETY: the panel's own slots of the d block; no
+                            // task reads d between ComputeDeflation, which
+                            // copied what it needs into `defl`, and ReduceW.
+                            let lo = unsafe { g.d.range_mut(off + j.start..off + j.end) };
                             let kept = laed4_panel(defl, j, lo, off, g.carries_roots(m))?;
                             let partial = kept.map(|(partial, roots)| {
                                 publish(&cell.panel_roots[p], roots);
@@ -964,7 +945,8 @@ impl TaskFlowDc {
                             });
                             cell.local_w.lock().unwrap().fold(p, partial);
                             Ok(())
-                        });
+                        },
+                    );
                 }
 
                 // ReduceW: join, build ẑ, finalize the block diagonal.
@@ -987,9 +969,7 @@ impl TaskFlowDc {
                             }
                             // SAFETY: epoch-exclusive d block.
                             let db = unsafe { g.d.range_mut(off..off + nm) };
-                            // SAFETY: lam is read-only now.
-                            let ls = unsafe { g.lam.range(off..off + k) };
-                            let idxq = finalize_d(defl, ls, db);
+                            let idxq = finalize_d(defl, db);
                             if let Some((il, iu)) = g.pruned(m) {
                                 publish(&cell.subset_plan, subset_secular_span(&idxq[il..=iu], k));
                             }
@@ -1010,7 +990,7 @@ impl TaskFlowDc {
             self.level_barrier(scope)?;
         }
 
-        // ---- final sort + scale back on the root. A subset solve gathers
+        // ---- final sort on the root. A subset solve gathers
         // its k values and columns on the main thread after the graph
         // drains — no sort at all.
         if !g.tree.nodes[root].is_leaf() && subset.is_none() {
@@ -1031,20 +1011,6 @@ impl TaskFlowDc {
             if g.vectors.is_some() {
                 self.submit_vector_sort(&g, scope);
             }
-        }
-        {
-            let g = g.clone();
-            scope
-                .task("ScaleBack")
-                .high_priority()
-                .read_write(key_node(root))
-                .spawn(move || {
-                    if g.scale != 1.0 {
-                        // SAFETY: epoch-exclusive d.
-                        let ds = unsafe { g.d.slice_mut() };
-                        ds.iter_mut().for_each(|x| *x *= g.orgnrm);
-                    }
-                });
         }
         Ok(g)
     }
@@ -1382,7 +1348,7 @@ mod tests {
         // PermuteV and LAED4 panels, ReduceW, CompressW, StructBasis panels,
         // StructJoin and UpdateVect panels; a row merge has LAED4 panels and,
         // below the root, RowUpdate panels.
-        let pinned = [(91, 163), (37, 66), (82, 147)];
+        let pinned = [(89, 143), (35, 53), (80, 127)];
         for (mode, want) in DAG_MODES.into_iter().zip(pinned) {
             assert_eq!(dag_shape(MatrixType::Type4, mode), want, "{mode:?}");
         }
@@ -1409,7 +1375,11 @@ mod tests {
         // left it. One solver starts from a fresh V, the other from a spare
         // one full of NaN: over the root's support of every requested slot,
         // both V's hold the same bits and no NaN — what the subset gather
-        // reads — and outside it the fresh one is +0.0.
+        // reads — and outside it the fresh one is +0.0. Both solves run
+        // under one update policy: the knob is process-global.
+        let _policy = crate::structured::POLICY_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let (n, il, iu) = (300, 75, 150);
         let mut o = opts(16, 8, 2);
         o.mode = SolveMode::Subset { il, iu };

@@ -93,15 +93,6 @@ impl PartitionTree {
         }
         levels
     }
-
-    /// Cut positions: global indices `c` such that the rank-one tear
-    /// couples rows `c-1` and `c` (one per internal node).
-    pub fn cuts(&self) -> Vec<usize> {
-        self.merges_postorder()
-            .iter()
-            .map(|&i| self.nodes[i].off + self.nodes[i].n1)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -165,9 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn cuts_match_children() {
+    fn children_meet_at_each_cut() {
         let t = PartitionTree::build(100, 20);
-        for &m in &t.merges_postorder() {
+        let merges = t.merges_postorder();
+        assert_eq!(merges.len(), t.leaves().len() - 1, "one cut per merge");
+        for &m in &merges {
             let node = &t.nodes[m];
             let (l, r) = node.children.unwrap();
             assert_eq!(t.nodes[l].off, node.off);
@@ -175,6 +168,5 @@ mod tests {
             assert_eq!(t.nodes[r].off, node.off + node.n1);
             assert_eq!(t.nodes[r].n, node.n - node.n1);
         }
-        assert_eq!(t.cuts().len(), t.merges_postorder().len());
     }
 }

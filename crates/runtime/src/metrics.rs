@@ -20,7 +20,7 @@
 //!   `succeeded ≤ executed` per worker.
 //! - `steal_retries` counts lock-free CAS contention observed while
 //!   acquiring work: `Steal::Retry` outcomes from the priority lane, the
-//!   injector batch-pop, and the sibling sweep. A retry means some *other*
+//!   regular injector, and the sibling sweep. A retry means some *other*
 //!   worker won the contended index — it measures contention, not loss.
 //! - `priority_hits` counts tasks taken from the priority lane.
 //! - `parks` counts actual condvar waits (not idle-loop passes).

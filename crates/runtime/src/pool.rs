@@ -6,17 +6,18 @@
 //! [`DepTracker`](crate::deps) — keys are names within a scope — and
 //! encoded as edges between nodes. A node becomes *ready* when its last
 //! unfinished predecessor completes, at which point
-//! it is pushed to a crossbeam injector that the worker threads drain
-//! (local LIFO deque first, then the priority injector, then the regular
-//! injector, then stealing).
+//! it is pushed to a crossbeam injector that the worker threads drain one
+//! task at a time (the priority injector first, then the regular one), so
+//! ready tasks of one lane start in the order they were released.
 //!
 //! The scheduler is critical-path-aware: tasks marked
 //! [`TaskBuilder::high_priority`] (the merge phase's serial spine —
 //! deflation, the ReduceW join, leaf STEDC) land in a dedicated priority
 //! lane that every worker polls ahead of the commuting panel tasks, so a
-//! ready join never queues behind a wall of panel work. Local deques pop
-//! LIFO to keep a worker on the cache-hot chain it just unlocked; stealers
-//! still take the oldest task, preserving breadth for load balance.
+//! ready join never queues behind a wall of panel work. Each worker also
+//! owns a local deque that its siblings sweep when both injectors are
+//! empty; `find_task` batches nothing into it, so today the sweep comes
+//! back empty.
 //!
 //! [`Runtime::inline`] is the degenerate discipline: each task body runs on
 //! the submitting thread at submission, so the task flow executes as the
@@ -374,9 +375,7 @@ fn find_task(
     loop {
         // Priority lane first: a ready critical-path task (deflation,
         // ReduceW, STEDC) must not queue behind commuting panel tasks.
-        // These are popped singly — they are rare and serial by nature, so
-        // batching them into one worker's local deque would only delay a
-        // sibling's chance to pick one up.
+        // These are popped singly — they are rare and serial by nature.
         match shared.hi_injector.steal() {
             Steal::Success(node) => {
                 shared.metrics.priority_hit(worker_id);
@@ -388,7 +387,15 @@ fn find_task(
             }
             Steal::Empty => {}
         }
-        match shared.injector.steal_batch_and_pop(local) {
+        // The regular lane is popped singly too, so ready tasks start in the
+        // order they were released: a merge's panels run in panel order
+        // across the workers. A batch moved into this worker's LIFO deque
+        // would run them backwards, and every `LAED4` panel that finishes
+        // ahead of a lower one holds its k-long local-W partial until that
+        // one folds: a merge would hold as many partials as the batch split
+        // happened to reverse, up to one per panel, and a solve's memory
+        // high-water would change from run to run.
+        match shared.injector.steal() {
             Steal::Success(node) => return Some(node),
             Steal::Retry => {
                 shared.metrics.steal_retry(worker_id);
@@ -437,10 +444,10 @@ fn worker_loop(shared: Arc<Shared>, local: WorkerDeque<Arc<Node>>, worker_id: us
                 //   the tail index is ordered before `is_empty`'s SeqCst
                 //   index loads. Either way no wakeup is lost.
                 //
-                // * Sibling deques (latency only): work can also sit in
-                //   another worker's local deque — batched there by
-                //   `steal_batch_and_pop` after our sweep looked, never
-                //   notified because only `push_ready` notifies. The owner
+                // * Sibling deques (latency only): work could also sit in
+                //   another worker's local deque — put there after our
+                //   sweep looked, never notified because only `push_ready`
+                //   notifies (today nothing fills them). The owner
                 //   is awake and will drain it, so parking here is *safe*;
                 //   it just forfeits parallelism until the next release.
                 //   `Stealer::is_empty` is a racy hint (top/bottom loads,
@@ -541,10 +548,9 @@ impl Runtime {
     }
 
     fn build(num_threads: usize, inline: bool) -> Self {
-        // LIFO locals: of the batch a worker pulls from the injector it
-        // runs the most recently released task first (the one whose inputs
-        // are most likely still in cache), while stealers take from the
-        // opposite (oldest) end to preserve breadth.
+        // LIFO locals, swept by the siblings from the opposite (oldest)
+        // end. Since the regular injector is popped singly nothing fills
+        // them; they stay for the steal counters the metrics report.
         let deques: Vec<_> = (0..num_threads).map(|_| WorkerDeque::new_lifo()).collect();
         let stealers = deques.iter().map(|d| d.stealer()).collect();
         let shared = Arc::new(Shared {
@@ -1367,8 +1373,8 @@ mod tests {
                 log.lock().push("gate");
             });
         }
-        // Ensure the worker is inside the gate (so the panels below stay
-        // in the injector rather than being batched into its local deque).
+        // Ensure the worker is inside the gate, so the panels below are
+        // all queued when the priority task is released.
         while !started.load(Ordering::SeqCst) {
             std::hint::spin_loop();
         }
@@ -1389,6 +1395,44 @@ mod tests {
         assert_eq!(
             got[1], "join",
             "priority task must overtake queued panels: {got:?}"
+        );
+    }
+
+    #[test]
+    fn queued_panels_start_in_release_order() {
+        // One worker, held by a gate while 32 panels queue up: it must
+        // start them in the order they were released. A batch moved into
+        // its LIFO deque would run them backwards — and a merge whose
+        // panels fold in panel order would hold every partial the batch
+        // reversed.
+        let rt = Runtime::new(1);
+        let scope = rt.scope();
+        let started = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let log: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        {
+            let (s, r) = (started.clone(), release.clone());
+            scope.task("gate").spawn(move || {
+                s.store(true, Ordering::SeqCst);
+                while !r.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        while !started.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        for p in 0..32 {
+            let log = log.clone();
+            scope.task("panel").spawn(move || log.lock().push(p));
+        }
+        release.store(true, Ordering::SeqCst);
+        scope.wait().unwrap();
+        let got = log.lock().clone();
+        assert_eq!(
+            got,
+            (0..32).collect::<Vec<_>>(),
+            "panels started out of release order"
         );
     }
 

@@ -25,7 +25,9 @@
 //! `d`, or `len(e) != len(d) - 1`; and, as `nonfinite`, an inline matrix
 //! with an infinite entry (a literal such as `1e999`), which no solver
 //! accepts. `solve` and `batch` parse to one [`Request::Solve`]: a problem
-//! list plus the reply's shape.
+//! list plus the reply's shape. The server refuses, as `oversized`, an
+//! order over its `max_n`, and `"check":true` on a problem over n = 1024
+//! that returns vectors (any mode but `"values"`).
 //!
 //! Responses: `{"id":ID,"ok":true, ...}` on success, or
 //! `{"id":ID,"ok":false,"error":{"code":C,"message":S}}` with `C` one of

@@ -23,7 +23,7 @@
 use crate::protocol::{
     self, dc_error_code, error_response, ok_line, MatrixSpec, Request, SolveRequest, WireError,
 };
-use dcst_core::{DcError, DcOptions, DcStats, Eigen, PendingSolve, TaskFlowDc};
+use dcst_core::{DcError, DcOptions, DcStats, Eigen, PendingSolve, SolveMode, TaskFlowDc};
 use dcst_runtime::{CancelHandle, Runtime};
 use dcst_tridiag::SymTridiag;
 use std::collections::HashMap;
@@ -442,28 +442,46 @@ fn handle_conn(stream: TcpStream, inner: Arc<Inner>, conn: u64) {
     }
 }
 
+/// Largest order of a problem that returns vectors on which a request may
+/// ask for `"check": true`. The orthogonality check is O(n³) serial work
+/// on the job thread after the solve (53.6 s at n = 4000 through the CLI),
+/// which `cancel` cannot stop and which holds the request's admission slot
+/// throughout. A values-only problem has no vectors to check.
+const MAX_CHECK_N: usize = 1024;
+
 /// The checks a request passes before admission, beyond the parser's: a
-/// trace only from a server that records every request's tasks, and no
-/// matrix over `max_n` (refused before any O(n²) allocation). A request
-/// refused here is never counted `accepted`.
+/// trace only from a server that records every request's tasks, no
+/// matrix over `max_n` (refused before any O(n²) allocation), and no
+/// `check` of vectors over [`MAX_CHECK_N`]. A request refused here is
+/// never counted `accepted`.
 fn runnable(cfg: &ServerConfig, req: &SolveRequest) -> Result<(), WireError> {
     if req.trace && !cfg.trace_requests {
         return Err(WireError::bad(
             "\"trace\": true needs a server started with --trace-requests",
         ));
     }
-    match req
+    if let Some(n) = req
         .problems
         .iter()
         .map(|p| p.matrix.n())
         .find(|&n| n > cfg.max_n)
     {
-        Some(n) => Err(WireError::new(
+        return Err(WireError::new(
             "oversized",
             format!("matrix order {n} over the server limit {}", cfg.max_n),
-        )),
-        None => Ok(()),
+        ));
     }
+    let checked = req
+        .problems
+        .iter()
+        .filter(|p| req.check && p.mode != SolveMode::ValuesOnly);
+    if let Some(n) = checked.map(|p| p.matrix.n()).find(|&n| n > MAX_CHECK_N) {
+        return Err(WireError::new(
+            "oversized",
+            format!("\"check\": true on matrix order {n} over the check limit {MAX_CHECK_N}"),
+        ));
+    }
+    Ok(())
 }
 
 /// Reserve an admission slot and seed the job table. A duplicate live id

@@ -47,6 +47,59 @@ fn taskflow_matches_sequential_bitwise() {
     assert_eq!(par.vectors.as_slice(), one.vectors.as_slice());
 }
 
+/// The graph works on T scaled to unit max-norm, and a power-of-two factor
+/// leaves that scaled matrix bit-identical: 2^±500·T gives exactly 2^±500
+/// times T's eigenvalues and T's eigenvectors bit for bit — in every mode
+/// that runs the merge graph, and on a single-leaf tree, which has no
+/// merge. (The small-subset MRRR fallback is left out: its bisection has
+/// absolute thresholds, so its results need not scale exactly.)
+#[test]
+fn power_of_two_scaling_is_exact_in_every_mode() {
+    let _q = dcst::matrix::failpoints::quiet();
+    let n = 120;
+    let modes = [
+        SolveMode::Full,
+        SolveMode::ValuesOnly,
+        // Wide enough (16·k > n) to run the pruned-root graph.
+        SolveMode::Subset { il: 30, iu: 60 },
+    ];
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for ty in [MatrixType::Type4, MatrixType::Type2] {
+        let t = ty.generate(n, 7);
+        for factor in [2f64.powi(500), 2f64.powi(-500)] {
+            let scaled = SymTridiag::new(
+                t.d.iter().map(|x| x * factor).collect(),
+                t.e.iter().map(|x| x * factor).collect(),
+            );
+            // min_part = n: one leaf, the whole matrix.
+            for (mode, min_part) in modes.iter().flat_map(|&m| [(m, 16), (m, n)]) {
+                let o = DcOptions {
+                    mode,
+                    min_part,
+                    ..opts()
+                };
+                let solvers: [Box<dyn TridiagEigensolver>; 2] =
+                    [Box::new(TaskFlowDc::new(o)), Box::new(SequentialDc::new(o))];
+                for solver in &solvers {
+                    let who = format!(
+                        "{ty:?} ×{factor:e} {mode:?} min_part {min_part} {}",
+                        solver.name()
+                    );
+                    let base = solver.solve(&t).unwrap();
+                    let eig = solver.solve(&scaled).unwrap();
+                    let want: Vec<f64> = base.values.iter().map(|x| x * factor).collect();
+                    assert_eq!(bits(&eig.values), bits(&want), "{who}: values");
+                    assert_eq!(
+                        bits(eig.vectors.as_slice()),
+                        bits(base.vectors.as_slice()),
+                        "{who}: vectors"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn solvers_are_shareable_across_threads() {
     // &TaskFlowDc is Sync: several user threads may solve concurrently.

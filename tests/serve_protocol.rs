@@ -311,14 +311,15 @@ fn zero_order_specs_are_typed_and_hold_no_slot() {
 /// Every request that cannot run is answered with its typed error on the
 /// reader, before admission: an order over `max_n` (in a `solve` or in
 /// any `batch` member), a zero order, a type outside 1..=15, an inline
-/// `d`/`e` length mismatch, and `"trace": true` to a server that records
-/// no traces. None of them is counted `accepted` or holds a slot.
+/// `d`/`e` length mismatch, `"trace": true` to a server that records
+/// no traces, and `"check": true` on a problem over n = 1024 that returns
+/// vectors. None of them is counted `accepted` or holds a slot.
 #[test]
 fn a_request_that_cannot_run_is_never_admitted() {
     let server = Server::start(ServerConfig {
         threads: 2,
         max_inflight: 2,
-        max_n: 64,
+        max_n: 2048,
         ..ServerConfig::default()
     })
     .expect("bind loopback");
@@ -331,7 +332,7 @@ fn a_request_that_cannot_run_is_never_admitted() {
     };
     let before = gauges(&mut cl);
     for (id, line, code) in [
-        (1, solve_line(1, 4, 65, 1, ""), "oversized"),
+        (1, solve_line(1, 4, 2049, 1, ""), "oversized"),
         (2, solve_line(2, 4, 0, 1, ""), "bad-request"),
         (3, solve_line(3, 16, 8, 1, ""), "bad-request"),
         (
@@ -341,7 +342,7 @@ fn a_request_that_cannot_run_is_never_admitted() {
         ),
         (
             5,
-            r#"{"op":"batch","id":5,"problems":[{"matrix":{"type":4,"n":16}},{"matrix":{"type":4,"n":100}}]}"#
+            r#"{"op":"batch","id":5,"problems":[{"matrix":{"type":4,"n":16}},{"matrix":{"type":4,"n":2049}}]}"#
                 .to_string(),
             "oversized",
         ),
@@ -357,6 +358,15 @@ fn a_request_that_cannot_run_is_never_admitted() {
                 .to_string(),
             "nonfinite",
         ),
+        // Checking vectors is O(n³) serial work after the solve, which
+        // cancel cannot stop: refused over n = 1024, in any item.
+        (10, solve_line(10, 4, 1025, 1, r#","check":true"#), "oversized"),
+        (
+            11,
+            r#"{"op":"batch","id":11,"check":true,"problems":[{"matrix":{"type":4,"n":1025},"mode":"values"},{"matrix":{"type":4,"n":1025},"mode":{"subset":[0,511]}}]}"#
+                .to_string(),
+            "oversized",
+        ),
     ] {
         let doc = cl.call(&line).unwrap();
         assert_eq!(req_id(&doc), Some(id), "{line}");
@@ -367,6 +377,18 @@ fn a_request_that_cannot_run_is_never_admitted() {
     let doc = cl.call(&solve_line(7, 4, 64, 1, "")).unwrap();
     assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
     assert_eq!(gauges(&mut cl), (before.0 + 1.0, 0.0));
+    // A values-only problem has no vectors to check, whatever its order.
+    let doc = cl
+        .call(&solve_line(
+            12,
+            4,
+            1025,
+            1,
+            r#","mode":"values","check":true"#,
+        ))
+        .unwrap();
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    assert_eq!(gauges(&mut cl), (before.0 + 2.0, 0.0));
 }
 
 /// The submission ids of the `X` (task) events in a response's trace.

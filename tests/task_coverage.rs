@@ -15,8 +15,7 @@ use std::collections::BTreeSet;
 
 /// Every task name `crates/core/src/taskflow.rs` submits, plus the trace
 /// name a structured `UpdateVect` panel runs under.
-const TASKS: [&str; 16] = [
-    "Scale",
+const TASKS: [&str; 14] = [
     "STEDC",
     "ComputeDeflation",
     "PermuteV",
@@ -30,7 +29,6 @@ const TASKS: [&str; 16] = [
     "RowUpdate",
     "SortEigenvalues",
     "SortCopy",
-    "ScaleBack",
     "SubsetFallback",
 ];
 

@@ -2,7 +2,7 @@
 //! static-analysis crate (which owns the lexer, parser, and all rules).
 //!
 //! * `cargo run -p xtask -- analyze` — the per-file lint rules
-//!   (static-mut, sleep-poll, pool-sync) plus the two analysis passes
+//!   (static-mut, pool-sync) plus the two analysis passes
 //!   (atomic-ordering manifest conformance against `specs/orderings.toml`
 //!   and hot-path purity for `// dcst-hot` fns). Options:
 //!   * `--report FILE` — also write the violation list to FILE (always
