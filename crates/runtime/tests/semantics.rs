@@ -435,3 +435,42 @@ fn forked_group_joins_before_the_next_inline_task() {
     });
     scope.wait().unwrap();
 }
+
+#[test]
+fn inline_scope_honours_a_cancel_fired_from_another_thread() {
+    let rt = Runtime::inline(0);
+    let scope = rt.scope();
+    let handle = scope.cancel_handle();
+    let (signal, fire) = std::sync::mpsc::channel::<()>();
+    let (fired, await_fired) = std::sync::mpsc::channel::<()>();
+    let canceller = std::thread::spawn(move || {
+        fire.recv().unwrap();
+        handle.cancel();
+        fired.send(()).unwrap();
+    });
+    let ran = Arc::new(AtomicUsize::new(0));
+    let r = ran.clone();
+    // Body 1 runs inside this `spawn`: it hands control to the other
+    // thread and returns only once the scope is latched.
+    scope.task("signal").spawn(move || {
+        r.fetch_add(1, Ordering::SeqCst);
+        signal.send(()).unwrap();
+        await_fired.recv().unwrap();
+    });
+    canceller.join().unwrap();
+    for _ in 0..10 {
+        let r = ran.clone();
+        scope.task("after").spawn(move || {
+            r.fetch_add(1, Ordering::SeqCst);
+        });
+    }
+    assert_eq!(ran.load(Ordering::SeqCst), 1, "a body ran after the cancel");
+    assert!(scope.wait().unwrap_err().is_cancelled());
+    // The wait reset the latch: the scope runs its next phase.
+    let r = ran.clone();
+    scope.task("fresh").spawn(move || {
+        r.fetch_add(1, Ordering::SeqCst);
+    });
+    scope.wait().unwrap();
+    assert_eq!(ran.load(Ordering::SeqCst), 2);
+}

@@ -9,10 +9,20 @@
 //!   inline, and refuses a request that cannot run (bad spec, order over
 //!   `max_n`, trace without `--trace-requests`) before admitting it;
 //! * one short-lived job thread per admitted `solve`/`batch` — one job
-//!   body for both — which submits each problem's task graph into its own
-//!   scope of the shared [`Runtime`], waits, and writes the tagged
-//!   response — so the reader keeps servicing `cancel` verbs while solves
-//!   are in flight.
+//!   body for both — which builds each problem, opens a scope per problem,
+//!   registers their cancel handles, submits each problem's task graph,
+//!   waits, and writes the tagged response — so the reader keeps
+//!   servicing `cancel` verbs while solves are in flight.
+//!
+//! Where a request's graph runs is decided once, at job start. A request
+//! that is alone, or that leaves the pool a worker to spare, submits into
+//! the shared [`Runtime`]'s workers. When the daemon is busy — at least
+//! as many requests in flight as the pool has workers, and more than
+//! one — an untraced, normal-priority request whose problems are all of
+//! order at most [`INLINE_MAX_N`] solves on its own job thread under a
+//! job-local inline runtime: the `SequentialDc` schedule of the same
+//! graph, with the same bits, and no task handoff to a pool whose workers
+//! all have a request already.
 //!
 //! Responses are therefore interleaved in completion order, each tagged
 //! with the request's `id`. Admission is a compare-and-swap on the
@@ -24,7 +34,7 @@ use crate::protocol::{
     self, dc_error_code, error_response, ok_line, MatrixSpec, Request, SolveRequest, WireError,
 };
 use dcst_core::{DcError, DcOptions, DcStats, Eigen, PendingSolve, SolveMode, TaskFlowDc};
-use dcst_runtime::{CancelHandle, Runtime};
+use dcst_runtime::{CancelHandle, Runtime, Scope};
 use dcst_tridiag::SymTridiag;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -42,7 +52,8 @@ use std::time::Instant;
 pub struct ServerConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port.
     pub addr: String,
-    /// Worker threads of the shared runtime.
+    /// Worker threads of the shared runtime. A busy daemon also solves on
+    /// its job threads, so this sizes the pool, not the daemon's CPU use.
     pub threads: usize,
     /// Admission bound on concurrently admitted `solve`/`batch` requests;
     /// the `cur >= max` request is shed with `busy`.
@@ -77,10 +88,18 @@ impl Default for ServerConfig {
     }
 }
 
+/// The largest problem order a busy daemon solves on a job thread. Up to
+/// here (the `serve_mix` orders, 128–512) the pool graph's task handoffs
+/// were measured to cost more than the graph overlaps. Above it a
+/// sequential solve can take nearly twice the pool's time (`dense_t4_n2000`
+/// at two workers: `seq_p50_ms` 203 against `op_p50_ms` 112), so a larger
+/// problem keeps the pool even when the daemon is busy.
+const INLINE_MAX_N: usize = 512;
+
 /// Per-request cancellation bookkeeping, keyed `(connection, request id)`.
-/// `Queued` covers the window between admission (reader thread) and
-/// submission (job thread): a cancel landing in that window is recorded
-/// and honored the moment the graph is submitted.
+/// `Queued` covers the window between admission (reader thread) and the
+/// job opening its scopes (job thread): a cancel landing in that window is
+/// recorded and latches the scopes before anything is submitted.
 enum JobState {
     Queued { cancel_requested: bool },
     Running(Vec<CancelHandle>),
@@ -97,6 +116,11 @@ struct Inner {
     completed: AtomicU64,
     shed: AtomicU64,
     cancelled: AtomicU64,
+    /// Requests solved on their job thread rather than on the pool.
+    inline: AtomicU64,
+    /// Tasks those requests ran, so `tasks_executed` counts every task
+    /// the daemon ran wherever it ran.
+    inline_tasks: AtomicU64,
     /// Nanoseconds the job threads spent in [`MatrixSpec::build`].
     build_ns: AtomicU64,
     jobs: Mutex<HashMap<(u64, u64), JobState>>,
@@ -177,11 +201,30 @@ impl Inner {
         }
     }
 
-    /// Retire a finished job: free its admission slot and table entry.
-    fn finish_job(&self, key: (u64, u64)) {
+    /// Free a job's admission slot and table entry.
+    fn release_job(&self, key: (u64, u64)) {
         self.jobs.lock().unwrap().remove(&key);
         self.inflight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Retire a finished job.
+    fn finish_job(&self, key: (u64, u64)) {
+        self.release_job(key);
         self.completed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Whether an admitted request solves on its own job thread: it is
+    /// untraced (a trace asks for the shared schedule) and of normal
+    /// priority (a high-priority request asks for every worker ahead of
+    /// normal work), no problem of it is above [`INLINE_MAX_N`], it is not
+    /// alone, and the requests in flight — itself included — are at least
+    /// as many as the pool's workers, so each can have a core. A lone
+    /// request always gets the pool, which keeps one large solve parallel.
+    fn solves_inline(&self, req: &SolveRequest) -> bool {
+        !req.trace
+            && !req.priority
+            && req.problems.iter().all(|p| p.matrix.n() <= INLINE_MAX_N)
+            && self.inflight.load(Ordering::SeqCst) >= self.cfg.threads.max(2)
     }
 
     /// Materialize a request's matrix on the job thread, adding the time
@@ -206,10 +249,10 @@ impl Inner {
              \"workers\":{},\"tasks_executed\":{},\"steals_succeeded\":{},\
              \"priority_hits\":{},\"parks\":{},\"max_queue_depth\":{},\
              \"ready_depth\":{},\"inflight\":{},\"accepted\":{},\
-             \"completed\":{},\"shed\":{},\"cancelled\":{},\
+             \"completed\":{},\"shed\":{},\"cancelled\":{},\"inline\":{},\
              \"build_us\":{},\"kernel\":{{{}}}}}}}",
             rm.workers.len(),
-            rm.tasks_executed(),
+            rm.tasks_executed() + self.inline_tasks.load(Ordering::Relaxed),
             rm.steals_succeeded(),
             rm.priority_hits(),
             rm.parks(),
@@ -220,6 +263,7 @@ impl Inner {
             self.completed.load(Ordering::Relaxed),
             self.shed.load(Ordering::Relaxed),
             self.cancelled.load(Ordering::Relaxed),
+            self.inline.load(Ordering::Relaxed),
             self.build_ns.load(Ordering::Relaxed) / 1000,
             kernel.join(",")
         );
@@ -258,6 +302,8 @@ impl Server {
             completed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
+            inline_tasks: AtomicU64::new(0),
             build_ns: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -315,7 +361,9 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
         let _ = stream.set_nodelay(true);
         conn_id += 1;
         let conn_inner = inner.clone();
-        thread::spawn(move || handle_conn(stream, conn_inner, conn_id));
+        // A connection the OS gives no reader thread is dropped with the
+        // refused closure, which closes it; the loop keeps accepting.
+        let _ = thread::Builder::new().spawn(move || handle_conn(stream, conn_inner, conn_id));
     }
 }
 
@@ -533,8 +581,22 @@ fn spawn_job(
     key: (u64, u64),
     body: impl FnOnce(&Arc<Inner>, &mut String) + Send + 'static,
 ) {
-    let (inner, writer) = (inner.clone(), writer.clone());
-    thread::spawn(move || write_line(&writer, |out| run_job(&inner, key, body, out)));
+    let (job_inner, job_writer) = (inner.clone(), writer.clone());
+    let spawned = thread::Builder::new()
+        .spawn(move || write_line(&job_writer, |out| run_job(&job_inner, key, body, out)));
+    if let Err(e) = spawned {
+        write_line(writer, |out| refuse_unstarted(inner, key, &e, out));
+    }
+}
+
+/// Retire an admitted job the OS gave no thread: it frees its slot and
+/// table entry, is not counted `completed`, and is answered `busy`
+/// (counted `shed`) with its id, so the client can retry.
+fn refuse_unstarted(inner: &Inner, key: (u64, u64), err: &std::io::Error, out: &mut String) {
+    inner.release_job(key);
+    inner.shed.fetch_add(1, Ordering::Relaxed);
+    let e = WireError::new("busy", format!("no thread for the job: {err}"));
+    error_response(out, Some(key.1), &e);
 }
 
 /// Append one problem's success payload.
@@ -576,20 +638,43 @@ fn result_body(
     }
 }
 
-/// The one job body of `solve` and `batch`: build every problem, submit
-/// each into its own scope before waiting on any (so a batch's panels
-/// share the pool's ready queue), register every scope's cancel handle,
-/// then wait on each problem in order and append its envelope. A `solve`
-/// reply is its problem's envelope; a `batch` reply lists the untagged
-/// envelopes under `"results"`, so one item's error leaves its siblings'
-/// results intact. A cancelled request counts once, however many of its
-/// problems it stopped.
+/// The one job body of `solve` and `batch`: build every problem, open one
+/// scope per problem on the runtime [`Inner::solves_inline`] picks (the
+/// shared pool, or a job-local inline runtime), register every scope's
+/// cancel handle, submit each problem before waiting on any (so a batch's
+/// panels share the pool's ready queue), then wait on each problem in
+/// order and append its envelope. The handles are live before the first
+/// submission because an inline submission returns only after its solve:
+/// a `cancel` then latches the scope and the rest of its bodies are
+/// skipped. A `solve` reply is its problem's envelope; a `batch` reply
+/// lists the untagged envelopes under `"results"`, so one item's error
+/// leaves its siblings' results intact. A cancelled request counts once,
+/// however many of its problems it stopped.
 fn solve_job(inner: &Arc<Inner>, conn: u64, req: &SolveRequest, out: &mut String) {
     let mats: Vec<SymTridiag> = req
         .problems
         .iter()
         .map(|p| inner.build_matrix(&p.matrix))
         .collect();
+    let local = inner.solves_inline(req).then(|| Runtime::inline(0));
+    let rt = local.as_ref().unwrap_or(&inner.rt);
+    // A `"priority":"high"` request rides the priority injector lane with
+    // every one of its tasks.
+    let scopes: Vec<Scope<'_>> = req
+        .problems
+        .iter()
+        .map(|_| {
+            if req.priority {
+                rt.priority_scope()
+            } else {
+                rt.scope()
+            }
+        })
+        .collect();
+    let handles = scopes.iter().map(Scope::cancel_handle).collect();
+    if inner.activate_job((conn, req.id), handles) {
+        scopes.iter().for_each(Scope::cancel);
+    }
     // Each solver is a temporary, dropped at submit: the graph then holds
     // the only handle on its spare-V slot, so V is freed when the result is
     // collected rather than kept through the response.
@@ -597,25 +682,15 @@ fn solve_job(inner: &Arc<Inner>, conn: u64, req: &SolveRequest, out: &mut String
         .problems
         .iter()
         .zip(&mats)
-        .map(|(p, t)| {
+        .zip(scopes)
+        .map(|((p, t), scope)| {
             let opts = DcOptions {
                 mode: p.mode,
                 ..inner.opts
             };
-            // A `"priority":"high"` request rides the priority injector
-            // lane with every one of its tasks.
-            let scope = if req.priority {
-                inner.rt.priority_scope()
-            } else {
-                inner.rt.scope()
-            };
             TaskFlowDc::new(opts).submit(t, scope)
         })
         .collect();
-    let handles = pendings.iter().flatten().map(PendingSolve::cancel_handle);
-    if inner.activate_job((conn, req.id), handles.collect()) {
-        pendings.iter().flatten().for_each(PendingSolve::cancel);
-    }
     let mut cancelled = false;
     let envelopes = |out: &mut String, id: Option<u64>| {
         for (i, (pending, t)) in pendings.into_iter().zip(&mats).enumerate() {
@@ -649,11 +724,18 @@ fn solve_job(inner: &Arc<Inner>, conn: u64, req: &SolveRequest, out: &mut String
     if cancelled {
         inner.cancelled.fetch_add(1, Ordering::Relaxed);
     }
+    if let Some(local) = local {
+        let tasks = local.runtime_metrics().tasks_executed();
+        inner.inline_tasks.fetch_add(tasks, Ordering::Relaxed);
+        inner.inline.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Wait on a pending solve, harvesting its scope trace (when the server
 /// records traces) whether it succeeded or not — an unharvested scope
-/// would leak records into the shared trace buffer forever.
+/// would leak records into the shared trace buffer forever. The trace is
+/// the scope's own runtime's: an inline runtime records none, and its
+/// scope ids are not the pool's.
 fn finish_pending(
     inner: &Arc<Inner>,
     pending: PendingSolve<'_>,
@@ -661,7 +743,7 @@ fn finish_pending(
 ) -> Result<(Eigen, DcStats, Option<String>), DcError> {
     let waited = pending.scope().wait();
     let trace_json = if inner.cfg.trace_requests {
-        let tr = inner.rt.take_scope_trace(pending.scope());
+        let tr = pending.scope().runtime().take_scope_trace(pending.scope());
         want_trace.then(|| tr.to_chrome_json())
     } else {
         None
@@ -697,5 +779,35 @@ mod tests {
             .contains("boom"));
         assert_eq!(inner.inflight.load(Ordering::SeqCst), before);
         assert!(!inner.jobs.lock().unwrap().contains_key(&(1, 7)));
+    }
+
+    #[test]
+    fn a_job_without_a_thread_answers_busy_and_is_released() {
+        let server = Server::start(ServerConfig::default()).expect("bind loopback");
+        let inner = &server.inner;
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (completed, shed) = (count(&inner.completed), count(&inner.shed));
+        admit(inner, 1, 9).unwrap();
+        let refused = std::io::Error::new(std::io::ErrorKind::WouldBlock, "no threads left");
+        let mut resp = String::new();
+        refuse_unstarted(inner, (1, 9), &refused, &mut resp);
+        let doc = jsonv::parse(&resp).unwrap();
+        assert_eq!(doc.get("id").and_then(|v| v.as_num()), Some(9.0));
+        let err = doc.get("error").unwrap();
+        assert_eq!(err.get("code").and_then(|v| v.as_str()), Some("busy"));
+        assert!(err
+            .get("message")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("no threads left"));
+        assert_eq!(inner.inflight.load(Ordering::SeqCst), 0);
+        assert!(!inner.jobs.lock().unwrap().contains_key(&(1, 9)));
+        assert_eq!(count(&inner.completed), completed);
+        assert_eq!(count(&inner.shed), shed + 1);
+        // The slot is back: as many admissions as the limit still succeed.
+        for id in 0..inner.cfg.max_inflight as u64 {
+            admit(inner, 2, id).unwrap();
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! to zero. In a debug build the shadow tracker validates every task's
 //! declared accesses while the harness hammers the shared runtime.
 
-use dcst::core::{DcOptions, TaskFlowDc};
+use dcst::core::{DcOptions, SequentialDc, TaskFlowDc};
 use dcst::runtime::jsonv::{self, Json};
 use dcst::serve::{Client, Server, ServerConfig};
 use dcst::tridiag::MatrixType;
@@ -516,4 +516,252 @@ fn build_us_counts_matrix_generation() {
         build_us(&mut cl) > after_solve,
         "a spec'd batch raises build_us"
     );
+}
+
+/// The `metrics` verb's field `key`.
+fn metric(cl: &mut Client, key: &str) -> f64 {
+    let doc = cl.call(r#"{"op":"metrics"}"#).unwrap();
+    let m = doc.get("metrics").expect("metrics object");
+    m.get(key).and_then(Json::as_num).expect(key)
+}
+
+/// Order of the solve that keeps the daemon busy while a second request
+/// arrives. The rule tests assume it is still in flight when the second
+/// request's job starts, which is about a millisecond after its first
+/// task is seen: a type-4 solve of this order at two workers takes about
+/// 1.5 s in a debug build and 50 ms in a release build. Each test checks
+/// the assumption, by the second request's `inline` count or by
+/// `inflight` after its reply.
+const LONG_N: usize = 1000;
+
+/// The daemon's largest order for a solve on a job thread
+/// (`server.rs` `INLINE_MAX_N`).
+const INLINE_MAX_N: usize = 512;
+
+/// Send a long solve of order `n` (with `extra` members) as request 1 on `a`, alone on
+/// a fresh daemon, and return once its tasks run on the pool: its job has
+/// chosen the pool, and it is in flight while the next request is
+/// admitted.
+fn occupy_the_pool(a: &mut Client, probe: &mut Client, n: usize, extra: &str) {
+    assert_eq!(metric(probe, "tasks_executed"), 0.0);
+    a.send(&solve_line(1, 4, n, 1, extra)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while metric(probe, "tasks_executed") == 0.0 {
+        assert!(
+            Instant::now() < deadline,
+            "request 1 never reached the pool"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(metric(probe, "inflight"), 1.0);
+}
+
+/// A busy daemon solves the next request on its job thread — as many
+/// requests in flight as the pool has workers — and the reply is the
+/// library's `TaskFlowDc` bit for bit, values and vectors. The request is
+/// counted `inline`, and `tasks_executed` counts its tasks beside the
+/// pool's.
+#[test]
+fn a_busy_daemon_solves_on_the_job_thread_with_the_same_bits() {
+    let server = server(2, 8);
+    let (mut a, mut b) = (
+        Client::connect(server.addr()).unwrap(),
+        Client::connect(server.addr()).unwrap(),
+    );
+    let opts = DcOptions {
+        threads: 2,
+        ..DcOptions::default()
+    };
+    let tasks = |t: &dcst::tridiag::SymTridiag| {
+        let (_, _, trace, _) = TaskFlowDc::new(opts).solve_observed(t).unwrap();
+        trace.records.len() as f64
+    };
+    occupy_the_pool(&mut a, &mut b, LONG_N, "");
+    let doc = b
+        .call(&solve_line(2, 10, 300, 3, r#","vectors":true"#))
+        .unwrap();
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    assert_eq!(metric(&mut b, "inline"), 1.0);
+    let t = MatrixType::Type10.generate(300, 3);
+    let (eig, _) = TaskFlowDc::new(opts).solve_with_stats(&t).unwrap();
+    let wire_bits = |key: &str| -> Vec<u64> {
+        let arr = doc.get(key).and_then(Json::as_arr).expect(key);
+        arr.iter().map(|v| v.as_num().unwrap().to_bits()).collect()
+    };
+    let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|x| x.to_bits()).collect() };
+    assert_eq!(wire_bits("values"), bits(&eig.values));
+    assert_eq!(wire_bits("vectors"), bits(eig.vectors.as_slice()));
+    let doc = a.recv().unwrap().expect("request 1's reply");
+    assert_eq!(req_id(&doc), Some(1));
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    // Request 1 stayed on the pool; every task of both requests is counted.
+    assert_eq!(metric(&mut b, "inline"), 1.0);
+    let long = MatrixType::Type4.generate(LONG_N, 1);
+    assert_eq!(metric(&mut b, "tasks_executed"), tasks(&long) + tasks(&t));
+    assert_eq!(metric(&mut b, "inflight"), 0.0);
+}
+
+/// A request solving on its job thread stays cancellable mid-solve: the
+/// cancel latches its scopes, the inline runtime skips the rest of its
+/// graphs, and the batch's last problem answers `cancelled` well before
+/// the batch could have run to its end. The slots drain to zero.
+#[test]
+fn a_job_thread_solve_is_cancelled_mid_solve() {
+    let server = server(2, 8);
+    let addr = server.addr();
+    let (mut a, mut b) = (
+        Client::connect(addr).unwrap(),
+        Client::connect(addr).unwrap(),
+    );
+    let mut probe = Client::connect(addr).unwrap();
+    // Sixteen problems at the inline limit, one generated and fifteen
+    // inline copies of it: once the first is built (`build_us` moves) the
+    // copies take microseconds, so the cancel lands in the solves.
+    let t = MatrixType::Type4.generate(INLINE_MAX_N, 2);
+    let started = Instant::now();
+    SequentialDc::new(DcOptions::default())
+        .solve_with_stats(&t)
+        .unwrap();
+    let one_solve = started.elapsed();
+    let nums = |xs: &[f64]| -> String {
+        let strs: Vec<String> = xs.iter().map(|x| format!("{x:?}")).collect();
+        strs.join(",")
+    };
+    let copy = format!(
+        r#"{{"matrix":{{"d":[{}],"e":[{}]}}}}"#,
+        nums(&t.d),
+        nums(&t.e)
+    );
+    let mut problems = vec![format!(
+        r#"{{"matrix":{{"type":4,"n":{INLINE_MAX_N},"seed":2}}}}"#
+    )];
+    problems.extend(std::iter::repeat_n(copy, 15));
+    occupy_the_pool(&mut a, &mut probe, LONG_N, "");
+    let built = metric(&mut probe, "build_us");
+    b.send(&format!(
+        r#"{{"op":"batch","id":2,"problems":[{}]}}"#,
+        problems.join(",")
+    ))
+    .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while metric(&mut probe, "build_us") == built {
+        assert!(Instant::now() < deadline, "request 2 never started");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let cancelled_at = Instant::now();
+    b.send(r#"{"op":"cancel","id":2}"#).unwrap();
+    // The acknowledgement and the reply, in whichever order they come.
+    let mut docs = [b.recv().unwrap().unwrap(), b.recv().unwrap().unwrap()];
+    let answered_in = cancelled_at.elapsed();
+    docs.sort_by_key(|d| d.get("results").is_some());
+    let [ack, reply] = docs;
+    assert_eq!(obj_bool(&ack, "cancelled"), Some(true), "{ack:?}");
+    assert_eq!(req_id(&reply), Some(2));
+    let results = reply.get("results").and_then(Json::as_arr).unwrap();
+    assert_eq!(
+        error_code(results.last().unwrap()).as_deref(),
+        Some("cancelled"),
+        "{reply:?}"
+    );
+    // Half the batch's sequential work: a batch that ran to its end
+    // before honouring the cancel would take about twice this.
+    assert!(
+        answered_in < one_solve * 8,
+        "request 2 ran past its cancel: {answered_in:?} against {one_solve:?} a problem"
+    );
+    assert_eq!(metric(&mut probe, "inline"), 1.0);
+    assert_eq!(metric(&mut probe, "cancelled"), 1.0);
+    // Request 1 is not needed any more either; it may have finished.
+    a.send(r#"{"op":"cancel","id":1}"#).unwrap();
+    let replies = [a.recv().unwrap().unwrap(), a.recv().unwrap().unwrap()];
+    let first = replies.iter().find(|d| d.get("cancelled").is_none());
+    assert_eq!(req_id(first.unwrap()), Some(1));
+    let stopped = error_code(first.unwrap()).as_deref() == Some("cancelled");
+    assert_eq!(metric(&mut probe, "inflight"), 0.0);
+    assert_eq!(metric(&mut probe, "cancelled"), 1.0 + f64::from(stopped));
+}
+
+/// On a daemon that records traces, an untraced request solved on its job
+/// thread harvests its trace from its own runtime, not the pool's: the
+/// traced request in flight beside it still carries every one of its
+/// tasks.
+#[test]
+fn a_job_thread_solve_leaves_the_pool_traces_alone() {
+    let cfg = ServerConfig {
+        threads: 2,
+        max_inflight: 8,
+        trace_requests: true,
+        ..ServerConfig::default()
+    };
+    let opts = DcOptions {
+        threads: cfg.threads,
+        ..DcOptions::default()
+    };
+    let server = Server::start(cfg).expect("bind loopback");
+    let (mut a, mut b) = (
+        Client::connect(server.addr()).unwrap(),
+        Client::connect(server.addr()).unwrap(),
+    );
+    occupy_the_pool(&mut a, &mut b, LONG_N, r#","trace":true"#);
+    let doc = b.call(&solve_line(2, 4, 64, 1, "")).unwrap();
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    assert!(doc.get("trace").is_none());
+    assert_eq!(metric(&mut b, "inline"), 1.0);
+    let doc = a.recv().unwrap().expect("request 1's reply");
+    assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    let t = MatrixType::Type4.generate(LONG_N, 1);
+    let (_, _, trace, _) = TaskFlowDc::new(opts).solve_observed(&t).unwrap();
+    assert_eq!(traced_task_ids(&doc).len(), trace.records.len());
+}
+
+/// A busy daemon still hands the pool a request with a problem above the
+/// inline limit, and a high-priority request: the first would take up to
+/// twice as long on one thread, the second asks for every worker ahead of
+/// normal work.
+#[test]
+fn a_busy_daemon_keeps_large_and_high_priority_requests_on_the_pool() {
+    let server = server(2, 8);
+    let (mut a, mut b) = (
+        Client::connect(server.addr()).unwrap(),
+        Client::connect(server.addr()).unwrap(),
+    );
+    // Two requests must run beside request 1 here, not one: it is given
+    // four times the time (≈ 0.2 s in a release build) and cancelled
+    // once they are answered.
+    occupy_the_pool(&mut a, &mut b, 2 * LONG_N, "");
+    let large = solve_line(2, 6, INLINE_MAX_N + 1, 2, r#","mode":"values""#);
+    let urgent = solve_line(3, 4, 64, 3, r#","priority":"high""#);
+    for (id, line) in [(2, large), (3, urgent)] {
+        let doc = b.call(&line).unwrap();
+        assert_eq!(req_id(&doc), Some(id));
+        assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    }
+    // Request 1 is still running, so the daemon was busy throughout.
+    assert_eq!(metric(&mut b, "inflight"), 1.0, "request 1 ended early");
+    assert_eq!(metric(&mut b, "inline"), 0.0);
+    a.send(r#"{"op":"cancel","id":1}"#).unwrap();
+    let replies = [a.recv().unwrap().unwrap(), a.recv().unwrap().unwrap()];
+    assert!(replies.iter().all(|d| req_id(d) == Some(1)));
+    assert_eq!(metric(&mut b, "inflight"), 0.0);
+}
+
+/// A request alone in the daemon gets the pool, not its job thread.
+#[test]
+fn a_lone_request_solves_on_the_pool() {
+    let server = server(2, 8);
+    let mut cl = Client::connect(server.addr()).unwrap();
+    for (id, line) in [
+        (1, solve_line(1, 4, 200, 1, "")),
+        (
+            2,
+            r#"{"op":"batch","id":2,"problems":[{"matrix":{"type":4,"n":64}},{"matrix":{"type":6,"n":96},"mode":"values"}]}"#
+                .to_string(),
+        ),
+    ] {
+        let doc = cl.call(&line).unwrap();
+        assert_eq!(req_id(&doc), Some(id));
+        assert_eq!(obj_bool(&doc, "ok"), Some(true), "{doc:?}");
+    }
+    assert_eq!(metric(&mut cl, "inline"), 0.0);
+    assert!(metric(&mut cl, "tasks_executed") > 0.0);
 }
