@@ -27,7 +27,18 @@
 //! accepts. `solve` and `batch` parse to one [`Request::Solve`]: a problem
 //! list plus the reply's shape. The server refuses, as `oversized`, an
 //! order over its `max_n`, and `"check":true` on a problem over n = 1024
-//! that returns vectors (any mode but `"values"`).
+//! that returns vectors (any mode but `"values"`). The parser also refuses,
+//! as `bad-request`, `"vectors":true` on a `"values"` solve: that reply
+//! has no vectors to carry.
+//!
+//! What a reply computes: the daemon asks the library for eigenvectors
+//! only when the reply carries them (`"vectors":true`) or `"check":true`
+//! needs them for `orth`/`residual`. Otherwise a `"full"` problem — every
+//! unchecked `batch` member among them — runs the values-only solve. Such
+//! a reply's `values` and `deflation` are the values-only solve's: they
+//! can differ from a vectors solve's in the last bits, and both meet the
+//! same accuracy gates. A `"values"` or `{"subset":[il,iu]}` problem, and
+//! a reply with vectors or a check, runs the mode as sent.
 //!
 //! Responses: `{"id":ID,"ok":true, ...}` on success, or
 //! `{"id":ID,"ok":false,"error":{"code":C,"message":S}}` with `C` one of
@@ -298,11 +309,17 @@ fn parse_request_doc(doc: &Json) -> Result<Request, WireError> {
             } else {
                 vec![parse_problem(doc)?]
             };
+            let vectors = !batch && as_bool(doc.get("vectors"), "vectors")?;
+            if vectors && problems[0].mode == SolveMode::ValuesOnly {
+                return Err(WireError::bad(
+                    "\"vectors\": true needs a mode that returns vectors, not \"values\"",
+                ));
+            }
             Ok(Request::Solve(SolveRequest {
                 id,
                 problems,
                 priority: parse_priority(doc.get("priority"))?,
-                vectors: !batch && as_bool(doc.get("vectors"), "vectors")?,
+                vectors,
                 check: as_bool(doc.get("check"), "check")?,
                 trace: !batch && as_bool(doc.get("trace"), "trace")?,
                 batch,
@@ -460,6 +477,31 @@ mod tests {
             let err = req.expect_err(line);
             assert_eq!(err.code, code, "{line}");
         }
+    }
+
+    /// A `"values"` solve has no vectors to reply with, so asking for them
+    /// is refused with the request's id. A batch never carries vectors: its
+    /// `"vectors"` member is ignored, whatever its problems' modes.
+    #[test]
+    fn vectors_of_a_values_solve_are_a_bad_request_with_its_id() {
+        let (id, req) = parse_request(
+            r#"{"op":"solve","id":5,"matrix":{"type":4,"n":8},"mode":"values","vectors":true}"#,
+        );
+        assert_eq!(id, Some(5));
+        assert_eq!(
+            req.expect_err("vectors of a values solve"),
+            WireError::bad("\"vectors\": true needs a mode that returns vectors, not \"values\"")
+        );
+        for mode in [r#""full""#, r#"{"subset":[0,3]}"#] {
+            let req = solve_request(&format!(
+                r#"{{"op":"solve","id":6,"matrix":{{"type":4,"n":8}},"mode":{mode},"vectors":true}}"#
+            ));
+            assert!(req.vectors, "{mode}");
+        }
+        let req = solve_request(
+            r#"{"op":"batch","id":7,"problems":[{"matrix":{"type":4,"n":8},"mode":"values"}],"vectors":true}"#,
+        );
+        assert!(req.batch && !req.vectors);
     }
 
     /// A spec that cannot be built is refused by the parser, with the

@@ -24,6 +24,12 @@
 //! graph, with the same bits, and no task handoff to a pool whose workers
 //! all have a request already.
 //!
+//! What each problem computes is decided once too, by [`solved_mode`]: the
+//! library computes eigenvectors only when the reply carries them or the
+//! check needs them, so a `"full"` problem without either — a `batch`
+//! member among them — runs the values-only solve, which has no n×n
+//! update, V or workspace.
+//!
 //! Responses are therefore interleaved in completion order, each tagged
 //! with the request's `id`. Admission is a compare-and-swap on the
 //! in-flight count plus a read of the pool's ready-queue depth gauge;
@@ -118,6 +124,10 @@ struct Inner {
     cancelled: AtomicU64,
     /// Requests solved on their job thread rather than on the pool.
     inline: AtomicU64,
+    /// Problems solved without eigenvectors: every `"values"` problem and
+    /// every one [`solved_mode`] sends to the values-only solve, counted
+    /// when submitted.
+    vectorless: AtomicU64,
     /// Tasks those requests ran, so `tasks_executed` counts every task
     /// the daemon ran wherever it ran.
     inline_tasks: AtomicU64,
@@ -250,7 +260,7 @@ impl Inner {
              \"priority_hits\":{},\"parks\":{},\"max_queue_depth\":{},\
              \"ready_depth\":{},\"inflight\":{},\"accepted\":{},\
              \"completed\":{},\"shed\":{},\"cancelled\":{},\"inline\":{},\
-             \"build_us\":{},\"kernel\":{{{}}}}}}}",
+             \"vectorless\":{},\"build_us\":{},\"kernel\":{{{}}}}}}}",
             rm.workers.len(),
             rm.tasks_executed() + self.inline_tasks.load(Ordering::Relaxed),
             rm.steals_succeeded(),
@@ -264,6 +274,7 @@ impl Inner {
             self.shed.load(Ordering::Relaxed),
             self.cancelled.load(Ordering::Relaxed),
             self.inline.load(Ordering::Relaxed),
+            self.vectorless.load(Ordering::Relaxed),
             self.build_ns.load(Ordering::Relaxed) / 1000,
             kernel.join(",")
         );
@@ -303,6 +314,7 @@ impl Server {
             shed: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             inline: AtomicU64::new(0),
+            vectorless: AtomicU64::new(0),
             inline_tasks: AtomicU64::new(0),
             build_ns: AtomicU64::new(0),
             jobs: Mutex::new(HashMap::new()),
@@ -599,6 +611,17 @@ fn refuse_unstarted(inner: &Inner, key: (u64, u64), err: &std::io::Error, out: &
     error_response(out, Some(key.1), &e);
 }
 
+/// The mode the library solves a problem in: eigenvectors only when the
+/// reply carries them (`"vectors":true`) or the check needs them, so a
+/// `"full"` problem without either runs the values-only solve. Every other
+/// mode runs as sent.
+fn solved_mode(mode: SolveMode, vectors: bool, check: bool) -> SolveMode {
+    match mode {
+        SolveMode::Full if !vectors && !check => SolveMode::ValuesOnly,
+        mode => mode,
+    }
+}
+
 /// Append one problem's success payload.
 fn result_body(
     out: &mut String,
@@ -638,9 +661,10 @@ fn result_body(
     }
 }
 
-/// The one job body of `solve` and `batch`: build every problem, open one
-/// scope per problem on the runtime [`Inner::solves_inline`] picks (the
-/// shared pool, or a job-local inline runtime), register every scope's
+/// The one job body of `solve` and `batch`: build every problem, pick each
+/// problem's mode ([`solved_mode`]), open one scope per problem on the
+/// runtime [`Inner::solves_inline`] picks (the shared pool, or a job-local
+/// inline runtime), register every scope's
 /// cancel handle, submit each problem before waiting on any (so a batch's
 /// panels share the pool's ready queue), then wait on each problem in
 /// order and append its envelope. The handles are live before the first
@@ -656,6 +680,15 @@ fn solve_job(inner: &Arc<Inner>, conn: u64, req: &SolveRequest, out: &mut String
         .iter()
         .map(|p| inner.build_matrix(&p.matrix))
         .collect();
+    let modes: Vec<SolveMode> = req
+        .problems
+        .iter()
+        .map(|p| solved_mode(p.mode, req.vectors, req.check))
+        .collect();
+    let vectorless = modes.iter().filter(|&&m| m == SolveMode::ValuesOnly);
+    inner
+        .vectorless
+        .fetch_add(vectorless.count() as u64, Ordering::Relaxed);
     let local = inner.solves_inline(req).then(|| Runtime::inline(0));
     let rt = local.as_ref().unwrap_or(&inner.rt);
     // A `"priority":"high"` request rides the priority injector lane with
@@ -678,16 +711,12 @@ fn solve_job(inner: &Arc<Inner>, conn: u64, req: &SolveRequest, out: &mut String
     // Each solver is a temporary, dropped at submit: the graph then holds
     // the only handle on its spare-V slot, so V is freed when the result is
     // collected rather than kept through the response.
-    let pendings: Vec<Result<PendingSolve<'_>, DcError>> = req
-        .problems
+    let pendings: Vec<Result<PendingSolve<'_>, DcError>> = modes
         .iter()
         .zip(&mats)
         .zip(scopes)
-        .map(|((p, t), scope)| {
-            let opts = DcOptions {
-                mode: p.mode,
-                ..inner.opts
-            };
+        .map(|((&mode, t), scope)| {
+            let opts = DcOptions { mode, ..inner.opts };
             TaskFlowDc::new(opts).submit(t, scope)
         })
         .collect();

@@ -7,7 +7,9 @@
 //! a fused batch of k random problems and k solo solves, across both
 //! priority classes (normal and high ride different injector lanes, so
 //! this also pins scheduling-independence of the results). Eigenvector
-//! quality rides along via the server-side `check` gates.
+//! quality rides along via the server-side `check` gates. The oracle runs
+//! twice: checked, where every problem but a `"values"` one computes its
+//! eigenvectors, and unchecked, where the daemon computes none.
 
 use dcst::prelude::*;
 use dcst::runtime::jsonv::Json;
@@ -51,8 +53,8 @@ fn value_bits(result: &Json) -> Vec<u64> {
         .collect()
 }
 
-fn assert_gates(result: &Json, p: &Prob) {
-    if p.values_only {
+fn assert_gates(result: &Json, p: &Prob, check: bool) {
+    if p.values_only || !check {
         return;
     }
     let gate = 50.0 * p.n as f64 * f64::EPSILON;
@@ -64,14 +66,14 @@ fn assert_gates(result: &Json, p: &Prob) {
     );
 }
 
-fn solo_results(cl: &mut Client, probs: &[Prob], priority: &str) -> Vec<Json> {
+fn solo_results(cl: &mut Client, probs: &[Prob], priority: &str, check: bool) -> Vec<Json> {
     probs
         .iter()
         .enumerate()
         .map(|(i, p)| {
             let mode = if p.values_only { "values" } else { "full" };
             let line = format!(
-                r#"{{"op":"solve","id":{},"matrix":{{"type":{},"n":{},"seed":{}}},"mode":"{mode}","priority":"{priority}","check":true}}"#,
+                r#"{{"op":"solve","id":{},"matrix":{{"type":{},"n":{},"seed":{}}},"mode":"{mode}","priority":"{priority}","check":{check}}}"#,
                 100 + i,
                 p.ty,
                 p.n,
@@ -91,10 +93,10 @@ fn solo_results(cl: &mut Client, probs: &[Prob], priority: &str) -> Vec<Json> {
         .collect()
 }
 
-fn batch_results(cl: &mut Client, probs: &[Prob], priority: &str) -> Vec<Json> {
+fn batch_results(cl: &mut Client, probs: &[Prob], priority: &str, check: bool) -> Vec<Json> {
     let problems: Vec<String> = probs.iter().map(problem_json).collect();
     let line = format!(
-        r#"{{"op":"batch","id":1,"problems":[{}],"priority":"{priority}","check":true}}"#,
+        r#"{{"op":"batch","id":1,"problems":[{}],"priority":"{priority}","check":{check}}}"#,
         problems.join(",")
     );
     let doc = cl.call(&line).unwrap();
@@ -114,6 +116,42 @@ fn batch_results(cl: &mut Client, probs: &[Prob], priority: &str) -> Vec<Json> {
     results
 }
 
+/// Solo solves, fused batches at both priorities, then high-priority solos
+/// of `probs` on one daemon, all with `"check":check`: every eigenvalue
+/// array must equal the first solo's bit for bit, and checked eigenvectors
+/// must pass the gates.
+fn batch_agrees_with_solo(probs: &[Prob], check: bool) -> Result<(), TestCaseError> {
+    let server = Server::start(ServerConfig {
+        threads: 2,
+        max_inflight: 8,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut cl = Client::connect(server.addr()).unwrap();
+    let solo = solo_results(&mut cl, probs, "normal", check);
+    let oracle: Vec<Vec<u64>> = solo.iter().map(value_bits).collect();
+    for (doc, p) in solo.iter().zip(probs) {
+        assert_gates(doc, p, check);
+    }
+    for priority in ["normal", "high"] {
+        let batch = batch_results(&mut cl, probs, priority, check);
+        for ((r, bits), p) in batch.iter().zip(&oracle).zip(probs) {
+            prop_assert_eq!(
+                &value_bits(r),
+                bits,
+                "batch[{}] diverged from solo",
+                priority
+            );
+            assert_gates(r, p, check);
+        }
+    }
+    let solo_high = solo_results(&mut cl, probs, "high", check);
+    for (doc, bits) in solo_high.iter().zip(&oracle) {
+        prop_assert_eq!(&value_bits(doc), bits, "high-priority solo diverged");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
@@ -123,29 +161,15 @@ proptest! {
     /// batch-high).
     #[test]
     fn fused_batch_is_bit_identical_to_solo(probs in proptest::collection::vec(arb_prob(), 1..4)) {
-        let server = Server::start(ServerConfig {
-            threads: 2,
-            max_inflight: 8,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let mut cl = Client::connect(server.addr()).unwrap();
-        let solo = solo_results(&mut cl, &probs, "normal");
-        let oracle: Vec<Vec<u64>> = solo.iter().map(value_bits).collect();
-        for (doc, p) in solo.iter().zip(&probs) {
-            assert_gates(doc, p);
-        }
-        for priority in ["normal", "high"] {
-            let batch = batch_results(&mut cl, &probs, priority);
-            for ((r, bits), p) in batch.iter().zip(&oracle).zip(&probs) {
-                prop_assert_eq!(&value_bits(r), bits, "batch[{}] diverged from solo", priority);
-                assert_gates(r, p);
-            }
-        }
-        let solo_high = solo_results(&mut cl, &probs, "high");
-        for (doc, bits) in solo_high.iter().zip(&oracle) {
-            prop_assert_eq!(&value_bits(doc), bits, "high-priority solo diverged");
-        }
+        batch_agrees_with_solo(&probs, true)?;
+    }
+
+    /// The same oracle without `check`: no reply carries vectors, so the
+    /// daemon solves every problem, solo or batched, without them, and the
+    /// four orderings still agree bit for bit.
+    #[test]
+    fn unchecked_batch_is_bit_identical_to_solo(probs in proptest::collection::vec(arb_prob(), 1..4)) {
+        batch_agrees_with_solo(&probs, false)?;
     }
 }
 
@@ -153,9 +177,19 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The `metrics` verb's field `key`.
+fn metric(cl: &mut Client, key: &str) -> f64 {
+    let doc = cl.call(r#"{"op":"metrics"}"#).unwrap();
+    let m = doc.get("metrics").expect("metrics object");
+    m.get(key).and_then(Json::as_num).expect(key)
+}
+
 /// Pin the protocol results to the in-process library solver: the values
 /// and vectors crossing the wire are the very f64s `TaskFlowDc` produced
-/// with default options on as many threads as the daemon's pool.
+/// with default options on as many threads as the daemon's pool, in the
+/// mode the daemon solves each reply in. A `"full"` reply without vectors
+/// or a check is the values-only solve's, and is counted `vectorless`; a
+/// reply with vectors or a check is the solve of the mode as sent.
 #[test]
 fn server_values_are_bitwise_the_library_values() {
     let server = Server::start(ServerConfig {
@@ -173,25 +207,40 @@ fn server_values_are_bitwise_the_library_values() {
         TaskFlowDc::new(opts).solve(&t).unwrap()
     };
     let mut cl = Client::connect(server.addr()).unwrap();
-    let doc = cl
-        .call(r#"{"op":"solve","id":1,"matrix":{"type":4,"n":80,"seed":42}}"#)
-        .unwrap();
-    assert_eq!(value_bits(&doc), bits(&library(SolveMode::Full).values));
+    let mut solve = |id: u64, extra: &str| {
+        let doc = cl
+            .call(&format!(
+                r#"{{"op":"solve","id":{id},"matrix":{{"type":4,"n":80,"seed":42}}{extra}}}"#
+            ))
+            .unwrap();
+        assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "{extra}: {doc:?}");
+        doc
+    };
+    let k = |doc: &Json| doc.get("k").and_then(Json::as_num).expect("k") as usize;
+
+    let values_only = library(SolveMode::ValuesOnly);
+    for (id, extra) in [(1, ""), (2, r#","mode":"full""#)] {
+        let doc = solve(id, extra);
+        assert_eq!(value_bits(&doc), bits(&values_only.values), "{extra}");
+        assert_eq!(k(&doc), 80, "{extra}");
+        assert!(doc.get("vectors").is_none(), "{extra}");
+    }
+    let full = library(SolveMode::Full);
+    let doc = solve(3, r#","check":true"#);
+    assert_eq!(value_bits(&doc), bits(&full.values), "check");
+    assert!(doc.get("orth").is_some() && doc.get("vectors").is_none());
     for (id, wire_mode, mode) in [
-        (2, r#""full""#, SolveMode::Full),
+        (4, r#""full""#, SolveMode::Full),
         (
-            3,
+            5,
             r#"{"subset":[10,29]}"#,
             SolveMode::Subset { il: 10, iu: 29 },
         ),
     ] {
-        let doc = cl
-            .call(&format!(
-                r#"{{"op":"solve","id":{id},"matrix":{{"type":4,"n":80,"seed":42}},"mode":{wire_mode},"vectors":true}}"#
-            ))
-            .unwrap();
+        let doc = solve(id, &format!(r#","mode":{wire_mode},"vectors":true"#));
         let eig = library(mode);
         assert_eq!(value_bits(&doc), bits(&eig.values), "{wire_mode}");
+        assert_eq!(k(&doc), eig.values.len(), "{wire_mode}");
         let wire: Vec<u64> = doc
             .get("vectors")
             .and_then(Json::as_arr)
@@ -202,4 +251,6 @@ fn server_values_are_bitwise_the_library_values() {
         assert_eq!(wire.len(), 80 * eig.values.len(), "{wire_mode}");
         assert_eq!(wire, bits(eig.vectors.as_slice()), "{wire_mode}");
     }
+    // Requests 1 and 2 ran without eigenvectors; 3–5 computed theirs.
+    assert_eq!(metric(&mut cl, "vectorless"), 2.0);
 }

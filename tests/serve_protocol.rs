@@ -8,7 +8,7 @@
 //! to zero. In a debug build the shadow tracker validates every task's
 //! declared accesses while the harness hammers the shared runtime.
 
-use dcst::core::{DcOptions, SequentialDc, TaskFlowDc};
+use dcst::core::{DcOptions, SequentialDc, SolveMode, TaskFlowDc};
 use dcst::runtime::jsonv::{self, Json};
 use dcst::serve::{Client, Server, ServerConfig};
 use dcst::tridiag::MatrixType;
@@ -41,6 +41,19 @@ fn req_id(doc: &Json) -> Option<u64> {
 
 fn solve_line(id: u64, ty: usize, n: usize, seed: u64, extra: &str) -> String {
     format!(r#"{{"op":"solve","id":{id},"matrix":{{"type":{ty},"n":{n},"seed":{seed}}}{extra}}}"#)
+}
+
+/// The members that give a blocker solve of order `n` eigenvector work: the
+/// `serve_mix` pruned subset `[0, n/8]` with `"vectors":true`. Without
+/// vectors or a check the daemon would solve it values-only, in a fraction
+/// of the time a test needs it in flight.
+fn vector_work(n: usize) -> String {
+    format!(r#","mode":{{"subset":[0,{}]}},"vectors":true"#, n / 8)
+}
+
+/// The library mode of [`vector_work`]'s solve.
+fn vector_work_mode(n: usize) -> SolveMode {
+    SolveMode::Subset { il: 0, iu: n / 8 }
 }
 
 /// Six clients hammer one daemon with a mixed workload; every response
@@ -147,7 +160,8 @@ fn cancellation_frees_admission_capacity() {
     let addr = server.addr();
     let mut cl = Client::connect(addr).unwrap();
     // A: big enough that it is still mid-flight when the cancel lands.
-    cl.send(&solve_line(10, 4, 700, 1, "")).unwrap();
+    cl.send(&solve_line(10, 4, 700, 1, &vector_work(700)))
+        .unwrap();
     // B: same connection, so the reader admits A first — B must shed.
     cl.send(&solve_line(11, 4, 16, 1, "")).unwrap();
     let doc = cl.recv().unwrap().expect("busy response");
@@ -200,7 +214,8 @@ fn ready_depth_backlog_sheds_with_typed_busy() {
     };
     let shed_before = metric(&mut b, "shed");
     // A: one worker cannot keep up with the submitter, so ready tasks pile up.
-    a.send(&solve_line(1, 4, 1500, 1, "")).unwrap();
+    a.send(&solve_line(1, 4, 1500, 1, &vector_work(1500)))
+        .unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     let busy = loop {
         assert!(Instant::now() < deadline, "no ready-depth shed within 60 s");
@@ -235,7 +250,8 @@ fn ready_depth_backlog_sheds_with_typed_busy() {
 fn duplicate_and_unknown_ids() {
     let server = server(2, 8);
     let mut cl = Client::connect(server.addr()).unwrap();
-    cl.send(&solve_line(7, 4, 600, 1, "")).unwrap();
+    cl.send(&solve_line(7, 4, 600, 1, &vector_work(600)))
+        .unwrap();
     let doc = cl.call(&solve_line(7, 4, 16, 1, "")).unwrap();
     assert_eq!(error_code(&doc).as_deref(), Some("bad-request"));
     let doc = cl.call(r#"{"op":"cancel","id":99}"#).unwrap();
@@ -255,7 +271,8 @@ fn disconnect_releases_capacity() {
     let addr = server.addr();
     {
         let mut cl = Client::connect(addr).unwrap();
-        cl.send(&solve_line(1, 4, 700, 1, "")).unwrap();
+        cl.send(&solve_line(1, 4, 700, 1, &vector_work(700)))
+            .unwrap();
         // Drop the connection with the solve still in flight.
     }
     // A fresh client gets the slot back (poll briefly: the disconnect
@@ -312,8 +329,9 @@ fn zero_order_specs_are_typed_and_hold_no_slot() {
 /// reader, before admission: an order over `max_n` (in a `solve` or in
 /// any `batch` member), a zero order, a type outside 1..=15, an inline
 /// `d`/`e` length mismatch, `"trace": true` to a server that records
-/// no traces, and `"check": true` on a problem over n = 1024 that returns
-/// vectors. None of them is counted `accepted` or holds a slot.
+/// no traces, `"check": true` on a problem over n = 1024 that returns
+/// vectors, and `"vectors": true` on a `"values"` solve, which has none to
+/// return. None of them is counted `accepted` or holds a slot.
 #[test]
 fn a_request_that_cannot_run_is_never_admitted() {
     let server = Server::start(ServerConfig {
@@ -367,6 +385,11 @@ fn a_request_that_cannot_run_is_never_admitted() {
                 .to_string(),
             "oversized",
         ),
+        (
+            13,
+            solve_line(13, 4, 16, 1, r#","mode":"values","vectors":true"#),
+            "bad-request",
+        ),
     ] {
         let doc = cl.call(&line).unwrap();
         assert_eq!(req_id(&doc), Some(id), "{line}");
@@ -391,6 +414,73 @@ fn a_request_that_cannot_run_is_never_admitted() {
     assert_eq!(gauges(&mut cl), (before.0 + 2.0, 0.0));
 }
 
+/// A reply computes only what it carries: the `metrics` verb's
+/// `vectorless` counts every problem solved without eigenvectors — each
+/// `"values"` problem, and each `"full"` problem whose reply has neither
+/// vectors nor a check. A subset runs as sent.
+#[test]
+fn a_reply_computes_only_what_it_carries() {
+    let server = server(2, 8);
+    let mut cl = Client::connect(server.addr()).unwrap();
+    let batch = |id: u64, check: bool, modes: &[&str]| {
+        let problems: Vec<String> = modes
+            .iter()
+            .map(|m| format!(r#"{{"matrix":{{"type":4,"n":128}},"mode":{m}}}"#))
+            .collect();
+        format!(
+            r#"{{"op":"batch","id":{id},"check":{check},"problems":[{}]}}"#,
+            problems.join(",")
+        )
+    };
+    // Each reply's value counts, one a problem.
+    let counts = |doc: &Json| -> Vec<usize> {
+        let one = |r: &Json| {
+            let k = r.get("k").and_then(Json::as_num).expect("k") as usize;
+            assert_eq!(r.get("values").and_then(Json::as_arr).unwrap().len(), k);
+            k
+        };
+        match doc.get("results").and_then(Json::as_arr) {
+            Some(results) => results.iter().map(one).collect(),
+            None => vec![one(doc)],
+        }
+    };
+    let mut vectorless = 0.0;
+    for (line, without_vectors, want) in [
+        (solve_line(1, 4, 128, 1, ""), 1.0, vec![128]),
+        (
+            solve_line(2, 4, 128, 1, r#","mode":"values""#),
+            1.0,
+            vec![128],
+        ),
+        (
+            solve_line(3, 4, 128, 1, r#","mode":{"subset":[0,16]}"#),
+            0.0,
+            vec![17],
+        ),
+        (
+            solve_line(4, 4, 128, 1, r#","vectors":true"#),
+            0.0,
+            vec![128],
+        ),
+        (solve_line(5, 4, 128, 1, r#","check":true"#), 0.0, vec![128]),
+        (
+            batch(6, false, &[r#""full""#, r#""values""#, r#""full""#]),
+            3.0,
+            vec![128; 3],
+        ),
+        (
+            batch(7, true, &[r#""full""#, r#""values""#]),
+            1.0,
+            vec![128; 2],
+        ),
+    ] {
+        let doc = cl.call(&line).unwrap();
+        assert_eq!(counts(&doc), want, "{line}: {doc:?}");
+        vectorless += without_vectors;
+        assert_eq!(metric(&mut cl, "vectorless"), vectorless, "{line}");
+    }
+}
+
 /// The submission ids of the `X` (task) events in a response's trace.
 fn traced_task_ids(doc: &Json) -> Vec<u64> {
     let text = doc
@@ -409,7 +499,8 @@ fn traced_task_ids(doc: &Json) -> Vec<u64> {
 }
 
 /// Per-request traces on one shared pool: two traced solves of different
-/// orders, in flight at once, each get exactly their own solve's tasks; a
+/// orders, in flight at once, each get exactly their own solve's tasks (the
+/// values-only graph: the replies carry no vectors); a
 /// later traced solve finds nothing left behind in the shared buffer; and
 /// a server that records no traces refuses `"trace": true` before
 /// admission instead of answering `ok` without one.
@@ -424,6 +515,7 @@ fn traced_requests_carry_only_their_own_tasks() {
     // The graph's task count depends on n and the options, not the matrix.
     let opts = DcOptions {
         threads: cfg.threads,
+        mode: SolveMode::ValuesOnly,
         ..DcOptions::default()
     };
     let tasks = |n: usize| {
@@ -528,9 +620,10 @@ fn metric(cl: &mut Client, key: &str) -> f64 {
 /// Order of the solve that keeps the daemon busy while a second request
 /// arrives. The rule tests assume it is still in flight when the second
 /// request's job starts, which is about a millisecond after its first
-/// task is seen: a type-4 solve of this order at two workers takes about
-/// 1.5 s in a debug build and 50 ms in a release build. Each test checks
-/// the assumption, by the second request's `inline` count or by
+/// task is seen: a type-4 solve of this order with [`vector_work`] at two
+/// workers takes about 1 s in a debug build and 25 ms in a release build
+/// (its values-only solve, about 0.2 s and 7 ms). Each test checks the
+/// assumption, by the second request's `inline` count or by
 /// `inflight` after its reply.
 const LONG_N: usize = 1000;
 
@@ -538,13 +631,14 @@ const LONG_N: usize = 1000;
 /// (`server.rs` `INLINE_MAX_N`).
 const INLINE_MAX_N: usize = 512;
 
-/// Send a long solve of order `n` (with `extra` members) as request 1 on `a`, alone on
-/// a fresh daemon, and return once its tasks run on the pool: its job has
-/// chosen the pool, and it is in flight while the next request is
-/// admitted.
+/// Send a long solve of order `n` (with [`vector_work`] and `extra`
+/// members) as request 1 on `a`, alone on a fresh daemon, and return once
+/// its tasks run on the pool: its job has chosen the pool, and it is in
+/// flight while the next request is admitted.
 fn occupy_the_pool(a: &mut Client, probe: &mut Client, n: usize, extra: &str) {
     assert_eq!(metric(probe, "tasks_executed"), 0.0);
-    a.send(&solve_line(1, 4, n, 1, extra)).unwrap();
+    let members = format!("{}{extra}", vector_work(n));
+    a.send(&solve_line(1, 4, n, 1, &members)).unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     while metric(probe, "tasks_executed") == 0.0 {
         assert!(
@@ -560,7 +654,8 @@ fn occupy_the_pool(a: &mut Client, probe: &mut Client, n: usize, extra: &str) {
 /// requests in flight as the pool has workers — and the reply is the
 /// library's `TaskFlowDc` bit for bit, values and vectors. The request is
 /// counted `inline`, and `tasks_executed` counts its tasks beside the
-/// pool's.
+/// pool's: each request's graph is the library's in the mode the daemon
+/// ran it in.
 #[test]
 fn a_busy_daemon_solves_on_the_job_thread_with_the_same_bits() {
     let server = server(2, 8);
@@ -572,7 +667,8 @@ fn a_busy_daemon_solves_on_the_job_thread_with_the_same_bits() {
         threads: 2,
         ..DcOptions::default()
     };
-    let tasks = |t: &dcst::tridiag::SymTridiag| {
+    let tasks = |t: &dcst::tridiag::SymTridiag, mode| {
+        let opts = DcOptions { mode, ..opts };
         let (_, _, trace, _) = TaskFlowDc::new(opts).solve_observed(t).unwrap();
         trace.records.len() as f64
     };
@@ -597,7 +693,10 @@ fn a_busy_daemon_solves_on_the_job_thread_with_the_same_bits() {
     // Request 1 stayed on the pool; every task of both requests is counted.
     assert_eq!(metric(&mut b, "inline"), 1.0);
     let long = MatrixType::Type4.generate(LONG_N, 1);
-    assert_eq!(metric(&mut b, "tasks_executed"), tasks(&long) + tasks(&t));
+    assert_eq!(
+        metric(&mut b, "tasks_executed"),
+        tasks(&long, vector_work_mode(LONG_N)) + tasks(&t, SolveMode::Full)
+    );
     assert_eq!(metric(&mut b, "inflight"), 0.0);
 }
 
@@ -617,11 +716,15 @@ fn a_job_thread_solve_is_cancelled_mid_solve() {
     // Sixteen problems at the inline limit, one generated and fifteen
     // inline copies of it: once the first is built (`build_us` moves) the
     // copies take microseconds, so the cancel lands in the solves.
+    // The batch carries no vectors, so the daemon solves it values-only.
     let t = MatrixType::Type4.generate(INLINE_MAX_N, 2);
     let started = Instant::now();
-    SequentialDc::new(DcOptions::default())
-        .solve_with_stats(&t)
-        .unwrap();
+    SequentialDc::new(DcOptions {
+        mode: SolveMode::ValuesOnly,
+        ..DcOptions::default()
+    })
+    .solve_with_stats(&t)
+    .unwrap();
     let one_solve = started.elapsed();
     let nums = |xs: &[f64]| -> String {
         let strs: Vec<String> = xs.iter().map(|x| format!("{x:?}")).collect();
@@ -695,6 +798,7 @@ fn a_job_thread_solve_leaves_the_pool_traces_alone() {
     };
     let opts = DcOptions {
         threads: cfg.threads,
+        mode: vector_work_mode(LONG_N),
         ..DcOptions::default()
     };
     let server = Server::start(cfg).expect("bind loopback");
@@ -712,6 +816,7 @@ fn a_job_thread_solve_leaves_the_pool_traces_alone() {
     let t = MatrixType::Type4.generate(LONG_N, 1);
     let (_, _, trace, _) = TaskFlowDc::new(opts).solve_observed(&t).unwrap();
     assert_eq!(traced_task_ids(&doc).len(), trace.records.len());
+    assert_eq!(metric(&mut b, "vectorless"), 1.0);
 }
 
 /// A busy daemon still hands the pool a request with a problem above the
@@ -726,7 +831,7 @@ fn a_busy_daemon_keeps_large_and_high_priority_requests_on_the_pool() {
         Client::connect(server.addr()).unwrap(),
     );
     // Two requests must run beside request 1 here, not one: it is given
-    // four times the time (≈ 0.2 s in a release build) and cancelled
+    // three times the time (≈ 80 ms in a release build) and cancelled
     // once they are answered.
     occupy_the_pool(&mut a, &mut b, 2 * LONG_N, "");
     let large = solve_line(2, 6, INLINE_MAX_N + 1, 2, r#","mode":"values""#);
