@@ -1,16 +1,18 @@
-//! Fork-join task storm over the work-stealing deques.
+//! Fork-join task storm over the vendored Chase–Lev deques.
 //!
 //! Measures the raw work-stealing substrate — no runtime, no dependency
-//! tracking — so the deque protocol itself dominates. `roots` seed tasks
-//! go through the shared injector; every task of depth `d > 0` pushes two
-//! depth-`d-1` children onto its worker's local deque, so the storm is the
-//! classic binary fork-join tree (`roots * (2^(depth+1) - 1)` tasks total)
-//! with all the pop/steal races a real solve produces, compressed into
-//! no-op task bodies.
+//! tracking — so the deque protocol itself dominates. The runtime's pool
+//! does not use these deques (its workers pop two injectors and park);
+//! this storm is their only caller. `roots` seed tasks go through the
+//! shared injector; every task of depth `d > 0` pushes two depth-`d-1`
+//! children onto its worker's local deque, so the storm is the classic
+//! binary fork-join tree (`roots * (2^(depth+1) - 1)` tasks total)
+//! with all the pop/steal races of a work-stealing scheduler, compressed
+//! into no-op task bodies.
 //!
-//! `benchmark/` runs it as the `runtime.ns_per_task` and
-//! `runtime.steal_success_rate` probes (`storm::<LockFree>`); the
-//! [`Backend`] parameter is the deque implementation under the storm.
+//! `benchmark/` runs it as the `runtime.ns_per_task` probe
+//! (`storm::<LockFree>`); the [`Backend`] parameter is the deque
+//! implementation under the storm.
 
 use crossbeam_deque::Steal;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -131,7 +133,7 @@ pub fn storm<B: Backend>(workers: usize, roots: usize, depth: u32) -> StormResul
                         continue;
                     }
                     // Out of local work: poll the injector, then sweep the
-                    // sibling deques, exactly the pool's find_task order.
+                    // sibling deques.
                     loop {
                         my_attempts += 1;
                         match B::inj_steal(injector) {

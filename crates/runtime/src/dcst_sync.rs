@@ -1,7 +1,7 @@
 //! Sync-primitive alias layer for the pool.
 //!
 //! The pool imports every synchronization primitive it uses — mutexes,
-//! condvars, atomics, work-stealing deques, thread spawning — from this
+//! condvars, atomics, the lock-free injector, thread spawning — from this
 //! module instead of naming `parking_lot` / `std::sync` /
 //! `crossbeam_deque` directly (`cargo run -p xtask -- analyze` enforces
 //! this). In a normal build the aliases are zero-cost re-exports; under
@@ -19,7 +19,7 @@ mod imp {
     }
 
     pub mod deque {
-        pub use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+        pub use crossbeam_deque::{Injector, Steal};
     }
 
     pub type WorkerHandle = std::thread::JoinHandle<()>;
@@ -41,13 +41,13 @@ mod imp {
     }
 
     pub mod deque {
-        // Since PR 7 the lock-free Chase–Lev deque and segment-list
-        // injector route their own atomics through loom-lite when built
-        // under this cfg (vendor/crossbeam-deque/src/sys.rs), so the model
-        // explores the REAL protocol — CAS races, growth, block handoff —
-        // rather than loom-lite's mutex-based deque mirror (which remains
-        // only in loom-lite's self-tests).
-        pub use crossbeam_deque::{Injector, Steal, Stealer, Worker};
+        // The lock-free segment-list injector routes its own atomics
+        // through loom-lite when built under this cfg
+        // (vendor/crossbeam-deque/src/sys.rs), so the model explores the
+        // REAL protocol — CAS races, block handoff — rather than
+        // loom-lite's mutex-based deque mirror (which remains only in
+        // loom-lite's self-tests).
+        pub use crossbeam_deque::{Injector, Steal};
     }
 
     pub type WorkerHandle = loom_lite::thread::JoinHandle;

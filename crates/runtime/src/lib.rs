@@ -5,8 +5,9 @@
 //! declaring how it accesses named data regions ([`DataKey`]s) — `INPUT`,
 //! `OUTPUT`, `INOUT`, or the paper's `GATHERV` extension. The runtime infers
 //! inter-task dependencies from those declarations (sequential-consistency
-//! semantics) and executes tasks out of order on a work-stealing worker pool
-//! as soon as their dependencies are satisfied.
+//! semantics) and executes tasks out of order on a worker pool — fed by a
+//! priority injector and a normal one — as soon as their dependencies are
+//! satisfied.
 //!
 //! `GATHERV` is the qualifier the paper added to QUARK: several concurrent
 //! writers to the *same* key that the programmer guarantees touch disjoint

@@ -1,9 +1,9 @@
 //! Per-worker scheduler counters.
 //!
 //! Every worker owns one cache-line-aligned block of `AtomicU64` cells
-//! ([`PoolCounters`]), so the hot-path increments (task retired, steal
-//! sweep, priority-lane hit, park) are uncontended `Relaxed` RMWs on a
-//! line no other worker writes. The only pool-wide cells are the ready
+//! ([`PoolCounters`]), so the hot-path increments (task retired, lost
+//! injector race, priority-lane hit, park) are uncontended `Relaxed` RMWs
+//! on a line no other worker writes. The only pool-wide cells are the ready
 //! -queue depth gauge and its high-water mark, bumped once per task push
 //! and pop.
 //!
@@ -14,20 +14,12 @@
 //! - `executed` counts tasks *retired* through the pool's execute path,
 //!   including bodies skipped by cancellation — it always equals the
 //!   number of trace records an enabled trace would collect.
-//! - `steals_attempted` counts sweeps over the sibling deques (entered
-//!   only after both injectors came up empty); `steals_succeeded` counts
-//!   sweeps that yielded a task, so `succeeded ≤ attempted` and
-//!   `succeeded ≤ executed` per worker.
 //! - `steal_retries` counts lock-free CAS contention observed while
-//!   acquiring work: `Steal::Retry` outcomes from the priority lane, the
-//!   regular injector, and the sibling sweep. A retry means some *other*
-//!   worker won the contended index — it measures contention, not loss.
+//!   acquiring work: `Steal::Retry` outcomes from the priority lane and
+//!   the regular injector. A retry means some *other* worker won the
+//!   contended index — it measures contention, not loss.
 //! - `priority_hits` counts tasks taken from the priority lane.
 //! - `parks` counts actual condvar waits (not idle-loop passes).
-//! - `deque_grows` counts buffer doublings of the worker's Chase–Lev
-//!   deque. Tracked inside the deque itself (one relaxed RMW per grow,
-//!   amortized over `cap` pushes) and folded into snapshots by
-//!   `Runtime::runtime_metrics`.
 //! - `max_queue_depth` is the high-water mark of tasks pushed ready but
 //!   not yet started, across the whole pool.
 
@@ -38,18 +30,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct WorkerMetrics {
     /// Tasks retired through the execute path (includes cancelled skips).
     pub executed: u64,
-    /// Sweeps over the sibling deques looking for work to steal.
-    pub steals_attempted: u64,
-    /// Steal sweeps that yielded a task.
-    pub steals_succeeded: u64,
-    /// `Steal::Retry` outcomes (lost CAS races) across all work sources.
+    /// `Steal::Retry` outcomes (lost CAS races) on the two injectors.
     pub steal_retries: u64,
     /// Tasks taken from the priority lane.
     pub priority_hits: u64,
     /// Times the worker parked on the idle condvar.
     pub parks: u64,
-    /// Buffer doublings of this worker's Chase–Lev deque.
-    pub deque_grows: u64,
 }
 
 /// Pool-wide scheduler-counter snapshot ([`Runtime::runtime_metrics`]).
@@ -69,24 +55,22 @@ impl RuntimeMetrics {
         self.workers.iter().map(|w| w.executed).sum()
     }
 
-    /// Total steal sweeps attempted across all workers.
+    /// Always 0: the pool has no local deques to steal from. Kept only
+    /// for the benchmark's `runtime.steal_success_rate` rung, which reads
+    /// 0 through its zero-denominator guard.
     pub fn steals_attempted(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals_attempted).sum()
+        0
     }
 
-    /// Total successful steal sweeps across all workers.
+    /// Always 0, like [`steals_attempted`](Self::steals_attempted), for the
+    /// benchmark's `runtime.steal_success_rate` rung.
     pub fn steals_succeeded(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals_succeeded).sum()
+        0
     }
 
     /// Total lost CAS races (`Steal::Retry`) across all workers.
     pub fn steal_retries(&self) -> u64 {
         self.workers.iter().map(|w| w.steal_retries).sum()
-    }
-
-    /// Total deque buffer doublings across all workers.
-    pub fn deque_grows(&self) -> u64 {
-        self.workers.iter().map(|w| w.deque_grows).sum()
     }
 
     /// Total priority-lane hits across all workers.
@@ -105,42 +89,26 @@ impl RuntimeMetrics {
         let mut out = String::new();
         writeln!(
             out,
-            "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>6}",
-            "worker",
-            "executed",
-            "steal-try",
-            "steal-ok",
-            "steal-rty",
-            "prio-hit",
-            "parks",
-            "grows"
+            "{:>6} {:>9} {:>9} {:>9} {:>7}",
+            "worker", "executed", "steal-rty", "prio-hit", "parks"
         )
         .unwrap();
         for (i, w) in self.workers.iter().enumerate() {
             writeln!(
                 out,
-                "{i:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>6}",
-                w.executed,
-                w.steals_attempted,
-                w.steals_succeeded,
-                w.steal_retries,
-                w.priority_hits,
-                w.parks,
-                w.deque_grows
+                "{i:>6} {:>9} {:>9} {:>9} {:>7}",
+                w.executed, w.steal_retries, w.priority_hits, w.parks
             )
             .unwrap();
         }
         writeln!(
             out,
-            "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>7} {:>6}",
+            "{:>6} {:>9} {:>9} {:>9} {:>7}",
             "total",
             self.tasks_executed(),
-            self.steals_attempted(),
-            self.steals_succeeded(),
             self.steal_retries(),
             self.priority_hits(),
-            self.parks(),
-            self.deque_grows()
+            self.parks()
         )
         .unwrap();
         write!(out, "max ready-queue depth: {}", self.max_queue_depth).unwrap();
@@ -154,8 +122,6 @@ impl RuntimeMetrics {
 #[derive(Default)]
 struct WorkerCells {
     executed: AtomicU64,
-    steals_attempted: AtomicU64,
-    steals_succeeded: AtomicU64,
     steal_retries: AtomicU64,
     priority_hits: AtomicU64,
     parks: AtomicU64,
@@ -181,20 +147,6 @@ impl PoolCounters {
     pub fn executed(&self, worker: usize) {
         self.workers[worker]
             .executed
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn steal_attempt(&self, worker: usize) {
-        self.workers[worker]
-            .steals_attempted
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub fn steal_success(&self, worker: usize) {
-        self.workers[worker]
-            .steals_succeeded
             .fetch_add(1, Ordering::Relaxed);
     }
 
@@ -245,13 +197,9 @@ impl PoolCounters {
                 .iter()
                 .map(|w| WorkerMetrics {
                     executed: w.executed.load(Ordering::Relaxed),
-                    steals_attempted: w.steals_attempted.load(Ordering::Relaxed),
-                    steals_succeeded: w.steals_succeeded.load(Ordering::Relaxed),
                     steal_retries: w.steal_retries.load(Ordering::Relaxed),
                     priority_hits: w.priority_hits.load(Ordering::Relaxed),
                     parks: w.parks.load(Ordering::Relaxed),
-                    // Filled from the deques by Runtime::runtime_metrics.
-                    deque_grows: 0,
                 })
                 .collect(),
             max_queue_depth: self.max_depth.load(Ordering::Relaxed),
@@ -269,35 +217,28 @@ mod tests {
             workers: vec![
                 WorkerMetrics {
                     executed: 3,
-                    steals_attempted: 5,
-                    steals_succeeded: 2,
                     steal_retries: 6,
                     priority_hits: 1,
                     parks: 4,
-                    deque_grows: 1,
                 },
                 WorkerMetrics {
                     executed: 7,
-                    steals_attempted: 1,
-                    steals_succeeded: 1,
                     steal_retries: 2,
                     priority_hits: 0,
                     parks: 2,
-                    deque_grows: 0,
                 },
             ],
             max_queue_depth: 9,
         };
         assert_eq!(m.tasks_executed(), 10);
-        assert_eq!(m.steals_attempted(), 6);
-        assert_eq!(m.steals_succeeded(), 3);
+        assert_eq!(m.steals_attempted(), 0);
+        assert_eq!(m.steals_succeeded(), 0);
         assert_eq!(m.steal_retries(), 8);
         assert_eq!(m.priority_hits(), 1);
         assert_eq!(m.parks(), 6);
-        assert_eq!(m.deque_grows(), 1);
         let rep = m.report();
         assert!(rep.contains("max ready-queue depth: 9"));
-        assert!(rep.contains("steal-rty") && rep.contains("grows"));
+        assert!(rep.contains("steal-rty") && !rep.contains("steal-ok"));
         assert_eq!(rep.lines().count(), 1 + 2 + 1 + 1);
     }
 
@@ -306,8 +247,6 @@ mod tests {
         let c = PoolCounters::new(3);
         c.executed(0);
         c.executed(0);
-        c.steal_attempt(1);
-        c.steal_success(1);
         c.steal_retry(1);
         c.steal_retry(1);
         c.steal_retry(1);
@@ -319,8 +258,6 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.workers.len(), 3);
         assert_eq!(snap.workers[0].executed, 2);
-        assert_eq!(snap.workers[1].steals_attempted, 1);
-        assert_eq!(snap.workers[1].steals_succeeded, 1);
         assert_eq!(snap.workers[1].steal_retries, 3);
         assert_eq!(snap.workers[2].priority_hits, 1);
         assert_eq!(snap.workers[2].parks, 1);

@@ -1,4 +1,4 @@
-//! Out-of-order task execution on a work-stealing worker pool.
+//! Out-of-order task execution on a worker pool fed by two injectors.
 //!
 //! A submitter opens a [`Scope`] ([`Runtime::scope`] or
 //! [`Runtime::priority_scope`]) and states its flow through it with
@@ -14,10 +14,8 @@
 //! [`TaskBuilder::high_priority`] (the merge phase's serial spine —
 //! deflation, the ReduceW join, leaf STEDC) land in a dedicated priority
 //! lane that every worker polls ahead of the commuting panel tasks, so a
-//! ready join never queues behind a wall of panel work. Each worker also
-//! owns a local deque that its siblings sweep when both injectors are
-//! empty; `find_task` batches nothing into it, so today the sweep comes
-//! back empty.
+//! ready join never queues behind a wall of panel work. A worker that
+//! finds both injectors empty parks until the next release.
 //!
 //! [`Runtime::inline`] is the degenerate discipline: each task body runs on
 //! the submitting thread at submission, so the task flow executes as the
@@ -27,7 +25,7 @@
 //! kernels.
 
 use crate::dcst_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::dcst_sync::deque::{Injector, Steal, Stealer, Worker as WorkerDeque};
+use crate::dcst_sync::deque::{Injector, Steal};
 use crate::dcst_sync::{spawn_worker, Condvar, Mutex, WorkerHandle};
 use crate::deps::{Access, AccessMode, DataKey, DepTracker};
 use crate::metrics::{PoolCounters, RuntimeMetrics};
@@ -231,7 +229,6 @@ struct Shared {
     injector: Injector<Arc<Node>>,
     /// Priority lane polled ahead of `injector` by every worker.
     hi_injector: Injector<Arc<Node>>,
-    stealers: Vec<Stealer<Arc<Node>>>,
     /// Tasks submitted but not yet finished.
     outstanding: AtomicUsize,
     /// Workers currently parked on `idle_cv` (incremented under
@@ -364,14 +361,7 @@ impl Shared {
     }
 }
 
-fn find_task(
-    shared: &Shared,
-    local: &WorkerDeque<Arc<Node>>,
-    worker_id: usize,
-) -> Option<Arc<Node>> {
-    if let Some(node) = local.pop() {
-        return Some(node);
-    }
+fn find_task(shared: &Shared, worker_id: usize) -> Option<Arc<Node>> {
     loop {
         // Priority lane first: a ready critical-path task (deflation,
         // ReduceW, STEDC) must not queue behind commuting panel tasks.
@@ -389,40 +379,22 @@ fn find_task(
         }
         // The regular lane is popped singly too, so ready tasks start in the
         // order they were released: a merge's panels run in panel order
-        // across the workers. A batch moved into this worker's LIFO deque
-        // would run them backwards, and every `LAED4` panel that finishes
-        // ahead of a lower one holds its k-long local-W partial until that
-        // one folds: a merge would hold as many partials as the batch split
-        // happened to reverse, up to one per panel, and a solve's memory
-        // high-water would change from run to run.
+        // across the workers. A batch run LIFO would start them backwards,
+        // and every `LAED4` panel that finishes ahead of a lower one holds
+        // its k-long local-W partial until that one folds: a merge would
+        // hold as many partials as the batch happened to reverse, and a
+        // solve's memory high-water would change from run to run.
         match shared.injector.steal() {
             Steal::Success(node) => return Some(node),
-            Steal::Retry => {
-                shared.metrics.steal_retry(worker_id);
-                continue;
-            }
-            Steal::Empty => {}
-        }
-        // Both injectors empty: sweep the sibling deques. One sweep is one
-        // steal attempt for the metrics, successful or not.
-        shared.metrics.steal_attempt(worker_id);
-        match shared.stealers.iter().map(|s| s.steal()).collect() {
-            Steal::Success(node) => {
-                shared.metrics.steal_success(worker_id);
-                return Some(node);
-            }
+            Steal::Retry => shared.metrics.steal_retry(worker_id),
             Steal::Empty => return None,
-            Steal::Retry => {
-                shared.metrics.steal_retry(worker_id);
-                continue;
-            }
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, local: WorkerDeque<Arc<Node>>, worker_id: usize) {
+fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
     loop {
-        match find_task(&shared, &local, worker_id) {
+        match find_task(&shared, worker_id) {
             Some(node) => {
                 shared.metrics.depth_dec();
                 shared.execute(node, worker_id)
@@ -432,35 +404,20 @@ fn worker_loop(shared: Arc<Shared>, local: WorkerDeque<Arc<Node>>, worker_id: us
                     return;
                 }
                 let mut guard = shared.idle_lock.lock();
-                // Publish idleness, then re-check under the lock. The
-                // argument has two halves, stated against the atomic deque:
-                //
-                // * Injectors (correctness): every newly *released* task
-                //   lands in an injector via `push_ready`, whose pusher
-                //   either sees the raised idle counter (and notifies under
-                //   this same lock, which we hold until the wait releases
-                //   it) or pushed early enough for the `is_empty` re-check
-                //   below to observe the push — the injector's push CAS on
-                //   the tail index is ordered before `is_empty`'s SeqCst
-                //   index loads. Either way no wakeup is lost.
-                //
-                // * Sibling deques (latency only): work could also sit in
-                //   another worker's local deque — put there after our
-                //   sweep looked, never notified because only `push_ready`
-                //   notifies (today nothing fills them). The owner
-                //   is awake and will drain it, so parking here is *safe*;
-                //   it just forfeits parallelism until the next release.
-                //   `Stealer::is_empty` is a racy hint (top/bottom loads,
-                //   no CAS), which is exactly enough for a heuristic
-                //   re-check: a false "empty" restores the status quo ante
-                //   (owner drains it), a false "non-empty" costs one more
-                //   find_task sweep. The 1 s `wait_for` backstop below
-                //   stays as insurance against bugs, not as part of either
-                //   argument — the model suite runs with untimed waits.
+                // Publish idleness, then re-check under the lock. Every
+                // ready task lands in an injector via `push_ready`, whose
+                // pusher either sees the raised idle counter (and notifies
+                // under this same lock, which we hold until the wait
+                // releases it) or pushed early enough for the `is_empty`
+                // re-check below to observe the push — the injector's push
+                // CAS on the tail index is ordered before `is_empty`'s
+                // SeqCst index loads. Either way no wakeup is lost. The
+                // 1 s `wait_for` backstop below stays as insurance against
+                // bugs, not as part of the argument — the model suite runs
+                // with untimed waits.
                 shared.idle_workers.fetch_add(1, Ordering::SeqCst);
                 if shared.hi_injector.is_empty()
                     && shared.injector.is_empty()
-                    && shared.stealers.iter().all(|s| s.is_empty())
                     && !shared.stop.load(Ordering::Acquire)
                 {
                     shared.metrics.park(worker_id);
@@ -548,15 +505,9 @@ impl Runtime {
     }
 
     fn build(num_threads: usize, inline: bool) -> Self {
-        // LIFO locals, swept by the siblings from the opposite (oldest)
-        // end. Since the regular injector is popped singly nothing fills
-        // them; they stay for the steal counters the metrics report.
-        let deques: Vec<_> = (0..num_threads).map(|_| WorkerDeque::new_lifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
             hi_injector: Injector::new(),
-            stealers,
             outstanding: AtomicUsize::new(0),
             idle_workers: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
@@ -570,12 +521,10 @@ impl Runtime {
             metrics: PoolCounters::new(num_threads + usize::from(inline)),
             epoch: Instant::now(),
         });
-        let threads = deques
-            .into_iter()
-            .enumerate()
-            .map(|(i, d)| {
+        let threads = (0..num_threads)
+            .map(|i| {
                 let sh = shared.clone();
-                spawn_worker(format!("dcst-worker-{i}"), move || worker_loop(sh, d, i))
+                spawn_worker(format!("dcst-worker-{i}"), move || worker_loop(sh, i))
             })
             .collect();
         Runtime {
@@ -708,19 +657,12 @@ impl Runtime {
     /// Counters are cumulative across phases; diff two snapshots to
     /// isolate one phase.
     pub fn runtime_metrics(&self) -> RuntimeMetrics {
-        let mut snap = self.shared.metrics.snapshot();
-        // Growth is counted inside each deque (the owner bumps a plain
-        // relaxed counter per doubling); fold it in here rather than in
-        // PoolCounters so the hot push path carries no extra probe.
-        for (w, s) in snap.workers.iter_mut().zip(self.shared.stealers.iter()) {
-            w.deque_grows = s.grow_count();
-        }
-        snap
+        self.shared.metrics.snapshot()
     }
 
-    /// Current ready-queue depth: tasks released to the injectors or local
-    /// deques but not yet started. A server's admission control reads this
-    /// gauge to shed load when the pool's backlog saturates.
+    /// Current ready-queue depth: tasks released to the injectors but not
+    /// yet started. A server's admission control reads this gauge to shed
+    /// load when the pool's backlog saturates.
     pub fn ready_queue_depth(&self) -> u64 {
         self.shared.metrics.depth()
     }
@@ -786,11 +728,7 @@ impl Runtime {
     /// through it, so a small (or empty-bodied) group costs no handoff.
     fn join_forked(&self, scope: &ScopeState) {
         while scope.outstanding.load(Ordering::Acquire) != 0 {
-            let queued = match self.shared.injector.steal() {
-                Steal::Empty => self.shared.stealers.iter().map(|s| s.steal()).collect(),
-                found => found,
-            };
-            match queued {
+            match self.shared.injector.steal() {
                 Steal::Success(node) => {
                     self.shared.metrics.depth_dec();
                     self.shared.execute(node, self.num_threads);
@@ -1401,10 +1339,9 @@ mod tests {
     #[test]
     fn queued_panels_start_in_release_order() {
         // One worker, held by a gate while 32 panels queue up: it must
-        // start them in the order they were released. A batch moved into
-        // its LIFO deque would run them backwards — and a merge whose
-        // panels fold in panel order would hold every partial the batch
-        // reversed.
+        // start them in the order they were released. A batch run LIFO
+        // would start them backwards — and a merge whose panels fold in
+        // panel order would hold every partial the batch reversed.
         let rt = Runtime::new(1);
         let scope = rt.scope();
         let started = Arc::new(AtomicBool::new(false));

@@ -172,11 +172,11 @@ impl Trace {
 
     /// [`to_chrome_json`](Self::to_chrome_json) plus, when scheduler
     /// metrics are supplied, one `dcst_sched_counters` metadata event per
-    /// worker lane carrying that worker's counters (tasks executed, steal
-    /// attempts/hits/retries, priority-lane hits, parks, deque growths)
-    /// and one pool-level `dcst_sched_pool` event with the peak ready-queue
-    /// depth, so a trace viewed in Perfetto carries the contention story
-    /// alongside the timeline.
+    /// worker lane carrying that worker's counters (tasks executed, lost
+    /// injector races, priority-lane hits, parks) and one pool-level
+    /// `dcst_sched_pool` event with the peak ready-queue depth, so a trace
+    /// viewed in Perfetto carries the contention story alongside the
+    /// timeline.
     pub fn to_chrome_json_with_metrics(&self, metrics: Option<&crate::RuntimeMetrics>) -> String {
         use std::fmt::Write;
         let mut out = String::from("{\"traceEvents\":[");
@@ -205,16 +205,9 @@ impl Trace {
                     format_args!(
                         "{{\"ph\":\"M\",\"pid\":0,\"tid\":{worker},\
                          \"name\":\"dcst_sched_counters\",\"args\":{{\
-                         \"executed\":{},\"steals_attempted\":{},\
-                         \"steals_succeeded\":{},\"steal_retries\":{},\
-                         \"priority_hits\":{},\"parks\":{},\"deque_grows\":{}}}}}",
-                        w.executed,
-                        w.steals_attempted,
-                        w.steals_succeeded,
-                        w.steal_retries,
-                        w.priority_hits,
-                        w.parks,
-                        w.deque_grows
+                         \"executed\":{},\"steal_retries\":{},\
+                         \"priority_hits\":{},\"parks\":{}}}}}",
+                        w.executed, w.steal_retries, w.priority_hits, w.parks
                     ),
                 );
             }
@@ -543,12 +536,9 @@ mod tests {
             workers: vec![
                 crate::WorkerMetrics {
                     executed: 5,
-                    steals_attempted: 3,
-                    steals_succeeded: 2,
                     steal_retries: 1,
                     priority_hits: 4,
                     parks: 6,
-                    deque_grows: 1,
                 },
                 crate::WorkerMetrics::default(),
             ],
@@ -565,7 +555,16 @@ mod tests {
         let args = counters[0].get("args").unwrap();
         assert_eq!(args.get("executed").unwrap().as_num(), Some(5.0));
         assert_eq!(args.get("steal_retries").unwrap().as_num(), Some(1.0));
-        assert_eq!(args.get("deque_grows").unwrap().as_num(), Some(1.0));
+        assert_eq!(args.get("parks").unwrap().as_num(), Some(6.0));
+        let keys: Vec<&str> = match args {
+            jsonv::Json::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => panic!("counter args must be an object"),
+        };
+        assert_eq!(
+            keys,
+            ["executed", "steal_retries", "priority_hits", "parks"],
+            "one field per counter the pool keeps"
+        );
         let pool = events
             .iter()
             .find(|e| e.get("name").and_then(|v| v.as_str()) == Some("dcst_sched_pool"))

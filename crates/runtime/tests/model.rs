@@ -137,9 +137,9 @@ fn priority_lane_overtakes_queued_normal_work() {
 }
 
 #[test]
-fn steal_and_pop_deliver_every_task_exactly_once() {
-    // Two workers racing over the injector and the sibling sweep: each of
-    // the four independent tasks must run exactly once.
+fn two_workers_pop_every_injected_task_exactly_once() {
+    // Two workers racing over the normal injector: each of the four
+    // independent tasks must run exactly once.
     let report = Builder {
         max_dfs_executions: 3000,
         random_iterations: 1500,

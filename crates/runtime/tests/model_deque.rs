@@ -1,15 +1,16 @@
-//! Model-checked interleaving tests for the lock-free scheduler core:
-//! the Chase–Lev worker deque and the segment-list injector from
+//! Model-checked interleaving tests for the lock-free queues in
 //! `vendor/crossbeam-deque`, compiled under `--cfg dcst_model_check` so
 //! their every atomic access and fence routes through loom-lite and
-//! becomes a schedule point.
+//! becomes a schedule point. The segment-list injector is the pool's
+//! only queue (two of them: the priority lane and the normal one); the
+//! Chase–Lev worker deque is driven only by `dcst_bench::sched::storm`.
 //!
 //! These scenarios state the TLA⁺ invariants of the SNIPPETS.md
 //! work-stealing spec directly against the production protocol:
 //!
 //! * **No lost task / no double execution** (W1, W2): every pushed item is
 //!   delivered to exactly one party, across pop/steal CAS races, buffer
-//!   growth, and injector block handoff.
+//!   growth, and concurrent injector consumers.
 //! * **LIFO-local / FIFO-steal order** (W3): owners pop newest-first,
 //!   thieves and the injector deliver oldest-first.
 //! * The **mutation test** weakens the pop-side CAS to a plain store
@@ -138,10 +139,11 @@ fn growth_under_concurrent_steal_preserves_every_item() {
 }
 
 #[test]
-fn injector_steal_batch_vs_concurrent_stealer() {
-    // The injector's batch-pop (head CAS per item, batch flushed into the
-    // caller's local deque) racing a single-stealing consumer: each of the
-    // three items is delivered to exactly one side, in FIFO order per side.
+fn two_consumers_drain_the_injector_exactly_once() {
+    // The pool's one consumer pattern: two workers each looping
+    // `Injector::steal` over the same queue (head CAS per item, `Retry`
+    // re-polled). Each of the three items is delivered to exactly one
+    // side.
     let report = Builder {
         max_dfs_executions: 9000,
         random_iterations: 3000,
@@ -154,9 +156,9 @@ fn injector_steal_batch_vs_concurrent_stealer() {
         inj.push(3);
         let sum = Arc::new(AtomicUsize::new(0));
         let count = Arc::new(AtomicUsize::new(0));
-        let h = {
+        let consume = {
             let (inj, sum, count) = (inj.clone(), sum.clone(), count.clone());
-            loom_lite::thread::spawn(move || loop {
+            move || loop {
                 match inj.steal() {
                     Steal::Success(v) => {
                         sum.fetch_add(v, Ordering::SeqCst);
@@ -165,26 +167,10 @@ fn injector_steal_batch_vs_concurrent_stealer() {
                     Steal::Retry => continue,
                     Steal::Empty => return,
                 }
-            })
-        };
-        let local = Worker::new_lifo();
-        loop {
-            match inj.steal_batch_and_pop(&local) {
-                Steal::Success(v) => {
-                    sum.fetch_add(v, Ordering::SeqCst);
-                    count.fetch_add(1, Ordering::SeqCst);
-                    // Drain whatever the batch flushed into the local deque
-                    // (owner pop: no contention possible, thief has no
-                    // stealer for it).
-                    while let Some(b) = local.pop() {
-                        sum.fetch_add(b, Ordering::SeqCst);
-                        count.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                Steal::Retry => continue,
-                Steal::Empty => break,
             }
-        }
+        };
+        let h = loom_lite::thread::spawn(consume.clone());
+        consume();
         h.join().unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 3, "lost or duplicated item");
         assert_eq!(sum.load(Ordering::SeqCst), 6, "wrong items delivered");

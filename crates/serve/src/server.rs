@@ -256,14 +256,13 @@ impl Inner {
         let _ = write!(
             out,
             "{{\"ok\":true,\"metrics\":{{\
-             \"workers\":{},\"tasks_executed\":{},\"steals_succeeded\":{},\
-             \"priority_hits\":{},\"parks\":{},\"max_queue_depth\":{},\
+             \"workers\":{},\"tasks_executed\":{},\"priority_hits\":{},\
+             \"parks\":{},\"max_queue_depth\":{},\
              \"ready_depth\":{},\"inflight\":{},\"accepted\":{},\
              \"completed\":{},\"shed\":{},\"cancelled\":{},\"inline\":{},\
              \"vectorless\":{},\"build_us\":{},\"kernel\":{{{}}}}}}}",
             rm.workers.len(),
             rm.tasks_executed() + self.inline_tasks.load(Ordering::Relaxed),
-            rm.steals_succeeded(),
             rm.priority_hits(),
             rm.parks(),
             rm.max_queue_depth,
