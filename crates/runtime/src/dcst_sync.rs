@@ -1,14 +1,13 @@
 //! Sync-primitive alias layer for the pool.
 //!
 //! The pool imports every synchronization primitive it uses — mutexes,
-//! condvars, atomics, the lock-free injector, thread spawning — from this
-//! module instead of naming `parking_lot` / `std::sync` /
-//! `crossbeam_deque` directly (`cargo run -p xtask -- analyze` enforces
-//! this). In a normal build the aliases are zero-cost re-exports; under
-//! `RUSTFLAGS="--cfg dcst_model_check"` they resolve to `loom-lite`'s
-//! instrumented equivalents, so the model checker can serialize the pool's
-//! every synchronization step and explore interleavings
-//! (see `crates/runtime/tests/model.rs`).
+//! condvars, atomics, thread spawning — from this module instead of naming
+//! `parking_lot` / `std::sync` directly (`cargo run -p xtask -- analyze`
+//! enforces this). In a normal build the aliases are zero-cost
+//! re-exports; under `RUSTFLAGS="--cfg dcst_model_check"` they resolve to
+//! `loom-lite`'s instrumented equivalents, so the model checker can
+//! serialize the pool's every synchronization step and explore
+//! interleavings (see `crates/runtime/tests/model.rs`).
 
 #[cfg(not(dcst_model_check))]
 mod imp {
@@ -16,10 +15,6 @@ mod imp {
 
     pub mod atomic {
         pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    }
-
-    pub mod deque {
-        pub use crossbeam_deque::{Injector, Steal};
     }
 
     pub type WorkerHandle = std::thread::JoinHandle<()>;
@@ -38,16 +33,6 @@ mod imp {
 
     pub mod atomic {
         pub use loom_lite::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    }
-
-    pub mod deque {
-        // The lock-free segment-list injector routes its own atomics
-        // through loom-lite when built under this cfg
-        // (vendor/crossbeam-deque/src/sys.rs), so the model explores the
-        // REAL protocol — CAS races, block handoff — rather than
-        // loom-lite's mutex-based deque mirror (which remains only in
-        // loom-lite's self-tests).
-        pub use crossbeam_deque::{Injector, Steal};
     }
 
     pub type WorkerHandle = loom_lite::thread::JoinHandle;

@@ -5,9 +5,9 @@
 //! declaring how it accesses named data regions ([`DataKey`]s) — `INPUT`,
 //! `OUTPUT`, `INOUT`, or the paper's `GATHERV` extension. The runtime infers
 //! inter-task dependencies from those declarations (sequential-consistency
-//! semantics) and executes tasks out of order on a worker pool — fed by a
-//! priority injector and a normal one — as soon as their dependencies are
-//! satisfied.
+//! semantics) and executes tasks out of order on a worker pool — fed by
+//! one locked ready set, a priority lane and a normal one — as soon as
+//! their dependencies are satisfied.
 //!
 //! `GATHERV` is the qualifier the paper added to QUARK: several concurrent
 //! writers to the *same* key that the programmer guarantees touch disjoint
@@ -57,6 +57,8 @@ mod trace;
 
 pub use deps::{Access, AccessMode, DataKey};
 pub use metrics::{RuntimeMetrics, WorkerMetrics};
+#[cfg(dcst_model_check)]
+pub use pool::Mutation;
 pub use pool::{
     set_task_trace_name, BoxError, CancelHandle, FailureKind, Runtime, RuntimeError, Scope,
     TaskBuilder,

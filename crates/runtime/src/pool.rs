@@ -1,13 +1,13 @@
-//! Out-of-order task execution on a worker pool fed by two injectors.
+//! Out-of-order task execution on a worker pool fed by one locked ready set.
 //!
 //! A submitter opens a [`Scope`] ([`Runtime::scope`] or
 //! [`Runtime::priority_scope`]) and states its flow through it with
 //! [`Scope::task`]; dependencies are inferred by that scope's
 //! [`DepTracker`](crate::deps) — keys are names within a scope — and
 //! encoded as edges between nodes. A node becomes *ready* when its last
-//! unfinished predecessor completes, at which point
-//! it is pushed to a crossbeam injector that the worker threads drain one
-//! task at a time (the priority injector first, then the regular one), so
+//! unfinished predecessor completes, at which point it joins the pool's
+//! ready set: two FIFO lanes under one mutex, which the worker threads pop
+//! one task at a time (the priority lane first, then the regular one), so
 //! ready tasks of one lane start in the order they were released.
 //!
 //! The scheduler is critical-path-aware: tasks marked
@@ -15,7 +15,8 @@
 //! deflation, the ReduceW join, leaf STEDC) land in a dedicated priority
 //! lane that every worker polls ahead of the commuting panel tasks, so a
 //! ready join never queues behind a wall of panel work. A worker that
-//! finds both injectors empty parks until the next release.
+//! finds both lanes empty waits on the ready set's condvar, under the same
+//! lock, until the next release.
 //!
 //! [`Runtime::inline`] is the degenerate discipline: each task body runs on
 //! the submitting thread at submission, so the task flow executes as the
@@ -25,11 +26,11 @@
 //! kernels.
 
 use crate::dcst_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::dcst_sync::deque::{Injector, Steal};
 use crate::dcst_sync::{spawn_worker, Condvar, Mutex, WorkerHandle};
 use crate::deps::{Access, AccessMode, DataKey, DepTracker};
 use crate::metrics::{PoolCounters, RuntimeMetrics};
 use crate::trace::{TaskRecord, Trace};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -183,7 +184,7 @@ struct ScopeState {
     /// of this scope's not-yet-started tasks are skipped while set.
     /// Cleared by `wait()` so the scope is reusable.
     cancelled: AtomicBool,
-    /// Route every task of this scope through the priority injector lane
+    /// Route every task of this scope through the priority lane
     /// (a whole-request priority class, on top of per-task
     /// [`TaskBuilder::high_priority`]).
     boost: bool,
@@ -225,22 +226,53 @@ impl ScopeState {
     }
 }
 
+/// Tasks released but not yet started, and the workers waiting for one.
+/// Every field is read and written under `Shared::ready`'s lock.
+#[derive(Default)]
+struct Ready {
+    /// Priority lane, popped ahead of `lo` by every worker.
+    hi: VecDeque<Arc<Node>>,
+    lo: VecDeque<Arc<Node>>,
+    /// Workers waiting on `ready_cv`.
+    idle: usize,
+    /// Signals workers to exit.
+    stop: bool,
+    /// High-water mark of `hi.len() + lo.len()`.
+    max_depth: u64,
+}
+
+impl Ready {
+    fn depth(&self) -> u64 {
+        (self.hi.len() + self.lo.len()) as u64
+    }
+}
+
+/// Model-check only: a seeded bug the model suite must catch
+/// (`Runtime::new_mutated`).
+#[cfg(dcst_model_check)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Mutation {
+    /// The pre-sentinel successor wiring: the finished check and the
+    /// successor push under two separate body locks.
+    Wiring,
+    /// A worker that finds both lanes empty under one lock hold and waits
+    /// under another, without looking again.
+    Park,
+    /// A fork join that sleeps until the group is done before it pops the
+    /// group's queued tasks.
+    Join,
+}
+
 struct Shared {
-    injector: Injector<Arc<Node>>,
-    /// Priority lane polled ahead of `injector` by every worker.
-    hi_injector: Injector<Arc<Node>>,
+    /// The ready set. A worker checks it and waits on `ready_cv` under
+    /// this one lock, and `push_ready` pushes and notifies under it, so a
+    /// release can never fall between a worker's check and its wait.
+    ready: Mutex<Ready>,
+    ready_cv: Condvar,
     /// Tasks submitted but not yet finished.
     outstanding: AtomicUsize,
-    /// Workers currently parked on `idle_cv` (incremented under
-    /// `idle_lock` before the final queue re-check, so a pusher that reads
-    /// 0 is guaranteed the worker will still see its push).
-    idle_workers: AtomicUsize,
-    /// Signals workers to exit.
-    stop: AtomicBool,
     /// True while a trace buffer is installed (cheap pre-check).
     tracing: AtomicBool,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
     /// One lock/condvar pair serves every waiter: `Scope::wait` and the
     /// drop-time global drain both sleep on `done_cv` and re-check their
     /// own counter. Scope completions are rare (one per
@@ -258,23 +290,75 @@ struct Shared {
     /// counter semantics).
     metrics: PoolCounters,
     epoch: Instant,
+    #[cfg(dcst_model_check)]
+    mutation: Option<Mutation>,
 }
 
 impl Shared {
-    fn push_ready(&self, node: Arc<Node>) {
-        self.metrics.depth_inc();
-        if node.high {
-            self.hi_injector.push(node);
-        } else {
-            self.injector.push(node);
+    fn new(lanes: usize) -> Self {
+        Shared {
+            ready: Mutex::new(Ready::default()),
+            ready_cv: Condvar::new(),
+            outstanding: AtomicUsize::new(0),
+            tracing: AtomicBool::new(false),
+            done_lock: Mutex::new(()),
+            done_cv: Condvar::new(),
+            trace: Mutex::new(Vec::new()),
+            trace_edges: Mutex::new(Vec::new()),
+            metrics: PoolCounters::new(lanes),
+            epoch: Instant::now(),
+            #[cfg(dcst_model_check)]
+            mutation: None,
         }
-        // Skip the notify syscall when nobody is parked (the common case
-        // while the pool is saturated). The counter is raised under
-        // `idle_lock` before the parking worker's final emptiness check, so
-        // reading 0 here means that worker will observe this push.
-        if self.idle_workers.load(Ordering::SeqCst) > 0 {
-            let _g = self.idle_lock.lock();
-            self.idle_cv.notify_one();
+    }
+
+    fn push_ready(&self, node: Arc<Node>) {
+        let mut ready = self.ready.lock();
+        if node.high {
+            ready.hi.push_back(node);
+        } else {
+            ready.lo.push_back(node);
+        }
+        ready.max_depth = ready.max_depth.max(ready.depth());
+        // Skip the notify syscall when nobody waits (the common case while
+        // the pool is saturated).
+        if ready.idle > 0 {
+            self.ready_cv.notify_one();
+        }
+    }
+
+    /// The next ready task, priority lane first; waits while both lanes
+    /// are empty. `None` once the runtime stops.
+    fn next_task(&self, worker_id: usize) -> Option<Arc<Node>> {
+        let mut ready = self.ready.lock();
+        loop {
+            // Priority lane first: a ready critical-path task (deflation,
+            // ReduceW, STEDC) must not queue behind commuting panel tasks.
+            if let Some(node) = ready.hi.pop_front() {
+                self.metrics.priority_hit(worker_id);
+                return Some(node);
+            }
+            // Both lanes pop one task at a time from the front, so ready
+            // tasks start in the order they were released: a merge's panels
+            // run in panel order across the workers. Started backwards,
+            // every `LAED4` panel that finished ahead of a lower one would
+            // hold its k-long local-W partial until that one folds, and a
+            // solve's memory high-water would change from run to run.
+            if let Some(node) = ready.lo.pop_front() {
+                return Some(node);
+            }
+            if ready.stop {
+                return None;
+            }
+            #[cfg(dcst_model_check)]
+            if self.mutation == Some(Mutation::Park) {
+                drop(ready);
+                ready = self.ready.lock();
+            }
+            ready.idle += 1;
+            self.metrics.park(worker_id);
+            self.ready_cv.wait(&mut ready);
+            ready.idle -= 1;
         }
     }
 
@@ -361,76 +445,6 @@ impl Shared {
     }
 }
 
-fn find_task(shared: &Shared, worker_id: usize) -> Option<Arc<Node>> {
-    loop {
-        // Priority lane first: a ready critical-path task (deflation,
-        // ReduceW, STEDC) must not queue behind commuting panel tasks.
-        // These are popped singly — they are rare and serial by nature.
-        match shared.hi_injector.steal() {
-            Steal::Success(node) => {
-                shared.metrics.priority_hit(worker_id);
-                return Some(node);
-            }
-            Steal::Retry => {
-                shared.metrics.steal_retry(worker_id);
-                continue;
-            }
-            Steal::Empty => {}
-        }
-        // The regular lane is popped singly too, so ready tasks start in the
-        // order they were released: a merge's panels run in panel order
-        // across the workers. A batch run LIFO would start them backwards,
-        // and every `LAED4` panel that finishes ahead of a lower one holds
-        // its k-long local-W partial until that one folds: a merge would
-        // hold as many partials as the batch happened to reverse, and a
-        // solve's memory high-water would change from run to run.
-        match shared.injector.steal() {
-            Steal::Success(node) => return Some(node),
-            Steal::Retry => shared.metrics.steal_retry(worker_id),
-            Steal::Empty => return None,
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, worker_id: usize) {
-    loop {
-        match find_task(&shared, worker_id) {
-            Some(node) => {
-                shared.metrics.depth_dec();
-                shared.execute(node, worker_id)
-            }
-            None => {
-                if shared.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                let mut guard = shared.idle_lock.lock();
-                // Publish idleness, then re-check under the lock. Every
-                // ready task lands in an injector via `push_ready`, whose
-                // pusher either sees the raised idle counter (and notifies
-                // under this same lock, which we hold until the wait
-                // releases it) or pushed early enough for the `is_empty`
-                // re-check below to observe the push — the injector's push
-                // CAS on the tail index is ordered before `is_empty`'s
-                // SeqCst index loads. Either way no wakeup is lost. The
-                // 1 s `wait_for` backstop below stays as insurance against
-                // bugs, not as part of the argument — the model suite runs
-                // with untimed waits.
-                shared.idle_workers.fetch_add(1, Ordering::SeqCst);
-                if shared.hi_injector.is_empty()
-                    && shared.injector.is_empty()
-                    && !shared.stop.load(Ordering::Acquire)
-                {
-                    shared.metrics.park(worker_id);
-                    shared
-                        .idle_cv
-                        .wait_for(&mut guard, std::time::Duration::from_secs(1));
-                }
-                shared.idle_workers.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-}
-
 /// One scope's dependency domain: the access history of the keys its
 /// tasks have named, and the nodes that history refers to. It lives and
 /// dies with its scope, so a [`DataKey`] is a name *within* a scope and
@@ -476,16 +490,13 @@ pub struct Runtime {
     /// The inline discipline ([`Runtime::inline`]): task bodies run on the
     /// submitting thread, which owns trace lane `num_threads`.
     inline: bool,
-    /// Model-check only: reintroduce the pre-sentinel successor-wiring
-    /// race so the model checker can demonstrate it catches the bug.
-    #[cfg(dcst_model_check)]
-    buggy_wiring: bool,
 }
 
 impl Runtime {
     /// Spawn a pool of `num_threads` workers (at least 1).
     pub fn new(num_threads: usize) -> Self {
-        Self::build(num_threads.max(1), false)
+        let num_threads = num_threads.max(1);
+        Self::build(Shared::new(num_threads), num_threads, false)
     }
 
     /// A runtime in the *inline* discipline: every task body runs on the
@@ -501,30 +512,21 @@ impl Runtime {
     /// ones itself — before it runs its next inline task. One thread
     /// submits at a time.
     pub fn inline(fork_threads: usize) -> Self {
-        Self::build(fork_threads, true)
+        Self::build(Shared::new(fork_threads + 1), fork_threads, true)
     }
 
-    fn build(num_threads: usize, inline: bool) -> Self {
-        let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            hi_injector: Injector::new(),
-            outstanding: AtomicUsize::new(0),
-            idle_workers: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
-            tracing: AtomicBool::new(false),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-            trace: Mutex::new(Vec::new()),
-            trace_edges: Mutex::new(Vec::new()),
-            metrics: PoolCounters::new(num_threads + usize::from(inline)),
-            epoch: Instant::now(),
-        });
+    /// Start `num_threads` workers on `shared`, whose counters have a lane
+    /// for each of them and one more for an `inline` submitter.
+    fn build(shared: Shared, num_threads: usize, inline: bool) -> Self {
+        let shared = Arc::new(shared);
         let threads = (0..num_threads)
             .map(|i| {
                 let sh = shared.clone();
-                spawn_worker(format!("dcst-worker-{i}"), move || worker_loop(sh, i))
+                spawn_worker(format!("dcst-worker-{i}"), move || {
+                    while let Some(node) = sh.next_task(i) {
+                        sh.execute(node, i);
+                    }
+                })
             })
             .collect();
         Runtime {
@@ -534,20 +536,17 @@ impl Runtime {
             next_scope_id: AtomicUsize::new(0),
             num_threads,
             inline,
-            #[cfg(dcst_model_check)]
-            buggy_wiring: false,
         }
     }
 
-    /// Model-check only: a runtime whose successor wiring re-creates the
-    /// unsynchronized finished-check/push window the +1 pending sentinel
-    /// fixed. Exists so `tests/model.rs` can prove the checker detects
-    /// that bug class (a lost successor release deadlocks the model).
+    /// Model-check only: a runtime with one seeded bug, which exists so
+    /// `tests/model.rs` can prove the checker catches that bug class. An
+    /// `inline` runtime has `num_threads` fork workers.
     #[cfg(dcst_model_check)]
-    pub fn new_with_buggy_wiring(num_threads: usize) -> Self {
-        let mut rt = Self::new(num_threads);
-        rt.buggy_wiring = true;
-        rt
+    pub fn new_mutated(num_threads: usize, inline: bool, mutation: Mutation) -> Self {
+        let mut shared = Shared::new(num_threads + usize::from(inline));
+        shared.mutation = Some(mutation);
+        Self::build(shared, num_threads, inline)
     }
 
     /// Number of worker threads.
@@ -573,7 +572,7 @@ impl Runtime {
     }
 
     /// [`scope`](Self::scope), but every task submitted through it enters
-    /// the priority injector lane: the whole-request priority class a
+    /// the priority lane: the whole-request priority class a
     /// server maps high-priority requests onto.
     pub fn priority_scope(&self) -> Scope<'_> {
         self.new_scope(true)
@@ -657,14 +656,15 @@ impl Runtime {
     /// Counters are cumulative across phases; diff two snapshots to
     /// isolate one phase.
     pub fn runtime_metrics(&self) -> RuntimeMetrics {
-        self.shared.metrics.snapshot()
+        let max_queue_depth = self.shared.ready.lock().max_depth;
+        self.shared.metrics.snapshot(max_queue_depth)
     }
 
-    /// Current ready-queue depth: tasks released to the injectors but not
-    /// yet started. A server's admission control reads this gauge to shed
-    /// load when the pool's backlog saturates.
+    /// Current ready-queue depth: tasks released to the ready set but not
+    /// yet started, read under its lock. A server's admission control
+    /// reads this gauge to shed load when the pool's backlog saturates.
     pub fn ready_queue_depth(&self) -> u64 {
-        self.shared.metrics.depth()
+        self.shared.ready.lock().depth()
     }
 
     /// A node counted as outstanding in its scope and in the pool. Its
@@ -727,15 +727,18 @@ impl Runtime {
     /// runs whatever part of the group is still queued instead of sleeping
     /// through it, so a small (or empty-bodied) group costs no handoff.
     fn join_forked(&self, scope: &ScopeState) {
+        #[cfg(dcst_model_check)]
+        if self.shared.mutation == Some(Mutation::Join) {
+            self.drain(scope);
+        }
         while scope.outstanding.load(Ordering::Acquire) != 0 {
-            match self.shared.injector.steal() {
-                Steal::Success(node) => {
-                    self.shared.metrics.depth_dec();
-                    self.shared.execute(node, self.num_threads);
-                }
-                Steal::Retry => {}
+            // Popped in a statement of its own: the ready lock is released
+            // before `execute` releases successors into the ready set.
+            let queued = self.shared.ready.lock().lo.pop_front();
+            match queued {
+                Some(node) => self.shared.execute(node, self.num_threads),
                 // The rest of the group is running on the fork workers.
-                Steal::Empty => return self.drain(scope),
+                None => return self.drain(scope),
             }
         }
     }
@@ -776,7 +779,7 @@ impl Runtime {
         st.nodes.push(node.clone());
         drop(st);
         #[cfg(dcst_model_check)]
-        if self.buggy_wiring {
+        if self.shared.mutation == Some(Mutation::Wiring) {
             // The pre-sentinel bug under model test: the finished check and
             // the successor push happen under two separate body locks, so a
             // predecessor finishing in the window drains its successor list
@@ -862,11 +865,8 @@ impl Drop for Runtime {
                     .wait_for(&mut guard, std::time::Duration::from_secs(1));
             }
         }
-        self.shared.stop.store(true, Ordering::Release);
-        {
-            let _g = self.shared.idle_lock.lock();
-            self.shared.idle_cv.notify_all();
-        }
+        self.shared.ready.lock().stop = true;
+        self.shared.ready_cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -1294,7 +1294,7 @@ mod tests {
     #[test]
     fn priority_tasks_overtake_queued_work() {
         // One worker, held busy by a gate task while panel tasks queue up
-        // in the injector; a high-priority join submitted last must still
+        // in the normal lane; a high-priority join submitted last must still
         // run before every queued panel task.
         let rt = Runtime::new(1);
         let scope = rt.scope();
@@ -1371,6 +1371,52 @@ mod tests {
             (0..32).collect::<Vec<_>>(),
             "panels started out of release order"
         );
+    }
+
+    #[test]
+    fn ready_queue_depth_counts_exactly_the_queued_tasks() {
+        // One worker, held by a gate while tasks are released into both
+        // lanes: the admission gauge reads every queued task, then none
+        // once both scopes have been waited.
+        let rt = Runtime::new(1);
+        let scope = rt.scope();
+        let prio = rt.priority_scope();
+        let started = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        {
+            let (s, r) = (started.clone(), release.clone());
+            scope.task("gate").spawn(move || {
+                s.store(true, Ordering::SeqCst);
+                while !r.load(Ordering::SeqCst) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        while !started.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        let before = rt.ready_queue_depth();
+        for _ in 0..5 {
+            scope.task("normal").spawn(|| {});
+        }
+        for _ in 0..3 {
+            prio.task("boosted").spawn(|| {});
+        }
+        scope.task("high").high_priority().spawn(|| {});
+        let queued = rt.ready_queue_depth();
+        let high_water = rt.runtime_metrics().max_queue_depth;
+        // Asserted only after the gate opens: a failure while the worker
+        // spins in it would hang the runtime's drop.
+        release.store(true, Ordering::SeqCst);
+        scope.wait().unwrap();
+        prio.wait().unwrap();
+        assert_eq!(before, 0, "the gate has started");
+        assert_eq!(queued, 9);
+        assert!(high_water >= 9);
+        assert_eq!(rt.ready_queue_depth(), 0);
+        let m = rt.runtime_metrics();
+        assert_eq!(m.priority_hits(), 4, "three boosted tasks and one high");
+        assert_eq!(m.tasks_executed(), 10);
     }
 
     #[test]

@@ -205,9 +205,8 @@ impl Trace {
                     format_args!(
                         "{{\"ph\":\"M\",\"pid\":0,\"tid\":{worker},\
                          \"name\":\"dcst_sched_counters\",\"args\":{{\
-                         \"executed\":{},\"steal_retries\":{},\
-                         \"priority_hits\":{},\"parks\":{}}}}}",
-                        w.executed, w.steal_retries, w.priority_hits, w.parks
+                         \"executed\":{},\"priority_hits\":{},\"parks\":{}}}}}",
+                        w.executed, w.priority_hits, w.parks
                     ),
                 );
             }
@@ -536,7 +535,6 @@ mod tests {
             workers: vec![
                 crate::WorkerMetrics {
                     executed: 5,
-                    steal_retries: 1,
                     priority_hits: 4,
                     parks: 6,
                 },
@@ -554,7 +552,7 @@ mod tests {
         assert_eq!(counters.len(), 2, "one counter event per worker");
         let args = counters[0].get("args").unwrap();
         assert_eq!(args.get("executed").unwrap().as_num(), Some(5.0));
-        assert_eq!(args.get("steal_retries").unwrap().as_num(), Some(1.0));
+        assert_eq!(args.get("priority_hits").unwrap().as_num(), Some(4.0));
         assert_eq!(args.get("parks").unwrap().as_num(), Some(6.0));
         let keys: Vec<&str> = match args {
             jsonv::Json::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
@@ -562,7 +560,7 @@ mod tests {
         };
         assert_eq!(
             keys,
-            ["executed", "steal_retries", "priority_hits", "parks"],
+            ["executed", "priority_hits", "parks"],
             "one field per counter the pool keeps"
         );
         let pool = events

@@ -2,7 +2,7 @@
 //!
 //! Compiled (and meaningful) only under `RUSTFLAGS="--cfg
 //! dcst_model_check"`: the `dcst_sync` alias layer then resolves the
-//! pool's every mutex, condvar, atomic, deque and thread-spawn to
+//! pool's every mutex, condvar, atomic and thread-spawn to
 //! `loom-lite`'s instrumented equivalents, and each test below re-runs a
 //! small pool scenario under `loom_lite::Builder` — bounded-exhaustive
 //! DFS over schedule choices first, seeded random schedules after. A
@@ -31,7 +31,7 @@
 
 #![cfg(dcst_model_check)]
 
-use dcst_runtime::{DataKey, Runtime};
+use dcst_runtime::{DataKey, Mutation, Runtime};
 use loom_lite::sync::{Condvar as LoomCondvar, Mutex as LoomMutex};
 use loom_lite::Builder;
 // Test bookkeeping only, never a pool primitive. xtask-lint: allow(pool-sync)
@@ -138,8 +138,8 @@ fn priority_lane_overtakes_queued_normal_work() {
 
 #[test]
 fn two_workers_pop_every_injected_task_exactly_once() {
-    // Two workers racing over the normal injector: each of the four
-    // independent tasks must run exactly once.
+    // Two workers racing over the ready set's normal lane: each of the
+    // four independent tasks must run exactly once.
     let report = Builder {
         max_dfs_executions: 3000,
         random_iterations: 1500,
@@ -164,11 +164,10 @@ fn two_workers_pop_every_injected_task_exactly_once() {
 #[test]
 fn parked_workers_never_miss_a_wakeup() {
     // Three submit/wait phases on one worker: between phases the worker
-    // parks on `idle_cv` (its `wait_for` backstop is modeled as an
-    // untimed `wait`, so the eventcount protocol gets no second chance).
-    // A lost wakeup leaves the task queued and the master blocked on
-    // `done_cv` — every thread blocked, which the model reports as a
-    // deadlock.
+    // waits on the ready set's condvar, untimed. A lost wakeup leaves the
+    // task queued and the master blocked on `done_cv` (whose `wait_for`
+    // backstop the model runs as an untimed `wait`) — every thread
+    // blocked, which the model reports as a deadlock.
     let report = Builder {
         max_dfs_executions: 2500,
         random_iterations: 1000,
@@ -445,7 +444,7 @@ fn cancel_racing_a_failure_latches_once() {
 
 #[test]
 fn reintroduced_wiring_race_is_caught_as_deadlock() {
-    // The mutation proof: `new_with_buggy_wiring` re-creates the
+    // The mutation proof: `Mutation::Wiring` re-creates the
     // pre-sentinel protocol (finished-check and successor-push under two
     // separate body locks). In the interleaving where A retires between
     // B's check and push, B's release is lost and the pool deadlocks —
@@ -456,7 +455,7 @@ fn reintroduced_wiring_race_is_caught_as_deadlock() {
         ..Builder::default()
     }
     .check(|| {
-        let rt = Runtime::new_with_buggy_wiring(1);
+        let rt = Runtime::new_mutated(1, false, Mutation::Wiring);
         let scope = rt.scope();
         let k = DataKey::new(0, 0);
         scope.task("A").write(k).spawn(|| {});
@@ -473,4 +472,105 @@ fn reintroduced_wiring_race_is_caught_as_deadlock() {
         failure.contains("deadlock"),
         "expected a deadlock report, got: {failure}"
     );
+}
+
+/// Explore `scenario`, which runs a runtime carrying a seeded bug: the
+/// model checker must report a deadlock within `budget` interleavings.
+fn mutation_deadlocks(budget: usize, scenario: impl Fn() + Send + Sync + 'static) {
+    let report = Builder {
+        max_dfs_executions: budget,
+        random_iterations: budget,
+        ..Builder::default()
+    }
+    .check(scenario);
+    let failure = report.failure.unwrap_or_else(|| {
+        panic!(
+            "model checker missed the mutation in {} interleavings",
+            report.executions
+        )
+    });
+    assert!(
+        failure.contains("deadlock"),
+        "expected a deadlock report, got: {failure}"
+    );
+}
+
+#[test]
+fn reintroduced_lost_wakeup_is_caught_as_deadlock() {
+    // `Mutation::Park`: a worker that finds both lanes empty, lets the
+    // ready lock go, and waits under a fresh hold without looking again.
+    // A task released in that gap finds no waiter to notify, so the
+    // worker sleeps beside it and the master never returns from `wait`.
+    mutation_deadlocks(4000, || {
+        let rt = Runtime::new_mutated(1, false, Mutation::Park);
+        let scope = rt.scope();
+        for _ in 0..2 {
+            scope.task("p").spawn(|| {});
+            scope.wait().unwrap();
+        }
+    });
+}
+
+/// A fork group of two tasks, each of which starts and then waits for the
+/// other to have started, joined by the inline task submitted after it.
+/// With one fork worker the pair can only both finish if the submitter
+/// runs the one still queued: a join that slept through it would leave
+/// the worker waiting on a task nobody pops.
+fn fork_pair_then_inline(rt: &Runtime) {
+    rt.enable_tracing();
+    let scope = rt.scope();
+    let k = DataKey::new(0, 0);
+    let started = Arc::new((LoomMutex::new([false; 2]), LoomCondvar::new()));
+    for me in 0..2 {
+        let started = started.clone();
+        scope.task("group").gatherv(k).fork().spawn(move || {
+            let (flags, cv) = &*started;
+            let mut up = flags.lock();
+            up[me] = true;
+            cv.notify_all();
+            while !up[1 - me] {
+                cv.wait(&mut up);
+            }
+        });
+    }
+    let joined = Arc::new(AtomicBool::new(false));
+    {
+        let (started, joined) = (started.clone(), joined.clone());
+        scope.task("after").read_write(k).spawn(move || {
+            let up = *started.0.lock();
+            joined.store(up == [true; 2], Ordering::SeqCst);
+        });
+    }
+    scope.wait().unwrap();
+    assert!(joined.load(Ordering::SeqCst), "ran before its group joined");
+    let trace = rt.take_trace();
+    let mut lanes: Vec<(&str, usize)> = trace.records.iter().map(|r| (r.name, r.worker)).collect();
+    lanes.sort();
+    // Lane 0 is the fork worker, lane 1 the submitter.
+    assert_eq!(lanes, [("after", 1), ("group", 0), ("group", 1)]);
+}
+
+#[test]
+fn fork_join_runs_a_queued_group_task_on_the_submitter() {
+    // `join_forked` on an inline runtime with one fork worker: the
+    // submitter pops the group task still queued and runs it itself,
+    // whichever task the worker took and whenever it took it, and sleeps
+    // in `drain` only once nothing of the group is left to pop.
+    let report = Builder {
+        max_dfs_executions: 3000,
+        random_iterations: 1500,
+        ..Builder::default()
+    }
+    .check(|| fork_pair_then_inline(&Runtime::inline(1)));
+    assert_explored(&report, 4500);
+}
+
+#[test]
+fn join_that_drains_before_popping_is_caught_as_deadlock() {
+    // `Mutation::Join`: the submitter sleeps until the group is done
+    // before it pops, so the group task the worker is not running stays
+    // queued while the worker waits for it to start.
+    mutation_deadlocks(4000, || {
+        fork_pair_then_inline(&Runtime::new_mutated(1, true, Mutation::Join))
+    });
 }
